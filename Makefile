@@ -10,7 +10,7 @@ TESTFLAGS ?= -timeout 120s
 # race-enabled targets carry their own, larger guard.
 RACE_TESTFLAGS ?= -timeout 900s
 
-.PHONY: build test vet fmt race check expolint bench bench-all benchgate chaos soak-restart trace-demo fuzz
+.PHONY: build test vet fmt race check expolint bench bench-all bench-smoke benchgate chaos soak-restart trace-demo fuzz
 
 build:
 	$(GO) build ./...
@@ -42,13 +42,21 @@ expolint:
 	$(GO) test $(TESTFLAGS) -run 'Lint|Exposition|Prometheus' \
 		./internal/obs/ ./internal/jobs/ ./internal/telemetry/
 
-# check is the CI gate: formatting, static analysis, the exposition lint,
-# the race-enabled suite, and the benchmark regression gate against the
-# committed snapshot. The race-enabled suite replays the FuzzFrameDecode
-# seed corpus (plain `go test` runs f.Add seeds), so every committed
-# frame-decoder regression input is exercised on each CI run; `make fuzz`
-# explores beyond the seeds.
-check: fmt vet expolint race benchgate
+# bench-smoke compiles and tests the frozen benchmark module. bench/ is its
+# own Go module (it imports this one through a replace directive), so the
+# root `go build ./...` and `go vet ./...` never see it: without this
+# target an internal API change that breaks the benchmark harness would
+# only surface when BENCHMARK.json's command next runs.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test $(TESTFLAGS) ./...
+
+# check is the CI gate: formatting, static analysis, the frozen bench
+# module, the exposition lint, the race-enabled suite, and the benchmark
+# regression gate against the committed snapshot. The race-enabled suite
+# replays the FuzzFrameDecode seed corpus (plain `go test` runs f.Add
+# seeds), so every committed frame-decoder regression input is exercised
+# on each CI run; `make fuzz` explores beyond the seeds.
+check: fmt vet bench-smoke expolint race benchgate
 
 # fuzz runs coverage-guided exploration of the wire-frame decoders. The
 # decoders sit directly on the network, so any input must decode or error —

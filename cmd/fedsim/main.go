@@ -107,8 +107,6 @@ func main() {
 		fatal(err)
 	}
 
-	// Chaos injection wraps the executor before stats are enabled so the
-	// decorator inherits the engine's observability toggles.
 	if *chaosPath != "" {
 		sched, err := chaos.Load(*chaosPath)
 		if err != nil {

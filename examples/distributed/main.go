@@ -2,8 +2,9 @@
 // a coordinator and four workers on loopback, exactly the topology of
 // cmd/fedserver + cmd/fedclient, then a bit-for-bit comparison against the
 // in-process simulator. Both runs drive the same internal/engine outer
-// loop — only the Executor differs (TCP wire rounds vs in-process solves) —
-// which is why the models match exactly.
+// loop — only the Executor's one method, RunRound, differs (a TCP wire
+// round vs in-process solves from the same RoundSpec) — which is why the
+// models match exactly.
 package main
 
 import (

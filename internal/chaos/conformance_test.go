@@ -328,6 +328,51 @@ func TestChaosStragglerCutInProcess(t *testing.T) {
 	}
 }
 
+// TestChaosDelayOnQuorumCutDevice is the regression test for a data race on
+// Parallel: under a MinReport-only policy (no deadline, so the round context
+// cannot be cancelled) a device that round 1's quorum cut is still solving
+// when round 2's Delay event hands it back to the pool in a call of its own
+// with MinReport 0. The pool must see that the device is busy and count it
+// as a straggler; dispatching it would reseed its RNG under the live solve
+// and run two solves on one device. Run under -race (make race).
+func TestChaosDelayOnQuorumCutDevice(t *testing.T) {
+	p := testPartition(3, 20, 3, 3, 4)
+	// Device 2's full-gradient pass takes far longer than the other two
+	// devices' whole round, so the quorum always cuts it, and its abandoned
+	// solve is still running when the next round dispatches.
+	p.Clients[2] = testPartition(3, 400000, 3, 3, 4).Clients[2]
+	m := models.NewSoftmax(3, 3, 0)
+	cfg := chaosConfig(2, 9)
+	cfg.MinReport = 2
+	sched := &chaos.Schedule{
+		Seed:   1,
+		Events: []chaos.Event{{Device: 2, Round: 2, Kind: chaos.Delay, DelayMS: 1}},
+	}
+	if err := sched.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	par := engine.NewParallel(newDevices(p, m, cfg.Seed), cfg.Local, 0)
+	defer par.Close()
+	eng, err := engine.New(cfg, m.Dim(), p.Weights(), chaos.NewExecutor(par, sched))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.OnRound(func(info engine.RoundInfo) error {
+		if len(info.Participants) != 2 || info.Stragglers != 1 || info.Failed != 0 {
+			return errors.New("round " + strconv.Itoa(info.Round) + ": want devices 0 and 1 reporting and device 2 cut as a straggler, got participants " +
+				strconv.Itoa(len(info.Participants)) + ", stragglers " + strconv.Itoa(info.Stragglers) + ", failed " + strconv.Itoa(info.Failed))
+		}
+		return nil
+	})
+	// Step, not Run: Step passes a context that cannot be cancelled, as
+	// simnet.Train does.
+	for r := 0; r < cfg.Rounds; r++ {
+		if _, _, err := eng.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestChaosTCPStragglerDeadline is the wire-level straggler acceptance
 // test: a scripted slow worker (2s injected reply delay) against a 200ms
 // round deadline and a 5s flat connection timeout. The round must be cut

@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"fedproxvr/internal/engine"
-	"fedproxvr/internal/obs"
-	"fedproxvr/internal/trace"
 )
 
 // Executor decorates an in-process engine.Executor with fault injection
@@ -22,24 +20,20 @@ import (
 // bit-identical across the sequential, parallel, and simnet backends, and
 // matches the TCP path driven by the same schedule through chaos workers.
 //
-// Rounds are counted from 1, incremented on every RunClients call, which
-// matches the engine's round numbering when the decorator is installed
-// before training starts. An engine drives the numbering explicitly
-// through BeginRound, so a resumed engine (checkpoint restore) replays
-// the schedule at the true global round numbers.
+// The schedule is evaluated at spec.Round — the engine's global round
+// number — so a resumed engine (checkpoint restore) replays it at the true
+// round numbers. Everything else in the spec (stats record, tracer, quorum)
+// is handed to the wrapped executor untouched.
 type Executor struct {
 	inner engine.Executor
 	sched *Schedule
-	round int
-	ext   int // round set by BeginRound for the next run; 0 = self-count
 
-	out    [][]float64
+	sub    engine.RoundResult // the wrapped executor's result in event rounds
 	runIDs []int
 	runPos []int
-
-	stragglers int
-	tr         *trace.Tracer
 }
+
+var _ engine.Executor = (*Executor)(nil)
 
 // NewExecutor wraps inner with the fault schedule.
 func NewExecutor(inner engine.Executor, sched *Schedule) *Executor {
@@ -49,54 +43,25 @@ func NewExecutor(inner engine.Executor, sched *Schedule) *Executor {
 // Inner returns the wrapped executor.
 func (x *Executor) Inner() engine.Executor { return x.inner }
 
-// BeginRound implements engine.RoundBeginner: the schedule is evaluated at
-// the engine's round number and the call is forwarded inward so the
-// wrapped executor re-keys its devices for the same round.
-func (x *Executor) BeginRound(t int) {
-	x.ext = t
-	if rb, ok := x.inner.(engine.RoundBeginner); ok {
-		rb.BeginRound(t)
-	}
-}
-
-// RunClients implements engine.Executor.
-func (x *Executor) RunClients(anchor []float64, selected []int) ([][]float64, error) {
-	return x.run(context.Background(), anchor, selected, 0)
-}
-
-// RunClientsCtx implements engine.ContextExecutor: the deadline/quorum
-// policy applies to the healthy cohort, and scheduled Delay events race
-// their devices against the round deadline.
-func (x *Executor) RunClientsCtx(ctx context.Context, anchor []float64, selected []int, minReport int) ([][]float64, error) {
-	return x.run(ctx, anchor, selected, minReport)
-}
-
 type lateDev struct {
 	pos int
 	id  int
 	d   time.Duration
 }
 
-func (x *Executor) run(ctx context.Context, anchor []float64, selected []int, minReport int) ([][]float64, error) {
-	if x.ext > 0 {
-		x.round, x.ext = x.ext, 0
-	} else {
-		x.round++
+// RunRound implements engine.Executor. The deadline/quorum policy applies
+// to the healthy cohort, and scheduled Delay events race their devices
+// against the round deadline. In a round with events the wrapped executor
+// runs several times — the main fan-out, then each delayed device — and the
+// calls merge into one result: every call appends its ClientStats to the
+// same spec.Stats, stragglers add up, and the cumulative GradEvals is the
+// last call's.
+func (x *Executor) RunRound(ctx context.Context, spec engine.RoundSpec, res *engine.RoundResult) error {
+	if !x.sched.RoundHasEvents(spec.Round) {
+		return x.inner.RunRound(ctx, spec, res)
 	}
-	x.stragglers = 0
-	if !x.sched.RoundHasEvents(x.round) {
-		out, err := engine.RunClientsWithPolicy(x.inner, ctx, anchor, selected, minReport)
-		x.stragglers = innerStragglers(x.inner)
-		return out, err
-	}
-
-	if cap(x.out) < len(selected) {
-		x.out = make([][]float64, len(selected))
-	}
-	out := x.out[:len(selected)]
-	for i := range out {
-		out[i] = nil
-	}
+	selected, tr := spec.Selected, spec.Tracer
+	out := res.Reset(len(selected))
 
 	// Partition the cohort: crashed/partitioned devices stay nil, delayed
 	// devices run late one by one, everyone else (including corrupt and
@@ -106,16 +71,16 @@ func (x *Executor) run(ctx context.Context, anchor []float64, selected []int, mi
 	var late []lateDev
 	var corrupt []int
 	for i, id := range selected {
-		ev, ok := x.sched.ActionFor(id, x.round)
+		ev, ok := x.sched.ActionFor(id, spec.Round)
 		if !ok {
 			x.runIDs = append(x.runIDs, id)
 			x.runPos = append(x.runPos, i)
 			continue
 		}
-		if x.tr != nil {
+		if tr != nil {
 			// Every injected fault is an annotated instant on the round
 			// span, so a chaos run's trace shows the schedule firing.
-			x.tr.RoundEvent("chaos:"+string(ev.Kind), "device "+strconv.Itoa(id))
+			tr.RoundEvent("chaos:"+string(ev.Kind), "device "+strconv.Itoa(id))
 		}
 		switch ev.Kind {
 		case Crash, Partition:
@@ -133,19 +98,20 @@ func (x *Executor) run(ctx context.Context, anchor []float64, selected []int, mi
 		}
 	}
 
+	sub := spec
 	if len(x.runIDs) > 0 {
-		locals, err := engine.RunClientsWithPolicy(x.inner, ctx, anchor, x.runIDs, minReport)
-		if err != nil {
-			return nil, err
+		sub.Selected = x.runIDs
+		if err := x.inner.RunRound(ctx, sub, &x.sub); err != nil {
+			return err
 		}
-		// Copy result pointers out immediately: the inner executor owns
-		// the backing slice and reuses it on the next call. The vectors
-		// themselves are device-owned buffers, stable until that device's
-		// next RunRound.
+		// Copy result pointers out immediately: x.sub is reused by the late
+		// calls below. The vectors themselves are device-owned buffers,
+		// stable until that device's next RunRound.
 		for j, pos := range x.runPos {
-			out[pos] = locals[j]
+			out[pos] = x.sub.Locals[j]
 		}
-		x.stragglers += innerStragglers(x.inner)
+		res.Stragglers += x.sub.Stragglers
+		res.GradEvals = x.sub.GradEvals
 	}
 
 	// Delayed devices report late, in delay order; under a round deadline
@@ -156,12 +122,13 @@ func (x *Executor) run(ctx context.Context, anchor []float64, selected []int, mi
 		}
 		return late[a].pos < late[b].pos
 	})
+	sub.MinReport = 0
 	var slept time.Duration
 	for _, ld := range late {
 		cutLate := func() {
-			x.stragglers++
-			if x.tr != nil {
-				x.tr.RoundEvent("straggler-cut", "device "+strconv.Itoa(ld.id)+" (delayed past deadline)")
+			res.Stragglers++
+			if tr != nil {
+				tr.RoundEvent("straggler-cut", "device "+strconv.Itoa(ld.id)+" (delayed past deadline)")
 			}
 		}
 		if wait := ld.d - slept; wait > 0 {
@@ -175,27 +142,28 @@ func (x *Executor) run(ctx context.Context, anchor []float64, selected []int, mi
 			cutLate()
 			continue
 		}
-		one, err := engine.RunClientsWithPolicy(x.inner, ctx, anchor, []int{ld.id}, 0)
-		if err != nil {
-			return nil, err
+		sub.Selected = []int{ld.id}
+		if err := x.inner.RunRound(ctx, sub, &x.sub); err != nil {
+			return err
 		}
-		if one[0] == nil {
-			x.stragglers++
+		res.GradEvals = x.sub.GradEvals
+		if x.sub.Locals[0] == nil {
+			res.Stragglers++
 			continue
 		}
-		out[ld.pos] = one[0]
+		out[ld.pos] = x.sub.Locals[0]
 	}
 
 	for _, pos := range corrupt {
 		if out[pos] == nil {
 			continue
 		}
-		ev, _ := x.sched.ActionFor(selected[pos], x.round)
+		ev, _ := x.sched.ActionFor(selected[pos], spec.Round)
 		cp := append([]float64(nil), out[pos]...)
 		x.sched.CorruptVec(ev, cp)
 		out[pos] = cp
 	}
-	return out, nil
+	return nil
 }
 
 // sleepCtx sleeps for d, returning false if ctx expires first.
@@ -212,50 +180,4 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	case <-ctx.Done():
 		return false
 	}
-}
-
-// Stragglers implements engine.StragglerCounter.
-func (x *Executor) Stragglers() int { return x.stragglers }
-
-// GradEvals implements engine.EvalCounter when the wrapped executor does.
-func (x *Executor) GradEvals() int64 {
-	if ec, ok := x.inner.(engine.EvalCounter); ok {
-		return ec.GradEvals()
-	}
-	return 0
-}
-
-// EnableStats implements engine.StatsSource, forwarding to the wrapped
-// executor.
-func (x *Executor) EnableStats(on bool) {
-	if ss, ok := x.inner.(engine.StatsSource); ok {
-		ss.EnableStats(on)
-	}
-}
-
-// SetTracer implements engine.TraceSource: the decorator fires a
-// "chaos:<kind>" round event per injected fault and forwards the tracer to
-// the wrapped executor for its per-client spans.
-func (x *Executor) SetTracer(tr *trace.Tracer) {
-	x.tr = tr
-	if ts, ok := x.inner.(engine.TraceSource); ok {
-		ts.SetTracer(tr)
-	}
-}
-
-// CollectStats implements engine.StatsSource. In rounds with chaos events
-// the inner executor ran several sub-fan-outs and only the last one's
-// per-client latencies survive — per-client timing in chaos rounds is
-// best-effort; round-level counters are exact.
-func (x *Executor) CollectStats(rs *obs.RoundStats) {
-	if ss, ok := x.inner.(engine.StatsSource); ok {
-		ss.CollectStats(rs)
-	}
-}
-
-func innerStragglers(x engine.Executor) int {
-	if sc, ok := x.(engine.StragglerCounter); ok {
-		return sc.Stragglers()
-	}
-	return 0
 }

@@ -202,23 +202,15 @@ type failAfterExec struct {
 	inner  engine.Executor
 	after  int
 	victim int
-	round  int
 	sub    []int
+	subRes engine.RoundResult
 }
 
-// BeginRound forwards the engine's round number inward so the wrapped
-// executor re-keys its devices exactly like the TCP workers it stands for.
-func (f *failAfterExec) BeginRound(t int) {
-	if rb, ok := f.inner.(engine.RoundBeginner); ok {
-		rb.BeginRound(t)
+func (f *failAfterExec) RunRound(ctx context.Context, spec engine.RoundSpec, res *engine.RoundResult) error {
+	if spec.Round <= f.after {
+		return f.inner.RunRound(ctx, spec, res)
 	}
-}
-
-func (f *failAfterExec) RunClients(anchor []float64, selected []int) ([][]float64, error) {
-	f.round++
-	if f.round <= f.after {
-		return f.inner.RunClients(anchor, selected)
-	}
+	selected := spec.Selected
 	f.sub = f.sub[:0]
 	pos := -1
 	for i, id := range selected {
@@ -228,23 +220,25 @@ func (f *failAfterExec) RunClients(anchor []float64, selected []int) ([][]float6
 		}
 		f.sub = append(f.sub, id)
 	}
-	locals, err := f.inner.RunClients(anchor, f.sub)
-	if err != nil || pos < 0 {
-		return locals, err
+	if pos < 0 {
+		return f.inner.RunRound(ctx, spec, res)
 	}
-	out := make([][]float64, len(selected))
+	spec.Selected = f.sub
+	if err := f.inner.RunRound(ctx, spec, &f.subRes); err != nil {
+		return err
+	}
+	out := res.Reset(len(selected))
+	res.GradEvals = f.subRes.GradEvals
 	j := 0
 	for i := range selected {
 		if i == pos {
 			continue
 		}
-		out[i] = locals[j]
+		out[i] = f.subRes.Locals[j]
 		j++
 	}
-	return out, nil
+	return nil
 }
-
-func (f *failAfterExec) GradEvals() int64 { return f.inner.(engine.EvalCounter).GradEvals() }
 
 // serveFlakyWorker is a scripted wire-level worker: it performs the Hello
 // handshake and serves rounds like transport.Worker, but at round flakeRound

@@ -52,25 +52,6 @@ type StatsRecorder interface {
 	RecordRound(rs *obs.RoundStats)
 }
 
-// StatsSource is implemented by executors that contribute backend-specific
-// stats to the round record (per-client latencies, transport bandwidth,
-// retry/rejoin counts, the simulated clock). EnableStats toggles the
-// backend's own collection so the observability-off path stays free of
-// timing calls; CollectStats is called once per round after the fan-out.
-type StatsSource interface {
-	EnableStats(on bool)
-	CollectStats(rs *obs.RoundStats)
-}
-
-// TraceSource is implemented by executors that record spans or events of
-// their own (per-client solve spans, transport round trips, chaos
-// injections). SetTracer installs the engine's tracer — or nil, which the
-// trace package treats as a universal no-op — and decorators forward it to
-// the executor they wrap, exactly like EnableStats.
-type TraceSource interface {
-	SetTracer(tr *trace.Tracer)
-}
-
 // Engine drives the outer loop of Algorithm 1: selection → dropout →
 // Executor fan-out → Aggregator fold, plus metric measurement and
 // per-round hooks. It is the single implementation shared by the
@@ -90,16 +71,15 @@ type Engine struct {
 	liveHooks  int
 	nextHookID int
 
-	stats   StatsRecorder
-	rs      obs.RoundStats // in-flight round record (reused; see FlushStats)
-	ranExec bool           // whether this round reached the executor fan-out
+	stats StatsRecorder
+	rs    obs.RoundStats // in-flight round record (reused; see FlushStats)
+	res   RoundResult    // the last fan-out's result (reused; see Executor)
 
 	tracer    *trace.Tracer
 	roundSpan trace.Span // in-flight round span, closed by FlushStats
 	roundOpen bool
 
-	policy         bool // RoundDeadline or MinReport is set (precomputed)
-	lastStragglers int  // stragglers of the last Step (see StragglerCounter)
+	policy bool // RoundDeadline or MinReport is set (precomputed)
 }
 
 // hookEntry pairs a hook with a stable ID so unregistering survives slot
@@ -177,17 +157,10 @@ func (e *Engine) SetRound(t int) { e.round = t }
 func (e *Engine) Executor() Executor { return e.exec }
 
 // SetExecutor swaps the backend (e.g. wrapping it in a simulated-clock
-// decorator). Safe between rounds, not during one. The stats enablement
-// follows the engine to the new backend.
-func (e *Engine) SetExecutor(x Executor) {
-	e.exec = x
-	if ss, ok := x.(StatsSource); ok {
-		ss.EnableStats(e.stats != nil)
-	}
-	if ts, ok := x.(TraceSource); ok {
-		ts.SetTracer(e.tracer)
-	}
-}
+// decorator). Safe between rounds, not during one. The stats and tracer
+// switches travel in each round's RoundSpec, so the new backend sees them
+// whatever order it and they were installed in.
+func (e *Engine) SetExecutor(x Executor) { e.exec = x }
 
 // Aggregator returns the current aggregation rule.
 func (e *Engine) Aggregator() Aggregator { return e.agg }
@@ -202,27 +175,18 @@ func (e *Engine) SetEvaluator(ev *Evaluator) { e.eval = ev }
 
 // SetStats installs a per-round stats recorder (see internal/obs); nil
 // disables collection. With a recorder installed, Step samples wall-clock
-// phase timings and StatsSource executors collect per-client latencies;
-// without one the engine takes no timing samples and allocates nothing
-// extra per round. Safe between rounds, not during one.
-func (e *Engine) SetStats(rec StatsRecorder) {
-	e.stats = rec
-	if ss, ok := e.exec.(StatsSource); ok {
-		ss.EnableStats(rec != nil)
-	}
-}
+// phase timings and hands the executor the round record to fill with
+// per-client latencies (RoundSpec.Stats); without one the engine takes no
+// timing samples and allocates nothing extra per round. Safe between
+// rounds, not during one.
+func (e *Engine) SetStats(rec StatsRecorder) { e.stats = rec }
 
 // SetTracer installs a span tracer (see internal/trace); nil disables
 // tracing. With one installed, Step opens a round span with phase children
-// and TraceSource executors record their own spans against it; without one
-// every trace call is a nil-receiver no-op, so the tracing-off path keeps
-// the engine's alloc budget. Safe between rounds, not during one.
-func (e *Engine) SetTracer(tr *trace.Tracer) {
-	e.tracer = tr
-	if ts, ok := e.exec.(TraceSource); ok {
-		ts.SetTracer(tr)
-	}
-}
+// and executors record their own spans against it (RoundSpec.Tracer);
+// without one every trace call is a nil-receiver no-op, so the tracing-off
+// path keeps the engine's alloc budget. Safe between rounds, not during one.
+func (e *Engine) SetTracer(tr *trace.Tracer) { e.tracer = tr }
 
 // Tracer returns the installed tracer (nil when tracing is off).
 func (e *Engine) Tracer() *trace.Tracer { return e.tracer }
@@ -238,8 +202,8 @@ func (e *Engine) endRoundSpan() {
 	}
 }
 
-// FlushStats finalizes the in-flight round record — executor-side stats,
-// cumulative gradient evaluations, the evaluation-phase duration — and
+// FlushStats finalizes the in-flight round record — the cumulative
+// gradient-evaluation count and the evaluation-phase duration — and
 // hands it to the recorder. Run calls it once per round; callers that drive
 // Step directly (internal/simnet) call it themselves after measuring.
 // No-op without a recorder (the round span, when tracing, still closes).
@@ -249,14 +213,7 @@ func (e *Engine) FlushStats(evalSeconds float64) {
 		return
 	}
 	e.rs.EvalSeconds = evalSeconds
-	if e.ranExec {
-		if ss, ok := e.exec.(StatsSource); ok {
-			ss.CollectStats(&e.rs)
-		}
-	}
-	if ec, ok := e.exec.(EvalCounter); ok {
-		e.rs.GradEvals = ec.GradEvals()
-	}
+	e.rs.GradEvals = e.res.GradEvals
 	e.stats.RecordRound(&e.rs)
 }
 
@@ -350,19 +307,15 @@ func (e *Engine) StepCtx(ctx context.Context) ([]int, int, error) {
 	var t0 time.Time
 	if stats {
 		e.rs.Reset()
-		e.ranExec = false
 		t0 = time.Now()
 	}
 	e.round++
-	// Re-key the server stream for the round and align the executor (and
-	// its devices' streams) with the global round number. Both reseeds are
-	// pure functions of (seed, round): no draw made before this point —
+	// Re-key the server stream for the round; the executor re-keys its
+	// devices' streams from the same number (RoundSpec.Round). Both reseeds
+	// are pure functions of (seed, round): no draw made before this point —
 	// in this process or a previous coordinator incarnation — influences
 	// the round, which is what makes checkpoint resume bit-identical.
 	e.server.Seed(randx.RoundSeed(e.cfg.Seed, 1, int64(e.round)))
-	if rb, ok := e.exec.(RoundBeginner); ok {
-		rb.BeginRound(e.round)
-	}
 	if traced {
 		e.endRoundSpan() // a caller that skipped FlushStats leaves one open
 		e.roundSpan = e.tracer.StartRound(e.round)
@@ -387,12 +340,16 @@ func (e *Engine) StepCtx(ctx context.Context) ([]int, int, error) {
 	if traced && nsel > len(selected) {
 		e.tracer.RoundEvent("dropout", strconv.Itoa(nsel-len(selected))+" devices")
 	}
-	e.lastStragglers = 0
+	e.res.Reset(0) // nobody asked yet: a round that stops here has no stragglers
 	if len(selected) == 0 {
 		return selected, 0, nil
 	}
+	spec := RoundSpec{Round: e.round, Anchor: e.w, Selected: selected, MinReport: e.cfg.MinReport, Tracer: e.tracer}
+	if stats {
+		spec.Stats = &e.rs
+	}
 	phase = e.tracer.StartPhase("execute")
-	locals, err := e.fanOut(ctx, selected)
+	err := e.fanOut(ctx, spec)
 	phase.End()
 	if err != nil {
 		if stats {
@@ -408,13 +365,13 @@ func (e *Engine) StepCtx(ctx context.Context) ([]int, int, error) {
 	if stats {
 		now := time.Now()
 		e.rs.ExecSeconds = now.Sub(t0).Seconds()
-		e.ranExec = true
 		t0 = now
 	}
 	// Fold executor-reported failures (locals[i] == nil ⇒ selected[i]
 	// failed) out of the cohort: the round aggregates the survivors, the
 	// same way dropout injection does. Both slices are round-owned, so the
 	// in-place compaction is safe.
+	locals := e.res.Locals
 	k := 0
 	for i, l := range locals {
 		if l == nil {
@@ -425,25 +382,22 @@ func (e *Engine) StepCtx(ctx context.Context) ([]int, int, error) {
 	}
 	failed := len(selected) - k
 	selected, locals = selected[:k], locals[:k]
-	if e.policy {
-		if sc, ok := e.exec.(StragglerCounter); ok {
-			if n := sc.Stragglers(); n > 0 {
-				if n > failed {
-					n = failed
-				}
-				e.lastStragglers = n
-			}
-		}
+	if e.res.Stragglers > failed {
+		e.res.Stragglers = failed
 	}
+	stragglers := e.res.Stragglers
 	if stats {
-		e.rs.Participants, e.rs.Failed = k, failed-e.lastStragglers
-		e.rs.Stragglers = e.lastStragglers
+		if d := e.res.Devices; d != nil {
+			e.rs.Participants, e.rs.Failed, e.rs.Stragglers = d.Participants, d.Failed, d.Stragglers
+		} else {
+			e.rs.Participants, e.rs.Failed, e.rs.Stragglers = k, failed-stragglers, stragglers
+		}
 	}
 	if traced {
-		if e.lastStragglers > 0 {
-			e.tracer.RoundEvent("straggler-cut", strconv.Itoa(e.lastStragglers)+" devices")
+		if stragglers > 0 {
+			e.tracer.RoundEvent("straggler-cut", strconv.Itoa(stragglers)+" devices")
 		}
-		if n := failed - e.lastStragglers; n > 0 {
+		if n := failed - stragglers; n > 0 {
 			e.tracer.RoundEvent("client-failures", strconv.Itoa(n)+" devices")
 		}
 	}
@@ -451,12 +405,15 @@ func (e *Engine) StepCtx(ctx context.Context) ([]int, int, error) {
 		return selected, failed, nil
 	}
 	phase = e.tracer.StartPhase("aggregate")
-	if err := e.agg.Aggregate(e.w, selected, locals); err != nil {
-		return nil, failed, err
-	}
+	err = e.agg.Aggregate(e.w, selected, locals)
 	phase.End()
 	if stats {
+		// Stamped on the error path too: the aborted round's partial record
+		// (flushed by Run) shows how long the failing aggregation took.
 		e.rs.AggSeconds = time.Since(t0).Seconds()
+	}
+	if err != nil {
+		return nil, failed, err
 	}
 	return selected, failed, nil
 }
@@ -464,22 +421,27 @@ func (e *Engine) StepCtx(ctx context.Context) ([]int, int, error) {
 // Stragglers returns how many of the last Step's non-reporting devices
 // were straggler cuts (deadline/quorum) rather than failures. Zero when
 // the policy is off.
-func (e *Engine) Stragglers() int { return e.lastStragglers }
+func (e *Engine) Stragglers() int { return e.res.Stragglers }
 
-// fanOut runs the executor for the round. Without a straggler policy it
-// is exactly the historical call — same path, same allocations. With one,
-// the context (bounded by RoundDeadline when set) and the quorum are
-// handed to the executor through the ContextExecutor contract.
-func (e *Engine) fanOut(ctx context.Context, selected []int) ([][]float64, error) {
+// GradEvals returns the cumulative gradient evaluations across the
+// backend's devices as of the last round that reached them (zero before
+// the first).
+func (e *Engine) GradEvals() int64 { return e.res.GradEvals }
+
+// fanOut runs the executor for the round. Without a straggler policy the
+// executor gets context.Background(): nothing can cut the round (a caller's
+// cancellation takes effect between rounds), which is what lets Parallel
+// keep its allocation-free strategy. With one, ctx is bounded by
+// RoundDeadline when set; the quorum already travels in spec.
+func (e *Engine) fanOut(ctx context.Context, spec RoundSpec) error {
 	if !e.policy {
-		return e.exec.RunClients(e.w, selected)
-	}
-	if e.cfg.RoundDeadline > 0 {
+		ctx = context.Background()
+	} else if e.cfg.RoundDeadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, e.cfg.RoundDeadline)
 		defer cancel()
 	}
-	return RunClientsWithPolicy(e.exec, ctx, e.w, selected, e.cfg.MinReport)
+	return e.exec.RunRound(ctx, spec, &e.res)
 }
 
 // Run executes the remaining global iterations (Rounds minus completed),
@@ -537,7 +499,7 @@ func (e *Engine) Run(ctx context.Context) (*metrics.Series, error) {
 			// Hooks get a stable copy: sel aliases the engine's selection
 			// buffer, which the next round overwrites in place.
 			info := RoundInfo{Round: t, Participants: append([]int(nil), sel...),
-				Failed: failed - e.lastStragglers, Stragglers: e.lastStragglers, Global: e.w, Series: s}
+				Failed: failed - e.res.Stragglers, Stragglers: e.res.Stragglers, Global: e.w, Series: s}
 			for _, he := range e.hooks {
 				if he.h == nil {
 					continue
@@ -561,9 +523,7 @@ func (e *Engine) measure(round int) metrics.Point {
 			p.GradNormSq = e.eval.GradNormSq(e.w)
 		}
 	}
-	if ec, ok := e.exec.(EvalCounter); ok {
-		p.GradEvals = ec.GradEvals()
-	}
+	p.GradEvals = e.res.GradEvals
 	return p
 }
 

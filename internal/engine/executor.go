@@ -71,184 +71,147 @@ func (d *Device) RunRound(anchor []float64, cfg optim.LocalConfig) []float64 {
 // GradEvals returns the cumulative gradient evaluations of this device.
 func (d *Device) GradEvals() int64 { return d.gradEvals.Load() }
 
-// Executor runs the selected devices' local solves from the anchor and
-// returns their reported models, locals[i] belonging to selected[i]. The
-// returned slices are valid until the next RunClients call.
+// Executor is the one backend-specific step of Algorithm 1: send the
+// anchor to the selected devices, collect their local models. RunRound
+// fills res.Locals so that res.Locals[i] belongs to spec.Selected[i]; the
+// vectors stay valid until the next RunRound.
 //
-// The contract tolerates partial results: locals[i] == nil means device
-// selected[i] failed this round (crashed worker, network fault). The
-// engine folds failed devices out of the cohort before aggregation,
-// exactly as if they had been removed by dropout injection — a per-device
-// failure degrades the round, it does not abort the run. A non-nil error
-// is reserved for run-fatal conditions (every worker dead, quorum
-// exhausted), and does abort.
+// The contract tolerates partial work, the way FedProx defines the step:
+// res.Locals[i] == nil means device spec.Selected[i] did not report this
+// round. Of those, res.Stragglers were healthy but cut by the round's
+// policy — ctx expiring, or spec.MinReport devices having reported — and
+// the rest failed (crashed worker, network fault). The engine folds every
+// nil entry out of the cohort before aggregation, exactly as if dropout
+// injection had removed it: a per-device failure degrades the round, it
+// does not abort the run. A non-nil error is reserved for run-fatal
+// conditions (every worker dead, quorum exhausted), and does abort.
 //
-// Implementations are the four backends: Sequential, Parallel
-// (in-process; never fail a device), the simulated-clock fleet
-// (internal/simnet.TimedExecutor, which forwards its inner executor's
-// partial results) and the TCP coordinator (internal/transport.Executor,
-// which converts per-worker faults into nil entries).
+// Implementations are the backends Sequential and Parallel (in-process;
+// never fail a device) and the TCP coordinator (transport.Executor, which
+// converts per-worker faults into nil entries), plus the decorators
+// chaos.Executor and simnet.TimedExecutor, which hand spec to the executor
+// they wrap.
 type Executor interface {
-	RunClients(anchor []float64, selected []int) ([][]float64, error)
+	RunRound(ctx context.Context, spec RoundSpec, res *RoundResult) error
 }
 
-// ContextExecutor is implemented by executors that support the engine's
-// straggler policy (Config.RoundDeadline / Config.MinReport): the round
-// is cut when ctx expires or — with minReport > 0 — as soon as minReport
-// devices have reported. Devices cut out of the round come back as nil
-// partial results, exactly like failures, but the executor counts them
-// separately (see StragglerCounter). minReport ≤ 0 means no quorum cut.
-type ContextExecutor interface {
-	Executor
-	RunClientsCtx(ctx context.Context, anchor []float64, selected []int, minReport int) ([][]float64, error)
+// RoundSpec is everything the engine tells an executor about one round. It
+// is passed by value and never retained past the call; decorators forward
+// it untouched (or with a narrowed Selected), so a switch the engine sets
+// cannot be lost on the way down a decorator stack.
+type RoundSpec struct {
+	// Round is the global iteration number (1-based), the only source of
+	// round numbering below the engine: devices re-key their RNG streams
+	// from it (Device.BeginRound), fault schedules are looked up by it and
+	// it is the round number on the wire. A resumed engine (SetRound after
+	// a checkpoint restore) therefore drives every layer at the true global
+	// round. 0 means the caller does not number rounds: streams are left
+	// as constructed.
+	Round int
+	// Anchor is the global model the local solves start from. Read-only;
+	// an executor that lets a solve outlive the round snapshots it.
+	Anchor []float64
+	// Selected lists the devices to run, after the engine's dropout
+	// injection. Read-only.
+	Selected []int
+	// MinReport > 0 cuts the round as soon as that many devices have
+	// reported (Config.MinReport). The round deadline (Config.RoundDeadline)
+	// travels on ctx.
+	MinReport int
+	// Stats is the round record under construction, nil when observability
+	// is off. Executors append one ClientStat per reporting device and add
+	// their backend-specific counters (wire bytes, retries, the simulated
+	// clock); with nil they take no timing samples.
+	Stats *obs.RoundStats
+	// Tracer is the engine's span tracer, nil when tracing is off. Every
+	// trace call on a nil tracer is a no-op, so executors use it unguarded.
+	Tracer *trace.Tracer
 }
 
-// StragglerCounter reports how many of the last round's nil results were
-// deadline/quorum cuts rather than failures. Implemented alongside
-// ContextExecutor; the engine subtracts the count from Failed so
-// obs.RoundStats tells a cut device apart from a crashed one.
-type StragglerCounter interface {
-	Stragglers() int
+// RoundResult is what a round's fan-out reports back. The caller owns it
+// and reuses it round over round; RunRound starts by calling Reset.
+type RoundResult struct {
+	// Locals[i] is the model reported by spec.Selected[i]; nil means that
+	// device did not report.
+	Locals [][]float64
+	// Stragglers counts the nil entries that were policy cuts (deadline or
+	// quorum) rather than failures.
+	Stragglers int
+	// GradEvals is the cumulative gradient-evaluation count across the
+	// backend's devices as of this round. Reset leaves it alone, so a
+	// round that ran no device keeps the last known total.
+	GradEvals int64
+	// Devices is set only by an aggregation-tree root, whose Selected are
+	// shard connections, and only when spec.Stats is set: the device-level
+	// tally rolled up from the shards' partial sums, which the round record
+	// reports in place of the per-connection counts.
+	Devices *Tally
 }
 
-// RunClientsWithPolicy dispatches to RunClientsCtx when the executor
-// supports the straggler policy and falls back to the plain contract
-// otherwise — the compatibility shim that lets pre-policy backends keep
-// working (they simply never cut a round).
-func RunClientsWithPolicy(x Executor, ctx context.Context, anchor []float64, selected []int, minReport int) ([][]float64, error) {
-	if cx, ok := x.(ContextExecutor); ok {
-		return cx.RunClientsCtx(ctx, anchor, selected, minReport)
+// Tally is a device-level participation count (see RoundResult.Devices).
+type Tally struct {
+	Participants, Failed, Stragglers int
+}
+
+// Reset readies r for a round over n devices and returns r.Locals: n nil
+// entries (capacity reused), no stragglers, no tally.
+func (r *RoundResult) Reset(n int) [][]float64 {
+	if cap(r.Locals) < n {
+		r.Locals = make([][]float64, n)
 	}
-	return x.RunClients(anchor, selected)
-}
-
-// EvalCounter is implemented by executors that can report the cumulative
-// local gradient evaluations across their devices.
-type EvalCounter interface {
-	GradEvals() int64
-}
-
-// RoundBeginner is implemented by executors that align their internal
-// round numbering — and their devices' per-round RNG re-key (see
-// Device.BeginRound) — with the engine's counter. The engine calls it at
-// the top of every Step, before selection, so a resumed engine
-// (SetRound after checkpoint restore) drives the executor at the true
-// global round number instead of a private count restarted at 1.
-// Decorators (chaos, simnet, transport) forward the call inward.
-type RoundBeginner interface {
-	BeginRound(t int)
+	r.Locals = r.Locals[:n]
+	for i := range r.Locals {
+		r.Locals[i] = nil
+	}
+	r.Stragglers, r.Devices = 0, nil
+	return r.Locals
 }
 
 // Sequential runs the selected devices one after another on the calling
 // goroutine.
 type Sequential struct {
-	devices    []*Device
-	local      optim.LocalConfig
-	buf        [][]float64
-	statsOn    bool
-	lat        []obs.ClientStat
-	stragglers int
-	round      int // engine round (see BeginRound); 0 for unnumbered callers
-	tr         *trace.Tracer
+	devices []*Device
+	local   optim.LocalConfig
 }
+
+var _ Executor = (*Sequential)(nil)
 
 // NewSequential builds the sequential in-process executor.
 func NewSequential(devices []*Device, local optim.LocalConfig) *Sequential {
 	return &Sequential{devices: devices, local: local}
 }
 
-// BeginRound implements RoundBeginner.
-func (s *Sequential) BeginRound(t int) { s.round = t }
-
-// RunClients implements Executor.
-func (s *Sequential) RunClients(anchor []float64, selected []int) ([][]float64, error) {
-	out := growLocals(&s.buf, len(selected))
-	s.stragglers = 0
-	if s.statsOn {
-		s.lat = growStats(s.lat, len(selected))
-		for i, id := range selected {
-			sp := s.tr.StartClient(id)
-			t0 := time.Now()
-			dev := s.devices[id]
-			dev.BeginRound(s.round)
-			out[i] = dev.RunRound(anchor, s.local)
-			d := time.Since(t0).Seconds()
-			sp.End()
-			s.lat[i] = obs.ClientStat{ID: id, Seconds: d, SolveSeconds: d}
-		}
-		return out, nil
-	}
-	for i, id := range selected {
-		sp := s.tr.StartClient(id)
-		dev := s.devices[id]
-		dev.BeginRound(s.round)
-		out[i] = dev.RunRound(anchor, s.local)
-		sp.End()
-	}
-	return out, nil
-}
-
-// RunClientsCtx implements ContextExecutor. The sequential schedule
-// cannot preempt a running solve, so the deadline is checked between
-// devices: once ctx expires (or minReport devices have reported) the
-// remaining devices are cut without running — their RNG streams stay
-// untouched, which keeps a cut sequential round bit-identical to the
-// same cut on Parallel when the schedule decides the cut set (see the
-// chaos conformance tests).
-func (s *Sequential) RunClientsCtx(ctx context.Context, anchor []float64, selected []int, minReport int) ([][]float64, error) {
-	out := growLocals(&s.buf, len(selected))
-	if s.statsOn {
-		s.lat = growStats(s.lat, len(selected))
-	}
-	s.stragglers = 0
+// RunRound implements Executor. The sequential schedule cannot preempt a
+// running solve, so the policy is checked between devices: once ctx
+// expires (or spec.MinReport devices have reported) the remaining devices
+// are cut without running — their RNG streams stay untouched, which keeps
+// a cut sequential round bit-identical to the same cut on Parallel when
+// the schedule decides the cut set (see the chaos conformance tests).
+func (s *Sequential) RunRound(ctx context.Context, spec RoundSpec, res *RoundResult) error {
+	out := res.Reset(len(spec.Selected))
 	reported := 0
-	for i, id := range selected {
-		if ctx.Err() != nil || (minReport > 0 && reported >= minReport) {
-			out[i] = nil
-			if s.statsOn {
-				s.lat[i] = obs.ClientStat{ID: -1}
-			}
-			s.stragglers++
+	for i, id := range spec.Selected {
+		if ctx.Err() != nil || (spec.MinReport > 0 && reported >= spec.MinReport) {
+			res.Stragglers++
 			continue
 		}
-		sp := s.tr.StartClient(id)
 		dev := s.devices[id]
-		dev.BeginRound(s.round)
-		if s.statsOn {
+		dev.BeginRound(spec.Round)
+		sp := spec.Tracer.StartClient(id)
+		if st := spec.Stats; st != nil {
 			t0 := time.Now()
-			out[i] = dev.RunRound(anchor, s.local)
+			out[i] = dev.RunRound(spec.Anchor, s.local)
 			d := time.Since(t0).Seconds()
-			s.lat[i] = obs.ClientStat{ID: id, Seconds: d, SolveSeconds: d}
+			st.Clients = append(st.Clients, obs.ClientStat{ID: id, Seconds: d, SolveSeconds: d})
 		} else {
-			out[i] = dev.RunRound(anchor, s.local)
+			out[i] = dev.RunRound(spec.Anchor, s.local)
 		}
 		sp.End()
 		reported++
 	}
-	return out, nil
+	res.GradEvals = sumEvals(s.devices)
+	return nil
 }
-
-// Stragglers implements StragglerCounter.
-func (s *Sequential) Stragglers() int { return s.stragglers }
-
-// EnableStats implements StatsSource.
-func (s *Sequential) EnableStats(on bool) { s.statsOn = on }
-
-// SetTracer implements TraceSource: per-client solve spans.
-func (s *Sequential) SetTracer(tr *trace.Tracer) { s.tr = tr }
-
-// CollectStats implements StatsSource: per-client solve latencies of the
-// last round (cut devices carry ID -1 and are skipped).
-func (s *Sequential) CollectStats(rs *obs.RoundStats) {
-	for _, st := range s.lat {
-		if st.ID >= 0 {
-			rs.Clients = append(rs.Clients, st)
-		}
-	}
-}
-
-// GradEvals implements EvalCounter.
-func (s *Sequential) GradEvals() int64 { return sumEvals(s.devices) }
 
 // Devices exposes the executor's devices (read-only use).
 func (s *Sequential) Devices() []*Device { return s.devices }
@@ -267,15 +230,15 @@ type parJob struct {
 	lat    []obs.ClientStat // nil when stats are off
 	tr     *trace.Tracer    // nil when tracing is off
 
-	// res switches the job to the policy path (RunClientsCtx): the worker
-	// sends its result on res instead of writing out/lat and signaling wg,
-	// so a cut round can stop collecting while late solves finish in the
-	// background. stats mirrors lat != nil for this path.
-	res   chan parResult
+	// done switches the job to the cut strategy (runCut): the worker sends
+	// its result on done instead of writing out/lat and signaling wg, so a
+	// cut round can stop collecting while late solves finish in the
+	// background. stats mirrors lat != nil for this strategy.
+	done  chan parResult
 	stats bool
 }
 
-// parResult is one finished solve on the policy path.
+// parResult is one finished solve under the cut strategy.
 type parResult struct {
 	i     int
 	id    int
@@ -285,20 +248,21 @@ type parResult struct {
 
 // Parallel fans each round's devices out to a persistent pool of worker
 // goroutines. Unlike a per-round goroutine fan-out it allocates nothing per
-// round beyond one WaitGroup: the locals buffer and the job channel are
-// reused for the lifetime of the executor (see BenchmarkEngineRoundAllocs).
+// round beyond one WaitGroup: the job channel lives as long as the executor
+// and the locals buffer is the caller's reused RoundResult (see
+// BenchmarkEngineRoundAllocs).
 type Parallel struct {
-	devices    []*Device
-	local      optim.LocalConfig
-	jobs       chan parJob
-	buf        [][]float64
-	once       sync.Once
-	statsOn    bool
-	lat        []obs.ClientStat
-	stragglers int
-	round      int // engine round (see BeginRound); 0 for unnumbered callers
-	tr         *trace.Tracer
+	devices []*Device
+	local   optim.LocalConfig
+	jobs    chan parJob
+	once    sync.Once
+	// abandoned is set once a cut round has returned with solves still
+	// running on the pool. From then on a device may be busy at dispatch,
+	// and only the cut strategy checks for that.
+	abandoned bool
 }
+
+var _ Executor = (*Parallel)(nil)
 
 // NewParallel builds the pooled parallel executor. workers ≤ 0 selects the
 // tensor worker budget (GOMAXPROCS-derived).
@@ -319,8 +283,8 @@ func NewParallel(devices []*Device, local optim.LocalConfig, workers int) *Paral
 
 func parWorker(jobs <-chan parJob) {
 	for j := range jobs {
-		if j.res != nil {
-			// Policy path: deliver on the round's buffered channel. busy is
+		if j.done != nil {
+			// Cut strategy: deliver on the round's buffered channel. busy is
 			// released before the send so a device whose result loses the
 			// race against a cut is immediately schedulable next round.
 			sp := j.tr.StartClient(j.dev.ID)
@@ -335,7 +299,7 @@ func parWorker(jobs <-chan parJob) {
 			}
 			sp.End()
 			j.dev.busy.Store(false)
-			j.res <- parResult{i: j.i, id: j.dev.ID, vec: vec, solve: d}
+			j.done <- parResult{i: j.i, id: j.dev.ID, vec: vec, solve: d}
 			continue
 		}
 		sp := j.tr.StartClient(j.dev.ID)
@@ -352,67 +316,75 @@ func parWorker(jobs <-chan parJob) {
 	}
 }
 
-// BeginRound implements RoundBeginner.
-func (p *Parallel) BeginRound(t int) { p.round = t }
-
-// RunClients implements Executor. Results are bit-identical to Sequential
-// because every device owns a private RNG stream. Devices are re-keyed for
-// the round here, on the dispatching goroutine — the job-channel send
-// publishes the new RNG state to the pool worker.
-func (p *Parallel) RunClients(anchor []float64, selected []int) ([][]float64, error) {
-	out := growLocals(&p.buf, len(selected))
-	var lat []obs.ClientStat
-	if p.statsOn {
-		p.lat = growStats(p.lat, len(selected))
-		lat = p.lat
+// RunRound implements Executor with one of two strategies, chosen from
+// what the round can observe: a round nothing can cut (no cancellable ctx,
+// no quorum) on a pool with no solve left over from an earlier cut waits
+// for every device on a WaitGroup and shares the caller's buffers with the
+// pool; any other round collects over a per-round channel, so late solves
+// can be abandoned and a device still busy with one is skipped. The second
+// costs an anchor snapshot and a channel per round, which is why the first
+// is kept. The pool state matters because a cuttable round can be followed
+// by an uncuttable call on the same pool: chaos.Executor runs each delayed
+// device in a call of its own with MinReport 0.
+// Results are bit-identical to Sequential because every device owns a
+// private RNG stream.
+func (p *Parallel) RunRound(ctx context.Context, spec RoundSpec, res *RoundResult) error {
+	if ctx.Done() == nil && spec.MinReport == 0 && !p.abandoned {
+		p.runAll(spec, res)
+	} else {
+		p.runCut(ctx, spec, res)
 	}
-	var wg sync.WaitGroup
-	wg.Add(len(selected))
-	for i, id := range selected {
-		dev := p.devices[id]
-		dev.BeginRound(p.round)
-		p.jobs <- parJob{i: i, dev: dev, anchor: anchor, out: out, local: p.local, wg: &wg, lat: lat, tr: p.tr}
-	}
-	wg.Wait()
-	p.stragglers = 0
-	return out, nil
+	res.GradEvals = sumEvals(p.devices)
+	return nil
 }
 
-// RunClientsCtx implements ContextExecutor. Results flow through a
+// runAll is the uncuttable round on a pool where no device is busy.
+// Devices are re-keyed for the round here, on the dispatching goroutine —
+// the job-channel send publishes the new RNG state to the pool worker. The
+// workers write their ClientStat straight into the record's tail; wg.Wait
+// is the synchronization point.
+func (p *Parallel) runAll(spec RoundSpec, res *RoundResult) {
+	n := len(spec.Selected)
+	out := res.Reset(n)
+	lat := clientSlots(spec.Stats, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i, id := range spec.Selected {
+		dev := p.devices[id]
+		dev.BeginRound(spec.Round)
+		p.jobs <- parJob{i: i, dev: dev, anchor: spec.Anchor, out: out, local: p.local, wg: &wg, lat: lat, tr: spec.Tracer}
+	}
+	wg.Wait()
+}
+
+// runCut is the round under a deadline or quorum. Results flow through a
 // per-round buffered channel instead of the shared out buffer, so the
 // collector can stop at the deadline or quorum while late solves finish
 // harmlessly in the background: a late worker's send lands in the
 // abandoned round's channel and is dropped with it. A device still
 // solving a previously-cut round (busy) is skipped — and counted as a
 // straggler — rather than raced on its reusable local buffer.
-func (p *Parallel) RunClientsCtx(ctx context.Context, anchor []float64, selected []int, minReport int) ([][]float64, error) {
+func (p *Parallel) runCut(ctx context.Context, spec RoundSpec, res *RoundResult) {
 	// Abandoned solves outlive the round, so the anchor they read must not
 	// alias the engine's global vector, which the next aggregation mutates.
 	// The snapshot is a fresh slice, not a reused buffer, because a cut
 	// round's workers may still be reading the previous round's snapshot.
-	anchor = append([]float64(nil), anchor...)
-	out := growLocals(&p.buf, len(selected))
-	for i := range out {
-		out[i] = nil
-	}
-	if p.statsOn {
-		p.lat = growStats(p.lat, len(selected))
-		for i := range p.lat {
-			p.lat[i] = obs.ClientStat{ID: -1}
-		}
-	}
-	res := make(chan parResult, len(selected))
+	anchor := append([]float64(nil), spec.Anchor...)
+	n := len(spec.Selected)
+	out := res.Reset(n)
+	lat := clientSlots(spec.Stats, n)
+	done := make(chan parResult, n)
 	submitted := 0
 submit:
-	for i, id := range selected {
+	for i, id := range spec.Selected {
 		dev := p.devices[id]
 		if !dev.busy.CompareAndSwap(false, true) {
 			continue // still finishing a cut round's solve
 		}
 		// Re-key only after winning the CAS: a device still solving a cut
 		// round must not have its stream reset underneath the late solve.
-		dev.BeginRound(p.round)
-		j := parJob{i: i, dev: dev, anchor: anchor, local: p.local, res: res, stats: p.statsOn, tr: p.tr}
+		dev.BeginRound(spec.Round)
+		j := parJob{i: i, dev: dev, anchor: anchor, local: p.local, done: done, stats: lat != nil, tr: spec.Tracer}
 		select {
 		case p.jobs <- j:
 			submitted++
@@ -425,19 +397,19 @@ submit:
 	}
 	accept := func(r parResult) {
 		out[r.i] = r.vec
-		if p.statsOn {
-			p.lat[r.i] = obs.ClientStat{ID: r.id, Seconds: r.solve, SolveSeconds: r.solve}
+		if lat != nil {
+			lat[r.i] = obs.ClientStat{ID: r.id, Seconds: r.solve, SolveSeconds: r.solve}
 		}
 	}
 	target := submitted
-	if minReport > 0 && minReport < target {
-		target = minReport
+	if spec.MinReport > 0 && spec.MinReport < target {
+		target = spec.MinReport
 	}
 	got := 0
 collect:
 	for got < target {
 		select {
-		case r := <-res:
+		case r := <-done:
 			accept(r)
 			got++
 		case <-ctx.Done():
@@ -445,42 +417,25 @@ collect:
 		}
 	}
 	// Results that raced the cut and already arrived are real — keep them.
+drain:
 	for {
 		select {
-		case r := <-res:
+		case r := <-done:
 			accept(r)
 			got++
 		default:
-			p.stragglers = len(selected) - got
-			return out, nil
+			break drain
 		}
 	}
-}
-
-// Stragglers implements StragglerCounter.
-func (p *Parallel) Stragglers() int { return p.stragglers }
-
-// EnableStats implements StatsSource.
-func (p *Parallel) EnableStats(on bool) { p.statsOn = on }
-
-// SetTracer implements TraceSource: the pool workers open per-client solve
-// spans (the tracer is goroutine-safe).
-func (p *Parallel) SetTracer(tr *trace.Tracer) { p.tr = tr }
-
-// CollectStats implements StatsSource: per-client solve latencies of the
-// last round (written by the pool workers; wg.Wait in RunClients is the
-// synchronization point, the result channel on the policy path). Cut
-// devices carry ID -1 and are skipped.
-func (p *Parallel) CollectStats(rs *obs.RoundStats) {
-	for _, st := range p.lat {
-		if st.ID >= 0 {
-			rs.Clients = append(rs.Clients, st)
-		}
+	res.Stragglers = n - got
+	if got < submitted {
+		p.abandoned = true
+	}
+	if st := spec.Stats; st != nil {
+		// Cut devices carry no latency: drop the slots nobody filled.
+		st.Clients = compactStats(st.Clients, len(st.Clients)-n)
 	}
 }
-
-// GradEvals implements EvalCounter.
-func (p *Parallel) GradEvals() int64 { return sumEvals(p.devices) }
 
 // Devices exposes the executor's devices (read-only use).
 func (p *Parallel) Devices() []*Device { return p.devices }
@@ -494,22 +449,28 @@ func (p *Parallel) Close() {
 	})
 }
 
-// growLocals resizes *buf to n entries without reallocating when capacity
-// allows, returning the usable prefix.
-func growLocals(buf *[][]float64, n int) [][]float64 {
-	if cap(*buf) < n {
-		*buf = make([][]float64, n)
+// clientSlots appends n unfilled slots (ID -1) to the record's Clients —
+// without reallocating when capacity allows — and returns them for the
+// pool to fill by position; nil when stats are off.
+func clientSlots(st *obs.RoundStats, n int) []obs.ClientStat {
+	if st == nil {
+		return nil
 	}
-	return (*buf)[:n]
+	for i := 0; i < n; i++ {
+		st.Clients = append(st.Clients, obs.ClientStat{ID: -1})
+	}
+	return st.Clients[len(st.Clients)-n:]
 }
 
-// growStats resizes buf to n entries without reallocating when capacity
-// allows.
-func growStats(buf []obs.ClientStat, n int) []obs.ClientStat {
-	if cap(buf) < n {
-		return make([]obs.ClientStat, n)
+// compactStats drops the unfilled slots from s[from:], keeping order.
+func compactStats(s []obs.ClientStat, from int) []obs.ClientStat {
+	kept := s[:from]
+	for _, c := range s[from:] {
+		if c.ID >= 0 {
+			kept = append(kept, c)
+		}
 	}
-	return buf[:n]
+	return kept
 }
 
 func sumEvals(devices []*Device) int64 {

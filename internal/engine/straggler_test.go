@@ -16,6 +16,7 @@ import (
 	"fedproxvr/internal/engine"
 	"fedproxvr/internal/models"
 	"fedproxvr/internal/obs"
+	"fedproxvr/internal/trace"
 )
 
 // TestMinReportSequentialDeterministic: the sequential backend cuts the
@@ -96,46 +97,84 @@ func TestMinReportParallelQuorum(t *testing.T) {
 	}
 }
 
-// TestRoundDeadlineOffIsPlainPath: with the policy unset the engine must
-// call the historical RunClients entry point, not the context one — the
-// zero-overhead guarantee behind BenchmarkEngineRoundAllocs.
-func TestRoundDeadlineOffIsPlainPath(t *testing.T) {
-	p := testPartition(2, 10, 3, 3, 9)
+// specSpy records what the engine hands its executor each round.
+type specSpy struct {
+	inner     engine.Executor
+	rounds    []int
+	minReport []int
+	deadline  []bool // ctx carried a deadline
+	cuttable  []bool // ctx.Done() != nil
+}
+
+func (s *specSpy) RunRound(ctx context.Context, spec engine.RoundSpec, res *engine.RoundResult) error {
+	_, hasDL := ctx.Deadline()
+	s.rounds = append(s.rounds, spec.Round)
+	s.minReport = append(s.minReport, spec.MinReport)
+	s.deadline = append(s.deadline, hasDL)
+	s.cuttable = append(s.cuttable, ctx.Done() != nil)
+	return s.inner.RunRound(ctx, spec, res)
+}
+
+// TestRoundSpecCarriesPolicyAndRound pins what travels in the round
+// contract. Policy off: no quorum and a context nothing can cut — even when
+// the caller's own context is cancellable — which is what keeps Parallel on
+// its allocation-free strategy (BenchmarkEngineRoundAllocs). Policy on: the
+// configured quorum and a deadline. And after SetRound(t) the next spec is
+// numbered t+1, so a resumed engine drives device re-keying, fault
+// schedules and the wire at the true global round.
+func TestRoundSpecCarriesPolicyAndRound(t *testing.T) {
+	p := testPartition(3, 10, 3, 3, 9)
 	m := models.NewSoftmax(3, 3, 0)
-	cfg := conformanceConfigs()["full"]
-	cfg.Rounds = 2
-	x := &entryPointSpy{inner: engine.NewSequential(newDevices(p, m, cfg.Seed), cfg.Local)}
-	eng, err := engine.New(cfg, m.Dim(), p.Weights(), x)
-	if err != nil {
-		t.Fatal(err)
+	run := func(cfg engine.Config, resumeAt int) (*specSpy, *engine.Engine) {
+		t.Helper()
+		x := &specSpy{inner: engine.NewSequential(newDevices(p, m, cfg.Seed), cfg.Local)}
+		eng, err := engine.New(cfg, m.Dim(), p.Weights(), x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.SetRound(resumeAt)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		if _, err := eng.Run(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return x, eng
 	}
-	if _, err := eng.Run(context.Background()); err != nil {
-		t.Fatal(err)
+
+	off := conformanceConfigs()["full"]
+	off.Rounds = 2
+	x, eng := run(off, 0)
+	if len(x.rounds) != 2 || x.rounds[0] != 1 || x.rounds[1] != 2 {
+		t.Fatalf("fresh run numbered its rounds %v, want [1 2]", x.rounds)
 	}
-	if x.plain == 0 || x.ctx != 0 {
-		t.Fatalf("policy-off run used plain=%d ctx=%d entry points, want plain only", x.plain, x.ctx)
+	for i := range x.rounds {
+		if x.minReport[i] != 0 || x.deadline[i] || x.cuttable[i] {
+			t.Fatalf("policy-off round %d: MinReport %d, deadline %v, cuttable ctx %v — want 0/false/false",
+				x.rounds[i], x.minReport[i], x.deadline[i], x.cuttable[i])
+		}
 	}
 	if eng.Stragglers() != 0 {
 		t.Fatalf("policy-off engine reports %d stragglers", eng.Stragglers())
 	}
-}
 
-type entryPointSpy struct {
-	inner      *engine.Sequential
-	plain, ctx int
-}
+	on := off
+	on.MinReport = 2
+	on.RoundDeadline = time.Minute
+	x, _ = run(on, 0)
+	for i := range x.rounds {
+		if x.minReport[i] != 2 || !x.deadline[i] {
+			t.Fatalf("policy-on round %d: MinReport %d, deadline %v — want 2/true",
+				x.rounds[i], x.minReport[i], x.deadline[i])
+		}
+	}
 
-func (s *entryPointSpy) RunClients(anchor []float64, selected []int) ([][]float64, error) {
-	s.plain++
-	return s.inner.RunClients(anchor, selected)
+	resumed := off
+	resumed.Rounds = 7
+	x, _ = run(resumed, 5)
+	if len(x.rounds) != 2 || x.rounds[0] != 6 || x.rounds[1] != 7 {
+		t.Fatalf("engine resumed at round 5 numbered its rounds %v, want [6 7]", x.rounds)
+	}
 }
-
-func (s *entryPointSpy) RunClientsCtx(ctx context.Context, anchor []float64, selected []int, minReport int) ([][]float64, error) {
-	s.ctx++
-	return s.inner.RunClientsCtx(ctx, anchor, selected, minReport)
-}
-
-func (s *entryPointSpy) Stragglers() int { return s.inner.Stragglers() }
 
 // TestConfigRejectsBadPolicy: negative knobs and the SecureAgg conflict
 // (a cut round's absent masks cannot cancel) must fail validation.
@@ -171,15 +210,13 @@ func TestConfigRejectsBadPolicy(t *testing.T) {
 type failingExec struct {
 	inner engine.Executor
 	at    int
-	round int
 }
 
-func (f *failingExec) RunClients(anchor []float64, selected []int) ([][]float64, error) {
-	f.round++
-	if f.round == f.at {
-		return nil, fmt.Errorf("executor blew up at round %d", f.round)
+func (f *failingExec) RunRound(ctx context.Context, spec engine.RoundSpec, res *engine.RoundResult) error {
+	if spec.Round == f.at {
+		return fmt.Errorf("executor blew up at round %d", spec.Round)
 	}
-	return f.inner.RunClients(anchor, selected)
+	return f.inner.RunRound(ctx, spec, res)
 }
 
 // TestRunFlushesPartialStatsOnError: when Step dies mid-round, Run must
@@ -212,6 +249,80 @@ func TestRunFlushesPartialStatsOnError(t *testing.T) {
 	}
 	if last.Participants != 0 || len(last.Clients) != 0 {
 		t.Fatalf("aborted round record should have no participants: %+v", last)
+	}
+}
+
+// failingAgg errors at a fixed call, after taking measurable time.
+type failingAgg struct {
+	inner engine.Aggregator
+	at    int
+	calls int
+}
+
+func (f *failingAgg) Aggregate(w []float64, selected []int, locals [][]float64) error {
+	f.calls++
+	if f.calls == f.at {
+		time.Sleep(2 * time.Millisecond)
+		return fmt.Errorf("aggregator blew up at call %d", f.calls)
+	}
+	return f.inner.Aggregate(w, selected, locals)
+}
+
+// TestAggregateErrorClosesSpanAndStampsTime: an aggregation error aborts
+// the run, but the round's "aggregate" phase span must still be closed —
+// every span the tracer exports is — and the partial record Run flushes
+// must carry the time the failing aggregation took.
+func TestAggregateErrorClosesSpanAndStampsTime(t *testing.T) {
+	p := testPartition(3, 15, 3, 3, 10)
+	m := models.NewSoftmax(3, 3, 0)
+	cfg := conformanceConfigs()["full"]
+	cfg.Rounds = 5
+	const dieAt = 2
+
+	eng, err := engine.New(cfg, m.Dim(), p.Weights(), engine.NewSequential(newDevices(p, m, cfg.Seed), cfg.Local))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.SetAggregator(&failingAgg{inner: eng.Aggregator(), at: dieAt})
+	var records bytes.Buffer
+	eng.SetStats(obs.NewCollector(obs.NewJSONL(&records)))
+	tr := trace.New("test")
+	eng.SetTracer(tr)
+	if _, err := eng.Run(context.Background()); err == nil {
+		t.Fatal("the failing aggregator should abort the run")
+	}
+
+	var export bytes.Buffer
+	if err := tr.WriteChrome(&export); err != nil {
+		t.Fatalf("exporting the aborted run's trace: %v", err)
+	}
+	aggSpans := 0
+	for _, sp := range tr.Spans() {
+		if sp.End < sp.Start {
+			t.Fatalf("span %q of round %d left open by the aborted run: %+v", sp.Name, sp.Round, sp)
+		}
+		if sp.Name == "aggregate" && sp.Round == dieAt {
+			aggSpans++
+			if sp.End-sp.Start < 0.002 {
+				t.Fatalf("aggregate span of the failing round covers %.6fs, want the ≥2ms the aggregator took", sp.End-sp.Start)
+			}
+		}
+	}
+	if aggSpans != 1 {
+		t.Fatalf("%d aggregate spans in the failing round, want 1", aggSpans)
+	}
+
+	rounds := decodeRounds(t, &records)
+	if len(rounds) != dieAt {
+		t.Fatalf("%d round records, want %d (the dying round included)", len(rounds), dieAt)
+	}
+	last := rounds[dieAt-1]
+	if last.Round != dieAt || last.AggSeconds < 0.002 {
+		t.Fatalf("partial record of the failing round: round %d, AggSeconds %v — want round %d and ≥ 0.002",
+			last.Round, last.AggSeconds, dieAt)
+	}
+	if last.Participants != 3 || len(last.Clients) != 3 {
+		t.Fatalf("partial record lost the fan-out that preceded the failure: %+v", last)
 	}
 }
 

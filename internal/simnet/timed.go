@@ -10,7 +10,6 @@ import (
 	"fedproxvr/internal/core"
 	"fedproxvr/internal/engine"
 	"fedproxvr/internal/metrics"
-	"fedproxvr/internal/obs"
 	"fedproxvr/internal/trace"
 )
 
@@ -73,50 +72,35 @@ type TimedExecutor struct {
 	each   []float64     // per-device round-time scratch for sim spans
 }
 
+var _ engine.Executor = (*TimedExecutor)(nil)
+
 // NewTimedExecutor wraps inner with fleet timing for τ local iterations
 // per round.
 func NewTimedExecutor(inner engine.Executor, fleet *Fleet, tau int) *TimedExecutor {
 	return &TimedExecutor{inner: inner, fleet: fleet, tau: tau}
 }
 
-// RunClients implements engine.Executor. Partial results from the inner
-// executor (locals[i] == nil) are forwarded, and only devices that actually
-// reported are charged to the synchronous round clock — a device that
-// failed mid-round contributes no completed compute + uplink to the
-// straggler max.
-func (x *TimedExecutor) RunClients(anchor []float64, selected []int) ([][]float64, error) {
-	locals, err := x.inner.RunClients(anchor, selected)
-	if err != nil {
-		return nil, err
+// RunRound implements engine.Executor: the inner executor runs the round
+// from the untouched spec and the clock is charged afterwards. Only devices
+// that actually reported are charged — a device that failed mid-round or
+// was cut as a straggler contributes no completed compute + uplink to the
+// straggler max. With stats on, the round record carries the simulated
+// clock after this round.
+func (x *TimedExecutor) RunRound(ctx context.Context, spec engine.RoundSpec, res *engine.RoundResult) error {
+	if err := x.inner.RunRound(ctx, spec, res); err != nil {
+		return err
 	}
 	x.part = x.part[:0]
-	for i, l := range locals {
+	for i, l := range res.Locals {
 		if l != nil {
-			x.part = append(x.part, selected[i])
+			x.part = append(x.part, spec.Selected[i])
 		}
 	}
 	x.charge()
-	return locals, nil
-}
-
-// RunClientsCtx implements engine.ContextExecutor by forwarding the
-// straggler policy to the inner executor. The simulated clock still
-// charges only the reporting subset: a cut straggler contributes no
-// completed compute + uplink, mirroring RunClients' treatment of
-// failures.
-func (x *TimedExecutor) RunClientsCtx(ctx context.Context, anchor []float64, selected []int, minReport int) ([][]float64, error) {
-	locals, err := engine.RunClientsWithPolicy(x.inner, ctx, anchor, selected, minReport)
-	if err != nil {
-		return nil, err
+	if spec.Stats != nil {
+		spec.Stats.SimSeconds = x.now
 	}
-	x.part = x.part[:0]
-	for i, l := range locals {
-		if l != nil {
-			x.part = append(x.part, selected[i])
-		}
-	}
-	x.charge()
-	return locals, nil
+	return nil
 }
 
 // charge advances the simulated clock by one synchronous round over the
@@ -144,64 +128,12 @@ func (x *TimedExecutor) charge() {
 	}
 }
 
-// BeginRound implements engine.RoundBeginner by forwarding the engine's
-// round number to the inner executor (device RNG re-key); the simulated
-// clock itself is unaffected.
-func (x *TimedExecutor) BeginRound(t int) {
-	if rb, ok := x.inner.(engine.RoundBeginner); ok {
-		rb.BeginRound(t)
-	}
-}
-
-// Stragglers implements engine.StragglerCounter when the inner executor
-// does.
-func (x *TimedExecutor) Stragglers() int {
-	if sc, ok := x.inner.(engine.StragglerCounter); ok {
-		return sc.Stragglers()
-	}
-	return 0
-}
-
-// GradEvals implements engine.EvalCounter when the inner executor does.
-func (x *TimedExecutor) GradEvals() int64 {
-	if ec, ok := x.inner.(engine.EvalCounter); ok {
-		return ec.GradEvals()
-	}
-	return 0
-}
-
-// EnableStats implements engine.StatsSource by forwarding to the inner
-// executor (the decorator adds only the simulated clock).
-func (x *TimedExecutor) EnableStats(on bool) {
-	if ss, ok := x.inner.(engine.StatsSource); ok {
-		ss.EnableStats(on)
-	}
-}
-
-// CollectStats implements engine.StatsSource: the inner backend's stats
-// plus the simulated clock after this round.
-func (x *TimedExecutor) CollectStats(rs *obs.RoundStats) {
-	if ss, ok := x.inner.(engine.StatsSource); ok {
-		ss.CollectStats(rs)
-	}
-	rs.SimSeconds = x.now
-}
-
 // SetSimTracer installs a simulated-clock tracer (trace.NewSim): every
 // charged round is emitted as spans whose timestamps are simulated
 // seconds, so the exported file is a literal rendering of the time model
 // — round-span durations sum to SimSeconds. Independent of the wall-clock
-// tracer the inner executor may carry via SetTracer.
+// tracer that travels to the inner executor in RoundSpec.
 func (x *TimedExecutor) SetSimTracer(tr *trace.Tracer) { x.simTr = tr }
-
-// SetTracer implements engine.TraceSource by forwarding the engine's
-// wall-clock tracer to the inner executor (the decorator's own spans live
-// on the simulated clock — see SetSimTracer).
-func (x *TimedExecutor) SetTracer(tr *trace.Tracer) {
-	if ts, ok := x.inner.(engine.TraceSource); ok {
-		ts.SetTracer(tr)
-	}
-}
 
 // Inner returns the wrapped executor.
 func (x *TimedExecutor) Inner() engine.Executor { return x.inner }
@@ -239,7 +171,7 @@ func Train(r *core.Runner, fleet *Fleet, measureEvery int) (*TimedSeries, error)
 			Round:        round,
 			TrainLoss:    ev.Loss(w),
 			TestAcc:      ev.Accuracy(w),
-			GradEvals:    tx.GradEvals(),
+			GradEvals:    eng.GradEvals(),
 			Participants: participants,
 			Failed:       failed,
 		}

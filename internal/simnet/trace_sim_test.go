@@ -58,6 +58,7 @@ func TestSimTracerRendersTimeModel(t *testing.T) {
 	m := models.NewSoftmax(3, 3, 0)
 	fleet := NewHeterogeneousFleet(3, DeviceProfile{ComputePerIter: 0.01, Uplink: 0.05, Downlink: 0.05}, 10, 17)
 
+	var lastStats obs.RoundStats
 	run := func(tr *trace.Tracer) (*TimedExecutor, []float64) {
 		devices := make([]*engine.Device, len(p.Clients))
 		for i, shard := range p.Clients {
@@ -69,6 +70,7 @@ func TestSimTracerRendersTimeModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		eng.SetStats(recorderFunc(func(rs *obs.RoundStats) { lastStats = *rs }))
 		if _, err := eng.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
@@ -89,9 +91,7 @@ func TestSimTracerRendersTimeModel(t *testing.T) {
 		t.Fatalf("sim tracing changed the clock: %v vs %v", tx.Now(), txRef.Now())
 	}
 
-	var rs obs.RoundStats
-	tx.CollectStats(&rs)
-	simSeconds := rs.SimSeconds
+	simSeconds := lastStats.SimSeconds
 	if simSeconds <= 0 {
 		t.Fatalf("SimSeconds = %v, want > 0", simSeconds)
 	}
@@ -143,3 +143,8 @@ func TestSimTracerRendersTimeModel(t *testing.T) {
 		}
 	}
 }
+
+// recorderFunc adapts a function to engine.StatsRecorder.
+type recorderFunc func(rs *obs.RoundStats)
+
+func (f recorderFunc) RecordRound(rs *obs.RoundStats) { f(rs) }

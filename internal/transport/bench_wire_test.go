@@ -1,10 +1,12 @@
 package transport
 
 import (
+	"context"
 	"testing"
 
 	"fedproxvr/internal/core"
 	"fedproxvr/internal/data"
+	"fedproxvr/internal/engine"
 	"fedproxvr/internal/models"
 	"fedproxvr/internal/optim"
 )
@@ -94,14 +96,17 @@ func benchWireRound(b *testing.B, codec Codec) {
 	c.SetCodec(codec)
 	x := c.Executor(cfg.Local)
 	w0 := testVec(9, m.Dim())
-	selected := []int{0, 1, 2}
-	if _, err := x.RunClients(w0, selected); err != nil {
+	ctx := context.Background()
+	spec := engine.RoundSpec{Round: 1, Anchor: w0, Selected: []int{0, 1, 2}}
+	var res engine.RoundResult
+	if err := x.RunRound(ctx, spec, &res); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := x.RunClients(w0, selected); err != nil {
+		spec.Round++
+		if err := x.RunRound(ctx, spec, &res); err != nil {
 			b.Fatal(err)
 		}
 	}

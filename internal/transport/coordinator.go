@@ -213,19 +213,24 @@ type Coordinator struct {
 
 	// Per-round observability, reset by resetRoundObs at the top of
 	// roundSubset (before rejoin adoption, so adoptions count into the round
-	// they land in). obsOn gates all of it so the off path stays free of
-	// per-round work; retries and rejoins accumulate unconditionally (they
-	// are cheap) and the reset discards anything recorded while off.
-	obsOn      atomic.Bool
+	// they land in). A round whose RoundSpec carries no Stats skips all of
+	// it, so the off path stays free of per-round work; retries and rejoins
+	// accumulate unconditionally (they are cheap) and the reset discards
+	// anything recorded while off.
 	obsRetries atomic.Int64     // re-sent requests this round
 	obsRejoins int              // adoptions this round (guarded by mu)
 	obsLat     []obs.ClientStat // indexed by position in selected; ID<0 ⇒ no report
 
+	// evals[id] is worker id's last reported cumulative gradient-evaluation
+	// count; each slot is written by the fan-out goroutine that owns the
+	// worker's exchange.
+	evals []int64
+
 	// tracer records the coordinator side of the distributed trace:
 	// per-worker round-trip spans, retry/rejoin/fault events, and the
-	// ingestion of worker-shipped solve spans. Installed between rounds
-	// through Executor.SetTracer; nil (the default) is a universal no-op.
-	// The *Tracer itself is goroutine-safe for the round fan-out.
+	// ingestion of worker-shipped solve spans. roundSubset takes it from
+	// each round's RoundSpec; nil (tracing off) is a universal no-op. The
+	// *Tracer itself is goroutine-safe for the round fan-out.
 	tracer *trace.Tracer
 }
 
@@ -394,6 +399,7 @@ func newCoordinatorOn(ln net.Listener, numClients int, timeout time.Duration, tr
 		return nil, fmt.Errorf("transport: cohort reported no training samples (total %d)", total)
 	}
 	c.weights = make([]float64, numClients)
+	c.evals = make([]int64, numClients)
 	for i, cc := range c.clients {
 		c.weights[i] = float64(cc.samples) / float64(total)
 	}
@@ -562,16 +568,17 @@ func (c *Coordinator) Round(round int, anchor []float64, local core.Config) ([][
 	for i := range all {
 		all[i] = i
 	}
-	locals := make([][]float64, len(c.clients))
-	if _, _, err := c.roundSubset(context.Background(), round, anchor, local.Local, all, locals, nil, 0); err != nil {
+	var res engine.RoundResult
+	spec := engine.RoundSpec{Round: round, Anchor: anchor, Selected: all}
+	if err := c.roundSubset(context.Background(), local.Local, spec, &res); err != nil {
 		return nil, err
 	}
-	for i, v := range locals {
+	for i, v := range res.Locals {
 		if v != nil {
-			locals[i] = mathx.Clone(v)
+			res.Locals[i] = mathx.Clone(v)
 		}
 	}
-	return locals, nil
+	return res.Locals, nil
 }
 
 // errWorkerDown marks a worker skipped because its connection was already
@@ -601,10 +608,10 @@ type roundCtx struct {
 	ref   []float64     // dequantized anchor (delta reference), read-only
 }
 
-// roundSubset runs one round against the selected workers only (partial
-// participation), filling locals[i] with selected[i]'s reported model —
-// nil when that worker failed the round — and, when evals is non-nil,
-// evals[id] with that worker's cumulative gradient evaluations. Models
+// roundSubset runs one round against spec.Selected only (partial
+// participation), filling res.Locals[i] with the reported model of
+// spec.Selected[i] — nil when that worker did not report — and c.evals[id]
+// with each reporting worker's cumulative gradient evaluations. Models
 // from framed workers alias per-connection decode buffers, valid until
 // that connection's next exchange (the engine's Executor contract).
 //
@@ -615,16 +622,19 @@ type roundCtx struct {
 // continue: the whole cohort is dead, or fewer than MinParticipants
 // reported for more than MaxFailedRounds consecutive rounds.
 //
-// The straggler policy arrives through ctx and quorum: a ctx deadline
-// bounds every in-flight exchange (per-message deadlines are clamped to
-// it), and quorum > 0 cuts the round as soon as that many workers have
-// reported, force-expiring the laggards' connections. Workers cut either
-// way are counted in stragglers, not failed. Mid-round cancellation of a
-// deadline-less ctx is deliberately not propagated — tearing down healthy
-// connections on a Ctrl-C between rounds would turn a clean stop into a
-// fault storm; the engine already stops between rounds.
-func (c *Coordinator) roundSubset(ctx context.Context, round int, anchor []float64, local optim.LocalConfig, selected []int, locals [][]float64, evals []int64, quorum int) (failed, stragglers int, err error) {
-	obsOn := c.obsOn.Load()
+// The straggler policy arrives through ctx and spec.MinReport: a ctx
+// deadline bounds every in-flight exchange (per-message deadlines are
+// clamped to it), and a quorum > 0 cuts the round as soon as that many
+// workers have reported, force-expiring the laggards' connections. Workers
+// cut either way are counted in res.Stragglers, not as failures. Mid-round
+// cancellation of a deadline-less ctx is deliberately not propagated —
+// tearing down healthy connections on a Ctrl-C between rounds would turn a
+// clean stop into a fault storm; the engine already stops between rounds.
+func (c *Coordinator) roundSubset(ctx context.Context, local optim.LocalConfig, spec engine.RoundSpec, res *engine.RoundResult) error {
+	round, anchor, selected, quorum := spec.Round, spec.Anchor, spec.Selected, spec.MinReport
+	locals := res.Reset(len(selected))
+	c.tracer = spec.Tracer
+	obsOn := spec.Stats != nil
 	if obsOn {
 		c.resetRoundObs(len(selected))
 	}
@@ -718,7 +728,6 @@ func (c *Coordinator) roundSubset(ctx context.Context, round int, anchor []float
 
 	for i, id := range selected {
 		cc := c.clients[id]
-		locals[i] = nil
 		if cc.dead {
 			errs[i] = errWorkerDown
 			continue
@@ -736,7 +745,7 @@ func (c *Coordinator) roundSubset(ctx context.Context, round int, anchor []float
 			var werr error
 			if obsOn {
 				t0 := time.Now()
-				vec, solve, werr = c.askWorker(cc, rc, evals, roundDL, hasDL, &cut)
+				vec, solve, werr = c.askWorker(cc, rc, roundDL, hasDL, &cut)
 				if werr == nil {
 					// Distinct goroutines write distinct i — no lock needed.
 					c.obsLat[i] = obs.ClientStat{
@@ -746,7 +755,7 @@ func (c *Coordinator) roundSubset(ctx context.Context, round int, anchor []float
 					}
 				}
 			} else {
-				vec, _, werr = c.askWorker(cc, rc, evals, roundDL, hasDL, &cut)
+				vec, _, werr = c.askWorker(cc, rc, roundDL, hasDL, &cut)
 			}
 			if done != nil {
 				done[i].Store(true)
@@ -784,25 +793,23 @@ func (c *Coordinator) roundSubset(ctx context.Context, round int, anchor []float
 		cc := c.clients[selected[i]]
 		switch {
 		case werr == errWorkerDown:
-			failed++
 			if tr != nil {
 				tr.RoundEvent("worker-down", "client "+strconv.Itoa(cc.id))
 			}
 		case errors.Is(werr, errRoundCut):
 			// Caught between retry attempts by the cut: the stream is still
 			// framed, so the connection survives into the next round.
-			stragglers++
+			res.Stragglers++
 			if tr != nil {
 				tr.RoundEvent("straggler-cut", "client "+strconv.Itoa(cc.id)+" (between retries)")
 			}
 		case errors.Is(werr, errStraggler):
-			stragglers++
+			res.Stragglers++
 			teardown(cc)
 			if tr != nil {
 				tr.RoundEvent("straggler-cut", "client "+strconv.Itoa(cc.id))
 			}
 		default:
-			failed++
 			teardown(cc)
 			if tr != nil {
 				tr.RoundEvent("worker-fault", "client "+strconv.Itoa(cc.id)+": "+werr.Error())
@@ -813,24 +820,25 @@ func (c *Coordinator) roundSubset(ctx context.Context, round int, anchor []float
 		}
 	}
 	if c.liveWorkers() == 0 {
-		return failed, stragglers, fmt.Errorf("transport: round %d: every worker is dead (last error: %w)", round, firstError(errs))
+		return fmt.Errorf("transport: round %d: every worker is dead (last error: %w)", round, firstError(errs))
 	}
 	if reported < c.fault.MinParticipants {
 		// Below quorum: discard the round (survivor results included) so
-		// the engine leaves the global model unchanged.
+		// the engine leaves the global model unchanged; every device counts
+		// as failed.
 		for i := range selected {
 			locals[i] = nil
 		}
-		failed, stragglers = len(selected), 0
+		res.Stragglers = 0
 		c.skippedRound++
 		if c.skippedRound > c.fault.MaxFailedRounds {
-			return failed, stragglers, fmt.Errorf("transport: %d consecutive rounds below the %d-participant quorum (last error: %w)",
+			return fmt.Errorf("transport: %d consecutive rounds below the %d-participant quorum (last error: %w)",
 				c.skippedRound, c.fault.MinParticipants, firstError(errs))
 		}
-		return failed, stragglers, nil
+		return nil
 	}
 	c.skippedRound = 0
-	return failed, stragglers, nil
+	return nil
 }
 
 // askWorker performs one worker's round exchange with bounded retry.
@@ -838,7 +846,7 @@ func (c *Coordinator) roundSubset(ctx context.Context, round int, anchor []float
 // attempt (zero on failure). Retries are abandoned once the round is cut
 // (quorum reached or the round deadline passed) — the reply would be
 // discarded anyway.
-func (c *Coordinator) askWorker(cc *clientConn, rc *roundCtx, evals []int64, roundDL time.Time, hasDL bool, cut *atomic.Bool) (vec []float64, solveSec float64, err error) {
+func (c *Coordinator) askWorker(cc *clientConn, rc *roundCtx, roundDL time.Time, hasDL bool, cut *atomic.Bool) (vec []float64, solveSec float64, err error) {
 	var lastErr error
 	for attempt := 0; attempt <= c.fault.MaxRetries; attempt++ {
 		if attempt > 0 {
@@ -853,7 +861,7 @@ func (c *Coordinator) askWorker(cc *clientConn, rc *roundCtx, evals []int64, rou
 				time.Sleep(c.fault.RetryBackoff)
 			}
 		}
-		vec, solve, err, retriable := c.exchange(cc, rc, evals, roundDL, hasDL, cut)
+		vec, solve, err, retriable := c.exchange(cc, rc, roundDL, hasDL, cut)
 		if err == nil {
 			return vec, solve, nil
 		}
@@ -873,7 +881,7 @@ func (c *Coordinator) askWorker(cc *clientConn, rc *roundCtx, evals []int64, rou
 // round deadline; a timeout attributable to the round deadline or a quorum
 // cut is wrapped in errStraggler so the caller can tell a late worker from
 // a dead one.
-func (c *Coordinator) exchange(cc *clientConn, rc *roundCtx, evals []int64, roundDL time.Time, hasDL bool, cut *atomic.Bool) (vec []float64, solveSec float64, err error, retriable bool) {
+func (c *Coordinator) exchange(cc *clientConn, rc *roundCtx, roundDL time.Time, hasDL bool, cut *atomic.Bool) (vec []float64, solveSec float64, err error, retriable bool) {
 	var dl time.Time
 	if c.timeout > 0 {
 		dl = time.Now().Add(c.timeout)
@@ -905,7 +913,7 @@ func (c *Coordinator) exchange(cc *clientConn, rc *roundCtx, evals []int64, roun
 		sentAt = time.Now()
 	}
 	if cc.isAgg {
-		return c.exchangeAgg(cc, rc, evals, wrap, sentAt)
+		return c.exchangeAgg(cc, rc, wrap, sentAt)
 	}
 	var rep *RoundReply
 	if cc.framed {
@@ -960,9 +968,7 @@ func (c *Coordinator) exchange(cc *clientConn, rc *roundCtx, evals []int64, roun
 		return nil, 0, fmt.Errorf("transport: client %d sent %d params, want %d",
 			cc.id, len(vec), rc.dim), true
 	}
-	if evals != nil {
-		evals[cc.id] = rep.GradEvals
-	}
+	c.evals[cc.id] = rep.GradEvals
 	if c.tracer != nil && len(rep.Spans) > 0 {
 		c.tracer.IngestWire(rep.Spans, rc.req.SpanID, "worker-"+strconv.Itoa(cc.id), sentAt)
 	}
@@ -975,7 +981,7 @@ func (c *Coordinator) exchange(cc *clientConn, rc *roundCtx, evals []int64, roun
 // contract as framed replies); the shard's round weight and device-level
 // counts land in the per-child tree metadata slots, which only this
 // goroutine writes this round.
-func (c *Coordinator) exchangeAgg(cc *clientConn, rc *roundCtx, evals []int64, wrap func(string, error) error, sentAt time.Time) (vec []float64, solveSec float64, err error, retriable bool) {
+func (c *Coordinator) exchangeAgg(cc *clientConn, rc *roundCtx, wrap func(string, error) error, sentAt time.Time) (vec []float64, solveSec float64, err error, retriable bool) {
 	if err := cc.fw.writeFrame(rc.frame); err != nil {
 		return nil, 0, wrap("send to", err), false
 	}
@@ -1004,9 +1010,7 @@ func (c *Coordinator) exchangeAgg(cc *clientConn, rc *roundCtx, evals []int64, w
 		return nil, 0, fmt.Errorf("transport: shard %d sent a %d-dim partial sum, want %d",
 			cc.id, len(ps.Sum), rc.dim), true
 	}
-	if evals != nil {
-		evals[cc.id] = ps.GradEvals
-	}
+	c.evals[cc.id] = ps.GradEvals
 	c.treeWeight[cc.id] = ps.Weight
 	c.treeDevices[cc.id] = ps.Devices
 	c.treeFailed[cc.id] = ps.Failed
@@ -1083,139 +1087,82 @@ func firstError(errs []error) error {
 }
 
 // Executor adapts the coordinator to the engine's Executor interface: each
-// RunClients is one wire round against the selected workers. It satisfies
-// engine.EvalCounter from the workers' reported cumulative evaluation
-// counts.
+// RunRound is one wire round against the selected workers.
 type Executor struct {
 	c     *Coordinator
 	local optim.LocalConfig
-	round int
-	ext   int // round set by BeginRound for the next run; 0 = self-count
-	buf   [][]float64
-	evals []int64
-
-	stragglers int
-
-	statsOn  bool
-	lastSent int64 // Bandwidth baseline so CollectStats reports deltas
-	lastRecv int64
+	tally engine.Tally // device-level rollup of the last tree round
 }
+
+var _ engine.Executor = (*Executor)(nil)
 
 // Executor returns an engine backend that drives this coordinator's
 // workers with the given local configuration.
 func (c *Coordinator) Executor(local optim.LocalConfig) *Executor {
-	return &Executor{c: c, local: local, evals: make([]int64, len(c.clients))}
+	return &Executor{c: c, local: local}
 }
 
-// RunClients implements engine.Executor, including its partial-result
-// contract: out[i] == nil means worker selected[i] failed the round and
-// the engine aggregates the survivors. The error is non-nil only when the
-// run cannot continue (dead cohort, exhausted quorum).
-func (x *Executor) RunClients(anchor []float64, selected []int) ([][]float64, error) {
-	return x.run(context.Background(), anchor, selected, 0)
-}
-
-// RunClientsCtx implements engine.ContextExecutor: the coordinator cuts
-// the round when ctx's deadline fires or minReport workers have reported,
-// returning the laggards as nil partial results counted in Stragglers.
-func (x *Executor) RunClientsCtx(ctx context.Context, anchor []float64, selected []int, minReport int) ([][]float64, error) {
-	return x.run(ctx, anchor, selected, minReport)
-}
-
-// BeginRound implements engine.RoundBeginner: the wire round number (which
-// workers re-key their device RNG streams from) follows the engine's
-// counter, so a coordinator resuming a checkpointed job at round t sends
-// round t — not a private count restarted at 1 — and every worker's
-// round-t draws match the uninterrupted run's.
-func (x *Executor) BeginRound(t int) { x.ext = t }
-
-func (x *Executor) run(ctx context.Context, anchor []float64, selected []int, quorum int) ([][]float64, error) {
-	if x.ext > 0 {
-		x.round, x.ext = x.ext, 0
-	} else {
-		x.round++
+// RunRound implements engine.Executor, including its partial-result
+// contract: a nil res.Locals[i] means worker spec.Selected[i] failed the
+// round — or, counted in res.Stragglers, was cut when ctx's deadline fired
+// or spec.MinReport workers had reported — and the engine aggregates the
+// survivors. The error is non-nil only when the run cannot continue (dead
+// cohort, exhausted quorum). spec.Round is the wire round number, which
+// workers re-key their device RNG streams from: a coordinator resuming a
+// checkpointed job at round t sends round t, and every worker's round-t
+// draws match the uninterrupted run's.
+//
+// With spec.Stats set the record gets this round's wire-byte deltas
+// (retired connections included, via Bandwidth; the Hello handshake
+// predates the first round and is never counted), the coordinator's
+// retry/rejoin counts, the active codec, and per-client round-trip and
+// solve latencies.
+func (x *Executor) RunRound(ctx context.Context, spec engine.RoundSpec, res *engine.RoundResult) error {
+	c := x.c
+	var sent0, recv0 int64
+	if spec.Stats != nil {
+		sent0, recv0 = c.Bandwidth()
 	}
-	if cap(x.buf) < len(selected) {
-		x.buf = make([][]float64, len(selected))
+	if err := c.roundSubset(ctx, x.local, spec, res); err != nil {
+		return err
 	}
-	out := x.buf[:len(selected)]
-	_, stragglers, err := x.c.roundSubset(ctx, x.round, anchor, x.local, selected, out, x.evals, quorum)
-	x.stragglers = stragglers
-	if err != nil {
-		return nil, err
+	res.GradEvals = 0
+	for _, e := range c.evals {
+		res.GradEvals += e
 	}
-	return out, nil
+	if st := spec.Stats; st != nil {
+		sent, recv := c.Bandwidth()
+		st.BytesSent += sent - sent0
+		st.BytesRecv += recv - recv0
+		st.Codec = c.codec.String()
+		if c.tree {
+			// The engine counts shard connections; roll the shards'
+			// PartialSum accounting up to device-level totals for the
+			// record. A shard whose connection failed contributes nothing
+			// (its devices' fate is unknown to the root — by design it
+			// holds no per-device state).
+			x.tally = engine.Tally{}
+			for id, ok := range c.treeReported {
+				if !ok {
+					continue
+				}
+				st.Shards++
+				x.tally.Participants += c.treeDevices[id]
+				x.tally.Failed += c.treeFailed[id]
+				x.tally.Stragglers += c.treeStragglers[id]
+			}
+			res.Devices = &x.tally
+		}
+		c.collectRoundObs(st)
+	}
+	return nil
 }
-
-// Stragglers implements engine.StragglerCounter.
-func (x *Executor) Stragglers() int { return x.stragglers }
 
 // ChildWeight reports shard child's Σ D_n for the current round (raw
 // sample counts over its reporting devices; zero when the whole shard sat
 // out or its connection failed). It is the weight callback a PartialMean
 // root aggregator folds with — see Coordinator.TreeEngine.
 func (x *Executor) ChildWeight(child int) float64 { return x.c.treeWeight[child] }
-
-// GradEvals implements engine.EvalCounter: the sum of every worker's last
-// reported cumulative gradient-evaluation count.
-func (x *Executor) GradEvals() int64 {
-	var s int64
-	for _, e := range x.evals {
-		s += e
-	}
-	return s
-}
-
-// SetTracer implements engine.TraceSource: the coordinator records
-// per-worker round-trip spans, fires retry/rejoin/straggler/fault events
-// on the round span, and ingests the solve spans workers ship back in
-// their replies. Safe to change between rounds, not during one.
-func (x *Executor) SetTracer(tr *trace.Tracer) { x.c.tracer = tr }
-
-// EnableStats implements engine.StatsSource. Turning stats on baselines the
-// byte counters so the first observed round reports a per-round delta, not
-// the connection lifetime total (the Hello handshake predates the engine).
-func (x *Executor) EnableStats(on bool) {
-	x.statsOn = on
-	x.c.obsOn.Store(on)
-	if on {
-		x.lastSent, x.lastRecv = x.c.Bandwidth()
-	}
-}
-
-// CollectStats implements engine.StatsSource: per-round wire-byte deltas
-// (retired connections included, via Bandwidth) plus the coordinator's
-// retry/rejoin counts, the active codec, and per-client round-trip and
-// solve latencies.
-func (x *Executor) CollectStats(rs *obs.RoundStats) {
-	if !x.statsOn {
-		return
-	}
-	sent, recv := x.c.Bandwidth()
-	rs.BytesSent += sent - x.lastSent
-	rs.BytesRecv += recv - x.lastRecv
-	rs.Codec = x.c.codec.String()
-	x.lastSent, x.lastRecv = sent, recv
-	x.c.collectRoundObs(rs)
-	if x.c.tree {
-		// The engine counted shard connections; roll the shards'
-		// PartialSum accounting up to device-level totals. A shard whose
-		// connection failed contributes nothing (its devices' fate is
-		// unknown to the root — by design it holds no per-device state).
-		var parts, failed, strag, shards int
-		for id, ok := range x.c.treeReported {
-			if !ok {
-				continue
-			}
-			shards++
-			parts += x.c.treeDevices[id]
-			failed += x.c.treeFailed[id]
-			strag += x.c.treeStragglers[id]
-		}
-		rs.Participants, rs.Failed, rs.Stragglers = parts, failed, strag
-		rs.Shards = shards
-	}
-}
 
 // Train runs cfg.Rounds federated rounds starting from w0 and returns the
 // final global model and the metric series. If evalModel and trainSets are

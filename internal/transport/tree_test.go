@@ -299,43 +299,38 @@ func TestTreeMatchesFlatBitIdentical(t *testing.T) {
 // the shard's connection dies.
 type dropShardExec struct {
 	inner  *engine.Sequential
-	round  int
 	at     int
 	lo, hi int
 	sub    []int
+	subRes engine.RoundResult
 }
 
-// BeginRound forwards the engine's round number inward so the wrapped
-// executor re-keys its devices exactly like the tree shards it stands for.
-func (d *dropShardExec) BeginRound(t int) { d.inner.BeginRound(t) }
-
-func (d *dropShardExec) RunClients(anchor []float64, selected []int) ([][]float64, error) {
-	d.round++
-	if d.round != d.at {
-		return d.inner.RunClients(anchor, selected)
+func (d *dropShardExec) RunRound(ctx context.Context, spec engine.RoundSpec, res *engine.RoundResult) error {
+	if spec.Round != d.at {
+		return d.inner.RunRound(ctx, spec, res)
 	}
+	selected := spec.Selected
 	d.sub = d.sub[:0]
 	for _, id := range selected {
 		if id < d.lo || id >= d.hi {
 			d.sub = append(d.sub, id)
 		}
 	}
-	locals, err := d.inner.RunClients(anchor, d.sub)
-	if err != nil {
-		return nil, err
+	spec.Selected = d.sub
+	if err := d.inner.RunRound(ctx, spec, &d.subRes); err != nil {
+		return err
 	}
-	out := make([][]float64, len(selected))
+	out := res.Reset(len(selected))
+	res.GradEvals = d.subRes.GradEvals
 	j := 0
 	for i, id := range selected {
 		if id < d.lo || id >= d.hi {
-			out[i] = locals[j]
+			out[i] = d.subRes.Locals[j]
 			j++
 		}
 	}
-	return out, nil
+	return nil
 }
-
-func (d *dropShardExec) GradEvals() int64 { return d.inner.GradEvals() }
 
 // TestTreeChaosMatchesScriptedShardDropout: killing an interior aggregator
 // node mid-run must degrade EXACTLY like a scripted dropout of its whole

@@ -176,13 +176,13 @@ func TestRoundStatsExactWireAccounting(t *testing.T) {
 		c, wg := launchTwoPhase(t, p, m, cfg.Seed)
 		c.SetCodec(codec)
 		x := c.Executor(cfg.Local)
-		x.EnableStats(true)
 		selected := []int{0, 1, 2}
-		if _, err := x.RunClients(make([]float64, dim), selected); err != nil {
+		var rs obs.RoundStats
+		var res engine.RoundResult
+		spec := engine.RoundSpec{Round: 1, Anchor: make([]float64, dim), Selected: selected, Stats: &rs}
+		if err := x.RunRound(context.Background(), spec, &res); err != nil {
 			t.Fatal(err)
 		}
-		var rs obs.RoundStats
-		x.CollectStats(&rs)
 
 		topK := 0
 		if codec == CodecTopK {
