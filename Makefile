@@ -10,7 +10,7 @@ TESTFLAGS ?= -timeout 120s
 # race-enabled targets carry their own, larger guard.
 RACE_TESTFLAGS ?= -timeout 900s
 
-.PHONY: build test vet fmt race check expolint bench bench-all bench-smoke benchgate chaos soak-restart trace-demo fuzz
+.PHONY: build test vet fmt race check expolint evalcpu bench bench-all bench-smoke benchgate chaos soak-restart trace-demo fuzz
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,15 @@ expolint:
 	$(GO) test $(TESTFLAGS) -run 'Lint|Exposition|Prometheus' \
 		./internal/obs/ ./internal/jobs/ ./internal/telemetry/
 
+# evalcpu runs the measurement determinism tests at 1, 2 and 4 logical
+# CPUs under the race detector: engine.Evaluator spreads loss and accuracy
+# over GOMAXPROCS workers and promises numbers that do not depend on how
+# many there are, which a single-GOMAXPROCS `race` pass cannot show. (The
+# helper pool grows with GOMAXPROCS, so one process covers all three.)
+evalcpu:
+	$(GO) test -race $(RACE_TESTFLAGS) -count=1 -cpu 1,2,4 \
+		-run 'Evaluator|PredictBatch' ./internal/engine/ ./internal/models/
+
 # bench-smoke compiles and tests the frozen benchmark module. bench/ is its
 # own Go module (it imports this one through a replace directive), so the
 # root `go build ./...` and `go vet ./...` never see it: without this
@@ -51,12 +60,13 @@ bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test $(TESTFLAGS) ./...
 
 # check is the CI gate: formatting, static analysis, the frozen bench
-# module, the exposition lint, the race-enabled suite, and the benchmark
-# regression gate against the committed snapshot. The race-enabled suite
+# module, the exposition lint, the evaluator determinism tests across CPU
+# counts, the race-enabled suite, and the benchmark regression gate
+# against the committed snapshot. The race-enabled suite
 # replays the FuzzFrameDecode seed corpus (plain `go test` runs f.Add
 # seeds), so every committed frame-decoder regression input is exercised
 # on each CI run; `make fuzz` explores beyond the seeds.
-check: fmt vet bench-smoke expolint race benchgate
+check: fmt vet bench-smoke expolint evalcpu race benchgate
 
 # fuzz runs coverage-guided exploration of the wire-frame decoders. The
 # decoders sit directly on the network, so any input must decode or error —
@@ -99,11 +109,12 @@ soak-restart:
 
 # The recorded benchmark set: the engine/ablation hot paths plus the batched
 # NN kernels (forward/backward, minibatch gradient, full inner solve), the
-# transport top-k selector, the wire-frame marshal/unmarshal paths, and the
-# end-to-end TCP round (exact and topk-delta codecs). bench and benchgate
+# transport top-k selector, the wire-frame marshal/unmarshal paths, the
+# end-to-end TCP round (exact and topk-delta codecs), and one server-side
+# measurement of the paper's convex scenario. bench and benchgate
 # must agree on this set, so a benchmark in the snapshot is never silently
 # absent from the gate run.
-BENCH_PATTERN := RoundAllocs|Ablation|NNBatch|NNMinibatch|NNInnerSolve|TopK|Frame|WireRound
+BENCH_PATTERN := RoundAllocs|Ablation|NNBatch|NNMinibatch|NNInnerSolve|TopK|Frame|WireRound|EvaluatorMeasure
 BENCH_PKGS := . ./internal/engine ./internal/nn ./internal/models ./internal/optim ./internal/transport
 
 # bench runs the recorded benchmark set three times and snapshots the

@@ -3,7 +3,9 @@ package engine_test
 import (
 	"testing"
 
+	"fedproxvr/internal/data"
 	"fedproxvr/internal/engine"
+	"fedproxvr/internal/metrics"
 	"fedproxvr/internal/models"
 )
 
@@ -65,5 +67,30 @@ func BenchmarkSequentialRoundAllocs(b *testing.B) {
 		if _, _, err := eng.Step(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+var sinkPoint metrics.Point
+
+// BenchmarkEvaluatorMeasure is one server-side measurement of the paper's
+// convex scenario: the 610-parameter softmax over 100 power-law training
+// shards plus a 15 k-row test set (each Synthetic(1,1) shard split 75/25),
+// loss and accuracy in one fan-out. Steady state allocates nothing.
+func BenchmarkEvaluatorMeasure(b *testing.B) {
+	cfg := data.DefaultSyntheticConfig(1)
+	cfg.MaxSamples = 1600
+	part := data.GenerateSynthetic(cfg)
+	tests := make([]*data.Dataset, len(part.Clients))
+	for k, shard := range part.Clients {
+		part.Clients[k], tests[k] = shard.Split(0.75, int64(k))
+	}
+	m := models.NewSoftmax(cfg.Dim, cfg.NumClasses, 0)
+	ev := &engine.Evaluator{Model: m, Clients: part.Clients, Weights: part.Weights(), Test: data.Merge(tests...)}
+	w := make([]float64, m.Dim())
+	sinkPoint = ev.Measure(w, false) // build the helpers' clones
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkPoint = ev.Measure(w, false)
 	}
 }

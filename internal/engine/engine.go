@@ -7,10 +7,7 @@ import (
 	"strconv"
 	"time"
 
-	"fedproxvr/internal/data"
-	"fedproxvr/internal/mathx"
 	"fedproxvr/internal/metrics"
-	"fedproxvr/internal/models"
 	"fedproxvr/internal/obs"
 	"fedproxvr/internal/randx"
 	"fedproxvr/internal/trace"
@@ -515,15 +512,11 @@ func (e *Engine) Run(ctx context.Context) (*metrics.Series, error) {
 
 // measure evaluates the configured metrics at the current global model.
 func (e *Engine) measure(round int) metrics.Point {
-	p := metrics.Point{Round: round, TestAcc: math.NaN()}
+	p := metrics.Point{TestAcc: math.NaN()}
 	if e.eval != nil {
-		p.TrainLoss = e.eval.Loss(e.w)
-		p.TestAcc = e.eval.Accuracy(e.w)
-		if e.cfg.TrackStationarity {
-			p.GradNormSq = e.eval.GradNormSq(e.w)
-		}
+		p = e.eval.Measure(e.w, e.cfg.TrackStationarity)
 	}
-	p.GradEvals = e.res.GradEvals
+	p.Round, p.GradEvals = round, e.res.GradEvals
 	return p
 }
 
@@ -596,57 +589,4 @@ func Dropout(rng *rand.Rand, selected []int, prob float64) []int {
 		}
 	}
 	return survivors
-}
-
-// Evaluator measures server-side metrics over the cohort's shards with
-// engine-owned scratch (no per-evaluation allocation).
-type Evaluator struct {
-	Model   models.Model
-	Clients []*data.Dataset // training shards for the global objective
-	Weights []float64
-	Test    *data.Dataset
-
-	grads, g []float64
-}
-
-// Loss returns F̄(w) = Σ_n (D_n/D) F_n(w) — the objective of problem (2) —
-// or NaN when the evaluator holds no training shards (a tree-root
-// coordinator never sees per-device data; it can still measure TestAcc).
-func (ev *Evaluator) Loss(w []float64) float64 {
-	if len(ev.Clients) == 0 {
-		return math.NaN()
-	}
-	var loss float64
-	for i, shard := range ev.Clients {
-		loss += ev.Weights[i] * ev.Model.Loss(w, shard, nil)
-	}
-	return loss
-}
-
-// Accuracy returns test accuracy, or NaN without a test set or classifier.
-func (ev *Evaluator) Accuracy(w []float64) float64 {
-	if ev.Test == nil || ev.Model == nil {
-		return math.NaN()
-	}
-	c, ok := ev.Model.(models.Classifier)
-	if !ok {
-		return math.NaN()
-	}
-	return models.Accuracy(c, w, ev.Test)
-}
-
-// GradNormSq returns ‖∇F̄(w)‖² — the stationarity gap used in (12) — using
-// reusable scratch buffers.
-func (ev *Evaluator) GradNormSq(w []float64) float64 {
-	if cap(ev.grads) < len(w) {
-		ev.grads = make([]float64, len(w))
-		ev.g = make([]float64, len(w))
-	}
-	grads, g := ev.grads[:len(w)], ev.g[:len(w)]
-	mathx.Zero(grads)
-	for i, shard := range ev.Clients {
-		ev.Model.Grad(g, w, shard, nil)
-		mathx.Axpy(ev.Weights[i], g, grads)
-	}
-	return mathx.Nrm2Sq(grads)
 }

@@ -175,21 +175,23 @@ func TestEngineStatsIntegration(t *testing.T) {
 }
 
 // BenchmarkEngineRunRoundAllocs measures the full Run loop — selection,
-// execution, aggregation, hook dispatch, stats flush — in its default
-// configuration (observability off, no live hooks). This is the
-// whole-outer-loop complement to BenchmarkEngineRoundAllocs' Step-only
-// measurement.
+// execution, aggregation, measurement, hook dispatch, stats flush — in its
+// default configuration (an evaluator measuring every round, observability
+// off, no live hooks). This is the whole-outer-loop complement to
+// BenchmarkEngineRoundAllocs' Step-only measurement; the series' amortised
+// growth is the only allocation left.
 func BenchmarkEngineRunRoundAllocs(b *testing.B) {
 	p := testPartition(8, 40, 5, 3, 1)
 	m := models.NewSoftmax(5, 3, 0)
 	cfg := conformanceConfigs()["full"]
 	cfg.Rounds = b.N
-	cfg.EvalEvery = 1 << 30
+	cfg.EvalEvery = 1
 
 	eng, err := engine.New(cfg, m.Dim(), p.Weights(), engine.NewSequential(newDevices(p, m, cfg.Seed), cfg.Local))
 	if err != nil {
 		b.Fatal(err)
 	}
+	eng.SetEvaluator(&engine.Evaluator{Model: m.Clone(), Clients: p.Clients, Weights: p.Weights(), Test: p.Clients[0]})
 	off := eng.OnRound(func(engine.RoundInfo) error { return nil })
 	off()
 	b.ReportAllocs()

@@ -120,8 +120,10 @@ func (c *Confusion) MacroF1() float64 {
 // dataset ds.
 func Evaluate(m models.Classifier, w []float64, ds *data.Dataset) *Confusion {
 	c := NewConfusion(ds.NumClasses)
-	for i := 0; i < ds.N(); i++ {
-		c.Add(ds.Y[i], m.Predict(w, ds.Sample(i)))
+	pred := make([]int, ds.N())
+	m.PredictBatch(pred, w, ds, 0, len(pred))
+	for i, p := range pred {
+		c.Add(ds.Y[i], p)
 	}
 	return c
 }

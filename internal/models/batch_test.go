@@ -127,6 +127,63 @@ func TestModelGradZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestPredictBatchMatchesPredict pins batched prediction to the one-row
+// Predict on every classifier: the same labels row for row, hence the same
+// accuracy count, whether the dataset is predicted whole, in PredictBlock
+// blocks (what engine.Evaluator dispatches) or in ragged ones.
+func TestPredictBatchMatchesPredict(t *testing.T) {
+	cases := []struct {
+		name    string
+		m       Classifier
+		dim     int
+		classes int
+	}{
+		{"Softmax", NewSoftmax(30, 5, 0.1), 30, 5},
+		{"SVM", NewSVM(30, true, 0.1), 30, 2},
+		{"MLP", NewMLP(20, 16, 4, 0.01), 20, 4},
+		{"PaperCNN", NewPaperCNN(4, 16, 0), 784, 4},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := 2*PredictBlock + 45
+			ds := classDataset(tc.dim, tc.classes, n, 51)
+			w := make([]float64, tc.m.Dim())
+			randx.NormalVec(randx.New(52), w, 0, 0.3)
+			want := make([]int, n)
+			correct := 0
+			for i := range want {
+				want[i] = tc.m.Predict(w, ds.Sample(i))
+				if want[i] == ds.Y[i] {
+					correct++
+				}
+			}
+			got := make([]int, n)
+			for _, block := range []int{n, PredictBlock, 7, 100} {
+				count := 0
+				for lo := 0; lo < n; lo += block {
+					hi := min(lo+block, n)
+					count += CountCorrect(tc.m, got[lo:], w, ds, lo, hi)
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("block %d: row %d predicted %d, Predict says %d", block, i, got[i], want[i])
+					}
+				}
+				if count != correct {
+					t.Fatalf("block %d: %d correct, per-sample count %d", block, count, correct)
+				}
+			}
+			if acc := Accuracy(tc.m, w, ds); acc != float64(correct)/float64(n) {
+				t.Fatalf("Accuracy = %v, per-sample %v", acc, float64(correct)/float64(n))
+			}
+			pred := make([]int, PredictBlock)
+			if a := testing.AllocsPerRun(5, func() { CountCorrect(tc.m, pred, w, ds, 0, PredictBlock) }); a != 0 {
+				t.Fatalf("CountCorrect allocates %v per block", a)
+			}
+		})
+	}
+}
+
 func benchGradModel() (*NNModel, *data.Dataset, []float64) {
 	m := NewMLP(784, 128, 10, 0)
 	ds := classDataset(784, 10, 256, 41)

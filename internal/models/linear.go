@@ -219,5 +219,21 @@ func (m *SVM) Predict(w, x []float64) int {
 	return 0
 }
 
+// PredictBatch implements Classifier: one score GEMV per chunk.
+func (m *SVM) PredictBatch(pred []int, w []float64, ds *data.Dataset, lo, hi int) {
+	for ; lo < hi; lo += gradChunk {
+		b := min(gradChunk, hi-lo)
+		scores := m.res[:b]
+		tensor.MatOf(b, m.Features, gatherRows(ds, nil, lo, b, nil)).MulVec(scores, w)
+		for r, s := range scores {
+			pred[r] = 0
+			if s >= 0 {
+				pred[r] = 1
+			}
+		}
+		pred = pred[b:]
+	}
+}
+
 // Clone implements Model: shares the immutable shape, fresh scratch.
 func (m *SVM) Clone() Model { return NewSVM(m.Features, m.Squared, m.L2) }

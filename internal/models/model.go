@@ -38,24 +38,45 @@ type Model interface {
 // Classifier is implemented by models that predict a class label.
 type Classifier interface {
 	Model
-	// Predict returns the predicted class for features x under parameters w.
+	// Predict returns the predicted class for the single feature row x
+	// under parameters w.
 	Predict(w, x []float64) int
+	// PredictBatch writes the predicted class of row lo+r of ds into
+	// pred[r] for every row in [lo, hi), running the model's chunked batch
+	// forward (the GEMM path Loss and Grad use) instead of one Predict per
+	// row. It uses the model's scratch like Loss and Grad do.
+	PredictBatch(pred []int, w []float64, ds *data.Dataset, lo, hi int)
+}
+
+// PredictBlock is the row-block size callers cut a dataset into when they
+// spread batched prediction over several workers. It is a multiple of the
+// models' internal chunk, so a row sits at the same position of the same
+// chunk whether the dataset is predicted whole or block by block, and the
+// labels — hence any count over them — do not depend on the partition.
+const PredictBlock = 8 * gradChunk
+
+// CountCorrect returns how many of the rows [lo, hi) of ds c classifies
+// correctly under w. pred is scratch for at least hi-lo labels.
+func CountCorrect(c Classifier, pred []int, w []float64, ds *data.Dataset, lo, hi int) int {
+	pred = pred[:hi-lo]
+	c.PredictBatch(pred, w, ds, lo, hi)
+	correct := 0
+	for r, p := range pred {
+		if p == ds.Y[lo+r] {
+			correct++
+		}
+	}
+	return correct
 }
 
 // Accuracy returns the fraction of samples in ds that c classifies
-// correctly under w.
+// correctly under w (0 for an empty dataset).
 func Accuracy(c Classifier, w []float64, ds *data.Dataset) float64 {
 	n := ds.N()
 	if n == 0 {
 		return 0
 	}
-	correct := 0
-	for i := 0; i < n; i++ {
-		if c.Predict(w, ds.Sample(i)) == ds.Y[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(n)
+	return float64(CountCorrect(c, make([]int, n), w, ds, 0, n)) / float64(n)
 }
 
 // batchSize returns the effective batch size for an idx argument.

@@ -121,6 +121,19 @@ func (m *NNModel) Predict(w, x []float64) int {
 	return mathx.ArgMax(out)
 }
 
+// PredictBatch implements Classifier: one batched forward per chunk.
+func (m *NNModel) PredictBatch(pred []int, w []float64, ds *data.Dataset, lo, hi int) {
+	out := m.Net.OutSize()
+	for ; lo < hi; lo += gradChunk {
+		b := min(gradChunk, hi-lo)
+		y := m.Net.ForwardBatch(w, gatherRows(ds, nil, lo, b, nil), b, m.ws)
+		for r := 0; r < b; r++ {
+			pred[r] = mathx.ArgMax(y[r*out : (r+1)*out])
+		}
+		pred = pred[b:]
+	}
+}
+
 // Clone implements Model: the network is shared, scratch is fresh.
 func (m *NNModel) Clone() Model { return NewNNModel(m.Net, m.L2) }
 

@@ -112,6 +112,18 @@ func (m *Softmax) Predict(w, x []float64) int {
 	return best
 }
 
+// PredictBatch implements Classifier: one logits GEMM per chunk.
+func (m *Softmax) PredictBatch(pred []int, w []float64, ds *data.Dataset, lo, hi int) {
+	for ; lo < hi; lo += gradChunk {
+		b := min(gradChunk, hi-lo)
+		lm := m.forwardChunk(w, ds, nil, lo, b)
+		for r := 0; r < b; r++ {
+			pred[r] = mathx.ArgMax(lm.Row(r))
+		}
+		pred = pred[b:]
+	}
+}
+
 // Clone implements Model: shares the immutable shape, fresh scratch.
 func (m *Softmax) Clone() Model {
 	return NewSoftmax(m.Features, m.Classes, m.L2)

@@ -162,22 +162,12 @@ func Train(r *core.Runner, fleet *Fleet, measureEvery int) (*TimedSeries, error)
 	defer eng.SetExecutor(tx.Inner())
 	ev := r.Evaluator()
 	out := &TimedSeries{Name: cfg.Name}
-	// Measurement goes through the runner's Evaluator exactly like
-	// engine.Run's: the historical Train hardcoded TestAcc to NaN, which
-	// made TimedSeries.TimeToAcc blind even with cfg.Test set.
+	// Measurement is the runner's Evaluator.Measure, exactly like
+	// engine.Run's, stamped with the simulated clock.
 	measure := func(round, participants, failed int) {
-		w := eng.Global()
-		p := metrics.Point{
-			Round:        round,
-			TrainLoss:    ev.Loss(w),
-			TestAcc:      ev.Accuracy(w),
-			GradEvals:    eng.GradEvals(),
-			Participants: participants,
-			Failed:       failed,
-		}
-		if cfg.TrackStationarity {
-			p.GradNormSq = ev.GradNormSq(w)
-		}
+		p := ev.Measure(eng.Global(), cfg.TrackStationarity)
+		p.Round, p.GradEvals = round, eng.GradEvals()
+		p.Participants, p.Failed = participants, failed
 		if round > 0 {
 			// Stamp convergence metrics into the in-flight round record so
 			// stats sinks (and the telemetry store) see them; round 0 has no
