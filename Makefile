@@ -107,14 +107,15 @@ soak-restart:
 	SOAK_RESTART_ROUNDS=$(SOAK_RESTART_ROUNDS) $(GO) test -race $(RACE_TESTFLAGS) -count=1 \
 		-run SoakRestart -v ./internal/jobs/
 
-# The recorded benchmark set: the engine/ablation hot paths plus the batched
+# The recorded benchmark set: the engine/ablation hot paths, the set-up cost
+# of a ten-device CNN runner (NewRunnerCNN10), plus the batched
 # NN kernels (forward/backward, minibatch gradient, full inner solve), the
 # transport top-k selector, the wire-frame marshal/unmarshal paths, the
 # end-to-end TCP round (exact and topk-delta codecs), and one server-side
 # measurement of the paper's convex scenario. bench and benchgate
 # must agree on this set, so a benchmark in the snapshot is never silently
 # absent from the gate run.
-BENCH_PATTERN := RoundAllocs|Ablation|NNBatch|NNMinibatch|NNInnerSolve|TopK|Frame|WireRound|EvaluatorMeasure
+BENCH_PATTERN := RoundAllocs|Ablation|NewRunnerCNN10|NNBatch|NNMinibatch|NNInnerSolve|TopK|Frame|WireRound|EvaluatorMeasure
 BENCH_PKGS := . ./internal/engine ./internal/nn ./internal/models ./internal/optim ./internal/transport
 
 # bench runs the recorded benchmark set three times and snapshots the

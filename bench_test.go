@@ -123,9 +123,31 @@ func benchRound(b *testing.B, parallel bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	r.Step() // the first round builds the workers' scratch and the report buffers
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Step()
+	}
+}
+
+// BenchmarkNewRunnerCNN10 is the set-up cost of the benchmark's cnn10
+// scenario: core.NewRunner over ten devices of the width/8 paper CNN. A
+// device is data and a model builds its workspace when first evaluated, so
+// this must stay kilobytes and microseconds — one 17 MB clone per device
+// built (and zeroed) here is the layout it guards against.
+func BenchmarkNewRunnerCNN10(b *testing.B) {
+	task, err := CNNTask(ImageOptions{Style: Digits, Devices: 10, SamplesPerClass: 4, Seed: 7}, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := FedProxVR(SARAH, 5, task.L, 0.01, 2, 8, 1)
+	cfg.Seed = 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.NewRunner(task.Model, task.Part, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -177,13 +199,13 @@ func benchEstimator(b *testing.B, est optim.Estimator) {
 		ds.AppendClass(x, i%10)
 	}
 	m := models.NewSoftmax(60, 10, 0)
-	s := optim.NewSolver(m)
+	s, sc := optim.NewSolver(m), new(optim.Scratch)
 	anchor := make([]float64, m.Dim())
 	out := make([]float64, m.Dim())
 	cfg := optim.LocalConfig{Estimator: est, Eta: 0.01, Tau: 20, Batch: 16, Mu: 0.1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Solve(ds, anchor, out, cfg, rng)
+		s.Solve(sc, ds, anchor, out, cfg, rng)
 	}
 }
 
@@ -203,13 +225,13 @@ func benchReturn(b *testing.B, ret optim.ReturnPolicy) {
 		ds.AppendClass(x, i%10)
 	}
 	m := models.NewSoftmax(60, 10, 0)
-	s := optim.NewSolver(m)
+	s, sc := optim.NewSolver(m), new(optim.Scratch)
 	anchor := make([]float64, m.Dim())
 	out := make([]float64, m.Dim())
 	cfg := optim.LocalConfig{Estimator: optim.SARAH, Eta: 0.01, Tau: 20, Batch: 16, Mu: 0.1, Return: ret}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Solve(ds, anchor, out, cfg, rng)
+		s.Solve(sc, ds, anchor, out, cfg, rng)
 	}
 }
 

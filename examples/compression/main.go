@@ -29,6 +29,7 @@ import (
 	"fedproxvr/internal/data"
 	"fedproxvr/internal/mathx"
 	"fedproxvr/internal/models"
+	"fedproxvr/internal/optim"
 	"fedproxvr/internal/theory"
 	"fedproxvr/internal/transport"
 )
@@ -61,7 +62,8 @@ func main() {
 	dim := task.Model.Dim()
 	anchor := make([]float64, dim)
 	dev := core.NewDevice(0, task.Part.Clients[0], task.Model, cfg.Seed)
-	local := dev.RunRound(anchor, cfg.Local)
+	local := make([]float64, dim)
+	dev.RunRound(new(optim.Scratch), anchor, local, cfg.Local)
 	fmt.Printf("%-8s %12s %22s\n", "keep", "bytes", "reconstruction error")
 	for _, frac := range []float64{1.0, 0.25, 0.10, 0.02} {
 		k := int(frac * float64(dim))

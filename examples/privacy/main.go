@@ -17,6 +17,7 @@ import (
 	fedproxvr "fedproxvr"
 	"fedproxvr/internal/core"
 	"fedproxvr/internal/mathx"
+	"fedproxvr/internal/optim"
 	"fedproxvr/internal/secure"
 )
 
@@ -33,6 +34,10 @@ func main() {
 
 	// Every device computes its local model, then masks it (scaled by its
 	// data size D_n, so the plain sum of submissions aggregates correctly).
+	// This loop executes the solves, so it owns their scratch and the buffer
+	// they report into; a device is just its shard and its RNG stream.
+	var scratch optim.Scratch
+	local := make([]float64, dim)
 	devices := make([]*core.Device, len(task.Part.Clients))
 	masked := make([][]float64, len(devices))
 	var clearAvg []float64 // what a plain server would compute
@@ -40,7 +45,7 @@ func main() {
 	clearAvg = make([]float64, dim)
 	for id, shard := range task.Part.Clients {
 		devices[id] = core.NewDevice(id, shard, task.Model, cfg.Seed)
-		local := devices[id].RunRound(anchor, cfg.Local)
+		devices[id].RunRound(&scratch, anchor, local, cfg.Local)
 		dN := float64(shard.N())
 		totalSamples += dN
 		mathx.Axpy(dN, local, clearAvg)

@@ -88,8 +88,9 @@ type Runner struct {
 	eval    *engine.Evaluator // server-side measurement (shared with sync)
 	part    *data.Partition
 	fleet   *simnet.Fleet
-	solvers []*optim.Solver
-	rngs    []*rand.Rand
+	solver  optim.Solver  // every client trains the same model
+	scratch optim.Scratch // the loop solves one dispatch at a time
+	rngs    []*rand.Rand  // per-client minibatch streams
 	weights []float64
 	server  *rand.Rand // failure-injection stream
 
@@ -125,14 +126,13 @@ func NewRunner(m models.Model, part *data.Partition, fleet *simnet.Fleet, cfg Co
 		part:    part,
 		fleet:   fleet,
 		weights: part.Weights(),
+		solver:  optim.NewSolver(m),
 		server:  randx.NewStream(cfg.Seed, 1),
 		w:       make([]float64, m.Dim()),
 	}
 	r.eval = &engine.Evaluator{Model: m.Clone(), Clients: part.Clients, Weights: r.weights}
-	r.solvers = make([]*optim.Solver, len(part.Clients))
 	r.rngs = make([]*rand.Rand, len(part.Clients))
 	for i := range part.Clients {
-		r.solvers[i] = optim.NewSolver(m.Clone())
 		r.rngs[i] = randx.NewStream(cfg.Seed, int64(i)+7001)
 	}
 	return r, nil
@@ -150,7 +150,7 @@ func (r *Runner) dispatch(id int) {
 	p := r.fleet.Profiles[id]
 	duration := p.Downlink + float64(r.cfg.Local.Tau)*p.ComputePerIter + p.Uplink
 	local := make([]float64, len(r.w))
-	r.solvers[id].Solve(r.part.Clients[id], r.w, local, r.cfg.Local, r.rngs[id])
+	r.solver.Solve(&r.scratch, r.part.Clients[id], r.w, local, r.cfg.Local, r.rngs[id])
 	r.queue = append(r.queue, pending{
 		device:    id,
 		finishAt:  r.now + duration,

@@ -105,8 +105,8 @@ func (x *Executor) RunRound(ctx context.Context, spec engine.RoundSpec, res *eng
 			return err
 		}
 		// Copy result pointers out immediately: x.sub is reused by the late
-		// calls below. The vectors themselves are device-owned buffers,
-		// stable until that device's next RunRound.
+		// calls below. The vectors themselves are the inner executor's
+		// per-device report buffers, stable until that device's next solve.
 		for j, pos := range x.runPos {
 			out[pos] = x.sub.Locals[j]
 		}

@@ -8,6 +8,7 @@ import (
 	"fedproxvr/internal/engine"
 	"fedproxvr/internal/metrics"
 	"fedproxvr/internal/models"
+	"fedproxvr/internal/optim"
 	"fedproxvr/internal/randx"
 )
 
@@ -16,7 +17,7 @@ import (
 // construction) intact.
 type Device = engine.Device
 
-// NewDevice builds a device around a private model clone.
+// NewDevice builds a device that trains m (see engine.NewDevice).
 func NewDevice(id int, shard *data.Dataset, m models.Model, seed int64) *Device {
 	return engine.NewDevice(id, shard, m, seed)
 }
@@ -29,8 +30,9 @@ type Runner struct {
 	eval    *engine.Evaluator
 	devices []*Device
 
-	diag    []float64  // scratch local model for LocalAccuracy
-	diagRNG *rand.Rand // dedicated stream: diagnostics never touch device RNGs
+	diag        []float64     // local model reported by LocalAccuracy's solve
+	diagScratch optim.Scratch // the memory that solve runs in, built on first use
+	diagRNG     *rand.Rand    // dedicated stream: diagnostics never touch device RNGs
 }
 
 // NewRunner validates cfg and builds the devices.
@@ -148,9 +150,10 @@ func (r *Runner) LocalAccuracy(id int) float64 {
 		r.diag = make([]float64, len(w))
 		r.diagRNG = randx.NewStream(cfg.Seed, 900_001)
 	}
-	d.Solver.Solve(d.Shard, w, r.diag, cfg.Local, r.diagRNG)
-	lhs := d.Solver.SurrogateGradNorm(d.Shard, r.diag, w, cfg.Local.Mu)
-	rhs := d.Solver.LocalGradNorm(d.Shard, w)
+	sc := &r.diagScratch
+	d.Solver.Solve(sc, d.Shard, w, r.diag, cfg.Local, r.diagRNG)
+	lhs := d.Solver.SurrogateGradNorm(sc, d.Shard, r.diag, w, cfg.Local.Mu)
+	rhs := d.Solver.LocalGradNorm(sc, d.Shard, w)
 	if rhs == 0 {
 		return 0
 	}

@@ -261,6 +261,8 @@ func serveFlakyWorker(t *testing.T, addr string, id int, shard *data.Dataset, m 
 		return
 	}
 	dev := engine.NewDevice(id, shard, m, seed)
+	var scratch optim.Scratch
+	local := make([]float64, m.Dim())
 	flaked := false
 	for {
 		var req transport.RoundRequest
@@ -281,7 +283,8 @@ func serveFlakyWorker(t *testing.T, addr string, id int, shard *data.Dataset, m 
 		} else {
 			start := time.Now()
 			dev.BeginRound(req.Round)
-			rep.Local = dev.RunRound(req.AnchorVec(), req.Local)
+			dev.RunRound(&scratch, req.AnchorVec(), local, req.Local)
+			rep.Local = local
 			rep.SolveSeconds = time.Since(start).Seconds()
 			rep.GradEvals = dev.GradEvals()
 		}

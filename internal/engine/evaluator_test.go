@@ -12,6 +12,7 @@ import (
 	"fedproxvr/internal/mathx"
 	"fedproxvr/internal/models"
 	"fedproxvr/internal/randx"
+	"fedproxvr/internal/testx"
 )
 
 // evalFixture is a random evaluation problem: shards of the given sizes, a
@@ -188,13 +189,8 @@ func TestEvaluatorAccuracyUnmeasured(t *testing.T) {
 func TestEvaluatorsLeaveNoGoroutines(t *testing.T) {
 	f := newEvalFixture(9, []int{50, 80, 20, 60}, 300)
 	f.evaluator().Measure(f.w, false) // start the pool
-	before := runtime.NumGoroutine()
-	for i := 0; i < 100; i++ {
-		f.evaluator().Measure(f.w, false)
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("goroutines grew from %d to %d over 100 evaluators", before, after)
-	}
+	// Grace 0: nothing may outlive a measurement, so the count is read at once.
+	testx.NoGoroutineGrowth(t, 100, 0, func() { f.evaluator().Measure(f.w, false) })
 }
 
 // TestEvaluatorMeasureAllocFree holds steady-state measurement to zero

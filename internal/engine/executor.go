@@ -17,32 +17,36 @@ import (
 	"fedproxvr/internal/trace"
 )
 
-// Device is one simulated user device: its data shard, its solver (with a
-// private clone of the model for goroutine safety), and its private RNG
-// stream (which makes parallel and sequential schedules bit-identical).
+// Device is one simulated user device, as data: its shard, the handle that
+// names its model and phase observer, its private RNG stream (which makes
+// parallel and sequential schedules bit-identical) and its gradient
+// counter. Nothing reachable from a Device is dim- or workspace-sized: the
+// memory a solve runs in belongs to whoever executes it (optim.Scratch, one
+// per executor goroutine) and the buffer it reports into to the caller of
+// RunRound, so a population costs O(1) per device whatever the model.
 type Device struct {
 	ID     int
 	Shard  *data.Dataset
-	Solver *optim.Solver
+	Solver optim.Solver
 	RNG    *rand.Rand
 
-	seed  int64     // experiment seed BeginRound re-keys the stream from
-	local []float64 // last reported local model w_n^(s)
+	seed int64 // experiment seed BeginRound re-keys the stream from
 	// gradEvals is atomic because a quorum-cut round's solve can still be
 	// finishing on a pool worker while the engine reads the counter.
 	gradEvals atomic.Int64
 	busy      atomic.Bool // still solving a round that was cut (Parallel only)
 }
 
-// NewDevice builds a device around a private model clone.
+// NewDevice builds a device that trains m. m is only ever cloned from —
+// each executing goroutine's scratch holds the clone it evaluates — so all
+// devices of a run share it.
 func NewDevice(id int, shard *data.Dataset, m models.Model, seed int64) *Device {
 	return &Device{
 		ID:     id,
 		Shard:  shard,
-		Solver: optim.NewSolver(m.Clone()),
+		Solver: optim.NewSolver(m),
 		RNG:    randx.NewSeedable(randx.DeriveSeed(seed, int64(id)+101)),
 		seed:   seed,
-		local:  make([]float64, m.Dim()),
 	}
 }
 
@@ -60,12 +64,13 @@ func (d *Device) BeginRound(t int) {
 	}
 }
 
-// RunRound executes the device's inner loop from the given anchor and
-// returns its reported local model (valid until the next RunRound).
-func (d *Device) RunRound(anchor []float64, cfg optim.LocalConfig) []float64 {
-	n := d.Solver.Solve(d.Shard, anchor, d.local, cfg, d.RNG)
+// RunRound executes the device's inner loop from the given anchor in the
+// caller's scratch and writes its reported local model into out. A solve
+// overwrites everything it reads from sc, so the result does not depend on
+// which device sc served last.
+func (d *Device) RunRound(sc *optim.Scratch, anchor, out []float64, cfg optim.LocalConfig) {
+	n := d.Solver.Solve(sc, d.Shard, anchor, out, cfg, d.RNG)
 	d.gradEvals.Add(int64(n))
-	return d.local
 }
 
 // GradEvals returns the cumulative gradient evaluations of this device.
@@ -167,18 +172,36 @@ func (r *RoundResult) Reset(n int) [][]float64 {
 	return r.Locals
 }
 
+// reports holds the in-process executors' report buffers, one per device
+// that has ever been selected: a round's locals are collected before they
+// are aggregated, so cohort × dim is live whoever owns it, and keying the
+// buffers by device keeps a reported vector stable until that device's next
+// solve (chaos.Executor relies on it across its calls within one round) and
+// keeps a late solve from a cut round out of every live buffer.
+type reports [][]float64
+
+// of returns device id's buffer, allocating it on first selection.
+func (r reports) of(id, dim int) []float64 {
+	if r[id] == nil {
+		r[id] = make([]float64, dim)
+	}
+	return r[id]
+}
+
 // Sequential runs the selected devices one after another on the calling
-// goroutine.
+// goroutine, in one scratch.
 type Sequential struct {
 	devices []*Device
 	local   optim.LocalConfig
+	scratch optim.Scratch
+	reports reports
 }
 
 var _ Executor = (*Sequential)(nil)
 
 // NewSequential builds the sequential in-process executor.
 func NewSequential(devices []*Device, local optim.LocalConfig) *Sequential {
-	return &Sequential{devices: devices, local: local}
+	return &Sequential{devices: devices, local: local, reports: make(reports, len(devices))}
 }
 
 // RunRound implements Executor. The sequential schedule cannot preempt a
@@ -197,14 +220,15 @@ func (s *Sequential) RunRound(ctx context.Context, spec RoundSpec, res *RoundRes
 		}
 		dev := s.devices[id]
 		dev.BeginRound(spec.Round)
+		out[i] = s.reports.of(id, len(spec.Anchor))
 		sp := spec.Tracer.StartClient(id)
 		if st := spec.Stats; st != nil {
 			t0 := time.Now()
-			out[i] = dev.RunRound(spec.Anchor, s.local)
+			dev.RunRound(&s.scratch, spec.Anchor, out[i], s.local)
 			d := time.Since(t0).Seconds()
 			st.Clients = append(st.Clients, obs.ClientStat{ID: id, Seconds: d, SolveSeconds: d})
 		} else {
-			out[i] = dev.RunRound(spec.Anchor, s.local)
+			dev.RunRound(&s.scratch, spec.Anchor, out[i], s.local)
 		}
 		sp.End()
 		reported++
@@ -224,14 +248,14 @@ type parJob struct {
 	i      int
 	dev    *Device
 	anchor []float64
-	out    [][]float64
+	buf    []float64 // the device's report buffer (see reports)
 	local  optim.LocalConfig
 	wg     *sync.WaitGroup
 	lat    []obs.ClientStat // nil when stats are off
 	tr     *trace.Tracer    // nil when tracing is off
 
 	// done switches the job to the cut strategy (runCut): the worker sends
-	// its result on done instead of writing out/lat and signaling wg, so a
+	// its result on done instead of writing lat and signaling wg, so a
 	// cut round can stop collecting while late solves finish in the
 	// background. stats mirrors lat != nil for this strategy.
 	done  chan parResult
@@ -254,6 +278,7 @@ type parResult struct {
 type Parallel struct {
 	devices []*Device
 	local   optim.LocalConfig
+	reports reports // touched by the dispatching goroutine only
 	jobs    chan parJob
 	once    sync.Once
 	// abandoned is set once a cut round has returned with solves still
@@ -270,7 +295,7 @@ func NewParallel(devices []*Device, local optim.LocalConfig, workers int) *Paral
 	if workers < 1 {
 		workers = maxParallel()
 	}
-	p := &Parallel{devices: devices, local: local, jobs: make(chan parJob)}
+	p := &Parallel{devices: devices, local: local, reports: make(reports, len(devices)), jobs: make(chan parJob)}
 	for k := 0; k < workers; k++ {
 		go parWorker(p.jobs)
 	}
@@ -281,7 +306,10 @@ func NewParallel(devices []*Device, local optim.LocalConfig, workers int) *Paral
 	return p
 }
 
+// parWorker is one pool goroutine. The scratch every solve it executes runs
+// in is its own: built by its first job, freed when the pool closes.
 func parWorker(jobs <-chan parJob) {
+	var sc optim.Scratch
 	for j := range jobs {
 		if j.done != nil {
 			// Cut strategy: deliver on the round's buffered channel. busy is
@@ -292,24 +320,24 @@ func parWorker(jobs <-chan parJob) {
 			if j.stats {
 				t0 = time.Now()
 			}
-			vec := j.dev.RunRound(j.anchor, j.local)
+			j.dev.RunRound(&sc, j.anchor, j.buf, j.local)
 			var d float64
 			if j.stats {
 				d = time.Since(t0).Seconds()
 			}
 			sp.End()
 			j.dev.busy.Store(false)
-			j.done <- parResult{i: j.i, id: j.dev.ID, vec: vec, solve: d}
+			j.done <- parResult{i: j.i, id: j.dev.ID, vec: j.buf, solve: d}
 			continue
 		}
 		sp := j.tr.StartClient(j.dev.ID)
 		if j.lat != nil {
 			t0 := time.Now()
-			j.out[j.i] = j.dev.RunRound(j.anchor, j.local)
+			j.dev.RunRound(&sc, j.anchor, j.buf, j.local)
 			d := time.Since(t0).Seconds()
 			j.lat[j.i] = obs.ClientStat{ID: j.dev.ID, Seconds: d, SolveSeconds: d}
 		} else {
-			j.out[j.i] = j.dev.RunRound(j.anchor, j.local)
+			j.dev.RunRound(&sc, j.anchor, j.buf, j.local)
 		}
 		sp.End()
 		j.wg.Done()
@@ -352,18 +380,21 @@ func (p *Parallel) runAll(spec RoundSpec, res *RoundResult) {
 	for i, id := range spec.Selected {
 		dev := p.devices[id]
 		dev.BeginRound(spec.Round)
-		p.jobs <- parJob{i: i, dev: dev, anchor: spec.Anchor, out: out, local: p.local, wg: &wg, lat: lat, tr: spec.Tracer}
+		out[i] = p.reports.of(id, len(spec.Anchor))
+		p.jobs <- parJob{i: i, dev: dev, anchor: spec.Anchor, buf: out[i], local: p.local, wg: &wg, lat: lat, tr: spec.Tracer}
 	}
 	wg.Wait()
 }
 
 // runCut is the round under a deadline or quorum. Results flow through a
-// per-round buffered channel instead of the shared out buffer, so the
+// per-round buffered channel instead of being published up front, so the
 // collector can stop at the deadline or quorum while late solves finish
 // harmlessly in the background: a late worker's send lands in the
 // abandoned round's channel and is dropped with it. A device still
 // solving a previously-cut round (busy) is skipped — and counted as a
-// straggler — rather than raced on its reusable local buffer.
+// straggler — rather than raced on its RNG stream and report buffer. (The
+// scratch needs no guard: it belongs to the pool goroutine, which runs one
+// solve at a time.)
 func (p *Parallel) runCut(ctx context.Context, spec RoundSpec, res *RoundResult) {
 	// Abandoned solves outlive the round, so the anchor they read must not
 	// alias the engine's global vector, which the next aggregation mutates.
@@ -384,7 +415,7 @@ submit:
 		// Re-key only after winning the CAS: a device still solving a cut
 		// round must not have its stream reset underneath the late solve.
 		dev.BeginRound(spec.Round)
-		j := parJob{i: i, dev: dev, anchor: anchor, local: p.local, done: done, stats: lat != nil, tr: spec.Tracer}
+		j := parJob{i: i, dev: dev, anchor: anchor, buf: p.reports.of(id, len(anchor)), local: p.local, done: done, stats: lat != nil, tr: spec.Tracer}
 		select {
 		case p.jobs <- j:
 			submitted++

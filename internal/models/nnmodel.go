@@ -17,7 +17,10 @@ const gradChunk = 32
 
 // NNModel wraps an nn.Network with a softmax cross-entropy head, turning it
 // into a Model/Classifier usable by all federated algorithms. The network
-// is shared immutably between clones; each clone owns its workspace.
+// is shared immutably between clones; each clone owns its workspace, built
+// by its first evaluation — a model that only ever serves as a clone
+// template (task.Model in every runner, worker and node) never pays for
+// one. Like any Model, one value must not be evaluated concurrently.
 //
 // Loss and Grad are batch-first: the selected samples flow through the
 // network gradChunk rows at a time as blocked GEMMs. GradPerSample keeps
@@ -26,19 +29,22 @@ type NNModel struct {
 	Net *nn.Network
 	L2  float64
 
-	ws   *nn.Workspace
-	xbuf []float64 // gathered input rows, gradChunk×InSize (idx path only)
-	dOut []float64 // head gradient / probability scratch, gradChunk×OutSize
+	ws   *nn.Workspace // nil until the first evaluation (see workspace)
+	xbuf []float64     // gathered input rows, gradChunk×InSize (idx path only)
+	dOut []float64     // head gradient / probability scratch, gradChunk×OutSize
 }
 
 // NewNNModel wraps net; net.OutSize() is the class count.
 func NewNNModel(net *nn.Network, l2 float64) *NNModel {
-	return &NNModel{
-		Net:  net,
-		L2:   l2,
-		ws:   net.NewWorkspaceBatch(gradChunk),
-		xbuf: make([]float64, gradChunk*net.InSize()),
-		dOut: make([]float64, gradChunk*net.OutSize()),
+	return &NNModel{Net: net, L2: l2}
+}
+
+// workspace builds the evaluation scratch on first use.
+func (m *NNModel) workspace() {
+	if m.ws == nil {
+		m.ws = m.Net.NewWorkspaceBatch(gradChunk)
+		m.xbuf = make([]float64, gradChunk*m.Net.InSize())
+		m.dOut = make([]float64, gradChunk*m.Net.OutSize())
 	}
 }
 
@@ -51,6 +57,7 @@ func (m *NNModel) Loss(w []float64, ds *data.Dataset, idx []int) float64 {
 	if n == 0 {
 		return 0
 	}
+	m.workspace()
 	out := m.Net.OutSize()
 	var sum float64
 	for lo := 0; lo < n; lo += gradChunk {
@@ -74,6 +81,7 @@ func (m *NNModel) Grad(grad, w []float64, ds *data.Dataset, idx []int) {
 	if n == 0 {
 		return
 	}
+	m.workspace()
 	inv := 1 / float64(n)
 	out := m.Net.OutSize()
 	for lo := 0; lo < n; lo += gradChunk {
@@ -101,6 +109,7 @@ func (m *NNModel) GradPerSample(grad, w []float64, ds *data.Dataset, idx []int) 
 	if n == 0 {
 		return
 	}
+	m.workspace()
 	inv := 1 / float64(n)
 	out := m.Net.OutSize()
 	forBatch(ds, idx, func(i int) {
@@ -117,12 +126,14 @@ func (m *NNModel) GradPerSample(grad, w []float64, ds *data.Dataset, idx []int) 
 
 // Predict implements Classifier.
 func (m *NNModel) Predict(w, x []float64) int {
+	m.workspace()
 	out := m.Net.Forward(w, x, m.ws)
 	return mathx.ArgMax(out)
 }
 
 // PredictBatch implements Classifier: one batched forward per chunk.
 func (m *NNModel) PredictBatch(pred []int, w []float64, ds *data.Dataset, lo, hi int) {
+	m.workspace()
 	out := m.Net.OutSize()
 	for ; lo < hi; lo += gradChunk {
 		b := min(gradChunk, hi-lo)
@@ -134,7 +145,8 @@ func (m *NNModel) PredictBatch(pred []int, w []float64, ds *data.Dataset, lo, hi
 	}
 }
 
-// Clone implements Model: the network is shared, scratch is fresh.
+// Clone implements Model: the network is shared, the clone builds its own
+// workspace when first evaluated.
 func (m *NNModel) Clone() Model { return NewNNModel(m.Net, m.L2) }
 
 // InitParams initializes a parameter vector for this model.

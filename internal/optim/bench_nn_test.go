@@ -12,7 +12,7 @@ import (
 // nnInnerSolveFixture builds one device's inner-solve workload on the MLP:
 // a 256-sample MNIST-shaped shard and a solver bound to the model. The
 // batch size of 32 is the smallest size named by the perf budget.
-func nnInnerSolveFixture(b *testing.B) (*Solver, *data.Dataset, []float64, []float64) {
+func nnInnerSolveFixture(b *testing.B) (Solver, *data.Dataset, []float64, []float64) {
 	b.Helper()
 	m := models.NewMLP(784, 128, 10, 0)
 	rng := randx.New(71)
@@ -25,8 +25,7 @@ func nnInnerSolveFixture(b *testing.B) (*Solver, *data.Dataset, []float64, []flo
 	anchor := make([]float64, m.Dim())
 	m.InitParams(rng, anchor)
 	out := make([]float64, m.Dim())
-	s := NewSolver(m)
-	return s, ds, anchor, out
+	return NewSolver(m), ds, anchor, out
 }
 
 // benchNNInnerSolve measures one full device inner solve on the NN model —
@@ -34,13 +33,14 @@ func nnInnerSolveFixture(b *testing.B) (*Solver, *data.Dataset, []float64, []flo
 // 32-sample minibatches — for the given variance-reduced estimator.
 func benchNNInnerSolve(b *testing.B, est Estimator) {
 	s, ds, anchor, out := nnInnerSolveFixture(b)
+	sc := new(Scratch)
 	cfg := LocalConfig{Estimator: est, Eta: 0.01, Tau: 8, Batch: 32, Mu: 0.1}
 	rng := rand.New(rand.NewSource(7))
-	s.Solve(ds, anchor, out, cfg, rng) // warm scratch
+	s.Solve(sc, ds, anchor, out, cfg, rng) // warm scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Solve(ds, anchor, out, cfg, rng)
+		s.Solve(sc, ds, anchor, out, cfg, rng)
 	}
 }
 

@@ -20,11 +20,11 @@ func TestClipLooseBoundIsExactNoOp(t *testing.T) {
 	m := models.NewLinearRegression(d, false, 0)
 
 	run := func(clip float64) []float64 {
-		s := NewSolver(m)
+		s, sc := NewSolver(m), new(Scratch)
 		anchor := make([]float64, d)
 		out := make([]float64, d)
 		cfg := LocalConfig{Estimator: SARAH, Eta: 0.05, Tau: 6, Batch: 8, Mu: 0.2, ClipNorm: clip}
-		s.Solve(ds, anchor, out, cfg, randx.New(5))
+		s.Solve(sc, ds, anchor, out, cfg, randx.New(5))
 		return out
 	}
 	plain, clipped := run(0), run(1e9)
@@ -58,7 +58,8 @@ func TestClipKeepsSARAHRecursionUnclipped(t *testing.T) {
 	cfg := LocalConfig{Estimator: SARAH, Eta: eta, Tau: 1, Batch: batchSz, ClipNorm: clipNorm}
 	out := make([]float64, dim)
 	anchor := make([]float64, dim)
-	NewSolver(m).Solve(ds, anchor, out, cfg, randx.New(7))
+	s := NewSolver(m)
+	s.Solve(new(Scratch), ds, anchor, out, cfg, randx.New(7))
 
 	// Hand replay.
 	clip := func(v []float64) []float64 {

@@ -174,11 +174,11 @@ func solveOnce(t *testing.T, est Estimator, tau int, mu float64, ret ReturnPolic
 	}
 	ds := quadDataset(200, d, wStar, 3)
 	m := models.NewLinearRegression(d, false, 0)
-	s := NewSolver(m)
+	s, sc := NewSolver(m), new(Scratch)
 	anchor := make([]float64, d) // start at 0
 	out := make([]float64, d)
 	cfg := LocalConfig{Estimator: est, Eta: 0.05, Tau: tau, Batch: 8, Mu: mu, Return: ret}
-	s.Solve(ds, anchor, out, cfg, randx.New(9))
+	s.Solve(sc, ds, anchor, out, cfg, randx.New(9))
 	return m.Loss(out, ds, nil)
 }
 
@@ -226,11 +226,11 @@ func TestVarianceReductionBeatsSGDNearOptimum(t *testing.T) {
 	ds := noisyQuadDataset(300, d, wStar, 1.0, 21)
 	m := models.NewLinearRegression(d, false, 0)
 	run := func(est Estimator) float64 {
-		s := NewSolver(m)
+		s, sc := NewSolver(m), new(Scratch)
 		anchor := make([]float64, d)
 		out := make([]float64, d)
 		cfg := LocalConfig{Estimator: est, Eta: 0.05, Tau: 300, Batch: 4}
-		s.Solve(ds, anchor, out, cfg, randx.New(22))
+		s.Solve(sc, ds, anchor, out, cfg, randx.New(22))
 		return m.Loss(out, ds, nil)
 	}
 	sgd, svrg, sarah := run(SGD), run(SVRG), run(SARAH)
@@ -250,15 +250,15 @@ func TestProximalPenaltyKeepsIterateNearAnchor(t *testing.T) {
 	}
 	ds := quadDataset(100, d, wStar, 4)
 	m := models.NewLinearRegression(d, false, 0)
-	s := NewSolver(m)
+	s, sc := NewSolver(m), new(Scratch)
 	anchor := make([]float64, d)
 	free := make([]float64, d)
 	tied := make([]float64, d)
 	cfgFree := LocalConfig{Estimator: SARAH, Eta: 0.05, Tau: 100, Batch: 8, Mu: 0}
 	cfgTied := cfgFree
 	cfgTied.Mu = 10
-	s.Solve(ds, anchor, free, cfgFree, randx.New(5))
-	s.Solve(ds, anchor, tied, cfgTied, randx.New(5))
+	s.Solve(sc, ds, anchor, free, cfgFree, randx.New(5))
+	s.Solve(sc, ds, anchor, tied, cfgTied, randx.New(5))
 	if mathx.Nrm2(tied) >= mathx.Nrm2(free) {
 		t.Fatalf("mu=10 iterate (‖w‖=%v) should stay closer to anchor than mu=0 (‖w‖=%v)",
 			mathx.Nrm2(tied), mathx.Nrm2(free))
@@ -268,13 +268,13 @@ func TestProximalPenaltyKeepsIterateNearAnchor(t *testing.T) {
 func TestSolverDeterministicGivenRNG(t *testing.T) {
 	ds := quadDataset(50, 4, []float64{1, -1, 2, 0}, 6)
 	m := models.NewLinearRegression(4, false, 0)
-	s := NewSolver(m)
+	s, sc := NewSolver(m), new(Scratch)
 	cfg := LocalConfig{Estimator: SVRG, Eta: 0.05, Tau: 20, Batch: 4}
 	anchor := make([]float64, 4)
 	out1 := make([]float64, 4)
 	out2 := make([]float64, 4)
-	s.Solve(ds, anchor, out1, cfg, randx.New(7))
-	s.Solve(ds, anchor, out2, cfg, randx.New(7))
+	s.Solve(sc, ds, anchor, out1, cfg, randx.New(7))
+	s.Solve(sc, ds, anchor, out2, cfg, randx.New(7))
 	for i := range out1 {
 		if out1[i] != out2[i] {
 			t.Fatal("solver not deterministic for fixed RNG")
@@ -285,11 +285,11 @@ func TestSolverDeterministicGivenRNG(t *testing.T) {
 func TestSolverTauZeroReturnsProxStep(t *testing.T) {
 	ds := quadDataset(20, 3, []float64{1, 2, 3}, 7)
 	m := models.NewLinearRegression(3, false, 0)
-	s := NewSolver(m)
+	s, sc := NewSolver(m), new(Scratch)
 	anchor := []float64{0.5, 0.5, 0.5}
 	out := make([]float64, 3)
 	cfg := LocalConfig{Estimator: SARAH, Eta: 0.1, Tau: 0, Batch: 1, Mu: 0}
-	s.Solve(ds, anchor, out, cfg, randx.New(8))
+	s.Solve(sc, ds, anchor, out, cfg, randx.New(8))
 	// tau=0: out = anchor − η ∇F(anchor).
 	g := make([]float64, 3)
 	m.Grad(g, anchor, ds, nil)
@@ -304,10 +304,10 @@ func TestSolverTauZeroReturnsProxStep(t *testing.T) {
 func TestSolverEmptyShardReturnsAnchor(t *testing.T) {
 	ds := data.New(3, 0, 0)
 	m := models.NewLinearRegression(3, false, 0)
-	s := NewSolver(m)
+	s, sc := NewSolver(m), new(Scratch)
 	anchor := []float64{1, 2, 3}
 	out := make([]float64, 3)
-	if n := s.Solve(ds, anchor, out, LocalConfig{Eta: 0.1, Tau: 5, Batch: 2}, randx.New(1)); n != 0 {
+	if n := s.Solve(sc, ds, anchor, out, LocalConfig{Eta: 0.1, Tau: 5, Batch: 2}, randx.New(1)); n != 0 {
 		t.Fatalf("empty shard should cost 0 grad evals, got %d", n)
 	}
 	for i := range out {
@@ -320,12 +320,12 @@ func TestSolverEmptyShardReturnsAnchor(t *testing.T) {
 func TestReturnPolicies(t *testing.T) {
 	ds := quadDataset(60, 4, []float64{1, 1, 1, 1}, 9)
 	m := models.NewLinearRegression(4, false, 0)
-	s := NewSolver(m)
+	s, sc := NewSolver(m), new(Scratch)
 	anchor := make([]float64, 4)
 	for _, ret := range []ReturnPolicy{ReturnLast, ReturnRandom, ReturnAverage} {
 		out := make([]float64, 4)
 		cfg := LocalConfig{Estimator: SVRG, Eta: 0.05, Tau: 30, Batch: 4, Return: ret}
-		s.Solve(ds, anchor, out, cfg, randx.New(10))
+		s.Solve(sc, ds, anchor, out, cfg, randx.New(10))
 		if !mathx.AllFinite(out) {
 			t.Fatalf("policy %d produced non-finite iterate", ret)
 		}
@@ -338,16 +338,16 @@ func TestReturnPolicies(t *testing.T) {
 func TestGradEvalAccounting(t *testing.T) {
 	ds := quadDataset(50, 3, []float64{1, 0, -1}, 11)
 	m := models.NewLinearRegression(3, false, 0)
-	s := NewSolver(m)
+	s, sc := NewSolver(m), new(Scratch)
 	anchor := make([]float64, 3)
 	out := make([]float64, 3)
 	// SGD: N (anchor full grad) + tau*B.
-	n := s.Solve(ds, anchor, out, LocalConfig{Estimator: SGD, Eta: 0.01, Tau: 10, Batch: 4}, randx.New(1))
+	n := s.Solve(sc, ds, anchor, out, LocalConfig{Estimator: SGD, Eta: 0.01, Tau: 10, Batch: 4}, randx.New(1))
 	if n != 50+10*4 {
 		t.Fatalf("SGD evals = %d, want 90", n)
 	}
 	// SVRG/SARAH: N + 2*tau*B.
-	n = s.Solve(ds, anchor, out, LocalConfig{Estimator: SVRG, Eta: 0.01, Tau: 10, Batch: 4}, randx.New(1))
+	n = s.Solve(sc, ds, anchor, out, LocalConfig{Estimator: SVRG, Eta: 0.01, Tau: 10, Batch: 4}, randx.New(1))
 	if n != 50+2*10*4 {
 		t.Fatalf("SVRG evals = %d, want 130", n)
 	}
@@ -360,14 +360,14 @@ func TestSurrogateGradNormCriterion(t *testing.T) {
 	wStar := []float64{1, -2, 0.5, 3, -1, 2}
 	ds := quadDataset(150, d, wStar, 12)
 	m := models.NewLinearRegression(d, false, 0)
-	s := NewSolver(m)
+	s, sc := NewSolver(m), new(Scratch)
 	anchor := make([]float64, d)
 	out := make([]float64, d)
 	mu := 0.5
 	cfg := LocalConfig{Estimator: SARAH, Eta: 0.02, Tau: 400, Batch: 8, Mu: mu}
-	s.Solve(ds, anchor, out, cfg, randx.New(13))
-	lhs := s.SurrogateGradNorm(ds, out, anchor, mu)
-	rhs := s.LocalGradNorm(ds, anchor)
+	s.Solve(sc, ds, anchor, out, cfg, randx.New(13))
+	lhs := s.SurrogateGradNorm(sc, ds, out, anchor, mu)
+	rhs := s.LocalGradNorm(sc, ds, anchor)
 	theta := lhs / rhs
 	if theta > 0.3 {
 		t.Fatalf("local accuracy θ=%v too weak after 400 iterations", theta)
@@ -377,14 +377,14 @@ func TestSurrogateGradNormCriterion(t *testing.T) {
 func BenchmarkSolverSVRGQuadratic(b *testing.B) {
 	ds := quadDataset(500, 20, make([]float64, 20), 1)
 	m := models.NewLinearRegression(20, false, 0)
-	s := NewSolver(m)
+	s, sc := NewSolver(m), new(Scratch)
 	anchor := make([]float64, 20)
 	out := make([]float64, 20)
 	cfg := LocalConfig{Estimator: SVRG, Eta: 0.05, Tau: 20, Batch: 16}
 	rng := randx.New(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Solve(ds, anchor, out, cfg, rng)
+		s.Solve(sc, ds, anchor, out, cfg, rng)
 	}
 }
 
@@ -405,12 +405,12 @@ func TestDiminishingScheduleStepSizes(t *testing.T) {
 func TestDiminishingScheduleRuns(t *testing.T) {
 	ds := quadDataset(100, 5, []float64{1, -1, 0.5, 2, 0}, 30)
 	m := models.NewLinearRegression(5, false, 0)
-	s := NewSolver(m)
+	s, sc := NewSolver(m), new(Scratch)
 	anchor := make([]float64, 5)
 	out := make([]float64, 5)
 	cfg := LocalConfig{Estimator: SARAH, Eta: 0.05, Tau: 100, Batch: 8,
 		Schedule: EtaDiminishing}
-	s.Solve(ds, anchor, out, cfg, randx.New(31))
+	s.Solve(sc, ds, anchor, out, cfg, randx.New(31))
 	if loss := m.Loss(out, ds, nil); loss >= m.Loss(anchor, ds, nil) {
 		t.Fatalf("diminishing schedule made no progress: %v", loss)
 	}
@@ -422,17 +422,17 @@ func TestClippingBoundsFirstStep(t *testing.T) {
 	wStar := []float64{1e4, -1e4, 1e4}
 	ds := quadDataset(50, 3, wStar, 32)
 	m := models.NewLinearRegression(3, false, 0)
-	s := NewSolver(m)
+	s, sc := NewSolver(m), new(Scratch)
 	anchor := make([]float64, 3)
 	out := make([]float64, 3)
 	cfg := LocalConfig{Estimator: SGD, Eta: 0.01, Tau: 0, Batch: 1, ClipNorm: 1}
-	s.Solve(ds, anchor, out, cfg, randx.New(33))
+	s.Solve(sc, ds, anchor, out, cfg, randx.New(33))
 	if step := mathx.Nrm2(out); step > 0.01+1e-12 {
 		t.Fatalf("clipped step has norm %v, want ≤ η·ClipNorm = 0.01", step)
 	}
 	// Without clipping the same step is enormous.
 	cfg.ClipNorm = 0
-	s.Solve(ds, anchor, out, cfg, randx.New(33))
+	s.Solve(sc, ds, anchor, out, cfg, randx.New(33))
 	if mathx.Nrm2(out) < 1 {
 		t.Fatal("unclipped step unexpectedly small — fixture broken")
 	}
@@ -453,10 +453,10 @@ func TestHugeMuPinsIterateQuick(t *testing.T) {
 		rng := randx.New(seed)
 		anchor := make([]float64, 4)
 		randx.NormalVec(rng, anchor, 0, 1)
-		s := NewSolver(m)
+		s, sc := NewSolver(m), new(Scratch)
 		out := make([]float64, 4)
 		cfg := LocalConfig{Estimator: SVRG, Eta: 0.05, Tau: 20, Batch: 4, Mu: 1e9}
-		s.Solve(ds, anchor, out, cfg, rng)
+		s.Solve(sc, ds, anchor, out, cfg, rng)
 		return mathx.DistSq(out, anchor) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -470,7 +470,7 @@ func TestReturnRandomIsUniformish(t *testing.T) {
 	// counting how often the anchor comes back estimates P(t'=0) ≈ 1/2.
 	ds := quadDataset(30, 3, []float64{1, 1, 1}, 51)
 	m := models.NewLinearRegression(3, false, 0)
-	s := NewSolver(m)
+	s, sc := NewSolver(m), new(Scratch)
 	anchor := []float64{0.5, 0.5, 0.5}
 	out := make([]float64, 3)
 	cfg := LocalConfig{Estimator: SGD, Eta: 0.05, Tau: 1, Batch: 2, Return: ReturnRandom}
@@ -478,7 +478,7 @@ func TestReturnRandomIsUniformish(t *testing.T) {
 	anchors := 0
 	const trials = 400
 	for i := 0; i < trials; i++ {
-		s.Solve(ds, anchor, out, cfg, rng)
+		s.Solve(sc, ds, anchor, out, cfg, rng)
 		if mathx.DistSq(out, anchor) == 0 {
 			anchors++
 		}

@@ -120,12 +120,41 @@ func (c LocalConfig) Validate() error {
 	return nil
 }
 
-// Solver runs the inner loop of Algorithm 1 for one device. It owns
-// reusable scratch, so one Solver per device avoids per-round allocation;
-// a Solver must not be shared across goroutines.
+// Solver is one device's handle on the inner loop of Algorithm 1: which
+// model the device trains and who observes its sub-phases. It is O(1) in
+// the model size — everything dim- or workspace-sized a solve needs lives
+// in the Scratch the caller passes to Solve — so a population of any size
+// costs a pointer and a hook per device.
 type Solver struct {
+	// model is the clone template a Scratch binds to. It is never evaluated
+	// through this handle, so devices may share one template.
 	model models.Model
-	dim   int
+	phase func(name string) func()
+}
+
+// NewSolver returns the handle for a device that trains m.
+func NewSolver(m models.Model) Solver { return Solver{model: m} }
+
+// SetPhaseHook installs a sub-phase observer: Solve calls it at the start
+// of each named sub-phase — "anchor-grad" (line 4's full local gradient at
+// the anchor) and "inner-loop" (lines 5–9, the τ stochastic proximal
+// steps) — and invokes the returned func when the sub-phase ends. The TCP
+// worker uses it to record trace spans against the coordinator-propagated
+// round span. The hook lives on the Solver, not LocalConfig, because
+// LocalConfig crosses the gob wire and func fields do not encode. A nil
+// hook (the default) costs one branch per sub-phase.
+func (h *Solver) SetPhaseHook(hook func(name string) func()) { h.phase = hook }
+
+// Scratch is the memory a solve runs in: a private clone of the model (with
+// its GEMM/im2col workspace) and the inner loop's dim-length vectors. It
+// belongs to whoever executes solves — one per executor goroutine — not to
+// a device, and must not be shared across goroutines. The zero value is
+// ready: the first Solve builds it from the solver's model. A solve reads
+// nothing from a Scratch that it has not first overwritten, so which
+// device used it last cannot affect a result.
+type Scratch struct {
+	src   models.Model // template model was cloned from
+	model models.Model
 
 	w      []float64 // current iterate w^(t)
 	wPrev  []float64 // previous iterate (SARAH)
@@ -137,47 +166,43 @@ type Solver struct {
 	avg    []float64 // ReturnAverage accumulator
 	vClip  []float64 // clipped copy of v for the proximal step
 	batch  []int
-
-	phase func(name string) func()
 }
 
-// SetPhaseHook installs a sub-phase observer: Solve calls it at the start
-// of each named sub-phase — "anchor-grad" (line 4's full local gradient at
-// the anchor) and "inner-loop" (lines 5–9, the τ stochastic proximal
-// steps) — and invokes the returned func when the sub-phase ends. The TCP
-// worker uses it to record trace spans against the coordinator-propagated
-// round span. The hook lives on the Solver, not LocalConfig, because
-// LocalConfig crosses the gob wire and func fields do not encode. A nil
-// hook (the default) costs one branch per sub-phase.
-func (s *Solver) SetPhaseHook(h func(name string) func()) { s.phase = h }
-
-// NewSolver builds a solver bound to a model (scratch sized to its Dim).
-func NewSolver(m models.Model) *Solver {
+// bind readies s for solves on template m: it builds s on first use and is
+// a no-op after. A scratch serves one template for its lifetime; handing it
+// a solver of a different model is a bug, not a request to rebuild.
+func (s *Scratch) bind(m models.Model) {
+	if s.model != nil {
+		if s.src != m {
+			panic("optim: Scratch used with a second model")
+		}
+		return
+	}
 	d := m.Dim()
-	return &Solver{
-		model: m, dim: d,
-		w: make([]float64, d), wPrev: make([]float64, d),
-		v: make([]float64, d), anchor: make([]float64, d),
-		vFull: make([]float64, d), g1: make([]float64, d),
-		g2: make([]float64, d), pre: make([]float64, d),
-		avg: make([]float64, d), vClip: make([]float64, d),
+	vec := func() []float64 { return make([]float64, d) }
+	*s = Scratch{
+		src: m, model: m.Clone(),
+		w: vec(), wPrev: vec(), v: vec(), anchor: vec(), vFull: vec(),
+		g1: vec(), g2: vec(), pre: vec(), avg: vec(), vClip: vec(),
 	}
 }
 
-// Solve runs the inner loop on shard ds from global model anchor and writes
-// the reported local iterate into out. It returns the number of gradient
-// evaluations spent (a proxy for d_cmp in the timing model).
-func (s *Solver) Solve(ds *data.Dataset, anchor, out []float64, cfg LocalConfig, rng *rand.Rand) int {
+// Solve runs the inner loop on shard ds from global model anchor, using s as
+// its working memory, and writes the reported local iterate into out.
+// It returns the number of gradient evaluations spent (a proxy for d_cmp in
+// the timing model).
+func (h *Solver) Solve(s *Scratch, ds *data.Dataset, anchor, out []float64, cfg LocalConfig, rng *rand.Rand) int {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	if len(anchor) != s.dim || len(out) != s.dim {
+	if d := h.model.Dim(); len(anchor) != d || len(out) != d {
 		panic("optim: Solve dimension mismatch")
 	}
 	if ds.N() == 0 {
 		copy(out, anchor)
 		return 0
 	}
+	s.bind(h.model)
 	if cap(s.batch) < cfg.Batch {
 		s.batch = make([]int, cfg.Batch)
 	}
@@ -189,8 +214,8 @@ func (s *Solver) Solve(ds *data.Dataset, anchor, out []float64, cfg LocalConfig,
 
 	// Line 4: full local gradient at the anchor and first proximal step.
 	var endPhase func()
-	if s.phase != nil {
-		endPhase = s.phase("anchor-grad")
+	if h.phase != nil {
+		endPhase = h.phase("anchor-grad")
 	}
 	s.model.Grad(s.vFull, s.w, ds, nil)
 	if endPhase != nil {
@@ -226,8 +251,8 @@ func (s *Solver) Solve(ds *data.Dataset, anchor, out []float64, cfg LocalConfig,
 	prox.Apply(s.w, s.pre, eta0)
 
 	// Lines 5–9: τ stochastic proximal steps.
-	if s.phase != nil {
-		endPhase = s.phase("inner-loop")
+	if h.phase != nil {
+		endPhase = h.phase("inner-loop")
 	}
 	for t := 1; t <= cfg.Tau; t++ {
 		randx.Batch(rng, batch, ds.N())
@@ -260,7 +285,7 @@ func (s *Solver) Solve(ds *data.Dataset, anchor, out []float64, cfg LocalConfig,
 		mathx.AddScaled(s.pre, s.w, -eta, s.direction(cfg))
 		prox.Apply(s.w, s.pre, eta)
 	}
-	if s.phase != nil && endPhase != nil {
+	if h.phase != nil && endPhase != nil {
 		endPhase()
 	}
 
@@ -281,7 +306,7 @@ func (s *Solver) Solve(ds *data.Dataset, anchor, out []float64, cfg LocalConfig,
 // v^(t−1) at the next iteration, and clipping it in place would silently
 // substitute the clipped step for the estimator's state (the historical
 // Solver.clip bug).
-func (s *Solver) direction(cfg LocalConfig) []float64 {
+func (s *Scratch) direction(cfg LocalConfig) []float64 {
 	if cfg.ClipNorm <= 0 {
 		return s.v
 	}
@@ -296,14 +321,16 @@ func (s *Solver) direction(cfg LocalConfig) []float64 {
 
 // SurrogateGradNorm returns ‖∇J_n(w)‖ = ‖∇F_n(w) + μ(w − anchor)‖ — the
 // left-hand side of the local convergence criterion (11).
-func (s *Solver) SurrogateGradNorm(ds *data.Dataset, w, anchor []float64, mu float64) float64 {
+func (h *Solver) SurrogateGradNorm(s *Scratch, ds *data.Dataset, w, anchor []float64, mu float64) float64 {
+	s.bind(h.model)
 	s.model.Grad(s.g1, w, ds, nil)
 	Prox{Mu: mu, Anchor: anchor}.AddGrad(s.g1, w)
 	return mathx.Nrm2(s.g1)
 }
 
 // LocalGradNorm returns ‖∇F_n(w)‖ — the right-hand side of criterion (11).
-func (s *Solver) LocalGradNorm(ds *data.Dataset, w []float64) float64 {
+func (h *Solver) LocalGradNorm(s *Scratch, ds *data.Dataset, w []float64) float64 {
+	s.bind(h.model)
 	s.model.Grad(s.g1, w, ds, nil)
 	return mathx.Nrm2(s.g1)
 }

@@ -14,6 +14,7 @@ import (
 	"fedproxvr/internal/engine"
 	"fedproxvr/internal/mathx"
 	"fedproxvr/internal/models"
+	"fedproxvr/internal/optim"
 	"fedproxvr/internal/trace"
 )
 
@@ -52,6 +53,12 @@ type AggregatorNode struct {
 	wbuf []byte
 
 	partial []float64 // Σ D_n·w_n accumulator, sized on first round
+	// The node solves its devices one at a time and folds each report into
+	// partial before the next solve starts, so one scratch and one report
+	// buffer serve the whole shard: node memory is O(model) however many
+	// virtual devices it multiplexes.
+	scratch optim.Scratch
+	local   []float64
 
 	// Chaos injection against the NODE (shard-granular): ActionFor is keyed
 	// by shard ID, so killing this node is the scripted equivalent of
@@ -223,6 +230,9 @@ func (n *AggregatorNode) solveRound(req *RoundRequest) *PartialSum {
 	}
 	n.partial = n.partial[:len(anchor)]
 	mathx.Zero(n.partial)
+	if len(n.local) != len(anchor) {
+		n.local = make([]float64, len(anchor))
+	}
 
 	traceOn := n.rec != nil && req.TraceID != 0
 	var solve trace.WSpan
@@ -242,8 +252,8 @@ func (n *AggregatorNode) solveRound(req *RoundRequest) *PartialSum {
 				continue
 			}
 			dev.BeginRound(req.Round)
-			local := dev.RunRound(anchor, req.Local)
-			mathx.Axpy(n.counts[i], local, n.partial)
+			dev.RunRound(&n.scratch, anchor, n.local, req.Local)
+			mathx.Axpy(n.counts[i], n.local, n.partial)
 			ps.Weight += n.counts[i]
 			ps.Devices++
 		}

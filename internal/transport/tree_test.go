@@ -8,7 +8,6 @@ import (
 	"bufio"
 	"context"
 	"net"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -21,6 +20,7 @@ import (
 	"fedproxvr/internal/models"
 	"fedproxvr/internal/obs"
 	"fedproxvr/internal/optim"
+	"fedproxvr/internal/testx"
 	"fedproxvr/internal/trace"
 )
 
@@ -489,10 +489,7 @@ func TestTreeRootMemoryIsDeviceCountInvariant(t *testing.T) {
 		rounds = 3
 	)
 	measure := func(virtDev int) int64 {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&before)
+		before := testx.LiveHeap()
 
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -522,10 +519,7 @@ func TestTreeRootMemoryIsDeviceCountInvariant(t *testing.T) {
 
 		// Live heap while the coordinator (and its per-connection buffers)
 		// are still fully reachable.
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&after)
-		delta := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		delta := testx.LiveHeap() - before
 
 		c.Shutdown()
 		c.Close()
@@ -540,6 +534,68 @@ func TestTreeRootMemoryIsDeviceCountInvariant(t *testing.T) {
 	if growth := big - small; growth > slack {
 		t.Fatalf("root live heap grew %d bytes when virtual devices scaled 10x (10k: %d, 100k: %d) — "+
 			"the root must hold O(model + shards) state, not O(devices)", growth, small, big)
+	}
+}
+
+// TestAggregatorNodeHeapIsDeviceCountInvariant is the shard-side twin of the
+// root test above: a node solves its devices one at a time in one scratch
+// and folds each report into the partial sum before the next solve, so what
+// it holds per virtual device is the device record alone. Putting 10× the
+// devices (100 → 1 000, dim 7850) behind one node must move its live heap
+// after a round by less than ONE device used to cost — eleven dim-length
+// vectors, 0.69 MB — where the per-device layout added 900 of them.
+func TestAggregatorNodeHeapIsDeviceCountInvariant(t *testing.T) {
+	m := models.NewSoftmax(784, 10, 0)
+	shard := testPartition(1, 4, 784, 10, 9).Clients[0] // shared: data must not scale either
+	cfg := core.FedProxVR(optim.SARAH, 5, 1, 0.1, 1, 2, 1)
+	w0 := make([]float64, m.Dim())
+
+	measure := func(virtDev int) int64 {
+		shards := make([]*data.Dataset, virtDev)
+		for i := range shards {
+			shards[i] = shard
+		}
+		before := testx.LiveHeap()
+
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan error, 1)
+		go func() {
+			n, err := NewAggregatorNode(ln.Addr().String(), 0, 0, shards, m, 7)
+			if err == nil {
+				err = n.Serve()
+			}
+			served <- err
+		}()
+		c, err := NewTreeCoordinatorOn(ln, 1, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Round(1, w0, cfg); err != nil {
+			t.Fatal(err)
+		}
+		// The node is parked in Serve waiting for round 2: everything it
+		// holds is still reachable.
+		grew := testx.LiveHeap() - before
+
+		c.Shutdown()
+		c.Close()
+		if err := <-served; err != nil {
+			t.Fatal(err)
+		}
+		return grew
+	}
+
+	measure(10) // absorb one-time allocations (listener, runtime pools)
+	small := measure(100)
+	big := measure(1000)
+	t.Logf("node live heap after a round: %d bytes at 100 virtual devices, %d at 1000 (%d per added device)",
+		small, big, (big-small)/900)
+	if growth, perDeviceBefore := big-small, int64(11*8*m.Dim()); growth >= perDeviceBefore {
+		t.Fatalf("node live heap grew %d bytes for 900 more virtual devices (100: %d, 1000: %d) — "+
+			"a shard node must hold O(model) scratch, not O(devices × model)", growth, small, big)
 	}
 }
 

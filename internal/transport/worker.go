@@ -12,6 +12,7 @@ import (
 	"fedproxvr/internal/core"
 	"fedproxvr/internal/data"
 	"fedproxvr/internal/models"
+	"fedproxvr/internal/optim"
 	"fedproxvr/internal/trace"
 )
 
@@ -29,6 +30,12 @@ type Worker struct {
 	shard  *data.Dataset
 	addr   string
 	conn   net.Conn
+
+	// The worker executes its device's solves itself, so it owns the memory
+	// they run in and the one buffer they report into; both are sized by the
+	// first round.
+	scratch optim.Scratch
+	local   []float64
 
 	// Framed wire (the default). req/wbuf/dscratch are reusable
 	// decode/encode/delta buffers so the steady-state round loop does not
@@ -357,7 +364,11 @@ func (w *Worker) serveConn() (rejoin bool, err error) {
 			// draws are a pure (seed, id, round) hash, identical whether this
 			// worker process has served rounds 1..t-1 or just rejoined.
 			w.device.BeginRound(req.Round)
-			local := w.device.RunRound(anchor, req.Local)
+			if len(w.local) != len(anchor) {
+				w.local = make([]float64, len(anchor))
+			}
+			local := w.local
+			w.device.RunRound(&w.scratch, anchor, local, req.Local)
 			rep.SolveSeconds = time.Since(start).Seconds()
 			if traceOn {
 				solve.End()
