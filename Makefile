@@ -18,8 +18,12 @@ build:
 test:
 	$(GO) test $(TESTFLAGS) ./...
 
+# vet also holds the one-wire line: encoding/gob is the checkpoint payload
+# (internal/checkpoint), never a second wire format through a side door.
 vet:
 	$(GO) vet ./...
+	@out=$$(grep -rl --include='*.go' --exclude='*_test.go' '"encoding/gob"' internal/transport cmd examples); \
+		if [ -n "$$out" ]; then echo "encoding/gob imported on the wire side:"; echo "$$out"; exit 1; fi
 
 # fmt fails (listing the offenders) if any tracked Go file is not gofmt-clean.
 fmt:

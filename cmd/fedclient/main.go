@@ -32,7 +32,6 @@ func main() {
 		rejoinGap = flag.Duration("rejoin-backoff", 25*time.Millisecond, "pause between re-dial attempts")
 		spans     = flag.Bool("trace-spans", false, "record solve spans and ship them to a tracing server")
 		codecStr  = flag.String("codec", "", "pin the reply codec (float64|float32|int16|int8|topk-delta); default: follow the server's round requests. A pin that disagrees with the server is rejected per round, not silently dequantized")
-		gobWire   = flag.Bool("gob-wire", false, "speak the legacy gob protocol instead of the framed wire (compatibility/baseline runs)")
 		fanout    = flag.Int("tree-fanout", 0, "run as aggregation-tree shard node #id of this many (0 = plain single-device worker); must match the server's -tree-fanout")
 		virtDev   = flag.Int("virtual-devices", 0, "total virtual devices across the tree (must match the server's -virtual-devices)")
 		jobID     = flag.String("job", "", "lease this worker to one job ID (must match the server's -job)")
@@ -42,7 +41,7 @@ func main() {
 
 	if *fanout > 0 {
 		runTreeNode(*addr, *id, *fanout, *virtDev, *dataset, *samples, *seed,
-			*chaosPath, *rejoin, *rejoinGap, *spans, *codecStr, *gobWire)
+			*chaosPath, *rejoin, *rejoinGap, *spans, *codecStr)
 		return
 	}
 	if *virtDev > 0 {
@@ -61,9 +60,6 @@ func main() {
 	var worker *transport.Worker
 	switch {
 	case *jobID != "":
-		if *gobWire {
-			fatal(fmt.Errorf("-job leases run on the framed wire; drop -gob-wire"))
-		}
 		if *chaosPath != "" {
 			fatal(fmt.Errorf("-job and -chaos are mutually exclusive"))
 		}
@@ -72,19 +68,11 @@ func main() {
 			fatal(err)
 		}
 	case *chaosPath != "":
-		if *gobWire {
-			fatal(fmt.Errorf("-chaos runs on the framed wire; drop -gob-wire"))
-		}
 		sched, err := chaos.Load(*chaosPath)
 		if err != nil {
 			fatal(err)
 		}
 		worker, err = transport.NewChaosWorker(*addr, *id, shard, task.Model, *seed, sched)
-		if err != nil {
-			fatal(err)
-		}
-	case *gobWire:
-		worker, err = transport.NewGobWorker(*addr, *id, shard, task.Model, *seed)
 		if err != nil {
 			fatal(err)
 		}
@@ -118,15 +106,12 @@ func main() {
 // contiguous slice [id·M/N, (id+1)·M/N), and streams one weighted partial
 // sum per round to the tree coordinator.
 func runTreeNode(addr string, id, fanout, virtDev int, dataset string, samples int, seed int64,
-	chaosPath string, rejoin int, rejoinGap time.Duration, spans bool, codecStr string, gobWire bool) {
+	chaosPath string, rejoin int, rejoinGap time.Duration, spans bool, codecStr string) {
 	if id < 0 || id >= fanout {
 		fatal(fmt.Errorf("id %d outside [0,%d)", id, fanout))
 	}
 	if virtDev < fanout {
 		fatal(fmt.Errorf("-virtual-devices (%d) must be >= -tree-fanout (%d)", virtDev, fanout))
-	}
-	if gobWire {
-		fatal(fmt.Errorf("the aggregation tree runs on the framed wire; drop -gob-wire"))
 	}
 	if codecStr != "" && codecStr != "float64" {
 		fatal(fmt.Errorf("the aggregation tree is float64-only; drop -codec %s", codecStr))

@@ -223,9 +223,9 @@ func main() {
 	}
 
 	// -codec prints what the distributed runtime would move per round for
-	// this model under the framed wire (exact closed-form sizes) next to
-	// the legacy gob float64 baseline. The in-process run above is always
-	// exact — this is the planning estimate for fedserver/fedclient runs.
+	// this model (exact closed-form sizes) next to the exact float64 mode.
+	// The in-process run above is always exact — this is the planning
+	// estimate for fedserver/fedclient runs.
 	if *codecStr != "" {
 		codec, err := transport.ParseCodec(*codecStr)
 		if err != nil {
@@ -233,10 +233,9 @@ func main() {
 		}
 		dim := task.Model.Dim()
 		topK := transport.TopKFor(*topkFrac, dim)
-		framed := transport.RoundWireSize(codec, dim, topK, false)
-		gob := transport.GobRoundWireSize(transport.CodecFloat64, dim, false)
-		fmt.Fprintf(os.Stderr, "%s: wire estimate at dim %d: %d bytes/round/device with codec %v vs %d gob float64 baseline (%.1fx smaller)\n",
-			cfg.Name, dim, framed, codec, gob, float64(gob)/float64(framed))
+		fmt.Fprintf(os.Stderr, "%s: wire estimate at dim %d: %d bytes/round/device with codec %v vs %d in float64 (%.1fx smaller)\n",
+			cfg.Name, dim, transport.RoundWireSize(codec, dim, topK, false), codec,
+			transport.RoundWireSize(transport.CodecFloat64, dim, 0, false), transport.CompressionRatio(codec, dim, topK))
 	}
 }
 

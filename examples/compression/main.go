@@ -1,10 +1,10 @@
 // Communication-efficiency example: the framed wire protocol and its
 // compressed update modes, end to end.
 //
-//  1. Wire codecs on the real TCP runtime: the legacy gob float64 wire
-//     versus the framed protocol at every codec — exact float64, float32,
-//     int16/int8 range-quantized deltas, and topk-delta (int8-quantized
-//     top-k sparsified delta against the broadcast anchor). Bytes are the
+//  1. Wire codecs on the real TCP runtime: the framed protocol at every
+//     codec — exact float64 (the baseline), float32, int16/int8
+//     range-quantized deltas, and topk-delta (int8-quantized top-k
+//     sparsified delta against the broadcast anchor). Bytes are the
 //     coordinator's countingConn measurement, so framing overhead is
 //     included; loss/accuracy show what each lossy mode costs.
 //  2. Top-k delta sparsification in isolation (transport.TopK /
@@ -26,9 +26,7 @@ import (
 
 	fedproxvr "fedproxvr"
 	"fedproxvr/internal/core"
-	"fedproxvr/internal/data"
 	"fedproxvr/internal/mathx"
-	"fedproxvr/internal/models"
 	"fedproxvr/internal/optim"
 	"fedproxvr/internal/theory"
 	"fedproxvr/internal/transport"
@@ -42,10 +40,9 @@ func main() {
 	cfg.Seed = 31
 	cfg.Test = task.Test
 
-	fmt.Println("— Wire protocol and codec on the TCP runtime —")
-	fmt.Printf("%-18s %14s %8s %12s %10s\n", "wire", "bytes moved", "vs gob", "final loss", "acc")
-	gobLoss, gobAcc, gobBytes := runDistributed(task, cfg, transport.CodecFloat64, true)
-	fmt.Printf("%-18s %14d %8s %12.4f %9.2f%%\n", "gob float64", gobBytes, "1.0x", gobLoss, gobAcc*100)
+	fmt.Println("— Wire codecs on the TCP runtime —")
+	fmt.Printf("%-18s %14s %10s %12s %10s\n", "codec", "bytes moved", "vs float64", "final loss", "acc")
+	var exactBytes int64
 	for _, codec := range []transport.Codec{
 		transport.CodecFloat64,
 		transport.CodecFloat32,
@@ -53,9 +50,12 @@ func main() {
 		transport.CodecInt8,
 		transport.CodecTopK,
 	} {
-		loss, acc, moved := runDistributed(task, cfg, codec, false)
-		fmt.Printf("%-18s %14d %7.1fx %12.4f %9.2f%%\n",
-			"framed "+codec.String(), moved, float64(gobBytes)/float64(moved), loss, acc*100)
+		loss, acc, moved := runDistributed(task, cfg, codec)
+		if codec == transport.CodecFloat64 {
+			exactBytes = moved
+		}
+		fmt.Printf("%-18s %14d %9.1fx %12.4f %9.2f%%\n",
+			codec, moved, float64(exactBytes)/float64(moved), loss, acc*100)
 	}
 
 	fmt.Println("\n— Top-k delta sparsification (one local update) —")
@@ -89,14 +89,14 @@ func main() {
 	problem := theory.Problem{L: 1, Lambda: 0.5, SigmaBar2: 1}
 	base := theory.TimingModel{DCom: 2.0, DCmp: 0.0004} // cellular regime
 	topK := transport.TopKFor(0, dim)
-	fmt.Printf("%-22s %8s %8s %8s %8s %8s\n", "wire", "d_com", "β*", "μ*", "τ*", "T·𝒯")
+	fmt.Printf("%-22s %8s %8s %8s %8s %8s\n", "codec", "d_com", "β*", "μ*", "τ*", "T·𝒯")
 	for _, row := range []struct {
 		name  string
 		ratio float64
 	}{
-		{"gob float64", 1},
-		{"framed " + transport.CodecInt8.String(), transport.CompressionRatio(transport.CodecInt8, dim, topK)},
-		{"framed " + transport.CodecTopK.String(), transport.CompressionRatio(transport.CodecTopK, dim, topK)},
+		{transport.CodecFloat64.String(), 1},
+		{transport.CodecInt8.String(), transport.CompressionRatio(transport.CodecInt8, dim, topK)},
+		{transport.CodecTopK.String(), transport.CompressionRatio(transport.CodecTopK, dim, topK)},
 	} {
 		tm := theory.TimingModel{DCom: base.DCom / row.ratio, DCmp: base.DCmp}
 		opt := problem.Minimize23(tm.Gamma())
@@ -119,24 +119,18 @@ func mathxDist(a, b []float64) float64 {
 // runDistributed executes the config over loopback TCP with the codec and
 // returns final loss, accuracy and total bytes moved (sent + received) as
 // measured on the coordinator's connections.
-func runDistributed(task fedproxvr.Task, cfg fedproxvr.Config, codec transport.Codec, gobWire bool) (loss, acc float64, moved int64) {
+func runDistributed(task fedproxvr.Task, cfg fedproxvr.Config, codec transport.Codec) (loss, acc float64, moved int64) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
 	addr := ln.Addr().String()
-	mk := func(addr string, id int, shard *data.Dataset, m models.Model, seed int64) (*transport.Worker, error) {
-		if gobWire {
-			return transport.NewGobWorker(addr, id, shard, m, seed)
-		}
-		return transport.NewWorker(addr, id, shard, m, seed)
-	}
 	var wg sync.WaitGroup
 	for id := range task.Part.Clients {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			w, err := mk(addr, id, task.Part.Clients[id], task.Model, cfg.Seed)
+			w, err := transport.NewWorker(addr, id, task.Part.Clients[id], task.Model, cfg.Seed)
 			if err != nil {
 				log.Printf("worker %d: %v", id, err)
 				return

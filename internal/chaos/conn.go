@@ -19,7 +19,7 @@ type Conn struct {
 	delay time.Duration // applied to the next Write, then cleared
 }
 
-// NewConn wraps conn. Wrap before any traffic flows (the gob encoders
+// NewConn wraps conn. Wrap before any traffic flows (the frame writer
 // must be built over the wrapper for delays to apply).
 func NewConn(conn net.Conn) *Conn { return &Conn{Conn: conn} }
 

@@ -28,9 +28,9 @@ import (
 	"fedproxvr/internal/metrics"
 )
 
-// Version guards the on-disk format. Version 2 appends a little-endian
-// IEEE CRC32 of the gob payload as a 4-byte trailer; version 1 files
-// (plain gob, no trailer) are still read.
+// Version guards the on-disk format: a gob payload followed by its
+// little-endian IEEE CRC32 as a 4-byte trailer. A file without a valid
+// trailer — the trailer-less version 1 included — is ErrCorrupt.
 const Version = 2
 
 // ErrCorrupt marks a checkpoint file that exists but fails integrity
@@ -64,19 +64,9 @@ func Save(path string, s *State) error {
 	}
 	tmpName := tmp.Name()
 	defer os.Remove(tmpName) // no-op after successful rename
-	// The CRC is computed over the exact bytes written: the payload streams
-	// through the hash on its way to the file, and the 4-byte trailer makes
-	// any later truncation or bit flip detectable at Load.
-	h := crc32.NewIEEE()
-	if err := gob.NewEncoder(io.MultiWriter(tmp, h)).Encode(s); err != nil {
+	if err := encode(tmp, s); err != nil {
 		tmp.Close()
-		return fmt.Errorf("checkpoint: encode: %w", err)
-	}
-	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], h.Sum32())
-	if _, err := tmp.Write(trailer[:]); err != nil {
-		tmp.Close()
-		return fmt.Errorf("checkpoint: trailer: %w", err)
+		return err
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
@@ -107,52 +97,42 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// encodeRaw writes the state without normalizing Version; used by tests to
-// construct invalid checkpoints.
-func encodeRaw(w io.Writer, s *State) error { return gob.NewEncoder(w).Encode(s) }
+// encode writes the state as stored — gob payload, then the CRC32 trailer —
+// without normalizing Version (tests build wrong-version files with it).
+// The CRC is computed over the exact bytes written: the payload streams
+// through the hash on its way to w, and the trailer makes any later
+// truncation or bit flip detectable at Load.
+func encode(w io.Writer, s *State) error {
+	h := crc32.NewIEEE()
+	if err := gob.NewEncoder(io.MultiWriter(w, h)).Encode(s); err != nil {
+		return fmt.Errorf("checkpoint: encode: %w", err)
+	}
+	var trailer [4]byte
+	binary.LittleEndian.PutUint32(trailer[:], h.Sum32())
+	if _, err := w.Write(trailer[:]); err != nil {
+		return fmt.Errorf("checkpoint: trailer: %w", err)
+	}
+	return nil
+}
 
 // Load reads a state; os.IsNotExist(err) distinguishes a fresh start and
-// errors.Is(err, ErrCorrupt) a damaged file (truncated or bit-flipped).
-// Version-2 files are verified against their CRC32 trailer; trailerless
-// version-1 files from before the trailer existed are still accepted.
+// errors.Is(err, ErrCorrupt) a damaged file: the payload is decoded only
+// once its CRC32 trailer has verified, so a truncated, bit-flipped or
+// trailer-less file is never half-restored.
 func Load(path string) (*State, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if n := len(data); n > 4 {
-		want := binary.LittleEndian.Uint32(data[n-4:])
-		if crc32.ChecksumIEEE(data[:n-4]) == want {
-			var s State
-			if err := gob.NewDecoder(bytes.NewReader(data[:n-4])).Decode(&s); err != nil {
-				return nil, fmt.Errorf("%w: %s: verified payload undecodable: %v", ErrCorrupt, path, err)
-			}
-			if s.Version != Version {
-				return nil, fmt.Errorf("checkpoint: %s has version %d, want %d", path, s.Version, Version)
-			}
-			return &s, nil
-		}
+	n := len(data) - 4
+	if n <= 0 || crc32.ChecksumIEEE(data[:n]) != binary.LittleEndian.Uint32(data[n:]) {
+		return nil, fmt.Errorf("%w: %s: no valid CRC32 trailer", ErrCorrupt, path)
 	}
-	// No valid trailer: either a legacy version-1 file (plain gob, which
-	// must consume the file exactly) or a damaged version-2 file.
-	r := bytes.NewReader(data)
 	var s State
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
+	if err := gob.NewDecoder(bytes.NewReader(data[:n])).Decode(&s); err != nil {
+		return nil, fmt.Errorf("%w: %s: verified payload undecodable: %v", ErrCorrupt, path, err)
 	}
-	if r.Len() != 0 {
-		// A legacy whole-file gob consumes the file exactly; leftover bytes
-		// mean a trailered file whose CRC no longer matches — a bit flip
-		// landed somewhere gob tolerates (a float's mantissa, the version
-		// field, the trailer itself).
-		return nil, fmt.Errorf("%w: %s: CRC32 trailer mismatch", ErrCorrupt, path)
-	}
-	if s.Version != 1 {
-		if s.Version == Version {
-			// A well-formed current-version payload with no trailer at all:
-			// the file was truncated by exactly the trailer's four bytes.
-			return nil, fmt.Errorf("%w: %s: missing CRC32 trailer", ErrCorrupt, path)
-		}
+	if s.Version != Version {
 		return nil, fmt.Errorf("checkpoint: %s has version %d, want %d", path, s.Version, Version)
 	}
 	return &s, nil

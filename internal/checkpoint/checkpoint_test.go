@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -288,25 +289,19 @@ func TestLoadRejectsTruncation(t *testing.T) {
 	}
 }
 
-func TestLoadAcceptsLegacyV1(t *testing.T) {
-	// A pre-trailer checkpoint: plain gob, Version 1, no CRC. Old state
-	// dirs must keep restoring after the format bump.
+func TestLoadRejectsLegacyV1(t *testing.T) {
+	// A pre-trailer checkpoint: plain gob, Version 1, no CRC. There is one
+	// on-disk format; a file without a trailer is corrupt, never restored.
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	st := &State{Version: 1, Name: "legacy", Round: 5, Global: []float64{1, 2}}
-	f, err := os.Create(path)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := encode(&buf, &State{Version: 1, Name: "legacy", Round: 5, Global: []float64{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := encodeRaw(f, st); err != nil {
+	if err := os.WriteFile(path, buf.Bytes()[:buf.Len()-4], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
-	back, err := Load(path)
-	if err != nil {
-		t.Fatalf("legacy v1 checkpoint rejected: %v", err)
-	}
-	if back.Name != "legacy" || back.Round != 5 {
-		t.Fatalf("legacy state mangled: %+v", back)
+	if back, err := Load(path); !errors.Is(err, ErrCorrupt) || back != nil {
+		t.Fatalf("legacy v1 checkpoint: want ErrCorrupt and no state, got %+v, %v", back, err)
 	}
 }
 
@@ -345,17 +340,18 @@ func TestVersionGuard(t *testing.T) {
 	if err := Save(path, st); err != nil {
 		t.Fatal(err)
 	}
-	// Tamper: re-encode with a wrong version via direct struct write.
+	// Tamper: re-encode with a wrong version via direct struct write. The
+	// trailer is valid, so this is a version error, not corruption.
 	st.Version = 99
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := encodeRaw(f, st); err != nil {
+	if err := encode(f, st); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
-	if _, err := Load(path); err == nil {
-		t.Fatal("wrong version should be rejected")
+	if _, err := Load(path); err == nil || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("wrong version should be rejected as a version error, got %v", err)
 	}
 }

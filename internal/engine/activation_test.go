@@ -259,9 +259,12 @@ func TestAllDroppedRound(t *testing.T) {
 				}(k)
 				continue
 			}
+			w := newFlakyWorker(t, addr, k, p.Clients[k], m, fcfg.Seed, flakeRound)
 			go func(k int) {
 				defer wg.Done()
-				serveFlakyWorker(t, addr, k, p.Clients[k], m, fcfg.Seed, flakeRound)
+				if err := w.Serve(); err != nil {
+					t.Errorf("worker %d serve: %v", k, err)
+				}
 			}(k)
 		}
 		c, err := transport.NewCoordinatorOn(ln, len(p.Clients), 5*time.Second)

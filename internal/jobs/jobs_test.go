@@ -506,7 +506,7 @@ func TestMultiJobSoak(t *testing.T) {
 	}
 	out := b.String()
 	for _, needle := range []string{
-		"fed_jobs_epoch", "fed_jobs_total 3",
+		"fed_jobs_epoch", "fed_jobs_registered 3",
 		`fed_jobs_state{state="DONE"} 3`,
 		`fed_jobs_round{job="soak-a"} 10`,
 	} {

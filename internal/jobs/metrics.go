@@ -19,10 +19,6 @@ import (
 //	fed_jobs_transitions_total{state="..."} transitions into each state
 //	fed_jobs_round{job="..."}               per-job last completed round
 //	fed_jobs_rounds_target{job="..."}       per-job configured total rounds
-//
-// fed_jobs_total remains as a deprecated alias of fed_jobs_registered (a
-// gauge whose name reads like a counter); scrape configs should move off
-// it.
 func (m *Manager) WritePrometheus(w io.Writer) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -33,9 +29,6 @@ func (m *Manager) WritePrometheus(w io.Writer) error {
 	ew.printf("# HELP fed_jobs_registered Jobs registered with this manager, in any lifecycle state.\n")
 	ew.printf("# TYPE fed_jobs_registered gauge\n")
 	ew.printf("fed_jobs_registered %d\n", len(m.order))
-	ew.printf("# HELP fed_jobs_total Deprecated alias of fed_jobs_registered.\n")
-	ew.printf("# TYPE fed_jobs_total untyped\n")
-	ew.printf("fed_jobs_total %d\n", len(m.order))
 	counts := map[State]int{}
 	for _, j := range m.jobs {
 		counts[j.manifest.State]++

@@ -54,8 +54,8 @@ func TestMetricsExpositionGolden(t *testing.T) {
 		"# HELP fed_retries_total Round-request retries after application-level worker errors.\n# TYPE fed_retries_total counter\nfed_retries_total 4\n" +
 		"# HELP fed_rejoins_total Replacement worker connections adopted.\n# TYPE fed_rejoins_total counter\nfed_rejoins_total 2\n" +
 		"# HELP fed_grad_evals_total Cumulative gradient evaluations across devices.\n# TYPE fed_grad_evals_total counter\nfed_grad_evals_total 200\n" +
-		"# HELP fed_bytes_sent_total Bytes sent to workers on the gob transport.\n# TYPE fed_bytes_sent_total counter\nfed_bytes_sent_total 100\n" +
-		"# HELP fed_bytes_received_total Bytes received from workers on the gob transport.\n# TYPE fed_bytes_received_total counter\nfed_bytes_received_total 140\n" +
+		"# HELP fed_bytes_sent_total Bytes sent to workers by the TCP transport.\n# TYPE fed_bytes_sent_total counter\nfed_bytes_sent_total 100\n" +
+		"# HELP fed_bytes_received_total Bytes received from workers by the TCP transport.\n# TYPE fed_bytes_received_total counter\nfed_bytes_received_total 140\n" +
 		"# HELP fed_phase_seconds_total Wall-clock seconds per engine phase.\n# TYPE fed_phase_seconds_total counter\n" +
 		phase("select", 0.001+0.001) +
 		phase("execute", 0.01+0.01) +

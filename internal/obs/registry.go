@@ -121,8 +121,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	p("# HELP fed_retries_total Round-request retries after application-level worker errors.\n# TYPE fed_retries_total counter\nfed_retries_total %d\n", r.retries)
 	p("# HELP fed_rejoins_total Replacement worker connections adopted.\n# TYPE fed_rejoins_total counter\nfed_rejoins_total %d\n", r.rejoins)
 	p("# HELP fed_grad_evals_total Cumulative gradient evaluations across devices.\n# TYPE fed_grad_evals_total counter\nfed_grad_evals_total %d\n", r.gradEvals)
-	p("# HELP fed_bytes_sent_total Bytes sent to workers on the gob transport.\n# TYPE fed_bytes_sent_total counter\nfed_bytes_sent_total %d\n", r.bytesSent)
-	p("# HELP fed_bytes_received_total Bytes received from workers on the gob transport.\n# TYPE fed_bytes_received_total counter\nfed_bytes_received_total %d\n", r.bytesRecv)
+	p("# HELP fed_bytes_sent_total Bytes sent to workers by the TCP transport.\n# TYPE fed_bytes_sent_total counter\nfed_bytes_sent_total %d\n", r.bytesSent)
+	p("# HELP fed_bytes_received_total Bytes received from workers by the TCP transport.\n# TYPE fed_bytes_received_total counter\nfed_bytes_received_total %d\n", r.bytesRecv)
 	p("# HELP fed_phase_seconds_total Wall-clock seconds per engine phase.\n# TYPE fed_phase_seconds_total counter\n")
 	p("fed_phase_seconds_total{phase=\"select\"} %g\n", r.selectSec)
 	p("fed_phase_seconds_total{phase=\"execute\"} %g\n", r.execSec)

@@ -141,8 +141,9 @@ func NewSolver(m models.Model) Solver { return Solver{model: m} }
 // steps) — and invokes the returned func when the sub-phase ends. The TCP
 // worker uses it to record trace spans against the coordinator-propagated
 // round span. The hook lives on the Solver, not LocalConfig, because
-// LocalConfig crosses the gob wire and func fields do not encode. A nil
-// hook (the default) costs one branch per sub-phase.
+// LocalConfig crosses the wire as a fixed-layout frame of scalars (see
+// transport/frame.go) and a func has no encoding. A nil hook (the default)
+// costs one branch per sub-phase.
 func (h *Solver) SetPhaseHook(hook func(name string) func()) { h.phase = hook }
 
 // Scratch is the memory a solve runs in: a private clone of the model (with

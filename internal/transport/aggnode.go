@@ -224,7 +224,7 @@ func (n *AggregatorNode) solveRound(req *RoundRequest) *PartialSum {
 		ps.Err = "aggregation tree is float64-only, request asked for codec " + req.Codec.String()
 		return ps
 	}
-	anchor := req.AnchorVec()
+	anchor := req.Anchor
 	if cap(n.partial) < len(anchor) {
 		n.partial = make([]float64, len(anchor))
 	}

@@ -37,7 +37,8 @@ const (
 	CodecInt8
 	// CodecTopK ("topk-delta") sends the int8-quantized top-k coordinates
 	// of the update delta; the anchor broadcast is int8-quantized. With
-	// k ≪ dim this is the 10–50× mode.
+	// k ≪ dim this is the 10–15× mode (the dense int8 downlink caps it
+	// below 16×).
 	CodecTopK
 
 	numCodecs = iota
@@ -181,32 +182,6 @@ func dequantReference(anchor, dst []float64, levels int) []float64 {
 		dst[i] = dequantLevel(quantLevel(x, lo, step, levels), lo, step)
 	}
 	return dst
-}
-
-// quantize converts a float64 vector for the legacy gob wire under the
-// codec. Only the float codecs exist there; the richer codecs are framed-
-// protocol-only and their configuration is rejected per connection.
-func quantize(c Codec, w []float64) (f64 []float64, f32 []float32) {
-	if c == CodecFloat64 {
-		return w, nil
-	}
-	out := make([]float32, len(w))
-	for i, v := range w {
-		out[i] = float32(v)
-	}
-	return nil, out
-}
-
-// dequantize restores a float64 vector from whichever field is set.
-func dequantize(f64 []float64, f32 []float32) []float64 {
-	if f64 != nil {
-		return f64
-	}
-	out := make([]float64, len(f32))
-	for i, v := range f32 {
-		out[i] = float64(v)
-	}
-	return out
 }
 
 // countingConn wraps a net.Conn with atomic byte counters, giving the

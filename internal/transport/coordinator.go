@@ -3,7 +3,6 @@ package transport
 import (
 	"bufio"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -24,9 +23,8 @@ import (
 	"fedproxvr/internal/trace"
 )
 
-// clientConn is one connected worker. The wire format is fixed per
-// connection at handshake time: framed peers (the default Worker) speak the
-// binary protocol of frame.go, legacy peers speak gob — see handshake.
+// clientConn is one connected worker, speaking the binary protocol of
+// frame.go.
 //
 // dead marks a connection the coordinator tore down after a network-level
 // fault; a dead worker is skipped (counted as a dropout) until a
@@ -37,17 +35,16 @@ type clientConn struct {
 	id      int
 	samples int
 	conn    *countingConn
-	framed  bool
-	// Framed wire. rep is the per-connection decode target: its Local and
-	// Spans buffers are reused round over round, so decoded models alias it
-	// and are valid until the connection's next exchange (the engine
-	// consumes them within the round; Round clones).
+	// rep is the per-connection decode target: its Local and Spans buffers
+	// are reused round over round, so decoded models alias it and are valid
+	// until the connection's next exchange (the engine consumes them within
+	// the round; Round clones).
 	fr  frameReader
 	fw  frameWriter
 	rep RoundReply
-	// Aggregation-tree shard node (AggHello handshake, framed only): the
-	// connection owns devices [lo, lo+ndev) and replies with PartialSum
-	// frames decoded into ps (reused like rep).
+	// Aggregation-tree shard node (AggHello handshake): the connection owns
+	// devices [lo, lo+ndev) and replies with PartialSum frames decoded into
+	// ps (reused like rep).
 	isAgg bool
 	lo    int
 	ndev  int
@@ -56,64 +53,47 @@ type clientConn struct {
 	// checked against the coordinator's own lease by leaseCheck.
 	jobID string
 	epoch int64
-	// Legacy gob wire.
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-	dead bool
+	dead  bool
 }
 
-// handshake reads the Hello off a fresh connection, auto-detecting the wire
-// format from its first byte: framed streams start with frameMagic (0xFE),
-// which no gob stream can (gob begins with a small uvarint message length).
-// On error the caller owns closing conn.
+// handshake reads the Hello (or AggHello) frame off a fresh connection. A
+// peer that opens with anything else — a stray byte, another protocol — fails
+// here as a framing error or at the timeout. On error the caller owns
+// closing conn.
 func handshake(conn net.Conn, timeout time.Duration) (*clientConn, error) {
 	counted := newCountingConn(conn)
-	br := bufio.NewReader(counted)
 	if timeout > 0 {
 		conn.SetReadDeadline(time.Now().Add(timeout))
 	}
-	first, err := br.Peek(1)
+	cc := &clientConn{
+		conn: counted,
+		fr:   frameReader{r: bufio.NewReader(counted)},
+		fw:   frameWriter{w: counted},
+	}
+	typ, payload, err := cc.fr.next()
 	if err != nil {
 		return nil, protocolError("hello", err)
 	}
-	cc := &clientConn{conn: counted}
 	var hello Hello
-	if first[0] == frameMagic {
-		cc.framed = true
-		cc.fr = frameReader{r: br}
-		cc.fw = frameWriter{w: counted}
-		typ, payload, err := cc.fr.next()
+	switch typ {
+	case msgHello:
+		if hello, err = unmarshalHello(payload); err != nil {
+			return nil, protocolError("hello", err)
+		}
+	case msgAggHello:
+		ah, err := unmarshalAggHello(payload)
 		if err != nil {
 			return nil, protocolError("hello", err)
 		}
-		switch typ {
-		case msgHello:
-			if hello, err = unmarshalHello(payload); err != nil {
-				return nil, protocolError("hello", err)
-			}
-		case msgAggHello:
-			ah, err := unmarshalAggHello(payload)
-			if err != nil {
-				return nil, protocolError("hello", err)
-			}
-			if ah.NumDevices <= 0 || ah.LoDevice < 0 {
-				return nil, protocolError("hello",
-					errFrame("aggregator shard %d claims device range [%d,+%d)", ah.ShardID, ah.LoDevice, ah.NumDevices))
-			}
-			cc.isAgg = true
-			cc.lo, cc.ndev = ah.LoDevice, ah.NumDevices
-			hello = Hello{ClientID: ah.ShardID, NumSamples: int(ah.NumSamples)}
-		default:
-			return nil, protocolError("hello", errFrame("expected hello, got frame type %d", typ))
+		if ah.NumDevices <= 0 || ah.LoDevice < 0 {
+			return nil, protocolError("hello",
+				errFrame("aggregator shard %d claims device range [%d,+%d)", ah.ShardID, ah.LoDevice, ah.NumDevices))
 		}
-	} else {
-		// The decoder must read through br (it holds the peeked byte); the
-		// encoder writes straight to the counted conn.
-		cc.enc = gob.NewEncoder(counted)
-		cc.dec = gob.NewDecoder(br)
-		if err := cc.dec.Decode(&hello); err != nil {
-			return nil, protocolError("hello", err)
-		}
+		cc.isAgg = true
+		cc.lo, cc.ndev = ah.LoDevice, ah.NumDevices
+		hello = Hello{ClientID: ah.ShardID, NumSamples: int(ah.NumSamples)}
+	default:
+		return nil, protocolError("hello", errFrame("expected hello, got frame type %d", typ))
 	}
 	conn.SetReadDeadline(time.Time{})
 	cc.id, cc.samples = hello.ClientID, hello.NumSamples
@@ -129,10 +109,9 @@ type FaultPolicy struct {
 	// application-level error (worker-side panic, wrong-round or
 	// wrong-codec reply) this many times before counting it out of the
 	// round. Network-level failures (dial reset, decode error, deadline
-	// exceeded) are never retried: neither a gob stream nor a framed one
-	// can be resynchronized after a partial message, so the connection is
-	// torn down and the worker may rejoin between rounds with a fresh
-	// Hello.
+	// exceeded) are never retried: a framed stream cannot be resynchronized
+	// after a partial message, so the connection is torn down and the
+	// worker may rejoin between rounds with a fresh Hello.
 	MaxRetries int
 	// RetryBackoff is the pause before each retry.
 	RetryBackoff time.Duration
@@ -197,10 +176,10 @@ type Coordinator struct {
 	// them and stay byte-exact against the span-free closed forms.
 	obsSpanBytes atomic.Int64
 
-	// Per-round framed-wire state, rebuilt by roundSubset on the
-	// coordinator goroutine before the fan-out and then read-only: the
-	// request frame is encoded once and shared by every framed worker, and
-	// refBuf holds the dequantized anchor the delta codecs decode against.
+	// Per-round wire state, rebuilt by roundSubset on the coordinator
+	// goroutine before the fan-out and then read-only: the request frame is
+	// encoded once and shared by every worker, and refBuf holds the
+	// dequantized anchor the delta codecs decode against.
 	reqFrame []byte
 	refBuf   []float64
 
@@ -235,9 +214,7 @@ type Coordinator struct {
 }
 
 // SetCodec selects the wire codec for subsequent rounds (default
-// CodecFloat64). Safe to change between rounds, not during one. The int
-// and topk codecs require framed workers; a legacy gob peer asked for one
-// replies with an application-level error and drops out of the round.
+// CodecFloat64). Safe to change between rounds, not during one.
 func (c *Coordinator) SetCodec(codec Codec) { c.codec = codec }
 
 // SetTopKFrac sets the fraction of delta coordinates kept per round under
@@ -297,9 +274,7 @@ func NewCoordinator(addr string, numClients int, timeout time.Duration) (*Coordi
 
 // NewCoordinatorOn completes coordinator construction over an existing
 // listener: it blocks until numClients workers have connected and
-// handshaked, then returns. On error the listener is closed. Framed and
-// legacy gob workers may mix freely in one cohort (the wire format is
-// per-connection).
+// handshaked, then returns. On error the listener is closed.
 func NewCoordinatorOn(ln net.Listener, numClients int, timeout time.Duration) (*Coordinator, error) {
 	return newCoordinatorOn(ln, numClients, timeout, false, "", 0)
 }
@@ -307,7 +282,7 @@ func NewCoordinatorOn(ln net.Listener, numClients int, timeout time.Duration) (*
 // NewLeasedCoordinatorOn is NewCoordinatorOn for one jobs-control-plane
 // coordinator incarnation: a worker is admitted — at construction and via
 // the rejoin path — only when its Hello offers exactly (jobID, epoch). A
-// framed worker with a stale lease is answered with a LeaseReject frame
+// worker with a stale lease is answered with a LeaseReject frame
 // carrying the current values before its connection closes, so it adopts
 // them and re-Hello's through its rejoin loop; this is the fence that
 // keeps a worker leased to a dead incarnation from silently joining the
@@ -332,7 +307,7 @@ func NewTreeCoordinator(addr string, numShards int, timeout time.Duration) (*Coo
 // AggHello, then validates that their device ranges tile [0, N)
 // contiguously in shard-ID order — the ascending-shard fold order is what
 // makes the tree bit-identical to a flat ShardedMean over the same map.
-// Tree mode is framed-only and CodecFloat64-only (partial sums are exact).
+// Tree mode is CodecFloat64-only (partial sums are exact).
 func NewTreeCoordinatorOn(ln net.Listener, numShards int, timeout time.Duration) (*Coordinator, error) {
 	return newCoordinatorOn(ln, numShards, timeout, true, "", 0)
 }
@@ -448,8 +423,7 @@ func (c *Coordinator) acceptLoop() {
 // adoption at the next round boundary. The replacement must present the ID
 // of a currently-dead worker and the same shard size (the aggregation
 // weights were fixed at construction); anything else is rejected by
-// closing the connection. The replacement may rejoin on either wire
-// format, independent of what the lost connection spoke.
+// closing the connection.
 func (c *Coordinator) handleRejoin(conn net.Conn) {
 	cc, err := handshake(conn, c.timeout)
 	if err != nil {
@@ -480,7 +454,7 @@ func (c *Coordinator) handleRejoin(conn net.Conn) {
 
 // leaseCheck enforces the lease fence on a freshly handshaked connection.
 // A coordinator without a lease admits everyone. With one, a mismatched
-// Hello is rejected: a framed flat worker is first told the current lease
+// Hello is rejected: a flat worker is first told the current lease
 // in a LeaseReject frame (so it adopts the values and re-Hello's through
 // its rejoin loop), then the connection closes. Returns whether the
 // connection was admitted; on false the connection is already closed.
@@ -492,7 +466,7 @@ func (c *Coordinator) leaseCheck(cc *clientConn) bool {
 	if cc.jobID == c.leaseJob && cc.epoch == c.leaseEpoch {
 		return true
 	}
-	if cc.framed && !cc.isAgg {
+	if !cc.isAgg {
 		frame := marshalLeaseReject(nil, &LeaseReject{JobID: c.leaseJob, Epoch: c.leaseEpoch})
 		_ = cc.fw.writeFrame(frame)
 	}
@@ -562,7 +536,7 @@ func (c *Coordinator) Weights() []float64 { return c.weights }
 // and returns them indexed by client ID. A worker that failed the round
 // leaves a nil entry; the error is non-nil only for run-fatal conditions
 // (every worker dead, quorum floor violated too many rounds in a row).
-// The returned slices are the caller's (framed decode buffers are cloned).
+// The returned slices are the caller's (decode buffers are cloned).
 func (c *Coordinator) Round(round int, anchor []float64, local core.Config) ([][]float64, error) {
 	all := make([]int, len(c.clients))
 	for i := range all {
@@ -587,7 +561,7 @@ var errWorkerDown = fmt.Errorf("transport: worker connection is down")
 
 // errStraggler wraps a network timeout attributable to the round deadline
 // or a quorum cut rather than the flat per-connection timeout: the worker
-// is healthy but late. Its connection is still torn down (neither wire can
+// is healthy but late. Its connection is still torn down (the wire cannot
 // abandon a mid-flight exchange), and it rejoins between rounds.
 var errStraggler = errors.New("transport: cut from the round as a straggler")
 
@@ -597,23 +571,24 @@ var errStraggler = errors.New("transport: cut from the round as a straggler")
 var errRoundCut = errors.New("transport: round over before retry")
 
 // roundCtx is the immutable per-round wire state shared by the fan-out
-// goroutines: the gob-path request, the framed request encoded once, and
-// the reference anchor the delta codecs decode replies against.
+// goroutines: the request frame encoded once, the reference anchor the
+// delta codecs decode replies against, and the round span shipped worker
+// spans are parented under.
 type roundCtx struct {
-	round int
-	codec Codec
-	dim   int
-	req   *RoundRequest // gob path (anchor quantized per codec)
-	frame []byte        // framed path, shared read-only
-	ref   []float64     // dequantized anchor (delta reference), read-only
+	round  int
+	codec  Codec
+	dim    int
+	spanID uint64
+	frame  []byte    // shared read-only
+	ref    []float64 // dequantized anchor (delta reference), read-only
 }
 
 // roundSubset runs one round against spec.Selected only (partial
 // participation), filling res.Locals[i] with the reported model of
 // spec.Selected[i] — nil when that worker did not report — and c.evals[id]
 // with each reporting worker's cumulative gradient evaluations. Models
-// from framed workers alias per-connection decode buffers, valid until
-// that connection's next exchange (the engine's Executor contract).
+// alias per-connection decode buffers, valid until that connection's next
+// exchange (the engine's Executor contract).
 //
 // Per-worker faults are converted into dropouts: application-level errors
 // are retried per FaultPolicy, network-level errors tear the connection
@@ -654,8 +629,11 @@ func (c *Coordinator) roundSubset(ctx context.Context, local optim.LocalConfig, 
 	if c.codec == CodecTopK {
 		topK = TopKFor(c.topKFrac, len(anchor))
 	}
-	a64, a32 := quantize(c.codec, anchor)
-	req := RoundRequest{Round: round, Codec: c.codec, Anchor: a64, Anchor32: a32, Local: local, TopK: topK}
+	// The request carries the full-precision anchor (marshalRequest
+	// quantizes per codec); it is encoded once here and the same bytes go
+	// to every worker. ref is the anchor exactly as workers decode it — the
+	// delta codecs reconstruct replies against it.
+	req := RoundRequest{Round: round, Codec: c.codec, Anchor: anchor, Local: local, TopK: topK, ActivateProb: c.actProb}
 	tr := c.tracer
 	if tr != nil {
 		// Propagate the trace context: workers parent their solve spans
@@ -665,19 +643,13 @@ func (c *Coordinator) roundSubset(ctx context.Context, local optim.LocalConfig, 
 		req.TraceID = tr.TraceID()
 		req.SpanID = tr.CurrentRound()
 	}
-	// The framed request carries the full-precision anchor (marshalRequest
-	// quantizes per codec); it is encoded once here and the same bytes go
-	// to every framed worker. ref is the anchor exactly as framed workers
-	// decode it — the delta codecs reconstruct replies against it.
-	frReq := RoundRequest{Round: round, Codec: c.codec, Anchor: anchor, Local: local, TopK: topK,
-		TraceID: req.TraceID, SpanID: req.SpanID, ActivateProb: c.actProb}
-	c.reqFrame = marshalRequest(c.reqFrame[:0], &frReq)
+	c.reqFrame = marshalRequest(c.reqFrame[:0], &req)
 	ref := anchor
 	if c.codec != CodecFloat64 {
 		c.refBuf = codecReference(c.codec, anchor, c.refBuf)
 		ref = c.refBuf
 	}
-	rc := &roundCtx{round: round, codec: c.codec, dim: len(anchor), req: &req, frame: c.reqFrame, ref: ref}
+	rc := &roundCtx{round: round, codec: c.codec, dim: len(anchor), spanID: req.SpanID, frame: c.reqFrame, ref: ref}
 	errs := make([]error, len(selected))
 	var cut atomic.Bool
 	var wg sync.WaitGroup
@@ -776,9 +748,9 @@ func (c *Coordinator) roundSubset(ctx context.Context, local optim.LocalConfig, 
 		if cc.dead {
 			return
 		}
-		// The stream is unusable after a failed exchange (neither gob nor
-		// the framing resynchronizes past a partial message): tear the
-		// connection down. The worker rejoins with a fresh Hello.
+		// The stream is unusable after a failed exchange (the framing does
+		// not resynchronize past a partial message): tear the connection
+		// down. The worker rejoins with a fresh Hello.
 		cc.conn.Close()
 		c.mu.Lock()
 		cc.dead = true
@@ -915,39 +887,16 @@ func (c *Coordinator) exchange(cc *clientConn, rc *roundCtx, roundDL time.Time, 
 	if cc.isAgg {
 		return c.exchangeAgg(cc, rc, wrap, sentAt)
 	}
-	var rep *RoundReply
-	if cc.framed {
-		if err := cc.fw.writeFrame(rc.frame); err != nil {
-			return nil, 0, wrap("send to", err), false
-		}
-		typ, payload, err := cc.fr.next()
-		if err != nil {
-			return nil, 0, wrap("recv from", err), false
-		}
-		if typ != msgRoundReply {
-			return nil, 0, wrap("recv from", errFrame("expected round reply, got frame type %d", typ)), false
-		}
-		rep = &cc.rep
-		if err := unmarshalReply(payload, rep, rc.ref); err != nil {
-			return nil, 0, wrap("recv from", err), false
-		}
-		if rep.SpanBytes > 0 {
-			c.obsSpanBytes.Add(int64(rep.SpanBytes))
-		}
-	} else {
-		var gobRep RoundReply
-		if err := cc.enc.Encode(rc.req); err != nil {
-			return nil, 0, wrap("send to", err), false
-		}
-		if err := cc.dec.Decode(&gobRep); err != nil {
-			return nil, 0, wrap("recv from", err), false
-		}
-		rep = &gobRep
-		if rep.Err == "" && rep.Local32 != nil && rep.Local == nil {
-			// Legacy gob peers carry the codec implicitly in which field
-			// they set; normalize so the enforcement below sees it.
-			rep.Codec = CodecFloat32
-		}
+	payload, err := cc.roundTrip(rc.frame, msgRoundReply, "round reply", wrap)
+	if err != nil {
+		return nil, 0, err, false
+	}
+	rep := &cc.rep
+	if err := unmarshalReply(payload, rep, rc.ref); err != nil {
+		return nil, 0, wrap("recv from", err), false
+	}
+	if rep.SpanBytes > 0 {
+		c.obsSpanBytes.Add(int64(rep.SpanBytes))
 	}
 	if rep.Err != "" {
 		return nil, 0, fmt.Errorf("transport: client %d: %s", cc.id, rep.Err), true
@@ -963,34 +912,45 @@ func (c *Coordinator) exchange(cc *clientConn, rc *roundCtx, roundDL time.Time, 
 		return nil, 0, fmt.Errorf("transport: client %d replied in codec %v, want %v",
 			cc.id, rep.Codec, rc.codec), true
 	}
-	vec = rep.LocalVec()
-	if len(vec) != rc.dim {
+	if len(rep.Local) != rc.dim {
 		return nil, 0, fmt.Errorf("transport: client %d sent %d params, want %d",
-			cc.id, len(vec), rc.dim), true
+			cc.id, len(rep.Local), rc.dim), true
 	}
 	c.evals[cc.id] = rep.GradEvals
 	if c.tracer != nil && len(rep.Spans) > 0 {
-		c.tracer.IngestWire(rep.Spans, rc.req.SpanID, "worker-"+strconv.Itoa(cc.id), sentAt)
+		c.tracer.IngestWire(rep.Spans, rc.spanID, "worker-"+strconv.Itoa(cc.id), sentAt)
 	}
-	return vec, rep.SolveSeconds, nil, false
+	return rep.Local, rep.SolveSeconds, nil, false
+}
+
+// roundTrip is the wire half of one exchange attempt: the round's request
+// frame goes down and the next frame, which must be of type want (named
+// what in the error), comes back. The payload is valid until the
+// connection's next read.
+func (cc *clientConn) roundTrip(frame []byte, want byte, what string, wrap func(string, error) error) ([]byte, error) {
+	if err := cc.fw.writeFrame(frame); err != nil {
+		return nil, wrap("send to", err)
+	}
+	typ, payload, err := cc.fr.next()
+	if err != nil {
+		return nil, wrap("recv from", err)
+	}
+	if typ != want {
+		return nil, wrap("recv from", errFrame("expected %s, got frame type %d", what, typ))
+	}
+	return payload, nil
 }
 
 // exchangeAgg is the aggregation-tree variant of one exchange attempt: the
 // same request frame goes down, a PartialSum comes back. The returned vec
 // is the shard's Σ D_n·w_n (aliasing the per-connection decode buffer, same
-// contract as framed replies); the shard's round weight and device-level
+// contract as worker replies); the shard's round weight and device-level
 // counts land in the per-child tree metadata slots, which only this
 // goroutine writes this round.
 func (c *Coordinator) exchangeAgg(cc *clientConn, rc *roundCtx, wrap func(string, error) error, sentAt time.Time) (vec []float64, solveSec float64, err error, retriable bool) {
-	if err := cc.fw.writeFrame(rc.frame); err != nil {
-		return nil, 0, wrap("send to", err), false
-	}
-	typ, payload, err := cc.fr.next()
+	payload, err := cc.roundTrip(rc.frame, msgPartialSum, "partial sum", wrap)
 	if err != nil {
-		return nil, 0, wrap("recv from", err), false
-	}
-	if typ != msgPartialSum {
-		return nil, 0, wrap("recv from", errFrame("expected partial sum, got frame type %d", typ)), false
+		return nil, 0, err, false
 	}
 	ps := &cc.ps
 	if err := unmarshalPartialSum(payload, ps); err != nil {
@@ -1017,7 +977,7 @@ func (c *Coordinator) exchangeAgg(cc *clientConn, rc *roundCtx, wrap func(string
 	c.treeStragglers[cc.id] = ps.Stragglers
 	c.treeReported[cc.id] = true
 	if c.tracer != nil && len(ps.Spans) > 0 {
-		c.tracer.IngestWire(ps.Spans, rc.req.SpanID, "shard-"+strconv.Itoa(cc.id), sentAt)
+		c.tracer.IngestWire(ps.Spans, rc.spanID, "shard-"+strconv.Itoa(cc.id), sentAt)
 	}
 	return ps.Sum, ps.SolveSeconds, nil, false
 }
@@ -1254,23 +1214,17 @@ func (c *Coordinator) TreeEngine(w0 []float64, cfg core.Config, evalModel models
 }
 
 // Shutdown tells every live worker (including pending rejoins) to exit
-// cleanly, in whichever wire format its connection speaks. Dead
-// connections are skipped.
+// cleanly. Dead connections are skipped.
 func (c *Coordinator) Shutdown() {
 	c.adoptRejoined()
-	req := RoundRequest{Done: true}
-	doneFrame := marshalRequest(nil, &req)
+	doneFrame := marshalRequest(nil, &RoundRequest{Done: true})
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, cc := range c.clients {
 		if cc.dead {
 			continue
 		}
-		if cc.framed {
-			_ = cc.fw.writeFrame(doneFrame)
-		} else {
-			_ = cc.enc.Encode(&req)
-		}
+		_ = cc.fw.writeFrame(doneFrame)
 	}
 }
 

@@ -1,11 +1,10 @@
 package transport
 
-// The framed binary wire protocol. gob's per-message reflection and its
-// ~9-byte varint encoding of a full-mantissa float64 are pure overhead for
-// the round path's fixed-layout messages, whose payloads are long float64
-// vectors; this hand-rolled framing is the default wire format and cuts
-// exact-mode round traffic by the gob preamble + per-element overhead, and
-// compressed-codec traffic by 10–50× (see codec.go).
+// The framed binary wire protocol — the only wire format. The round path's
+// messages have a fixed layout and their payloads are long float64 vectors,
+// so a hand-rolled framing moves exactly 8 bytes per exact-mode element
+// with no reflection, makes per-round traffic a closed form (wiresize.go),
+// and lets the compressed codecs cut it by 2–15× (see codec.go).
 //
 // Every frame is
 //
@@ -16,10 +15,9 @@ package transport
 // plane's LeaseReject. All integers are
 // little-endian; floats are IEEE-754 bits (float64 vectors round-trip
 // bit-exactly, keeping the conformance suites bit-identical in
-// CodecFloat64). The magic byte doubles as the wire-format handshake: gob
-// streams cannot begin with 0xFE (a gob stream starts with a small uvarint
-// message length), so the coordinator sniffs the first byte of each
-// accepted connection and speaks gob to legacy peers — see handshake().
+// CodecFloat64). A stream whose first byte is not the magic is not this
+// protocol: frameReader.next rejects it as "bad magic" and handshake()
+// closes the connection.
 //
 // Payload layouts (all fields fixed-width unless marked uvarint):
 //
@@ -111,8 +109,8 @@ const (
 const repFlagErr = 1 << 0
 
 // errFrame marks wire-level framing violations (bad magic, short payload,
-// unknown type). Like a gob decode error they are network-class: the
-// stream cannot be trusted after one, so the connection is torn down.
+// unknown type). They are network-class: the stream cannot be trusted
+// after one, so the connection is torn down.
 func errFrame(format string, args ...interface{}) error {
 	return fmt.Errorf("transport: frame: "+format, args...)
 }
@@ -382,7 +380,7 @@ func marshalVecDown(w *wireBuf, c Codec, v []float64) {
 // marshalReply appends a RoundReply frame to dst. rep.Local must hold the
 // full-precision local model; ref is the dequantized anchor the delta
 // codecs encode against (it must equal what codecReference produced on the
-// coordinator — for framed peers it is simply the decoded request anchor).
+// coordinator — on a worker it is simply the decoded request anchor).
 // scratch is a reusable delta buffer, grown as needed and returned.
 func marshalReply(dst []byte, rep *RoundReply, ref, scratch []float64, topK int) ([]byte, []float64) {
 	w := wireBuf{b: dst}
@@ -672,7 +670,6 @@ func unmarshalRequest(p []byte, req *RoundRequest) error {
 	req.Done = flags&reqFlagDone != 0
 	req.TraceID, req.SpanID = 0, 0
 	req.ActivateProb = 0
-	req.Anchor32 = nil
 	if req.Done {
 		req.Local = optim.LocalConfig{}
 		req.Anchor = req.Anchor[:0]
@@ -754,7 +751,6 @@ func unmarshalReply(p []byte, rep *RoundReply, ref []float64) error {
 	rep.Err = ""
 	rep.Spans = nil
 	rep.SpanBytes = 0
-	rep.Local32 = nil
 	if flags&repFlagErr != 0 {
 		n := int(c.uvarint("error length"))
 		rep.Err = string(c.take(n, "error text"))

@@ -35,6 +35,8 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(errRep)
 	// A frame whose length prefix claims more than the stream holds.
 	f.Add([]byte{frameMagic, msgRoundReply, 0xF0, 0xFF, 0x00, 0x00, 1, 2, 3})
+	// What a peer on the removed gob wire opens with: no magic, rejected.
+	f.Add(legacyGobHello(f))
 
 	ref := testVec(2, 12)
 	f.Fuzz(func(t *testing.T, stream []byte) {

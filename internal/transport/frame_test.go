@@ -394,19 +394,6 @@ func TestWireSizeHelpers(t *testing.T) {
 			}
 		}
 	}
-	// The gob baseline must report strictly more than the framed exact
-	// mode at realistic dims (gob varint-packs a full-mantissa float64
-	// into ~9 bytes vs our flat 8, plus per-message field overhead; only
-	// at tiny dims does its zero-field omission win).
-	for _, dim := range []int{100, 1010} {
-		if gobN, fr := GobRoundWireSize(CodecFloat64, dim, false), RoundWireSize(CodecFloat64, dim, 0, false); gobN <= fr {
-			t.Fatalf("dim %d: gob %d ≤ framed %d", dim, gobN, fr)
-		}
-	}
-	// First-round gob additionally pays the type preamble.
-	if first, steady := GobRoundWireSize(CodecFloat64, 100, true), GobRoundWireSize(CodecFloat64, 100, false); first <= steady {
-		t.Fatalf("gob first round %d ≤ steady state %d", first, steady)
-	}
 }
 
 func TestParseCodec(t *testing.T) {

@@ -1,8 +1,7 @@
 // Package transport turns the federated runtime into a real distributed
 // system: a Coordinator (server) drives synchronous rounds over TCP against
 // Worker processes (devices), exchanging length-prefixed binary frames (see
-// frame.go; legacy gob peers are auto-detected per connection and still
-// served). Devices are seeded exactly like the in-process simulator's, so a
+// frame.go). Devices are seeded exactly like the in-process simulator's, so a
 // distributed run reproduces an in-process run bit-for-bit given the same
 // seeds — which the integration tests assert.
 //
@@ -31,13 +30,13 @@ type Hello struct {
 	ClientID   int
 	NumSamples int
 
-	// Lease fields (jobs control plane, framed wire): the worker offers to
+	// Lease fields (jobs control plane): the worker offers to
 	// serve job JobID under coordinator incarnation Epoch. A coordinator
 	// running with a lease rejects a mismatched Epoch with a LeaseReject
 	// frame carrying the current values, and the worker re-Hello's with
 	// them through its rejoin loop — the fence that keeps a worker leased
 	// to a dead coordinator incarnation from silently joining the next
-	// one's rounds. Zero values mean "no lease" (the historical wire).
+	// one's rounds. Zero values mean "no lease".
 	JobID string
 	Epoch int64
 }
@@ -45,14 +44,14 @@ type Hello struct {
 // LeaseReject is the coordinator's answer to a Hello whose lease is stale:
 // it names the job and lease epoch the coordinator is currently serving,
 // and the connection closes. The worker adopts the told values and
-// re-Hello's (framed wire only; gob peers predate leases).
+// re-Hello's.
 type LeaseReject struct {
 	JobID string
 	Epoch int64
 }
 
 // AggHello is the first message an aggregation-tree shard node sends after
-// connecting to a tree coordinator (framed wire only). The node owns the
+// connecting to a tree coordinator. The node owns the
 // contiguous device ID range [LoDevice, LoDevice+NumDevices) and NumSamples
 // is the shard's total Σ D_n — the coordinator only ever learns per-shard
 // totals, which is what keeps its memory O(model), not O(devices).
@@ -69,16 +68,14 @@ type AggHello struct {
 // (see exchange) and treats a mismatched reply as a worker fault rather
 // than silently dequantizing it.
 //
-// On the framed wire, Anchor carries the (dequantized) anchor and Anchor32
-// is never set; on the legacy gob wire exactly one of Anchor/Anchor32 is
-// set, per Codec.
+// Anchor is full precision going into the marshaller and the dequantized
+// anchor coming out of the decoder.
 type RoundRequest struct {
-	Round    int
-	Codec    Codec
-	Anchor   []float64
-	Anchor32 []float32
-	Local    optim.LocalConfig
-	Done     bool
+	Round  int
+	Codec  Codec
+	Anchor []float64
+	Local  optim.LocalConfig
+	Done   bool
 	// TopK is the number of delta coordinates to keep under CodecTopK
 	// (ignored by the other codecs). The coordinator chooses it per round
 	// from SetTopKFrac so both peers agree on the sparsity budget.
@@ -86,8 +83,6 @@ type RoundRequest struct {
 	// TraceID/SpanID propagate the coordinator's trace context: SpanID is
 	// the round span a tracing worker parents its solve spans under.
 	// TraceID == 0 means tracing is off and the worker records nothing.
-	// gob tolerates the added fields in both directions (old peers leave
-	// them zero).
 	TraceID uint64
 	SpanID  uint64
 	// ActivateProb, when positive, tells an aggregation-tree node to run
@@ -99,9 +94,6 @@ type RoundRequest struct {
 	ActivateProb float64
 }
 
-// AnchorVec returns the anchor as float64 regardless of codec.
-func (r *RoundRequest) AnchorVec() []float64 { return dequantize(r.Anchor, r.Anchor32) }
-
 // RoundReply carries one device's local model back to the coordinator.
 // GradEvals is int64 end to end so cumulative counts survive 32-bit
 // platforms unnarrowed.
@@ -110,16 +102,13 @@ type RoundReply struct {
 	Round    int
 	// Codec is the codec the reply is encoded in. The coordinator rejects a
 	// reply whose codec differs from the round request's (an application-
-	// level fault, retried per FaultPolicy). Legacy gob peers leave it at
-	// CodecFloat64/implicit; the gob exchange infers it from Local/Local32.
+	// level fault, retried per FaultPolicy).
 	Codec     Codec
 	Local     []float64
-	Local32   []float32
 	GradEvals int64
 	// SolveSeconds is the worker-measured wall-clock duration of the local
 	// solve, so the coordinator's observability layer can split a round
-	// trip into compute and communication shares. gob tolerates the added
-	// field in both directions (old peers leave it zero).
+	// trip into compute and communication shares.
 	SolveSeconds float64
 	Err          string // non-empty if the worker failed this round
 	// Spans are the worker's trace spans for this round, recorded relative
@@ -164,9 +153,6 @@ type PartialSum struct {
 	Spans     []trace.WireSpan
 	SpanBytes int
 }
-
-// LocalVec returns the local model as float64 regardless of codec.
-func (r *RoundReply) LocalVec() []float64 { return dequantize(r.Local, r.Local32) }
 
 // protocolError annotates failures with the remote peer.
 func protocolError(who string, err error) error {

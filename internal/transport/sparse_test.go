@@ -312,16 +312,3 @@ func BenchmarkTopKQuickselect(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkTopKSortRef(b *testing.B) {
-	rng := randx.New(78)
-	w := make([]float64, 100000)
-	for i := range w {
-		w[i] = rng.NormFloat64()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		topKSortRef(w, 1000)
-	}
-}

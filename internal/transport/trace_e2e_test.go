@@ -1,4 +1,4 @@
-// End-to-end tracing over the gob wire: a traced TCP run must yield one
+// End-to-end tracing over the wire: a traced TCP run must yield one
 // coherent multi-process timeline — worker solve spans (with their
 // anchor-grad and inner-loop children) parented under the coordinator's
 // round spans — in both the in-memory span tree and the Chrome trace-event

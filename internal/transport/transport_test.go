@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
 	"math"
 	"net"
 	"strings"
@@ -17,6 +19,7 @@ import (
 	"fedproxvr/internal/models"
 	"fedproxvr/internal/optim"
 	"fedproxvr/internal/randx"
+	"fedproxvr/internal/testx"
 )
 
 func testPartition(devices, perDevice, dim, classes int, seed int64) *data.Partition {
@@ -187,28 +190,9 @@ func TestTrainValidatesConfig(t *testing.T) {
 	wg.Wait()
 }
 
-func TestQuantizedCodecRoundTrip(t *testing.T) {
-	w := []float64{1.5, -2.25, 1e-7, 3.14159265358979}
-	f64, f32 := quantize(CodecFloat32, w)
-	if f64 != nil || len(f32) != 4 {
-		t.Fatal("float32 quantize wrong shape")
-	}
-	back := dequantize(f64, f32)
-	for i := range w {
-		rel := math.Abs(back[i]-w[i]) / (1 + math.Abs(w[i]))
-		if rel > 1e-6 {
-			t.Fatalf("quantization error %v at %d", rel, i)
-		}
-	}
-	f64, f32 = quantize(CodecFloat64, w)
-	if f32 != nil || &f64[0] != &w[0] {
-		t.Fatal("float64 codec should pass through")
-	}
-}
-
 func TestQuantizedTrainingAndBandwidth(t *testing.T) {
 	// Use a model large enough (1010 params) that vector payloads dominate
-	// gob/protocol overhead.
+	// protocol overhead.
 	p := testPartition(3, 20, 100, 10, 5)
 	m := models.NewSoftmax(100, 10, 0)
 	cfg := core.FedProxVR(optim.SVRG, 6, 1, 0.1, 5, 4, 5)
@@ -445,7 +429,7 @@ func TestCoordinatorRejectsZeroSampleCohort(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		if err := gob.NewEncoder(conn).Encode(&Hello{ClientID: k, NumSamples: 0}); err != nil {
+		if _, err := conn.Write(marshalHello(nil, &Hello{ClientID: k, NumSamples: 0})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -476,8 +460,7 @@ func TestRoundTimeoutFires(t *testing.T) {
 		}
 		defer conn.Close()
 		// Handshake like a worker, then go silent.
-		enc := gob.NewEncoder(conn)
-		_ = enc.Encode(&Hello{ClientID: 0, NumSamples: 5})
+		_, _ = conn.Write(marshalHello(nil, &Hello{ClientID: 0, NumSamples: 5}))
 		<-done2
 	}()
 	c, err := NewCoordinatorOn(ln, 1, 300*time.Millisecond)
@@ -496,4 +479,133 @@ func TestRoundTimeoutFires(t *testing.T) {
 	}
 	close(done2)
 	<-done
+}
+
+// legacyGobHello is what a worker on the removed gob wire opened its
+// connection with: a gob stream starts with a small uvarint message length,
+// never the frame magic.
+func legacyGobHello(tb testing.TB) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&Hello{ClientID: 0, NumSamples: 5}); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestHandshakeRejectsForeignPeers: the handshake accepts a Hello or
+// AggHello frame and nothing else. A peer that opens with another protocol,
+// a stray byte or an unknown frame type fails construction with a
+// "transport: hello:" error, and on the rejoin accept path is closed within
+// the handshake timeout, parked nowhere, with the live cohort still
+// serving rounds.
+func TestHandshakeRejectsForeignPeers(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	cases := []struct {
+		name  string
+		first []byte
+		want  string
+	}{
+		{"gob hello", legacyGobHello(t), "bad magic"},
+		{"stray byte then silence", []byte{0x2A}, "timeout"},
+		{"unknown frame type", []byte{frameMagic, 0x7F, 0, 0, 0, 0}, "expected hello, got frame type 127"},
+	}
+	listen := func() net.Listener {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ln
+	}
+	dial := func(addr string, first []byte) net.Conn {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(first); err != nil {
+			t.Fatal(err)
+		}
+		return conn
+	}
+
+	// A live two-worker cohort for the rejoin accept path.
+	p := testPartition(2, 10, 3, 2, 6)
+	m := models.NewSoftmax(3, 2, 0)
+	cfg := core.FedAvg(5, 1, 2, 2, 1)
+	ln := listen()
+	var wg sync.WaitGroup
+	for k := range p.Clients {
+		w, err := NewWorker(ln.Addr().String(), k, p.Clients[k], m, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = w.Serve()
+		}()
+	}
+	c, err := NewCoordinatorOn(ln, len(p.Clients), timeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fresh := listen()
+			conn := dial(fresh.Addr().String(), tc.first)
+			defer conn.Close()
+			start := time.Now()
+			bad, err := NewCoordinatorOn(fresh, 1, timeout)
+			if err == nil {
+				bad.Close()
+				t.Fatal("construction admitted a foreign peer")
+			}
+			if !strings.HasPrefix(err.Error(), "transport: hello:") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("construction error %q, want a transport: hello: error naming %q", err, tc.want)
+			}
+			if took := time.Since(start); took > 10*timeout {
+				t.Fatalf("construction took %v to reject", took)
+			}
+
+			rejoin := dial(c.Addr().String(), tc.first)
+			defer rejoin.Close()
+			rejoin.SetReadDeadline(time.Now().Add(10 * timeout))
+			var ne net.Error
+			if _, err := rejoin.Read(make([]byte, 1)); err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+				t.Fatalf("rejoin path did not close the foreign peer (read: %v)", err)
+			}
+			c.mu.Lock()
+			parked := len(c.pending)
+			c.mu.Unlock()
+			if parked != 0 {
+				t.Fatalf("%d foreign connections parked for adoption", parked)
+			}
+			locals, err := c.Round(i+1, make([]float64, m.Dim()), cfg)
+			if err != nil || locals[0] == nil || locals[1] == nil {
+				t.Fatalf("cohort unusable after the rejection: locals=%v err=%v", locals, err)
+			}
+		})
+	}
+	c.Shutdown()
+	wg.Wait()
+}
+
+// TestFleetCycleLeavesNoGoroutines: launch → Train → Shutdown → Close
+// leaves nothing behind — no worker, fan-out, quorum-watcher or rejoin
+// accept goroutine outlives its fleet.
+func TestFleetCycleLeavesNoGoroutines(t *testing.T) {
+	p := testPartition(2, 10, 3, 2, 6)
+	m := models.NewSoftmax(3, 2, 0)
+	cfg := core.FedAvg(5, 1, 2, 2, 2)
+	testx.NoGoroutineGrowth(t, 3, 5*time.Second, func() {
+		c, wg := launchTwoPhase(t, p, m, 1)
+		if _, _, err := c.Train(make([]float64, m.Dim()), cfg, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		c.Shutdown()
+		wg.Wait()
+		c.Close()
+	})
 }

@@ -18,8 +18,8 @@ import (
 	"fedproxvr/internal/trace"
 )
 
-// launchFleet is launchTwoPhase with a custom worker constructor, so the
-// wire-comparison tests can raise gob fleets and misconfigured workers.
+// launchFleet is launchTwoPhase with a custom worker constructor, so tests
+// can raise misconfigured workers.
 func launchFleet(t testing.TB, p *data.Partition, m models.Model, seed int64,
 	mk func(addr string, id int, shard *data.Dataset) (*Worker, error)) (*Coordinator, *sync.WaitGroup) {
 	t.Helper()
@@ -51,112 +51,48 @@ func launchFleet(t testing.TB, p *data.Partition, m models.Model, seed int64,
 	return c, &wg
 }
 
-// TestFramedExactBitIdenticalAndCheaperThanGob is the exact-mode
-// acceptance gate: the framed float64 wire must train BIT-IDENTICALLY to
-// the legacy gob wire (CodecFloat64 is exact on both) while moving ≥1.8×
-// fewer bytes over the whole connection (Hello + gob's type preamble +
-// per-message overhead; the model here is small enough that protocol
-// overhead, not payload, dominates — the regime where gob is worst).
-func TestFramedExactBitIdenticalAndCheaperThanGob(t *testing.T) {
-	p := testPartition(3, 10, 2, 2, 8)
-	m := models.NewSoftmax(2, 2, 0)
-	cfg := core.FedProxVR(optim.SARAH, 3, 1, 0.2, 4, 4, 3)
-	cfg.Seed = 11
-
-	run := func(mk func(addr string, id int, shard *data.Dataset) (*Worker, error)) ([]float64, int64) {
-		c, wg := launchFleet(t, p, m, cfg.Seed, mk)
-		defer c.Close()
-		w0 := make([]float64, m.Dim())
-		got, _, err := c.Train(w0, cfg, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Shutdown()
-		wg.Wait()
-		sent, recv := c.Bandwidth()
-		return got, sent + recv
-	}
-	gobModel, gobBytes := run(func(addr string, id int, shard *data.Dataset) (*Worker, error) {
-		return NewGobWorker(addr, id, shard, m, cfg.Seed)
-	})
-	frModel, frBytes := run(func(addr string, id int, shard *data.Dataset) (*Worker, error) {
-		return NewWorker(addr, id, shard, m, cfg.Seed)
-	})
-	for i := range gobModel {
-		if gobModel[i] != frModel[i] {
-			t.Fatalf("framed exact mode differs from gob baseline at %d: %v vs %v",
-				i, frModel[i], gobModel[i])
-		}
-	}
-	if ratio := float64(gobBytes) / float64(frBytes); ratio < 1.8 {
-		t.Fatalf("framed exact mode saved only %.2fx over gob (%d vs %d bytes), want ≥ 1.8x",
-			ratio, frBytes, gobBytes)
-	}
-}
-
-// meterSteadyRound measures the steady-state wire bytes of one round for
-// the whole fleet: a warm-up round absorbs gob's one-time type preamble,
-// then the next rounds are averaged.
-func meterSteadyRound(t *testing.T, c *Coordinator, dim int, cfg core.Config) float64 {
-	t.Helper()
-	// Full-mantissa anchor: an all-zero w0 would flatter gob, which encodes
-	// 0.0 in one byte, and misstate the steady-state baseline.
-	w0 := testVec(99, dim)
-	if _, err := c.Round(1, w0, cfg); err != nil {
-		t.Fatal(err)
-	}
-	s0, r0 := c.Bandwidth()
-	const rounds = 3
-	for round := 2; round <= 1+rounds; round++ {
-		if _, err := c.Round(round, w0, cfg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s1, r1 := c.Bandwidth()
-	return float64((s1-s0)+(r1-r0)) / rounds
-}
-
 // TestCompressedCodecsCutWireBytes is the compression acceptance gate, on
 // the 1010-parameter softmax task where payloads dominate: relative to the
-// gob float64 baseline (countingConn-measured), the topk-delta mode must
-// cut per-round bytes ≥ 10×, int8 ≥ 6× and the framed exact mode must
-// already be cheaper. Ratios are steady-state (warm-up round excluded), so
-// this is the honest per-round number, not a preamble artifact.
+// exact float64 mode (countingConn-measured over whole rounds), int8 must
+// cut per-round bytes ≥ 7× and topk-delta ≥ 11×, and the measured ratio
+// must be the closed-form CompressionRatio.
 func TestCompressedCodecsCutWireBytes(t *testing.T) {
 	p := testPartition(3, 20, 100, 10, 5)
 	m := models.NewSoftmax(100, 10, 0)
 	cfg := core.FedAvg(4, 1, 3, 4, 3)
 	cfg.Seed = 12
+	dim := m.Dim()
+	anchor := testVec(99, dim)
 
-	meter := func(gobWire bool, codec Codec) float64 {
-		mk := func(addr string, id int, shard *data.Dataset) (*Worker, error) {
-			if gobWire {
-				return NewGobWorker(addr, id, shard, m, cfg.Seed)
-			}
-			return NewWorker(addr, id, shard, m, cfg.Seed)
-		}
-		c, wg := launchFleet(t, p, m, cfg.Seed, mk)
+	meter := func(codec Codec) float64 {
+		c, wg := launchTwoPhase(t, p, m, cfg.Seed)
 		defer c.Close()
 		c.SetCodec(codec)
-		perRound := meterSteadyRound(t, c, m.Dim(), cfg)
+		s0, r0 := c.Bandwidth()
+		const rounds = 3
+		for round := 1; round <= rounds; round++ {
+			if _, err := c.Round(round, anchor, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s1, r1 := c.Bandwidth()
 		c.Shutdown()
 		wg.Wait()
-		return perRound
+		return float64((s1-s0)+(r1-r0)) / rounds
 	}
 
-	gobBase := meter(true, CodecFloat64)
-	framed := meter(false, CodecFloat64)
-	int8B := meter(false, CodecInt8)
-	topk := meter(false, CodecTopK)
-
-	if framed >= gobBase {
-		t.Fatalf("framed exact mode moved %v bytes/round ≥ gob %v", framed, gobBase)
-	}
-	if ratio := gobBase / int8B; ratio < 6 {
-		t.Fatalf("int8 saved only %.1fx over gob (%v vs %v bytes/round), want ≥ 6x", ratio, int8B, gobBase)
-	}
-	if ratio := gobBase / topk; ratio < 10 {
-		t.Fatalf("topk-delta saved only %.1fx over gob (%v vs %v bytes/round), want ≥ 10x", ratio, topk, gobBase)
+	exact := meter(CodecFloat64)
+	for _, tc := range []struct {
+		codec Codec
+		min   float64
+	}{{CodecInt8, 7}, {CodecTopK, 11}} {
+		ratio := exact / meter(tc.codec)
+		if ratio < tc.min {
+			t.Fatalf("%v saved only %.1fx over float64, want ≥ %vx", tc.codec, ratio, tc.min)
+		}
+		if want := CompressionRatio(tc.codec, dim, TopKFor(0, dim)); math.Abs(ratio-want) > 1e-9 {
+			t.Fatalf("%v: measured ratio %v, CompressionRatio says %v", tc.codec, ratio, want)
+		}
 	}
 }
 
@@ -249,48 +185,6 @@ func TestCodecMismatchRejected(t *testing.T) {
 	}
 	if faultErr == nil || !strings.Contains(faultErr.Error(), "codec") {
 		t.Fatalf("fault handler saw %v, want a codec mismatch", faultErr)
-	}
-	c.Shutdown()
-	wg.Wait()
-}
-
-// TestMixedFleetInterop: framed and legacy gob workers coexist in one
-// cohort (the wire format is per-connection), and under the float codecs
-// both report models the engine can aggregate.
-func TestMixedFleetInterop(t *testing.T) {
-	p := testPartition(2, 10, 3, 2, 10)
-	m := models.NewSoftmax(3, 2, 0)
-	cfg := core.FedProxVR(optim.SVRG, 3, 1, 0.2, 4, 4, 3)
-	cfg.Seed = 15
-
-	mk := func(addr string, id int, shard *data.Dataset) (*Worker, error) {
-		if id == 0 {
-			return NewGobWorker(addr, id, shard, m, cfg.Seed)
-		}
-		return NewWorker(addr, id, shard, m, cfg.Seed)
-	}
-	c, wg := launchFleet(t, p, m, cfg.Seed, mk)
-	defer c.Close()
-	locals, err := c.Round(1, make([]float64, m.Dim()), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if locals[0] == nil || locals[1] == nil {
-		t.Fatalf("mixed fleet dropped a worker: %v", locals)
-	}
-
-	// An int codec is framed-only: the gob peer must be rejected with a
-	// clear error while the framed peer still reports.
-	c.SetCodec(CodecInt8)
-	locals, err = c.Round(2, make([]float64, m.Dim()), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if locals[0] != nil {
-		t.Fatal("gob worker served an int codec it cannot encode")
-	}
-	if locals[1] == nil {
-		t.Fatal("framed worker dropped under int8")
 	}
 	c.Shutdown()
 	wg.Wait()

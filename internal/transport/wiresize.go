@@ -1,11 +1,5 @@
 package transport
 
-import (
-	"bytes"
-	"encoding/gob"
-	"math/rand"
-)
-
 // Exact wire-size arithmetic for the framed protocol. Because every frame
 // layout is fixed-width (spans and error strings aside), per-round traffic
 // is a closed-form function of (codec, dim, topK) — these helpers are the
@@ -92,50 +86,8 @@ func RoundWireSize(c Codec, dim, topK int, traced bool) int {
 	return RequestWireSize(c, dim, traced) + ReplyWireSize(c, dim, topK)
 }
 
-// GobRoundWireSize measures the legacy gob wire's bytes for one round
-// (request + reply) at the given dim and codec, by encoding representative
-// messages with full-mantissa vectors (gob varint-packs float64s, so
-// round-number values would flatter it). firstRound includes gob's one-time
-// type preamble, which amortizes away on later rounds of a connection.
-func GobRoundWireSize(c Codec, dim int, firstRound bool) int {
-	rng := rand.New(rand.NewSource(1))
-	vec := make([]float64, dim)
-	for i := range vec {
-		vec[i] = rng.NormFloat64()
-	}
-	req := RoundRequest{Round: 1}
-	req.Codec = c
-	req.Anchor, req.Anchor32 = quantize(c, vec)
-	rep := RoundReply{ClientID: 1, Round: 1, GradEvals: 1 << 20, SolveSeconds: 0.123}
-	rep.Local, rep.Local32 = quantize(c, vec)
-
-	measure := func(v interface{}) int {
-		var w bytes.Buffer
-		enc := gob.NewEncoder(&w)
-		if err := enc.Encode(v); err != nil {
-			panic(err)
-		}
-		first := w.Len() // type preamble + one message
-		if firstRound {
-			return first
-		}
-		// A second encode on the same stream carries no type preamble —
-		// that is the steady-state per-message size.
-		if err := enc.Encode(v); err != nil {
-			panic(err)
-		}
-		return w.Len() - first
-	}
-	return measure(&req) + measure(&rep)
-}
-
-// CompressionRatio returns the gob-baseline bytes divided by the framed
-// bytes for one steady-state round at the given codec/dim/topK.
+// CompressionRatio returns the exact-mode (CodecFloat64) bytes divided by
+// codec c's bytes for one round at the given dim/topK.
 func CompressionRatio(c Codec, dim, topK int) float64 {
-	gob := GobRoundWireSize(CodecFloat64, dim, false)
-	framed := RoundWireSize(c, dim, topK, false)
-	if framed == 0 {
-		return 0
-	}
-	return float64(gob) / float64(framed)
+	return float64(RoundWireSize(CodecFloat64, dim, 0, false)) / float64(RoundWireSize(c, dim, topK, false))
 }

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"io"
 	"net"
@@ -20,10 +19,6 @@ import (
 // coordinator, announces its shard size, and serves rounds until told to
 // stop. Its RNG stream derivation matches core.NewDevice, so a distributed
 // run is bit-identical to the in-process simulator with the same seed.
-//
-// Workers speak the framed binary protocol by default; NewGobWorker builds
-// a legacy gob peer (the coordinator auto-detects the format per
-// connection).
 type Worker struct {
 	id     int
 	device *core.Device
@@ -37,19 +32,13 @@ type Worker struct {
 	scratch optim.Scratch
 	local   []float64
 
-	// Framed wire (the default). req/wbuf/dscratch are reusable
-	// decode/encode/delta buffers so the steady-state round loop does not
-	// allocate for the wire.
+	// req/wbuf/dscratch are reusable decode/encode/delta buffers so the
+	// steady-state round loop does not allocate for the wire.
 	fr       frameReader
 	fw       frameWriter
 	req      RoundRequest
 	wbuf     []byte
 	dscratch []float64
-
-	// Legacy gob wire, selected by NewGobWorker.
-	gobWire bool
-	enc     *gob.Encoder
-	dec     *gob.Decoder
 
 	// forced, when forceOn, is the codec the worker replies in regardless
 	// of what the request asked for — a deliberately wrong configuration
@@ -66,7 +55,7 @@ type Worker struct {
 	// coordinator's retry of the same round succeeds (flake-once semantics).
 	flaked map[int]bool
 
-	// Lease (jobs control plane, framed wire): offered in every Hello.
+	// Lease (jobs control plane): offered in every Hello.
 	// When the coordinator answers with a LeaseReject, the worker adopts
 	// the told values before re-dialing — see recvRequest and lost.
 	leaseJob   string
@@ -108,15 +97,7 @@ func (w *Worker) ForceCodec(c Codec) { w.forced, w.forceOn = c, true }
 // bit-identical to the equivalent scripted-dropout run, and survives a
 // coordinator restart the same way.
 func NewWorker(addr string, id int, shard *data.Dataset, m models.Model, seed int64) (*Worker, error) {
-	return newWorker(addr, id, shard, m, seed, nil, false)
-}
-
-// NewGobWorker is NewWorker on the legacy gob wire, kept as a measurable
-// baseline and for compatibility with older coordinators. The gob wire
-// carries only the float codecs; an int/topk request is answered with an
-// application-level error.
-func NewGobWorker(addr string, id int, shard *data.Dataset, m models.Model, seed int64) (*Worker, error) {
-	return newWorker(addr, id, shard, m, seed, nil, true)
+	return newWorker(addr, id, shard, m, seed, nil, "", 0)
 }
 
 // NewChaosWorker is NewWorker with a fault schedule: before solving each
@@ -131,7 +112,7 @@ func NewGobWorker(addr string, id int, shard *data.Dataset, m models.Model, seed
 // 25ms apart) so Crash and Partition events are per-round outages rather
 // than permanent losses; tune with SetRejoin.
 func NewChaosWorker(addr string, id int, shard *data.Dataset, m models.Model, seed int64, sched *chaos.Schedule) (*Worker, error) {
-	return newWorker(addr, id, shard, m, seed, sched, false)
+	return newWorker(addr, id, shard, m, seed, sched, "", 0)
 }
 
 // NewLeasedWorker is NewWorker for the jobs control plane: every Hello
@@ -141,35 +122,27 @@ func NewChaosWorker(addr string, id int, shard *data.Dataset, m models.Model, se
 // to a dead incarnation is fenced out of the next one until it rejoins
 // under the new epoch. Leased workers default to a persistent rejoin
 // policy (40 attempts, 25ms apart — tune with SetRejoin): surviving the
-// coordinator restart is their whole point. Framed wire only.
+// coordinator restart is their whole point.
 func NewLeasedWorker(addr string, id int, shard *data.Dataset, m models.Model, seed int64, jobID string, epoch int64) (*Worker, error) {
-	w := &Worker{
-		id:             id,
-		device:         core.NewDevice(id, shard, m, seed),
-		shard:          shard,
-		addr:           addr,
-		leaseJob:       jobID,
-		leaseEpoch:     epoch,
-		rejoinAttempts: 40,
-		rejoinBackoff:  25 * time.Millisecond,
-	}
-	if err := w.dial(); err != nil {
-		return nil, err
-	}
-	return w, nil
+	return newWorker(addr, id, shard, m, seed, nil, jobID, epoch)
 }
 
-func newWorker(addr string, id int, shard *data.Dataset, m models.Model, seed int64, sched *chaos.Schedule, gobWire bool) (*Worker, error) {
+// newWorker builds and dials a worker. A chaos schedule or a lease turns
+// on the persistent rejoin policy its constructor documents.
+func newWorker(addr string, id int, shard *data.Dataset, m models.Model, seed int64, sched *chaos.Schedule, leaseJob string, leaseEpoch int64) (*Worker, error) {
 	w := &Worker{
-		id:      id,
-		device:  core.NewDevice(id, shard, m, seed),
-		shard:   shard,
-		addr:    addr,
-		sched:   sched,
-		gobWire: gobWire,
+		id:         id,
+		device:     core.NewDevice(id, shard, m, seed),
+		shard:      shard,
+		addr:       addr,
+		sched:      sched,
+		leaseJob:   leaseJob,
+		leaseEpoch: leaseEpoch,
 	}
 	if sched != nil {
 		w.flaked = make(map[int]bool)
+	}
+	if sched != nil || leaseJob != "" || leaseEpoch != 0 {
 		w.rejoinAttempts = 40
 		w.rejoinBackoff = 25 * time.Millisecond
 	}
@@ -188,9 +161,9 @@ func (w *Worker) SetRejoin(attempts int, backoff time.Duration) {
 }
 
 // dial (re)establishes the connection and performs the Hello handshake.
-// The chaos wrapper, when present, must be installed before the wire
-// encoders are built: both formats assume a single uninterrupted stream,
-// so swapping the writer mid-stream would corrupt the protocol.
+// The chaos wrapper, when present, must be installed before the frame
+// reader and writer are built: the wire assumes a single uninterrupted
+// stream, so swapping the writer mid-stream would corrupt the protocol.
 func (w *Worker) dial() error {
 	conn, err := net.Dial("tcp", w.addr)
 	if err != nil {
@@ -201,15 +174,6 @@ func (w *Worker) dial() error {
 	if w.sched != nil {
 		w.cconn = chaos.NewConn(conn)
 		w.conn = w.cconn
-	}
-	if w.gobWire {
-		w.enc = gob.NewEncoder(w.conn)
-		w.dec = gob.NewDecoder(w.conn)
-		if err := w.enc.Encode(&Hello{ClientID: w.id, NumSamples: w.shard.N()}); err != nil {
-			conn.Close()
-			return protocolError("hello", err)
-		}
-		return nil
 	}
 	w.fw = frameWriter{w: w.conn}
 	w.fr = frameReader{r: bufio.NewReader(w.conn)}
@@ -230,14 +194,9 @@ func (w *Worker) dial() error {
 // performs the lease renewal with no extra machinery.
 var errStaleLease = errors.New("transport: lease is stale")
 
-// recvRequest reads the next round request off the wire into w.req
-// (overwriting every field on the framed wire; the gob path decodes into a
-// zeroed struct to match gob's merge-into semantics).
+// recvRequest reads the next round request off the wire into w.req,
+// overwriting every field.
 func (w *Worker) recvRequest() error {
-	if w.gobWire {
-		w.req = RoundRequest{}
-		return w.dec.Decode(&w.req)
-	}
 	typ, payload, err := w.fr.next()
 	if err != nil {
 		return err
@@ -257,23 +216,9 @@ func (w *Worker) recvRequest() error {
 	}
 }
 
-// sendReply writes rep in the connection's wire format. ref is the decoded
-// request anchor, the delta codecs' reference (unused by gob). The gob
-// wire carries only the float codecs; anything else is downgraded to an
-// application-level error reply the coordinator will reject and retry.
+// sendReply encodes and writes rep. ref is the decoded request anchor, the
+// delta codecs' reference.
 func (w *Worker) sendReply(rep *RoundReply, ref []float64) error {
-	if w.gobWire {
-		if rep.Err == "" {
-			switch rep.Codec {
-			case CodecFloat64, CodecFloat32:
-				rep.Local, rep.Local32 = quantize(rep.Codec, rep.Local)
-			default:
-				*rep = RoundReply{ClientID: rep.ClientID, Round: rep.Round,
-					Err: "codec " + rep.Codec.String() + " is not supported on the gob wire"}
-			}
-		}
-		return w.enc.Encode(rep)
-	}
 	w.wbuf, w.dscratch = marshalReply(w.wbuf[:0], rep, ref, w.dscratch, w.req.TopK)
 	return w.fw.writeFrame(w.wbuf)
 }
@@ -310,10 +255,10 @@ func (w *Worker) serveConn() (rejoin bool, err error) {
 		if w.sched != nil {
 			ev, chaotic = w.sched.ActionFor(w.id, req.Round)
 		}
-		// anchor doubles as the delta codecs' reference: the framed wire
-		// fills req.Anchor with the dequantized anchor — by construction
+		// anchor doubles as the delta codecs' reference: the decoder fills
+		// req.Anchor with the dequantized anchor — by construction
 		// bit-identical to the coordinator's codecReference output.
-		anchor := req.AnchorVec()
+		anchor := req.Anchor
 		if chaotic {
 			switch ev.Kind {
 			case chaos.Crash, chaos.Partition:
@@ -379,9 +324,7 @@ func (w *Worker) serveConn() (rejoin bool, err error) {
 				w.sched.CorruptVec(ev, cp)
 				local = cp
 			}
-			// Full precision here; sendReply encodes per rep.Codec (the
-			// framed marshaller quantizes, the gob path falls back to
-			// quantize()).
+			// Full precision here; sendReply encodes per rep.Codec.
 			rep.Local = local
 			rep.GradEvals = w.device.GradEvals()
 		}()
