@@ -12,7 +12,8 @@ import (
 )
 
 // Recorded wire benchmarks (make bench / benchgate): the frame marshal and
-// unmarshal hot paths at the 1010-parameter softmax size, and the full
+// unmarshal hot paths at the 1010-parameter softmax size (plus an exact
+// reply decode at the benchmark fleet's 7850), and the full
 // coordinator↔worker round over loopback TCP. The encoders write into
 // reused buffers and the decoders into reused structs, matching how the
 // coordinator and worker call them, so the allocs/op budgets recorded in
@@ -58,19 +59,21 @@ func BenchmarkFrameEncodeReply(b *testing.B) {
 	local := testVec(4, 1010)
 	rep := RoundReply{ClientID: 1, Round: 5, Codec: CodecTopK, Local: local}
 	var buf []byte
-	var scratch []float64
+	var sc replyScratch
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf, scratch = marshalReply(buf[:0], &rep, ref, scratch, 50)
+		buf = marshalReply(buf[:0], &rep, ref, &sc, 50)
 	}
 	benchBytes = buf
 }
 
-func BenchmarkFrameDecodeReply(b *testing.B) {
-	ref := codecReference(CodecTopK, testVec(3, 1010), nil)
-	frame, _ := marshalReply(nil, &RoundReply{
-		ClientID: 1, Round: 5, Codec: CodecTopK, Local: testVec(4, 1010),
-	}, ref, nil, 50)
+// BenchmarkFrameDecodeReplyF64Dim7850 decodes an exact-mode reply at the
+// benchmark fleet's model size (the 7850-parameter MNIST softmax).
+func BenchmarkFrameDecodeReplyF64Dim7850(b *testing.B) {
+	ref := testVec(3, 7850)
+	frame := marshalReply(nil, &RoundReply{
+		ClientID: 1, Round: 5, Codec: CodecFloat64, Local: testVec(4, 7850),
+	}, ref, new(replyScratch), 0)
 	var rep RoundReply
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -81,40 +84,79 @@ func BenchmarkFrameDecodeReply(b *testing.B) {
 	benchVec = rep.Local
 }
 
-// benchWireRound drives full coordinator↔worker rounds over loopback TCP —
-// frame encode, write, worker solve, reply decode — via the executor path
-// the engine uses (results valid until the next call, no defensive clone).
-func benchWireRound(b *testing.B, codec Codec) {
+func BenchmarkFrameDecodeReply(b *testing.B) {
+	ref := codecReference(CodecTopK, testVec(3, 1010), nil)
+	frame := marshalReply(nil, &RoundReply{
+		ClientID: 1, Round: 5, Codec: CodecTopK, Local: testVec(4, 1010),
+	}, ref, new(replyScratch), 50)
+	var rep RoundReply
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := unmarshalReply(frame[frameHeaderSize:], &rep, ref); err != nil {
+			b.Fatal(err)
+		}
+	}
+	benchVec = rep.Local
+}
+
+// wireRoundFleet connects a 3-worker softmax fleet speaking codec and
+// returns round, which runs one more wire round — frame encode, write,
+// worker solve, reply decode — via the executor path the engine uses
+// (results valid until the next call, no defensive clone), and stop, which
+// shuts the fleet down. The first round, which sizes every buffer, has
+// already run.
+func wireRoundFleet(tb testing.TB, codec Codec) (round, stop func()) {
 	p := testPartition(3, 20, 100, 10, 5)
 	m := models.NewSoftmax(100, 10, 0)
 	cfg := core.FedAvg(4, 1, 1, 4, 1)
 	cfg.Seed = 21
-	c, wg := launchFleet(b, p, m, cfg.Seed, func(addr string, id int, shard *data.Dataset) (*Worker, error) {
+	c, wg := launchFleet(tb, p, m, cfg.Seed, func(addr string, id int, shard *data.Dataset) (*Worker, error) {
 		return NewWorker(addr, id, shard, m, cfg.Seed)
 	})
-	defer c.Close()
 	c.SetCodec(codec)
 	x := c.Executor(cfg.Local)
-	w0 := testVec(9, m.Dim())
-	ctx := context.Background()
-	spec := engine.RoundSpec{Round: 1, Anchor: w0, Selected: []int{0, 1, 2}}
+	spec := engine.RoundSpec{Anchor: testVec(9, m.Dim()), Selected: []int{0, 1, 2}}
 	var res engine.RoundResult
-	if err := x.RunRound(ctx, spec, &res); err != nil {
-		b.Fatal(err)
+	round = func() {
+		spec.Round++
+		if err := x.RunRound(context.Background(), spec, &res); err != nil {
+			tb.Fatal(err)
+		}
 	}
+	round()
+	return round, func() {
+		c.Shutdown()
+		wg.Wait()
+		c.Close()
+	}
+}
+
+func benchWireRound(b *testing.B, codec Codec) {
+	round, stop := wireRoundFleet(b, codec)
+	defer stop()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		spec.Round++
-		if err := x.RunRound(ctx, spec, &res); err != nil {
-			b.Fatal(err)
-		}
+		round()
 	}
 	b.StopTimer()
-	c.Shutdown()
-	wg.Wait()
 }
 
 func BenchmarkWireRoundFloat64(b *testing.B) { benchWireRound(b, CodecFloat64) }
 
 func BenchmarkWireRoundTopK(b *testing.B) { benchWireRound(b, CodecTopK) }
+
+// TestSteadyStateWireRoundAllocs guards the zero-allocation wire round:
+// once the first round has sized every buffer, a round allocates at most
+// once across the coordinator and all its workers (AllocsPerRun counts
+// every goroutine in the process, so the workers' side is included).
+func TestSteadyStateWireRoundAllocs(t *testing.T) {
+	for _, codec := range []Codec{CodecFloat64, CodecTopK} {
+		round, stop := wireRoundFleet(t, codec)
+		allocs := testing.AllocsPerRun(50, round)
+		stop()
+		if allocs > 1 {
+			t.Errorf("%v: a steady-state wire round allocates %v times, want ≤ 1", codec, allocs)
+		}
+	}
+}

@@ -54,6 +54,13 @@ type clientConn struct {
 	jobID string
 	epoch int64
 	dead  bool
+	// The connection's exchange goroutine (serveExchanges) runs its slot of
+	// every round: wake carries the slot's index in the round's selection,
+	// closing quit ends the goroutine (teardown or Close). Both are nil
+	// until the connection is admitted to the cohort.
+	wake chan int
+	quit chan struct{}
+	stop sync.Once
 }
 
 // handshake reads the Hello (or AggHello) frame off a fresh connection. A
@@ -182,6 +189,11 @@ type Coordinator struct {
 	// dequantized anchor the delta codecs decode against.
 	reqFrame []byte
 	refBuf   []float64
+	// rc is the fan-out state of the round in flight, reused round over
+	// round so the steady-state round allocates nothing. exchanges counts
+	// the live per-connection exchange goroutines; Close waits for them.
+	rc        roundCtx
+	exchanges sync.WaitGroup
 
 	mu           sync.Mutex          // guards pending, dead flags cross-goroutine, retired counters
 	rejoined     *sync.Cond          // signaled (on mu) when a replacement connection arrives
@@ -397,10 +409,44 @@ func newCoordinatorOn(ln net.Listener, numClients int, timeout time.Duration, tr
 		c.treeStragglers = make([]int, numClients)
 		c.treeReported = make([]bool, numClients)
 	}
+	for _, cc := range c.clients {
+		c.startExchanges(cc)
+	}
 	// From here the listener serves the rejoin path: a restarted worker
 	// re-Hellos with its old client ID and is adopted at the next round.
 	go c.acceptLoop()
 	return c, nil
+}
+
+// startExchanges gives an admitted connection its exchange goroutine.
+// Called at construction and when a rejoined connection is adopted.
+func (c *Coordinator) startExchanges(cc *clientConn) {
+	cc.wake = make(chan int)
+	cc.quit = make(chan struct{})
+	c.exchanges.Add(1)
+	go c.serveExchanges(cc)
+}
+
+// stopExchanges tells cc's exchange goroutine, if it has one, to exit.
+func (cc *clientConn) stopExchanges() {
+	if cc.quit != nil {
+		cc.stop.Do(func() { close(cc.quit) })
+	}
+}
+
+// serveExchanges is a connection's exchange goroutine: it runs the
+// connection's slot of each round it is woken for, and exits on quit.
+func (c *Coordinator) serveExchanges(cc *clientConn) {
+	defer c.exchanges.Done()
+	for {
+		select {
+		case i := <-cc.wake:
+			c.runSlot(i, cc)
+			c.rc.wg.Done()
+		case <-cc.quit:
+			return
+		}
+	}
 }
 
 // VirtualDevices returns the total device count the tree's shards own
@@ -485,6 +531,7 @@ func (c *Coordinator) adoptRejoined() {
 		c.retiredSent += old.conn.BytesSent()
 		c.retiredRecv += old.conn.BytesReceived()
 		c.clients[id] = cc
+		c.startExchanges(cc)
 		delete(c.pending, id)
 		c.obsRejoins++
 		if c.tracer != nil {
@@ -570,17 +617,32 @@ var errStraggler = errors.New("transport: cut from the round as a straggler")
 // reply was fully read), so the connection survives into the next round.
 var errRoundCut = errors.New("transport: round over before retry")
 
-// roundCtx is the immutable per-round wire state shared by the fan-out
-// goroutines: the request frame encoded once, the reference anchor the
-// delta codecs decode replies against, and the round span shipped worker
-// spans are parented under.
+// roundCtx is the fan-out state of one round, owned by the coordinator and
+// reused across rounds. roundSubset writes it before waking the exchange
+// goroutines; during the fan-out they read the shared fields and write only
+// their own slot of locals, errs and done.
 type roundCtx struct {
 	round  int
 	codec  Codec
 	dim    int
-	spanID uint64
-	frame  []byte    // shared read-only
+	spanID uint64    // the round span shipped worker spans are parented under
+	frame  []byte    // the request frame, encoded once, shared read-only
 	ref    []float64 // dequantized anchor (delta reference), read-only
+	obsOn  bool      // record per-client latencies (RoundSpec.Stats set)
+
+	// Straggler policy: the ctx deadline bounds every exchange, and a
+	// quorum > 0 cuts the round once that many workers have reported.
+	deadline time.Time
+	hasDL    bool
+	quorum   int
+	cut      atomic.Bool
+	reported atomic.Int64
+	done     []atomic.Bool // per slot, set when its exchange ends (quorum only)
+
+	selected []int
+	locals   [][]float64 // per slot: the reported model, nil on failure
+	errs     []error     // per slot: why the worker did not report
+	wg       sync.WaitGroup
 }
 
 // roundSubset runs one round against spec.Selected only (partial
@@ -624,7 +686,6 @@ func (c *Coordinator) roundSubset(ctx context.Context, local optim.LocalConfig, 
 			c.treeReported[i] = false
 		}
 	}
-	roundDL, hasDL := ctx.Deadline()
 	topK := 0
 	if c.codec == CodecTopK {
 		topK = TopKFor(c.topKFrac, len(anchor))
@@ -649,100 +710,47 @@ func (c *Coordinator) roundSubset(ctx context.Context, local optim.LocalConfig, 
 		c.refBuf = codecReference(c.codec, anchor, c.refBuf)
 		ref = c.refBuf
 	}
-	rc := &roundCtx{round: round, codec: c.codec, dim: len(anchor), spanID: req.SpanID, frame: c.reqFrame, ref: ref}
-	errs := make([]error, len(selected))
-	var cut atomic.Bool
-	var wg sync.WaitGroup
+	rc := &c.rc
+	rc.round, rc.codec, rc.dim, rc.spanID = round, c.codec, len(anchor), req.SpanID
+	rc.frame, rc.ref, rc.obsOn = c.reqFrame, ref, obsOn
+	rc.deadline, rc.hasDL = ctx.Deadline()
+	rc.selected, rc.locals = selected, locals
+	rc.errs = resetSlots(rc.errs, len(selected))
+	rc.cut.Store(false)
 
-	// Quorum plumbing: workers signal sig as they report; a watcher cuts
-	// the round at quorum by force-expiring the connections still pending
-	// (their blocked reads fail with a timeout classified as a straggler
-	// cut). done marks finished workers so the watcher leaves them alone.
+	// Quorum: exchanges count themselves in as they report, and the one
+	// that reaches the quorum cuts the round (cutStragglers).
 	inFlight := 0
 	for _, id := range selected {
 		if !c.clients[id].dead {
 			inFlight++
 		}
 	}
-	useQuorum := quorum > 0 && quorum < inFlight
-	var sig chan struct{}
-	var done []atomic.Bool
-	watchDone := make(chan struct{})
-	stopWatch := make(chan struct{})
-	if useQuorum {
-		sig = make(chan struct{}, len(selected))
-		done = make([]atomic.Bool, len(selected))
-		go func() {
-			defer close(watchDone)
-			got := 0
-			for {
-				select {
-				case <-sig:
-					got++
-					if got >= quorum {
-						cut.Store(true)
-						past := time.Now().Add(-time.Hour)
-						for i, id := range selected {
-							if !done[i].Load() {
-								c.clients[id].conn.SetDeadline(past)
-							}
-						}
-						return
-					}
-				case <-stopWatch:
-					return
-				}
-			}
-		}()
-	} else {
-		close(watchDone)
+	rc.quorum = 0
+	if quorum > 0 && quorum < inFlight {
+		rc.quorum = quorum
+		rc.reported.Store(0)
+		rc.done = resetSlots(rc.done, len(selected))
 	}
 
 	for i, id := range selected {
 		cc := c.clients[id]
 		if cc.dead {
-			errs[i] = errWorkerDown
+			rc.errs[i] = errWorkerDown
 			continue
 		}
-		wg.Add(1)
-		go func(i int, cc *clientConn) {
-			defer wg.Done()
-			// The round-trip span covers send → reply (retries included) on
-			// the worker's client lane; ingested solve spans nest inside it
-			// on the timeline even though their tree parent is the round.
-			sp := tr.StartClient(cc.id)
-			defer sp.End()
-			var vec []float64
-			var solve float64
-			var werr error
-			if obsOn {
-				t0 := time.Now()
-				vec, solve, werr = c.askWorker(cc, rc, roundDL, hasDL, &cut)
-				if werr == nil {
-					// Distinct goroutines write distinct i — no lock needed.
-					c.obsLat[i] = obs.ClientStat{
-						ID:           cc.id,
-						Seconds:      time.Since(t0).Seconds(),
-						SolveSeconds: solve,
-					}
-				}
-			} else {
-				vec, _, werr = c.askWorker(cc, rc, roundDL, hasDL, &cut)
-			}
-			if done != nil {
-				done[i].Store(true)
-			}
-			if sig != nil && werr == nil {
-				sig <- struct{}{}
-			}
-			locals[i], errs[i] = vec, werr
-		}(i, cc)
+		rc.wg.Add(1)
+		select {
+		case cc.wake <- i:
+		case <-cc.quit:
+			// Closed under a running round: the slot fails like a dropped
+			// connection.
+			rc.errs[i] = net.ErrClosed
+			rc.wg.Done()
+		}
 	}
-	wg.Wait()
-	close(stopWatch)
-	// Join the watcher before returning: the next round's adoptRejoined may
-	// swap c.clients entries the cut branch indexes.
-	<-watchDone
+	rc.wg.Wait()
+	errs := rc.errs
 
 	teardown := func(cc *clientConn) {
 		if cc.dead {
@@ -750,8 +758,10 @@ func (c *Coordinator) roundSubset(ctx context.Context, local optim.LocalConfig, 
 		}
 		// The stream is unusable after a failed exchange (the framing does
 		// not resynchronize past a partial message): tear the connection
-		// down. The worker rejoins with a fresh Hello.
+		// down. The worker rejoins with a fresh Hello on a new connection,
+		// which gets a new exchange goroutine.
 		cc.conn.Close()
+		cc.stopExchanges()
 		c.mu.Lock()
 		cc.dead = true
 		c.mu.Unlock()
@@ -813,16 +823,67 @@ func (c *Coordinator) roundSubset(ctx context.Context, local optim.LocalConfig, 
 	return nil
 }
 
+// runSlot is one worker's part of the round fan-out, run on its
+// connection's exchange goroutine: the exchange with retries, its latency
+// record, and — under a quorum — the count toward the cut.
+func (c *Coordinator) runSlot(i int, cc *clientConn) {
+	rc := &c.rc
+	// The round-trip span covers send → reply (retries included) on the
+	// worker's client lane; ingested solve spans nest inside it on the
+	// timeline even though their tree parent is the round.
+	sp := c.tracer.StartClient(cc.id)
+	defer sp.End()
+	var t0 time.Time
+	if rc.obsOn {
+		t0 = time.Now()
+	}
+	vec, solve, err := c.askWorker(cc, rc)
+	if rc.obsOn && err == nil {
+		// Distinct goroutines write distinct i — no lock needed.
+		c.obsLat[i] = obs.ClientStat{ID: cc.id, Seconds: time.Since(t0).Seconds(), SolveSeconds: solve}
+	}
+	rc.locals[i], rc.errs[i] = vec, err
+	if rc.quorum > 0 {
+		rc.done[i].Store(true)
+		if err == nil && rc.reported.Add(1) == int64(rc.quorum) {
+			c.cutStragglers(rc)
+		}
+	}
+}
+
+// cutStragglers ends a round at quorum: it force-expires the connections
+// still exchanging, whose blocked reads then fail with a timeout that
+// exchange classifies as a straggler cut. Finished slots are left alone.
+func (c *Coordinator) cutStragglers(rc *roundCtx) {
+	rc.cut.Store(true)
+	past := time.Now().Add(-time.Hour)
+	for i, id := range rc.selected {
+		if !rc.done[i].Load() {
+			c.clients[id].conn.SetDeadline(past)
+		}
+	}
+}
+
+// resetSlots returns s resized to n zero values, reusing its backing array.
+func resetSlots[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // askWorker performs one worker's round exchange with bounded retry.
 // solveSec is the worker-reported local-solve duration of the successful
 // attempt (zero on failure). Retries are abandoned once the round is cut
 // (quorum reached or the round deadline passed) — the reply would be
 // discarded anyway.
-func (c *Coordinator) askWorker(cc *clientConn, rc *roundCtx, roundDL time.Time, hasDL bool, cut *atomic.Bool) (vec []float64, solveSec float64, err error) {
+func (c *Coordinator) askWorker(cc *clientConn, rc *roundCtx) (vec []float64, solveSec float64, err error) {
 	var lastErr error
 	for attempt := 0; attempt <= c.fault.MaxRetries; attempt++ {
 		if attempt > 0 {
-			if cut.Load() || (hasDL && !time.Now().Before(roundDL)) {
+			if rc.cut.Load() || (rc.hasDL && !time.Now().Before(rc.deadline)) {
 				return nil, 0, errRoundCut
 			}
 			c.obsRetries.Add(1)
@@ -833,7 +894,7 @@ func (c *Coordinator) askWorker(cc *clientConn, rc *roundCtx, roundDL time.Time,
 				time.Sleep(c.fault.RetryBackoff)
 			}
 		}
-		vec, solve, err, retriable := c.exchange(cc, rc, roundDL, hasDL, cut)
+		vec, solve, err, retriable := c.exchange(cc, rc)
 		if err == nil {
 			return vec, solve, nil
 		}
@@ -853,14 +914,14 @@ func (c *Coordinator) askWorker(cc *clientConn, rc *roundCtx, roundDL time.Time,
 // round deadline; a timeout attributable to the round deadline or a quorum
 // cut is wrapped in errStraggler so the caller can tell a late worker from
 // a dead one.
-func (c *Coordinator) exchange(cc *clientConn, rc *roundCtx, roundDL time.Time, hasDL bool, cut *atomic.Bool) (vec []float64, solveSec float64, err error, retriable bool) {
+func (c *Coordinator) exchange(cc *clientConn, rc *roundCtx) (vec []float64, solveSec float64, err error, retriable bool) {
 	var dl time.Time
 	if c.timeout > 0 {
 		dl = time.Now().Add(c.timeout)
 	}
 	dlIsRound := false
-	if hasDL && (dl.IsZero() || roundDL.Before(dl)) {
-		dl = roundDL
+	if rc.hasDL && (dl.IsZero() || rc.deadline.Before(dl)) {
+		dl = rc.deadline
 		dlIsRound = true
 	}
 	if !dl.IsZero() {
@@ -872,7 +933,7 @@ func (c *Coordinator) exchange(cc *clientConn, rc *roundCtx, roundDL time.Time, 
 	wrap := func(op string, cause error) error {
 		perr := protocolError(fmt.Sprintf("%s client %d", op, cc.id), cause)
 		var ne net.Error
-		if errors.As(cause, &ne) && ne.Timeout() && (dlIsRound || cut.Load()) {
+		if errors.As(cause, &ne) && ne.Timeout() && (dlIsRound || rc.cut.Load()) {
 			return fmt.Errorf("%w: %v", errStraggler, perr)
 		}
 		return perr
@@ -1229,16 +1290,19 @@ func (c *Coordinator) Shutdown() {
 }
 
 // Close shuts the listener (stopping the rejoin accept loop) and all
-// connections, pending rejoins included.
+// connections, pending rejoins included, and returns once every
+// connection's exchange goroutine has exited.
 func (c *Coordinator) Close() error {
 	err := c.ln.Close()
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	for _, cc := range c.clients {
 		cc.conn.Close()
+		cc.stopExchanges()
 	}
 	for _, cc := range c.pending {
 		cc.conn.Close()
 	}
+	c.mu.Unlock()
+	c.exchanges.Wait()
 	return err
 }

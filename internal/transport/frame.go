@@ -72,9 +72,11 @@ package transport
 //	topk     k(u32) lo(f64) step(f64) 4·k indices 1·k values
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"fedproxvr/internal/optim"
 	"fedproxvr/internal/trace"
@@ -119,11 +121,9 @@ func errFrame(format string, args ...interface{}) error {
 // slice. All methods are branch-free appends; the caller owns the slice.
 type wireBuf struct{ b []byte }
 
-func (w *wireBuf) u8(v byte)     { w.b = append(w.b, v) }
-func (w *wireBuf) u32(v uint32)  { w.b = append(w.b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24)) }
-func (w *wireBuf) u16(v uint16)  { w.b = append(w.b, byte(v), byte(v>>8)) }
-func (w *wireBuf) i32(v int32)   { w.u32(uint32(v)) }
-func (w *wireBuf) f32(v float32) { w.u32(math.Float32bits(v)) }
+func (w *wireBuf) u8(v byte)    { w.b = append(w.b, v) }
+func (w *wireBuf) u32(v uint32) { w.b = append(w.b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24)) }
+func (w *wireBuf) i32(v int32)  { w.u32(uint32(v)) }
 func (w *wireBuf) u64(v uint64) {
 	w.b = append(w.b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
 		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
@@ -138,6 +138,15 @@ func (w *wireBuf) uvarint(v uint64) {
 	w.b = append(w.b, byte(v))
 }
 func (w *wireBuf) bytes(p []byte) { w.b = append(w.b, p...) }
+
+// grow appends n bytes and returns them for the caller to fill: vector
+// bodies are written in one loop over this slice, not one append per
+// element.
+func (w *wireBuf) grow(n int) []byte {
+	off := len(w.b)
+	w.b = slices.Grow(w.b, n)[:off+n]
+	return w.b[off:]
+}
 
 // beginFrame appends the frame header with a zero length to patch later.
 func (w *wireBuf) beginFrame(typ byte) int {
@@ -189,14 +198,6 @@ func (c *wireCursor) u8(what string) byte {
 	return p[0]
 }
 
-func (c *wireCursor) u16(what string) uint16 {
-	p := c.take(2, what)
-	if p == nil {
-		return 0
-	}
-	return uint16(p[0]) | uint16(p[1])<<8
-}
-
 func (c *wireCursor) u32(what string) uint32 {
 	p := c.take(4, what)
 	if p == nil {
@@ -217,7 +218,6 @@ func (c *wireCursor) u64(what string) uint64 {
 func (c *wireCursor) i32(what string) int32   { return int32(c.u32(what)) }
 func (c *wireCursor) i64(what string) int64   { return int64(c.u64(what)) }
 func (c *wireCursor) f64(what string) float64 { return math.Float64frombits(c.u64(what)) }
-func (c *wireCursor) f32(what string) float32 { return math.Float32frombits(c.u32(what)) }
 func (c *wireCursor) uvarint(what string) uint64 {
 	var v uint64
 	for shift := uint(0); shift < 64; shift += 7 {
@@ -253,6 +253,104 @@ func ensureF64(dst []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return dst[:n]
+}
+
+// ---------------------------------------------------------------------------
+// Vector bodies
+//
+// A vector body is length-checked once, up front (vecDownBodySize), and then
+// moved in one loop over the payload slice — never one cursor call per
+// element. The get helpers fill all of dst from p; the put helpers fill p
+// from all of v; both assume the caller sized p for the layout.
+
+// putF64s and getF64s carry the exact codec and the tree's partial sums,
+// the hot path, so they move four elements per bounds check.
+func putF64s(p []byte, v []float64) {
+	p = p[:8*len(v)]
+	for len(v) >= 4 {
+		q := p[:32]
+		binary.LittleEndian.PutUint64(q[0:], math.Float64bits(v[0]))
+		binary.LittleEndian.PutUint64(q[8:], math.Float64bits(v[1]))
+		binary.LittleEndian.PutUint64(q[16:], math.Float64bits(v[2]))
+		binary.LittleEndian.PutUint64(q[24:], math.Float64bits(v[3]))
+		p, v = p[32:], v[4:]
+	}
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(p[8*i:], math.Float64bits(x))
+	}
+}
+
+func putF32s(p []byte, v []float64) {
+	for i, x := range v {
+		binary.LittleEndian.PutUint32(p[4*i:], math.Float32bits(float32(x)))
+	}
+}
+
+// putLevels range-quantizes v, one level per element: a byte under
+// int8Levels, a little-endian u16 under int16Levels.
+func putLevels(p []byte, v []float64, lo, step float64, levels int) {
+	if levels == int8Levels {
+		for i, x := range v {
+			p[i] = byte(quantLevel(x, lo, step, levels))
+		}
+		return
+	}
+	for i, x := range v {
+		binary.LittleEndian.PutUint16(p[2*i:], uint16(quantLevel(x, lo, step, levels)))
+	}
+}
+
+func getF64s(dst []float64, p []byte) {
+	p = p[:8*len(dst)]
+	for len(dst) >= 4 {
+		q := p[:32]
+		dst[0] = math.Float64frombits(binary.LittleEndian.Uint64(q[0:]))
+		dst[1] = math.Float64frombits(binary.LittleEndian.Uint64(q[8:]))
+		dst[2] = math.Float64frombits(binary.LittleEndian.Uint64(q[16:]))
+		dst[3] = math.Float64frombits(binary.LittleEndian.Uint64(q[24:]))
+		p, dst = p[32:], dst[4:]
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
+	}
+}
+
+func getF32s(dst []float64, p []byte) {
+	for i := range dst {
+		dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(p[4*i:])))
+	}
+}
+
+// getLevels dequantizes one level per element of dst (layout as putLevels).
+// A non-nil ref makes it the uplink delta decode: dst[i] = ref[i] + level.
+func getLevels(dst []float64, p []byte, lo, step float64, levels int, ref []float64) {
+	switch {
+	case levels == int8Levels && ref == nil:
+		for i := range dst {
+			dst[i] = dequantLevel(int(p[i]), lo, step)
+		}
+	case levels == int8Levels:
+		for i := range dst {
+			dst[i] = ref[i] + dequantLevel(int(p[i]), lo, step)
+		}
+	case ref == nil:
+		for i := range dst {
+			dst[i] = dequantLevel(int(binary.LittleEndian.Uint16(p[2*i:])), lo, step)
+		}
+	default:
+		for i := range dst {
+			dst[i] = ref[i] + dequantLevel(int(binary.LittleEndian.Uint16(p[2*i:])), lo, step)
+		}
+	}
+}
+
+// codecLevels returns an int codec's quantization level count and the
+// bytes one level takes on the wire (topk quantizes int8).
+func codecLevels(c Codec) (levels, width int) {
+	if c == CodecInt16 {
+		return int16Levels, 2
+	}
+	return int8Levels, 1
 }
 
 // ---------------------------------------------------------------------------
@@ -353,36 +451,30 @@ func marshalVecDown(w *wireBuf, c Codec, v []float64) {
 	w.u32(uint32(len(v)))
 	switch c {
 	case CodecFloat32:
-		for _, x := range v {
-			w.f32(float32(x))
-		}
-	case CodecInt16:
-		lo, step := quantBounds(v, int16Levels)
-		w.f64(lo)
-		w.f64(step)
-		for _, x := range v {
-			w.u16(uint16(quantLevel(x, lo, step, int16Levels)))
-		}
-	case CodecInt8, CodecTopK:
-		lo, step := quantBounds(v, int8Levels)
-		w.f64(lo)
-		w.f64(step)
-		for _, x := range v {
-			w.u8(byte(quantLevel(x, lo, step, int8Levels)))
-		}
+		putF32s(w.grow(4*len(v)), v)
+	case CodecInt16, CodecInt8, CodecTopK:
+		putQuantized(w, v, c)
 	default: // CodecFloat64
-		for _, x := range v {
-			w.f64(x)
-		}
+		putF64s(w.grow(8*len(v)), v)
 	}
+}
+
+// putQuantized writes a range-quantized body under int codec c:
+// lo(f64) step(f64) levels.
+func putQuantized(w *wireBuf, v []float64, c Codec) {
+	levels, width := codecLevels(c)
+	lo, step := quantBounds(v, levels)
+	w.f64(lo)
+	w.f64(step)
+	putLevels(w.grow(width*len(v)), v, lo, step, levels)
 }
 
 // marshalReply appends a RoundReply frame to dst. rep.Local must hold the
 // full-precision local model; ref is the dequantized anchor the delta
 // codecs encode against (it must equal what codecReference produced on the
 // coordinator — on a worker it is simply the decoded request anchor).
-// scratch is a reusable delta buffer, grown as needed and returned.
-func marshalReply(dst []byte, rep *RoundReply, ref, scratch []float64, topK int) ([]byte, []float64) {
+// sc is the encoder's reusable memory (the delta and the top-k selection).
+func marshalReply(dst []byte, rep *RoundReply, ref []float64, sc *replyScratch, topK int) []byte {
 	w := wireBuf{b: dst}
 	body := w.beginFrame(msgRoundReply)
 	var flags byte
@@ -399,12 +491,20 @@ func marshalReply(dst []byte, rep *RoundReply, ref, scratch []float64, topK int)
 		w.uvarint(uint64(len(rep.Err)))
 		w.bytes([]byte(rep.Err))
 		w.endFrame(body)
-		return w.b, scratch
+		return w.b
 	}
 	marshalSpans(&w, rep.Spans)
-	scratch = marshalVecUp(&w, rep.Codec, rep.Local, ref, scratch, topK)
+	marshalVecUp(&w, rep.Codec, rep.Local, ref, sc, topK)
 	w.endFrame(body)
-	return w.b, scratch
+	return w.b
+}
+
+// replyScratch is a reply encoder's reusable memory: the delta against the
+// reference and the top-k selection permutation, both grown to the model
+// size on first use so the steady-state encode allocates nothing.
+type replyScratch struct {
+	delta []float64
+	idx   []int
 }
 
 // marshalSpans appends the shipped-span block shared by RoundReply and
@@ -455,32 +555,16 @@ func unmarshalSpans(c *wireCursor) ([]trace.WireSpan, int, error) {
 // marshalVecUp encodes the local model for the uplink: raw floats in the
 // exact codecs, the range-quantized delta local−ref in the int codecs, and
 // the int8-quantized top-k of that delta in CodecTopK.
-func marshalVecUp(w *wireBuf, c Codec, v, ref, scratch []float64, topK int) []float64 {
+func marshalVecUp(w *wireBuf, c Codec, v, ref []float64, sc *replyScratch, topK int) {
 	w.u32(uint32(len(v)))
 	switch c {
 	case CodecFloat32:
-		for _, x := range v {
-			w.f32(float32(x))
-		}
+		putF32s(w.grow(4*len(v)), v)
 	case CodecInt16, CodecInt8:
-		scratch = deltaInto(scratch, v, ref)
-		levels := int16Levels
-		if c == CodecInt8 {
-			levels = int8Levels
-		}
-		lo, step := quantBounds(scratch, levels)
-		w.f64(lo)
-		w.f64(step)
-		for _, x := range scratch {
-			q := quantLevel(x, lo, step, levels)
-			if c == CodecInt8 {
-				w.u8(byte(q))
-			} else {
-				w.u16(uint16(q))
-			}
-		}
+		sc.delta = deltaInto(sc.delta, v, ref)
+		putQuantized(w, sc.delta, c)
 	case CodecTopK:
-		scratch = deltaInto(scratch, v, ref)
+		sc.delta = deltaInto(sc.delta, v, ref)
 		k := clampTopK(topK, len(v))
 		w.u32(uint32(k))
 		if k == 0 {
@@ -488,22 +572,26 @@ func marshalVecUp(w *wireBuf, c Codec, v, ref, scratch []float64, topK int) []fl
 			w.f64(0)
 			break
 		}
-		sv, _ := TopK(scratch, k) // k ≥ 1 here, so TopK cannot fail
-		lo, step := quantBounds(sv.Values, int8Levels)
+		sc.idx = selectTopK(sc.delta, k, sc.idx)
+		kept := sc.idx[:k]
+		// Compact the kept values to the front of the delta in place: kept
+		// is ascending and distinct, so kept[i] ≥ i and every slot written
+		// has already been read.
+		vals := sc.delta[:k]
+		for i, j := range kept {
+			vals[i] = sc.delta[j]
+		}
+		lo, step := quantBounds(vals, int8Levels)
 		w.f64(lo)
 		w.f64(step)
-		for _, idx := range sv.Indices {
-			w.u32(uint32(idx))
+		p := w.grow(5 * k)
+		for i, j := range kept {
+			binary.LittleEndian.PutUint32(p[4*i:], uint32(j))
 		}
-		for _, x := range sv.Values {
-			w.u8(byte(quantLevel(x, lo, step, int8Levels)))
-		}
+		putLevels(p[4*k:], vals, lo, step, int8Levels)
 	default: // CodecFloat64
-		for _, x := range v {
-			w.f64(x)
-		}
+		putF64s(w.grow(8*len(v)), v)
 	}
-	return scratch
 }
 
 // marshalPartialSum appends a PartialSum frame to dst. ps.Sum must hold
@@ -533,9 +621,7 @@ func marshalPartialSum(dst []byte, ps *PartialSum) []byte {
 	w.f64(ps.Weight)
 	marshalSpans(&w, ps.Spans)
 	w.u32(uint32(len(ps.Sum)))
-	for _, x := range ps.Sum {
-		w.f64(x)
-	}
+	putF64s(w.grow(8*len(ps.Sum)), ps.Sum)
 	w.endFrame(body)
 	return w.b
 }
@@ -651,9 +737,7 @@ func unmarshalPartialSum(p []byte, ps *PartialSum) error {
 		return errFrame("partial sum body short: dim %d needs %d bytes, have %d", dim, 8*dim, len(c.b)-c.off)
 	}
 	ps.Sum = ensureF64(ps.Sum, dim)
-	for i := range ps.Sum {
-		ps.Sum[i] = c.f64("partial sum f64")
-	}
+	getF64s(ps.Sum, c.take(8*dim, "partial sum"))
 	return c.done()
 }
 
@@ -713,27 +797,24 @@ func unmarshalVecDown(c *wireCursor, codec Codec, dst []float64) ([]float64, err
 		return dst, errFrame("vector body short: dim %d needs %d bytes, have %d", dim, need, len(c.b)-c.off)
 	}
 	dst = ensureF64(dst, dim)
+	getVec(c, codec, dst, nil)
+	return dst, c.err
+}
+
+// getVec decodes a dense vector body of codec into all of dst; the int
+// codecs add ref (the uplink delta reference; nil on the downlink). The
+// caller has checked that the body fits.
+func getVec(c *wireCursor, codec Codec, dst, ref []float64) {
 	switch codec {
 	case CodecFloat32:
-		for i := range dst {
-			dst[i] = float64(c.f32("vector f32"))
-		}
-	case CodecInt16:
+		getF32s(dst, c.take(4*len(dst), "vector f32"))
+	case CodecInt16, CodecInt8, CodecTopK:
 		lo, step := c.f64("quant lo"), c.f64("quant step")
-		for i := range dst {
-			dst[i] = dequantLevel(int(c.u16("vector i16")), lo, step)
-		}
-	case CodecInt8, CodecTopK:
-		lo, step := c.f64("quant lo"), c.f64("quant step")
-		for i := range dst {
-			dst[i] = dequantLevel(int(c.u8("vector i8")), lo, step)
-		}
+		levels, width := codecLevels(codec)
+		getLevels(dst, c.take(width*len(dst), "vector levels"), lo, step, levels, ref)
 	default:
-		for i := range dst {
-			dst[i] = c.f64("vector f64")
-		}
+		getF64s(dst, c.take(8*len(dst), "vector f64"))
 	}
-	return dst, c.err
 }
 
 // unmarshalReply decodes a RoundReply payload into rep, overwriting every
@@ -784,35 +865,12 @@ func unmarshalVecUp(c *wireCursor, codec Codec, dst, ref []float64) ([]float64, 
 		return dst, errFrame("delta codec %v needs a %d-dim reference anchor, have %d", codec, dim, len(ref))
 	}
 	switch codec {
-	case CodecFloat32, CodecFloat64:
+	case CodecFloat32, CodecFloat64, CodecInt16, CodecInt8:
 		if need := vecDownBodySize(codec, dim); c.off+need > len(c.b) {
 			return dst, errFrame("vector body short: dim %d needs %d bytes, have %d", dim, need, len(c.b)-c.off)
 		}
 		dst = ensureF64(dst, dim)
-		if codec == CodecFloat32 {
-			for i := range dst {
-				dst[i] = float64(c.f32("vector f32"))
-			}
-		} else {
-			for i := range dst {
-				dst[i] = c.f64("vector f64")
-			}
-		}
-	case CodecInt16, CodecInt8:
-		if need := vecDownBodySize(codec, dim); c.off+need > len(c.b) {
-			return dst, errFrame("vector body short: dim %d needs %d bytes, have %d", dim, need, len(c.b)-c.off)
-		}
-		dst = ensureF64(dst, dim)
-		lo, step := c.f64("quant lo"), c.f64("quant step")
-		if codec == CodecInt16 {
-			for i := range dst {
-				dst[i] = ref[i] + dequantLevel(int(c.u16("vector i16")), lo, step)
-			}
-		} else {
-			for i := range dst {
-				dst[i] = ref[i] + dequantLevel(int(c.u8("vector i8")), lo, step)
-			}
-		}
+		getVec(c, codec, dst, ref)
 	case CodecTopK:
 		k := int(c.u32("topk count"))
 		if c.err != nil {
@@ -824,16 +882,16 @@ func unmarshalVecUp(c *wireCursor, codec Codec, dst, ref []float64) ([]float64, 
 		dst = ensureF64(dst, dim)
 		copy(dst, ref)
 		lo, step := c.f64("quant lo"), c.f64("quant step")
-		idx := make([]int, k)
-		for i := range idx {
-			j := int(c.u32("topk index"))
-			if j < 0 || j >= dim {
+		body := c.take(5*k, "topk body")
+		idx, vals := body[:4*k], body[4*k:]
+		// Every index is checked before any is applied.
+		for i := 0; i < k; i++ {
+			if j := binary.LittleEndian.Uint32(idx[4*i:]); j >= uint32(dim) {
 				return dst, errFrame("topk index %d outside dim %d", j, dim)
 			}
-			idx[i] = j
 		}
-		for _, j := range idx {
-			dst[j] += dequantLevel(int(c.u8("topk value")), lo, step)
+		for i, q := range vals {
+			dst[binary.LittleEndian.Uint32(idx[4*i:])] += dequantLevel(int(q), lo, step)
 		}
 	default:
 		return dst, errFrame("unknown codec %d", codec)
@@ -855,14 +913,16 @@ func (fw *frameWriter) writeFrame(frame []byte) error {
 }
 
 // frameReader reads frames off a buffered connection into a reusable
-// payload buffer (valid until the next call).
+// payload buffer (valid until the next call). The header array lives in
+// the struct: a local one escapes through io.ReadFull on every frame.
 type frameReader struct {
 	r   *bufio.Reader
 	buf []byte
+	hdr [frameHeaderSize]byte
 }
 
 func (fr *frameReader) next() (typ byte, payload []byte, err error) {
-	var hdr [frameHeaderSize]byte
+	hdr := &fr.hdr
 	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
 		return 0, nil, err
 	}

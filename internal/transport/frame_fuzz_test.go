@@ -23,7 +23,7 @@ func FuzzFrameDecode(f *testing.F) {
 		req := marshalRequest(nil, &RoundRequest{Round: 3, Codec: codec, Anchor: anchor, TopK: 4})
 		f.Add(req)
 		ref := codecReference(codec, anchor, nil)
-		rep, _ := marshalReply(nil, &RoundReply{ClientID: 1, Round: 3, Codec: codec, Local: ref}, ref, nil, 4)
+		rep := marshalReply(nil, &RoundReply{ClientID: 1, Round: 3, Codec: codec, Local: ref}, ref, new(replyScratch), 4)
 		f.Add(rep)
 		f.Add(req[:len(req)-3])
 		f.Add(append(append([]byte(nil), rep...), 0x7F))
@@ -31,7 +31,7 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(marshalHello(nil, &Hello{ClientID: 9, NumSamples: 100}))
 	done := marshalRequest(nil, &RoundRequest{Done: true})
 	f.Add(done)
-	errRep, _ := marshalReply(nil, &RoundReply{ClientID: 2, Round: 1, Err: "boom"}, nil, nil, 0)
+	errRep := marshalReply(nil, &RoundReply{ClientID: 2, Round: 1, Err: "boom"}, nil, new(replyScratch), 0)
 	f.Add(errRep)
 	// A frame whose length prefix claims more than the stream holds.
 	f.Add([]byte{frameMagic, msgRoundReply, 0xF0, 0xFF, 0x00, 0x00, 1, 2, 3})

@@ -170,7 +170,7 @@ func TestReplyRoundTrip(t *testing.T) {
 			topK := clampTopK(dim/4, dim)
 			rep := RoundReply{ClientID: 3, Round: 9, Codec: codec, Local: local,
 				GradEvals: 987654321, SolveSeconds: 0.25}
-			frame, _ := marshalReply(nil, &rep, ref, nil, topK)
+			frame := marshalReply(nil, &rep, ref, new(replyScratch), topK)
 			if want := ReplyWireSize(codec, dim, topK); len(frame) != want {
 				t.Fatalf("%v dim %d: frame %d bytes, ReplyWireSize %d", codec, dim, len(frame), want)
 			}
@@ -241,7 +241,7 @@ func spreadSparse(sv *SparseVec) float64 {
 
 func TestReplyErrorAndSpansRoundTrip(t *testing.T) {
 	rep := RoundReply{ClientID: 7, Round: 4, Codec: CodecInt8, Err: "injected flake"}
-	frame, _ := marshalReply(nil, &rep, nil, nil, 0)
+	frame := marshalReply(nil, &rep, nil, new(replyScratch), 0)
 	var got RoundReply
 	if err := unmarshalReply(frame[frameHeaderSize:], &got, nil); err != nil {
 		t.Fatal(err)
@@ -260,7 +260,7 @@ func TestReplyErrorAndSpansRoundTrip(t *testing.T) {
 	}
 	ref := testVec(5, 16)
 	rep = RoundReply{ClientID: 1, Round: 2, Codec: CodecFloat64, Local: testVec(6, 16), Spans: spans}
-	frame, _ = marshalReply(frame[:0], &rep, ref, nil, 0)
+	frame = marshalReply(frame[:0], &rep, ref, new(replyScratch), 0)
 	if err := unmarshalReply(frame[frameHeaderSize:], &got, ref); err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestFrameDecoderRejectsMalformed(t *testing.T) {
 	reqFrame := marshalRequest(nil, &RoundRequest{Round: 1, Codec: CodecInt8, Anchor: anchor, TopK: 3})
 	rep := RoundReply{ClientID: 1, Round: 1, Codec: CodecTopK, Local: testVec(4, 10)}
 	ref := codecReference(CodecTopK, anchor, nil)
-	repFrame, _ := marshalReply(nil, &rep, ref, nil, 3)
+	repFrame := marshalReply(nil, &rep, ref, new(replyScratch), 3)
 
 	for n := 0; n < len(reqFrame)-frameHeaderSize; n++ {
 		var r RoundRequest
@@ -388,7 +388,7 @@ func TestWireSizeHelpers(t *testing.T) {
 			ref := codecReference(codec, anchor, nil)
 			topK := TopKFor(0.05, dim)
 			reqF := marshalRequest(nil, &RoundRequest{Round: 2, Codec: codec, Anchor: anchor, TopK: topK})
-			repF, _ := marshalReply(nil, &RoundReply{ClientID: 0, Round: 2, Codec: codec, Local: ref}, ref, nil, topK)
+			repF := marshalReply(nil, &RoundReply{ClientID: 0, Round: 2, Codec: codec, Local: ref}, ref, new(replyScratch), topK)
 			if got, want := len(reqF)+len(repF), RoundWireSize(codec, dim, topK, false); got != want {
 				t.Fatalf("%v dim %d: encoders moved %d bytes, RoundWireSize says %d", codec, dim, got, want)
 			}

@@ -2,7 +2,7 @@ package transport
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // SparseVec is a top-k sparsified model update: only the k
@@ -25,17 +25,7 @@ func TopK(w []float64, k int) (*SparseVec, error) {
 	if k > len(w) {
 		k = len(w)
 	}
-	idx := make([]int, len(w))
-	for i := range idx {
-		idx[i] = i
-	}
-	// Partial selection via quickselect is expected O(n) vs O(n log n) for a
-	// full sort, and deterministic: the order (|w| descending, index
-	// ascending on ties) is strict, and the median-of-three pivot choice
-	// involves no randomness, so the kept set is a pure function of w and k.
-	quickselect(w, idx, k)
-	kept := idx[:k]
-	sort.Ints(kept)
+	kept := selectTopK(w, k, nil)[:k]
 	sv := &SparseVec{
 		Dim:     len(w),
 		Indices: make([]int32, k),
@@ -46,6 +36,27 @@ func TopK(w []float64, k int) (*SparseVec, error) {
 		sv.Values[i] = w[j]
 	}
 	return sv, nil
+}
+
+// selectTopK is TopK's selection over a reusable permutation: it returns
+// idx (grown to len(w)) with idx[:k] holding the kept coordinates in
+// ascending index order, 1 ≤ k ≤ len(w). The wire encoder calls it with
+// the same buffer every round.
+func selectTopK(w []float64, k int, idx []int) []int {
+	if cap(idx) < len(w) {
+		idx = make([]int, len(w))
+	}
+	idx = idx[:len(w)]
+	for i := range idx {
+		idx[i] = i
+	}
+	// Partial selection via quickselect is expected O(n) vs O(n log n) for a
+	// full sort, and deterministic: the order (|w| descending, index
+	// ascending on ties) is strict, and the median-of-three pivot choice
+	// involves no randomness, so the kept set is a pure function of w and k.
+	quickselect(w, idx, k)
+	slices.Sort(idx[:k])
+	return idx
 }
 
 // Dense reconstructs the full vector (zeros elsewhere).

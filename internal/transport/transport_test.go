@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"fedproxvr/internal/chaos"
 	"fedproxvr/internal/core"
 	"fedproxvr/internal/data"
 	"fedproxvr/internal/engine"
@@ -592,16 +593,86 @@ func TestHandshakeRejectsForeignPeers(t *testing.T) {
 	wg.Wait()
 }
 
+// cyclesLeaveNoGoroutines runs one fleet cycle to start the process-wide
+// pools it uses (the tensor kernel pool starts on the first solve), then
+// checks n more leave no goroutine behind. The rejoin accept loop exits on
+// its own once Close shuts the listener, hence the grace period.
+func cyclesLeaveNoGoroutines(t *testing.T, n int, cycle func()) {
+	t.Helper()
+	cycle()
+	testx.NoGoroutineGrowth(t, n, 5*time.Second, cycle)
+}
+
 // TestFleetCycleLeavesNoGoroutines: launch → Train → Shutdown → Close
-// leaves nothing behind — no worker, fan-out, quorum-watcher or rejoin
+// leaves nothing behind — no worker, per-connection exchange or rejoin
 // accept goroutine outlives its fleet.
 func TestFleetCycleLeavesNoGoroutines(t *testing.T) {
 	p := testPartition(2, 10, 3, 2, 6)
 	m := models.NewSoftmax(3, 2, 0)
 	cfg := core.FedAvg(5, 1, 2, 2, 2)
-	testx.NoGoroutineGrowth(t, 3, 5*time.Second, func() {
+	cyclesLeaveNoGoroutines(t, 3, func() {
 		c, wg := launchTwoPhase(t, p, m, 1)
 		if _, _, err := c.Train(make([]float64, m.Dim()), cfg, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		c.Shutdown()
+		wg.Wait()
+		c.Close()
+	})
+}
+
+// TestRejoinCycleLeavesNoGoroutines: a chaos crash tears a connection down
+// (ending its exchange goroutine), the worker rejoins and is adopted (a new
+// exchange goroutine), and Close ends everything — no goroutine outlives
+// the cycle, the rejoin handshake's included.
+func TestRejoinCycleLeavesNoGoroutines(t *testing.T) {
+	const crashRound = 2
+	p := testPartition(2, 10, 3, 2, 6)
+	m := models.NewSoftmax(3, 2, 0)
+	cfg := core.FedAvg(5, 1, 2, 2, 4)
+	sched := &chaos.Schedule{Events: []chaos.Event{{Device: 1, Round: crashRound, Kind: chaos.Crash}}}
+	if err := sched.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	cyclesLeaveNoGoroutines(t, 2, func() {
+		c, wg := launchTracedWorkers(t, p, m, 1, map[int]*chaos.Schedule{1: sched})
+		eng, err := c.Engine(make([]float64, m.Dim()), cfg, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var last []int
+		eng.OnRound(func(info engine.RoundInfo) error {
+			last = info.Participants
+			if info.Round == crashRound {
+				return c.AwaitRejoin(1, 5*time.Second)
+			}
+			return nil
+		})
+		if _, err := eng.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if len(last) != 2 {
+			t.Fatalf("final round saw %v: the crashed worker was never adopted back", last)
+		}
+		c.Shutdown()
+		wg.Wait()
+		c.Close()
+	})
+}
+
+// TestTreeCycleLeavesNoGoroutines: the same guarantee for a tree
+// coordinator over aggregator nodes.
+func TestTreeCycleLeavesNoGoroutines(t *testing.T) {
+	p := testPartition(6, 10, 3, 3, 6)
+	m := models.NewSoftmax(3, 3, 0)
+	cfg := core.FedAvg(5, 1, 2, 2, 3)
+	cyclesLeaveNoGoroutines(t, 2, func() {
+		c, wg := launchTree(t, p, m, 1, 3, nil)
+		eng, err := c.TreeEngine(make([]float64, m.Dim()), cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		c.Shutdown()

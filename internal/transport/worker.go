@@ -32,13 +32,13 @@ type Worker struct {
 	scratch optim.Scratch
 	local   []float64
 
-	// req/wbuf/dscratch are reusable decode/encode/delta buffers so the
-	// steady-state round loop does not allocate for the wire.
-	fr       frameReader
-	fw       frameWriter
-	req      RoundRequest
-	wbuf     []byte
-	dscratch []float64
+	// req/wbuf/sc are reusable decode/encode buffers so the steady-state
+	// round loop does not allocate for the wire.
+	fr   frameReader
+	fw   frameWriter
+	req  RoundRequest
+	wbuf []byte
+	sc   replyScratch
 
 	// forced, when forceOn, is the codec the worker replies in regardless
 	// of what the request asked for — a deliberately wrong configuration
@@ -219,7 +219,7 @@ func (w *Worker) recvRequest() error {
 // sendReply encodes and writes rep. ref is the decoded request anchor, the
 // delta codecs' reference.
 func (w *Worker) sendReply(rep *RoundReply, ref []float64) error {
-	w.wbuf, w.dscratch = marshalReply(w.wbuf[:0], rep, ref, w.dscratch, w.req.TopK)
+	w.wbuf = marshalReply(w.wbuf[:0], rep, ref, &w.sc, w.req.TopK)
 	return w.fw.writeFrame(w.wbuf)
 }
 
