@@ -115,12 +115,14 @@ soak-restart:
 # of a ten-device CNN runner (NewRunnerCNN10), plus the batched
 # NN kernels (forward/backward, minibatch gradient, full inner solve), the
 # transport top-k selector, the wire-frame marshal/unmarshal paths, the
-# end-to-end TCP round (exact and topk-delta codecs), and one server-side
-# measurement of the paper's convex scenario. bench and benchgate
+# end-to-end TCP round (exact and topk-delta codecs), one server-side
+# measurement of the paper's convex scenario, and the GEMM kernels and
+# Softmax gradient at the shapes the benchmark's models hit (GemmShape*,
+# SoftmaxGradB32). bench and benchgate
 # must agree on this set, so a benchmark in the snapshot is never silently
 # absent from the gate run.
-BENCH_PATTERN := RoundAllocs|Ablation|NewRunnerCNN10|NNBatch|NNMinibatch|NNInnerSolve|TopK|Frame|WireRound|EvaluatorMeasure
-BENCH_PKGS := . ./internal/engine ./internal/nn ./internal/models ./internal/optim ./internal/transport
+BENCH_PATTERN := RoundAllocs|Ablation|NewRunnerCNN10|NNBatch|NNMinibatch|NNInnerSolve|TopK|Frame|WireRound|EvaluatorMeasure|GemmShape|SoftmaxGradB32
+BENCH_PKGS := . ./internal/engine ./internal/nn ./internal/models ./internal/optim ./internal/transport ./internal/tensor
 
 # bench runs the recorded benchmark set three times and snapshots the
 # results as BENCH_engine.json (JSONL; one record per output line, raw text

@@ -243,6 +243,25 @@ func BenchmarkSoftmaxGrad784x10(b *testing.B) {
 	}
 }
 
+// BenchmarkSoftmaxGradB32 is one convex inner-loop step at the benchmark's
+// shape: a 32-row minibatch of 60 features over 10 classes.
+func BenchmarkSoftmaxGradB32(b *testing.B) {
+	ds := classificationDataset(256, 60, 10, 1)
+	m := NewSoftmax(60, 10, 0)
+	w := make([]float64, m.Dim())
+	randx.NormalVec(randx.New(2), w, 0, 0.1)
+	g := make([]float64, m.Dim())
+	idx := make([]int, 32)
+	for i := range idx {
+		idx[i] = (i * 7) % ds.N()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Grad(g, w, ds, idx)
+	}
+}
+
 func BenchmarkCNNGradSingleSample(b *testing.B) {
 	ds := classificationDataset(4, 784, 10, 2)
 	m := NewPaperCNN(10, 8, 0)

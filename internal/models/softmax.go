@@ -41,14 +41,15 @@ func NewSoftmax(d, classes int, l2 float64) *Softmax {
 func (m *Softmax) Dim() int { return m.Classes*m.Features + m.Classes }
 
 // forwardChunk fills m.logits[:b*Classes] with the affine scores of the
-// chunk [lo, lo+b): logits = X·Wᵀ + 1·bᵀ.
-func (m *Softmax) forwardChunk(w []float64, ds *data.Dataset, idx []int, lo, b int) tensor.Mat {
+// chunk [lo, lo+b): logits = X·Wᵀ + 1·bᵀ. It returns the logits and X, the
+// chunk's rows (gathered into m.xbuf, or the dataset's own on idx == nil).
+func (m *Softmax) forwardChunk(w []float64, ds *data.Dataset, idx []int, lo, b int) (lm, x tensor.Mat) {
 	nw := m.Classes * m.Features
-	x := gatherRows(ds, idx, lo, b, m.xbuf)
-	lm := tensor.MatOf(b, m.Classes, m.logits[:b*m.Classes])
-	m.par.GemmNT(1, tensor.MatOf(b, m.Features, x), tensor.MatOf(m.Classes, m.Features, w[:nw]), 0, lm)
+	x = tensor.MatOf(b, m.Features, gatherRows(ds, idx, lo, b, m.xbuf))
+	lm = tensor.MatOf(b, m.Classes, m.logits[:b*m.Classes])
+	m.par.GemmNT(1, x, tensor.MatOf(m.Classes, m.Features, w[:nw]), 0, lm)
 	tensor.AddRowVec(lm, w[nw:])
-	return lm
+	return lm, x
 }
 
 // Loss implements Model.
@@ -60,7 +61,7 @@ func (m *Softmax) Loss(w []float64, ds *data.Dataset, idx []int) float64 {
 	var sum float64
 	for lo := 0; lo < n; lo += gradChunk {
 		b := min(gradChunk, n-lo)
-		lm := m.forwardChunk(w, ds, idx, lo, b)
+		lm, _ := m.forwardChunk(w, ds, idx, lo, b)
 		for r := 0; r < b; r++ {
 			row := lm.Row(r)
 			sum += mathx.LogSumExp(row) - row[chunkLabel(ds, idx, lo, r)]
@@ -82,17 +83,14 @@ func (m *Softmax) Grad(grad, w []float64, ds *data.Dataset, idx []int) {
 	dw := tensor.MatOf(m.Classes, m.Features, grad[:nw])
 	for lo := 0; lo < n; lo += gradChunk {
 		b := min(gradChunk, n-lo)
-		lm := m.forwardChunk(w, ds, idx, lo, b)
+		lm, x := m.forwardChunk(w, ds, idx, lo, b)
 		for r := 0; r < b; r++ {
 			row := lm.Row(r)
 			mathx.SoftmaxInPlace(row)
 			row[chunkLabel(ds, idx, lo, r)] -= 1
 			mathx.Scal(inv, row)
 		}
-		// x is still the gathered chunk from forwardChunk (or the zero-copy
-		// dataset view on the idx == nil path).
-		x := gatherRows(ds, idx, lo, b, m.xbuf)
-		m.par.GemmTN(1, lm, tensor.MatOf(b, m.Features, x), 1, dw)
+		m.par.GemmTN(1, lm, x, 1, dw)
 		tensor.ColSumsAcc(grad[nw:], lm)
 	}
 	addL2(m.L2, w, grad)
@@ -116,7 +114,7 @@ func (m *Softmax) Predict(w, x []float64) int {
 func (m *Softmax) PredictBatch(pred []int, w []float64, ds *data.Dataset, lo, hi int) {
 	for ; lo < hi; lo += gradChunk {
 		b := min(gradChunk, hi-lo)
-		lm := m.forwardChunk(w, ds, nil, lo, b)
+		lm, _ := m.forwardChunk(w, ds, nil, lo, b)
 		for r := 0; r < b; r++ {
 			pred[r] = mathx.ArgMax(lm.Row(r))
 		}

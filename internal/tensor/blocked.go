@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Mat is a dense row-major matrix view held by value, the currency of the
 // blocked kernels below. Unlike *Matrix it never owns its backing array and
@@ -49,42 +52,85 @@ func GemmNN(alpha float64, a, b Mat, beta float64, c Mat) {
 
 // GemmNNRows is GemmNN restricted to output rows [lo, hi). beta is applied
 // to those rows only.
-//
-// Output rows are processed four at a time so each streamed row of B is
-// reused fourfold while hot in cache; every element still reduces over k in
-// ascending order, so results are bit-identical to the one-row-at-a-time
-// loop.
 func GemmNNRows(alpha float64, a, b Mat, beta float64, c Mat, lo, hi int) {
-	n := b.Cols
 	scaleRows(beta, c, lo, hi)
+	gemmAxpy(alpha, a.Data, a.Cols, 1, a.Cols, b, c, lo, hi)
+}
+
+// gemmAxpy is the body GemmNNRows and GemmTNRows share once beta is
+// applied: for every output row i in [lo, hi) and every k < kn in ascending
+// order it adds (alpha·A(i,k))·B[k,:] to C[i,:], skipping A(i,k) == 0,
+// where A(i,k) = a[i*rs+k*ks]. Each element of C therefore sees one
+// multiply-add per nonzero term in ascending k, whichever path computes it.
+//
+// Output rows go four at a time so each streamed row of B is reused
+// fourfold. With AVX2 the first n&^3 columns of a four-row block are one
+// register-tiled axpyTileSIMD call, which keeps its slice of C in registers
+// for the whole k loop and does per element exactly what axpySIMD does; the
+// columns and rows a tile does not cover take axpyRow on sub-slices. A wide
+// block whose A is sparse skips the tile (see tilePays); which path runs
+// never changes a bit.
+func gemmAxpy(alpha float64, a []float64, rs, ks, kn int, b, c Mat, lo, hi int) {
+	n := b.Cols
+	tiled := 0 // columns [0, tiled) of a dense four-row block are register-tiled
+	if simdEnabled && kn > 0 {
+		tiled = n &^ 3
+	}
 	i := lo
 	for ; i+4 <= hi; i += 4 {
-		a0, a1, a2, a3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
-		c0, c1, c2, c3 := c.Row(i), c.Row(i+1), c.Row(i+2), c.Row(i+3)
-		for k := 0; k < a.Cols; k++ { // k ascending: fixed reduction order
-			brow := b.Data[k*n : (k+1)*n]
-			if av := a0[k]; av != 0 {
-				axpyRow(alpha*av, brow, c0)
-			}
-			if av := a1[k]; av != 0 {
-				axpyRow(alpha*av, brow, c1)
-			}
-			if av := a2[k]; av != 0 {
-				axpyRow(alpha*av, brow, c2)
-			}
-			if av := a3[k]; av != 0 {
-				axpyRow(alpha*av, brow, c3)
-			}
+		j0 := 0
+		if tiled > 0 && tilePays(a, rs, ks, kn, n, i) {
+			// The slice expressions bound everything the kernel touches.
+			axpyTileSIMD(alpha, a[i*rs:(i+3)*rs+(kn-1)*ks+1], rs, ks, kn,
+				b.Data[:(kn-1)*n+tiled], c.Data[i*n:(i+3)*n+tiled], n, tiled)
+			j0 = tiled
+		}
+		axpyRows(alpha, a, rs, ks, kn, b, c, i, i+4, j0)
+	}
+	axpyRows(alpha, a, rs, ks, kn, b, c, i, hi, 0)
+}
+
+// tilePays reports whether the register tile beats the per-row path on the
+// four rows at i of an n-column output. The tile skips a zero A(i,k) with a
+// branch in each of its n/8 column tiles, which mispredicts when zeros are
+// common and scattered (the ReLU-masked dY of a dense layer's backward pass
+// is about half zeros); the per-row path pays one axpyRow call per nonzero
+// term and nothing per zero. Measured on random A, the tile wins while the
+// zero fraction times n stays under about 160: any fraction for n ≤ 160,
+// about 20 % at n = 784. The fraction is sampled over the first 16 k,
+// counted branch-free so the count does not mispredict on the same data.
+func tilePays(a []float64, rs, ks, kn, n, i int) bool {
+	if n <= 160 {
+		return true
+	}
+	m := min(kn, 16)
+	zeros := 0
+	for k := 0; k < m; k++ {
+		p := i*rs + k*ks
+		for r := 0; r < 4; r++ {
+			y := math.Float64bits(a[p+r*rs]) << 1 // 0 iff ±0
+			zeros += int((y|-y)>>63) ^ 1
 		}
 	}
-	for ; i < hi; i++ {
-		crow := c.Row(i)
-		arow := a.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
+	return zeros*n <= 160*4*m
+}
+
+// axpyRows is gemmAxpy's reference form on rows [r0, r1) and columns
+// [j0, n): one axpyRow per nonzero A(i,k), k ascending.
+func axpyRows(alpha float64, a []float64, rs, ks, kn int, b, c Mat, r0, r1, j0 int) {
+	n := b.Cols
+	if r0 == r1 || j0 == n {
+		return
+	}
+	for k := 0; k < kn; k++ { // k ascending: fixed reduction order
+		brow := b.Data[k*n+j0 : (k+1)*n]
+		p, q := r0*rs+k*ks, r0*n
+		for i := r0; i < r1; i++ {
+			if av := a[p]; av != 0 {
+				axpyRow(alpha*av, brow, c.Data[q+j0:q+n])
 			}
-			axpyRow(alpha*av, b.Data[k*n:(k+1)*n], crow)
+			p += rs
+			q += n
 		}
 	}
 }
@@ -117,49 +163,51 @@ func GemmNT(alpha float64, a, b Mat, beta float64, c Mat) {
 
 // GemmNTRows is GemmNT restricted to output rows [lo, hi).
 //
-// Output rows are processed four at a time so each streamed row of B feeds
-// four dot products while hot in cache. Every dot product is the same
-// fixed-order dot4, so results are bit-identical to the one-row loop.
+// Output rows go four at a time so each streamed row of B feeds four dot
+// products while hot in cache. With AVX2, B rows go three at a time through
+// dot3SIMD, which shares each loaded chunk of the A row across three dots
+// that each keep dotSIMD's accumulator layout, combine order and scalar
+// tail; the B rows left over take dot4. Every element is alpha times the
+// same fixed-order dot, combined with beta·C the same way, so results are
+// bit-identical to the one-element-at-a-time loop.
 func GemmNTRows(alpha float64, a, b Mat, beta float64, c Mat, lo, hi int) {
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		a0, a1, a2, a3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
-		c0, c1, c2, c3 := c.Row(i), c.Row(i+1), c.Row(i+2), c.Row(i+3)
-		for j := 0; j < b.Rows; j++ {
+	kn := a.Cols
+	for i0 := lo; i0 < hi; i0 += 4 {
+		i1 := min(i0+4, hi)
+		j := 0
+		if simdEnabled {
+			for ; j+3 <= b.Rows; j += 3 {
+				y := b.Data[j*kn : (j+3)*kn]
+				b0, b1, b2 := y[:kn], y[kn:2*kn], y[2*kn:]
+				for i := i0; i < i1; i++ {
+					d0, d1, d2 := dot3SIMD(a.Row(i), b0, b1, b2)
+					crow := c.Row(i)
+					crow[j] = betaCombine(beta, crow[j], alpha*d0)
+					crow[j+1] = betaCombine(beta, crow[j+1], alpha*d1)
+					crow[j+2] = betaCombine(beta, crow[j+2], alpha*d2)
+				}
+			}
+		}
+		for ; j < b.Rows; j++ {
 			brow := b.Row(j)
-			s0 := alpha * dot4(a0, brow)
-			s1 := alpha * dot4(a1, brow)
-			s2 := alpha * dot4(a2, brow)
-			s3 := alpha * dot4(a3, brow)
-			if beta == 0 {
-				c0[j], c1[j], c2[j], c3[j] = s0, s1, s2, s3
-			} else if beta == 1 {
-				c0[j] += s0
-				c1[j] += s1
-				c2[j] += s2
-				c3[j] += s3
-			} else {
-				c0[j] = beta*c0[j] + s0
-				c1[j] = beta*c1[j] + s1
-				c2[j] = beta*c2[j] + s2
-				c3[j] = beta*c3[j] + s3
+			for i := i0; i < i1; i++ {
+				crow := c.Row(i)
+				crow[j] = betaCombine(beta, crow[j], alpha*dot4(a.Row(i), brow))
 			}
 		}
 	}
-	for ; i < hi; i++ {
-		arow := a.Row(i)
-		crow := c.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			s := alpha * dot4(arow, b.Row(j))
-			if beta == 0 {
-				crow[j] = s
-			} else if beta == 1 {
-				crow[j] += s
-			} else {
-				crow[j] = beta*crow[j] + s
-			}
-		}
+}
+
+// betaCombine is GemmNT's per-element store: s into a fresh C (beta 0),
+// added to C (beta 1), or beta·C + s.
+func betaCombine(beta, c, s float64) float64 {
+	switch beta {
+	case 0:
+		return s
+	case 1:
+		return c + s
 	}
+	return beta*c + s
 }
 
 // GemmTN computes C = alpha*Aᵀ*B + beta*C serially. A is (K×M), B is (K×N),
@@ -170,45 +218,11 @@ func GemmTN(alpha float64, a, b Mat, beta float64, c Mat) {
 	GemmTNRows(alpha, a, b, beta, c, 0, c.Rows)
 }
 
-// GemmTNRows is GemmTN restricted to output rows [lo, hi).
-//
-// Output rows are processed four at a time: the k-loop streams B once per
-// four rows of C instead of once per row, and every element still
-// accumulates its k-terms in ascending order — bit-identical to the
-// one-row-at-a-time loop.
+// GemmTNRows is GemmTN restricted to output rows [lo, hi): GemmNNRows'
+// body with A read down its columns.
 func GemmTNRows(alpha float64, a, b Mat, beta float64, c Mat, lo, hi int) {
 	scaleRows(beta, c, lo, hi)
-	m := a.Cols
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		c0, c1, c2, c3 := c.Row(i), c.Row(i+1), c.Row(i+2), c.Row(i+3)
-		for k := 0; k < a.Rows; k++ { // k ascending: fixed reduction order
-			arow := a.Data[k*m : (k+1)*m]
-			brow := b.Row(k)
-			if av := arow[i]; av != 0 {
-				axpyRow(alpha*av, brow, c0)
-			}
-			if av := arow[i+1]; av != 0 {
-				axpyRow(alpha*av, brow, c1)
-			}
-			if av := arow[i+2]; av != 0 {
-				axpyRow(alpha*av, brow, c2)
-			}
-			if av := arow[i+3]; av != 0 {
-				axpyRow(alpha*av, brow, c3)
-			}
-		}
-	}
-	for ; i < hi; i++ {
-		crow := c.Row(i)
-		for k := 0; k < a.Rows; k++ {
-			av := a.Data[k*m+i]
-			if av == 0 {
-				continue
-			}
-			axpyRow(alpha*av, b.Row(k), crow)
-		}
-	}
+	gemmAxpy(alpha, a.Data, 1, a.Cols, a.Rows, b, c, lo, hi)
 }
 
 // MulVec computes dst = M·x serially. dst must not alias x.

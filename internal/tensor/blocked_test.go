@@ -220,6 +220,31 @@ func BenchmarkGemmNTBatch32(b *testing.B) {
 	}
 }
 
+// benchGemmShape times one serial GEMM of the given form on an m×n output
+// reducing over k, at a shape a benchmark workload's model hits.
+func benchGemmShape(b *testing.B, gemm func(float64, Mat, Mat, float64, Mat), ar, ac, br, bc, m, n int) {
+	rng := rand.New(rand.NewSource(6))
+	x, y := randMat(rng, ar, ac), randMat(rng, br, bc)
+	c := MatOf(m, n, make([]float64, m*n))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gemm(1, x, y, 1, c)
+	}
+}
+
+// BenchmarkGemmShapeNT32x60x10 is the convex Softmax forward: 32 rows of
+// 60 features against 10 class rows.
+func BenchmarkGemmShapeNT32x60x10(b *testing.B) { benchGemmShape(b, GemmNT, 32, 60, 10, 60, 32, 10) }
+
+// BenchmarkGemmShapeTN10x32x60 is the convex Softmax weight gradient:
+// 10 classes × 60 features reduced over a 32-row minibatch.
+func BenchmarkGemmShapeTN10x32x60(b *testing.B) { benchGemmShape(b, GemmTN, 32, 10, 32, 60, 10, 60) }
+
+// BenchmarkGemmShapeNN4x25x784 is the thinned CNN's conv1 forward: 4
+// filters of 25 taps against a 25×784 im2col block.
+func BenchmarkGemmShapeNN4x25x784(b *testing.B) { benchGemmShape(b, GemmNN, 4, 25, 25, 784, 4, 784) }
+
 func TestSIMDKernelsMatchScalar(t *testing.T) {
 	if !simdEnabled {
 		t.Skip("SIMD unavailable on this CPU")

@@ -18,3 +18,16 @@ func dotSIMD(x, y []float64) float64
 // axpySIMD computes y[i] += s*x[i] with 2×4-wide FMA. len(y) must be
 // ≥ len(x). Implemented in assembly.
 func axpySIMD(s float64, x, y []float64)
+
+// dot3SIMD computes the three dots of x with y0, y1 and y2, each with
+// dotSIMD's layout and therefore its bits. Each y must be at least as long
+// as x. Implemented in assembly.
+func dot3SIMD(x, y0, y1, y2 []float64) (d0, d1, d2 float64)
+
+// axpyTileSIMD adds (alpha·A(r,k))·b[k*ld+j] to c[r*ld+j] for the four rows
+// r < 4, the columns j < n and k < kn ascending, where A(r,k) = a[r*rs+k*ks]
+// and a term with A(r,k) == 0 is skipped. n must be a positive multiple of
+// 4 and kn positive; the slices must cover every index this reaches. Each
+// element gets axpySIMD's fused multiply-add per term. Implemented in
+// assembly.
+func axpyTileSIMD(alpha float64, a []float64, rs, ks, kn int, b, c []float64, ld, n int)
