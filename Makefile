@@ -10,10 +10,22 @@ TESTFLAGS ?= -timeout 120s
 # race-enabled targets carry their own, larger guard.
 RACE_TESTFLAGS ?= -timeout 900s
 
-.PHONY: build test vet fmt race check expolint evalcpu bench bench-all bench-smoke benchgate chaos soak-restart trace-demo fuzz
+.PHONY: build test vet fmt race check expolint evalcpu bench bench-all bench-smoke benchgate chaos soak-restart trace-demo fuzz loc
 
 build:
 	$(GO) build ./...
+
+# loc prints the non-test and test Go lines of every package (one directory
+# each), with totals — the before/after numbers a design change reports.
+# bench/ is its own module and is left out.
+loc:
+	@find . -path ./bench -prune -o -name '*.go' -print | xargs wc -l | awk ' \
+		$$2 == "total" { next } \
+		{ d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\.\/?/, "", d); if (d == "") d = "."; \
+		  if ($$2 ~ /_test\.go$$/) { t[d] += $$1; tt += $$1 } else { n[d] += $$1; nt += $$1 }; seen[d] = 1 } \
+		END { printf "%-24s %8s %8s\n", "package", "non-test", "test"; \
+		      for (d in seen) printf "%-24s %8d %8d\n", d, n[d], t[d] | "sort"; close("sort"); \
+		      printf "%-24s %8d %8d\n", "total", nt, tt }'
 
 test:
 	$(GO) test $(TESTFLAGS) ./...

@@ -8,7 +8,6 @@ package fedproxvr
 import (
 	"testing"
 
-	"fedproxvr/internal/core"
 	"fedproxvr/internal/data"
 	"fedproxvr/internal/models"
 	"fedproxvr/internal/optim"
@@ -119,10 +118,11 @@ func benchRound(b *testing.B, parallel bool) {
 	cfg := FedProxVR(SARAH, 5, task.L, 10, 20, 16, 1)
 	cfg.Parallel = parallel
 	cfg.Seed = 1
-	r, err := core.NewRunner(task.Model, task.Part, cfg)
+	r, err := NewRunner(task, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer r.Engine().Close()
 	r.Step() // the first round builds the workers' scratch and the report buffers
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -131,7 +131,7 @@ func benchRound(b *testing.B, parallel bool) {
 }
 
 // BenchmarkNewRunnerCNN10 is the set-up cost of the benchmark's cnn10
-// scenario: core.NewRunner over ten devices of the width/8 paper CNN. A
+// scenario: NewRunner over ten devices of the width/8 paper CNN. A
 // device is data and a model builds its workspace when first evaluated, so
 // this must stay kilobytes and microseconds — one 17 MB clone per device
 // built (and zeroed) here is the layout it guards against.
@@ -145,7 +145,7 @@ func BenchmarkNewRunnerCNN10(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.NewRunner(task.Model, task.Part, cfg); err != nil {
+		if _, err := NewRunner(task, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

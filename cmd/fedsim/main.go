@@ -165,7 +165,7 @@ func main() {
 
 	var series *metrics.Series
 	if *ckptPath != "" {
-		series, err = checkpoint.TrainContext(ctx, r, *ckptPath, *ckptEvery)
+		series, err = checkpoint.TrainContext(ctx, r.Engine(), *ckptPath, *ckptEvery)
 		if err != nil && !errors.Is(err, context.Canceled) {
 			fatal(err)
 		} else if err != nil {

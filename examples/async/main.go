@@ -11,7 +11,7 @@ import (
 
 	fedproxvr "fedproxvr"
 	"fedproxvr/internal/async"
-	"fedproxvr/internal/core"
+	"fedproxvr/internal/engine"
 	"fedproxvr/internal/optim"
 	"fedproxvr/internal/simnet"
 )
@@ -23,7 +23,7 @@ func main() {
 	})
 	local := optim.LocalConfig{
 		Estimator: optim.SARAH,
-		Eta:       core.StepSize(5, task.L),
+		Eta:       engine.StepSize(5, task.L),
 		Tau:       10,
 		Batch:     16,
 		Mu:        2,
@@ -34,8 +34,8 @@ func main() {
 	const target = 1.3
 
 	// Synchronous runtime under the same simulated clock.
-	syncCfg := core.Config{Name: "sync", Local: local, Rounds: 150, Seed: 17}
-	sr, err := core.NewRunner(task.Model, task.Part, syncCfg)
+	syncCfg := engine.Config{Name: "sync", Local: local, Rounds: 150, Seed: 17}
+	sr, _, err := engine.NewInProcess(task.Model, task.Part, syncCfg, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

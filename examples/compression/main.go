@@ -25,7 +25,7 @@ import (
 	"time"
 
 	fedproxvr "fedproxvr"
-	"fedproxvr/internal/core"
+	"fedproxvr/internal/engine"
 	"fedproxvr/internal/mathx"
 	"fedproxvr/internal/optim"
 	"fedproxvr/internal/theory"
@@ -61,7 +61,7 @@ func main() {
 	fmt.Println("\n— Top-k delta sparsification (one local update) —")
 	dim := task.Model.Dim()
 	anchor := make([]float64, dim)
-	dev := core.NewDevice(0, task.Part.Clients[0], task.Model, cfg.Seed)
+	dev := engine.NewDevice(0, task.Part.Clients[0], task.Model, cfg.Seed)
 	local := make([]float64, dim)
 	dev.RunRound(new(optim.Scratch), anchor, local, cfg.Local)
 	fmt.Printf("%-8s %12s %22s\n", "keep", "bytes", "reconstruction error")

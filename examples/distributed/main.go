@@ -15,7 +15,6 @@ import (
 	"time"
 
 	fedproxvr "fedproxvr"
-	"fedproxvr/internal/core"
 	"fedproxvr/internal/transport"
 )
 
@@ -70,7 +69,7 @@ func main() {
 		cfg.Rounds, time.Since(start).Round(time.Millisecond), last.TrainLoss, last.TestAcc*100)
 
 	// The in-process simulator must produce the same model bit-for-bit.
-	runner, err := core.NewRunner(task.Model, task.Part, cfg)
+	runner, err := fedproxvr.NewRunner(task, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

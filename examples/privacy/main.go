@@ -15,7 +15,7 @@ import (
 	"log"
 
 	fedproxvr "fedproxvr"
-	"fedproxvr/internal/core"
+	"fedproxvr/internal/engine"
 	"fedproxvr/internal/mathx"
 	"fedproxvr/internal/optim"
 	"fedproxvr/internal/secure"
@@ -38,13 +38,13 @@ func main() {
 	// they report into; a device is just its shard and its RNG stream.
 	var scratch optim.Scratch
 	local := make([]float64, dim)
-	devices := make([]*core.Device, len(task.Part.Clients))
+	devices := make([]*engine.Device, len(task.Part.Clients))
 	masked := make([][]float64, len(devices))
 	var clearAvg []float64 // what a plain server would compute
 	totalSamples := 0.0
 	clearAvg = make([]float64, dim)
 	for id, shard := range task.Part.Clients {
-		devices[id] = core.NewDevice(id, shard, task.Model, cfg.Seed)
+		devices[id] = engine.NewDevice(id, shard, task.Model, cfg.Seed)
 		devices[id].RunRound(&scratch, anchor, local, cfg.Local)
 		dN := float64(shard.N())
 		totalSamples += dN

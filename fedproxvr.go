@@ -27,22 +27,20 @@ package fedproxvr
 
 import (
 	"context"
-	"fmt"
 
-	"fedproxvr/internal/core"
 	"fedproxvr/internal/data"
+	"fedproxvr/internal/engine"
 	"fedproxvr/internal/metrics"
 	"fedproxvr/internal/models"
 	"fedproxvr/internal/optim"
 	"fedproxvr/internal/randx"
-	"fedproxvr/internal/theory"
 )
 
-// Re-exported core types. The aliases give users a single import while the
+// Re-exported types. The aliases give users a single import while the
 // implementation stays in focused internal packages.
 type (
 	// Config describes one federated training run (algorithm, T, τ, η, μ…).
-	Config = core.Config
+	Config = engine.Config
 	// Model is the differentiable empirical-risk oracle all algorithms use.
 	Model = models.Model
 	// Classifier is a Model that predicts class labels.
@@ -59,10 +57,6 @@ type (
 	Estimator = optim.Estimator
 	// LocalConfig is the device-side inner-loop configuration.
 	LocalConfig = optim.LocalConfig
-	// Problem carries the constants of Assumption 1 for theory calculators.
-	Problem = theory.Problem
-	// Optimum is a solution of the Section 4.3 training-time problem.
-	Optimum = theory.Optimum
 )
 
 // Estimator values.
@@ -72,16 +66,16 @@ const (
 	SARAH = optim.SARAH
 )
 
-// Config constructors (see core for details).
+// Config constructors (see internal/engine for details).
 var (
 	// FedAvg builds the SGD baseline configuration.
-	FedAvg = core.FedAvg
+	FedAvg = engine.FedAvg
 	// FedProx builds the proximal-SGD baseline configuration.
-	FedProx = core.FedProx
+	FedProx = engine.FedProx
 	// FedProxVR builds the paper's algorithm configuration.
-	FedProxVR = core.FedProxVR
+	FedProxVR = engine.FedProxVR
 	// StepSize returns η = 1/(βL).
-	StepSize = core.StepSize
+	StepSize = engine.StepSize
 )
 
 // Task bundles everything one experiment needs: the model, the federated
@@ -95,30 +89,6 @@ type Task struct {
 	InitW []float64
 }
 
-// Runner drives a prepared federated run; it exposes the engine for hooks
-// and checkpointing (see internal/checkpoint).
-type Runner = core.Runner
-
-// NewRunner prepares a federated run on a task: the task's test set is
-// used unless cfg overrides it, and the task's initialization (if any) is
-// applied to the global model.
-func NewRunner(task Task, cfg Config) (*Runner, error) {
-	if task.Model == nil || task.Part == nil {
-		return nil, fmt.Errorf("fedproxvr: task needs Model and Part")
-	}
-	if cfg.Test == nil {
-		cfg.Test = task.Test
-	}
-	r, err := core.NewRunner(task.Model, task.Part, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if task.InitW != nil {
-		r.SetGlobal(task.InitW)
-	}
-	return r, nil
-}
-
 // Train runs one federated training configuration on a task and returns
 // the metric series and the final global model.
 func Train(task Task, cfg Config) (*Series, []float64, error) {
@@ -126,19 +96,16 @@ func Train(task Task, cfg Config) (*Series, []float64, error) {
 }
 
 // TrainContext is Train with cancellation: the run stops between rounds
-// when ctx is done and returns the series so far alongside ctx.Err().
+// when ctx is done and returns the series so far alongside ctx.Err(). The
+// run's worker pool (cfg.Parallel) is stopped before it returns.
 func TrainContext(ctx context.Context, task Task, cfg Config) (*Series, []float64, error) {
 	r, err := NewRunner(task, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
+	defer r.eng.Close()
 	series, err := r.RunContext(ctx)
-	w := make([]float64, task.Model.Dim())
-	copy(w, r.Global())
-	if err != nil {
-		return series, w, err
-	}
-	return series, w, nil
+	return series, append([]float64(nil), r.Global()...), err
 }
 
 // SyntheticOptions controls SyntheticTask.

@@ -4,8 +4,8 @@ import (
 	"math"
 	"testing"
 
-	"fedproxvr/internal/core"
 	"fedproxvr/internal/data"
+	"fedproxvr/internal/engine"
 	"fedproxvr/internal/models"
 	"fedproxvr/internal/optim"
 	"fedproxvr/internal/randx"
@@ -195,13 +195,13 @@ func TestAsyncBeatsSyncUnderStragglers(t *testing.T) {
 	target := 0.6
 
 	// Synchronous baseline on the same fleet and local configuration.
-	syncCfg := core.Config{
+	syncCfg := engine.Config{
 		Name:   "sync",
 		Local:  asyncConfig(1).Local,
 		Rounds: 60,
 		Seed:   8,
 	}
-	sr, err := core.NewRunner(m, p, syncCfg)
+	sr, _, err := engine.NewInProcess(m, p, syncCfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"fedproxvr/internal/core"
 	"fedproxvr/internal/engine"
 	"fedproxvr/internal/metrics"
 )
@@ -138,35 +137,34 @@ func Load(path string) (*State, error) {
 	return &s, nil
 }
 
-// Train runs the remaining rounds of r's configuration, checkpointing to
+// Train runs the remaining rounds of eng's configuration, checkpointing to
 // path every `every` rounds (and at the end). If path already holds a
 // checkpoint for the same run name, training resumes from it: the global
 // model is restored and only the remaining rounds execute. It returns the
 // full metric series (restored prefix + new points).
-func Train(r *core.Runner, path string, every int) (*metrics.Series, error) {
-	return TrainContext(context.Background(), r, path, every)
+func Train(eng *engine.Engine, path string, every int) (*metrics.Series, error) {
+	return TrainContext(context.Background(), eng, path, every)
 }
 
 // TrainContext is Train with cancellation: it snapshots through the
 // engine's per-round hook, so a run interrupted by ctx (or by a crash
 // after the last snapshot) resumes from path on the next call. On
 // cancellation it returns the series so far alongside ctx.Err().
-func TrainContext(ctx context.Context, r *core.Runner, path string, every int) (*metrics.Series, error) {
-	cfg := r.Config()
+func TrainContext(ctx context.Context, eng *engine.Engine, path string, every int) (*metrics.Series, error) {
+	cfg := eng.Config()
 	if every < 1 {
 		every = 1
 	}
-	eng := r.Engine()
 	var prefix []metrics.Point
 
 	if st, err := Load(path); err == nil {
 		if st.Name != cfg.Name {
 			return nil, fmt.Errorf("checkpoint: %s holds run %q, not %q", path, st.Name, cfg.Name)
 		}
-		if len(st.Global) != len(r.Global()) {
-			return nil, fmt.Errorf("checkpoint: model dim %d, want %d", len(st.Global), len(r.Global()))
+		if len(st.Global) != len(eng.Global()) {
+			return nil, fmt.Errorf("checkpoint: model dim %d, want %d", len(st.Global), len(eng.Global()))
 		}
-		r.SetGlobal(st.Global)
+		eng.SetGlobal(st.Global)
 		eng.SetRound(st.Round)
 		prefix = st.Points
 	} else if !os.IsNotExist(err) {

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"fedproxvr/internal/core"
 	"fedproxvr/internal/data"
 	"fedproxvr/internal/engine"
 	"fedproxvr/internal/metrics"
@@ -17,7 +16,7 @@ import (
 	"fedproxvr/internal/randx"
 )
 
-func fixture(t *testing.T, rounds int) (*core.Runner, models.Model, *data.Partition) {
+func fixture(t *testing.T, rounds int) (*engine.Engine, models.Model, *data.Partition) {
 	t.Helper()
 	rng := randx.New(1)
 	p := &data.Partition{Clients: make([]*data.Dataset, 3)}
@@ -32,9 +31,9 @@ func fixture(t *testing.T, rounds int) (*core.Runner, models.Model, *data.Partit
 		p.Clients[k] = ds
 	}
 	m := models.NewSoftmax(3, 3, 0)
-	cfg := core.FedProxVR(optim.SARAH, 5, 1, 0.1, 5, 8, rounds)
+	cfg := engine.FedProxVR(optim.SARAH, 5, 1, 0.1, 5, 8, rounds)
 	cfg.Seed = 2
-	r, err := core.NewRunner(m, p, cfg)
+	r, _, err := engine.NewInProcess(m, p, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +155,7 @@ func TestTrainResumesFromCheckpoint(t *testing.T) {
 	if st.Round != 4 {
 		t.Fatalf("phase 1 checkpoint at %d", st.Round)
 	}
-	phase1Loss := r1.GlobalLoss()
+	phase1Loss := r1.Evaluator().Loss(r1.Global())
 
 	// Phase 2: new process, 10-round config, resumes at round 5.
 	r2, _, _ := fixture(t, 10)
@@ -165,9 +164,9 @@ func TestTrainResumesFromCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The restored model must match the checkpoint (resume actually used it).
-	if r2.GlobalLoss() >= phase1Loss {
+	if loss := r2.Evaluator().Loss(r2.Global()); loss >= phase1Loss {
 		t.Fatalf("resumed run did not improve on checkpoint: %v vs %v",
-			r2.GlobalLoss(), phase1Loss)
+			loss, phase1Loss)
 	}
 	last, _ := series.Last()
 	if last.Round != 10 {
@@ -186,7 +185,7 @@ func TestTrainContextCancelThenResume(t *testing.T) {
 	// Cancel after round 4; snapshots land every 2 rounds.
 	r1, _, _ := fixture(t, 10)
 	ctx, cancel := context.WithCancel(context.Background())
-	r1.Engine().OnRound(func(info engine.RoundInfo) error {
+	r1.OnRound(func(info engine.RoundInfo) error {
 		if info.Round == 4 {
 			cancel()
 		}

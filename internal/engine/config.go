@@ -4,11 +4,12 @@
 // parallel goroutines, a simulated-clock fleet, or TCP workers), and fold
 // the returned local models through an Aggregator (weighted mean, DP
 // clip+noise, or pairwise-masked secure aggregation). Selection, dropout,
-// aggregation and metric measurement live only here; the backends under
-// internal/core, internal/simnet and internal/transport are Executors
-// plugged into this loop, which is what makes their outputs bit-identical
-// by construction (every device owns a private RNG stream, and every
-// server-side draw comes from one stream consumed in a fixed order).
+// aggregation and metric measurement live only here; the in-process
+// executors (NewInProcess), internal/simnet and internal/transport are
+// Executors plugged into this loop, which is what makes their outputs
+// bit-identical by construction (every device owns a private RNG stream,
+// and every server-side draw comes from one stream consumed in a fixed
+// order).
 package engine
 
 import (
@@ -163,4 +164,64 @@ func (c Config) withDefaults() Config {
 		c.ClientFraction = 1
 	}
 	return c
+}
+
+// StepSize returns η = 1/(βL) — the paper's parametrized step size.
+func StepSize(beta, l float64) float64 {
+	if beta <= 0 || l <= 0 {
+		panic("engine: beta and L must be positive")
+	}
+	return 1 / (beta * l)
+}
+
+// FedAvg returns the configuration of the SGD baseline of McMahan et al.:
+// τ local SGD steps with step size η = 1/(βL), no proximal term.
+func FedAvg(beta, l float64, tau, batch, rounds int) Config {
+	return Config{
+		Name: "FedAvg",
+		Local: optim.LocalConfig{
+			Estimator: optim.SGD,
+			Eta:       StepSize(beta, l),
+			Tau:       tau,
+			Batch:     batch,
+			Mu:        0,
+			Return:    optim.ReturnLast,
+		},
+		Rounds: rounds,
+	}
+}
+
+// FedProx returns the configuration of Li et al.'s FedProx baseline:
+// SGD local steps on the μ-proximal surrogate.
+func FedProx(beta, l, mu float64, tau, batch, rounds int) Config {
+	c := FedAvg(beta, l, tau, batch, rounds)
+	c.Name = "FedProx"
+	c.Local.Mu = mu
+	return c
+}
+
+// FSVRG returns the configuration of Konečný et al.'s Federated SVRG
+// baseline [12]: SVRG local steps anchored at the global model, without a
+// proximal term (equivalently FedProxVR with μ = 0).
+func FSVRG(beta, l float64, tau, batch, rounds int) Config {
+	c := FedProxVR(optim.SVRG, beta, l, 0, tau, batch, rounds)
+	c.Name = "FSVRG"
+	return c
+}
+
+// FedProxVR returns the paper's algorithm: proximal SVRG or SARAH local
+// steps with η = 1/(βL) and penalty μ.
+func FedProxVR(est optim.Estimator, beta, l, mu float64, tau, batch, rounds int) Config {
+	return Config{
+		Name: fmt.Sprintf("FedProxVR (%v)", est),
+		Local: optim.LocalConfig{
+			Estimator: est,
+			Eta:       StepSize(beta, l),
+			Tau:       tau,
+			Batch:     batch,
+			Mu:        mu,
+			Return:    optim.ReturnLast,
+		},
+		Rounds: rounds,
+	}
 }

@@ -63,6 +63,7 @@ type Engine struct {
 	selBuf  []int
 	eval    *Evaluator
 	round   int
+	pool    *Parallel // the pool NewInProcess started, stopped by Close
 
 	hooks      []hookEntry
 	liveHooks  int
@@ -169,6 +170,11 @@ func (e *Engine) SetAggregator(a Aggregator) { e.agg = a }
 // stationarity). Without one, measured points carry only round numbers and
 // gradient-eval counts.
 func (e *Engine) SetEvaluator(ev *Evaluator) { e.eval = ev }
+
+// Evaluator returns the installed evaluator (nil without one), for drivers
+// that measure outside Run — internal/simnet stamps its own
+// simulated-clock points with it.
+func (e *Engine) Evaluator() *Evaluator { return e.eval }
 
 // SetStats installs a per-round stats recorder (see internal/obs); nil
 // disables collection. With a recorder installed, Step samples wall-clock
@@ -522,7 +528,7 @@ func (e *Engine) measure(round int) metrics.Point {
 
 // SelectClients draws the round's cohort: all n devices when fraction ≥ 1
 // (reusing buf), otherwise ⌈fraction·n⌉ distinct uniform indices. The
-// draw order matches the historical core.Runner so seeds reproduce.
+// draw order is fixed so seeds reproduce.
 func SelectClients(rng *rand.Rand, n int, fraction float64, buf []int) []int {
 	if fraction >= 1 {
 		if cap(buf) < n {

@@ -192,7 +192,7 @@ func TestSolverReducesLossAllEstimators(t *testing.T) {
 		// Note: within a single inner loop the SVRG anchor never refreshes,
 		// so its residual variance scales with the distance to the anchor;
 		// we only require an order-of-magnitude improvement here. The
-		// anchor-refresh benefit is tested end-to-end in internal/core.
+		// anchor-refresh benefit is tested end-to-end in the root package.
 		if loss > base/10 {
 			t.Fatalf("%v: loss %v not well below one-step loss %v", est, loss, base)
 		}

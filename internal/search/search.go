@@ -5,12 +5,13 @@
 package search
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
 
-	"fedproxvr/internal/core"
 	"fedproxvr/internal/data"
+	"fedproxvr/internal/engine"
 	"fedproxvr/internal/models"
 	"fedproxvr/internal/optim"
 	"fedproxvr/internal/randx"
@@ -59,8 +60,10 @@ type Options struct {
 
 // Run executes a random search of opts.Trials sampled configurations and
 // returns all trials sorted by descending best accuracy. The global model
-// starts at initW (nil → zeros), e.g. a network initialization shared
-// across trials for comparability.
+// starts at initW (nil → zeros; otherwise one entry per model parameter),
+// e.g. a network initialization shared across trials for comparability.
+// Each trial's worker pool (opts.Parallel) is stopped before the next
+// starts.
 func Run(m models.Model, part *data.Partition, test *data.Dataset, space Space, opts Options, initW []float64) ([]Trial, error) {
 	if err := space.Validate(); err != nil {
 		return nil, err
@@ -91,11 +94,11 @@ func Run(m models.Model, part *data.Partition, test *data.Dataset, space Space, 
 		}
 		seen[key] = true
 
-		cfg := core.Config{
+		cfg := engine.Config{
 			Name: opts.Name,
 			Local: optim.LocalConfig{
 				Estimator: opts.Estimator,
-				Eta:       core.StepSize(tr.Beta, opts.L),
+				Eta:       engine.StepSize(tr.Beta, opts.L),
 				Tau:       tr.Tau,
 				Batch:     tr.Batch,
 				Mu:        tr.Mu,
@@ -107,14 +110,15 @@ func Run(m models.Model, part *data.Partition, test *data.Dataset, space Space, 
 			Parallel:  opts.Parallel,
 			Seed:      opts.Seed,
 		}
-		r, err := core.NewRunner(m, part, cfg)
+		eng, _, err := engine.NewInProcess(m, part, cfg, initW)
 		if err != nil {
 			return nil, err
 		}
-		if initW != nil {
-			r.SetGlobal(initW)
+		series, err := eng.Run(context.Background())
+		eng.Close()
+		if err != nil {
+			return nil, err
 		}
-		series := r.Run()
 		acc, round := series.BestAcc()
 		if math.IsNaN(acc) {
 			return nil, fmt.Errorf("search: no accuracy recorded (missing test set or non-classifier model)")

@@ -2,11 +2,13 @@ package search
 
 import (
 	"testing"
+	"time"
 
 	"fedproxvr/internal/data"
 	"fedproxvr/internal/models"
 	"fedproxvr/internal/optim"
 	"fedproxvr/internal/randx"
+	"fedproxvr/internal/testx"
 )
 
 func searchFixture(t *testing.T) (*data.Partition, *data.Dataset, *models.Softmax) {
@@ -126,4 +128,35 @@ func TestBestPanicsOnEmpty(t *testing.T) {
 		}
 	}()
 	Best(nil)
+}
+
+// TestSearchRejectsMisSizedInitW: a shared initialization shorter or longer
+// than the model is an error, not a silent truncation or zero-padding.
+func TestSearchRejectsMisSizedInitW(t *testing.T) {
+	part, test, m := searchFixture(t)
+	space := Space{Taus: []int{1}, Betas: []float64{5}, Mus: []float64{0}, Batches: []int{4}}
+	opts := Options{Estimator: optim.SGD, Name: "x", L: 1, Rounds: 1, Trials: 1, Seed: 7}
+	for _, n := range []int{m.Dim() - 1, m.Dim() + 1} {
+		if _, err := Run(m, part, test, space, opts, make([]float64, n)); err == nil {
+			t.Fatalf("initW of %d entries accepted for a %d-parameter model", n, m.Dim())
+		}
+	}
+	if _, err := Run(m, part, test, space, opts, make([]float64, m.Dim())); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSearchStopsItsWorkerPools: every parallel trial's pool is stopped
+// when the trial ends, not left to a finalizer.
+func TestSearchStopsItsWorkerPools(t *testing.T) {
+	part, test, m := searchFixture(t)
+	space := Space{Taus: []int{2}, Betas: []float64{5, 10}, Mus: []float64{0.1}, Batches: []int{8}}
+	opts := Options{Estimator: optim.SARAH, Name: "x", L: 1, Rounds: 2, Trials: 2, Parallel: true, Seed: 8}
+	run := func() {
+		if _, err := Run(m, part, test, space, opts, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // starts the process-wide kernel and evaluator pools
+	testx.NoGoroutineGrowth(t, 5, 2*time.Second, run)
 }

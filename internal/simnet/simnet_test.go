@@ -4,8 +4,8 @@ import (
 	"math"
 	"testing"
 
-	"fedproxvr/internal/core"
 	"fedproxvr/internal/data"
+	"fedproxvr/internal/engine"
 	"fedproxvr/internal/models"
 	"fedproxvr/internal/optim"
 	"fedproxvr/internal/randx"
@@ -116,7 +116,7 @@ func TestMeanGamma(t *testing.T) {
 }
 
 // simple classification fixture for the timed runner.
-func timedFixture(t *testing.T) *core.Runner {
+func timedFixture(t *testing.T) *engine.Engine {
 	t.Helper()
 	rng := randx.New(5)
 	p := &data.Partition{Clients: make([]*data.Dataset, 4)}
@@ -131,9 +131,9 @@ func timedFixture(t *testing.T) *core.Runner {
 		p.Clients[k] = ds
 	}
 	m := models.NewSoftmax(3, 3, 0)
-	cfg := core.FedProxVR(optim.SARAH, 5, 1, 0.1, 10, 8, 12)
+	cfg := engine.FedProxVR(optim.SARAH, 5, 1, 0.1, 10, 8, 12)
 	cfg.Seed = 6
-	r, err := core.NewRunner(m, p, cfg)
+	r, _, err := engine.NewInProcess(m, p, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestSlowNetworkFavoursMoreLocalWork(t *testing.T) {
 		cfg := r.Config()
 		cfg.Local.Tau = tau
 		cfg.Rounds = 60
-		r2, err := core.NewRunner(models.NewSoftmax(3, 3, 0), partitionOf(t, r), cfg)
+		r2, _, err := engine.NewInProcess(models.NewSoftmax(3, 3, 0), partitionOf(t, r), cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,19 +216,14 @@ func TestSlowNetworkFavoursMoreLocalWork(t *testing.T) {
 	}
 }
 
-// partitionOf rebuilds the fixture partition for a fresh runner.
-func partitionOf(t *testing.T, r *core.Runner) *data.Partition {
+// partitionOf rebuilds the fixture partition for a fresh engine.
+func partitionOf(t *testing.T, r *engine.Engine) *data.Partition {
 	t.Helper()
-	devs := r.Devices()
-	p := &data.Partition{Clients: make([]*data.Dataset, len(devs))}
-	for i, d := range devs {
-		p.Clients[i] = d.Shard
-	}
-	return p
+	return &data.Partition{Clients: r.Evaluator().Clients}
 }
 
 // TestTimedTrainMeasuresAccuracy: with cfg.Test set, the timed runner must
-// measure test accuracy through the runner's Evaluator — the historical
+// measure test accuracy through the engine's Evaluator — the historical
 // Train hardcoded TestAcc to NaN, so TimedSeries.TimeToAcc always returned
 // −1 and the paper's time-to-accuracy comparisons were impossible.
 func TestTimedTrainMeasuresAccuracy(t *testing.T) {
@@ -251,11 +246,11 @@ func TestTimedTrainMeasuresAccuracy(t *testing.T) {
 		test.AppendClass(x, c)
 	}
 	m := models.NewSoftmax(3, 3, 0)
-	cfg := core.FedProxVR(optim.SARAH, 5, 1, 0.1, 10, 8, 12)
+	cfg := engine.FedProxVR(optim.SARAH, 5, 1, 0.1, 10, 8, 12)
 	cfg.Seed = 6
 	cfg.Test = test
 	cfg.TrackStationarity = true
-	r, err := core.NewRunner(m, p, cfg)
+	r, _, err := engine.NewInProcess(m, p, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

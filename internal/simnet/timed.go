@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"time"
 
-	"fedproxvr/internal/core"
 	"fedproxvr/internal/engine"
 	"fedproxvr/internal/metrics"
 	"fedproxvr/internal/trace"
@@ -141,28 +140,31 @@ func (x *TimedExecutor) Inner() engine.Executor { return x.inner }
 // Now returns the simulated seconds elapsed so far.
 func (x *TimedExecutor) Now() float64 { return x.now }
 
-// Train runs the federated runner against the fleet's clock by swapping a
-// TimedExecutor into the runner's engine for the duration of the run, so
-// the outer loop (selection, dropout, aggregation) stays the engine's.
-func Train(r *core.Runner, fleet *Fleet, measureEvery int) (*TimedSeries, error) {
+// Train runs an in-process engine (engine.NewInProcess) against the
+// fleet's clock by swapping a TimedExecutor into it for the duration of
+// the run, so the outer loop (selection, dropout, aggregation) stays the
+// engine's.
+func Train(eng *engine.Engine, fleet *Fleet, measureEvery int) (*TimedSeries, error) {
 	if err := fleet.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := r.Config()
-	if len(fleet.Profiles) < len(r.Devices()) {
+	ev := eng.Evaluator()
+	if ev == nil {
+		return nil, fmt.Errorf("simnet: engine has no evaluator")
+	}
+	if len(fleet.Profiles) < len(ev.Clients) {
 		return nil, fmt.Errorf("simnet: fleet has %d profiles for %d devices",
-			len(fleet.Profiles), len(r.Devices()))
+			len(fleet.Profiles), len(ev.Clients))
 	}
 	if measureEvery < 1 {
 		measureEvery = 1
 	}
-	eng := r.Engine()
+	cfg := eng.Config()
 	tx := NewTimedExecutor(eng.Executor(), fleet, cfg.Local.Tau)
 	eng.SetExecutor(tx)
 	defer eng.SetExecutor(tx.Inner())
-	ev := r.Evaluator()
 	out := &TimedSeries{Name: cfg.Name}
-	// Measurement is the runner's Evaluator.Measure, exactly like
+	// Measurement is the engine's Evaluator.Measure, exactly like
 	// engine.Run's, stamped with the simulated clock.
 	measure := func(round, participants, failed int) {
 		p := ev.Measure(eng.Global(), cfg.TrackStationarity)

@@ -7,17 +7,17 @@ import (
 	"strings"
 	"testing"
 
-	"fedproxvr/internal/core"
 	"fedproxvr/internal/data"
+	"fedproxvr/internal/engine"
 	"fedproxvr/internal/models"
 	"fedproxvr/internal/optim"
 	"fedproxvr/internal/randx"
 	"fedproxvr/internal/simnet"
 )
 
-// e2eFixture builds a small softmax classification runner; eta overrides
+// e2eFixture builds a small softmax classification engine; eta overrides
 // the step size (a hostile value diverges the run).
-func e2eFixture(t *testing.T, eta float64, rounds int) *core.Runner {
+func e2eFixture(t *testing.T, eta float64, rounds int) *engine.Engine {
 	t.Helper()
 	rng := randx.New(5)
 	p := &data.Partition{Clients: make([]*data.Dataset, 4)}
@@ -31,12 +31,12 @@ func e2eFixture(t *testing.T, eta float64, rounds int) *core.Runner {
 		}
 		p.Clients[k] = ds
 	}
-	cfg := core.FedProxVR(optim.SARAH, 5, 1, 0.1, 10, 8, rounds)
+	cfg := engine.FedProxVR(optim.SARAH, 5, 1, 0.1, 10, 8, rounds)
 	cfg.Seed = 6
 	if eta > 0 {
 		cfg.Local.Eta = eta
 	}
-	r, err := core.NewRunner(models.NewSoftmax(3, 3, 0), p, cfg)
+	r, _, err := engine.NewInProcess(models.NewSoftmax(3, 3, 0), p, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +55,7 @@ func TestDivergentSimnetRunFlagsLossRising(t *testing.T) {
 	// under the fixed seeds), three consecutive strict rises.
 	// The run ends at round 7 with the alert still firing, so the
 	// active-alert surfaces (Health, fed_alert_active) are asserted hot.
-	r := e2eFixture(t, 2, 7)
-	eng := r.Engine()
+	eng := e2eFixture(t, 2, 7)
 	h := testHub(Options{Rules: RuleConfig{LossRisingK: 3}})
 	js := h.Job("divergent")
 	var logBuf bytes.Buffer
@@ -66,7 +65,7 @@ func TestDivergentSimnetRunFlagsLossRising(t *testing.T) {
 	Attach(eng, js)
 
 	fleet := simnet.NewUniformFleet(4, simnet.DeviceProfile{ComputePerIter: 0.01, Uplink: 0.5, Downlink: 0.5}, 7)
-	if _, err := simnet.Train(r, fleet, 1); err != nil {
+	if _, err := simnet.Train(eng, fleet, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -120,9 +119,8 @@ func TestDivergentSimnetRunFlagsLossRising(t *testing.T) {
 // the trained model — telemetry reads, never writes, and consumes no RNG.
 func TestTrainingBitIdenticalWithTelemetry(t *testing.T) {
 	run := func(withTelemetry bool) []float64 {
-		r := e2eFixture(t, 0, 10)
+		eng := e2eFixture(t, 0, 10)
 		if withTelemetry {
-			eng := r.Engine()
 			h := testHub(Options{})
 			js := h.Job("j")
 			eng.SetStats(js)
@@ -132,10 +130,10 @@ func TestTrainingBitIdenticalWithTelemetry(t *testing.T) {
 			}
 		}
 		fleet := simnet.NewUniformFleet(4, simnet.DeviceProfile{ComputePerIter: 0.01, Uplink: 0.5, Downlink: 0.5}, 7)
-		if _, err := simnet.Train(r, fleet, 1); err != nil {
+		if _, err := simnet.Train(eng, fleet, 1); err != nil {
 			t.Fatal(err)
 		}
-		return append([]float64(nil), r.Global()...)
+		return append([]float64(nil), eng.Global()...)
 	}
 	plain := run(false)
 	instrumented := run(true)

@@ -1,3 +1,8 @@
+// Package tensor provides dense row-major matrix views and the compute
+// kernels (GEMM, matvec, im2col) that back the neural-network substrate.
+// Kernels are written cache-consciously, the large ones fan fixed-size
+// blocks out over a process-wide worker pool (Par), and every result is
+// bit-reproducible whatever the worker count.
 package tensor
 
 import (
@@ -6,9 +11,9 @@ import (
 )
 
 // Mat is a dense row-major matrix view held by value, the currency of the
-// blocked kernels below. Unlike *Matrix it never owns its backing array and
-// never escapes to the heap when passed into a kernel, which is what keeps
-// the batched forward/backward hot path allocation-free.
+// blocked kernels below. It never owns its backing array and never escapes
+// to the heap when passed into a kernel, which is what keeps the batched
+// forward/backward hot path allocation-free.
 type Mat struct {
 	Rows, Cols int
 	Data       []float64 // len == Rows*Cols, row-major
@@ -24,9 +29,6 @@ func MatOf(rows, cols int, data []float64) Mat {
 
 // Row returns a slice aliasing row i.
 func (m Mat) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// V converts the pointer-based Matrix to a Mat view sharing the same data.
-func (m *Matrix) V() Mat { return Mat{Rows: m.Rows, Cols: m.Cols, Data: m.Data} }
 
 // The blocked kernels fix two orders once and for all, so every result is
 // bit-reproducible run-to-run and independent of GOMAXPROCS:

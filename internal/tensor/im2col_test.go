@@ -69,10 +69,10 @@ func TestIm2ColMatchesNaiveConv(t *testing.T) {
 		col := make([]float64, s.ColRows()*s.ColCols())
 		Im2Col(s, input, col)
 		// GEMM with a single output channel == w^T · col.
-		wm := WrapMatrix(1, s.ColRows(), w)
-		cm := WrapMatrix(s.ColRows(), s.ColCols(), col)
-		om := NewMatrix(1, s.ColCols())
-		Gemm(1, wm, cm, 0, om)
+		wm := MatOf(1, s.ColRows(), w)
+		cm := MatOf(s.ColRows(), s.ColCols(), col)
+		om := MatOf(1, s.ColCols(), make([]float64, s.ColCols()))
+		GemmNN(1, wm, cm, 0, om)
 		want := naiveConv(s, input, w)
 		for i := range want {
 			if math.Abs(om.Data[i]-want[i]) > 1e-10 {

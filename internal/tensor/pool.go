@@ -137,3 +137,13 @@ func (p *Par) Run(n, grain, cost int, body func(lo, hi int)) {
 	body((blocks-1)*grain, n)
 	p.wg.Wait()
 }
+
+// MaxWorkers reports the maximum fan-out parallel helpers will use
+// (GOMAXPROCS at call time).
+func MaxWorkers() int {
+	w := runtime.GOMAXPROCS(0)
+	if w < 1 {
+		w = 1
+	}
+	return w
+}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"fedproxvr/internal/chaos"
-	"fedproxvr/internal/core"
 	"fedproxvr/internal/data"
 	"fedproxvr/internal/engine"
 	"fedproxvr/internal/mathx"
@@ -40,9 +39,9 @@ import (
 type AggregatorNode struct {
 	shardID int
 	lo      int
-	devices []*core.Device // devices[i].ID == lo+i
-	counts  []float64      // raw per-device sample counts D_n, by local index
-	samples int64          // Σ counts
+	devices []*engine.Device // devices[i].ID == lo+i
+	counts  []float64        // raw per-device sample counts D_n, by local index
+	samples int64            // Σ counts
 	seed    int64
 	addr    string
 	conn    net.Conn
@@ -102,14 +101,14 @@ func newAggregatorNode(addr string, shardID, loDevice int, shards []*data.Datase
 	n := &AggregatorNode{
 		shardID: shardID,
 		lo:      loDevice,
-		devices: make([]*core.Device, len(shards)),
+		devices: make([]*engine.Device, len(shards)),
 		counts:  make([]float64, len(shards)),
 		seed:    seed,
 		addr:    addr,
 		sched:   sched,
 	}
 	for i, shard := range shards {
-		n.devices[i] = core.NewDevice(loDevice+i, shard, m, seed)
+		n.devices[i] = engine.NewDevice(loDevice+i, shard, m, seed)
 		n.counts[i] = float64(shard.N())
 		n.samples += int64(shard.N())
 	}

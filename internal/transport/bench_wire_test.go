@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"fedproxvr/internal/core"
 	"fedproxvr/internal/data"
 	"fedproxvr/internal/engine"
 	"fedproxvr/internal/models"
@@ -108,7 +107,7 @@ func BenchmarkFrameDecodeReply(b *testing.B) {
 func wireRoundFleet(tb testing.TB, codec Codec) (round, stop func()) {
 	p := testPartition(3, 20, 100, 10, 5)
 	m := models.NewSoftmax(100, 10, 0)
-	cfg := core.FedAvg(4, 1, 1, 4, 1)
+	cfg := engine.FedAvg(4, 1, 1, 4, 1)
 	cfg.Seed = 21
 	c, wg := launchFleet(tb, p, m, cfg.Seed, func(addr string, id int, shard *data.Dataset) (*Worker, error) {
 		return NewWorker(addr, id, shard, m, cfg.Seed)

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fedproxvr/internal/core"
 	"fedproxvr/internal/data"
 	"fedproxvr/internal/engine"
 	"fedproxvr/internal/mathx"
@@ -584,7 +583,7 @@ func (c *Coordinator) Weights() []float64 { return c.weights }
 // leaves a nil entry; the error is non-nil only for run-fatal conditions
 // (every worker dead, quorum floor violated too many rounds in a row).
 // The returned slices are the caller's (decode buffers are cloned).
-func (c *Coordinator) Round(round int, anchor []float64, local core.Config) ([][]float64, error) {
+func (c *Coordinator) Round(round int, anchor []float64, local engine.Config) ([][]float64, error) {
 	all := make([]int, len(c.clients))
 	for i := range all {
 		all[i] = i
@@ -1190,13 +1189,13 @@ func (x *Executor) ChildWeight(child int) float64 { return x.c.treeWeight[child]
 // provided, per-round loss is measured server-side (the coordinator needs
 // the data only for evaluation; training data never leaves workers in a
 // real deployment — pass nil to skip).
-func (c *Coordinator) Train(w0 []float64, cfg core.Config, evalModel models.Model, trainSets []*data.Dataset) ([]float64, *metrics.Series, error) {
+func (c *Coordinator) Train(w0 []float64, cfg engine.Config, evalModel models.Model, trainSets []*data.Dataset) ([]float64, *metrics.Series, error) {
 	return c.TrainContext(context.Background(), w0, cfg, evalModel, trainSets)
 }
 
 // TrainContext is Train with cancellation: the run stops between rounds
 // when ctx is done, returning the series so far alongside ctx.Err().
-func (c *Coordinator) TrainContext(ctx context.Context, w0 []float64, cfg core.Config, evalModel models.Model, trainSets []*data.Dataset) ([]float64, *metrics.Series, error) {
+func (c *Coordinator) TrainContext(ctx context.Context, w0 []float64, cfg engine.Config, evalModel models.Model, trainSets []*data.Dataset) ([]float64, *metrics.Series, error) {
 	eng, err := c.Engine(w0, cfg, evalModel, trainSets)
 	if err != nil {
 		return nil, nil, err
@@ -1210,7 +1209,7 @@ func (c *Coordinator) TrainContext(ctx context.Context, w0 []float64, cfg core.C
 
 // Engine builds a ready-to-run engine over this coordinator's workers:
 // Train in pieces, for callers that want hooks or checkpointing.
-func (c *Coordinator) Engine(w0 []float64, cfg core.Config, evalModel models.Model, trainSets []*data.Dataset) (*engine.Engine, error) {
+func (c *Coordinator) Engine(w0 []float64, cfg engine.Config, evalModel models.Model, trainSets []*data.Dataset) (*engine.Engine, error) {
 	eng, err := engine.New(cfg, len(w0), c.weights, c.Executor(cfg.Local))
 	if err != nil {
 		return nil, err
@@ -1238,7 +1237,7 @@ func (c *Coordinator) Engine(w0 []float64, cfg core.Config, evalModel models.Mod
 // secure masking) is rejected because the root never sees devices.
 // evalModel (with cfg.Test) gives test-set accuracy; training loss is NaN —
 // the root holds no training shards, by design.
-func (c *Coordinator) TreeEngine(w0 []float64, cfg core.Config, evalModel models.Model) (*engine.Engine, error) {
+func (c *Coordinator) TreeEngine(w0 []float64, cfg engine.Config, evalModel models.Model) (*engine.Engine, error) {
 	if !c.tree {
 		return nil, fmt.Errorf("transport: TreeEngine needs a tree coordinator (NewTreeCoordinator)")
 	}

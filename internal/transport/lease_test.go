@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"fedproxvr/internal/core"
+	"fedproxvr/internal/engine"
 	"fedproxvr/internal/mathx"
 	"fedproxvr/internal/models"
 	"fedproxvr/internal/optim"
@@ -62,15 +62,17 @@ func TestLeaseEpochFencesCoordinatorRestart(t *testing.T) {
 	const n, split = 3, 3
 	p := testPartition(n, 20, 3, 3, 9)
 	m := models.NewSoftmax(3, 3, 0)
-	cfg := core.FedProxVR(optim.SARAH, 6, 1, 0.2, 5, 4, 7)
+	cfg := engine.FedProxVR(optim.SARAH, 6, 1, 0.2, 5, 4, 7)
 	cfg.Seed = 99
 
 	// Uninterrupted in-process reference.
-	r, err := core.NewRunner(m, p, cfg)
+	r, _, err := engine.NewInProcess(m, p, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Run()
+	if _, err := r.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	want := mathx.Clone(r.Global())
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

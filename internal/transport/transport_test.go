@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"fedproxvr/internal/chaos"
-	"fedproxvr/internal/core"
 	"fedproxvr/internal/data"
 	"fedproxvr/internal/engine"
 	"fedproxvr/internal/mathx"
@@ -75,15 +74,17 @@ func launchTwoPhase(t *testing.T, p *data.Partition, m models.Model, seed int64)
 func TestDistributedMatchesInProcessExactly(t *testing.T) {
 	p := testPartition(4, 30, 3, 3, 1)
 	m := models.NewSoftmax(3, 3, 0)
-	cfg := core.FedProxVR(optim.SARAH, 6, 1, 0.2, 5, 4, 6)
+	cfg := engine.FedProxVR(optim.SARAH, 6, 1, 0.2, 5, 4, 6)
 	cfg.Seed = 42
 
 	// In-process reference.
-	r, err := core.NewRunner(m, p, cfg)
+	r, _, err := engine.NewInProcess(m, p, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Run()
+	if _, err := r.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	want := mathx.Clone(r.Global())
 
 	// Distributed run.
@@ -183,7 +184,7 @@ func TestTrainValidatesConfig(t *testing.T) {
 	m := models.NewSoftmax(2, 2, 0)
 	c, wg := launchTwoPhase(t, p, m, 1)
 	defer c.Close()
-	bad := core.Config{Rounds: 0, Local: optim.LocalConfig{Eta: 0.1, Tau: 1, Batch: 1}}
+	bad := engine.Config{Rounds: 0, Local: optim.LocalConfig{Eta: 0.1, Tau: 1, Batch: 1}}
 	if _, _, err := c.Train(make([]float64, m.Dim()), bad, nil, nil); err == nil {
 		t.Fatal("invalid config should error")
 	}
@@ -196,7 +197,7 @@ func TestQuantizedTrainingAndBandwidth(t *testing.T) {
 	// protocol overhead.
 	p := testPartition(3, 20, 100, 10, 5)
 	m := models.NewSoftmax(100, 10, 0)
-	cfg := core.FedProxVR(optim.SVRG, 6, 1, 0.1, 5, 4, 5)
+	cfg := engine.FedProxVR(optim.SVRG, 6, 1, 0.1, 5, 4, 5)
 	cfg.Seed = 10
 
 	run := func(codec Codec) (loss float64, sent int64) {
@@ -236,7 +237,7 @@ func TestBandwidthAccounting(t *testing.T) {
 	if recv0 == 0 {
 		t.Fatal("hello messages should already count")
 	}
-	cfg := core.FedAvg(5, 1, 2, 2, 1)
+	cfg := engine.FedAvg(5, 1, 2, 2, 1)
 	cfg.Seed = 2
 	if _, _, err := c.Train(make([]float64, m.Dim()), cfg, nil, nil); err != nil {
 		t.Fatal(err)
@@ -255,7 +256,7 @@ func TestCoordinatorSurvivesDeadWorkerAsDropout(t *testing.T) {
 	c, wg := launchTwoPhase(t, p, m, 1)
 	defer c.Close()
 	// One healthy round first.
-	cfg := core.FedAvg(5, 1, 2, 2, 1)
+	cfg := engine.FedAvg(5, 1, 2, 2, 1)
 	cfg.Seed = 3
 	w0 := make([]float64, m.Dim())
 	if _, _, err := c.Train(w0, cfg, nil, nil); err != nil {
@@ -336,7 +337,7 @@ func TestWorkerRejoinAfterFailure(t *testing.T) {
 	defer c.Close()
 	addr := c.Addr().String()
 
-	cfg := core.FedAvg(5, 1, 4, 2, 8)
+	cfg := engine.FedAvg(5, 1, 4, 2, 8)
 	cfg.Seed = seed
 	w0 := make([]float64, m.Dim())
 	eng, err := c.Engine(w0, cfg, nil, nil)
@@ -392,7 +393,7 @@ func TestQuorumAbortsAfterMaxFailedRounds(t *testing.T) {
 	c, wg := launchTwoPhase(t, p, m, 1)
 	defer c.Close()
 	c.SetFaultPolicy(FaultPolicy{MinParticipants: 2, MaxFailedRounds: 1})
-	cfg := core.FedAvg(5, 1, 2, 2, 10)
+	cfg := engine.FedAvg(5, 1, 2, 2, 10)
 	cfg.Seed = 4
 	w0 := make([]float64, m.Dim())
 	c.clients[1].conn.Close()
@@ -469,7 +470,7 @@ func TestRoundTimeoutFires(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	cfg := core.FedAvg(5, 1, 1, 1, 1)
+	cfg := engine.FedAvg(5, 1, 1, 1, 1)
 	start := time.Now()
 	_, err = c.Round(1, make([]float64, 4), cfg)
 	if err == nil {
@@ -532,7 +533,7 @@ func TestHandshakeRejectsForeignPeers(t *testing.T) {
 	// A live two-worker cohort for the rejoin accept path.
 	p := testPartition(2, 10, 3, 2, 6)
 	m := models.NewSoftmax(3, 2, 0)
-	cfg := core.FedAvg(5, 1, 2, 2, 1)
+	cfg := engine.FedAvg(5, 1, 2, 2, 1)
 	ln := listen()
 	var wg sync.WaitGroup
 	for k := range p.Clients {
@@ -609,7 +610,7 @@ func cyclesLeaveNoGoroutines(t *testing.T, n int, cycle func()) {
 func TestFleetCycleLeavesNoGoroutines(t *testing.T) {
 	p := testPartition(2, 10, 3, 2, 6)
 	m := models.NewSoftmax(3, 2, 0)
-	cfg := core.FedAvg(5, 1, 2, 2, 2)
+	cfg := engine.FedAvg(5, 1, 2, 2, 2)
 	cyclesLeaveNoGoroutines(t, 3, func() {
 		c, wg := launchTwoPhase(t, p, m, 1)
 		if _, _, err := c.Train(make([]float64, m.Dim()), cfg, nil, nil); err != nil {
@@ -629,7 +630,7 @@ func TestRejoinCycleLeavesNoGoroutines(t *testing.T) {
 	const crashRound = 2
 	p := testPartition(2, 10, 3, 2, 6)
 	m := models.NewSoftmax(3, 2, 0)
-	cfg := core.FedAvg(5, 1, 2, 2, 4)
+	cfg := engine.FedAvg(5, 1, 2, 2, 4)
 	sched := &chaos.Schedule{Events: []chaos.Event{{Device: 1, Round: crashRound, Kind: chaos.Crash}}}
 	if err := sched.Validate(); err != nil {
 		t.Fatal(err)
@@ -665,7 +666,7 @@ func TestRejoinCycleLeavesNoGoroutines(t *testing.T) {
 func TestTreeCycleLeavesNoGoroutines(t *testing.T) {
 	p := testPartition(6, 10, 3, 3, 6)
 	m := models.NewSoftmax(3, 3, 0)
-	cfg := core.FedAvg(5, 1, 2, 2, 3)
+	cfg := engine.FedAvg(5, 1, 2, 2, 3)
 	cyclesLeaveNoGoroutines(t, 2, func() {
 		c, wg := launchTree(t, p, m, 1, 3, nil)
 		eng, err := c.TreeEngine(make([]float64, m.Dim()), cfg, nil)

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"fedproxvr/internal/chaos"
-	"fedproxvr/internal/core"
 	"fedproxvr/internal/data"
 	"fedproxvr/internal/engine"
 	"fedproxvr/internal/mathx"
@@ -170,7 +169,7 @@ func launchTree(t *testing.T, p *data.Partition, m models.Model, seed int64,
 // flatShardedEngine builds the flat reference for a tree run: a Sequential
 // executor over the same global device IDs with a ShardedMean aggregator
 // over the tree's shard boundaries.
-func flatShardedEngine(t *testing.T, p *data.Partition, m models.Model, cfg core.Config,
+func flatShardedEngine(t *testing.T, p *data.Partition, m models.Model, cfg engine.Config,
 	fanout int, w0 []float64, exec func(*engine.Sequential) engine.Executor) *engine.Engine {
 	t.Helper()
 	devices := make([]*engine.Device, len(p.Clients))
@@ -229,7 +228,7 @@ func TestTreeMatchesFlatBitIdentical(t *testing.T) {
 		{"activate", 0.6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := core.FedProxVR(optim.SARAH, 6, 1, 0.2, 5, 4, 6)
+			cfg := engine.FedProxVR(optim.SARAH, 6, 1, 0.2, 5, 4, 6)
 			cfg.Seed = 42
 			cfg.ActivateProb = tc.prob
 			w0 := testVec(33, m.Dim())
@@ -347,7 +346,7 @@ func TestTreeChaosMatchesScriptedShardDropout(t *testing.T) {
 	)
 	p := testPartition(12, 20, 3, 3, 1)
 	m := models.NewSoftmax(3, 3, 0)
-	cfg := core.FedProxVR(optim.SARAH, 6, 1, 0.2, 5, 4, 6)
+	cfg := engine.FedProxVR(optim.SARAH, 6, 1, 0.2, 5, 4, 6)
 	cfg.Seed = 42
 	w0 := testVec(33, m.Dim())
 
@@ -509,7 +508,7 @@ func TestTreeRootMemoryIsDeviceCountInvariant(t *testing.T) {
 		if got := c.VirtualDevices(); got != virtDev {
 			t.Fatalf("coordinator sees %d virtual devices, want %d", got, virtDev)
 		}
-		cfg := core.FedAvg(5, 1, 2, 2, rounds)
+		cfg := engine.FedAvg(5, 1, 2, 2, rounds)
 		w0 := make([]float64, dim)
 		for r := 1; r <= rounds; r++ {
 			if _, err := c.Round(r, w0, cfg); err != nil {
@@ -547,7 +546,7 @@ func TestTreeRootMemoryIsDeviceCountInvariant(t *testing.T) {
 func TestAggregatorNodeHeapIsDeviceCountInvariant(t *testing.T) {
 	m := models.NewSoftmax(784, 10, 0)
 	shard := testPartition(1, 4, 784, 10, 9).Clients[0] // shared: data must not scale either
-	cfg := core.FedProxVR(optim.SARAH, 5, 1, 0.1, 1, 2, 1)
+	cfg := engine.FedProxVR(optim.SARAH, 5, 1, 0.1, 1, 2, 1)
 	w0 := make([]float64, m.Dim())
 
 	measure := func(virtDev int) int64 {
@@ -608,20 +607,20 @@ func TestTreeEngineRejectsPerDeviceFeatures(t *testing.T) {
 	c, wg := launchTree(t, p, m, 7, fanout, nil)
 	defer c.Close()
 	w0 := make([]float64, m.Dim())
-	base := core.FedProxVR(optim.SARAH, 6, 1, 0.2, 5, 4, 2)
+	base := engine.FedProxVR(optim.SARAH, 6, 1, 0.2, 5, 4, 2)
 	base.Seed = 7
 
-	reject := func(name string, mut func(*core.Config)) {
+	reject := func(name string, mut func(*engine.Config)) {
 		cfg := base
 		mut(&cfg)
 		if _, err := c.TreeEngine(w0, cfg, nil); err == nil {
 			t.Errorf("%s: TreeEngine accepted a per-device feature the root cannot honor", name)
 		}
 	}
-	reject("secureagg", func(cfg *core.Config) { cfg.SecureAgg = true })
-	reject("dropout", func(cfg *core.Config) { cfg.DropoutProb = 0.5 })
-	reject("fraction", func(cfg *core.Config) { cfg.ClientFraction = 0.5 })
-	reject("dp", func(cfg *core.Config) { cfg.DPClip = 1; cfg.DPNoise = 0.1 })
+	reject("secureagg", func(cfg *engine.Config) { cfg.SecureAgg = true })
+	reject("dropout", func(cfg *engine.Config) { cfg.DropoutProb = 0.5 })
+	reject("fraction", func(cfg *engine.Config) { cfg.ClientFraction = 0.5 })
+	reject("dp", func(cfg *engine.Config) { cfg.DPClip = 1; cfg.DPNoise = 0.1 })
 
 	c.SetCodec(CodecInt8)
 	if _, err := c.TreeEngine(w0, base, nil); err == nil {

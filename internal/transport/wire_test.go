@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"fedproxvr/internal/core"
 	"fedproxvr/internal/data"
 	"fedproxvr/internal/engine"
 	"fedproxvr/internal/models"
@@ -59,7 +58,7 @@ func launchFleet(t testing.TB, p *data.Partition, m models.Model, seed int64,
 func TestCompressedCodecsCutWireBytes(t *testing.T) {
 	p := testPartition(3, 20, 100, 10, 5)
 	m := models.NewSoftmax(100, 10, 0)
-	cfg := core.FedAvg(4, 1, 3, 4, 3)
+	cfg := engine.FedAvg(4, 1, 3, 4, 3)
 	cfg.Seed = 12
 	dim := m.Dim()
 	anchor := testVec(99, dim)
@@ -104,7 +103,7 @@ func TestCompressedCodecsCutWireBytes(t *testing.T) {
 func TestRoundStatsExactWireAccounting(t *testing.T) {
 	p := testPartition(3, 20, 100, 10, 5)
 	m := models.NewSoftmax(100, 10, 0)
-	cfg := core.FedAvg(3, 1, 3, 4, 3)
+	cfg := engine.FedAvg(3, 1, 3, 4, 3)
 	cfg.Seed = 13
 	dim := m.Dim()
 
@@ -155,7 +154,7 @@ func TestRoundStatsExactWireAccounting(t *testing.T) {
 func TestCodecMismatchRejected(t *testing.T) {
 	p := testPartition(2, 10, 3, 2, 9)
 	m := models.NewSoftmax(3, 2, 0)
-	cfg := core.FedAvg(3, 1, 2, 2, 1)
+	cfg := engine.FedAvg(3, 1, 2, 2, 1)
 	cfg.Seed = 14
 
 	var faultErr error
@@ -196,7 +195,7 @@ func TestCodecMismatchRejected(t *testing.T) {
 func TestQuantizedCodecsStillTrain(t *testing.T) {
 	p := testPartition(3, 20, 3, 3, 16)
 	m := models.NewSoftmax(3, 3, 0)
-	cfg := core.FedProxVR(optim.SARAH, 6, 1, 0.2, 5, 4, 6)
+	cfg := engine.FedProxVR(optim.SARAH, 6, 1, 0.2, 5, 4, 6)
 	cfg.Seed = 17
 
 	loss := func(codec Codec) float64 {
@@ -256,7 +255,7 @@ func TestTracedWireAccountingExact(t *testing.T) {
 	dim := m.Dim()
 
 	for _, codec := range []Codec{CodecFloat64, CodecTopK} {
-		cfg := core.FedProxVR(optim.SARAH, 6, 1, 0.2, 5, 4, 3)
+		cfg := engine.FedProxVR(optim.SARAH, 6, 1, 0.2, 5, 4, 3)
 		cfg.Seed = 19
 		c, wg := launchTracedWorkers(t, p, m, cfg.Seed, nil)
 		c.SetCodec(codec)

@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"fedproxvr/internal/chaos"
-	"fedproxvr/internal/core"
 	"fedproxvr/internal/data"
+	"fedproxvr/internal/engine"
 	"fedproxvr/internal/models"
 	"fedproxvr/internal/optim"
 	"fedproxvr/internal/trace"
@@ -17,11 +17,11 @@ import (
 
 // Worker is the device side of the distributed runtime: it connects to a
 // coordinator, announces its shard size, and serves rounds until told to
-// stop. Its RNG stream derivation matches core.NewDevice, so a distributed
+// stop. Its RNG stream derivation matches engine.NewDevice, so a distributed
 // run is bit-identical to the in-process simulator with the same seed.
 type Worker struct {
 	id     int
-	device *core.Device
+	device *engine.Device
 	shard  *data.Dataset
 	addr   string
 	conn   net.Conn
@@ -132,7 +132,7 @@ func NewLeasedWorker(addr string, id int, shard *data.Dataset, m models.Model, s
 func newWorker(addr string, id int, shard *data.Dataset, m models.Model, seed int64, sched *chaos.Schedule, leaseJob string, leaseEpoch int64) (*Worker, error) {
 	w := &Worker{
 		id:         id,
-		device:     core.NewDevice(id, shard, m, seed),
+		device:     engine.NewDevice(id, shard, m, seed),
 		shard:      shard,
 		addr:       addr,
 		sched:      sched,

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"fedproxvr/internal/async"
-	"fedproxvr/internal/core"
+	"fedproxvr/internal/engine"
 	"fedproxvr/internal/search"
 	"fedproxvr/internal/simnet"
 	"fedproxvr/internal/theory"
@@ -345,11 +345,7 @@ func RunTimingStudy(sc Scale) ([]TimingRow, error) {
 			cfg.Name = fmt.Sprintf("tau=%d on %s", tau, f.name)
 			cfg.Seed = sc.Seed
 			cfg.Parallel = sc.Parallel
-			r, err := core.NewRunner(task.Model, task.Part, cfg)
-			if err != nil {
-				return nil, err
-			}
-			ts, err := simnet.Train(r, fleet, 1)
+			ts, err := trainTimed(task, cfg, fleet)
 			if err != nil {
 				return nil, err
 			}
@@ -365,6 +361,17 @@ func RunTimingStudy(sc Scale) ([]TimingRow, error) {
 		}
 	}
 	return rows, nil
+}
+
+// trainTimed runs cfg in-process on task against the fleet's simulated
+// clock, and stops the run's worker pool before it returns.
+func trainTimed(task Task, cfg Config, fleet *simnet.Fleet) (*simnet.TimedSeries, error) {
+	eng, _, err := engine.NewInProcess(task.Model, task.Part, cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer eng.Close()
+	return simnet.Train(eng, fleet, 1)
 }
 
 // StragglerRow is one runtime's measurement in the straggler study.
@@ -406,11 +413,7 @@ func RunStragglerStudy(sc Scale) ([]StragglerRow, error) {
 		fleet := simnet.NewHeterogeneousFleet(devices, profile, spread, sc.Seed)
 
 		syncCfg := Config{Name: "sync", Local: local, Rounds: sc.Rounds * 8, Seed: sc.Seed}
-		sr, err := core.NewRunner(task.Model, task.Part, syncCfg)
-		if err != nil {
-			return nil, err
-		}
-		syncTS, err := simnet.Train(sr, fleet, 1)
+		syncTS, err := trainTimed(task, syncCfg, fleet)
 		if err != nil {
 			return nil, err
 		}
