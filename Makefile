@@ -128,12 +128,13 @@ soak-restart:
 # NN kernels (forward/backward, minibatch gradient, full inner solve), the
 # transport top-k selector, the wire-frame marshal/unmarshal paths, the
 # end-to-end TCP round (exact and topk-delta codecs), one server-side
-# measurement of the paper's convex scenario, and the GEMM kernels and
+# measurement of the paper's convex scenario, the GEMM kernels and
 # Softmax gradient at the shapes the benchmark's models hit (GemmShape*,
-# SoftmaxGradB32). bench and benchgate
+# SoftmaxGradB32), conv1's im2col/col2im (Im2Col28x28k5, Col2Im28x28k5) and
+# the thin CNN's B = 8 gradient (CNNThinGradB8). bench and benchgate
 # must agree on this set, so a benchmark in the snapshot is never silently
 # absent from the gate run.
-BENCH_PATTERN := RoundAllocs|Ablation|NewRunnerCNN10|NNBatch|NNMinibatch|NNInnerSolve|TopK|Frame|WireRound|EvaluatorMeasure|GemmShape|SoftmaxGradB32
+BENCH_PATTERN := RoundAllocs|Ablation|NewRunnerCNN10|NNBatch|NNMinibatch|NNInnerSolve|TopK|Frame|WireRound|EvaluatorMeasure|GemmShape|SoftmaxGradB32|Im2Col28x28k5|Col2Im28x28k5|CNNThinGradB8
 BENCH_PKGS := . ./internal/engine ./internal/nn ./internal/models ./internal/optim ./internal/transport ./internal/tensor
 
 # bench runs the recorded benchmark set three times and snapshots the

@@ -209,6 +209,26 @@ func BenchmarkNNMinibatchGrad32(b *testing.B) {
 	}
 }
 
+// BenchmarkCNNThinGradB8 measures one 8-sample minibatch gradient of the
+// paper CNN at width divisor 8: the cnn10 workload's inner-loop step.
+func BenchmarkCNNThinGradB8(b *testing.B) {
+	m := NewPaperCNN(10, 8, 0)
+	ds := classDataset(784, 10, 64, 43)
+	w := make([]float64, m.Dim())
+	m.InitParams(randx.New(44), w)
+	idx := make([]int, 8)
+	for i := range idx {
+		idx[i] = (i * 7) % ds.N()
+	}
+	g := make([]float64, m.Dim())
+	m.Grad(g, w, ds, idx) // build the workspace
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Grad(g, w, ds, idx)
+	}
+}
+
 // BenchmarkNNMinibatchGradPerSample32 is the same work on the per-sample
 // reference path — the pre-batching baseline kept for comparison.
 func BenchmarkNNMinibatchGradPerSample32(b *testing.B) {

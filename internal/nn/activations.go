@@ -26,39 +26,48 @@ func (r *ReLU) OutSize() int { return r.Size }
 func (r *ReLU) NumParams() int { return 0 }
 
 type reluCache struct {
-	mask []bool // true where input > 0, maxBatch×Size
+	// mask is 1 where input > 0, else 0; maxBatch×Size. One byte per
+	// element: a word-wide mask would make the cache 8× larger.
+	mask []uint8
 }
 
 // NewCache implements Layer.
 func (r *ReLU) NewCache(maxBatch int) Cache {
-	return &reluCache{mask: make([]bool, maxBatch*r.Size)}
+	return &reluCache{mask: make([]uint8, maxBatch*r.Size)}
 }
 
-// Forward implements Layer.
+// keep returns v where m is 1 and +0 where m is 0, by masking v's bits
+// with −m (all ones or all zeros) instead of branching on the data.
+func keep(v float64, m uint8) float64 {
+	return math.Float64frombits(math.Float64bits(v) & -uint64(m))
+}
+
+// Forward implements Layer without a data-dependent branch: y = v where
+// v > 0, else +0 (so NaN and −0 give +0 and +Inf passes).
 func (r *ReLU) Forward(params, x, y []float64, b int, cache Cache) {
 	c := cache.(*reluCache)
 	mask := c.mask[:b*r.Size]
+	x, y = x[:len(mask)], y[:len(mask)]
 	for i, v := range x {
-		if v > 0 {
-			y[i] = v
-			mask[i] = true
-		} else {
-			y[i] = 0
-			mask[i] = false
+		var m uint8
+		if v > 0 { // compiles to a SETcc, not a jump
+			m = 1
 		}
+		mask[i] = m
+		y[i] = keep(v, m)
 	}
 }
 
-// Backward implements Layer.
+// Backward implements Layer: dX = dY where the input was positive, else +0.
 func (r *ReLU) Backward(params, dY, dX, dParams []float64, b int, cache Cache) {
+	if dX == nil {
+		return
+	}
 	c := cache.(*reluCache)
 	mask := c.mask[:b*r.Size]
+	dY, dX = dY[:len(mask)], dX[:len(mask)]
 	for i, m := range mask {
-		if m {
-			dX[i] = dY[i]
-		} else {
-			dX[i] = 0
-		}
+		dX[i] = keep(dY[i], m)
 	}
 }
 
@@ -105,6 +114,9 @@ func (t *Tanh) Forward(params, x, y []float64, b int, cache Cache) {
 
 // Backward implements Layer: d tanh = 1 - tanh².
 func (t *Tanh) Backward(params, dY, dX, dParams []float64, b int, cache Cache) {
+	if dX == nil {
+		return
+	}
 	c := cache.(*tanhCache)
 	out := c.out[:b*t.Size]
 	for i, y := range out {

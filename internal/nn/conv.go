@@ -158,7 +158,7 @@ func (c *Conv2D) Forward(params, x, y []float64, b int, cache Cache) {
 // Backward implements Layer:
 //
 //	dW += Σ_s dOut_s · col_sᵀ,   db_oc += Σ_s Σ dOut_s[oc],
-//	dIn_s = col2im(Wᵀ · dOut_s).
+//	dIn_s = col2im(Wᵀ · dOut_s)   (skipped when dX is nil).
 func (c *Conv2D) Backward(params, dY, dX, dParams []float64, b int, cache Cache) {
 	cc := cache.(*convCache)
 	if b != cc.b {
@@ -168,7 +168,9 @@ func (c *Conv2D) Backward(params, dY, dX, dParams []float64, b int, cache Cache)
 	gemmCost := 2 * c.OutC * c.Shape.ColRows() * c.Shape.ColCols()
 	// dW first: the input-gradient pass overwrites the im2col scratch.
 	cc.par.Run(c.OutC, convDWGrain, b*gemmCost, cc.dwBody)
-	cc.par.Run(b, 1, b*(gemmCost+c.InSize()), cc.dxBody)
+	if dX != nil {
+		cc.par.Run(b, 1, b*(gemmCost+c.InSize()), cc.dxBody)
+	}
 }
 
 // Init implements Initializer: Glorot-uniform kernel, zero bias.
@@ -285,6 +287,9 @@ func (p *MaxPool2D) Backward(params, dY, dX, dParams []float64, b int, cache Cac
 	pc := cache.(*poolCache)
 	if b != pc.b {
 		panic("nn: MaxPool2D Backward batch differs from last Forward")
+	}
+	if dX == nil {
+		return
 	}
 	pc.dY, pc.dX = dY, dX
 	pc.par.Run(b, 1, b*p.InSize(), pc.bwdBody)

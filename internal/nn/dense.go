@@ -55,7 +55,7 @@ func (d *Dense) Forward(params, x, y []float64, b int, cache Cache) {
 
 // Backward implements Layer:
 //
-//	dW += dYᵀ·X,   db += Σ_rows dY,   dX = dY·W.
+//	dW += dYᵀ·X,   db += Σ_rows dY,   dX = dY·W (skipped when dX is nil).
 //
 // All three reduce over the batch in ascending sample order.
 func (d *Dense) Backward(params, dY, dX, dParams []float64, b int, cache Cache) {
@@ -70,7 +70,9 @@ func (d *Dense) Backward(params, dY, dX, dParams []float64, b int, cache Cache) 
 	xm := tensor.MatOf(b, d.In, c.x[:b*d.In])
 	c.par.GemmTN(1, dym, xm, 1, dw)
 	tensor.ColSumsAcc(db, dym)
-	c.par.GemmNN(1, dym, w, 0, tensor.MatOf(b, d.In, dX))
+	if dX != nil {
+		c.par.GemmNN(1, dym, w, 0, tensor.MatOf(b, d.In, dX))
+	}
 }
 
 // Init implements Initializer: Glorot-uniform W, zero b.

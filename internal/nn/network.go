@@ -50,6 +50,10 @@ type Layer interface {
 	// accumulates the parameter gradient into dParams (+=), summed over the
 	// batch in ascending sample order. It must be called after Forward with
 	// the same cache, params and b.
+	//
+	// dX == nil means the caller does not need the input gradient: the layer
+	// only accumulates dParams and skips the work that would produce dX.
+	// No parameter gradient reads dX, so dParams is bit-identical either way.
 	Backward(params, dY, dX, dParams []float64, b int, cache Cache)
 }
 
@@ -109,9 +113,11 @@ func (n *Network) ParamView(params []float64, i int) []float64 {
 // cache, sized for batches of at most maxBatch samples.
 type Workspace struct {
 	maxBatch int
-	acts     [][]float64 // acts[i+1]: output of layer i, maxBatch×OutSize
-	dacts    [][]float64 // gradient buffers of the same shapes
-	caches   []Cache
+	// acts[i+1] is the output of layer i (maxBatch×OutSize) and dacts[i+1]
+	// its gradient. acts[0] and dacts[0] stay nil: the input is the
+	// caller's x, and layer 0 is never asked for its input gradient.
+	acts, dacts [][]float64
+	caches      []Cache
 }
 
 // NewWorkspaceBatch allocates scratch sized for batches of up to maxBatch
@@ -126,8 +132,6 @@ func (n *Network) NewWorkspaceBatch(maxBatch int) *Workspace {
 		dacts:    make([][]float64, len(n.layers)+1),
 		caches:   make([]Cache, len(n.layers)),
 	}
-	ws.acts[0] = make([]float64, maxBatch*n.layers[0].InSize())
-	ws.dacts[0] = make([]float64, maxBatch*n.layers[0].InSize())
 	for i, l := range n.layers {
 		ws.acts[i+1] = make([]float64, maxBatch*l.OutSize())
 		ws.dacts[i+1] = make([]float64, maxBatch*l.OutSize())
@@ -167,7 +171,8 @@ func (n *Network) ForwardBatch(params, x []float64, b int, ws *Workspace) []floa
 
 // BackwardBatch propagates dOut (b×OutSize gradient w.r.t. the output of
 // the last ForwardBatch on ws) and accumulates the parameter gradient into
-// grad (+=), summed over the batch. grad must have length NumParams.
+// grad (+=), summed over the batch. grad must have length NumParams. Layer
+// 0 gets a nil dX: nothing reads the gradient w.r.t. the network input.
 func (n *Network) BackwardBatch(params, dOut []float64, b int, ws *Workspace, grad []float64) {
 	if len(grad) != n.total {
 		panic(fmt.Sprintf("nn: grad len %d, want %d", len(grad), n.total))
@@ -182,8 +187,11 @@ func (n *Network) BackwardBatch(params, dOut []float64, b int, ws *Workspace, gr
 	copy(ws.dacts[last][:b*n.OutSize()], dOut)
 	for i := last - 1; i >= 0; i-- {
 		l := n.layers[i]
-		l.Backward(n.ParamView(params, i),
-			ws.dacts[i+1][:b*l.OutSize()], ws.dacts[i][:b*l.InSize()],
+		var dX []float64
+		if i > 0 {
+			dX = ws.dacts[i][:b*l.InSize()]
+		}
+		l.Backward(n.ParamView(params, i), ws.dacts[i+1][:b*l.OutSize()], dX,
 			grad[n.offsets[i]:n.offsets[i]+l.NumParams()], b, ws.caches[i])
 	}
 }

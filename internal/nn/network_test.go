@@ -19,7 +19,7 @@ func scalarProbe(net *Network, params, x, r []float64, ws *Workspace) float64 {
 }
 
 // checkNetGradient compares Backward against central finite differences of
-// the scalar probe for every parameter and for the input gradient.
+// the scalar probe for every parameter (TestInputGradient covers dX).
 func checkNetGradient(t *testing.T, net *Network, seed int64, tol float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -81,34 +81,140 @@ func TestConvPoolGradient(t *testing.T) {
 	checkNetGradient(t, net, 4, 1e-5)
 }
 
+// TestInputGradient checks the dX of every layer type, called directly with
+// a non-nil dX over a batch of two, against central finite differences of
+// φ(x) = <Forward(x), r> with params fixed. dX starts as NaN, so a layer
+// that accumulates into it instead of overwriting fails. Every probe runs on
+// a fresh cache, so training-mode dropout draws the same mask each time.
 func TestInputGradient(t *testing.T) {
-	// dIn check: probe φ(x) with params fixed.
-	net := MustNetwork(NewDense(4, 6), NewReLU(6), NewDense(6, 2))
-	rng := rand.New(rand.NewSource(5))
-	params := make([]float64, net.NumParams())
-	net.InitParams(rng, params)
-	x := make([]float64, 4)
-	r := []float64{0.3, -1.1}
-	for i := range x {
-		x[i] = rng.NormFloat64()
+	conv := tensor.ConvShape{InC: 2, InH: 5, InW: 6, KH: 3, KW: 3, Stride: 2, Pad: 1}
+	cases := []struct {
+		name string
+		l    Layer
+	}{
+		{"Dense", NewDense(5, 4)},
+		{"Conv2D", NewConv2D(conv, 3)},
+		{"ReLU", NewReLU(7)},
+		{"Tanh", NewTanh(7)},
+		{"MaxPool2D", NewMaxPool2D(2, 4, 4, 2)},
+		{"AvgPool2D", NewAvgPool2D(2, 4, 4, 2)},
+		{"Dropout", NewDropout(9, 0.4, 3)},
 	}
-	ws := net.NewWorkspace()
-	grad := make([]float64, net.NumParams())
-	net.Forward(params, x, ws)
-	net.Backward(params, r, ws, grad)
-	dIn := ws.dacts[0]
-	const h = 1e-6
-	for i := range x {
-		orig := x[i]
-		x[i] = orig + h
-		fp := scalarProbe(net, params, x, r, ws)
-		x[i] = orig - h
-		fm := scalarProbe(net, params, x, r, ws)
-		x[i] = orig
-		want := (fp - fm) / (2 * h)
-		if math.Abs(dIn[i]-want) > 1e-4*(1+math.Abs(want)) {
-			t.Fatalf("dIn[%d]: analytic %v, numeric %v", i, dIn[i], want)
+	const b, h = 2, 1e-6
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			l := tc.l
+			rng := rand.New(rand.NewSource(5))
+			normals := func(n int) []float64 {
+				v := make([]float64, n)
+				for i := range v {
+					v[i] = rng.NormFloat64()
+				}
+				return v
+			}
+			params, x, r := normals(l.NumParams()), normals(b*l.InSize()), normals(b*l.OutSize())
+			y := make([]float64, b*l.OutSize())
+			probe := func() float64 {
+				l.Forward(params, x, y, b, l.NewCache(b))
+				var s float64
+				for i, v := range y {
+					s += v * r[i]
+				}
+				return s
+			}
+			cache := l.NewCache(b)
+			l.Forward(params, x, y, b, cache)
+			dX := make([]float64, b*l.InSize())
+			for i := range dX {
+				dX[i] = math.NaN()
+			}
+			l.Backward(params, r, dX, make([]float64, l.NumParams()), b, cache)
+			for i := range x {
+				orig := x[i]
+				x[i] = orig + h
+				fp := probe()
+				x[i] = orig - h
+				fm := probe()
+				x[i] = orig
+				want := (fp - fm) / (2 * h)
+				if math.Abs(dX[i]-want) > 1e-6*(1+math.Abs(want)) {
+					t.Fatalf("dX[%d]: analytic %v, numeric %v", i, dX[i], want)
+				}
+			}
+		})
+	}
+}
+
+// backwardEveryLayer is BackwardBatch with layer 0 also asked for its input
+// gradient, which it writes into dX0.
+func backwardEveryLayer(n *Network, params, dOut []float64, b int, ws *Workspace, grad, dX0 []float64) {
+	last := len(n.layers)
+	copy(ws.dacts[last][:b*n.OutSize()], dOut)
+	for i := last - 1; i >= 0; i-- {
+		l := n.layers[i]
+		dX := dX0
+		if i > 0 {
+			dX = ws.dacts[i][:b*l.InSize()]
 		}
+		l.Backward(n.ParamView(params, i), ws.dacts[i+1][:b*l.OutSize()], dX,
+			grad[n.offsets[i]:n.offsets[i]+l.NumParams()], b, ws.caches[i])
+	}
+}
+
+// thinPaperCNN is the paper's CNN at channel width divisor 8 (4 and 8
+// channels), the model the benchmark's cnn10 workload trains.
+func thinPaperCNN() *Network {
+	s1 := tensor.ConvShape{InC: 1, InH: 28, InW: 28, KH: 5, KW: 5, Stride: 1, Pad: 2}
+	c1 := NewConv2D(s1, 4)
+	s2 := tensor.ConvShape{InC: 4, InH: 14, InW: 14, KH: 5, KW: 5, Stride: 1, Pad: 2}
+	c2 := NewConv2D(s2, 8)
+	return MustNetwork(c1, NewReLU(c1.OutSize()), NewMaxPool2D(4, 28, 28, 2),
+		c2, NewReLU(c2.OutSize()), NewMaxPool2D(8, 14, 14, 2), NewDense(8*7*7, 10))
+}
+
+// TestSkippedInputGradientIsBitNeutral pins BackwardBatch, which passes
+// layer 0 a nil dX, to a loop that still computes layer 0's input
+// gradient: the parameter gradients of the thin paper CNN and the MLP must
+// agree bit for bit.
+func TestSkippedInputGradientIsBitNeutral(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		net  *Network
+	}{
+		{"ThinCNN", thinPaperCNN()},
+		{"MLP", MustNetwork(NewDense(784, 32), NewReLU(32), NewDense(32, 10))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := tc.net
+			rng := rand.New(rand.NewSource(14))
+			params := make([]float64, net.NumParams())
+			net.InitParams(rng, params)
+			const b = 8
+			x, dOut := randomBatch(rng, net, b)
+			ws := net.NewWorkspaceBatch(b)
+
+			got := make([]float64, net.NumParams())
+			net.ForwardBatch(params, x, b, ws)
+			net.BackwardBatch(params, dOut, b, ws, got)
+
+			want := make([]float64, net.NumParams())
+			dX0 := make([]float64, b*net.InSize())
+			net.ForwardBatch(params, x, b, ws)
+			backwardEveryLayer(net, params, dOut, b, ws, want, dX0)
+
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("grad[%d]: nil layer-0 dX %v, full backward %v", i, got[i], want[i])
+				}
+			}
+			var norm float64
+			for _, v := range dX0 {
+				norm += v * v
+			}
+			if norm == 0 {
+				t.Fatal("the full backward computed no layer-0 input gradient")
+			}
+		})
 	}
 }
 

@@ -86,6 +86,9 @@ func (d *Dropout) Forward(params, x, y []float64, b int, cache Cache) {
 // Backward implements Layer: gradients flow only through kept units, with
 // the same 1/(1−Rate) scale.
 func (d *Dropout) Backward(params, dY, dX, dParams []float64, b int, cache Cache) {
+	if dX == nil {
+		return
+	}
 	c := cache.(*dropoutCache)
 	if !d.training || d.Rate == 0 {
 		copy(dX, dY)
@@ -159,6 +162,9 @@ func (p *AvgPool2D) Forward(params, x, y []float64, b int, cache Cache) {
 
 // Backward implements Layer: each input receives dOut/(K²) of its window.
 func (p *AvgPool2D) Backward(params, dY, dX, dParams []float64, b int, cache Cache) {
+	if dX == nil {
+		return
+	}
 	inN, outN := p.InSize(), p.OutSize()
 	oh, ow := p.H/p.K, p.W/p.K
 	inv := 1 / float64(p.K*p.K)

@@ -21,10 +21,28 @@ func (s ConvShape) ColRows() int { return s.InC * s.KH * s.KW }
 // ColCols returns the number of columns of the im2col matrix: OutH*OutW.
 func (s ConvShape) ColCols() int { return s.OutH() * s.OutW() }
 
+// validCols returns the output columns [lo, hi) of kernel column kx whose
+// input column ox·Stride + kx − Pad lies inside [0, InW); every other
+// column reads padding. 0 ≤ lo ≤ hi ≤ ow holds even when the padding is
+// wider than the input and the range is empty.
+func (s ConvShape) validCols(kx, ow int) (lo, hi int) {
+	if d := s.Pad - kx; d > 0 { // smallest ox with ox·Stride ≥ Pad − kx
+		lo = (d + s.Stride - 1) / s.Stride
+	}
+	if d := s.InW + s.Pad - kx; d > 0 { // smallest ox with ox·Stride ≥ InW + Pad − kx
+		hi = (d + s.Stride - 1) / s.Stride
+	}
+	hi = min(hi, ow)
+	return min(lo, hi), hi
+}
+
 // Im2Col unrolls the input volume (len = InC*InH*InW, channels-first) into
 // col, a ColRows×ColCols row-major matrix, so that convolution becomes a
 // single GEMM: out(OC × OutH*OutW) = W(OC × ColRows) · col.
 // Out-of-bounds taps (padding) contribute zeros.
+//
+// Each output row is two zeroed padding edges around one contiguous run of
+// input taps (validCols), copied without a per-element bounds test.
 func Im2Col(s ConvShape, input, col []float64) {
 	oh, ow := s.OutH(), s.OutW()
 	cols := oh * ow
@@ -39,27 +57,25 @@ func Im2Col(s ConvShape, input, col []float64) {
 		chBase := c * s.InH * s.InW
 		for ky := 0; ky < s.KH; ky++ {
 			for kx := 0; kx < s.KW; kx++ {
+				lo, hi := s.validCols(kx, ow)
 				dst := col[r*cols : (r+1)*cols]
 				r++
-				i := 0
 				for oy := 0; oy < oh; oy++ {
+					row := dst[oy*ow : (oy+1)*ow]
 					iy := oy*s.Stride + ky - s.Pad
-					if iy < 0 || iy >= s.InH {
-						for ox := 0; ox < ow; ox++ {
-							dst[i] = 0
-							i++
-						}
+					if iy < 0 || iy >= s.InH || lo == hi {
+						clear(row)
 						continue
 					}
-					rowBase := chBase + iy*s.InW
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*s.Stride + kx - s.Pad
-						if ix < 0 || ix >= s.InW {
-							dst[i] = 0
-						} else {
-							dst[i] = input[rowBase+ix]
-						}
-						i++
+					clear(row[:lo])
+					clear(row[hi:])
+					src := input[chBase+iy*s.InW+lo*s.Stride+kx-s.Pad:]
+					if s.Stride == 1 {
+						copy(row[lo:hi], src)
+						continue
+					}
+					for j, k := lo, 0; j < hi; j, k = j+1, k+s.Stride {
+						row[j] = src[k]
 					}
 				}
 			}
@@ -70,6 +86,10 @@ func Im2Col(s ConvShape, input, col []float64) {
 // Col2Im is the adjoint of Im2Col: it scatter-adds the columns back into an
 // input-shaped gradient buffer. dInput is NOT zeroed first so contributions
 // can accumulate across calls; callers zero it when starting a new sample.
+//
+// Each row adds only its validCols run. Within one im2col row no two
+// columns reach the same input element, so every dInput element receives
+// at most one term per row, in ascending (c, ky, kx) row order.
 func Col2Im(s ConvShape, col, dInput []float64) {
 	oh, ow := s.OutH(), s.OutW()
 	cols := oh * ow
@@ -84,22 +104,28 @@ func Col2Im(s ConvShape, col, dInput []float64) {
 		chBase := c * s.InH * s.InW
 		for ky := 0; ky < s.KH; ky++ {
 			for kx := 0; kx < s.KW; kx++ {
+				lo, hi := s.validCols(kx, ow)
 				src := col[r*cols : (r+1)*cols]
 				r++
-				i := 0
+				if lo == hi {
+					continue
+				}
 				for oy := 0; oy < oh; oy++ {
 					iy := oy*s.Stride + ky - s.Pad
 					if iy < 0 || iy >= s.InH {
-						i += ow
 						continue
 					}
-					rowBase := chBase + iy*s.InW
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*s.Stride + kx - s.Pad
-						if ix >= 0 && ix < s.InW {
-							dInput[rowBase+ix] += src[i]
+					run := src[oy*ow+lo : oy*ow+hi]
+					dst := dInput[chBase+iy*s.InW+lo*s.Stride+kx-s.Pad:]
+					if s.Stride == 1 {
+						dst = dst[:len(run)]
+						for j, v := range run {
+							dst[j] += v
 						}
-						i++
+						continue
+					}
+					for j, k := 0, 0; j < len(run); j, k = j+1, k+s.Stride {
+						dst[k] += run[j]
 					}
 				}
 			}

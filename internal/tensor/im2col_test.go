@@ -131,6 +131,76 @@ func TestCol2ImAccumulates(t *testing.T) {
 	}
 }
 
+// TestIm2ColCol2ImMatchReference holds the contiguous-run kernels to the
+// per-element reference bodies by math.Float64bits: over 3000 random
+// shapes (every one NewConv2D would accept), padding as wide as or wider
+// than the kernel and the input, and 1×1 inputs. Im2Col writes into a
+// destination full of garbage, so a missed zeroing shows; Col2Im adds onto
+// a non-zero dInput, so a reordered or dropped term shows.
+func TestIm2ColCol2ImMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	shapes := []ConvShape{
+		{InC: 1, InH: 1, InW: 1, KH: 1, KW: 1, Stride: 1, Pad: 0},
+		{InC: 2, InH: 1, InW: 1, KH: 3, KW: 3, Stride: 1, Pad: 1},
+		{InC: 1, InH: 1, InW: 1, KH: 5, KW: 5, Stride: 3, Pad: 4},
+		{InC: 1, InH: 3, InW: 3, KH: 2, KW: 2, Stride: 1, Pad: 3},
+		{InC: 3, InH: 2, InW: 9, KH: 5, KW: 1, Stride: 2, Pad: 4},
+		{InC: 1, InH: 4, InW: 2, KH: 1, KW: 3, Stride: 2, Pad: 4},
+		{InC: 1, InH: 28, InW: 28, KH: 5, KW: 5, Stride: 1, Pad: 2},
+	}
+	for len(shapes) < 3000+7 {
+		s := ConvShape{InC: 1 + rng.Intn(3), InH: 1 + rng.Intn(9), InW: 1 + rng.Intn(9),
+			KH: 1 + rng.Intn(5), KW: 1 + rng.Intn(5), Stride: 1 + rng.Intn(3), Pad: rng.Intn(5)}
+		if s.OutH() > 0 && s.OutW() > 0 {
+			shapes = append(shapes, s)
+		}
+	}
+	// Col2Im's sums get no NaN and no −Inf: once two NaNs with different
+	// payloads meet (+Inf + −Inf makes a second one), which payload an add
+	// keeps depends on the operand order the compiler picks.
+	sumSpecials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.SmallestNonzeroFloat64, -1e300}
+	copySpecials := append([]float64{math.Inf(-1), math.NaN(), math.Float64frombits(0xfff8_0000_0000_0123)},
+		sumSpecials...)
+	fill := func(v, specials []float64) {
+		for i := range v {
+			if rng.Intn(16) == 0 {
+				v[i] = specials[rng.Intn(len(specials))]
+			} else {
+				v[i] = rng.NormFloat64()
+			}
+		}
+	}
+	same := func(what string, s ConvShape, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s %+v: element %d = %v, reference %v", what, s, i, got[i], want[i])
+			}
+		}
+	}
+	for _, s := range shapes {
+		nIn, nCol := s.InC*s.InH*s.InW, s.ColRows()*s.ColCols()
+		input := make([]float64, nIn)
+		fill(input, copySpecials)
+		got, want := make([]float64, nCol), make([]float64, nCol)
+		for i := range got {
+			got[i] = math.Float64frombits(0x7ff4_dead_beef_0000 | uint64(i))
+		}
+		Im2Col(s, input, got)
+		refIm2Col(s, input, want)
+		same("Im2Col", s, got, want)
+
+		col := make([]float64, nCol)
+		fill(col, sumSpecials)
+		dGot, dWant := make([]float64, nIn), make([]float64, nIn)
+		fill(dGot, sumSpecials)
+		copy(dWant, dGot)
+		Col2Im(s, col, dGot)
+		refCol2Im(s, col, dWant)
+		same("Col2Im", s, dGot, dWant)
+	}
+}
+
 func BenchmarkIm2Col28x28k5(b *testing.B) {
 	s := ConvShape{InC: 1, InH: 28, InW: 28, KH: 5, KW: 5, Stride: 1, Pad: 2}
 	input := make([]float64, s.InC*s.InH*s.InW)
@@ -138,5 +208,17 @@ func BenchmarkIm2Col28x28k5(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Im2Col(s, input, col)
+	}
+}
+
+// BenchmarkCol2Im28x28k5 is conv1's input-gradient scatter at the paper
+// CNN's shape, the adjoint of BenchmarkIm2Col28x28k5.
+func BenchmarkCol2Im28x28k5(b *testing.B) {
+	s := ConvShape{InC: 1, InH: 28, InW: 28, KH: 5, KW: 5, Stride: 1, Pad: 2}
+	dInput := make([]float64, s.InC*s.InH*s.InW)
+	col := make([]float64, s.ColRows()*s.ColCols())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Col2Im(s, col, dInput)
 	}
 }
