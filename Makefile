@@ -10,7 +10,7 @@ TESTFLAGS ?= -timeout 120s
 # race-enabled targets carry their own, larger guard.
 RACE_TESTFLAGS ?= -timeout 900s
 
-.PHONY: build test vet fmt race check expolint evalcpu bench bench-all bench-smoke benchgate chaos soak-restart trace-demo fuzz loc
+.PHONY: build test vet fmt race check deadcode expolint evalcpu bench bench-all bench-smoke benchgate chaos soak-restart trace-demo fuzz loc
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,15 @@ vet:
 	$(GO) vet ./...
 	@out=$$(grep -rl --include='*.go' --exclude='*_test.go' '"encoding/gob"' internal/transport cmd examples); \
 		if [ -n "$$out" ]; then echo "encoding/gob imported on the wire side:"; echo "$$out"; exit 1; fi
+
+# deadcode fails, listing them, on functions that no binary links: it
+# builds every cmd/ and examples/ main plus bench/ with inlining off and
+# diffs their `go tool nm` symbols against the functions declared in
+# non-test files. The allowlist, each entry with its reason, is in
+# cmd/deadcode. Delete an unreachable function, or move a test reference
+# into the _test.go that uses it.
+deadcode:
+	$(GO) run ./cmd/deadcode
 
 # fmt fails (listing the offenders) if any tracked Go file is not gofmt-clean.
 fmt:
@@ -75,21 +84,23 @@ evalcpu:
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test $(TESTFLAGS) ./...
 
-# check is the CI gate: formatting, static analysis, the frozen bench
-# module, the exposition lint, the evaluator determinism tests across CPU
-# counts, the race-enabled suite, and the benchmark regression gate
-# against the committed snapshot. The race-enabled suite
-# replays the FuzzFrameDecode seed corpus (plain `go test` runs f.Add
-# seeds), so every committed frame-decoder regression input is exercised
-# on each CI run; `make fuzz` explores beyond the seeds.
-check: fmt vet bench-smoke expolint evalcpu race benchgate
+# check is the CI gate: formatting, static analysis, the dead-code gate,
+# the frozen bench module, the exposition lint, the evaluator determinism
+# tests across CPU counts, the race-enabled suite, and the benchmark
+# regression gate against the committed snapshot. The race-enabled suite
+# replays the FuzzFrameDecode and FuzzCheckpointLoad seed corpora (plain
+# `go test` runs f.Add seeds), so every committed decoder regression input
+# is exercised on each CI run; `make fuzz` explores beyond the seeds.
+check: fmt vet deadcode bench-smoke expolint evalcpu race benchgate
 
-# fuzz runs coverage-guided exploration of the wire-frame decoders. The
-# decoders sit directly on the network, so any input must decode or error —
-# never panic. FUZZ_TIME bounds the run (default 30s).
+# fuzz runs coverage-guided exploration of the untrusted-byte decoders: the
+# wire frames, which sit directly on the network, and the checkpoint file,
+# read back from disk after a crash. Any input must decode or error — never
+# panic. FUZZ_TIME bounds each target's run (default 30s).
 FUZZ_TIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime $(FUZZ_TIME) ./internal/transport/
+	$(GO) test -run '^$$' -fuzz FuzzCheckpointLoad -fuzztime $(FUZZ_TIME) ./internal/checkpoint/
 
 # trace-demo runs a short traced experiment and validates that the emitted
 # Chrome trace-event JSON still parses and is internally consistent (every

@@ -81,10 +81,9 @@ func main() {
 	}
 
 	// Compression enters the Section 4.3 time model through d_com: a codec
-	// that moves r× fewer bytes scales the communication delay to d_com/r
-	// (simnet.DeviceProfile.ScaleCom applies the same scaling to simulated
-	// fleets). Re-minimizing problem (23) under the scaled delay shows the
-	// optimum shifting: cheap rounds favour less local work per round.
+	// that moves r× fewer bytes scales the communication delay to d_com/r.
+	// Re-minimizing problem (23) under the scaled delay shows the optimum
+	// shifting: cheap rounds favour less local work per round.
 	fmt.Println("\n— (β, μ) optimum shift under compression (problem 23) —")
 	problem := theory.Problem{L: 1, Lambda: 0.5, SigmaBar2: 1}
 	base := theory.TimingModel{DCom: 2.0, DCmp: 0.0004} // cellular regime

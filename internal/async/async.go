@@ -138,12 +138,6 @@ func NewRunner(m models.Model, part *data.Partition, fleet *simnet.Fleet, cfg Co
 	return r, nil
 }
 
-// SetGlobal initializes the global model.
-func (r *Runner) SetGlobal(w []float64) { copy(r.w, w) }
-
-// Global returns the current global model (aliased).
-func (r *Runner) Global() []float64 { return r.w }
-
 // dispatch starts device id's next computation from the current global
 // model and schedules its completion on the simulated clock.
 func (r *Runner) dispatch(id int) {

@@ -1,7 +1,6 @@
 package async
 
 import (
-	"math"
 	"testing"
 
 	"fedproxvr/internal/data"
@@ -120,7 +119,7 @@ func TestAsyncDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := make([]float64, m.Dim())
-		copy(out, r.Global())
+		copy(out, r.w)
 		return out
 	}
 	a, b := run(), run()
@@ -173,7 +172,7 @@ func TestStalenessDecayDampsSlowDevice(t *testing.T) {
 		}
 		// Loss on the slow device's shard measures how much its (stale)
 		// information made it into the global model.
-		return m.Clone().Loss(r.Global(), p.Clients[1], nil)
+		return m.Clone().Loss(r.w, p.Clients[1], nil)
 	}
 	noDecay := impact(0)
 	strongDecay := impact(4)
@@ -230,24 +229,5 @@ func TestAsyncBeatsSyncUnderStragglers(t *testing.T) {
 	}
 	if asyncTime >= syncTime {
 		t.Fatalf("async (%.2fs) should beat sync (%.2fs) under stragglers", asyncTime, syncTime)
-	}
-}
-
-func TestAsyncSetGlobal(t *testing.T) {
-	p := blobPartition(2, 10, 3, 3, 9)
-	m := models.NewSoftmax(3, 3, 0)
-	fleet := simnet.NewUniformFleet(2, simnet.DeviceProfile{ComputePerIter: 0.01}, 9)
-	r, err := NewRunner(m, p, fleet, asyncConfig(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w0 := make([]float64, m.Dim())
-	w0[0] = 42
-	r.SetGlobal(w0)
-	if r.Global()[0] != 42 {
-		t.Fatal("SetGlobal lost data")
-	}
-	if math.IsNaN(r.Global()[0]) {
-		t.Fatal("NaN")
 	}
 }

@@ -40,9 +40,6 @@ func NewExecutor(inner engine.Executor, sched *Schedule) *Executor {
 	return &Executor{inner: inner, sched: sched}
 }
 
-// Inner returns the wrapped executor.
-func (x *Executor) Inner() engine.Executor { return x.inner }
-
 type lateDev struct {
 	pos int
 	id  int

@@ -137,19 +137,37 @@ func Load(path string) (*State, error) {
 	return &s, nil
 }
 
-// Train runs the remaining rounds of eng's configuration, checkpointing to
-// path every `every` rounds (and at the end). If path already holds a
-// checkpoint for the same run name, training resumes from it: the global
-// model is restored and only the remaining rounds execute. It returns the
-// full metric series (restored prefix + new points).
-func Train(eng *engine.Engine, path string, every int) (*metrics.Series, error) {
-	return TrainContext(context.Background(), eng, path, every)
+// Restore resumes eng from st, refusing a checkpoint another run wrote: the
+// run name, the seed and the model dimension must match eng's
+// configuration, and st.Round must lie in [0, Rounds]. It returns the
+// metric series recorded before st was saved, which the resumed run
+// extends.
+func Restore(eng *engine.Engine, st *State) ([]metrics.Point, error) {
+	cfg := eng.Config()
+	switch {
+	case st.Name != cfg.Name:
+		return nil, fmt.Errorf("checkpoint: holds run %q, not %q", st.Name, cfg.Name)
+	case st.Seed != cfg.Seed:
+		return nil, fmt.Errorf("checkpoint: run %q was seeded %d, not %d", st.Name, st.Seed, cfg.Seed)
+	case len(st.Global) != len(eng.Global()):
+		return nil, fmt.Errorf("checkpoint: model dim %d, want %d", len(st.Global), len(eng.Global()))
+	case st.Round < 0 || st.Round > cfg.Rounds:
+		return nil, fmt.Errorf("checkpoint: round %d outside the run's [0, %d]", st.Round, cfg.Rounds)
+	}
+	eng.SetGlobal(st.Global)
+	eng.SetRound(st.Round)
+	return st.Points, nil
 }
 
-// TrainContext is Train with cancellation: it snapshots through the
-// engine's per-round hook, so a run interrupted by ctx (or by a crash
-// after the last snapshot) resumes from path on the next call. On
-// cancellation it returns the series so far alongside ctx.Err().
+// TrainContext runs the remaining rounds of eng's configuration,
+// checkpointing to path every `every` rounds (and at the end). If path
+// already holds a checkpoint of the same run (see Restore), training
+// resumes from it: the global model is restored and only the remaining
+// rounds execute. It snapshots through the engine's per-round hook, so a
+// run interrupted by ctx (or by a crash after the last snapshot) resumes
+// from path on the next call. It returns the full metric series (restored
+// prefix + new points); on cancellation, the series so far alongside
+// ctx.Err().
 func TrainContext(ctx context.Context, eng *engine.Engine, path string, every int) (*metrics.Series, error) {
 	cfg := eng.Config()
 	if every < 1 {
@@ -158,15 +176,9 @@ func TrainContext(ctx context.Context, eng *engine.Engine, path string, every in
 	var prefix []metrics.Point
 
 	if st, err := Load(path); err == nil {
-		if st.Name != cfg.Name {
-			return nil, fmt.Errorf("checkpoint: %s holds run %q, not %q", path, st.Name, cfg.Name)
+		if prefix, err = Restore(eng, st); err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
 		}
-		if len(st.Global) != len(eng.Global()) {
-			return nil, fmt.Errorf("checkpoint: model dim %d, want %d", len(st.Global), len(eng.Global()))
-		}
-		eng.SetGlobal(st.Global)
-		eng.SetRound(st.Round)
-		prefix = st.Points
 	} else if !os.IsNotExist(err) {
 		return nil, err
 	}

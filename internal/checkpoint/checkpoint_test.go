@@ -119,7 +119,7 @@ func TestLoadErrors(t *testing.T) {
 func TestTrainCheckpointsAndCompletes(t *testing.T) {
 	r, _, _ := fixture(t, 10)
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	series, err := Train(r, path, 3)
+	series, err := TrainContext(context.Background(), r, path, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestTrainResumesFromCheckpoint(t *testing.T) {
 
 	// Phase 1: run 4 of 10 rounds, checkpoint, "crash".
 	r1, _, _ := fixture(t, 4)
-	if _, err := Train(r1, path, 2); err != nil {
+	if _, err := TrainContext(context.Background(), r1, path, 2); err != nil {
 		t.Fatal(err)
 	}
 	st, err := Load(path)
@@ -159,7 +159,7 @@ func TestTrainResumesFromCheckpoint(t *testing.T) {
 
 	// Phase 2: new process, 10-round config, resumes at round 5.
 	r2, _, _ := fixture(t, 10)
-	series, err := Train(r2, path, 2)
+	series, err := TrainContext(context.Background(), r2, path, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,15 +230,47 @@ func TestTrainRejectsForeignCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, _, _ := fixture(t, 5)
-	if _, err := Train(r, path, 1); err == nil {
+	if _, err := TrainContext(context.Background(), r, path, 1); err == nil {
 		t.Fatal("foreign checkpoint should be rejected")
 	}
 	// Dimension mismatch also rejected.
-	if err := Save(path, &State{Name: r.Config().Name, Global: make([]float64, 2)}); err != nil {
+	if err := Save(path, &State{Name: r.Config().Name, Seed: r.Config().Seed, Global: make([]float64, 2)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Train(r, path, 1); err == nil {
+	if _, err := TrainContext(context.Background(), r, path, 1); err == nil {
 		t.Fatal("dimension mismatch should be rejected")
+	}
+}
+
+// TestTrainRejectsOtherSeedOrRound: a checkpoint whose name and dimension
+// match is still another run's when its seed differs, and no run of this
+// configuration can have saved a round outside [0, Rounds]. Either would
+// otherwise resume silently — the first as a run of the wrong seed, the
+// second into zero rounds with a longer series than the run has.
+func TestTrainRejectsOtherSeedOrRound(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	r, _, _ := fixture(t, 5)
+	cfg := r.Config()
+	for name, st := range map[string]State{
+		"other seed":     {Name: cfg.Name, Seed: cfg.Seed + 1, Round: 2},
+		"round past end": {Name: cfg.Name, Seed: cfg.Seed, Round: cfg.Rounds + 1},
+		"negative round": {Name: cfg.Name, Seed: cfg.Seed, Round: -1},
+	} {
+		st.Global = make([]float64, len(r.Global()))
+		if err := Save(path, &st); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := TrainContext(context.Background(), r, path, 1); err == nil {
+			t.Errorf("%s: checkpoint %+v resumed", name, st)
+		}
+	}
+	// The same run's checkpoint at its last round resumes into no rounds.
+	done := State{Name: cfg.Name, Seed: cfg.Seed, Round: cfg.Rounds, Global: make([]float64, len(r.Global()))}
+	if err := Save(path, &done); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := TrainContext(context.Background(), r, path, 1); err != nil {
+		t.Fatalf("finished run's own checkpoint rejected: %v", err)
 	}
 }
 
@@ -311,17 +343,17 @@ func TestResumeBitIdentical(t *testing.T) {
 	// stream history is lost with the process).
 	dir := t.TempDir()
 	r0, _, _ := fixture(t, 10)
-	if _, err := Train(r0, filepath.Join(dir, "straight.ckpt"), 10); err != nil {
+	if _, err := TrainContext(context.Background(), r0, filepath.Join(dir, "straight.ckpt"), 10); err != nil {
 		t.Fatal(err)
 	}
 
 	interrupted := filepath.Join(dir, "interrupted.ckpt")
 	r1, _, _ := fixture(t, 5)
-	if _, err := Train(r1, interrupted, 1); err != nil {
+	if _, err := TrainContext(context.Background(), r1, interrupted, 1); err != nil {
 		t.Fatal(err)
 	}
 	r2, _, _ := fixture(t, 10)
-	if _, err := Train(r2, interrupted, 1); err != nil {
+	if _, err := TrainContext(context.Background(), r2, interrupted, 1); err != nil {
 		t.Fatal(err)
 	}
 

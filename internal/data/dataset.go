@@ -3,12 +3,11 @@
 // experiments: the FedProx-style Synthetic(α, β) dataset, a procedural
 // MNIST-like image generator, and a procedural Fashion-MNIST-like generator
 // (substitutes for the real image corpora, which are not available offline;
-// see DESIGN.md §2). A loader for real IDX-format files is also included.
+// see DESIGN.md §2), plus an IDX writer that exports the generated images.
 package data
 
 import (
 	"fmt"
-	"math"
 
 	"fedproxvr/internal/randx"
 )
@@ -127,60 +126,4 @@ func (d *Dataset) Split(trainFrac float64, seed int64) (train, test *Dataset) {
 		cut = n
 	}
 	return d.Subset(perm[:cut]), d.Subset(perm[cut:])
-}
-
-// ClassCounts returns the per-class sample counts (classification only).
-func (d *Dataset) ClassCounts() []int {
-	counts := make([]int, d.NumClasses)
-	for _, y := range d.Y {
-		counts[y]++
-	}
-	return counts
-}
-
-// Standardize shifts and scales every feature column to zero mean and unit
-// variance, computed over d itself, and applies the same transform to the
-// optional extra datasets (e.g. a held-out test set). Columns with zero
-// variance are left centered only.
-func (d *Dataset) Standardize(extra ...*Dataset) {
-	n := d.N()
-	if n == 0 {
-		return
-	}
-	mean := make([]float64, d.Dim)
-	for i := 0; i < n; i++ {
-		row := d.Sample(i)
-		for j, v := range row {
-			mean[j] += v
-		}
-	}
-	for j := range mean {
-		mean[j] /= float64(n)
-	}
-	sd := make([]float64, d.Dim)
-	for i := 0; i < n; i++ {
-		row := d.Sample(i)
-		for j, v := range row {
-			dv := v - mean[j]
-			sd[j] += dv * dv
-		}
-	}
-	for j := range sd {
-		sd[j] = math.Sqrt(sd[j] / float64(n))
-	}
-	apply := func(ds *Dataset) {
-		for i := 0; i < ds.N(); i++ {
-			row := ds.Sample(i)
-			for j := range row {
-				row[j] -= mean[j]
-				if sd[j] > 0 {
-					row[j] /= sd[j]
-				}
-			}
-		}
-	}
-	apply(d)
-	for _, e := range extra {
-		apply(e)
-	}
 }

@@ -1,7 +1,6 @@
 package data
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -112,39 +111,6 @@ func TestSplitPartitionsExactly(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical splits")
-	}
-}
-
-func TestStandardize(t *testing.T) {
-	d := makeToyClassification(500, 3, 2, 3)
-	// Shift one column so standardization has work to do.
-	for i := 0; i < d.N(); i++ {
-		d.Sample(i)[1] = d.Sample(i)[1]*10 + 5
-	}
-	test := makeToyClassification(50, 3, 2, 4)
-	d.Standardize(test)
-	for j := 0; j < 3; j++ {
-		var mean, sq float64
-		for i := 0; i < d.N(); i++ {
-			mean += d.Sample(i)[j]
-		}
-		mean /= float64(d.N())
-		for i := 0; i < d.N(); i++ {
-			dv := d.Sample(i)[j] - mean
-			sq += dv * dv
-		}
-		sd := math.Sqrt(sq / float64(d.N()))
-		if math.Abs(mean) > 1e-9 || math.Abs(sd-1) > 1e-9 {
-			t.Fatalf("col %d not standardized: mean=%v sd=%v", j, mean, sd)
-		}
-	}
-}
-
-func TestClassCounts(t *testing.T) {
-	d := makeToyClassification(10, 2, 2, 5)
-	c := d.ClassCounts()
-	if c[0] != 5 || c[1] != 5 {
-		t.Fatalf("ClassCounts = %v", c)
 	}
 }
 

@@ -1,7 +1,8 @@
 package data
 
 import (
-	gz "compress/gzip"
+	"bytes"
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
@@ -32,8 +33,10 @@ func TestGenerateSyntheticShapes(t *testing.T) {
 				t.Fatalf("bad label %d", y)
 			}
 		}
-		if !mathx.AllFinite(c.X) {
-			t.Fatalf("client %d has non-finite features", k)
+		for _, v := range c.X {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("client %d has non-finite feature %v", k, v)
+			}
 		}
 	}
 }
@@ -66,14 +69,14 @@ func TestSyntheticHeterogeneityKnob(t *testing.T) {
 				global[y]++
 			}
 		}
-		mathx.Scal(1/mathx.Sum(global), global)
+		mathx.Scal(1/float64(p.TotalSamples()), global)
 		var tv float64
 		for _, c := range p.Clients {
 			local := make([]float64, 5)
 			for _, y := range c.Y {
 				local[y]++
 			}
-			mathx.Scal(1/mathx.Sum(local), local)
+			mathx.Scal(1/float64(c.N()), local)
 			for j := range local {
 				tv += math.Abs(local[j] - global[j])
 			}
@@ -94,7 +97,10 @@ func TestImageGeneratorBasics(t *testing.T) {
 		if d.N() != 200 || d.Dim != ImageDim || d.NumClasses != 10 {
 			t.Fatalf("style %d: bad dataset shape", style)
 		}
-		counts := d.ClassCounts()
+		counts := make([]int, d.NumClasses)
+		for _, y := range d.Y {
+			counts[y]++
+		}
 		for c, n := range counts {
 			if n != 20 {
 				t.Fatalf("style %d: class %d has %d samples, want 20", style, c, n)
@@ -137,7 +143,9 @@ func TestImageGeneratorDeterministicAndSeparable(t *testing.T) {
 	for i := 0; i < d.N(); i++ {
 		best, bestD := -1, math.Inf(1)
 		for c := range centroids {
-			if dist := mathx.DistSq(d.Sample(i), centroids[c]); dist < bestD {
+			diff := mathx.Clone(d.Sample(i))
+			mathx.Axpy(-1, centroids[c], diff)
+			if dist := mathx.Nrm2Sq(diff); dist < bestD {
 				best, bestD = c, dist
 			}
 		}
@@ -151,6 +159,9 @@ func TestImageGeneratorDeterministicAndSeparable(t *testing.T) {
 	}
 }
 
+// TestIDXRoundTrip reads back the files WriteIDX produced: big-endian
+// magic/count/rows/cols headers, one byte per pixel quantized as v·255, and
+// one byte per label.
 func TestIDXRoundTrip(t *testing.T) {
 	g := NewImageGenerator(ImageConfig{Seed: 5})
 	d := g.Generate(30, 1)
@@ -160,29 +171,38 @@ func TestIDXRoundTrip(t *testing.T) {
 	if err := WriteIDX(d, imgs, lbls); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadIDX(imgs, lbls)
+	header := func(words ...uint32) []byte {
+		var b bytes.Buffer
+		for _, w := range words {
+			binary.Write(&b, binary.BigEndian, w)
+		}
+		return b.Bytes()
+	}
+	img, err := os.ReadFile(imgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.N() != d.N() || back.Dim != d.Dim {
-		t.Fatal("round-trip shape mismatch")
+	hdr := header(0x00000803, uint32(d.N()), 28, 28)
+	if !bytes.Equal(img[:len(hdr)], hdr) || len(img) != len(hdr)+d.N()*d.Dim {
+		t.Fatalf("image file: header % x, %d bytes", img[:len(hdr)], len(img))
 	}
-	for i := range d.Y {
-		if back.Y[i] != d.Y[i] {
-			t.Fatal("labels corrupted")
+	for i, v := range d.X {
+		if got := img[len(hdr)+i]; got != byte(v*255) {
+			t.Fatalf("pixel %d: wrote %d, want byte(%v·255) = %d", i, got, v, byte(v*255))
 		}
 	}
-	// Pixels quantized to 1/255 — compare within quantization error.
-	for i := range d.X {
-		if math.Abs(back.X[i]-d.X[i]) > 1.0/255+1e-9 {
-			t.Fatalf("pixel %d differs beyond quantization: %v vs %v", i, back.X[i], d.X[i])
-		}
+	lbl, err := os.ReadFile(lbls)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestLoadIDXErrors(t *testing.T) {
-	if _, err := LoadIDX("/nonexistent/a", "/nonexistent/b"); err == nil {
-		t.Fatal("expected error for missing files")
+	hdr = header(0x00000801, uint32(d.N()))
+	if !bytes.Equal(lbl[:len(hdr)], hdr) || len(lbl) != len(hdr)+d.N() {
+		t.Fatalf("label file: header % x, %d bytes", lbl[:len(hdr)], len(lbl))
+	}
+	for i, y := range d.Y {
+		if int(lbl[len(hdr)+i]) != y {
+			t.Fatalf("label %d: wrote %d, want %d", i, lbl[len(hdr)+i], y)
+		}
 	}
 }
 
@@ -204,58 +224,4 @@ func TestImageSampleDstValidation(t *testing.T) {
 		}
 	}()
 	g.Sample(randx.New(1), 0, make([]float64, 3))
-}
-
-func TestLoadIDXGzip(t *testing.T) {
-	g := NewImageGenerator(ImageConfig{Seed: 6})
-	d := g.Generate(20, 2)
-	dir := t.TempDir()
-	rawImgs := filepath.Join(dir, "imgs.idx")
-	rawLbls := filepath.Join(dir, "lbls.idx")
-	if err := WriteIDX(d, rawImgs, rawLbls); err != nil {
-		t.Fatal(err)
-	}
-	gzip := func(src string) string {
-		dst := src + ".gz"
-		in, err := os.ReadFile(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := os.Create(dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		zw := gz.NewWriter(f)
-		if _, err := zw.Write(in); err != nil {
-			t.Fatal(err)
-		}
-		if err := zw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-		return dst
-	}
-	back, err := LoadIDX(gzip(rawImgs), gzip(rawLbls))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.N() != d.N() {
-		t.Fatal("gzip round-trip lost samples")
-	}
-	for i := range d.Y {
-		if back.Y[i] != d.Y[i] {
-			t.Fatal("gzip labels corrupted")
-		}
-	}
-}
-
-func TestLoadIDXBadMagic(t *testing.T) {
-	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad.idx")
-	if err := os.WriteFile(bad, []byte{0, 0, 8, 99, 0, 0, 0, 0}, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadIDX(bad, bad); err == nil {
-		t.Fatal("bad magic should error")
-	}
 }

@@ -2,130 +2,14 @@ package data
 
 import (
 	"bufio"
-	"compress/gzip"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
-	"strings"
 )
 
-// LoadIDX loads a real MNIST-format dataset from an images file and a labels
-// file in IDX format (optionally gzip-compressed, detected by the .gz
-// suffix). It exists so that users with the genuine MNIST/Fashion-MNIST
-// corpora can reproduce the experiments on real data; the offline test suite
-// relies on the procedural generator instead.
-func LoadIDX(imagesPath, labelsPath string) (*Dataset, error) {
-	images, rows, cols, err := readIDXImages(imagesPath)
-	if err != nil {
-		return nil, fmt.Errorf("data: reading %s: %w", imagesPath, err)
-	}
-	labels, err := readIDXLabels(labelsPath)
-	if err != nil {
-		return nil, fmt.Errorf("data: reading %s: %w", labelsPath, err)
-	}
-	if len(images) != len(labels) {
-		return nil, fmt.Errorf("data: %d images but %d labels", len(images), len(labels))
-	}
-	dim := rows * cols
-	d := New(dim, 10, len(images))
-	for i, img := range images {
-		x := make([]float64, dim)
-		for j, b := range img {
-			x[j] = float64(b) / 255.0
-		}
-		d.AppendClass(x, int(labels[i]))
-	}
-	return d, nil
-}
-
-func openMaybeGzip(path string) (io.ReadCloser, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	if !strings.HasSuffix(path, ".gz") {
-		return f, nil
-	}
-	gz, err := gzip.NewReader(bufio.NewReader(f))
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &gzipReadCloser{gz: gz, f: f}, nil
-}
-
-type gzipReadCloser struct {
-	gz *gzip.Reader
-	f  *os.File
-}
-
-func (g *gzipReadCloser) Read(p []byte) (int, error) { return g.gz.Read(p) }
-
-func (g *gzipReadCloser) Close() error {
-	gzErr := g.gz.Close()
-	fErr := g.f.Close()
-	if gzErr != nil {
-		return gzErr
-	}
-	return fErr
-}
-
-func readIDXImages(path string) (images [][]byte, rows, cols int, err error) {
-	rc, err := openMaybeGzip(path)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	defer rc.Close()
-	r := bufio.NewReader(rc)
-	var hdr [4]uint32
-	for i := range hdr {
-		if err := binary.Read(r, binary.BigEndian, &hdr[i]); err != nil {
-			return nil, 0, 0, err
-		}
-	}
-	if hdr[0] != 0x00000803 {
-		return nil, 0, 0, fmt.Errorf("bad image magic %#08x", hdr[0])
-	}
-	n, rows, cols := int(hdr[1]), int(hdr[2]), int(hdr[3])
-	images = make([][]byte, n)
-	for i := range images {
-		buf := make([]byte, rows*cols)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, 0, 0, err
-		}
-		images[i] = buf
-	}
-	return images, rows, cols, nil
-}
-
-func readIDXLabels(path string) ([]byte, error) {
-	rc, err := openMaybeGzip(path)
-	if err != nil {
-		return nil, err
-	}
-	defer rc.Close()
-	r := bufio.NewReader(rc)
-	var magic, n uint32
-	if err := binary.Read(r, binary.BigEndian, &magic); err != nil {
-		return nil, err
-	}
-	if magic != 0x00000801 {
-		return nil, fmt.Errorf("bad label magic %#08x", magic)
-	}
-	if err := binary.Read(r, binary.BigEndian, &n); err != nil {
-		return nil, err
-	}
-	labels := make([]byte, n)
-	if _, err := io.ReadFull(r, labels); err != nil {
-		return nil, err
-	}
-	return labels, nil
-}
-
 // WriteIDX writes a classification dataset of byte-quantized square images
-// to IDX files — the inverse of LoadIDX, used by cmd/datagen to export the
-// procedural corpora in a standard format.
+// to IDX files (the MNIST distribution format), used by cmd/datagen to
+// export the procedural corpora in a standard format.
 func WriteIDX(d *Dataset, imagesPath, labelsPath string) error {
 	side := 0
 	for s := 1; s*s <= d.Dim; s++ {

@@ -122,83 +122,6 @@ func PartitionByLabel(d *Dataset, cfg PartitionConfig) (*Partition, error) {
 	return p, nil
 }
 
-// PartitionIID splits a dataset uniformly at random into equal shards — the
-// homogeneous control used to isolate the effect of heterogeneity.
-func PartitionIID(d *Dataset, numDevices int, seed int64) (*Partition, error) {
-	if numDevices <= 0 {
-		return nil, fmt.Errorf("data: NumDevices must be positive, got %d", numDevices)
-	}
-	n := d.N()
-	if n < numDevices {
-		return nil, fmt.Errorf("data: %d samples cannot cover %d devices", n, numDevices)
-	}
-	perm := randx.New(seed).Perm(n)
-	p := &Partition{Clients: make([]*Dataset, numDevices)}
-	for k := 0; k < numDevices; k++ {
-		lo := k * n / numDevices
-		hi := (k + 1) * n / numDevices
-		p.Clients[k] = d.Subset(perm[lo:hi])
-	}
-	return p, nil
-}
-
-// PartitionDirichlet splits a classification dataset across devices with
-// Dirichlet label skew — the standard non-IID benchmark protocol in the
-// post-FedAvg literature (Hsu et al. 2019): for every class, the class's
-// samples are distributed over devices with proportions drawn from a
-// symmetric Dirichlet(alpha). Small alpha concentrates each class on few
-// devices (extreme skew); large alpha approaches IID.
-func PartitionDirichlet(d *Dataset, numDevices int, alpha float64, seed int64) (*Partition, error) {
-	if d.NumClasses == 0 {
-		return nil, fmt.Errorf("data: PartitionDirichlet requires a classification dataset")
-	}
-	if numDevices <= 0 {
-		return nil, fmt.Errorf("data: NumDevices must be positive, got %d", numDevices)
-	}
-	if alpha <= 0 {
-		return nil, fmt.Errorf("data: alpha must be positive, got %v", alpha)
-	}
-	rng := randx.New(seed)
-	assign := make([][]int, numDevices) // device → sample indices
-
-	props := make([]float64, numDevices)
-	for label := 0; label < d.NumClasses; label++ {
-		var pool []int
-		for i, y := range d.Y {
-			if y == label {
-				pool = append(pool, i)
-			}
-		}
-		if len(pool) == 0 {
-			continue
-		}
-		randx.Shuffle(rng, pool)
-		randx.Dirichlet(rng, props, alpha)
-		// Largest-remainder apportionment of the pool across devices.
-		cut := 0
-		var acc float64
-		for k := 0; k < numDevices; k++ {
-			acc += props[k]
-			next := int(acc*float64(len(pool)) + 0.5)
-			if k == numDevices-1 {
-				next = len(pool)
-			}
-			if next > len(pool) {
-				next = len(pool)
-			}
-			if next > cut {
-				assign[k] = append(assign[k], pool[cut:next]...)
-				cut = next
-			}
-		}
-	}
-	p := &Partition{Clients: make([]*Dataset, numDevices)}
-	for k := range assign {
-		p.Clients[k] = d.Subset(assign[k])
-	}
-	return p, nil
-}
-
 // DistinctLabels returns the sorted set of labels present in a shard.
 func DistinctLabels(d *Dataset) []int {
 	seen := map[int]bool{}

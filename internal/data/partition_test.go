@@ -96,83 +96,3 @@ func TestPartitionByLabelErrors(t *testing.T) {
 		t.Fatal("expected error for missing label")
 	}
 }
-
-func TestPartitionIID(t *testing.T) {
-	d := makeToyClassification(103, 2, 5, 1)
-	p, err := PartitionIID(d, 10, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.TotalSamples() != 103 {
-		t.Fatalf("IID partition lost samples: %d", p.TotalSamples())
-	}
-	min, max := p.SizeRange()
-	if max-min > 1 {
-		t.Fatalf("IID shards unbalanced: [%d, %d]", min, max)
-	}
-	if _, err := PartitionIID(d, 0, 1); err == nil {
-		t.Fatal("expected error for 0 devices")
-	}
-	if _, err := PartitionIID(makeToyClassification(3, 2, 3, 1), 10, 1); err == nil {
-		t.Fatal("expected error for more devices than samples")
-	}
-}
-
-func TestPartitionDirichletInvariants(t *testing.T) {
-	d := makeToyClassification(3000, 4, 10, 40)
-	p, err := PartitionDirichlet(d, 20, 0.3, 41)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Clients) != 20 {
-		t.Fatalf("%d clients", len(p.Clients))
-	}
-	// Every sample lands exactly once.
-	if p.TotalSamples() != 3000 {
-		t.Fatalf("lost samples: %d", p.TotalSamples())
-	}
-	// Skew: with alpha=0.3 most devices should NOT hold all 10 labels.
-	full := 0
-	for _, c := range p.Clients {
-		if len(DistinctLabels(c)) == 10 {
-			full++
-		}
-	}
-	if full > 15 {
-		t.Fatalf("alpha=0.3 produced near-IID shards (%d/20 devices with all labels)", full)
-	}
-	// Near-IID control at large alpha.
-	p2, err := PartitionDirichlet(d, 10, 1000, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, c := range p2.Clients {
-		if len(DistinctLabels(c)) < 9 {
-			t.Fatalf("alpha=1000 device %d missing labels: %v", k, DistinctLabels(c))
-		}
-	}
-}
-
-func TestPartitionDirichletErrors(t *testing.T) {
-	d := makeToyClassification(100, 2, 4, 43)
-	if _, err := PartitionDirichlet(d, 0, 0.3, 1); err == nil {
-		t.Fatal("0 devices should error")
-	}
-	if _, err := PartitionDirichlet(d, 4, 0, 1); err == nil {
-		t.Fatal("alpha=0 should error")
-	}
-	if _, err := PartitionDirichlet(New(2, 0, 0), 4, 0.3, 1); err == nil {
-		t.Fatal("regression dataset should error")
-	}
-}
-
-func TestPartitionDirichletDeterministic(t *testing.T) {
-	d := makeToyClassification(500, 3, 5, 44)
-	p1, _ := PartitionDirichlet(d, 8, 0.5, 45)
-	p2, _ := PartitionDirichlet(d, 8, 0.5, 45)
-	for k := range p1.Clients {
-		if p1.Clients[k].N() != p2.Clients[k].N() {
-			t.Fatal("not deterministic")
-		}
-	}
-}

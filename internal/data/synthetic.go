@@ -34,21 +34,6 @@ type SyntheticConfig struct {
 	Seed       int64
 }
 
-// DefaultSyntheticConfig mirrors the paper's setup: 100 devices, d=60,
-// 10 classes, sizes in [37, 3277].
-func DefaultSyntheticConfig(seed int64) SyntheticConfig {
-	return SyntheticConfig{
-		NumDevices: 100,
-		Dim:        60,
-		NumClasses: 10,
-		Alpha:      1.0,
-		Beta:       1.0,
-		MinSamples: 37,
-		MaxSamples: 3277,
-		Seed:       seed,
-	}
-}
-
 // GenerateSynthetic builds the federated Synthetic(α, β) dataset: one shard
 // per device, each drawn from that device's own model, plus nothing shared.
 // The result is deterministic given cfg.Seed.

@@ -77,8 +77,8 @@ var sinkPoint metrics.Point
 // shards plus a 15 k-row test set (each Synthetic(1,1) shard split 75/25),
 // loss and accuracy in one fan-out. Steady state allocates nothing.
 func BenchmarkEvaluatorMeasure(b *testing.B) {
-	cfg := data.DefaultSyntheticConfig(1)
-	cfg.MaxSamples = 1600
+	cfg := data.SyntheticConfig{NumDevices: 100, Dim: 60, NumClasses: 10,
+		Alpha: 1, Beta: 1, MinSamples: 37, MaxSamples: 1600, Seed: 1}
 	part := data.GenerateSynthetic(cfg)
 	tests := make([]*data.Dataset, len(part.Clients))
 	for k, shard := range part.Clients {

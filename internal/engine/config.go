@@ -200,15 +200,6 @@ func FedProx(beta, l, mu float64, tau, batch, rounds int) Config {
 	return c
 }
 
-// FSVRG returns the configuration of Konečný et al.'s Federated SVRG
-// baseline [12]: SVRG local steps anchored at the global model, without a
-// proximal term (equivalently FedProxVR with μ = 0).
-func FSVRG(beta, l float64, tau, batch, rounds int) Config {
-	c := FedProxVR(optim.SVRG, beta, l, 0, tau, batch, rounds)
-	c.Name = "FSVRG"
-	return c
-}
-
 // FedProxVR returns the paper's algorithm: proximal SVRG or SARAH local
 // steps with η = 1/(βL) and penalty μ.
 func FedProxVR(est optim.Estimator, beta, l, mu float64, tau, batch, rounds int) Config {

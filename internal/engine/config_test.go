@@ -36,9 +36,12 @@ func TestConfigConstructors(t *testing.T) {
 	}
 }
 
+// TestFSVRGConfig: Konečný et al.'s Federated SVRG baseline [12] is
+// FedProxVR with the SVRG estimator and μ = 0 — SVRG local steps anchored at
+// the global model, without a proximal term.
 func TestFSVRGConfig(t *testing.T) {
-	c := FSVRG(8, 2, 10, 16, 50)
-	if c.Name != "FSVRG" || c.Local.Mu != 0 || c.Local.Estimator != optim.SVRG {
+	c := FedProxVR(optim.SVRG, 8, 2, 0, 10, 16, 50)
+	if c.Local.Mu != 0 || c.Local.Estimator != optim.SVRG {
 		t.Fatalf("FSVRG config wrong: %+v", c)
 	}
 	if c.Local.Eta != 1.0/16 {

@@ -137,9 +137,6 @@ func (e *Engine) Global() []float64 { return e.w }
 // SetGlobal initializes the global model (default: the zero vector).
 func (e *Engine) SetGlobal(w []float64) { copy(e.w, w) }
 
-// Round returns the number of completed global iterations.
-func (e *Engine) Round() int { return e.round }
-
 // SetRound fast-forwards the round counter (checkpoint resume). No RNG
 // replay is needed: every stream — the server stream and each device's —
 // is re-keyed at the top of each round from a pure (seed, stream, round)
@@ -191,9 +188,6 @@ func (e *Engine) SetStats(rec StatsRecorder) { e.stats = rec }
 // path keeps the engine's alloc budget. Safe between rounds, not during one.
 func (e *Engine) SetTracer(tr *trace.Tracer) { e.tracer = tr }
 
-// Tracer returns the installed tracer (nil when tracing is off).
-func (e *Engine) Tracer() *trace.Tracer { return e.tracer }
-
 // endRoundSpan closes the in-flight round span. It runs inside FlushStats
 // — which Run and the simnet driver both call exactly once per round,
 // after evaluation — so the round span covers selection through
@@ -233,9 +227,9 @@ func (e *Engine) StampEval(p metrics.Point) {
 	}
 	gn := p.GradNormSq
 	if gn == 0 {
-		// Mirror metrics.MeanGradNormSq: a zero GradNormSq means the round
-		// did not measure stationarity (TrackStationarity off), not a
-		// converged model — record "unmeasured", which marshals as null.
+		// A zero GradNormSq means the round did not measure stationarity
+		// (TrackStationarity off), not a converged model — record
+		// "unmeasured", which marshals as null.
 		gn = math.NaN()
 	}
 	e.rs.Eval = &obs.EvalStats{
@@ -420,11 +414,6 @@ func (e *Engine) StepCtx(ctx context.Context) ([]int, int, error) {
 	}
 	return selected, failed, nil
 }
-
-// Stragglers returns how many of the last Step's non-reporting devices
-// were straggler cuts (deadline/quorum) rather than failures. Zero when
-// the policy is off.
-func (e *Engine) Stragglers() int { return e.res.Stragglers }
 
 // GradEvals returns the cumulative gradient evaluations across the
 // backend's devices as of the last round that reached them (zero before

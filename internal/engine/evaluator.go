@@ -133,14 +133,6 @@ func (ev *Evaluator) Loss(w []float64) float64 {
 	return loss
 }
 
-// Accuracy returns test accuracy, or NaN — unmeasured — without a
-// classifier or without test samples (a nil test set and an empty one are
-// the same thing).
-func (ev *Evaluator) Accuracy(w []float64) float64 {
-	_, acc := ev.run(w, false, true)
-	return acc
-}
-
 // run is the one measurement path: it lays out the task list, engages the
 // helpers that are free, works through the list alongside them and reduces
 // the results. Either result is NaN when not asked for or not measurable.

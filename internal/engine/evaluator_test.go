@@ -62,7 +62,7 @@ func (f *evalFixture) evaluator() *engine.Evaluator {
 }
 
 // serial is the naive reference: one model, one goroutine, shards in
-// order, one Predict per test row.
+// order, and one batched sweep of the whole test set.
 func (f *evalFixture) serial() (loss, acc, gradNormSq float64) {
 	m := f.m.Clone().(*models.Softmax)
 	grads, g := make([]float64, len(f.w)), make([]float64, len(f.w))
@@ -74,12 +74,7 @@ func (f *evalFixture) serial() (loss, acc, gradNormSq float64) {
 	if len(f.shards) == 0 {
 		loss = math.NaN()
 	}
-	correct := 0
-	for i := 0; i < f.test.N(); i++ {
-		if m.Predict(f.w, f.test.Sample(i)) == f.test.Y[i] {
-			correct++
-		}
-	}
+	correct := models.CountCorrect(m, make([]int, f.test.N()), f.w, f.test, 0, f.test.N())
 	acc = math.NaN()
 	if f.test.N() > 0 {
 		acc = float64(correct) / float64(f.test.N())
@@ -90,9 +85,9 @@ func (f *evalFixture) serial() (loss, acc, gradNormSq float64) {
 // sameBits reports whether a and b are the same float64, NaN included.
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// TestEvaluatorMatchesSerialReference pins the fanned-out Loss, Accuracy
-// and Measure to the serial reference bit for bit, over the partition
-// shapes that stress the task list. Run it at -cpu 1,2,4 (make check does):
+// TestEvaluatorMatchesSerialReference pins the fanned-out Loss and Measure
+// to the serial reference bit for bit, over the partition shapes that
+// stress the task list. Run it at -cpu 1,2,4 (make check does):
 // the numbers may not depend on the worker count.
 func TestEvaluatorMatchesSerialReference(t *testing.T) {
 	tiny := make([]int, 10000)
@@ -120,9 +115,6 @@ func TestEvaluatorMatchesSerialReference(t *testing.T) {
 			for rep := 0; rep < 3; rep++ { // scratch reuse must not leak between calls
 				if got := ev.Loss(f.w); !sameBits(got, wantLoss) {
 					t.Fatalf("rep %d: Loss = %v, serial %v", rep, got, wantLoss)
-				}
-				if got := ev.Accuracy(f.w); !sameBits(got, wantAcc) {
-					t.Fatalf("rep %d: Accuracy = %v, serial %v", rep, got, wantAcc)
 				}
 				p := ev.Measure(f.w, rep%2 == 0)
 				if !sameBits(p.TrainLoss, wantLoss) || !sameBits(p.TestAcc, wantAcc) {
@@ -162,6 +154,10 @@ func TestEvaluatorsShareThePool(t *testing.T) {
 	wg.Wait()
 }
 
+// notClassifier hides the wrapped model's PredictBatch: a Model that does
+// not classify.
+type notClassifier struct{ models.Model }
+
 // TestEvaluatorAccuracyUnmeasured: no test samples means no measurement,
 // whether the test set is nil or merely empty (which used to record a
 // measured 0), and so does a model that does not classify.
@@ -171,10 +167,10 @@ func TestEvaluatorAccuracyUnmeasured(t *testing.T) {
 		"nil test set":     {Model: f.m, Clients: f.shards, Weights: f.weights},
 		"empty test set":   {Model: f.m, Clients: f.shards, Weights: f.weights, Test: data.New(30, 6, 0)},
 		"no model":         {Test: f.test},
-		"not a classifier": {Model: models.NewLinearRegression(30, false, 0), Test: f.test},
+		"not a classifier": {Model: notClassifier{f.m}, Test: f.test},
 	} {
-		if acc := ev.Accuracy(f.w); !math.IsNaN(acc) {
-			t.Errorf("%s: Accuracy = %v, want NaN", name, acc)
+		if acc := ev.Measure(f.w, false).TestAcc; !math.IsNaN(acc) {
+			t.Errorf("%s: TestAcc = %v, want NaN", name, acc)
 		}
 	}
 	ev := &engine.Evaluator{Model: f.m, Clients: f.shards, Weights: f.weights, Test: data.New(30, 6, 0)}

@@ -237,9 +237,6 @@ func (s *Sequential) RunRound(ctx context.Context, spec RoundSpec, res *RoundRes
 	return nil
 }
 
-// Devices exposes the executor's devices (read-only use).
-func (s *Sequential) Devices() []*Device { return s.devices }
-
 // parJob is one device solve handed to the worker pool. It carries every
 // pointer a worker needs so the workers never reference the Parallel struct
 // itself (which lets a forgotten pool be finalized and its goroutines
@@ -467,9 +464,6 @@ drain:
 		st.Clients = compactStats(st.Clients, len(st.Clients)-n)
 	}
 }
-
-// Devices exposes the executor's devices (read-only use).
-func (p *Parallel) Devices() []*Device { return p.devices }
 
 // Close stops the worker pool. Idempotent; the pool is also closed by a
 // finalizer if the executor is dropped without Close.

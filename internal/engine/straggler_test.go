@@ -97,13 +97,15 @@ func TestMinReportParallelQuorum(t *testing.T) {
 	}
 }
 
-// specSpy records what the engine hands its executor each round.
+// specSpy records what the engine hands its executor each round, and the
+// stragglers the executor reports back.
 type specSpy struct {
-	inner     engine.Executor
-	rounds    []int
-	minReport []int
-	deadline  []bool // ctx carried a deadline
-	cuttable  []bool // ctx.Done() != nil
+	inner      engine.Executor
+	rounds     []int
+	minReport  []int
+	deadline   []bool // ctx carried a deadline
+	cuttable   []bool // ctx.Done() != nil
+	stragglers int
 }
 
 func (s *specSpy) RunRound(ctx context.Context, spec engine.RoundSpec, res *engine.RoundResult) error {
@@ -112,7 +114,9 @@ func (s *specSpy) RunRound(ctx context.Context, spec engine.RoundSpec, res *engi
 	s.minReport = append(s.minReport, spec.MinReport)
 	s.deadline = append(s.deadline, hasDL)
 	s.cuttable = append(s.cuttable, ctx.Done() != nil)
-	return s.inner.RunRound(ctx, spec, res)
+	err := s.inner.RunRound(ctx, spec, res)
+	s.stragglers += res.Stragglers
+	return err
 }
 
 // TestRoundSpecCarriesPolicyAndRound pins what travels in the round
@@ -125,7 +129,7 @@ func (s *specSpy) RunRound(ctx context.Context, spec engine.RoundSpec, res *engi
 func TestRoundSpecCarriesPolicyAndRound(t *testing.T) {
 	p := testPartition(3, 10, 3, 3, 9)
 	m := models.NewSoftmax(3, 3, 0)
-	run := func(cfg engine.Config, resumeAt int) (*specSpy, *engine.Engine) {
+	run := func(cfg engine.Config, resumeAt int) *specSpy {
 		t.Helper()
 		x := &specSpy{inner: engine.NewSequential(newDevices(p, m, cfg.Seed), cfg.Local)}
 		eng, err := engine.New(cfg, m.Dim(), p.Weights(), x)
@@ -138,12 +142,12 @@ func TestRoundSpecCarriesPolicyAndRound(t *testing.T) {
 		if _, err := eng.Run(ctx); err != nil {
 			t.Fatal(err)
 		}
-		return x, eng
+		return x
 	}
 
 	off := conformanceConfigs()["full"]
 	off.Rounds = 2
-	x, eng := run(off, 0)
+	x := run(off, 0)
 	if len(x.rounds) != 2 || x.rounds[0] != 1 || x.rounds[1] != 2 {
 		t.Fatalf("fresh run numbered its rounds %v, want [1 2]", x.rounds)
 	}
@@ -153,14 +157,14 @@ func TestRoundSpecCarriesPolicyAndRound(t *testing.T) {
 				x.rounds[i], x.minReport[i], x.deadline[i], x.cuttable[i])
 		}
 	}
-	if eng.Stragglers() != 0 {
-		t.Fatalf("policy-off engine reports %d stragglers", eng.Stragglers())
+	if x.stragglers != 0 {
+		t.Fatalf("policy-off rounds report %d stragglers", x.stragglers)
 	}
 
 	on := off
 	on.MinReport = 2
 	on.RoundDeadline = time.Minute
-	x, _ = run(on, 0)
+	x = run(on, 0)
 	for i := range x.rounds {
 		if x.minReport[i] != 2 || !x.deadline[i] {
 			t.Fatalf("policy-on round %d: MinReport %d, deadline %v — want 2/true",
@@ -170,7 +174,7 @@ func TestRoundSpecCarriesPolicyAndRound(t *testing.T) {
 
 	resumed := off
 	resumed.Rounds = 7
-	x, _ = run(resumed, 5)
+	x = run(resumed, 5)
 	if len(x.rounds) != 2 || x.rounds[0] != 6 || x.rounds[1] != 7 {
 		t.Fatalf("engine resumed at round 5 numbered its rounds %v, want [6 7]", x.rounds)
 	}

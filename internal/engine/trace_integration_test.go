@@ -161,7 +161,4 @@ func TestEngineTracerRemoval(t *testing.T) {
 	if n := len(tr.Spans()); n != 0 {
 		t.Fatalf("removed tracer still recorded %d spans", n)
 	}
-	if eng.Tracer() != nil {
-		t.Fatal("Tracer() should be nil after removal")
-	}
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"fedproxvr/internal/checkpoint"
+	"fedproxvr/internal/testx"
 )
 
 // testSpec is a small, fast job: synthetic data, 3 devices, few rounds.
@@ -514,4 +515,47 @@ func TestMultiJobSoak(t *testing.T) {
 			t.Fatalf("metrics output missing %q:\n%s", needle, out)
 		}
 	}
+}
+
+// TestStopReopenLeavesNoGoroutines cycles a manager incarnation the way a
+// coordinator restart does — Open, submit, a few rounds, Stop, then a new
+// incarnation reopening the same directory and resuming the job until it
+// is stopped too — and holds the process to the goroutine count it had
+// before: every runner goroutine exits by the time Stop returns.
+func TestStopReopenLeavesNoGoroutines(t *testing.T) {
+	waitRound := func(m *Manager, id string, round int) {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			st, err := m.Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Round >= round {
+				return
+			}
+			if st.State.Terminal() || time.Now().After(deadline) {
+				t.Fatalf("job %s is %s at round %d, want round %d", id, st.State, st.Round, round)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	cycle := func() {
+		dir := t.TempDir()
+		m := openManager(t, dir, Options{})
+		if _, err := m.Submit(testSpec("leak", 5000)); err != nil {
+			t.Fatal(err)
+		}
+		waitRound(m, "leak", 2)
+		m.Stop()
+		m = openManager(t, dir, Options{})
+		st, err := m.Get("leak")
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitRound(m, "leak", st.Round+2)
+		m.Stop()
+	}
+	cycle() // starts the process-wide kernel and evaluator pools
+	testx.NoGoroutineGrowth(t, 3, 0, cycle)
 }

@@ -397,12 +397,9 @@ func (m *Manager) train(ctx context.Context, j *job) error {
 	}
 	var prefix []metrics.Point
 	if st, err := m.store.LoadCheckpoint(j.spec.ID); err == nil {
-		if len(st.Global) != len(r.Global()) {
-			return fmt.Errorf("jobs: checkpoint model dim %d, want %d", len(st.Global), len(r.Global()))
+		if prefix, err = checkpoint.Restore(eng, st); err != nil {
+			return fmt.Errorf("jobs: %w", err)
 		}
-		r.SetGlobal(st.Global)
-		eng.SetRound(st.Round)
-		prefix = st.Points
 		m.mu.Lock()
 		j.round = st.Round
 		j.manifest.Round = st.Round

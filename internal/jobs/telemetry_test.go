@@ -35,8 +35,8 @@ func TestJobTelemetryDivergentRunFlagged(t *testing.T) {
 	if !ok {
 		t.Fatal("no telemetry store registered for the job")
 	}
-	if js.Rounds() != 40 {
-		t.Fatalf("store ingested %d rounds, want 40", js.Rounds())
+	if n := len(js.Series(0, 0, 0)); n != 40 {
+		t.Fatalf("store holds %d rounds, want 40", n)
 	}
 	if js.Target() != 40 {
 		t.Fatalf("target %d, want 40", js.Target())

@@ -43,16 +43,6 @@ func Scal(a float64, x []float64) {
 	}
 }
 
-// Add stores x + y into dst. dst may alias x or y.
-func Add(dst, x, y []float64) {
-	if len(x) != len(y) || len(dst) != len(x) {
-		panic("mathx: Add length mismatch")
-	}
-	for i := range dst {
-		dst[i] = x[i] + y[i]
-	}
-}
-
 // Sub stores x - y into dst. dst may alias x or y.
 func Sub(dst, x, y []float64) {
 	if len(x) != len(y) || len(dst) != len(x) {
@@ -60,16 +50,6 @@ func Sub(dst, x, y []float64) {
 	}
 	for i := range dst {
 		dst[i] = x[i] - y[i]
-	}
-}
-
-// Mul stores the element-wise product x .* y into dst.
-func Mul(dst, x, y []float64) {
-	if len(x) != len(y) || len(dst) != len(x) {
-		panic("mathx: Mul length mismatch")
-	}
-	for i := range dst {
-		dst[i] = x[i] * y[i]
 	}
 }
 
@@ -95,30 +75,10 @@ func Nrm2Sq(x []float64) float64 {
 // Nrm2 returns the Euclidean norm ‖x‖.
 func Nrm2(x []float64) float64 { return math.Sqrt(Nrm2Sq(x)) }
 
-// DistSq returns ‖x − y‖².
-func DistSq(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic("mathx: DistSq length mismatch")
-	}
-	var s float64
-	for i, v := range x {
-		d := v - y[i]
-		s += d * d
-	}
-	return s
-}
-
 // Zero sets every element of x to 0.
 func Zero(x []float64) {
 	for i := range x {
 		x[i] = 0
-	}
-}
-
-// Fill sets every element of x to a.
-func Fill(x []float64, a float64) {
-	for i := range x {
-		x[i] = a
 	}
 }
 
@@ -147,23 +107,6 @@ func ArgMax(x []float64) int {
 // Max returns the maximum element. Panics on empty input.
 func Max(x []float64) float64 { return x[ArgMax(x)] }
 
-// Sum returns the sum of the elements of x.
-func Sum(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean, or 0 for an empty slice.
-func Mean(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	return Sum(x) / float64(len(x))
-}
-
 // LogSumExp returns log Σ exp(x_i), computed stably.
 func LogSumExp(x []float64) float64 {
 	m := Max(x)
@@ -189,38 +132,5 @@ func SoftmaxInPlace(x []float64) {
 	inv := 1 / s
 	for i := range x {
 		x[i] *= inv
-	}
-}
-
-// Clamp returns v restricted to [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// AllFinite reports whether every element of x is finite (no NaN/Inf).
-func AllFinite(x []float64) bool {
-	for _, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
-}
-
-// WeightedSum stores Σ_k a_k * xs_k into dst. Every xs_k must have
-// len(dst); len(a) must equal len(xs).
-func WeightedSum(dst []float64, a []float64, xs [][]float64) {
-	if len(a) != len(xs) {
-		panic("mathx: WeightedSum weights/vectors mismatch")
-	}
-	Zero(dst)
-	for k, x := range xs {
-		Axpy(a[k], x, dst)
 	}
 }

@@ -54,50 +54,6 @@ func (s *Series) BestAcc() (acc float64, round int) {
 	return acc, round
 }
 
-// RoundsToLoss returns the first round whose training loss is ≤ target, or
-// -1 if never reached.
-func (s *Series) RoundsToLoss(target float64) int {
-	for _, p := range s.Points {
-		if p.TrainLoss <= target {
-			return p.Round
-		}
-	}
-	return -1
-}
-
-// RoundsToAcc returns the first round whose test accuracy is ≥ target, or
-// -1 if never reached.
-func (s *Series) RoundsToAcc(target float64) int {
-	for _, p := range s.Points {
-		if !math.IsNaN(p.TestAcc) && p.TestAcc >= target {
-			return p.Round
-		}
-	}
-	return -1
-}
-
-// MeanGradNormSq returns (1/T)Σ_s ‖∇F̄(w̄^(s))‖² — the left-hand side of the
-// paper's ε-accuracy criterion (12) — averaged over the points that
-// actually measured stationarity. Rounds recorded with TrackStationarity
-// off carry GradNormSq == 0, and including them would bias the criterion
-// toward zero; unmeasured (zero or NaN) points are therefore skipped, and
-// the result is NaN when no point measured it.
-func (s *Series) MeanGradNormSq() float64 {
-	var sum float64
-	var n int
-	for _, p := range s.Points {
-		if p.GradNormSq == 0 || math.IsNaN(p.GradNormSq) {
-			continue
-		}
-		sum += p.GradNormSq
-		n++
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return sum / float64(n)
-}
-
 // TotalFailed sums the per-round failure counts over the measured points
 // (with EvalEvery > 1 only evaluated rounds contribute).
 func (s *Series) TotalFailed() int {

@@ -34,58 +34,6 @@ func TestLastAndBestAcc(t *testing.T) {
 	}
 }
 
-func TestRoundsToTargets(t *testing.T) {
-	s := sampleSeries()
-	if s.RoundsToLoss(1.0) != 2 {
-		t.Fatalf("RoundsToLoss(1.0) = %d", s.RoundsToLoss(1.0))
-	}
-	if s.RoundsToLoss(0.1) != -1 {
-		t.Fatal("unreachable loss should be -1")
-	}
-	if s.RoundsToAcc(0.55) != 2 {
-		t.Fatalf("RoundsToAcc(0.55) = %d", s.RoundsToAcc(0.55))
-	}
-	if s.RoundsToAcc(0.99) != -1 {
-		t.Fatal("unreachable acc should be -1")
-	}
-}
-
-func TestMeanGradNormSq(t *testing.T) {
-	s := sampleSeries()
-	want := (4.0 + 2.0 + 1.0) / 3
-	if got := s.MeanGradNormSq(); math.Abs(got-want) > 1e-15 {
-		t.Fatalf("MeanGradNormSq = %v, want %v", got, want)
-	}
-	if !math.IsNaN((&Series{}).MeanGradNormSq()) {
-		t.Fatal("empty mean should be NaN")
-	}
-}
-
-// TestMeanGradNormSqSkipsUnmeasuredRounds: the eq. (12) criterion must
-// average only over rounds that actually measured ‖∇F̄‖². A round-0 point or
-// an EvalEvery round recorded while TrackStationarity was off carries
-// GradNormSq == 0; the historical implementation divided by the full point
-// count, biasing the criterion toward zero.
-func TestMeanGradNormSqSkipsUnmeasuredRounds(t *testing.T) {
-	s := &Series{}
-	s.Append(Point{Round: 0}) // round-0 point, stationarity not measured
-	s.Append(Point{Round: 1, GradNormSq: 4.0})
-	s.Append(Point{Round: 2}) // tracking off this round
-	s.Append(Point{Round: 3, GradNormSq: 2.0})
-	s.Append(Point{Round: 4, GradNormSq: math.NaN()}) // eval failure sentinel
-	want := (4.0 + 2.0) / 2
-	if got := s.MeanGradNormSq(); math.Abs(got-want) > 1e-15 {
-		t.Fatalf("MeanGradNormSq = %v, want %v (unmeasured rounds must not dilute the mean)", got, want)
-	}
-
-	none := &Series{}
-	none.Append(Point{Round: 0})
-	none.Append(Point{Round: 1})
-	if !math.IsNaN(none.MeanGradNormSq()) {
-		t.Fatal("a series that never measured stationarity should yield NaN, not 0")
-	}
-}
-
 func TestWriteCSV(t *testing.T) {
 	s := sampleSeries()
 	var b strings.Builder

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fedproxvr/internal/data"
+	"fedproxvr/internal/mathx"
 	"fedproxvr/internal/randx"
 )
 
@@ -19,6 +20,53 @@ func classDataset(dim, classes, n int, seed int64) *data.Dataset {
 		ds.AppendClass(x, i%classes)
 	}
 	return ds
+}
+
+// gradPerSample is the one-sample-at-a-time reference for NNModel.Grad:
+// every selected sample runs its own batch-of-one forward and backward, so
+// no GEMM reduces over more than one sample. Same semantics as Grad.
+func gradPerSample(m *NNModel, grad, w []float64, ds *data.Dataset, idx []int) {
+	mathx.Zero(grad)
+	n := batchSize(ds, idx)
+	if n == 0 {
+		return
+	}
+	m.workspace()
+	inv := 1 / float64(n)
+	dOut := m.dOut[:m.Net.OutSize()]
+	for k := 0; k < n; k++ {
+		i := k
+		if idx != nil {
+			i = idx[k]
+		}
+		copy(dOut, m.Net.ForwardBatch(w, ds.Sample(i), 1, m.ws))
+		mathx.SoftmaxInPlace(dOut)
+		dOut[ds.Y[i]] -= 1
+		mathx.Scal(inv, dOut)
+		m.Net.BackwardBatch(w, dOut, 1, m.ws, grad)
+	}
+	addL2(m.L2, w, grad)
+}
+
+// predictRow is the one-row reference for PredictBatch: the arg-max class
+// of a single feature row, from a dot product per class (Softmax) or a
+// batch-of-one forward (NNModel).
+func predictRow(c Classifier, w, x []float64) int {
+	switch m := c.(type) {
+	case *Softmax:
+		nw := m.Classes * m.Features
+		best, bestV := 0, math.Inf(-1)
+		for k := 0; k < m.Classes; k++ {
+			if v := w[nw+k] + mathx.Dot(w[k*m.Features:(k+1)*m.Features], x); v > bestV {
+				best, bestV = k, v
+			}
+		}
+		return best
+	case *NNModel:
+		m.workspace()
+		return mathx.ArgMax(m.Net.ForwardBatch(w, x, 1, m.ws))
+	}
+	panic("predictRow: unknown classifier")
 }
 
 // TestNNModelGradMatchesPerSample pins the batched whole-minibatch gradient
@@ -43,7 +91,7 @@ func TestNNModelGradMatchesPerSample(t *testing.T) {
 			ref := make([]float64, tc.m.Dim())
 			for _, idx := range [][]int{nil, {0}, {5, 3, 5, 60}, {1, 2, 3, 4, 5, 6, 7}} {
 				tc.m.Grad(batched, w, ds, idx)
-				tc.m.GradPerSample(ref, w, ds, idx)
+				gradPerSample(tc.m, ref, w, ds, idx)
 				for i := range batched {
 					if d := math.Abs(batched[i] - ref[i]); d > 1e-9*(1+math.Abs(ref[i])) {
 						t.Fatalf("idx=%v grad[%d]: batched %v, per-sample %v", idx, i, batched[i], ref[i])
@@ -91,12 +139,6 @@ func TestNNModelGradBitDeterministic(t *testing.T) {
 // every model allocates nothing once scratch is warm.
 func TestModelGradZeroAllocSteadyState(t *testing.T) {
 	ds := classDataset(30, 3, 80, 35)
-	reg := classDataset(30, 3, 80, 36)
-	// Regression labels for the linear model.
-	reg.YReg = make([]float64, reg.N())
-	for i := range reg.YReg {
-		reg.YReg[i] = float64(i%7) - 3
-	}
 	idx := []int{4, 9, 17, 2, 55, 31, 8, 70}
 	models := []struct {
 		name string
@@ -105,8 +147,6 @@ func TestModelGradZeroAllocSteadyState(t *testing.T) {
 	}{
 		{"Softmax", NewSoftmax(30, 3, 0.1), ds},
 		{"MLP", NewMLP(30, 16, 3, 0.1), ds},
-		{"SVM", NewSVM(30, true, 0.1), ds},
-		{"Linear", NewLinearRegression(30, true, 0.1), reg},
 	}
 	for _, tc := range models {
 		t.Run(tc.name, func(t *testing.T) {
@@ -128,9 +168,9 @@ func TestModelGradZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestPredictBatchMatchesPredict pins batched prediction to the one-row
-// Predict on every classifier: the same labels row for row, hence the same
-// accuracy count, whether the dataset is predicted whole, in PredictBlock
-// blocks (what engine.Evaluator dispatches) or in ragged ones.
+// reference predictRow on every classifier: the same labels row for row,
+// hence the same accuracy count, whether the dataset is predicted whole, in
+// PredictBlock blocks (what engine.Evaluator dispatches) or in ragged ones.
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -139,7 +179,6 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 		classes int
 	}{
 		{"Softmax", NewSoftmax(30, 5, 0.1), 30, 5},
-		{"SVM", NewSVM(30, true, 0.1), 30, 2},
 		{"MLP", NewMLP(20, 16, 4, 0.01), 20, 4},
 		{"PaperCNN", NewPaperCNN(4, 16, 0), 784, 4},
 	}
@@ -152,7 +191,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 			want := make([]int, n)
 			correct := 0
 			for i := range want {
-				want[i] = tc.m.Predict(w, ds.Sample(i))
+				want[i] = predictRow(tc.m, w, ds.Sample(i))
 				if want[i] == ds.Y[i] {
 					correct++
 				}
@@ -166,15 +205,12 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 				}
 				for i := range want {
 					if got[i] != want[i] {
-						t.Fatalf("block %d: row %d predicted %d, Predict says %d", block, i, got[i], want[i])
+						t.Fatalf("block %d: row %d predicted %d, predictRow says %d", block, i, got[i], want[i])
 					}
 				}
 				if count != correct {
 					t.Fatalf("block %d: %d correct, per-sample count %d", block, count, correct)
 				}
-			}
-			if acc := Accuracy(tc.m, w, ds); acc != float64(correct)/float64(n) {
-				t.Fatalf("Accuracy = %v, per-sample %v", acc, float64(correct)/float64(n))
 			}
 			pred := make([]int, PredictBlock)
 			if a := testing.AllocsPerRun(5, func() { CountCorrect(tc.m, pred, w, ds, 0, PredictBlock) }); a != 0 {
@@ -241,6 +277,6 @@ func BenchmarkNNMinibatchGradPerSample32(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.GradPerSample(g, w, ds, idx)
+		gradPerSample(m, g, w, ds, idx)
 	}
 }

@@ -5,10 +5,9 @@
 // (∇f_i at two parameter points per step) and the federated server needs
 // (plain vector aggregation).
 //
-// Provided models: linear regression (½(xᵀw−y)²), binary SVM (hinge and
-// squared hinge), multinomial logistic regression (the paper's convex task),
-// an MLP, and the paper's two-layer CNN (the non-convex task), the latter
-// two built on package nn.
+// Provided models: multinomial logistic regression (the paper's convex
+// task), the paper's two-layer CNN (the non-convex task) and an MLP, the
+// latter two built on package nn.
 package models
 
 import (
@@ -38,13 +37,10 @@ type Model interface {
 // Classifier is implemented by models that predict a class label.
 type Classifier interface {
 	Model
-	// Predict returns the predicted class for the single feature row x
-	// under parameters w.
-	Predict(w, x []float64) int
 	// PredictBatch writes the predicted class of row lo+r of ds into
 	// pred[r] for every row in [lo, hi), running the model's chunked batch
-	// forward (the GEMM path Loss and Grad use) instead of one Predict per
-	// row. It uses the model's scratch like Loss and Grad do.
+	// forward (the GEMM path Loss and Grad use). It uses the model's
+	// scratch like Loss and Grad do.
 	PredictBatch(pred []int, w []float64, ds *data.Dataset, lo, hi int)
 }
 
@@ -69,35 +65,12 @@ func CountCorrect(c Classifier, pred []int, w []float64, ds *data.Dataset, lo, h
 	return correct
 }
 
-// Accuracy returns the fraction of samples in ds that c classifies
-// correctly under w (0 for an empty dataset).
-func Accuracy(c Classifier, w []float64, ds *data.Dataset) float64 {
-	n := ds.N()
-	if n == 0 {
-		return 0
-	}
-	return float64(CountCorrect(c, make([]int, n), w, ds, 0, n)) / float64(n)
-}
-
 // batchSize returns the effective batch size for an idx argument.
 func batchSize(ds *data.Dataset, idx []int) int {
 	if idx == nil {
 		return ds.N()
 	}
 	return len(idx)
-}
-
-// forBatch invokes fn for each selected sample index.
-func forBatch(ds *data.Dataset, idx []int, fn func(i int)) {
-	if idx == nil {
-		for i := 0; i < ds.N(); i++ {
-			fn(i)
-		}
-		return
-	}
-	for _, i := range idx {
-		fn(i)
-	}
 }
 
 // gatherRows returns the b×Dim input rows for the chunk [lo, lo+b) of a

@@ -32,17 +32,6 @@ func checkModelGradient(t *testing.T, m Model, ds *data.Dataset, idx []int, seed
 	}
 }
 
-func regressionDataset(n, d int, seed int64) *data.Dataset {
-	rng := randx.New(seed)
-	ds := data.New(d, 0, n)
-	x := make([]float64, d)
-	for i := 0; i < n; i++ {
-		randx.NormalVec(rng, x, 0, 1)
-		ds.AppendReg(x, rng.NormFloat64())
-	}
-	return ds
-}
-
 func classificationDataset(n, d, classes int, seed int64) *data.Dataset {
 	rng := randx.New(seed)
 	ds := data.New(d, classes, n)
@@ -52,54 +41,6 @@ func classificationDataset(n, d, classes int, seed int64) *data.Dataset {
 		ds.AppendClass(x, rng.Intn(classes))
 	}
 	return ds
-}
-
-func TestLinearRegressionGradient(t *testing.T) {
-	ds := regressionDataset(20, 5, 1)
-	checkModelGradient(t, NewLinearRegression(5, false, 0), ds, nil, 2, 1e-5)
-	checkModelGradient(t, NewLinearRegression(5, true, 0.1), ds, []int{0, 3, 7}, 3, 1e-5)
-}
-
-func TestLinearRegressionKnownValue(t *testing.T) {
-	ds := data.New(2, 0, 1)
-	ds.AppendReg([]float64{1, 2}, 3)
-	m := NewLinearRegression(2, false, 0)
-	w := []float64{1, 1} // prediction 3, residual 0
-	if m.Loss(w, ds, nil) != 0 {
-		t.Fatal("perfect fit should have zero loss")
-	}
-	w = []float64{0, 0} // residual -3 → loss 4.5
-	if m.Loss(w, ds, nil) != 4.5 {
-		t.Fatalf("loss = %v, want 4.5", m.Loss(w, ds, nil))
-	}
-	g := make([]float64, 2)
-	m.Grad(g, w, ds, nil)
-	if g[0] != -3 || g[1] != -6 {
-		t.Fatalf("grad = %v, want [-3 -6]", g)
-	}
-}
-
-func TestSVMGradientSquaredHinge(t *testing.T) {
-	ds := classificationDataset(20, 4, 2, 4)
-	checkModelGradient(t, NewSVM(4, true, 0.05), ds, nil, 5, 1e-5)
-}
-
-func TestSVMHingeLossValues(t *testing.T) {
-	ds := data.New(2, 2, 2)
-	ds.AppendClass([]float64{1, 0}, 1) // y=+1
-	ds.AppendClass([]float64{0, 1}, 0) // y=-1
-	m := NewSVM(2, false, 0)
-	w := []float64{2, -2} // margins: 1-2= -1 (clipped 0), 1-2 = -1 → 0
-	if m.Loss(w, ds, nil) != 0 {
-		t.Fatalf("separating w should have 0 hinge loss, got %v", m.Loss(w, ds, nil))
-	}
-	w = []float64{0, 0} // both margins 1 → mean 1
-	if m.Loss(w, ds, nil) != 1 {
-		t.Fatalf("loss = %v, want 1", m.Loss(w, ds, nil))
-	}
-	if m.Predict(w, []float64{1, 0}) != 1 {
-		t.Fatal("Predict tie should be class 1")
-	}
 }
 
 func TestSoftmaxGradient(t *testing.T) {
@@ -139,7 +80,7 @@ func TestSoftmaxLearnsSeparableData(t *testing.T) {
 			w[j] -= 0.5 * g[j]
 		}
 	}
-	if acc := Accuracy(m, w, ds); acc < 0.95 {
+	if acc := float64(CountCorrect(m, make([]int, ds.N()), w, ds, 0, ds.N())) / float64(ds.N()); acc < 0.95 {
 		t.Fatalf("GD on separable blobs reached only %.3f accuracy", acc)
 	}
 }
@@ -157,7 +98,9 @@ func TestCNNGradientThin(t *testing.T) {
 	rng := randx.New(14)
 	x := make([]float64, 784)
 	for i := 0; i < 4; i++ {
-		randx.UniformVec(rng, x, 0, 1)
+		for j := range x {
+			x[j] = rng.Float64()
+		}
 		img.AppendClass(x, i%3)
 	}
 	m := NewPaperCNN(3, 16, 0)
@@ -205,13 +148,6 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func w2(m Model) []float64 { return make([]float64, m.Dim()) }
-
-func TestAccuracyEmptyDataset(t *testing.T) {
-	m := NewSoftmax(2, 2, 0)
-	if Accuracy(m, make([]float64, m.Dim()), data.New(2, 2, 0)) != 0 {
-		t.Fatal("empty dataset accuracy should be 0")
-	}
-}
 
 func TestEmptyBatchIsZero(t *testing.T) {
 	ds := classificationDataset(5, 3, 2, 16)
@@ -272,21 +208,5 @@ func BenchmarkCNNGradSingleSample(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Grad(g, w, ds, idx)
-	}
-}
-
-func TestSVMPlainHingeGradient(t *testing.T) {
-	// The plain hinge is non-smooth only at margin==0; a generic random
-	// dataset has all margins away from the kink w.p. 1, so central
-	// finite differences remain valid.
-	ds := classificationDataset(25, 4, 2, 20)
-	checkModelGradient(t, NewSVM(4, false, 0.05), ds, nil, 21, 1e-5)
-}
-
-func TestLinearRegressionPredictValue(t *testing.T) {
-	m := NewLinearRegression(2, true, 0)
-	w := []float64{2, -1, 0.5} // weights + bias
-	if got := m.PredictValue(w, []float64{3, 4}); got != 2*3-4+0.5 {
-		t.Fatalf("PredictValue = %v", got)
 	}
 }

@@ -23,8 +23,7 @@ const gradChunk = 32
 // one. Like any Model, one value must not be evaluated concurrently.
 //
 // Loss and Grad are batch-first: the selected samples flow through the
-// network gradChunk rows at a time as blocked GEMMs. GradPerSample keeps
-// the one-sample-at-a-time reference path for equivalence tests.
+// network gradChunk rows at a time as blocked GEMMs.
 type NNModel struct {
 	Net *nn.Network
 	L2  float64
@@ -99,36 +98,6 @@ func (m *NNModel) Grad(grad, w []float64, ds *data.Dataset, idx []int) {
 		m.Net.BackwardBatch(w, dOut, b, m.ws, grad)
 	}
 	addL2(m.L2, w, grad)
-}
-
-// GradPerSample is the one-sample-at-a-time reference gradient, kept for
-// equivalence tests against the batched path. Same semantics as Grad.
-func (m *NNModel) GradPerSample(grad, w []float64, ds *data.Dataset, idx []int) {
-	mathx.Zero(grad)
-	n := batchSize(ds, idx)
-	if n == 0 {
-		return
-	}
-	m.workspace()
-	inv := 1 / float64(n)
-	out := m.Net.OutSize()
-	forBatch(ds, idx, func(i int) {
-		y := m.Net.Forward(w, ds.Sample(i), m.ws)
-		dOut := m.dOut[:out]
-		copy(dOut, y)
-		mathx.SoftmaxInPlace(dOut)
-		dOut[ds.Y[i]] -= 1
-		mathx.Scal(inv, dOut)
-		m.Net.Backward(w, dOut, m.ws, grad)
-	})
-	addL2(m.L2, w, grad)
-}
-
-// Predict implements Classifier.
-func (m *NNModel) Predict(w, x []float64) int {
-	m.workspace()
-	out := m.Net.Forward(w, x, m.ws)
-	return mathx.ArgMax(out)
 }
 
 // PredictBatch implements Classifier: one batched forward per chunk.

@@ -1,8 +1,6 @@
 package models
 
 import (
-	"math"
-
 	"fedproxvr/internal/data"
 	"fedproxvr/internal/mathx"
 	"fedproxvr/internal/tensor"
@@ -94,20 +92,6 @@ func (m *Softmax) Grad(grad, w []float64, ds *data.Dataset, idx []int) {
 		tensor.ColSumsAcc(grad[nw:], lm)
 	}
 	addL2(m.L2, w, grad)
-}
-
-// Predict implements Classifier.
-func (m *Softmax) Predict(w, x []float64) int {
-	nw := m.Classes * m.Features
-	b := w[nw:]
-	best, bestV := 0, math.Inf(-1)
-	for c := 0; c < m.Classes; c++ {
-		v := b[c] + mathx.Dot(w[c*m.Features:(c+1)*m.Features], x)
-		if v > bestV {
-			best, bestV = c, v
-		}
-	}
-	return best
 }
 
 // PredictBatch implements Classifier: one logits GEMM per chunk.

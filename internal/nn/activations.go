@@ -70,56 +70,3 @@ func (r *ReLU) Backward(params, dY, dX, dParams []float64, b int, cache Cache) {
 		dX[i] = keep(dY[i], m)
 	}
 }
-
-// Tanh is the element-wise hyperbolic tangent; used by the MLP variants.
-type Tanh struct {
-	Size int
-}
-
-// NewTanh constructs a Tanh layer.
-func NewTanh(size int) *Tanh {
-	if size <= 0 {
-		panic("nn: Tanh size must be positive")
-	}
-	return &Tanh{Size: size}
-}
-
-// InSize implements Layer.
-func (t *Tanh) InSize() int { return t.Size }
-
-// OutSize implements Layer.
-func (t *Tanh) OutSize() int { return t.Size }
-
-// NumParams implements Layer.
-func (t *Tanh) NumParams() int { return 0 }
-
-type tanhCache struct {
-	out []float64 // maxBatch×Size
-}
-
-// NewCache implements Layer.
-func (t *Tanh) NewCache(maxBatch int) Cache {
-	return &tanhCache{out: make([]float64, maxBatch*t.Size)}
-}
-
-// Forward implements Layer.
-func (t *Tanh) Forward(params, x, y []float64, b int, cache Cache) {
-	c := cache.(*tanhCache)
-	out := c.out[:b*t.Size]
-	for i, v := range x {
-		y[i] = math.Tanh(v)
-		out[i] = y[i]
-	}
-}
-
-// Backward implements Layer: d tanh = 1 - tanh².
-func (t *Tanh) Backward(params, dY, dX, dParams []float64, b int, cache Cache) {
-	if dX == nil {
-		return
-	}
-	c := cache.(*tanhCache)
-	out := c.out[:b*t.Size]
-	for i, y := range out {
-		dX[i] = dY[i] * (1 - y*y)
-	}
-}

@@ -10,9 +10,8 @@
 // The layer contract is batch-first: activations are row-major batch×size
 // matrices (each row one sample), so a whole mini-batch flows through the
 // network as blocked matrix-matrix kernels (package tensor) instead of a
-// per-sample loop. A batch of one recovers the per-sample path — the
-// Forward/Backward convenience wrappers — which prediction and reference
-// tests use.
+// per-sample loop. A batch of one recovers the per-sample path, which the
+// reference tests use.
 //
 // Backward accumulates (+=) into the caller's gradient vector, reducing
 // over the batch in ascending sample order (and over GEMM reduction indices
@@ -140,12 +139,6 @@ func (n *Network) NewWorkspaceBatch(maxBatch int) *Workspace {
 	return ws
 }
 
-// NewWorkspace allocates per-sample scratch (batch capacity 1).
-func (n *Network) NewWorkspace() *Workspace { return n.NewWorkspaceBatch(1) }
-
-// MaxBatch returns the workspace's batch capacity.
-func (ws *Workspace) MaxBatch() int { return ws.maxBatch }
-
 // ForwardBatch runs the network on a batch x (b rows of InSize features,
 // row-major flat, which may alias caller storage — e.g. a zero-copy view of
 // a dataset) and returns a slice aliasing the workspace's b×OutSize output
@@ -194,16 +187,6 @@ func (n *Network) BackwardBatch(params, dOut []float64, b int, ws *Workspace, gr
 		l.Backward(n.ParamView(params, i), ws.dacts[i+1][:b*l.OutSize()], dX,
 			grad[n.offsets[i]:n.offsets[i]+l.NumParams()], b, ws.caches[i])
 	}
-}
-
-// Forward is the per-sample convenience wrapper: a batch of one.
-func (n *Network) Forward(params, x []float64, ws *Workspace) []float64 {
-	return n.ForwardBatch(params, x, 1, ws)
-}
-
-// Backward is the per-sample convenience wrapper: a batch of one.
-func (n *Network) Backward(params, dOut []float64, ws *Workspace, grad []float64) {
-	n.BackwardBatch(params, dOut, 1, ws, grad)
 }
 
 // InitParams fills params with a standard layer-aware initialization:

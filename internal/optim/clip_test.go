@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"fedproxvr/internal/mathx"
-	"fedproxvr/internal/models"
 	"fedproxvr/internal/randx"
 )
 
@@ -17,7 +16,7 @@ func TestClipLooseBoundIsExactNoOp(t *testing.T) {
 	d := 6
 	wStar := []float64{2, -1, 0, 1, -2, 3}
 	ds := quadDataset(120, d, wStar, 17)
-	m := models.NewLinearRegression(d, false, 0)
+	m := leastSquares{d}
 
 	run := func(clip float64) []float64 {
 		s, sc := NewSolver(m), new(Scratch)
@@ -53,7 +52,7 @@ func TestClipKeepsSARAHRecursionUnclipped(t *testing.T) {
 	// Huge targets make the anchor gradient enormous, so the clip binds.
 	wStar := []float64{1e4, -1e4, 1e4}
 	ds := quadDataset(60, dim, wStar, 32)
-	m := models.NewLinearRegression(dim, false, 0)
+	m := leastSquares{dim}
 
 	cfg := LocalConfig{Estimator: SARAH, Eta: eta, Tau: 1, Batch: batchSz, ClipNorm: clipNorm}
 	out := make([]float64, dim)

@@ -5,10 +5,6 @@
 // w^(t+1) = prox_{ηh_s}(w^(t) − η v^(t)).
 package optim
 
-import (
-	"fedproxvr/internal/mathx"
-)
-
 // Prox is the proximal operator of η·h_s where
 // h_s(w) = (μ/2)‖w − anchor‖² (eq. 7). Its closed form (eq. 10) is
 //
@@ -36,44 +32,5 @@ func (p Prox) Apply(dst, x []float64, eta float64) {
 	inv := 1 / (1 + em)
 	for i := range dst {
 		dst[i] = (x[i] + em*p.Anchor[i]) * inv
-	}
-}
-
-// Value returns h_s(w) = (μ/2)‖w − anchor‖².
-func (p Prox) Value(w []float64) float64 {
-	if p.Mu == 0 {
-		return 0
-	}
-	return p.Mu / 2 * mathx.DistSq(w, p.Anchor)
-}
-
-// AddGrad accumulates ∇h_s(w) = μ(w − anchor) into grad.
-func (p Prox) AddGrad(grad, w []float64) {
-	if p.Mu == 0 {
-		return
-	}
-	for i := range grad {
-		grad[i] += p.Mu * (w[i] - p.Anchor[i])
-	}
-}
-
-// ApplyIterative solves the prox subproblem
-// argmin_w h_s(w) + ‖w−x‖²/(2η) by gradient descent instead of the closed
-// form. It exists only as the ablation baseline benchmarked in
-// bench_test.go; production code uses Apply.
-func (p Prox) ApplyIterative(dst, x []float64, eta float64, iters int) {
-	copy(dst, x)
-	if p.Mu == 0 {
-		return
-	}
-	// The subproblem is (μ+1/η)-strongly convex and (μ+1/η)-smooth, so the
-	// exact-minimizing step size is 1/(μ+1/η); a few iterations converge
-	// to machine precision.
-	step := 1 / (p.Mu + 1/eta)
-	for k := 0; k < iters; k++ {
-		for i := range dst {
-			g := p.Mu*(dst[i]-p.Anchor[i]) + (dst[i]-x[i])/eta
-			dst[i] -= step * g
-		}
 	}
 }

@@ -37,19 +37,6 @@ func (e Estimator) String() string {
 	}
 }
 
-// ParseEstimator converts a name ("sgd", "svrg", "sarah") to an Estimator.
-func ParseEstimator(s string) (Estimator, error) {
-	switch s {
-	case "sgd", "SGD":
-		return SGD, nil
-	case "svrg", "SVRG":
-		return SVRG, nil
-	case "sarah", "SARAH":
-		return SARAH, nil
-	}
-	return 0, fmt.Errorf("optim: unknown estimator %q", s)
-}
-
 // ReturnPolicy selects which local iterate the device reports (Alg. 1
 // line 10 draws uniformly at random from {w^(0), …, w^(τ)}; practical runs
 // use the last iterate).
@@ -325,7 +312,9 @@ func (s *Scratch) direction(cfg LocalConfig) []float64 {
 func (h *Solver) SurrogateGradNorm(s *Scratch, ds *data.Dataset, w, anchor []float64, mu float64) float64 {
 	s.bind(h.model)
 	s.model.Grad(s.g1, w, ds, nil)
-	Prox{Mu: mu, Anchor: anchor}.AddGrad(s.g1, w)
+	for i := range s.g1 {
+		s.g1[i] += mu * (w[i] - anchor[i])
+	}
 	return mathx.Nrm2(s.g1)
 }
 

@@ -102,13 +102,6 @@ func NormalVec(rng *rand.Rand, dst []float64, mean, stddev float64) {
 	}
 }
 
-// UniformVec fills dst with i.i.d. Uniform[lo, hi) samples.
-func UniformVec(rng *rand.Rand, dst []float64, lo, hi float64) {
-	for i := range dst {
-		dst[i] = lo + (hi-lo)*rng.Float64()
-	}
-}
-
 // LogNormal draws one sample of exp(N(mu, sigma²)).
 func LogNormal(rng *rand.Rand, mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*rng.NormFloat64())
@@ -165,53 +158,4 @@ func Batch(rng *rand.Rand, dst []int, n int) {
 // Shuffle permutes xs in place.
 func Shuffle(rng *rand.Rand, xs []int) {
 	rng.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-}
-
-// Gamma draws one sample of the Gamma(shape, 1) distribution using
-// Marsaglia–Tsang squeeze sampling, with the standard boosting
-// transformation for shape < 1.
-func Gamma(rng *rand.Rand, shape float64) float64 {
-	if shape <= 0 {
-		panic("randx: Gamma shape must be positive")
-	}
-	if shape < 1 {
-		// Boost: X_a = X_{a+1} · U^{1/a}.
-		return Gamma(rng, shape+1) * math.Pow(rng.Float64(), 1/shape)
-	}
-	d := shape - 1.0/3.0
-	c := 1 / math.Sqrt(9*d)
-	for {
-		x := rng.NormFloat64()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := rng.Float64()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v
-		}
-		if math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v
-		}
-	}
-}
-
-// Dirichlet fills dst with one draw of the symmetric Dirichlet(alpha)
-// distribution over len(dst) categories: independent Gamma(alpha, 1)
-// samples normalized to sum 1.
-func Dirichlet(rng *rand.Rand, dst []float64, alpha float64) {
-	var sum float64
-	for i := range dst {
-		dst[i] = Gamma(rng, alpha)
-		sum += dst[i]
-	}
-	if sum == 0 {
-		// Numerically possible for tiny alpha: fall back to a one-hot.
-		dst[rng.Intn(len(dst))] = 1
-		return
-	}
-	for i := range dst {
-		dst[i] /= sum
-	}
 }

@@ -52,17 +52,6 @@ func TestNormalVecMoments(t *testing.T) {
 	}
 }
 
-func TestUniformVecRange(t *testing.T) {
-	rng := New(2)
-	xs := make([]float64, 1000)
-	UniformVec(rng, xs, -1, 4)
-	for _, v := range xs {
-		if v < -1 || v >= 4 {
-			t.Fatalf("sample %v outside [-1, 4)", v)
-		}
-	}
-}
-
 func TestPowerLawSizesBoundsAndSkew(t *testing.T) {
 	rng := New(3)
 	sizes := PowerLawSizes(rng, 5000, 0.5, 37, 3277)
@@ -161,80 +150,5 @@ func TestChoiceWithoutQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestGammaMoments(t *testing.T) {
-	rng := New(20)
-	for _, shape := range []float64{0.5, 1, 2.5, 7} {
-		const n = 100000
-		var sum, sumsq float64
-		for i := 0; i < n; i++ {
-			v := Gamma(rng, shape)
-			if v < 0 {
-				t.Fatalf("negative gamma sample %v", v)
-			}
-			sum += v
-			sumsq += v * v
-		}
-		mean := sum / n
-		variance := sumsq/n - mean*mean
-		// Gamma(k,1): mean k, variance k.
-		if math.Abs(mean-shape) > 0.05*shape+0.02 {
-			t.Fatalf("shape %v: mean %v", shape, mean)
-		}
-		if math.Abs(variance-shape) > 0.1*shape+0.05 {
-			t.Fatalf("shape %v: variance %v", shape, variance)
-		}
-	}
-}
-
-func TestGammaPanicsOnBadShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Gamma(New(1), 0)
-}
-
-func TestDirichletSimplex(t *testing.T) {
-	rng := New(21)
-	dst := make([]float64, 6)
-	for trial := 0; trial < 50; trial++ {
-		Dirichlet(rng, dst, 0.3)
-		var sum float64
-		for _, v := range dst {
-			if v < 0 {
-				t.Fatalf("negative proportion %v", v)
-			}
-			sum += v
-		}
-		if math.Abs(sum-1) > 1e-12 {
-			t.Fatalf("proportions sum to %v", sum)
-		}
-	}
-}
-
-func TestDirichletSkewKnob(t *testing.T) {
-	// Small alpha → concentrated draws (large max); large alpha → flat.
-	maxOf := func(alpha float64) float64 {
-		rng := New(22)
-		dst := make([]float64, 10)
-		var total float64
-		for i := 0; i < 200; i++ {
-			Dirichlet(rng, dst, alpha)
-			m := 0.0
-			for _, v := range dst {
-				if v > m {
-					m = v
-				}
-			}
-			total += m
-		}
-		return total / 200
-	}
-	if maxOf(0.05) <= maxOf(100)+0.2 {
-		t.Fatalf("alpha knob ineffective: max(0.05)=%v, max(100)=%v", maxOf(0.05), maxOf(100))
 	}
 }

@@ -35,17 +35,6 @@ type DeviceProfile struct {
 // DCom returns the device's round communication delay d_com.
 func (p DeviceProfile) DCom() float64 { return p.Uplink + p.Downlink }
 
-// ScaleCom returns a copy of the profile with both link delays scaled by
-// factor. This is how a wire codec enters the paper's time model: a codec
-// that moves r× fewer bytes per round (transport.CompressionRatio) scales
-// d_com by 1/r, shifting the optimum of the training-time problem (23)
-// toward more local work — see examples/compression.
-func (p DeviceProfile) ScaleCom(factor float64) DeviceProfile {
-	p.Uplink *= factor
-	p.Downlink *= factor
-	return p
-}
-
 // Gamma returns the device's weight factor γ = d_cmp/d_com.
 func (p DeviceProfile) Gamma() float64 {
 	if p.DCom() == 0 {
@@ -95,17 +84,8 @@ func NewHeterogeneousFleet(n int, p DeviceProfile, spread float64, seed int64) *
 // the devices in participants each run tau local iterations: the max over
 // devices of downlink + tau·compute + uplink, with jitter and stragglers.
 func (f *Fleet) RoundTime(participants []int, tau int) float64 {
-	return f.roundTime(participants, tau, nil)
-}
-
-// roundTime is RoundTime with an optional per-device capture: when each is
-// non-nil, each[k] receives participant k's sampled round time (the terms
-// of the straggler max — what the sim tracer renders as device spans). The
-// RNG draw order is identical with and without capture, so traced and
-// untraced runs stay bit-identical.
-func (f *Fleet) roundTime(participants []int, tau int, each []float64) float64 {
 	var worst float64
-	for k, id := range participants {
+	for _, id := range participants {
 		p := f.Profiles[id]
 		t := p.Downlink + float64(tau)*p.ComputePerIter + p.Uplink
 		if p.Jitter > 0 {
@@ -114,26 +94,11 @@ func (f *Fleet) roundTime(participants []int, tau int, each []float64) float64 {
 		if f.StragglerFraction > 0 && f.rng.Float64() < f.StragglerFraction {
 			t *= f.StragglerFactor
 		}
-		if each != nil {
-			each[k] = t
-		}
 		if t > worst {
 			worst = t
 		}
 	}
 	return worst
-}
-
-// MeanGamma returns the fleet-average γ, the x-axis of Figure 1.
-func (f *Fleet) MeanGamma() float64 {
-	if len(f.Profiles) == 0 {
-		return 0
-	}
-	var s float64
-	for _, p := range f.Profiles {
-		s += p.Gamma()
-	}
-	return s / float64(len(f.Profiles))
 }
 
 // Validate reports nonsensical profiles.

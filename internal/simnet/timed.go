@@ -3,13 +3,10 @@ package simnet
 import (
 	"context"
 	"fmt"
-	"math"
-	"strconv"
 	"time"
 
 	"fedproxvr/internal/engine"
 	"fedproxvr/internal/metrics"
-	"fedproxvr/internal/trace"
 )
 
 // TimedPoint couples a metric point with its simulated wall-clock time.
@@ -35,25 +32,6 @@ func (s *TimedSeries) TimeToLoss(target float64) float64 {
 	return -1
 }
 
-// TimeToAcc returns the simulated time at which test accuracy first
-// reaches target, or -1 if never.
-func (s *TimedSeries) TimeToAcc(target float64) float64 {
-	for _, p := range s.Points {
-		if !math.IsNaN(p.TestAcc) && p.TestAcc >= target {
-			return p.Time
-		}
-	}
-	return -1
-}
-
-// TotalTime returns the simulated duration of the whole run.
-func (s *TimedSeries) TotalTime() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	return s.Points[len(s.Points)-1].Time
-}
-
 // TimedExecutor decorates an engine.Executor with the fleet's clock: every
 // round charges the straggler-aware synchronous round time
 // 𝒯_round = max over participants of (downlink + τ·compute + uplink) —
@@ -65,10 +43,6 @@ type TimedExecutor struct {
 	tau   int
 	now   float64
 	part  []int // reporting subset scratch (partial-result rounds)
-
-	simTr  *trace.Tracer // simulated-clock tracer (nil: no sim spans)
-	rounds int           // rounds charged so far (sim span numbering)
-	each   []float64     // per-device round-time scratch for sim spans
 }
 
 var _ engine.Executor = (*TimedExecutor)(nil)
@@ -95,44 +69,12 @@ func (x *TimedExecutor) RunRound(ctx context.Context, spec engine.RoundSpec, res
 			x.part = append(x.part, spec.Selected[i])
 		}
 	}
-	x.charge()
+	x.now += x.fleet.RoundTime(x.part, x.tau)
 	if spec.Stats != nil {
 		spec.Stats.SimSeconds = x.now
 	}
 	return nil
 }
-
-// charge advances the simulated clock by one synchronous round over the
-// reporting subset. With a sim tracer installed it also renders the
-// round on the simulated timeline: one "round N" span covering
-// [prev, prev+max] on the "sim" lane and one child span per reporting
-// device covering that device's own downlink + τ·compute + uplink — the
-// terms of the paper's time model T·(d_com + d_cmp·τ), with the straggler
-// max visible as the longest child.
-func (x *TimedExecutor) charge() {
-	x.rounds++
-	if x.simTr == nil {
-		x.now += x.fleet.RoundTime(x.part, x.tau)
-		return
-	}
-	if cap(x.each) < len(x.part) {
-		x.each = make([]float64, len(x.part))
-	}
-	each := x.each[:len(x.part)]
-	prev := x.now
-	x.now += x.fleet.roundTime(x.part, x.tau, each)
-	rid := x.simTr.EmitSpan("round "+strconv.Itoa(x.rounds), "sim", 0, x.rounds, prev, x.now)
-	for k, id := range x.part {
-		x.simTr.EmitSpan("device "+strconv.Itoa(id), "device "+strconv.Itoa(id), rid, x.rounds, prev, prev+each[k])
-	}
-}
-
-// SetSimTracer installs a simulated-clock tracer (trace.NewSim): every
-// charged round is emitted as spans whose timestamps are simulated
-// seconds, so the exported file is a literal rendering of the time model
-// — round-span durations sum to SimSeconds. Independent of the wall-clock
-// tracer that travels to the inner executor in RoundSpec.
-func (x *TimedExecutor) SetSimTracer(tr *trace.Tracer) { x.simTr = tr }
 
 // Inner returns the wrapped executor.
 func (x *TimedExecutor) Inner() engine.Executor { return x.inner }

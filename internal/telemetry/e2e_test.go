@@ -125,7 +125,7 @@ func TestTrainingBitIdenticalWithTelemetry(t *testing.T) {
 			js := h.Job("j")
 			eng.SetStats(js)
 			Attach(eng, js)
-			if got := js.Rounds(); got != 0 {
+			if got := js.snapshot().ingested; got != 0 {
 				t.Fatalf("pre-run ingest count %d", got)
 			}
 		}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"fedproxvr/internal/obs"
+	"fedproxvr/internal/testx"
 )
 
 // seedSeries loads a hub with a deterministic two-round job for the API
@@ -245,5 +246,46 @@ func waitSubscribed(t *testing.T, js *JobStore) {
 			t.Fatal("SSE handler never subscribed")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestLiveSSESubscribersLeaveNoGoroutines connects /live clients that read
+// the hello and hang up: each disconnect must end its handler and drop its
+// store subscription, so neither goroutines nor subscribers accumulate.
+func TestLiveSSESubscribersLeaveNoGoroutines(t *testing.T) {
+	h := testHub(Options{})
+	js := h.Job("j1")
+	js.RecordRound(roundStats(1, nil))
+	srv := httptest.NewServer(h.Handler())
+	defer srv.Close()
+	client := srv.Client()
+	subscribers := func() int {
+		js.mu.Lock()
+		defer js.mu.Unlock()
+		return len(js.subs)
+	}
+	connect := func() {
+		resp, err := client.Get(srv.URL + "/api/v1/jobs/j1/live")
+		if err != nil {
+			t.Fatal(err)
+		}
+		line, err := bufio.NewReader(resp.Body).ReadString('\n')
+		resp.Body.Close()
+		if err != nil || line != "event: hello\n" {
+			t.Fatalf("first line %q, %v; want the hello event", line, err)
+		}
+	}
+	// The first connection starts the server's accept loop and the client's
+	// transport; wait for its handler to go before counting.
+	connect()
+	for deadline := time.Now().Add(5 * time.Second); subscribers() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the first subscriber never left")
+		}
+	}
+	client.CloseIdleConnections()
+	testx.NoGoroutineGrowth(t, 20, 5*time.Second, connect)
+	if n := subscribers(); n != 0 {
+		t.Fatalf("%d subscriptions outlived their clients", n)
 	}
 }

@@ -25,15 +25,10 @@ func NewProbe(inner engine.Aggregator, js *JobStore) *Probe {
 }
 
 // Attach wraps the engine's current aggregator with a probe feeding js and
-// installs it. Returns the probe (its Inner recovers the original rule).
-func Attach(eng *engine.Engine, js *JobStore) *Probe {
-	p := NewProbe(eng.Aggregator(), js)
-	eng.SetAggregator(p)
-	return p
+// installs it.
+func Attach(eng *engine.Engine, js *JobStore) {
+	eng.SetAggregator(NewProbe(eng.Aggregator(), js))
 }
-
-// Inner returns the wrapped aggregation rule.
-func (p *Probe) Inner() engine.Aggregator { return p.inner }
 
 // Aggregate implements engine.Aggregator. With k reporting locals it
 // computes, against the pre-aggregation global w:

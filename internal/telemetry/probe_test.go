@@ -92,7 +92,7 @@ func TestProbeEmptyRoundPassesThrough(t *testing.T) {
 	if js.hasDiag {
 		t.Fatal("empty round must not note diagnostics")
 	}
-	if p.Inner() != inner {
-		t.Fatal("Inner must return the wrapped rule")
+	if p.inner != inner {
+		t.Fatal("the probe must wrap the given rule")
 	}
 }

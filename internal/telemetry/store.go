@@ -375,13 +375,6 @@ func (js *JobStore) Latest() (Sample, bool) {
 	return js.samples[(js.head+js.n-1)%len(js.samples)], true
 }
 
-// Rounds returns the total rounds ingested (not the ring occupancy).
-func (js *JobStore) Rounds() int64 {
-	js.mu.Lock()
-	defer js.mu.Unlock()
-	return js.ingested
-}
-
 // Health reports the store's alert view: the currently-firing rules (in
 // fixed rule order) and whether ingest has gone stale — no round for
 // longer than Options.StaleAfter while at least one round was seen. The

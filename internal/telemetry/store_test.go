@@ -43,8 +43,8 @@ func TestStoreRingAndSeries(t *testing.T) {
 	for r := 1; r <= 10; r++ {
 		js.RecordRound(roundStats(r, nil))
 	}
-	if got := js.Rounds(); got != 10 {
-		t.Fatalf("Rounds = %d, want 10", got)
+	if got := js.snapshot().ingested; got != 10 {
+		t.Fatalf("ingested %d rounds, want 10", got)
 	}
 	// Ring of 4: rounds 7..10 retained.
 	all := js.Series(0, 0, 0)

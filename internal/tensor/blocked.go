@@ -156,14 +156,8 @@ func scaleRows(beta float64, c Mat, lo, hi int) {
 	}
 }
 
-// GemmNT computes C = alpha*A*Bᵀ + beta*C serially. A is (M×K), B is (N×K),
-// C is (M×N). C must not alias A or B.
-func GemmNT(alpha float64, a, b Mat, beta float64, c Mat) {
-	checkNT(a, b, c)
-	GemmNTRows(alpha, a, b, beta, c, 0, c.Rows)
-}
-
-// GemmNTRows is GemmNT restricted to output rows [lo, hi).
+// GemmNTRows computes output rows [lo, hi) of C = alpha*A*Bᵀ + beta*C
+// serially. A is (M×K), B is (N×K), C is (M×N); C must not alias A or B.
 //
 // Output rows go four at a time so each streamed row of B feeds four dot
 // products while hot in cache. With AVX2, B rows go three at a time through
@@ -200,7 +194,7 @@ func GemmNTRows(alpha float64, a, b Mat, beta float64, c Mat, lo, hi int) {
 	}
 }
 
-// betaCombine is GemmNT's per-element store: s into a fresh C (beta 0),
+// betaCombine is GemmNTRows' per-element store: s into a fresh C (beta 0),
 // added to C (beta 1), or beta·C + s.
 func betaCombine(beta, c, s float64) float64 {
 	switch beta {
@@ -225,37 +219,6 @@ func GemmTN(alpha float64, a, b Mat, beta float64, c Mat) {
 func GemmTNRows(alpha float64, a, b Mat, beta float64, c Mat, lo, hi int) {
 	scaleRows(beta, c, lo, hi)
 	gemmAxpy(alpha, a.Data, 1, a.Cols, a.Rows, b, c, lo, hi)
-}
-
-// MulVec computes dst = M·x serially. dst must not alias x.
-func (m Mat) MulVec(dst, x []float64) {
-	if len(x) != m.Cols || len(dst) != m.Rows {
-		panic("tensor: MulVec dimension mismatch")
-	}
-	for i := 0; i < m.Rows; i++ {
-		dst[i] = dot4(m.Row(i), x)
-	}
-}
-
-// MulVecT computes dst = Mᵀ·x serially, reducing over rows in ascending
-// order. dst must not alias x.
-func (m Mat) MulVecT(dst, x []float64) {
-	if len(x) != m.Rows || len(dst) != m.Cols {
-		panic("tensor: MulVecT dimension mismatch")
-	}
-	for j := range dst {
-		dst[j] = 0
-	}
-	for i := 0; i < m.Rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		row := m.Row(i)
-		for j, v := range row {
-			dst[j] += xi * v
-		}
-	}
 }
 
 // AddRowVec adds v to every row of c (the batched bias broadcast).

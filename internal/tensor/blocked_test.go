@@ -29,6 +29,12 @@ func naiveNN(alpha float64, a, b Mat, beta float64, c Mat) Mat {
 	return out
 }
 
+// gemmNT is the serial C = alpha*A*Bᵀ + beta*C over every row: the NT form
+// the naive and parallel products are checked against.
+func gemmNT(alpha float64, a, b Mat, beta float64, c Mat) {
+	GemmNTRows(alpha, a, b, beta, c, 0, c.Rows)
+}
+
 func matsClose(t *testing.T, got, want Mat, tol float64) {
 	t.Helper()
 	for i := range got.Data {
@@ -61,7 +67,7 @@ func TestGemmVariantsMatchNaive(t *testing.T) {
 		}
 		want = naiveNN(2, a, bNT, 1, c)
 		got = MatOf(m, n, append([]float64(nil), c.Data...))
-		GemmNT(2, a, bt, 1, got)
+		gemmNT(2, a, bt, 1, got)
 		matsClose(t, got, want, 1e-12)
 
 		// TN: A supplied transposed.
@@ -98,7 +104,7 @@ func TestParGemmBitIdenticalToSerial(t *testing.T) {
 		}
 	}
 
-	GemmNT(1, a, bt, 0, serial)
+	gemmNT(1, a, bt, 0, serial)
 	par.GemmNT(1, a, bt, 0, got)
 	for i := range got.Data {
 		if got.Data[i] != serial.Data[i] {
@@ -170,20 +176,6 @@ func TestParGemmZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-func TestMulVecVariants(t *testing.T) {
-	m := MatOf(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	dst := make([]float64, 2)
-	m.MulVec(dst, []float64{1, 1, 1})
-	if dst[0] != 6 || dst[1] != 15 {
-		t.Fatalf("MulVec = %v", dst)
-	}
-	dstT := make([]float64, 3)
-	m.MulVecT(dstT, []float64{1, 2})
-	if dstT[0] != 9 || dstT[1] != 12 || dstT[2] != 15 {
-		t.Fatalf("MulVecT = %v", dstT)
-	}
-}
-
 func TestAddRowVecAndColSums(t *testing.T) {
 	c := MatOf(2, 2, []float64{1, 2, 3, 4})
 	AddRowVec(c, []float64{10, 20})
@@ -235,7 +227,7 @@ func benchGemmShape(b *testing.B, gemm func(float64, Mat, Mat, float64, Mat), ar
 
 // BenchmarkGemmShapeNT32x60x10 is the convex Softmax forward: 32 rows of
 // 60 features against 10 class rows.
-func BenchmarkGemmShapeNT32x60x10(b *testing.B) { benchGemmShape(b, GemmNT, 32, 60, 10, 60, 32, 10) }
+func BenchmarkGemmShapeNT32x60x10(b *testing.B) { benchGemmShape(b, gemmNT, 32, 60, 10, 60, 32, 10) }
 
 // BenchmarkGemmShapeTN10x32x60 is the convex Softmax weight gradient:
 // 10 classes × 60 features reduced over a 32-row minibatch.

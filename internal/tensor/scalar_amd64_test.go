@@ -28,7 +28,6 @@ func TestScalarFallbackKernels(t *testing.T) {
 		{"ParGemmBitIdenticalToSerial", TestParGemmBitIdenticalToSerial},
 		{"ParGemmIndependentOfGOMAXPROCS", TestParGemmIndependentOfGOMAXPROCS},
 		{"GemmTilesMatchReference", TestGemmTilesMatchReference},
-		{"MulVecVariants", TestMulVecVariants},
 	} {
 		t.Run(test.name, func(t *testing.T) {
 			withScalarKernels(t)

@@ -32,7 +32,9 @@ func TestModelGradientsOnScalarKernels(t *testing.T) {
 			ds := data.New(tc.dim, 5, 9)
 			x := make([]float64, tc.dim)
 			for i := 0; i < 9; i++ {
-				randx.UniformVec(rng, x, 0, 1)
+				for j := range x {
+					x[j] = rng.Float64()
+				}
 				ds.AppendClass(x, i%3)
 			}
 			w := make([]float64, tc.m.Dim())

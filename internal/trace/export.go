@@ -167,8 +167,7 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 		Kind    string `json:"kind"`
 		TraceID uint64 `json:"trace_id"`
 		Proc    string `json:"proc"`
-		Sim     bool   `json:"sim,omitempty"`
-	}{Kind: "trace", TraceID: t.TraceID(), Proc: t.procName(), Sim: t.Sim()}
+	}{Kind: "trace", TraceID: t.TraceID(), Proc: t.procName()}
 	if err := enc.Encode(header); err != nil {
 		return err
 	}

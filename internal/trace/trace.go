@@ -19,11 +19,6 @@
 // to the request's receipt (no clock synchronization needed) and ship
 // them back in the reply, and IngestWire re-bases them onto the
 // coordinator's timeline.
-//
-// A Tracer built with NewSim records spans on a simulated clock instead of
-// the wall clock: callers supply explicit timestamps through EmitSpan (the
-// simnet timed backend does), so the exported file is a literal rendering
-// of the paper's time model T·(d_com + d_cmp·τ).
 package trace
 
 import (
@@ -32,9 +27,8 @@ import (
 	"time"
 )
 
-// Rec is one recorded span. Times are seconds since the tracer's epoch
-// (wall-clock tracers) or simulated seconds (sim tracers). End < Start
-// marks a span still open at export time.
+// Rec is one recorded span. Times are seconds since the tracer's epoch.
+// End < Start marks a span still open at export time.
 type Rec struct {
 	ID     uint64 `json:"id"`
 	Parent uint64 `json:"parent,omitempty"`
@@ -68,7 +62,6 @@ type Tracer struct {
 	proc    string
 	traceID uint64
 	epoch   time.Time
-	sim     bool
 	nextID  uint64
 	spans   []Rec
 	events  []EventRec
@@ -86,12 +79,6 @@ func New(proc string) *Tracer {
 	return &Tracer{proc: proc, epoch: now, traceID: uint64(now.UnixNano())}
 }
 
-// NewSim builds a simulated-clock tracer: timestamps are whatever the
-// caller passes to EmitSpan (wall-clock span methods record at time 0).
-func NewSim(proc string) *Tracer {
-	return &Tracer{proc: proc, sim: true, traceID: uint64(time.Now().UnixNano())}
-}
-
 // TraceID identifies this trace; propagated to workers in round requests.
 // Zero for a nil tracer (the wire value for "tracing off").
 func (t *Tracer) TraceID() uint64 {
@@ -100,9 +87,6 @@ func (t *Tracer) TraceID() uint64 {
 	}
 	return t.traceID
 }
-
-// Sim reports whether the tracer runs on a simulated clock.
-func (t *Tracer) Sim() bool { return t != nil && t.sim }
 
 // Since converts an absolute wall-clock time into the tracer's epoch-
 // relative seconds (for re-basing worker spans onto this timeline).
@@ -113,12 +97,8 @@ func (t *Tracer) Since(at time.Time) float64 {
 	return at.Sub(t.epoch).Seconds()
 }
 
-// now returns the current epoch-relative time. Sim tracers have no
-// ambient clock: wall-clock span methods on them record at 0.
+// now returns the current epoch-relative time.
 func (t *Tracer) now() float64 {
-	if t.sim {
-		return 0
-	}
 	return time.Since(t.epoch).Seconds()
 }
 
@@ -233,25 +213,6 @@ func (t *Tracer) RoundEvent(name, detail string) {
 	})
 }
 
-// EmitSpan records an already-complete span with explicit timestamps —
-// the simulated-clock path (simnet's timed backend charges each round and
-// each device on the sim clock). Returns the span ID for parenting
-// children; 0 on a nil tracer.
-func (t *Tracer) EmitSpan(name, lane string, parent uint64, round int, start, end float64) uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.nextID++
-	id := t.nextID
-	t.spans = append(t.spans, Rec{
-		ID: id, Parent: parent, Name: name, Lane: lane,
-		Round: round, Start: start, End: end,
-	})
-	return id
-}
-
 // IngestWire merges worker-recorded spans into this trace: fresh IDs are
 // allocated (worker IDs are only unique per reply), wire-internal parent
 // links are remapped, a zero wire parent becomes parent (the propagated
@@ -311,9 +272,6 @@ type Span struct {
 	id  uint64
 }
 
-// ID returns the span's trace-unique ID (0 for the zero span).
-func (s Span) ID() uint64 { return s.id }
-
 // End closes the span at the tracer's current time.
 func (s Span) End() {
 	if s.t == nil {
@@ -321,29 +279,5 @@ func (s Span) End() {
 	}
 	s.t.mu.Lock()
 	s.t.spans[s.idx].End = s.t.now()
-	s.t.mu.Unlock()
-}
-
-// EndAt closes the span at an explicit timestamp (sim clocks).
-func (s Span) EndAt(ts float64) {
-	if s.t == nil {
-		return
-	}
-	s.t.mu.Lock()
-	s.t.spans[s.idx].End = ts
-	s.t.mu.Unlock()
-}
-
-// Event records an instant event anchored to this span, on its lane.
-func (s Span) Event(name, detail string) {
-	if s.t == nil {
-		return
-	}
-	s.t.mu.Lock()
-	rec := s.t.spans[s.idx]
-	s.t.events = append(s.t.events, EventRec{
-		Span: s.id, Name: name, Detail: detail, Proc: rec.Proc, Lane: rec.Lane,
-		Round: rec.Round, TS: s.t.now(),
-	})
 	s.t.mu.Unlock()
 }

@@ -14,19 +14,11 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	if tr.TraceID() != 0 {
 		t.Fatalf("nil TraceID = %d, want 0", tr.TraceID())
 	}
-	if tr.Sim() {
-		t.Fatal("nil Sim() = true")
-	}
-	sp := tr.StartRun("run")
-	sp.Event("x", "")
-	sp.End()
+	tr.StartRun("run").End()
 	tr.StartRound(1).End()
 	tr.StartPhase("execute").End()
 	tr.StartClient(3).End()
 	tr.RoundEvent("fault", "detail")
-	if id := tr.EmitSpan("a", "", 0, 1, 0, 1); id != 0 {
-		t.Fatalf("nil EmitSpan id = %d, want 0", id)
-	}
 	tr.IngestWire([]WireSpan{{ID: 1, Name: "solve", Start: 0, End: 1}}, 7, "w", time.Now())
 	if tr.Spans() != nil || tr.Events() != nil {
 		t.Fatal("nil tracer recorded data")
@@ -71,17 +63,17 @@ func TestHierarchy(t *testing.T) {
 	for _, s := range spans {
 		byName[s.Name] = s
 	}
-	if byName["round 1"].Parent != run.ID() {
-		t.Fatalf("round 1 parent = %d, want run %d", byName["round 1"].Parent, run.ID())
+	if byName["round 1"].Parent != run.id {
+		t.Fatalf("round 1 parent = %d, want run %d", byName["round 1"].Parent, run.id)
 	}
-	if byName["round 2"].Parent != run.ID() {
-		t.Fatalf("round 2 parent = %d, want run %d", byName["round 2"].Parent, run.ID())
+	if byName["round 2"].Parent != run.id {
+		t.Fatalf("round 2 parent = %d, want run %d", byName["round 2"].Parent, run.id)
 	}
-	if byName["execute"].Parent != rd.ID() {
-		t.Fatalf("execute parent = %d, want round %d", byName["execute"].Parent, rd.ID())
+	if byName["execute"].Parent != rd.id {
+		t.Fatalf("execute parent = %d, want round %d", byName["execute"].Parent, rd.id)
 	}
-	if byName["client 4"].Parent != rd.ID() {
-		t.Fatalf("client 4 parent = %d, want round %d", byName["client 4"].Parent, rd.ID())
+	if byName["client 4"].Parent != rd.id {
+		t.Fatalf("client 4 parent = %d, want round %d", byName["client 4"].Parent, rd.id)
 	}
 	if byName["client 4"].Round != 1 {
 		t.Fatalf("client 4 round = %d, want 1", byName["client 4"].Round)
@@ -95,7 +87,7 @@ func TestHierarchy(t *testing.T) {
 	if len(evs) != 1 {
 		t.Fatalf("got %d events, want 1", len(evs))
 	}
-	if evs[0].Span != rd.ID() || evs[0].Name != "straggler-cut" || evs[0].Round != 1 {
+	if evs[0].Span != rd.id || evs[0].Name != "straggler-cut" || evs[0].Round != 1 {
 		t.Fatalf("event anchored wrong: %+v", evs[0])
 	}
 }
@@ -109,7 +101,7 @@ func TestIngestWireRemapsAndRebases(t *testing.T) {
 		{ID: 2, Parent: 1, Name: "anchor-grad", Start: 0.01, End: 0.02},
 		{ID: 3, Parent: 1, Name: "inner-loop", Start: 0.02, End: 0.05},
 	}
-	tr.IngestWire(wire, rd.ID(), "worker-1", time.Now())
+	tr.IngestWire(wire, rd.id, "worker-1", time.Now())
 	rd.End()
 
 	spans := tr.Spans()
@@ -118,8 +110,8 @@ func TestIngestWireRemapsAndRebases(t *testing.T) {
 		byName[s.Name] = s
 	}
 	solve := byName["solve"]
-	if solve.Parent != rd.ID() {
-		t.Fatalf("solve parent = %d, want round %d", solve.Parent, rd.ID())
+	if solve.Parent != rd.id {
+		t.Fatalf("solve parent = %d, want round %d", solve.Parent, rd.id)
 	}
 	if solve.Proc != "worker-1" {
 		t.Fatalf("solve proc = %q, want worker-1", solve.Proc)
@@ -143,35 +135,13 @@ func TestIngestWireRemapsAndRebases(t *testing.T) {
 	}
 }
 
-func TestSimEmitSpan(t *testing.T) {
-	tr := NewSim("fedsim")
-	if !tr.Sim() {
-		t.Fatal("NewSim tracer not sim")
-	}
-	rid := tr.EmitSpan("round 1", "sim", 0, 1, 0, 2.5)
-	did := tr.EmitSpan("device 0", "device 0", rid, 1, 0, 2.5)
-	if rid == 0 || did == 0 || rid == did {
-		t.Fatalf("EmitSpan IDs rid=%d did=%d", rid, did)
-	}
-	spans := tr.Spans()
-	if len(spans) != 2 {
-		t.Fatalf("got %d spans, want 2", len(spans))
-	}
-	if spans[1].Parent != rid {
-		t.Fatalf("device parent = %d, want %d", spans[1].Parent, rid)
-	}
-	if spans[0].Start != 0 || spans[0].End != 2.5 {
-		t.Fatalf("sim timestamps not preserved: %+v", spans[0])
-	}
-}
-
 func TestWriteChromeParses(t *testing.T) {
 	tr := New("fedsim")
 	run := tr.StartRun("run")
 	rd := tr.StartRound(1)
 	tr.StartClient(0).End()
 	tr.RoundEvent("chaos:delay", "device 0")
-	tr.IngestWire([]WireSpan{{ID: 1, Name: "solve", Start: 0, End: 0.01}}, rd.ID(), "worker-1", time.Now())
+	tr.IngestWire([]WireSpan{{ID: 1, Name: "solve", Start: 0, End: 0.01}}, rd.id, "worker-1", time.Now())
 	rd.End()
 	run.End()
 
@@ -224,8 +194,8 @@ func TestWriteChromeParses(t *testing.T) {
 			if ev.Pid != pidByProc["worker-1"] {
 				t.Fatalf("solve pid = %d, want worker-1's %d", ev.Pid, pidByProc["worker-1"])
 			}
-			if uint64(ev.Args["parent_id"].(float64)) != rd.ID() {
-				t.Fatalf("solve parent_id = %v, want %d", ev.Args["parent_id"], rd.ID())
+			if uint64(ev.Args["parent_id"].(float64)) != rd.id {
+				t.Fatalf("solve parent_id = %v, want %d", ev.Args["parent_id"], rd.id)
 			}
 		}
 	}

@@ -321,6 +321,3 @@ func (n *AggregatorNode) lost(cause error) (rejoin bool, err error) {
 	}
 	return false, protocolError("recv", cause)
 }
-
-// Close terminates the connection (Serve will then return).
-func (n *AggregatorNode) Close() error { return n.conn.Close() }

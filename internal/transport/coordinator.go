@@ -578,29 +578,6 @@ func (c *Coordinator) Addr() net.Addr { return c.ln.Addr() }
 // Weights returns the aggregation weights D_n/D gathered from the Hellos.
 func (c *Coordinator) Weights() []float64 { return c.weights }
 
-// Round broadcasts the anchor to every worker, gathers the local models,
-// and returns them indexed by client ID. A worker that failed the round
-// leaves a nil entry; the error is non-nil only for run-fatal conditions
-// (every worker dead, quorum floor violated too many rounds in a row).
-// The returned slices are the caller's (decode buffers are cloned).
-func (c *Coordinator) Round(round int, anchor []float64, local engine.Config) ([][]float64, error) {
-	all := make([]int, len(c.clients))
-	for i := range all {
-		all[i] = i
-	}
-	var res engine.RoundResult
-	spec := engine.RoundSpec{Round: round, Anchor: anchor, Selected: all}
-	if err := c.roundSubset(context.Background(), local.Local, spec, &res); err != nil {
-		return nil, err
-	}
-	for i, v := range res.Locals {
-		if v != nil {
-			res.Locals[i] = mathx.Clone(v)
-		}
-	}
-	return res.Locals, nil
-}
-
 // errWorkerDown marks a worker skipped because its connection was already
 // torn down in an earlier round (it counts as a dropout, not a new fault).
 var errWorkerDown = fmt.Errorf("transport: worker connection is down")

@@ -523,10 +523,11 @@ func marshalSpans(w *wireBuf, spans []trace.WireSpan) {
 
 // unmarshalSpans decodes a shipped-span block and returns the spans plus
 // the EXCESS bytes the block occupied beyond the 1-byte empty spanCount
-// that the closed-form ReplyWireSize/PartialSumWireSize already account
-// for. With tracing off the block is exactly one zero byte and the excess
-// is 0; with tracing on the excess is what RoundStats.SpanBytes must carry
-// so that BytesRecv − SpanBytes still matches the closed forms byte-exactly.
+// that the closed-form frame sizes (ReplyWireSize, and the PartialSum size
+// the tree tests compute) already account for. With tracing off the block
+// is exactly one zero byte and the excess is 0; with tracing on the excess
+// is what RoundStats.SpanBytes must carry so that BytesRecv − SpanBytes
+// still matches the closed forms byte-exactly.
 func unmarshalSpans(c *wireCursor) ([]trace.WireSpan, int, error) {
 	mark := c.off
 	nspans := int(c.uvarint("span count"))

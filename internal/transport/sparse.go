@@ -59,15 +59,6 @@ func selectTopK(w []float64, k int, idx []int) []int {
 	return idx
 }
 
-// Dense reconstructs the full vector (zeros elsewhere).
-func (s *SparseVec) Dense() []float64 {
-	out := make([]float64, s.Dim)
-	for i, j := range s.Indices {
-		out[j] = s.Values[i]
-	}
-	return out
-}
-
 // AddTo scatter-adds scale·s into dst (len must equal Dim).
 func (s *SparseVec) AddTo(dst []float64, scale float64) error {
 	if len(dst) != s.Dim {

@@ -9,6 +9,15 @@ import (
 	"fedproxvr/internal/randx"
 )
 
+// Dense reconstructs the full vector (zeros elsewhere).
+func (s *SparseVec) Dense() []float64 {
+	out := make([]float64, s.Dim)
+	for i, j := range s.Indices {
+		out[j] = s.Values[i]
+	}
+	return out
+}
+
 func TestTopKKeepsLargest(t *testing.T) {
 	w := []float64{0.1, -5, 0.3, 4, -0.2, 0}
 	sv, err := TopK(w, 2)

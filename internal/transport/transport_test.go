@@ -22,6 +22,30 @@ import (
 	"fedproxvr/internal/testx"
 )
 
+// Round is one flat round over every worker outside any engine: it
+// broadcasts the anchor, gathers the local models and returns them indexed
+// by client ID. A worker that failed the round leaves a nil entry; the
+// error is non-nil only for run-fatal conditions (every worker dead, quorum
+// floor violated too many rounds in a row). The returned slices are the
+// caller's (decode buffers are cloned).
+func (c *Coordinator) Round(round int, anchor []float64, local engine.Config) ([][]float64, error) {
+	all := make([]int, len(c.clients))
+	for i := range all {
+		all[i] = i
+	}
+	var res engine.RoundResult
+	spec := engine.RoundSpec{Round: round, Anchor: anchor, Selected: all}
+	if err := c.roundSubset(context.Background(), local.Local, spec, &res); err != nil {
+		return nil, err
+	}
+	for i, v := range res.Locals {
+		if v != nil {
+			res.Locals[i] = mathx.Clone(v)
+		}
+	}
+	return res.Locals, nil
+}
+
 func testPartition(devices, perDevice, dim, classes int, seed int64) *data.Partition {
 	p := &data.Partition{Clients: make([]*data.Dataset, devices)}
 	for k := 0; k < devices; k++ {

@@ -23,6 +23,18 @@ import (
 	"fedproxvr/internal/trace"
 )
 
+// partialSumWireSize returns the exact framed size in bytes (header
+// included) of a successful, span-free PartialSum carrying a
+// dim-dimensional partial sum. The tree streams partials as raw float64
+// only, so there is no codec parameter. (Error frames and shipped spans
+// use uvarints, so their sizes are content-dependent; span excess is
+// measured on receipt as PartialSum.SpanBytes.)
+func partialSumWireSize(dim int) int {
+	// shardID+round+flags + devices+failed+stragglers +
+	// gradEvals+solveSeconds+weight + spanCount(0) + dim prefix + body.
+	return frameHeaderSize + 4 + 4 + 1 + 4 + 4 + 4 + 8 + 8 + 8 + 1 + 4 + 8*dim
+}
+
 func TestAggHelloRoundTrip(t *testing.T) {
 	h := AggHello{ShardID: 3, LoDevice: 4000, NumDevices: 1000, NumSamples: 123456789}
 	frame := marshalAggHello(nil, &h)
@@ -51,9 +63,9 @@ func TestPartialSumRoundTrip(t *testing.T) {
 		Sum: testVec(7, dim),
 	}
 	frame := marshalPartialSum(nil, &ps)
-	if len(frame) != PartialSumWireSize(dim) {
-		t.Fatalf("PartialSum frame is %d bytes, PartialSumWireSize(%d) says %d",
-			len(frame), dim, PartialSumWireSize(dim))
+	if len(frame) != partialSumWireSize(dim) {
+		t.Fatalf("PartialSum frame is %d bytes, partialSumWireSize(%d) says %d",
+			len(frame), dim, partialSumWireSize(dim))
 	}
 	var got PartialSum
 	if err := unmarshalPartialSum(frame[frameHeaderSize:], &got); err != nil {
@@ -94,7 +106,7 @@ func TestPartialSumRoundTrip(t *testing.T) {
 	}
 
 	// Span-bearing path: the decoder measures the span excess so the
-	// accounting identity frameLen == PartialSumWireSize(dim) + SpanBytes
+	// accounting identity frameLen == partialSumWireSize(dim) + SpanBytes
 	// holds exactly.
 	spanPS := ps
 	spanPS.Spans = []trace.WireSpan{
@@ -111,8 +123,8 @@ func TestPartialSumRoundTrip(t *testing.T) {
 	if got.SpanBytes <= 0 {
 		t.Fatal("span-bearing partial measured no span bytes")
 	}
-	if want := PartialSumWireSize(dim) + int(got.SpanBytes); len(frame) != want {
-		t.Fatalf("span frame is %d bytes, PartialSumWireSize + SpanBytes says %d", len(frame), want)
+	if want := partialSumWireSize(dim) + int(got.SpanBytes); len(frame) != want {
+		t.Fatalf("span frame is %d bytes, partialSumWireSize + SpanBytes says %d", len(frame), want)
 	}
 }
 

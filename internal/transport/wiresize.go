@@ -56,18 +56,6 @@ const ActivateFieldSize = 8
 // AggHelloWireSize is the framed AggHello size in bytes, header included.
 const AggHelloWireSize = frameHeaderSize + 1 + 4 + 4 + 4 + 8
 
-// PartialSumWireSize returns the exact framed size in bytes (header
-// included) of a successful, span-free PartialSum carrying a
-// dim-dimensional partial sum. The tree streams partials as raw float64
-// only, so there is no codec parameter. (Error frames and shipped spans
-// use uvarints, so their sizes are content-dependent; span excess is
-// measured on receipt as PartialSum.SpanBytes.)
-func PartialSumWireSize(dim int) int {
-	// shardID+round+flags + devices+failed+stragglers +
-	// gradEvals+solveSeconds+weight + spanCount(0) + dim prefix + body.
-	return frameHeaderSize + 4 + 4 + 1 + 4 + 4 + 4 + 8 + 8 + 8 + 1 + 4 + 8*dim
-}
-
 // DoneWireSize is the framed size of a Done request.
 const DoneWireSize = frameHeaderSize + 4 + 1 + 1 + 4
 

@@ -51,10 +51,6 @@ func (r *Runner) Devices() []*engine.Device { return r.devices }
 // Global returns the current global model (aliased; copy before mutating).
 func (r *Runner) Global() []float64 { return r.eng.Global() }
 
-// SetGlobal overwrites the global model (checkpoint resume); w must hold
-// one entry per model parameter.
-func (r *Runner) SetGlobal(w []float64) { r.eng.SetGlobal(w) }
-
 // Step performs one global iteration of Algorithm 1: broadcast, local
 // solve on the selected devices, weighted aggregation. It returns the list
 // of participating device IDs (after failure injection). If every device

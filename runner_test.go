@@ -216,7 +216,7 @@ func TestStationarityTracking(t *testing.T) {
 		t.Fatalf("stationarity gap did not shrink: %v -> %v",
 			s.Points[0].GradNormSq, last.GradNormSq)
 	}
-	if math.IsNaN(s.MeanGradNormSq()) {
+	if math.IsNaN(meanGradNormSq(s)) {
 		t.Fatal("mean gap NaN")
 	}
 }
@@ -391,10 +391,12 @@ func TestFedProxBaselineTrains(t *testing.T) {
 	}
 }
 
+// TestFSVRGBaselineTrains runs Federated SVRG (Konečný et al.), which is
+// FedProxVR with the SVRG estimator and μ = 0.
 func TestFSVRGBaselineTrains(t *testing.T) {
 	p, _ := blobPartition(4, 30, 3, 4, 32)
 	m := models.NewSoftmax(3, 4, 0)
-	cfg := engine.FSVRG(5, 1, 8, 4, 12)
+	cfg := engine.FedProxVR(optim.SVRG, 5, 1, 0, 8, 4, 12)
 	cfg.Seed = 33
 	r, err := NewRunner(Task{Model: m, Part: p}, cfg)
 	if err != nil {
@@ -405,6 +407,13 @@ func TestFSVRGBaselineTrains(t *testing.T) {
 	if last.TrainLoss >= s.Points[0].TrainLoss {
 		t.Fatal("FSVRG baseline failed to train")
 	}
+}
+
+// dist returns ‖x − y‖.
+func dist(x, y []float64) float64 {
+	d := make([]float64, len(x))
+	mathx.Sub(d, x, y)
+	return mathx.Nrm2(d)
 }
 
 func TestDPClipBoundsRoundUpdate(t *testing.T) {
@@ -420,7 +429,7 @@ func TestDPClipBoundsRoundUpdate(t *testing.T) {
 	before := mathx.Clone(r.Global())
 	r.Step()
 	// The aggregate of clipped deltas has norm ≤ clip (convex combination).
-	moved := math.Sqrt(mathx.DistSq(r.Global(), before))
+	moved := dist(r.Global(), before)
 	if moved > cfg.DPClip+1e-12 {
 		t.Fatalf("round moved %v, clip bound %v", moved, cfg.DPClip)
 	}
@@ -432,7 +441,7 @@ func TestDPClipBoundsRoundUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	r2.Step()
-	if math.Sqrt(mathx.DistSq(r2.Global(), before)) < 2*cfg.DPClip {
+	if dist(r2.Global(), before) < 2*cfg.DPClip {
 		t.Fatal("fixture too tame: unclipped round barely moves")
 	}
 }
@@ -466,7 +475,7 @@ func TestDPNoiseInjectedDeterministically(t *testing.T) {
 		t.Fatal(err)
 	}
 	rq.Run()
-	if mathx.DistSq(a, rq.Global()) == 0 {
+	if dist(a, rq.Global()) == 0 {
 		t.Fatal("DPNoise>0 produced the noiseless trajectory")
 	}
 }

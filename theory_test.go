@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fedproxvr/internal/data"
+	"fedproxvr/internal/metrics"
 	"fedproxvr/internal/models"
 	"fedproxvr/internal/optim"
 	"fedproxvr/internal/randx"
@@ -17,11 +18,14 @@ func TestEstimateSigmaBar2OrdersHeterogeneity(t *testing.T) {
 
 	// Homogeneous: every device holds IID copies of the same mixture.
 	homoP, _ := blobPartition(6, 80, 4, 4, 30)
-	// Re-partition so every device sees all labels (IID-ize).
+	// Re-partition so every device sees all labels (IID-ize): equal shards
+	// of one random permutation.
 	merged := data.Merge(homoP.Clients...)
-	iid, err := data.PartitionIID(merged, 6, 31)
-	if err != nil {
-		t.Fatal(err)
+	n := merged.N()
+	perm := randx.New(31).Perm(n)
+	iid := &data.Partition{Clients: make([]*data.Dataset, 6)}
+	for k := range iid.Clients {
+		iid.Clients[k] = merged.Subset(perm[k*n/6 : (k+1)*n/6])
 	}
 	homo := EstimateSigmaBar2(m, iid, 4, 0.5, rng)
 
@@ -136,12 +140,31 @@ func TestTheorem1BoundHoldsEmpirically(t *testing.T) {
 	}
 
 	series := r.Run()
-	lhs := series.MeanGradNormSq()
+	lhs := meanGradNormSq(series)
 	rhs := delta / (fed * float64(cfg.Rounds))
 	if lhs > rhs {
 		t.Fatalf("Theorem 1 bound violated: measured %v > bound %v (θ̂=%v, Θ=%v, Δ=%v)",
 			lhs, rhs, thetaHat, fed, delta)
 	}
+}
+
+// meanGradNormSq returns (1/T)Σ_s ‖∇F̄(w̄^(s))‖², the left-hand side of the
+// ε-accuracy criterion (12), over the points that measured stationarity: a
+// zero or NaN GradNormSq is a round that did not, and counting it would
+// bias the mean toward zero. NaN when no point measured it.
+func meanGradNormSq(s *metrics.Series) float64 {
+	var sum float64
+	var n int
+	for _, p := range s.Points {
+		if p.GradNormSq != 0 && !math.IsNaN(p.GradNormSq) {
+			sum += p.GradNormSq
+			n++
+		}
+	}
+	if n == 0 {
+		return math.NaN()
+	}
+	return sum / float64(n)
 }
 
 func TestFromTheorySchedules(t *testing.T) {
