@@ -47,7 +47,6 @@ var allow = []struct{ name, reason string }{
 	{"fedproxvr/internal/engine.NewShardedMean", "flat reference that the aggregation-tree tests compare against"},
 	{"fedproxvr/internal/engine.ShardedMean.Aggregate", "flat reference that the aggregation-tree tests compare against"},
 	{"fedproxvr/internal/transport.Coordinator.AwaitRejoin", "rejoin barrier of the chaos suite, which as another package cannot reach a _test.go"},
-	{"fedproxvr/internal/transport.Worker.Close", "kills a worker in the engine conformance suite, another package"},
 	{"fedproxvr/internal/models.NewMLP", "the gated NNMinibatch*/NNInnerSolve* benchmarks' model"},
 }
 

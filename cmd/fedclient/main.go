@@ -40,6 +40,9 @@ func main() {
 	flag.Parse()
 
 	if *fanout > 0 {
+		if *jobID != "" || *epoch != 0 {
+			fatal(fmt.Errorf("-job/-lease-epoch leases drive flat workers; drop -tree-fanout"))
+		}
 		runTreeNode(*addr, *id, *fanout, *virtDev, *dataset, *samples, *seed,
 			*chaosPath, *rejoin, *rejoinGap, *spans, *codecStr)
 		return

@@ -43,7 +43,7 @@ type clientConn struct {
 	rep RoundReply
 	// Aggregation-tree shard node (AggHello handshake): the connection owns
 	// devices [lo, lo+ndev) and replies with PartialSum frames decoded into
-	// ps (reused like rep).
+	// ps (reused like rep), whose shared fields exchange mirrors into rep.
 	isAgg bool
 	lo    int
 	ndev  int
@@ -882,11 +882,13 @@ func (c *Coordinator) askWorker(cc *clientConn, rc *roundCtx) (vec []float64, so
 	return nil, 0, lastErr
 }
 
-// exchange is a single request/reply attempt. retriable distinguishes
-// application-level failures (worker panic, wrong-round or wrong-codec
-// reply — the stream is still framed, so a resend can succeed) from
-// network-level ones (the stream is torn; the caller must drop the
-// connection). The per-message deadline is the flat timeout clamped to the
+// exchange is a single request/reply attempt: the round's request frame
+// goes down, and a RoundReply (from a worker) or a PartialSum (from a tree
+// shard node, whose vec is the shard's Σ D_n·w_n) comes back. retriable
+// distinguishes application-level failures (a peer's panic, a wrong-round
+// or wrong-codec reply — the stream is still framed, so a resend can
+// succeed) from network-level ones (the stream is torn; the caller must
+// drop the connection). The per-message deadline is the flat timeout clamped to the
 // round deadline; a timeout attributable to the round deadline or a quorum
 // cut is wrapped in errStraggler so the caller can tell a late worker from
 // a dead one.
@@ -921,102 +923,85 @@ func (c *Coordinator) exchange(cc *clientConn, rc *roundCtx) (vec []float64, sol
 	if c.tracer != nil {
 		sentAt = time.Now()
 	}
+	peer, proc, want, what := "client", "worker-", byte(msgRoundReply), "round reply"
 	if cc.isAgg {
-		return c.exchangeAgg(cc, rc, wrap, sentAt)
+		peer, proc, want, what = "shard", "shard-", msgPartialSum, "partial sum"
 	}
-	payload, err := cc.roundTrip(rc.frame, msgRoundReply, "round reply", wrap)
-	if err != nil {
-		return nil, 0, err, false
+	if err := cc.fw.writeFrame(rc.frame); err != nil {
+		return nil, 0, wrap("send to", err), false
 	}
+	// The decode is all that differs between the two reply frames: a
+	// PartialSum's shared fields are mirrored into cc.rep, so everything
+	// below checks one reply. The reply aliases the connection's decode
+	// buffers, valid until its next read.
 	rep := &cc.rep
-	if err := unmarshalReply(payload, rep, rc.ref); err != nil {
+	typ, payload, err := cc.fr.next()
+	switch {
+	case err != nil:
+	case typ != want:
+		err = errFrame("expected %s, got frame type %d", what, typ)
+	case cc.isAgg:
+		err = cc.decodePartial(payload)
+	default:
+		err = unmarshalReply(payload, rep, rc.ref)
+	}
+	if err != nil {
 		return nil, 0, wrap("recv from", err), false
 	}
 	if rep.SpanBytes > 0 {
 		c.obsSpanBytes.Add(int64(rep.SpanBytes))
 	}
 	if rep.Err != "" {
-		return nil, 0, fmt.Errorf("transport: client %d: %s", cc.id, rep.Err), true
+		return nil, 0, fmt.Errorf("transport: %s %d: %s", peer, cc.id, rep.Err), true
 	}
 	if rep.Round != rc.round {
-		return nil, 0, fmt.Errorf("transport: client %d replied for round %d, want %d",
-			cc.id, rep.Round, rc.round), true
+		return nil, 0, fmt.Errorf("transport: %s %d replied for round %d, want %d",
+			peer, cc.id, rep.Round, rc.round), true
 	}
 	if rep.Codec != rc.codec {
 		// Enforce the same-codec contract instead of silently dequantizing
 		// whatever arrived: a mixed-codec aggregate would blend different
 		// error floors without anything flagging it.
-		return nil, 0, fmt.Errorf("transport: client %d replied in codec %v, want %v",
-			cc.id, rep.Codec, rc.codec), true
+		return nil, 0, fmt.Errorf("transport: %s %d replied in codec %v, want %v",
+			peer, cc.id, rep.Codec, rc.codec), true
 	}
 	if len(rep.Local) != rc.dim {
-		return nil, 0, fmt.Errorf("transport: client %d sent %d params, want %d",
-			cc.id, len(rep.Local), rc.dim), true
+		return nil, 0, fmt.Errorf("transport: %s %d sent %d params, want %d",
+			peer, cc.id, len(rep.Local), rc.dim), true
 	}
 	c.evals[cc.id] = rep.GradEvals
+	if cc.isAgg {
+		// The shard's round weight and device-level counts land in the
+		// per-child tree metadata slots, which only this goroutine writes
+		// this round.
+		ps := &cc.ps
+		c.treeWeight[cc.id] = ps.Weight
+		c.treeDevices[cc.id] = ps.Devices
+		c.treeFailed[cc.id] = ps.Failed
+		c.treeStragglers[cc.id] = ps.Stragglers
+		c.treeReported[cc.id] = true
+	}
 	if c.tracer != nil && len(rep.Spans) > 0 {
-		c.tracer.IngestWire(rep.Spans, rc.spanID, "worker-"+strconv.Itoa(cc.id), sentAt)
+		c.tracer.IngestWire(rep.Spans, rc.spanID, proc+strconv.Itoa(cc.id), sentAt)
 	}
 	return rep.Local, rep.SolveSeconds, nil, false
 }
 
-// roundTrip is the wire half of one exchange attempt: the round's request
-// frame goes down and the next frame, which must be of type want (named
-// what in the error), comes back. The payload is valid until the
-// connection's next read.
-func (cc *clientConn) roundTrip(frame []byte, want byte, what string, wrap func(string, error) error) ([]byte, error) {
-	if err := cc.fw.writeFrame(frame); err != nil {
-		return nil, wrap("send to", err)
-	}
-	typ, payload, err := cc.fr.next()
-	if err != nil {
-		return nil, wrap("recv from", err)
-	}
-	if typ != want {
-		return nil, wrap("recv from", errFrame("expected %s, got frame type %d", what, typ))
-	}
-	return payload, nil
-}
-
-// exchangeAgg is the aggregation-tree variant of one exchange attempt: the
-// same request frame goes down, a PartialSum comes back. The returned vec
-// is the shard's Σ D_n·w_n (aliasing the per-connection decode buffer, same
-// contract as worker replies); the shard's round weight and device-level
-// counts land in the per-child tree metadata slots, which only this
-// goroutine writes this round.
-func (c *Coordinator) exchangeAgg(cc *clientConn, rc *roundCtx, wrap func(string, error) error, sentAt time.Time) (vec []float64, solveSec float64, err error, retriable bool) {
-	payload, err := cc.roundTrip(rc.frame, msgPartialSum, "partial sum", wrap)
-	if err != nil {
-		return nil, 0, err, false
-	}
+// decodePartial decodes a PartialSum into cc.ps and mirrors the fields every
+// reply shares into cc.rep: the shard's Σ D_n·w_n becomes the reported
+// model (aliasing cc.ps.Sum, the same contract as a worker's decoded
+// Local), and the codec is float64, the only one partial sums travel in.
+func (cc *clientConn) decodePartial(payload []byte) error {
 	ps := &cc.ps
 	if err := unmarshalPartialSum(payload, ps); err != nil {
-		return nil, 0, wrap("recv from", err), false
+		return err
 	}
-	if ps.SpanBytes > 0 {
-		c.obsSpanBytes.Add(int64(ps.SpanBytes))
+	cc.rep = RoundReply{
+		ClientID: ps.ShardID, Round: ps.Round, Codec: CodecFloat64, Local: ps.Sum,
+		GradEvals: ps.GradEvals, SolveSeconds: ps.SolveSeconds, Err: ps.Err,
+		Spans: ps.Spans, SpanBytes: ps.SpanBytes,
 	}
-	if ps.Err != "" {
-		return nil, 0, fmt.Errorf("transport: shard %d: %s", cc.id, ps.Err), true
-	}
-	if ps.Round != rc.round {
-		return nil, 0, fmt.Errorf("transport: shard %d replied for round %d, want %d",
-			cc.id, ps.Round, rc.round), true
-	}
-	if len(ps.Sum) != rc.dim {
-		return nil, 0, fmt.Errorf("transport: shard %d sent a %d-dim partial sum, want %d",
-			cc.id, len(ps.Sum), rc.dim), true
-	}
-	c.evals[cc.id] = ps.GradEvals
-	c.treeWeight[cc.id] = ps.Weight
-	c.treeDevices[cc.id] = ps.Devices
-	c.treeFailed[cc.id] = ps.Failed
-	c.treeStragglers[cc.id] = ps.Stragglers
-	c.treeReported[cc.id] = true
-	if c.tracer != nil && len(ps.Spans) > 0 {
-		c.tracer.IngestWire(ps.Spans, rc.spanID, "shard-"+strconv.Itoa(cc.id), sentAt)
-	}
-	return ps.Sum, ps.SolveSeconds, nil, false
+	return nil
 }
 
 // resetRoundObs clears the per-round observability state for a round with n

@@ -181,7 +181,7 @@ func (c *wireCursor) fail(what string) {
 }
 
 func (c *wireCursor) take(n int, what string) []byte {
-	if c.err != nil || n < 0 || c.off+n > len(c.b) {
+	if c.err != nil || n < 0 || n > len(c.b)-c.off { // c.off+n could overflow
 		c.fail(what)
 		return nil
 	}
@@ -530,14 +530,14 @@ func marshalSpans(w *wireBuf, spans []trace.WireSpan) {
 // still matches the closed forms byte-exactly.
 func unmarshalSpans(c *wireCursor) ([]trace.WireSpan, int, error) {
 	mark := c.off
-	nspans := int(c.uvarint("span count"))
-	if nspans == 0 {
+	count := c.uvarint("span count")
+	if count == 0 {
 		return nil, c.off - mark - 1, c.err
 	}
-	if nspans > len(c.b) { // each span is well over one byte
-		return nil, 0, errFrame("span count %d exceeds payload", nspans)
+	if count > uint64(len(c.b)) { // each span is well over one byte
+		return nil, 0, errFrame("span count %d exceeds payload", count)
 	}
-	spans := make([]trace.WireSpan, nspans)
+	spans := make([]trace.WireSpan, count)
 	for i := range spans {
 		s := &spans[i]
 		s.ID = c.uvarint("span id")

@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"math"
 	"strings"
 	"testing"
@@ -323,6 +324,17 @@ func TestFrameDecoderRejectsMalformed(t *testing.T) {
 	}
 	if err := unmarshalReply(badRep, &rr, ref); err == nil {
 		t.Fatal("out-of-range topk index accepted")
+	}
+	// A span count, or a span name length, past MaxInt must be refused
+	// rather than wrap negative into make or a slice bound.
+	head := repFrame[frameHeaderSize : frameHeaderSize+4+4+1+1+8+8]
+	for _, spans := range [][]byte{
+		binary.AppendUvarint(nil, 1<<63),
+		append([]byte{1, 1, 0}, binary.AppendUvarint(nil, 1<<63-1)...),
+	} {
+		if err := unmarshalReply(append(append([]byte(nil), head...), spans...), &rr, ref); err == nil {
+			t.Fatalf("span block % x accepted", spans)
+		}
 	}
 }
 

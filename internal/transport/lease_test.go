@@ -149,3 +149,83 @@ func TestLeaseEpochFencesCoordinatorRestart(t *testing.T) {
 		}
 	}
 }
+
+// TestLeaseCycleLeavesNoGoroutines: a leased incarnation dies abruptly, the
+// next answers the workers' stale Hellos with a LeaseReject, they adopt the
+// new lease and rejoin it, and Shutdown/Close end the fleet — no goroutine
+// outlives the cycle, and neither incarnation's Close is left waiting on an
+// exchange goroutine nobody stopped.
+func TestLeaseCycleLeavesNoGoroutines(t *testing.T) {
+	const n = 2
+	p := testPartition(n, 10, 3, 2, 6)
+	m := models.NewSoftmax(3, 2, 0)
+	cfg := engine.FedAvg(5, 1, 2, 2, 2)
+	w0 := make([]float64, m.Dim())
+	cyclesLeaveNoGoroutines(t, 2, func() {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := ln.Addr().String()
+		workers := make([]*Worker, n)
+		var wg sync.WaitGroup
+		for k := range workers {
+			w, err := NewLeasedWorker(addr, k, p.Clients[k], m, 1, "job-a", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			workers[k] = w
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := w.Serve(); err != nil {
+					t.Errorf("worker %d serve: %v", k, err)
+				}
+			}()
+		}
+		c1, err := NewLeasedCoordinatorOn(ln, n, 5*time.Second, "job-a", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c1.Train(w0, cfg, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		closeWithin(t, c1) // no Done: the workers enter their rejoin loops
+
+		ln2, err := net.Listen("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c2, err := NewLeasedCoordinatorOn(ln2, n, 5*time.Second, "job-a", 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c2.Train(w0, cfg, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		c2.Shutdown()
+		wg.Wait()
+		closeWithin(t, c2)
+		for k, w := range workers {
+			if w.leaseEpoch != 2 {
+				t.Fatalf("worker %d still leased to epoch %d: the LeaseReject was never adopted", k, w.leaseEpoch)
+			}
+		}
+	})
+}
+
+// closeWithin closes c and fails the test if Close, which waits for every
+// connection's exchange goroutine to exit, has not returned in 5s.
+func closeWithin(t *testing.T, c *Coordinator) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		c.Close()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Coordinator.Close still waits on exchange goroutines after 5s")
+	}
+}

@@ -219,6 +219,78 @@ func TestTraceCrossProcessTimeline(t *testing.T) {
 	}
 }
 
+// TestTraceTreeShardSpans: the shard node's session carries tracing like a
+// worker's. A traced tree run must ship exactly one shard-solve span per
+// shard per round, parented under that round's span on the shard's own
+// process row, and leave the global model bit-identical to the untraced run.
+func TestTraceTreeShardSpans(t *testing.T) {
+	const fanout = 3
+	p := testPartition(6, 20, 3, 3, 1)
+	m := models.NewSoftmax(3, 3, 0)
+	cfg := traceConfig(3)
+	run := func(tracer *trace.Tracer) []float64 {
+		c, wg := launchTree(t, p, m, cfg.Seed, fanout, nil, tracer != nil)
+		defer c.Close()
+		eng, err := c.TreeEngine(make([]float64, m.Dim()), cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tracer != nil {
+			eng.SetTracer(tracer)
+		}
+		if _, err := eng.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		c.Shutdown()
+		wg.Wait()
+		return mathx.Clone(eng.Global())
+	}
+	want := run(nil)
+	tracer := trace.New("coordinator")
+	got := run(tracer)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("traced tree model differs from the untraced run at %d", i)
+		}
+	}
+
+	spans := tracer.Spans()
+	rounds := make(map[uint64]int) // round-span ID → round number
+	for _, sp := range spans {
+		if strings.HasPrefix(sp.Name, "round ") && sp.Lane == "engine" {
+			rounds[sp.ID] = sp.Round
+		}
+	}
+	if len(rounds) != cfg.Rounds {
+		t.Fatalf("got %d round spans, want %d", len(rounds), cfg.Rounds)
+	}
+	type procRound struct {
+		proc  string
+		round int
+	}
+	solves := make(map[procRound]int)
+	for _, sp := range spans {
+		if sp.Name != "shard-solve" {
+			continue
+		}
+		round, ok := rounds[sp.Parent]
+		if !ok {
+			t.Fatalf("shard-solve span not parented under a coordinator round span: %+v", sp)
+		}
+		solves[procRound{sp.Proc, round}]++
+	}
+	if len(solves) != fanout*cfg.Rounds {
+		t.Fatalf("shard-solve spans cover %d (process, round) pairs, want %d: %v", len(solves), fanout*cfg.Rounds, solves)
+	}
+	for s := 0; s < fanout; s++ {
+		for r := 1; r <= cfg.Rounds; r++ {
+			if n := solves[procRound{"shard-" + strconv.Itoa(s), r}]; n != 1 {
+				t.Fatalf("shard %d round %d: %d shard-solve spans, want 1", s, r, n)
+			}
+		}
+	}
+}
+
 // TestTraceRetryEvent: an injected flake must surface as a "retry" event on
 // the coordinator's round span, and the retried round must still succeed.
 func TestTraceRetryEvent(t *testing.T) {

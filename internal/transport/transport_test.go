@@ -692,7 +692,7 @@ func TestTreeCycleLeavesNoGoroutines(t *testing.T) {
 	m := models.NewSoftmax(3, 3, 0)
 	cfg := engine.FedAvg(5, 1, 2, 2, 3)
 	cyclesLeaveNoGoroutines(t, 2, func() {
-		c, wg := launchTree(t, p, m, 1, 3, nil)
+		c, wg := launchTree(t, p, m, 1, 3, nil, false)
 		eng, err := c.TreeEngine(make([]float64, m.Dim()), cfg, nil)
 		if err != nil {
 			t.Fatal(err)

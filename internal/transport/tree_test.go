@@ -8,6 +8,7 @@ import (
 	"bufio"
 	"context"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -140,9 +141,10 @@ func treeShards(p *data.Partition, fanout int) (los, his []int) {
 }
 
 // launchTree starts one AggregatorNode per shard (chaos nodes when sched is
-// non-nil) and returns the connected tree coordinator.
+// non-nil, recording trace spans when traced) and returns the connected tree
+// coordinator.
 func launchTree(t *testing.T, p *data.Partition, m models.Model, seed int64,
-	fanout int, sched *chaos.Schedule) (*Coordinator, *sync.WaitGroup) {
+	fanout int, sched *chaos.Schedule, traced bool) (*Coordinator, *sync.WaitGroup) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -165,6 +167,9 @@ func launchTree(t *testing.T, p *data.Partition, m models.Model, seed int64,
 			if err != nil {
 				t.Errorf("aggregator node %d: %v", s, err)
 				return
+			}
+			if traced {
+				n.EnableTrace()
 			}
 			if err := n.Serve(); err != nil {
 				t.Errorf("aggregator node %d serve: %v", s, err)
@@ -252,7 +257,7 @@ func TestTreeMatchesFlatBitIdentical(t *testing.T) {
 			}
 			want := mathx.Clone(ref.Global())
 
-			c, wg := launchTree(t, p, m, cfg.Seed, fanout, nil)
+			c, wg := launchTree(t, p, m, cfg.Seed, fanout, nil, false)
 			defer c.Close()
 			if got := c.VirtualDevices(); got != len(p.Clients) {
 				t.Fatalf("tree coordinator sees %d virtual devices, want %d", got, len(p.Clients))
@@ -378,7 +383,7 @@ func TestTreeChaosMatchesScriptedShardDropout(t *testing.T) {
 	if err := sched.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	c, wg := launchTree(t, p, m, cfg.Seed, fanout, sched)
+	c, wg := launchTree(t, p, m, cfg.Seed, fanout, sched, false)
 	defer c.Close()
 	// One retry absorbs the flake; quorum 1 lets the crash round degrade.
 	c.SetFaultPolicy(FaultPolicy{MaxRetries: 1, RetryBackoff: 10 * time.Millisecond,
@@ -439,6 +444,39 @@ func TestTreeChaosMatchesScriptedShardDropout(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestChaosAggregatorNodeRefusesCorrupt: a corrupted partial sum has no
+// in-process reference to match, so a node refuses a schedule that aims a
+// Corrupt event at its shard — naming the event — instead of running the
+// round clean. A Corrupt event aimed at another shard does not concern it.
+func TestChaosAggregatorNodeRefusesCorrupt(t *testing.T) {
+	p := testPartition(4, 10, 3, 3, 2)
+	m := models.NewSoftmax(3, 3, 0)
+	sched := &chaos.Schedule{Events: []chaos.Event{{Device: 1, Round: 3, Kind: chaos.Corrupt}}}
+	if err := sched.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	addr := ln.Addr().String()
+
+	n, err := NewChaosAggregatorNode(addr, 1, 2, p.Clients[2:], m, 7, sched)
+	if err == nil {
+		n.conn.Close()
+		t.Fatal("a node accepted a Corrupt event on its own shard it cannot enforce")
+	}
+	if msg := err.Error(); !strings.Contains(msg, `"corrupt"`) || !strings.Contains(msg, "round 3") {
+		t.Fatalf("refusal %q does not name the corrupt event of round 3", msg)
+	}
+	other, err := NewChaosAggregatorNode(addr, 0, 0, p.Clients[:2], m, 7, sched)
+	if err != nil {
+		t.Fatalf("shard 0 refused a schedule whose Corrupt event targets shard 1: %v", err)
+	}
+	other.conn.Close()
 }
 
 // stubShardPeer handshakes as an aggregator node claiming ndev virtual
@@ -616,7 +654,7 @@ func TestTreeEngineRejectsPerDeviceFeatures(t *testing.T) {
 	const fanout = 2
 	p := testPartition(4, 10, 3, 3, 2)
 	m := models.NewSoftmax(3, 3, 0)
-	c, wg := launchTree(t, p, m, 7, fanout, nil)
+	c, wg := launchTree(t, p, m, 7, fanout, nil, false)
 	defer c.Close()
 	w0 := make([]float64, m.Dim())
 	base := engine.FedProxVR(optim.SARAH, 6, 1, 0.2, 5, 4, 2)
