@@ -71,10 +71,12 @@ expolint:
 # CPUs under the race detector: engine.Evaluator spreads loss and accuracy
 # over GOMAXPROCS workers and promises numbers that do not depend on how
 # many there are, which a single-GOMAXPROCS `race` pass cannot show. (The
-# helper pool grows with GOMAXPROCS, so one process covers all three.)
+# helper pool grows with GOMAXPROCS, so one process covers all three.) The
+# LossGrad and Handover tests cover the gradients a measurement hands the
+# next round's devices, written by whichever worker claims the shard.
 evalcpu:
 	$(GO) test -race $(RACE_TESTFLAGS) -count=1 -cpu 1,2,4 \
-		-run 'Evaluator|PredictBatch' ./internal/engine/ ./internal/models/
+		-run 'Evaluator|PredictBatch|LossGrad|Handover' ./internal/engine/ ./internal/models/
 
 # bench-smoke compiles and tests the frozen benchmark module. bench/ is its
 # own Go module (it imports this one through a replace directive), so the

@@ -244,7 +244,7 @@ func benchEstimator(b *testing.B, est optim.Estimator) {
 	cfg := optim.LocalConfig{Estimator: est, Eta: 0.01, Tau: 20, Batch: 16, Mu: 0.1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Solve(sc, ds, anchor, out, cfg, rng)
+		s.Solve(sc, ds, anchor, out, cfg, rng, nil)
 	}
 }
 
@@ -270,7 +270,7 @@ func benchReturn(b *testing.B, ret optim.ReturnPolicy) {
 	cfg := optim.LocalConfig{Estimator: optim.SARAH, Eta: 0.01, Tau: 20, Batch: 16, Mu: 0.1, Return: ret}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Solve(sc, ds, anchor, out, cfg, rng)
+		s.Solve(sc, ds, anchor, out, cfg, rng, nil)
 	}
 }
 

@@ -235,7 +235,9 @@ func main() {
 		eng.SetTracer(tracer)
 	}
 
+	completed := 0 // the last round the run completed, for the end-of-run line
 	eng.OnRound(func(info engine.RoundInfo) error {
+		completed = info.Round
 		if info.Failed > 0 || info.Stragglers > 0 {
 			fmt.Fprintf(os.Stderr, "fedserver: round %d: %d/%d workers reported (%d failed, %d cut as stragglers)\n",
 				info.Round, len(info.Participants),
@@ -280,9 +282,11 @@ func main() {
 		// the per-round stats (-trace / -admin).
 		unit = "shards reported"
 	}
-	fmt.Fprintf(os.Stderr, "fedserver: %d rounds in %s, final loss %.4f, acc %.2f%%, %d %s last round, %d failures total\n",
-		*rounds, time.Since(start).Round(time.Millisecond), last.TrainLoss, last.TestAcc*100,
-		last.Participants, unit, series.TotalFailed())
+	// After a SIGTERM the run stops short of -rounds: the line names the
+	// rounds it completed and the round its loss was measured at.
+	fmt.Fprintf(os.Stderr, "fedserver: %d rounds in %s, loss %.4f and acc %.2f%% at round %d, %d %s that round, %d failures total\n",
+		completed, time.Since(start).Round(time.Millisecond), last.TrainLoss, last.TestAcc*100,
+		last.Round, last.Participants, unit, series.TotalFailed())
 	if summary != nil {
 		sent, recv := coord.Bandwidth()
 		fmt.Fprintf(os.Stderr, "fedserver: %d bytes sent, %d received over the run (codec %v)\n", sent, recv, codec)

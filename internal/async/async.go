@@ -144,7 +144,7 @@ func (r *Runner) dispatch(id int) {
 	p := r.fleet.Profiles[id]
 	duration := p.Downlink + float64(r.cfg.Local.Tau)*p.ComputePerIter + p.Uplink
 	local := make([]float64, len(r.w))
-	r.solver.Solve(&r.scratch, r.part.Clients[id], r.w, local, r.cfg.Local, r.rngs[id])
+	r.solver.Solve(&r.scratch, r.part.Clients[id], r.w, local, r.cfg.Local, r.rngs[id], nil)
 	r.queue = append(r.queue, pending{
 		device:    id,
 		finishAt:  r.now + duration,

@@ -61,6 +61,7 @@ type Engine struct {
 	server  *rand.Rand
 	w       []float64
 	selBuf  []int
+	nextBuf []int // round t+1's cohort, drawn by Run to measure round t
 	eval    *Evaluator
 	round   int
 	pool    *Parallel // the pool NewInProcess started, stopped by Close
@@ -134,8 +135,13 @@ func (e *Engine) Config() Config { return e.cfg }
 // Global returns the current global model (aliased; copy before mutating).
 func (e *Engine) Global() []float64 { return e.w }
 
-// SetGlobal initializes the global model (default: the zero vector).
-func (e *Engine) SetGlobal(w []float64) { copy(e.w, w) }
+// SetGlobal initializes the global model (default: the zero vector). It
+// drops every gradient an evaluation handed over: those were taken at the
+// model it replaces.
+func (e *Engine) SetGlobal(w []float64) {
+	copy(e.w, w)
+	e.dropHandOvers()
+}
 
 // SetRound fast-forwards the round counter (checkpoint resume). No RNG
 // replay is needed: every stream — the server stream and each device's —
@@ -145,8 +151,23 @@ func (e *Engine) SetGlobal(w []float64) { copy(e.w, w) }
 // property the crash-recovering job control plane (internal/jobs) builds
 // on: a coordinator restart at round t is indistinguishable from having
 // never died, and a mid-round kill is exactly a full-cohort dropout of
-// the round that never committed.
-func (e *Engine) SetRound(t int) { e.round = t }
+// the round that never committed. Like SetGlobal it drops every
+// handed-over gradient.
+func (e *Engine) SetRound(t int) {
+	e.round = t
+	e.dropHandOvers()
+}
+
+// dropHandOvers forgets the v⁰ the evaluator's devices were handed, so a
+// round replayed or re-anchored after SetRound/SetGlobal computes its own.
+func (e *Engine) dropHandOvers() {
+	if e.eval == nil {
+		return
+	}
+	for _, d := range e.eval.Devices {
+		d.dropHandOver()
+	}
+}
 
 // Executor returns the current backend.
 func (e *Engine) Executor() Executor { return e.exec }
@@ -165,8 +186,12 @@ func (e *Engine) SetAggregator(a Aggregator) { e.agg = a }
 
 // SetEvaluator installs server-side measurement (loss, accuracy,
 // stationarity). Without one, measured points carry only round numbers and
-// gradient-eval counts.
-func (e *Engine) SetEvaluator(ev *Evaluator) { e.eval = ev }
+// gradient-eval counts. The evaluator it replaces has its hand-overs
+// dropped.
+func (e *Engine) SetEvaluator(ev *Evaluator) {
+	e.dropHandOvers()
+	e.eval = ev
+}
 
 // Evaluator returns the installed evaluator (nil without one), for drivers
 // that measure outside Run — internal/simnet stamps its own
@@ -307,25 +332,14 @@ func (e *Engine) StepCtx(ctx context.Context) ([]int, int, error) {
 		t0 = time.Now()
 	}
 	e.round++
-	// Re-key the server stream for the round; the executor re-keys its
-	// devices' streams from the same number (RoundSpec.Round). Both reseeds
-	// are pure functions of (seed, round): no draw made before this point —
-	// in this process or a previous coordinator incarnation — influences
-	// the round, which is what makes checkpoint resume bit-identical.
-	e.server.Seed(randx.RoundSeed(e.cfg.Seed, 1, int64(e.round)))
 	if traced {
 		e.endRoundSpan() // a caller that skipped FlushStats leaves one open
 		e.roundSpan = e.tracer.StartRound(e.round)
 		e.roundOpen = true
 	}
 	phase := e.tracer.StartPhase("select")
-	if e.cfg.ActivateProb > 0 {
-		e.selBuf = ActivatedClients(e.cfg.Seed, e.round, len(e.weights), e.cfg.ActivateProb, e.selBuf)
-	} else {
-		e.selBuf = SelectClients(e.server, len(e.weights), e.cfg.ClientFraction, e.selBuf)
-	}
-	nsel := len(e.selBuf)
-	selected := Dropout(e.server, e.selBuf, e.cfg.DropoutProb)
+	selected, nsel := e.cohort(e.round, e.selBuf)
+	e.selBuf = selected
 	phase.End()
 	if stats {
 		now := time.Now()
@@ -415,10 +429,34 @@ func (e *Engine) StepCtx(ctx context.Context) ([]int, int, error) {
 	return selected, failed, nil
 }
 
+// cohort draws round t's cohort into buf (reused): the selected devices,
+// then the survivors of dropout injection, and nsel, the selection's size
+// before dropout. It first re-keys the server stream for the round — the
+// executor re-keys its devices' streams from the same number
+// (RoundSpec.Round) — so the cohort is a pure function of (seed, t): no
+// draw made before, in this process or a previous coordinator
+// incarnation, influences it, which is what makes checkpoint resume
+// bit-identical, and Run can draw round t+1's cohort ahead of the round.
+// The stream is left where the round's later draws (DP noise) continue.
+func (e *Engine) cohort(t int, buf []int) (selected []int, nsel int) {
+	e.server.Seed(randx.RoundSeed(e.cfg.Seed, 1, int64(t)))
+	if e.cfg.ActivateProb > 0 {
+		buf = ActivatedClients(e.cfg.Seed, t, len(e.weights), e.cfg.ActivateProb, buf)
+	} else {
+		buf = SelectClients(e.server, len(e.weights), e.cfg.ClientFraction, buf)
+	}
+	return Dropout(e.server, buf, e.cfg.DropoutProb), len(buf)
+}
+
 // GradEvals returns the cumulative gradient evaluations across the
 // backend's devices as of the last round that reached them (zero before
 // the first).
 func (e *Engine) GradEvals() int64 { return e.res.GradEvals }
+
+// Stragglers returns how many of the last round's selected devices the
+// straggler policy cut — the part of StepCtx's failed count that did not
+// fail.
+func (e *Engine) Stragglers() int { return e.res.Stragglers }
 
 // fanOut runs the executor for the round. Without a straggler policy the
 // executor gets context.Background(): nothing can cut the round (a caller's
@@ -482,7 +520,7 @@ func (e *Engine) Run(ctx context.Context) (*metrics.Series, error) {
 			if e.stats != nil {
 				evalSec = time.Since(t0).Seconds()
 			}
-			p.Participants, p.Failed = len(sel), failed
+			p.Participants, p.Failed = len(sel), failed-e.res.Stragglers
 			e.StampEval(p)
 			s.Append(p)
 		}
@@ -506,10 +544,19 @@ func (e *Engine) Run(ctx context.Context) (*metrics.Series, error) {
 }
 
 // measure evaluates the configured metrics at the current global model.
+// Unless round is the last, the global model is the anchor of the next
+// round, so it draws that round's cohort and has the evaluator hand those
+// devices their v⁰ from the same pass (Evaluator.Measure); an evaluator
+// without devices hands nothing over.
 func (e *Engine) measure(round int) metrics.Point {
 	p := metrics.Point{TestAcc: math.NaN()}
 	if e.eval != nil {
-		p = e.eval.Measure(e.w, e.cfg.TrackStationarity)
+		var next []int
+		if round < e.cfg.Rounds && e.eval.Devices != nil {
+			next, _ = e.cohort(round+1, e.nextBuf)
+			e.nextBuf = next
+		}
+		p = e.eval.Measure(e.w, e.cfg.TrackStationarity, round+1, next)
 	}
 	p.Round, p.GradEvals = round, e.res.GradEvals
 	return p

@@ -17,11 +17,12 @@ import (
 // do not depend on how many cores there are.
 //
 // One measurement is a list of independent tasks: one Model.Loss per
-// training shard, then one batched prediction per models.PredictBlock rows
-// of the test set. The calling goroutine and up to GOMAXPROCS-1 helpers
-// from a process-wide pool claim tasks off a shared counter (shard sizes
-// are power-law, so a static split would leave cores idle), each on a
-// model of its own: the caller on Model, helper k on a Model.Clone() built
+// training shard — or, for a shard whose device is handed its next round's
+// v⁰, one Model.LossGrad (see Measure) — then one batched prediction per
+// models.PredictBlock rows of the test set. The calling goroutine and up
+// to GOMAXPROCS-1 helpers from a process-wide pool claim tasks off a
+// shared counter (shard sizes are power-law, so a static split would leave
+// cores idle), each on a model of its own: the caller on Model, helper k on a Model.Clone() built
 // the first time a k-th helper is wanted. Determinism rests on two facts.
 // A shard's loss lands in that shard's slot and the caller folds
 // Σ Weights[i]·loss[i] in ascending shard order once every slot is filled,
@@ -41,6 +42,10 @@ type Evaluator struct {
 	Clients []*data.Dataset // training shards for the global objective
 	Weights []float64
 	Test    *data.Dataset
+	// Devices, when set, holds the in-process device that trains each of
+	// Clients, in the same order: Measure can hand them their next round's
+	// v⁰. Evaluators of the TCP, tree and async runtimes have none.
+	Devices []*Device
 
 	// The measurement in flight, published to helpers by the job send.
 	workers []evalWorker // [0] is the caller on Model, the rest helpers on clones
@@ -51,6 +56,11 @@ type Evaluator struct {
 	hits    atomic.Int64 // correctly classified test rows
 	lossAt  []float64    // lossAt[i] = Model.Loss(w, Clients[i])
 	wg      sync.WaitGroup
+	// handTo[i] is set when shard i's device is handed its v⁰ for round
+	// handRound; empty outside a Measure that hands over, so Loss never
+	// does.
+	handTo    []bool
+	handRound int
 
 	grads, g []float64
 }
@@ -116,9 +126,28 @@ func evalHelpers(n int) chan<- evalJob {
 // the two) and, when trackStationarity is set, ‖∇F̄(w)‖². The returned
 // point carries only what the evaluator measures; the caller stamps round
 // number, gradient-eval count and participation.
-func (ev *Evaluator) Measure(w []float64, trackStationarity bool) metrics.Point {
+//
+// next, when the evaluator has Devices, is round nextRound's cohort, whose
+// solves will start from w: for each of those devices not busy with a cut
+// round's solve, the shard's loss comes from one Model.LossGrad pass that
+// leaves ∇F_n(w) with the device as that round's v⁰ (Device.handOver).
+// LossGrad returns Loss's bits, so the point is the same either way.
+// A nil next hands nothing over.
+func (ev *Evaluator) Measure(w []float64, trackStationarity bool, nextRound int, next []int) metrics.Point {
+	if len(next) > 0 && ev.Devices != nil {
+		if cap(ev.handTo) < len(ev.Clients) {
+			ev.handTo = make([]bool, len(ev.Clients))
+		}
+		ev.handTo = ev.handTo[:len(ev.Clients)]
+		clear(ev.handTo)
+		for _, id := range next {
+			ev.handTo[id] = !ev.Devices[id].busy.Load()
+		}
+		ev.handRound = nextRound
+	}
 	var p metrics.Point
 	p.TrainLoss, p.TestAcc = ev.run(w, true, true)
+	ev.handTo = ev.handTo[:0]
 	if trackStationarity {
 		p.GradNormSq = ev.GradNormSq(w)
 	}
@@ -219,7 +248,11 @@ func (ev *Evaluator) work(wk *evalWorker) {
 			break
 		}
 		if t < ev.nLoss {
-			ev.lossAt[t] = wk.model.Loss(ev.w, ev.Clients[t], nil)
+			if len(ev.handTo) > 0 && ev.handTo[t] {
+				ev.lossAt[t] = ev.Devices[t].handOver(wk.model, ev.w, ev.handRound)
+			} else {
+				ev.lossAt[t] = wk.model.Loss(ev.w, ev.Clients[t], nil)
+			}
 			continue
 		}
 		lo := (t - ev.nLoss) * models.PredictBlock

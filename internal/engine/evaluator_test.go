@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -116,7 +117,7 @@ func TestEvaluatorMatchesSerialReference(t *testing.T) {
 				if got := ev.Loss(f.w); !sameBits(got, wantLoss) {
 					t.Fatalf("rep %d: Loss = %v, serial %v", rep, got, wantLoss)
 				}
-				p := ev.Measure(f.w, rep%2 == 0)
+				p := ev.Measure(f.w, rep%2 == 0, 0, nil)
 				if !sameBits(p.TrainLoss, wantLoss) || !sameBits(p.TestAcc, wantAcc) {
 					t.Fatalf("rep %d: Measure = (%v, %v), serial (%v, %v)", rep, p.TrainLoss, p.TestAcc, wantLoss, wantAcc)
 				}
@@ -128,6 +129,56 @@ func TestEvaluatorMatchesSerialReference(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEvaluatorHandOver: a measurement that hands the next round's cohort
+// its v⁰ measures the same point as one that hands nothing over, and leaves
+// each device of the cohort exactly Grad's bits at w, keyed by that round,
+// whichever worker claimed the shard. Devices outside the cohort, and one
+// still busy with a cut round's solve, are handed nothing.
+func TestEvaluatorHandOver(t *testing.T) {
+	f := newEvalFixture(13, []int{700, 37, 5, 260, 90, 33, 1200, 64, 31, 0, 48}, 1000)
+	wantLoss, wantAcc, _ := f.serial()
+	devices := make([]*engine.Device, len(f.shards))
+	for i, shard := range f.shards {
+		devices[i] = engine.NewDevice(i, shard, f.m, 1)
+	}
+	const busy = 4
+	devices[busy].SetBusy(true)
+	next := []int{6, 0, 3, 9, busy, 10} // drawn order, an empty shard included
+	ev := f.evaluator()
+	ev.Devices = devices
+	m := f.m.Clone()
+	want := make([]float64, len(f.w))
+	for rep := 0; rep < 3; rep++ {
+		round := 5 + rep
+		p := ev.Measure(f.w, false, round, next)
+		if !sameBits(p.TrainLoss, wantLoss) || !sameBits(p.TestAcc, wantAcc) {
+			t.Fatalf("rep %d: Measure = (%v, %v), serial (%v, %v)", rep, p.TrainLoss, p.TestAcc, wantLoss, wantAcc)
+		}
+		for i, d := range devices {
+			got := d.HandedOver(round)
+			inCohort := i != busy && slices.Contains(next, i)
+			if !inCohort {
+				if got != nil || d.HeldV0() {
+					t.Fatalf("rep %d: device %d was handed a gradient", rep, i)
+				}
+				continue
+			}
+			if got == nil {
+				t.Fatalf("rep %d: device %d holds no gradient for round %d", rep, i, round)
+			}
+			m.Grad(want, f.w, f.shards[i], nil)
+			for j := range want {
+				if !sameBits(got[j], want[j]) {
+					t.Fatalf("rep %d: device %d: v0[%d] = %v, Grad %v", rep, i, j, got[j], want[j])
+				}
+			}
+		}
+	}
+	if p := ev.Measure(f.w, false, 9, nil); !sameBits(p.TrainLoss, wantLoss) || devices[0].HandedOver(9) != nil {
+		t.Fatalf("a measurement with no cohort measured %v or handed device 0 a gradient", p.TrainLoss)
 	}
 }
 
@@ -144,7 +195,7 @@ func TestEvaluatorsShareThePool(t *testing.T) {
 			defer wg.Done()
 			ev := f.evaluator()
 			for rep := 0; rep < 20; rep++ {
-				if p := ev.Measure(f.w, false); !sameBits(p.TrainLoss, wantLoss) || !sameBits(p.TestAcc, wantAcc) {
+				if p := ev.Measure(f.w, false, 0, nil); !sameBits(p.TrainLoss, wantLoss) || !sameBits(p.TestAcc, wantAcc) {
 					t.Errorf("Measure = (%v, %v), serial (%v, %v)", p.TrainLoss, p.TestAcc, wantLoss, wantAcc)
 					return
 				}
@@ -169,12 +220,12 @@ func TestEvaluatorAccuracyUnmeasured(t *testing.T) {
 		"no model":         {Test: f.test},
 		"not a classifier": {Model: notClassifier{f.m}, Test: f.test},
 	} {
-		if acc := ev.Measure(f.w, false).TestAcc; !math.IsNaN(acc) {
+		if acc := ev.Measure(f.w, false, 0, nil).TestAcc; !math.IsNaN(acc) {
 			t.Errorf("%s: TestAcc = %v, want NaN", name, acc)
 		}
 	}
 	ev := &engine.Evaluator{Model: f.m, Clients: f.shards, Weights: f.weights, Test: data.New(30, 6, 0)}
-	if p := ev.Measure(f.w, false); !math.IsNaN(p.TestAcc) || math.IsNaN(p.TrainLoss) {
+	if p := ev.Measure(f.w, false, 0, nil); !math.IsNaN(p.TestAcc) || math.IsNaN(p.TrainLoss) {
 		t.Errorf("Measure with an empty test set = (%v, %v), want (loss, NaN)", p.TrainLoss, p.TestAcc)
 	}
 }
@@ -184,9 +235,9 @@ func TestEvaluatorAccuracyUnmeasured(t *testing.T) {
 // goroutine count does not grow with the number of evaluators.
 func TestEvaluatorsLeaveNoGoroutines(t *testing.T) {
 	f := newEvalFixture(9, []int{50, 80, 20, 60}, 300)
-	f.evaluator().Measure(f.w, false) // start the pool
+	f.evaluator().Measure(f.w, false, 0, nil) // start the pool
 	// Grace 0: nothing may outlive a measurement, so the count is read at once.
-	testx.NoGoroutineGrowth(t, 100, 0, func() { f.evaluator().Measure(f.w, false) })
+	testx.NoGoroutineGrowth(t, 100, 0, func() { f.evaluator().Measure(f.w, false, 0, nil) })
 }
 
 // TestEvaluatorMeasureAllocFree holds steady-state measurement to zero
@@ -198,12 +249,12 @@ func TestEvaluatorsLeaveNoGoroutines(t *testing.T) {
 func TestEvaluatorMeasureAllocFree(t *testing.T) {
 	f := newEvalFixture(11, []int{200, 40, 90, 33, 500, 64}, 600)
 	ev := f.evaluator()
-	ev.Measure(f.w, true)
+	ev.Measure(f.w, true, 0, nil)
 	const calls = 100
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < calls; i++ {
-		ev.Measure(f.w, true)
+		ev.Measure(f.w, true, 0, nil)
 	}
 	runtime.ReadMemStats(&after)
 	if n := after.Mallocs - before.Mallocs; 2*n >= calls {

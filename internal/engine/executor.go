@@ -20,21 +20,37 @@ import (
 // Device is one simulated user device, as data: its shard, the handle that
 // names its model and phase observer, its private RNG stream (which makes
 // parallel and sequential schedules bit-identical) and its gradient
-// counter. Nothing reachable from a Device is dim- or workspace-sized: the
-// memory a solve runs in belongs to whoever executes it (optim.Scratch, one
-// per executor goroutine) and the buffer it reports into to the caller of
-// RunRound, so a population costs O(1) per device whatever the model.
+// counter. Nothing reachable from a Device is dim- or workspace-sized,
+// except a handed-over v⁰: the memory a solve runs in belongs to whoever
+// executes it (optim.Scratch, one per executor goroutine) and the buffer it
+// reports into to the caller of RunRound, so a population costs O(1) per
+// device whatever the model.
+//
+// The hand-over is the in-process Evaluator's: measuring the global model
+// w̄ˢ, it computes ∇F_n(w̄ˢ) for each device of round s+1's cohort in the
+// same pass as the device's loss and leaves it here, keyed by round s+1,
+// and that round's solve copies it as v⁰ instead of recomputing it. The
+// buffer is allocated at the first hand-over, so devices of the TCP and
+// tree runtimes, which are never handed one, never hold it.
 type Device struct {
 	ID     int
 	Shard  *data.Dataset
 	Solver optim.Solver
 	RNG    *rand.Rand
 
-	seed int64 // experiment seed BeginRound re-keys the stream from
+	seed  int64 // experiment seed BeginRound re-keys the stream from
+	round int   // the round BeginRound last keyed the stream for
 	// gradEvals is atomic because a quorum-cut round's solve can still be
 	// finishing on a pool worker while the engine reads the counter.
 	gradEvals atomic.Int64
 	busy      atomic.Bool // still solving a round that was cut (Parallel only)
+
+	// v0 is the handed-over ∇F_n(anchor) and v0Round the round it serves
+	// (0: none). v0Round is atomic because the engine drops hand-overs
+	// between rounds while a cut round's late solve may still be reading
+	// it; v0 itself is written only while the device is not busy.
+	v0      []float64
+	v0Round atomic.Int64
 }
 
 // NewDevice builds a device that trains m. m is only ever cloned from —
@@ -59,6 +75,7 @@ func NewDevice(id int, shard *data.Dataset, m models.Model, seed int64) *Device 
 // Round 0 (no engine-numbered round) leaves the construction-time stream
 // untouched for callers that never number rounds (internal/async).
 func (d *Device) BeginRound(t int) {
+	d.round = t
 	if t > 0 {
 		d.RNG.Seed(randx.RoundSeed(d.seed, int64(d.ID)+101, int64(t)))
 	}
@@ -67,11 +84,31 @@ func (d *Device) BeginRound(t int) {
 // RunRound executes the device's inner loop from the given anchor in the
 // caller's scratch and writes its reported local model into out. A solve
 // overwrites everything it reads from sc, so the result does not depend on
-// which device sc served last.
+// which device sc served last. A gradient handed over for the round
+// BeginRound keyed is the solve's v⁰; one for any other round is ignored.
 func (d *Device) RunRound(sc *optim.Scratch, anchor, out []float64, cfg optim.LocalConfig) {
-	n := d.Solver.Solve(sc, d.Shard, anchor, out, cfg, d.RNG)
+	var v0 []float64
+	if d.round > 0 && d.v0Round.Load() == int64(d.round) {
+		v0 = d.v0
+	}
+	n := d.Solver.Solve(sc, d.Shard, anchor, out, cfg, d.RNG, v0)
 	d.gradEvals.Add(int64(n))
 }
+
+// handOver computes ∇F_n(w) into the device's hand-over buffer with m, for
+// round t to use as v⁰, and returns F_n(w) — Loss's bits, from the same
+// pass. The caller makes sure the device is not busy.
+func (d *Device) handOver(m models.Model, w []float64, t int) float64 {
+	if d.v0 == nil {
+		d.v0 = make([]float64, len(w))
+	}
+	loss := m.LossGrad(d.v0, w, d.Shard)
+	d.v0Round.Store(int64(t))
+	return loss
+}
+
+// dropHandOver forgets the handed-over gradient, whichever round it served.
+func (d *Device) dropHandOver() { d.v0Round.Store(0) }
 
 // GradEvals returns the cumulative gradient evaluations of this device.
 func (d *Device) GradEvals() int64 { return d.gradEvals.Load() }

@@ -10,7 +10,8 @@ import (
 // NewInProcess builds the in-process run of Algorithm 1 over a partition:
 // one Device per shard (device i trains shard i, all of them model m), the
 // Parallel pool or the Sequential executor over them as cfg.Parallel says,
-// and an Evaluator over the shards and cfg.Test. w0, when non-nil, is the
+// and an Evaluator over the shards and cfg.Test that hands the devices
+// their next round's v⁰ (Evaluator.Measure). w0, when non-nil, is the
 // initial global model and must hold m.Dim() entries; nil starts from the
 // zero vector. It returns the engine and its devices.
 //
@@ -40,7 +41,7 @@ func NewInProcess(m models.Model, part *data.Partition, cfg Config, w0 []float64
 	} else {
 		eng.exec = NewSequential(devices, cfg.Local)
 	}
-	eng.eval = &Evaluator{Model: m.Clone(), Clients: part.Clients, Weights: weights, Test: cfg.Test}
+	eng.eval = &Evaluator{Model: m.Clone(), Clients: part.Clients, Weights: weights, Test: cfg.Test, Devices: devices}
 	if w0 != nil {
 		eng.SetGlobal(w0)
 	}

@@ -59,6 +59,35 @@ func TestMinReportSequentialDeterministic(t *testing.T) {
 	}
 }
 
+// TestMinReportPointFailedExcludesStragglers: a device cut by the quorum is
+// late, not failed, so the measured points count no failures — the same
+// split RoundInfo and the round record make.
+func TestMinReportPointFailedExcludesStragglers(t *testing.T) {
+	p := testPartition(4, 20, 3, 3, 6)
+	m := models.NewSoftmax(3, 3, 0)
+	cfg := conformanceConfigs()["full"]
+	cfg.MinReport = len(p.Clients) - 1
+	cfg.Rounds = 3
+
+	eng, err := engine.New(cfg, m.Dim(), p.Weights(), engine.NewSequential(newDevices(p, m, cfg.Seed), cfg.Local))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := eng.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pt := range s.Points[1:] {
+		if pt.Failed != 0 || pt.Participants != cfg.MinReport {
+			t.Fatalf("round %d: point records %d participants, %d failed — want %d, 0",
+				pt.Round, pt.Participants, pt.Failed, cfg.MinReport)
+		}
+	}
+	if n := s.TotalFailed(); n != 0 {
+		t.Fatalf("series counts %d failures, want 0", n)
+	}
+}
+
 // TestMinReportParallelQuorum: the parallel backend accepts at least the
 // quorum (plus any results that raced the cut) and counts the rest as
 // stragglers; every nil slot must be a straggler, never a failure.

@@ -120,8 +120,11 @@ func LogSumExp(x []float64) float64 {
 	return m + math.Log(s)
 }
 
-// SoftmaxInPlace overwrites x with softmax(x), computed stably.
-func SoftmaxInPlace(x []float64) {
+// SoftmaxInPlace overwrites x with softmax(x), computed stably, and
+// returns LogSumExp of the x it was given, bit for bit: the same max and
+// the same ascending sum of exponentials, so a fused loss-and-gradient
+// pass gets the loss term for one extra log.
+func SoftmaxInPlace(x []float64) float64 {
 	m := Max(x)
 	var s float64
 	for i, v := range x {
@@ -133,4 +136,8 @@ func SoftmaxInPlace(x []float64) {
 	for i := range x {
 		x[i] *= inv
 	}
+	if math.IsInf(m, -1) {
+		return math.Inf(-1)
+	}
+	return m + math.Log(s)
 }

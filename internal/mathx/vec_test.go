@@ -140,6 +140,33 @@ func TestSoftmaxInPlace(t *testing.T) {
 	}
 }
 
+// TestSoftmaxInPlaceReturnsLogSumExp pins SoftmaxInPlace's return value to
+// LogSumExp of its input bit for bit, the rows whose max is −Inf or +Inf
+// and the rows holding a NaN included: the fused loss-and-gradient pass of
+// the models reads its loss terms from it.
+func TestSoftmaxInPlaceReturnsLogSumExp(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	rows := map[string][]float64{
+		"plain":        {0.1, -0.4, 2.2, 7, -3},
+		"one entry":    {-12.5},
+		"large":        {1000, 1000, -1000},
+		"tiny spread":  {1e-300, -1e-300, 0},
+		"-Inf max":     {math.Inf(-1), math.Inf(-1)},
+		"-Inf entry":   {math.Inf(-1), 3, 1},
+		"+Inf entry":   {1, inf, 2},
+		"NaN entry":    {1, nan, 2},
+		"NaN first":    {nan, 1, 2},
+		"+Inf and NaN": {inf, nan},
+	}
+	for name, row := range rows {
+		want := LogSumExp(row)
+		if got := SoftmaxInPlace(Clone(row)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: SoftmaxInPlace returned %v (%#x), LogSumExp %v (%#x)",
+				name, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
 // Property: Dot is symmetric and bilinear in the first argument.
 func TestDotPropertiesQuick(t *testing.T) {
 	f := func(raw []float64, a float64) bool {

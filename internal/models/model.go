@@ -30,6 +30,9 @@ type Model interface {
 	Loss(w []float64, ds *data.Dataset, idx []int) float64
 	// Grad overwrites grad with (1/|idx|) Σ_{i∈idx} ∇f_i(w).
 	Grad(grad, w []float64, ds *data.Dataset, idx []int)
+	// LossGrad is Grad over the whole of ds in one pass that also returns
+	// Loss(w, ds, nil), bit for bit.
+	LossGrad(grad, w []float64, ds *data.Dataset) float64
 	// Clone returns a Model safe to use from another goroutine.
 	Clone() Model
 }

@@ -126,6 +126,48 @@ func TestCNNGradientThin(t *testing.T) {
 	}
 }
 
+// TestLossGradMatchesLossAndGrad pins LossGrad to Loss plus Grad bit for
+// bit, on the softmax with and without L2, the thin CNN and the MLP, at
+// shard sizes around the chunk boundary. The engine's evaluation hands
+// LossGrad's gradient to the next round's solve in place of Grad's and
+// records its loss in place of Loss's, so any other answer would move a
+// result.
+func TestLossGradMatchesLossAndGrad(t *testing.T) {
+	cases := []struct {
+		name string
+		m    Model
+		dim  int
+	}{
+		{"Softmax", NewSoftmax(13, 5, 0), 13},
+		{"Softmax L2", NewSoftmax(13, 5, 0.05), 13},
+		{"thin CNN", NewPaperCNN(5, 16, 0.01), 784},
+		{"MLP", NewMLP(9, 11, 5, 0.02), 9},
+	}
+	for _, tc := range cases {
+		for _, n := range []int{1, 31, 32, 33, 257} {
+			ds := classificationDataset(n, tc.dim, 5, int64(n))
+			w := make([]float64, tc.m.Dim())
+			randx.NormalVec(randx.New(int64(n)+1), w, 0, 0.3)
+			want := make([]float64, len(w))
+			tc.m.Grad(want, w, ds, nil)
+			wantLoss := tc.m.Loss(w, ds, nil)
+			got := make([]float64, len(w))
+			for i := range got {
+				got[i] = math.NaN() // LossGrad must overwrite, not accumulate
+			}
+			loss := tc.m.LossGrad(got, w, ds)
+			if math.Float64bits(loss) != math.Float64bits(wantLoss) {
+				t.Fatalf("%s n=%d: LossGrad loss %v, Loss %v", tc.name, n, loss, wantLoss)
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s n=%d: grad[%d] = %v, Grad %v", tc.name, n, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestCloneIndependence(t *testing.T) {
 	ds := classificationDataset(10, 4, 3, 15)
 	m := NewSoftmax(4, 3, 0)

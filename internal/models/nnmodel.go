@@ -75,14 +75,27 @@ func (m *NNModel) Loss(w []float64, ds *data.Dataset, idx []int) float64 {
 // Grad implements Model: backprop of (softmax − onehot)/n through the net,
 // whole chunks at a time.
 func (m *NNModel) Grad(grad, w []float64, ds *data.Dataset, idx []int) {
+	m.lossGrad(grad, w, ds, idx)
+}
+
+// LossGrad implements Model: Grad's pass, which also sums each row's loss
+// term from the log-sum-exp its softmax returns.
+func (m *NNModel) LossGrad(grad, w []float64, ds *data.Dataset) float64 {
+	return m.lossGrad(grad, w, ds, nil)
+}
+
+// lossGrad is the one body of Grad and LossGrad; its loss is Loss's bit for
+// bit (the same terms, added in the same order).
+func (m *NNModel) lossGrad(grad, w []float64, ds *data.Dataset, idx []int) float64 {
 	mathx.Zero(grad)
 	n := batchSize(ds, idx)
 	if n == 0 {
-		return
+		return 0
 	}
 	m.workspace()
 	inv := 1 / float64(n)
 	out := m.Net.OutSize()
+	var sum float64
 	for lo := 0; lo < n; lo += gradChunk {
 		b := min(gradChunk, n-lo)
 		x := gatherRows(ds, idx, lo, b, m.xbuf)
@@ -91,13 +104,15 @@ func (m *NNModel) Grad(grad, w []float64, ds *data.Dataset, idx []int) {
 		copy(dOut, y)
 		for r := 0; r < b; r++ {
 			row := dOut[r*out : (r+1)*out]
-			mathx.SoftmaxInPlace(row)
-			row[chunkLabel(ds, idx, lo, r)] -= 1
+			c := chunkLabel(ds, idx, lo, r)
+			zc := row[c]
+			sum += mathx.SoftmaxInPlace(row) - zc
+			row[c] -= 1
 			mathx.Scal(inv, row)
 		}
 		m.Net.BackwardBatch(w, dOut, b, m.ws, grad)
 	}
-	addL2(m.L2, w, grad)
+	return sum/float64(n) + addL2(m.L2, w, grad)
 }
 
 // PredictBatch implements Classifier: one batched forward per chunk.

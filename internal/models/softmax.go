@@ -71,27 +71,43 @@ func (m *Softmax) Loss(w []float64, ds *data.Dataset, idx []int) float64 {
 // Grad implements Model: ∇_{W_c} = (p_c − 1{y=c})·x, ∇_{b_c} = p_c − 1{y=c},
 // accumulated one chunk GEMM at a time in ascending sample order.
 func (m *Softmax) Grad(grad, w []float64, ds *data.Dataset, idx []int) {
+	m.lossGrad(grad, w, ds, idx)
+}
+
+// LossGrad implements Model: Grad's pass, which also sums each row's loss
+// term from the log-sum-exp its softmax returns.
+func (m *Softmax) LossGrad(grad, w []float64, ds *data.Dataset) float64 {
+	return m.lossGrad(grad, w, ds, nil)
+}
+
+// lossGrad is the one body of Grad and LossGrad. The loss terms are
+// LogSumExp(logits) − logit[y], added in Loss's order, so the returned
+// value is Loss's bit for bit.
+func (m *Softmax) lossGrad(grad, w []float64, ds *data.Dataset, idx []int) float64 {
 	mathx.Zero(grad)
 	n := batchSize(ds, idx)
 	if n == 0 {
-		return
+		return 0
 	}
 	inv := 1 / float64(n)
 	nw := m.Classes * m.Features
 	dw := tensor.MatOf(m.Classes, m.Features, grad[:nw])
+	var sum float64
 	for lo := 0; lo < n; lo += gradChunk {
 		b := min(gradChunk, n-lo)
 		lm, x := m.forwardChunk(w, ds, idx, lo, b)
 		for r := 0; r < b; r++ {
 			row := lm.Row(r)
-			mathx.SoftmaxInPlace(row)
-			row[chunkLabel(ds, idx, lo, r)] -= 1
+			y := chunkLabel(ds, idx, lo, r)
+			zy := row[y]
+			sum += mathx.SoftmaxInPlace(row) - zy
+			row[y] -= 1
 			mathx.Scal(inv, row)
 		}
 		m.par.GemmTN(1, lm, x, 1, dw)
 		tensor.ColSumsAcc(grad[nw:], lm)
 	}
-	addL2(m.L2, w, grad)
+	return sum/float64(n) + addL2(m.L2, w, grad)
 }
 
 // PredictBatch implements Classifier: one logits GEMM per chunk.

@@ -36,11 +36,11 @@ func benchNNInnerSolve(b *testing.B, est Estimator) {
 	sc := new(Scratch)
 	cfg := LocalConfig{Estimator: est, Eta: 0.01, Tau: 8, Batch: 32, Mu: 0.1}
 	rng := rand.New(rand.NewSource(7))
-	s.Solve(sc, ds, anchor, out, cfg, rng) // warm scratch
+	s.Solve(sc, ds, anchor, out, cfg, rng, nil) // warm scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Solve(sc, ds, anchor, out, cfg, rng)
+		s.Solve(sc, ds, anchor, out, cfg, rng, nil)
 	}
 }
 

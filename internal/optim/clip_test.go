@@ -23,7 +23,7 @@ func TestClipLooseBoundIsExactNoOp(t *testing.T) {
 		anchor := make([]float64, d)
 		out := make([]float64, d)
 		cfg := LocalConfig{Estimator: SARAH, Eta: 0.05, Tau: 6, Batch: 8, Mu: 0.2, ClipNorm: clip}
-		s.Solve(sc, ds, anchor, out, cfg, randx.New(5))
+		s.Solve(sc, ds, anchor, out, cfg, randx.New(5), nil)
 		return out
 	}
 	plain, clipped := run(0), run(1e9)
@@ -58,7 +58,7 @@ func TestClipKeepsSARAHRecursionUnclipped(t *testing.T) {
 	out := make([]float64, dim)
 	anchor := make([]float64, dim)
 	s := NewSolver(m)
-	s.Solve(new(Scratch), ds, anchor, out, cfg, randx.New(7))
+	s.Solve(new(Scratch), ds, anchor, out, cfg, randx.New(7), nil)
 
 	// Hand replay.
 	clip := func(v []float64) []float64 {

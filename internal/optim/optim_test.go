@@ -160,6 +160,11 @@ func (m leastSquares) Grad(grad, w []float64, ds *data.Dataset, idx []int) {
 	}
 }
 
+func (m leastSquares) LossGrad(grad, w []float64, ds *data.Dataset) float64 {
+	m.Grad(grad, w, ds, nil)
+	return m.Loss(w, ds, nil)
+}
+
 // distSq returns ‖x − y‖².
 func distSq(x, y []float64) float64 {
 	var s float64
@@ -195,7 +200,7 @@ func solveOnce(t *testing.T, est Estimator, tau int, mu float64, ret ReturnPolic
 	anchor := make([]float64, d) // start at 0
 	out := make([]float64, d)
 	cfg := LocalConfig{Estimator: est, Eta: 0.05, Tau: tau, Batch: 8, Mu: mu, Return: ret}
-	s.Solve(sc, ds, anchor, out, cfg, randx.New(9))
+	s.Solve(sc, ds, anchor, out, cfg, randx.New(9), nil)
 	return m.Loss(out, ds, nil)
 }
 
@@ -247,7 +252,7 @@ func TestVarianceReductionBeatsSGDNearOptimum(t *testing.T) {
 		anchor := make([]float64, d)
 		out := make([]float64, d)
 		cfg := LocalConfig{Estimator: est, Eta: 0.05, Tau: 300, Batch: 4}
-		s.Solve(sc, ds, anchor, out, cfg, randx.New(22))
+		s.Solve(sc, ds, anchor, out, cfg, randx.New(22), nil)
 		return m.Loss(out, ds, nil)
 	}
 	sgd, svrg, sarah := run(SGD), run(SVRG), run(SARAH)
@@ -274,8 +279,8 @@ func TestProximalPenaltyKeepsIterateNearAnchor(t *testing.T) {
 	cfgFree := LocalConfig{Estimator: SARAH, Eta: 0.05, Tau: 100, Batch: 8, Mu: 0}
 	cfgTied := cfgFree
 	cfgTied.Mu = 10
-	s.Solve(sc, ds, anchor, free, cfgFree, randx.New(5))
-	s.Solve(sc, ds, anchor, tied, cfgTied, randx.New(5))
+	s.Solve(sc, ds, anchor, free, cfgFree, randx.New(5), nil)
+	s.Solve(sc, ds, anchor, tied, cfgTied, randx.New(5), nil)
 	if mathx.Nrm2(tied) >= mathx.Nrm2(free) {
 		t.Fatalf("mu=10 iterate (‖w‖=%v) should stay closer to anchor than mu=0 (‖w‖=%v)",
 			mathx.Nrm2(tied), mathx.Nrm2(free))
@@ -290,11 +295,38 @@ func TestSolverDeterministicGivenRNG(t *testing.T) {
 	anchor := make([]float64, 4)
 	out1 := make([]float64, 4)
 	out2 := make([]float64, 4)
-	s.Solve(sc, ds, anchor, out1, cfg, randx.New(7))
-	s.Solve(sc, ds, anchor, out2, cfg, randx.New(7))
+	s.Solve(sc, ds, anchor, out1, cfg, randx.New(7), nil)
+	s.Solve(sc, ds, anchor, out2, cfg, randx.New(7), nil)
 	for i := range out1 {
 		if out1[i] != out2[i] {
 			t.Fatal("solver not deterministic for fixed RNG")
+		}
+	}
+}
+
+// TestSolverHandedV0IsInvisible: a solve handed line 4's gradient — the
+// bits Grad computes at the anchor — reports the same iterate and charges
+// the same gradient evaluations as one that computes it, for every
+// estimator.
+func TestSolverHandedV0IsInvisible(t *testing.T) {
+	ds := quadDataset(50, 4, []float64{1, -1, 2, 0}, 6)
+	m := leastSquares{4}
+	s := NewSolver(m)
+	anchor := []float64{0.3, -0.2, 0.1, 0.5}
+	v0 := make([]float64, 4)
+	m.Grad(v0, anchor, ds, nil)
+	for _, est := range []Estimator{SGD, SVRG, SARAH} {
+		cfg := LocalConfig{Estimator: est, Eta: 0.05, Tau: 12, Batch: 4, Mu: 0.1}
+		own, handed := make([]float64, 4), make([]float64, 4)
+		nOwn := s.Solve(new(Scratch), ds, anchor, own, cfg, randx.New(3), nil)
+		nHanded := s.Solve(new(Scratch), ds, anchor, handed, cfg, randx.New(3), v0)
+		if nOwn != nHanded {
+			t.Fatalf("%v: %d gradient evaluations computing v0, %d handed it", est, nOwn, nHanded)
+		}
+		for i := range own {
+			if math.Float64bits(own[i]) != math.Float64bits(handed[i]) {
+				t.Fatalf("%v: coordinate %d is %v computing v0, %v handed it", est, i, own[i], handed[i])
+			}
 		}
 	}
 }
@@ -306,7 +338,7 @@ func TestSolverTauZeroReturnsProxStep(t *testing.T) {
 	anchor := []float64{0.5, 0.5, 0.5}
 	out := make([]float64, 3)
 	cfg := LocalConfig{Estimator: SARAH, Eta: 0.1, Tau: 0, Batch: 1, Mu: 0}
-	s.Solve(sc, ds, anchor, out, cfg, randx.New(8))
+	s.Solve(sc, ds, anchor, out, cfg, randx.New(8), nil)
 	// tau=0: out = anchor − η ∇F(anchor).
 	g := make([]float64, 3)
 	m.Grad(g, anchor, ds, nil)
@@ -324,7 +356,7 @@ func TestSolverEmptyShardReturnsAnchor(t *testing.T) {
 	s, sc := NewSolver(m), new(Scratch)
 	anchor := []float64{1, 2, 3}
 	out := make([]float64, 3)
-	if n := s.Solve(sc, ds, anchor, out, LocalConfig{Eta: 0.1, Tau: 5, Batch: 2}, randx.New(1)); n != 0 {
+	if n := s.Solve(sc, ds, anchor, out, LocalConfig{Eta: 0.1, Tau: 5, Batch: 2}, randx.New(1), nil); n != 0 {
 		t.Fatalf("empty shard should cost 0 grad evals, got %d", n)
 	}
 	for i := range out {
@@ -342,7 +374,7 @@ func TestReturnPolicies(t *testing.T) {
 	for _, ret := range []ReturnPolicy{ReturnLast, ReturnRandom, ReturnAverage} {
 		out := make([]float64, 4)
 		cfg := LocalConfig{Estimator: SVRG, Eta: 0.05, Tau: 30, Batch: 4, Return: ret}
-		s.Solve(sc, ds, anchor, out, cfg, randx.New(10))
+		s.Solve(sc, ds, anchor, out, cfg, randx.New(10), nil)
 		for _, v := range out {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Fatalf("policy %d produced non-finite iterate %v", ret, out)
@@ -361,12 +393,12 @@ func TestGradEvalAccounting(t *testing.T) {
 	anchor := make([]float64, 3)
 	out := make([]float64, 3)
 	// SGD: N (anchor full grad) + tau*B.
-	n := s.Solve(sc, ds, anchor, out, LocalConfig{Estimator: SGD, Eta: 0.01, Tau: 10, Batch: 4}, randx.New(1))
+	n := s.Solve(sc, ds, anchor, out, LocalConfig{Estimator: SGD, Eta: 0.01, Tau: 10, Batch: 4}, randx.New(1), nil)
 	if n != 50+10*4 {
 		t.Fatalf("SGD evals = %d, want 90", n)
 	}
 	// SVRG/SARAH: N + 2*tau*B.
-	n = s.Solve(sc, ds, anchor, out, LocalConfig{Estimator: SVRG, Eta: 0.01, Tau: 10, Batch: 4}, randx.New(1))
+	n = s.Solve(sc, ds, anchor, out, LocalConfig{Estimator: SVRG, Eta: 0.01, Tau: 10, Batch: 4}, randx.New(1), nil)
 	if n != 50+2*10*4 {
 		t.Fatalf("SVRG evals = %d, want 130", n)
 	}
@@ -384,7 +416,7 @@ func TestSurrogateGradNormCriterion(t *testing.T) {
 	out := make([]float64, d)
 	mu := 0.5
 	cfg := LocalConfig{Estimator: SARAH, Eta: 0.02, Tau: 400, Batch: 8, Mu: mu}
-	s.Solve(sc, ds, anchor, out, cfg, randx.New(13))
+	s.Solve(sc, ds, anchor, out, cfg, randx.New(13), nil)
 	lhs := s.SurrogateGradNorm(sc, ds, out, anchor, mu)
 	rhs := s.LocalGradNorm(sc, ds, anchor)
 	theta := lhs / rhs
@@ -403,7 +435,7 @@ func BenchmarkSolverSVRGQuadratic(b *testing.B) {
 	rng := randx.New(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Solve(sc, ds, anchor, out, cfg, rng)
+		s.Solve(sc, ds, anchor, out, cfg, rng, nil)
 	}
 }
 
@@ -429,7 +461,7 @@ func TestDiminishingScheduleRuns(t *testing.T) {
 	out := make([]float64, 5)
 	cfg := LocalConfig{Estimator: SARAH, Eta: 0.05, Tau: 100, Batch: 8,
 		Schedule: EtaDiminishing}
-	s.Solve(sc, ds, anchor, out, cfg, randx.New(31))
+	s.Solve(sc, ds, anchor, out, cfg, randx.New(31), nil)
 	if loss := m.Loss(out, ds, nil); loss >= m.Loss(anchor, ds, nil) {
 		t.Fatalf("diminishing schedule made no progress: %v", loss)
 	}
@@ -445,13 +477,13 @@ func TestClippingBoundsFirstStep(t *testing.T) {
 	anchor := make([]float64, 3)
 	out := make([]float64, 3)
 	cfg := LocalConfig{Estimator: SGD, Eta: 0.01, Tau: 0, Batch: 1, ClipNorm: 1}
-	s.Solve(sc, ds, anchor, out, cfg, randx.New(33))
+	s.Solve(sc, ds, anchor, out, cfg, randx.New(33), nil)
 	if step := mathx.Nrm2(out); step > 0.01+1e-12 {
 		t.Fatalf("clipped step has norm %v, want ≤ η·ClipNorm = 0.01", step)
 	}
 	// Without clipping the same step is enormous.
 	cfg.ClipNorm = 0
-	s.Solve(sc, ds, anchor, out, cfg, randx.New(33))
+	s.Solve(sc, ds, anchor, out, cfg, randx.New(33), nil)
 	if mathx.Nrm2(out) < 1 {
 		t.Fatal("unclipped step unexpectedly small — fixture broken")
 	}
@@ -475,7 +507,7 @@ func TestHugeMuPinsIterateQuick(t *testing.T) {
 		s, sc := NewSolver(m), new(Scratch)
 		out := make([]float64, 4)
 		cfg := LocalConfig{Estimator: SVRG, Eta: 0.05, Tau: 20, Batch: 4, Mu: 1e9}
-		s.Solve(sc, ds, anchor, out, cfg, rng)
+		s.Solve(sc, ds, anchor, out, cfg, rng, nil)
 		return distSq(out, anchor) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -497,7 +529,7 @@ func TestReturnRandomIsUniformish(t *testing.T) {
 	anchors := 0
 	const trials = 400
 	for i := 0; i < trials; i++ {
-		s.Solve(sc, ds, anchor, out, cfg, rng)
+		s.Solve(sc, ds, anchor, out, cfg, rng, nil)
 		if distSq(out, anchor) == 0 {
 			anchors++
 		}

@@ -106,10 +106,10 @@ func Train(eng *engine.Engine, fleet *Fleet, measureEvery int) (*TimedSeries, er
 	eng.SetExecutor(tx)
 	defer eng.SetExecutor(tx.Inner())
 	out := &TimedSeries{Name: cfg.Name}
-	// Measurement is the engine's Evaluator.Measure, exactly like
-	// engine.Run's, stamped with the simulated clock.
+	// Measurement is the engine's Evaluator.Measure, like engine.Run's but
+	// handing no gradient over, stamped with the simulated clock.
 	measure := func(round, participants, failed int) {
-		p := ev.Measure(eng.Global(), cfg.TrackStationarity)
+		p := ev.Measure(eng.Global(), cfg.TrackStationarity, 0, nil)
 		p.Round, p.GradEvals = round, eng.GradEvals()
 		p.Participants, p.Failed = participants, failed
 		if round > 0 {
@@ -132,7 +132,7 @@ func Train(eng *engine.Engine, fleet *Fleet, measureEvery int) (*TimedSeries, er
 		var evalSec float64
 		if t%measureEvery == 0 || t == cfg.Rounds {
 			t0 := time.Now()
-			measure(t, len(sel), failed)
+			measure(t, len(sel), failed-eng.Stragglers())
 			evalSec = time.Since(t0).Seconds()
 		}
 		eng.FlushStats(evalSec)

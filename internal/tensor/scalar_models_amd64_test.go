@@ -73,3 +73,48 @@ func TestModelGradientsOnScalarKernels(t *testing.T) {
 		})
 	}
 }
+
+// TestLossGradOnScalarKernels repeats the models' LossGrad bit-identity
+// check on the scalar fallback: LossGrad returns Loss's value and Grad's
+// gradient bit for bit whichever kernels the GEMMs run, for the softmax
+// with and without L2, the thin paper CNN and the MLP, at shard sizes
+// around the 32-row chunk.
+func TestLossGradOnScalarKernels(t *testing.T) {
+	tensor.WithScalarKernels(t)
+	cases := []struct {
+		name string
+		m    models.Model
+		dim  int
+	}{
+		{"Softmax", models.NewSoftmax(13, 5, 0), 13},
+		{"Softmax L2", models.NewSoftmax(13, 5, 0.05), 13},
+		{"thin CNN", models.NewPaperCNN(5, 16, 0.01), 784},
+		{"MLP", models.NewMLP(9, 11, 5, 0.02), 9},
+	}
+	for _, tc := range cases {
+		for _, n := range []int{1, 31, 32, 33, 257} {
+			rng := randx.New(int64(n))
+			ds := data.New(tc.dim, 5, n)
+			x := make([]float64, tc.dim)
+			for i := 0; i < n; i++ {
+				randx.NormalVec(rng, x, 0, 1)
+				ds.AppendClass(x, rng.Intn(5))
+			}
+			w := make([]float64, tc.m.Dim())
+			randx.NormalVec(rng, w, 0, 0.3)
+			want := make([]float64, len(w))
+			tc.m.Grad(want, w, ds, nil)
+			wantLoss := tc.m.Loss(w, ds, nil)
+			got := make([]float64, len(w))
+			loss := tc.m.LossGrad(got, w, ds)
+			if math.Float64bits(loss) != math.Float64bits(wantLoss) {
+				t.Fatalf("%s n=%d: LossGrad loss %v, Loss %v", tc.name, n, loss, wantLoss)
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s n=%d: grad[%d] = %v, Grad %v", tc.name, n, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

@@ -99,7 +99,7 @@ func (r *Runner) LocalAccuracy(id int) float64 {
 		r.diagRNG = randx.NewStream(cfg.Seed, 900_001)
 	}
 	sc := &r.diagScratch
-	d.Solver.Solve(sc, d.Shard, w, r.diag, cfg.Local, r.diagRNG)
+	d.Solver.Solve(sc, d.Shard, w, r.diag, cfg.Local, r.diagRNG, nil)
 	lhs := d.Solver.SurrogateGradNorm(sc, d.Shard, r.diag, w, cfg.Local.Mu)
 	rhs := d.Solver.LocalGradNorm(sc, d.Shard, w)
 	if rhs == 0 {
