@@ -88,21 +88,25 @@ bench-smoke:
 
 # check is the CI gate: formatting, static analysis, the dead-code gate,
 # the frozen bench module, the exposition lint, the evaluator determinism
-# tests across CPU counts, the race-enabled suite, and the benchmark
-# regression gate against the committed snapshot. The race-enabled suite
-# replays the FuzzFrameDecode and FuzzCheckpointLoad seed corpora (plain
-# `go test` runs f.Add seeds), so every committed decoder regression input
-# is exercised on each CI run; `make fuzz` explores beyond the seeds.
-check: fmt vet deadcode bench-smoke expolint evalcpu race benchgate
+# tests across CPU counts, the race-enabled suite, the traced end-to-end
+# fedsim run (trace-demo, the one run of a command binary), and the
+# benchmark regression gate against the committed snapshot. The
+# race-enabled suite replays the FuzzFrameDecode, FuzzCheckpointLoad and
+# FuzzChaosParse seed corpora (plain `go test` runs f.Add seeds), so every
+# committed decoder regression input is exercised on each CI run;
+# `make fuzz` explores beyond the seeds.
+check: fmt vet deadcode bench-smoke expolint evalcpu race trace-demo benchgate
 
 # fuzz runs coverage-guided exploration of the untrusted-byte decoders: the
-# wire frames, which sit directly on the network, and the checkpoint file,
-# read back from disk after a crash. Any input must decode or error — never
-# panic. FUZZ_TIME bounds each target's run (default 30s).
+# wire frames, which sit directly on the network, the checkpoint file,
+# read back from disk after a crash, and the chaos schedule, read from a
+# user's file. Any input must decode or error — never panic. FUZZ_TIME
+# bounds each target's run (default 30s).
 FUZZ_TIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime $(FUZZ_TIME) ./internal/transport/
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointLoad -fuzztime $(FUZZ_TIME) ./internal/checkpoint/
+	$(GO) test -run '^$$' -fuzz FuzzChaosParse -fuzztime $(FUZZ_TIME) ./internal/chaos/
 
 # trace-demo runs a short traced experiment and validates that the emitted
 # Chrome trace-event JSON still parses and is internally consistent (every

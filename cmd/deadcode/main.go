@@ -34,6 +34,7 @@ import (
 // function key as printed by this command, or "pkg.*" for a whole package.
 var allow = []struct{ name, reason string }{
 	{"fedproxvr.Runner.Step", "root facade API: one round at a time for library callers"},
+	{"fedproxvr/internal/engine.Engine.Step", "the one-round API behind Runner.Step; every binary drives Run"},
 	{"fedproxvr.Runner.LocalAccuracy", "root facade API: the theory bridge to the achieved local accuracy θ̂"},
 	{"fedproxvr.FromTheory", "root facade API: a Config from the paper's Lemma 1 / Theorem 1 choice"},
 	{"fedproxvr.EstimateSigmaBar2", "root facade API: σ̄² estimate that the §4.3 optimizer consumes"},

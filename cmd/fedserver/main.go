@@ -186,12 +186,11 @@ func main() {
 	if task.InitW != nil {
 		copy(w0, task.InitW)
 	}
-	var eng *engine.Engine
+	trainSets := task.Part.Clients
 	if *fanout > 0 {
-		eng, err = coord.TreeEngine(w0, cfg, task.Model)
-	} else {
-		eng, err = coord.Engine(w0, cfg, task.Model, task.Part.Clients)
+		trainSets = nil // the tree root holds no training shards
 	}
+	eng, err := coord.Engine(w0, cfg, task.Model, trainSets)
 	if err != nil {
 		fatal(err)
 	}
@@ -268,7 +267,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fedserver: interrupted — stopped at a round boundary, sinks flushed")
 	}
 	if tracer != nil {
-		if err := exportTrace(tracer, *spansPth, *spanLog); err != nil {
+		if err := clisetup.ExportTrace(tracer, *spansPth, *spanLog); err != nil {
 			fatal(err)
 		}
 	}
@@ -350,28 +349,6 @@ func runJobsMode(stateDir, adminAddr string, maxJobs, slots int, hub *telemetry.
 	m.Stop()
 	srv.Close()
 	fmt.Fprintln(os.Stderr, "fedserver: job state flushed; non-terminal jobs will resume on the next start")
-}
-
-// exportTrace writes the collected spans in the requested formats.
-func exportTrace(tr *trace.Tracer, chromePath, jsonlPath string) error {
-	write := func(path string, export func(*os.File) error) error {
-		if path == "" {
-			return nil
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := export(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if err := write(chromePath, func(f *os.File) error { return tr.WriteChrome(f) }); err != nil {
-		return err
-	}
-	return write(jsonlPath, func(f *os.File) error { return tr.WriteJSONL(f) })
 }
 
 func fatal(err error) {

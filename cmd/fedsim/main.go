@@ -185,7 +185,7 @@ func main() {
 		}
 	}
 	if tracer != nil {
-		if err := exportTrace(tracer, *spansPath, *spanLog); err != nil {
+		if err := clisetup.ExportTrace(tracer, *spansPath, *spanLog); err != nil {
 			fatal(err)
 		}
 	}
@@ -237,28 +237,6 @@ func main() {
 			cfg.Name, dim, transport.RoundWireSize(codec, dim, topK, false), codec,
 			transport.RoundWireSize(transport.CodecFloat64, dim, 0, false), transport.CompressionRatio(codec, dim, topK))
 	}
-}
-
-// exportTrace writes the collected spans in the requested formats.
-func exportTrace(tr *trace.Tracer, chromePath, jsonlPath string) error {
-	write := func(path string, export func(*os.File) error) error {
-		if path == "" {
-			return nil
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := export(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if err := write(chromePath, func(f *os.File) error { return tr.WriteChrome(f) }); err != nil {
-		return err
-	}
-	return write(jsonlPath, func(f *os.File) error { return tr.WriteJSONL(f) })
 }
 
 func fatal(err error) {

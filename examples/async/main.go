@@ -39,7 +39,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	syncTS, err := simnet.Train(sr, fleet, 1)
+	syncTS, err := simnet.Train(sr, fleet)
 	if err != nil {
 		log.Fatal(err)
 	}

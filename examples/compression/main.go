@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net"
@@ -144,7 +145,11 @@ func runDistributed(task fedproxvr.Task, cfg fedproxvr.Config, codec transport.C
 	defer coord.Close()
 	coord.SetCodec(codec)
 	w0 := make([]float64, task.Model.Dim())
-	_, series, err := coord.Train(w0, cfg, task.Model, task.Part.Clients)
+	eng, err := coord.Engine(w0, cfg, task.Model, task.Part.Clients)
+	if err != nil {
+		log.Fatal(err)
+	}
+	series, err := eng.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

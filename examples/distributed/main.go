@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net"
@@ -58,10 +59,15 @@ func main() {
 
 	start := time.Now()
 	w0 := make([]float64, task.Model.Dim())
-	wDist, series, err := coord.Train(w0, cfg, task.Model, task.Part.Clients)
+	eng, err := coord.Engine(w0, cfg, task.Model, task.Part.Clients)
 	if err != nil {
 		log.Fatal(err)
 	}
+	series, err := eng.Run(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	wDist := eng.Global()
 	coord.Shutdown()
 	wg.Wait()
 	last, _ := series.Last()

@@ -30,6 +30,7 @@ import (
 
 	"fedproxvr/internal/data"
 	"fedproxvr/internal/engine"
+	"fedproxvr/internal/mathx"
 	"fedproxvr/internal/metrics"
 	"fedproxvr/internal/models"
 	"fedproxvr/internal/optim"
@@ -105,7 +106,7 @@ func TrainContext(ctx context.Context, task Task, cfg Config) (*Series, []float6
 	}
 	defer r.eng.Close()
 	series, err := r.RunContext(ctx)
-	return series, append([]float64(nil), r.Global()...), err
+	return series, mathx.Clone(r.Global()), err
 }
 
 // SyntheticOptions controls SyntheticTask.

@@ -204,7 +204,7 @@ func TestAsyncBeatsSyncUnderStragglers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	syncTS, err := simnet.Train(sr, fleet, 1)
+	syncTS, err := simnet.Train(sr, fleet)
 	if err != nil {
 		t.Fatal(err)
 	}

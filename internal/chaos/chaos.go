@@ -90,7 +90,7 @@ type Schedule struct {
 
 	exact      map[[2]int]Event // (device, round) → event, partitions excluded
 	partitions map[int][]Event  // device → partition events
-	rounds     map[int]bool     // rounds with at least one event (partitions expanded)
+	rounds     map[int]bool     // rounds with at least one exact event
 }
 
 // Load reads and validates a JSON schedule from path.
@@ -119,22 +119,15 @@ func Parse(r io.Reader) (*Schedule, error) {
 
 // Validate checks every event and compiles the lookup tables ActionFor
 // uses. It must be called once before a hand-built schedule is shared
-// across goroutines; Load and Parse call it for you.
+// across goroutines; Load and Parse call it for you. A partition is kept
+// as its [Round, Until) interval, never expanded round by round, so its
+// length costs nothing.
 func (s *Schedule) Validate() error {
 	exact := make(map[[2]int]Event, len(s.Events))
 	partitions := make(map[int][]Event)
 	rounds := make(map[int]bool)
-	claim := func(device, round int) error {
-		key := [2]int{device, round}
-		if _, dup := exact[key]; dup {
-			return fmt.Errorf("chaos: device %d has two events in round %d", device, round)
-		}
-		for _, p := range partitions[device] {
-			if round >= p.Round && round < p.Until {
-				return fmt.Errorf("chaos: device %d has two events in round %d", device, round)
-			}
-		}
-		return nil
+	twice := func(device, round int) error {
+		return fmt.Errorf("chaos: device %d has two events in round %d", device, round)
 	}
 	for _, ev := range s.Events {
 		if ev.Device < 0 {
@@ -160,20 +153,27 @@ func (s *Schedule) Validate() error {
 			return fmt.Errorf("chaos: device %d round %d: negative scale %v", ev.Device, ev.Round, ev.Scale)
 		}
 		if ev.Kind == Partition {
-			for t := ev.Round; t < ev.Until; t++ {
-				if err := claim(ev.Device, t); err != nil {
-					return err
+			for _, p := range partitions[ev.Device] {
+				if ev.Round < p.Until && p.Round < ev.Until {
+					return twice(ev.Device, max(ev.Round, p.Round))
 				}
-				rounds[t] = true
 			}
 			partitions[ev.Device] = append(partitions[ev.Device], ev)
 			continue
 		}
-		if err := claim(ev.Device, ev.Round); err != nil {
-			return err
+		key := [2]int{ev.Device, ev.Round}
+		if _, dup := exact[key]; dup {
+			return twice(ev.Device, ev.Round)
 		}
-		exact[[2]int{ev.Device, ev.Round}] = ev
+		exact[key] = ev
 		rounds[ev.Round] = true
+	}
+	for _, ev := range s.Events {
+		for _, p := range partitions[ev.Device] {
+			if ev.Kind != Partition && ev.Round >= p.Round && ev.Round < p.Until {
+				return twice(ev.Device, ev.Round)
+			}
+		}
 	}
 	s.exact, s.partitions, s.rounds = exact, partitions, rounds
 	return nil
@@ -196,7 +196,19 @@ func (s *Schedule) ActionFor(device, round int) (Event, bool) {
 
 // RoundHasEvents reports whether any event fires in the given round —
 // the decorator's fast-path gate. Requires a validated schedule.
-func (s *Schedule) RoundHasEvents(round int) bool { return s.rounds[round] }
+func (s *Schedule) RoundHasEvents(round int) bool {
+	if s.rounds[round] {
+		return true
+	}
+	for _, ps := range s.partitions {
+		for _, p := range ps {
+			if round >= p.Round && round < p.Until {
+				return true
+			}
+		}
+	}
+	return false
+}
 
 // CorruptVec adds the event's deterministic Gaussian noise to vec in
 // place. The noise stream is derived from (Seed, device, round) only, so

@@ -75,6 +75,12 @@ func TestValidateRejections(t *testing.T) {
 		"partition overlap": {Events: []Event{
 			{Device: 2, Round: 3, Kind: Partition, Until: 6},
 			{Device: 2, Round: 5, Kind: Crash}}},
+		"event inside a later partition": {Events: []Event{
+			{Device: 2, Round: 5, Kind: Crash},
+			{Device: 2, Round: 3, Kind: Partition, Until: 6}}},
+		"overlapping partitions": {Events: []Event{
+			{Device: 2, Round: 3, Kind: Partition, Until: 6},
+			{Device: 2, Round: 5, Kind: Partition, Until: 9}}},
 	}
 	for name, s := range cases {
 		s := s

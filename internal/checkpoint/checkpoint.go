@@ -139,24 +139,24 @@ func Load(path string) (*State, error) {
 
 // Restore resumes eng from st, refusing a checkpoint another run wrote: the
 // run name, the seed and the model dimension must match eng's
-// configuration, and st.Round must lie in [0, Rounds]. It returns the
-// metric series recorded before st was saved, which the resumed run
-// extends.
-func Restore(eng *engine.Engine, st *State) ([]metrics.Point, error) {
+// configuration, and st.Round must lie in [0, Rounds]. The metric series
+// recorded before st was saved becomes the engine's history, which the
+// resumed run extends.
+func Restore(eng *engine.Engine, st *State) error {
 	cfg := eng.Config()
 	switch {
 	case st.Name != cfg.Name:
-		return nil, fmt.Errorf("checkpoint: holds run %q, not %q", st.Name, cfg.Name)
+		return fmt.Errorf("checkpoint: holds run %q, not %q", st.Name, cfg.Name)
 	case st.Seed != cfg.Seed:
-		return nil, fmt.Errorf("checkpoint: run %q was seeded %d, not %d", st.Name, st.Seed, cfg.Seed)
+		return fmt.Errorf("checkpoint: run %q was seeded %d, not %d", st.Name, st.Seed, cfg.Seed)
 	case len(st.Global) != len(eng.Global()):
-		return nil, fmt.Errorf("checkpoint: model dim %d, want %d", len(st.Global), len(eng.Global()))
+		return fmt.Errorf("checkpoint: model dim %d, want %d", len(st.Global), len(eng.Global()))
 	case st.Round < 0 || st.Round > cfg.Rounds:
-		return nil, fmt.Errorf("checkpoint: round %d outside the run's [0, %d]", st.Round, cfg.Rounds)
+		return fmt.Errorf("checkpoint: round %d outside the run's [0, %d]", st.Round, cfg.Rounds)
 	}
 	eng.SetGlobal(st.Global)
-	eng.SetRound(st.Round)
-	return st.Points, nil
+	eng.Resume(st.Round, st.Points)
+	return nil
 }
 
 // TrainContext runs the remaining rounds of eng's configuration,
@@ -173,37 +173,27 @@ func TrainContext(ctx context.Context, eng *engine.Engine, path string, every in
 	if every < 1 {
 		every = 1
 	}
-	var prefix []metrics.Point
-
 	if st, err := Load(path); err == nil {
-		if prefix, err = Restore(eng, st); err != nil {
+		if err := Restore(eng, st); err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
 	} else if !os.IsNotExist(err) {
 		return nil, err
 	}
-
+	// Save encodes before it returns, so the state may alias the engine's
+	// model and history.
 	unhook := eng.OnRound(func(info engine.RoundInfo) error {
 		if info.Round%every != 0 && info.Round != cfg.Rounds {
 			return nil
 		}
-		points := make([]metrics.Point, 0, len(prefix)+len(info.Series.Points))
-		points = append(append(points, prefix...), info.Series.Points...)
 		return Save(path, &State{
 			Name:   cfg.Name,
 			Round:  info.Round,
 			Seed:   cfg.Seed,
-			Global: append([]float64(nil), info.Global...),
-			Points: points,
+			Global: info.Global,
+			Points: info.Series.Points,
 		})
 	})
 	defer unhook()
-
-	series, err := eng.Run(ctx)
-	full := &metrics.Series{Name: cfg.Name}
-	full.Points = append(append(full.Points, prefix...), series.Points...)
-	if err != nil {
-		return full, err
-	}
-	return full, nil
+	return eng.Run(ctx)
 }

@@ -5,8 +5,11 @@ package clisetup
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	fedproxvr "fedproxvr"
+	"fedproxvr/internal/trace"
 )
 
 // Task builds the experiment task named by the dataset/model flags.
@@ -52,4 +55,29 @@ func Config(alg string, beta, l, mu float64, tau, batch, rounds int) (fedproxvr.
 	default:
 		return fedproxvr.Config{}, fmt.Errorf("unknown algorithm %q", alg)
 	}
+}
+
+// ExportTrace writes the collected spans as Chrome trace-event JSON to
+// chromePath and as JSONL to jsonlPath; an empty path skips its format.
+func ExportTrace(tr *trace.Tracer, chromePath, jsonlPath string) error {
+	for _, out := range []struct {
+		path  string
+		write func(io.Writer) error
+	}{{chromePath, tr.WriteChrome}, {jsonlPath, tr.WriteJSONL}} {
+		if out.path == "" {
+			continue
+		}
+		f, err := os.Create(out.path)
+		if err != nil {
+			return err
+		}
+		if err := out.write(f); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+	}
+	return nil
 }

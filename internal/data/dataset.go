@@ -13,26 +13,18 @@ import (
 )
 
 // Dataset is a dense supervised dataset. Features are stored flat,
-// row-major, with stride Dim, for cache-friendly sweeps. For classification
-// tasks Y holds class indices in [0, NumClasses); for regression tasks
-// NumClasses is 0 and YReg holds real-valued targets.
+// row-major, with stride Dim, for cache-friendly sweeps. Y holds class
+// indices in [0, NumClasses).
 type Dataset struct {
 	Dim        int
 	NumClasses int
 	X          []float64 // len == N*Dim
-	Y          []int     // classification labels (len N) or nil
-	YReg       []float64 // regression targets (len N) or nil
+	Y          []int     // class labels (len N)
 }
 
 // New allocates an empty dataset with capacity for n samples.
 func New(dim, numClasses, n int) *Dataset {
-	d := &Dataset{Dim: dim, NumClasses: numClasses, X: make([]float64, 0, n*dim)}
-	if numClasses > 0 {
-		d.Y = make([]int, 0, n)
-	} else {
-		d.YReg = make([]float64, 0, n)
-	}
-	return d
+	return &Dataset{Dim: dim, NumClasses: numClasses, X: make([]float64, 0, n*dim), Y: make([]int, 0, n)}
 }
 
 // N returns the number of samples.
@@ -46,12 +38,9 @@ func (d *Dataset) N() int {
 // Sample returns a slice aliasing the features of sample i.
 func (d *Dataset) Sample(i int) []float64 { return d.X[i*d.Dim : (i+1)*d.Dim] }
 
-// AppendClass appends a classification sample. Panics if the dataset is a
-// regression dataset or the feature dimension is wrong.
+// AppendClass appends a classification sample. Panics on a wrong feature
+// dimension or a label outside [0, NumClasses).
 func (d *Dataset) AppendClass(x []float64, label int) {
-	if d.NumClasses == 0 {
-		panic("data: AppendClass on regression dataset")
-	}
 	if len(x) != d.Dim {
 		panic(fmt.Sprintf("data: sample dim %d, dataset dim %d", len(x), d.Dim))
 	}
@@ -62,27 +51,11 @@ func (d *Dataset) AppendClass(x []float64, label int) {
 	d.Y = append(d.Y, label)
 }
 
-// AppendReg appends a regression sample.
-func (d *Dataset) AppendReg(x []float64, y float64) {
-	if d.NumClasses != 0 {
-		panic("data: AppendReg on classification dataset")
-	}
-	if len(x) != d.Dim {
-		panic(fmt.Sprintf("data: sample dim %d, dataset dim %d", len(x), d.Dim))
-	}
-	d.X = append(d.X, x...)
-	d.YReg = append(d.YReg, y)
-}
-
 // Subset returns a new dataset holding copies of the samples at idx.
 func (d *Dataset) Subset(idx []int) *Dataset {
 	out := New(d.Dim, d.NumClasses, len(idx))
 	for _, i := range idx {
-		if d.NumClasses > 0 {
-			out.AppendClass(d.Sample(i), d.Y[i])
-		} else {
-			out.AppendReg(d.Sample(i), d.YReg[i])
-		}
+		out.AppendClass(d.Sample(i), d.Y[i])
 	}
 	return out
 }
@@ -103,11 +76,7 @@ func Merge(parts ...*Dataset) *Dataset {
 	out := New(parts[0].Dim, parts[0].NumClasses, total)
 	for _, p := range parts {
 		out.X = append(out.X, p.X...)
-		if p.NumClasses > 0 {
-			out.Y = append(out.Y, p.Y...)
-		} else {
-			out.YReg = append(out.YReg, p.YReg...)
-		}
+		out.Y = append(out.Y, p.Y...)
 	}
 	return out
 }

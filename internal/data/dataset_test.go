@@ -38,7 +38,6 @@ func TestAppendPanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { d.AppendClass([]float64{1}, 0) },    // wrong dim
 		func() { d.AppendClass([]float64{1, 2}, 5) }, // bad label
-		func() { d.AppendReg([]float64{1, 2}, 0.5) }, // reg on class ds
 	} {
 		func() {
 			defer func() {
@@ -49,20 +48,6 @@ func TestAppendPanics(t *testing.T) {
 			fn()
 		}()
 	}
-}
-
-func TestRegressionDataset(t *testing.T) {
-	d := New(2, 0, 2)
-	d.AppendReg([]float64{1, 2}, 0.5)
-	if d.N() != 1 || d.YReg[0] != 0.5 {
-		t.Fatal("regression append broken")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for AppendClass on regression ds")
-		}
-	}()
-	d.AppendClass([]float64{1, 2}, 0)
 }
 
 func TestSubsetAndMerge(t *testing.T) {

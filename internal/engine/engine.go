@@ -33,9 +33,9 @@ type RoundInfo struct {
 	Stragglers int
 	// Global aliases the current global model — copy before mutating.
 	Global []float64
-	// Series is the series Run is building (points appended so far,
-	// including this round's if it was an evaluation round). Nil when the
-	// round was driven by Step directly.
+	// Series is the series Run is building: the points a Resume restored,
+	// then the points Run has appended so far, this round's included if it
+	// was an evaluation round.
 	Series *metrics.Series
 }
 
@@ -51,8 +51,10 @@ type StatsRecorder interface {
 
 // Engine drives the outer loop of Algorithm 1: selection → dropout →
 // Executor fan-out → Aggregator fold, plus metric measurement and
-// per-round hooks. It is the single implementation shared by the
-// in-process, simulated-clock and TCP runtimes.
+// per-round hooks. Run is the only outer loop: the in-process,
+// simulated-clock, checkpointed, control-plane and TCP runs all drive it,
+// through an Executor or a round hook, so Run alone completes each round's
+// record, owns the run's history and measures.
 type Engine struct {
 	cfg     Config
 	exec    Executor
@@ -64,18 +66,19 @@ type Engine struct {
 	nextBuf []int // round t+1's cohort, drawn by Run to measure round t
 	eval    *Evaluator
 	round   int
-	pool    *Parallel // the pool NewInProcess started, stopped by Close
+	resumed []metrics.Point // Resume's points, which the next Run extends
+	pool    *Parallel       // the pool NewInProcess started, stopped by Close
 
 	hooks      []hookEntry
 	liveHooks  int
 	nextHookID int
 
 	stats StatsRecorder
-	rs    obs.RoundStats // in-flight round record (reused; see FlushStats)
+	rs    obs.RoundStats // in-flight round record (reused; see flushStats)
 	res   RoundResult    // the last fan-out's result (reused; see Executor)
 
 	tracer    *trace.Tracer
-	roundSpan trace.Span // in-flight round span, closed by FlushStats
+	roundSpan trace.Span // in-flight round span, closed by flushStats
 	roundOpen bool
 
 	policy bool // RoundDeadline or MinReport is set (precomputed)
@@ -143,23 +146,26 @@ func (e *Engine) SetGlobal(w []float64) {
 	e.dropHandOvers()
 }
 
-// SetRound fast-forwards the round counter (checkpoint resume). No RNG
-// replay is needed: every stream — the server stream and each device's —
-// is re-keyed at the top of each round from a pure (seed, stream, round)
-// hash (randx.RoundSeed), so a resumed run's remaining rounds are
-// bit-identical to the same rounds of an uninterrupted run. This is the
-// property the crash-recovering job control plane (internal/jobs) builds
-// on: a coordinator restart at round t is indistinguishable from having
-// never died, and a mid-round kill is exactly a full-cohort dropout of
-// the round that never committed. Like SetGlobal it drops every
-// handed-over gradient.
-func (e *Engine) SetRound(t int) {
+// Resume fast-forwards the round counter to t (checkpoint resume) and
+// hands the engine points, the series recorded up to round t: the next
+// Run's series starts with them, so it holds the whole run. The engine
+// takes ownership of points. No RNG replay is needed: every stream — the
+// server stream and each device's — is re-keyed at the top of each round
+// from a pure (seed, stream, round) hash (randx.RoundSeed), so a resumed
+// run's remaining rounds are bit-identical to the same rounds of an
+// uninterrupted run. This is the property the crash-recovering job
+// control plane (internal/jobs) builds on: a coordinator restart at round
+// t is indistinguishable from having never died, and a mid-round kill is
+// exactly a full-cohort dropout of the round that never committed. Like
+// SetGlobal it drops every handed-over gradient.
+func (e *Engine) Resume(t int, points []metrics.Point) {
 	e.round = t
+	e.resumed = points
 	e.dropHandOvers()
 }
 
 // dropHandOvers forgets the v⁰ the evaluator's devices were handed, so a
-// round replayed or re-anchored after SetRound/SetGlobal computes its own.
+// round replayed or re-anchored after Resume/SetGlobal computes its own.
 func (e *Engine) dropHandOvers() {
 	if e.eval == nil {
 		return
@@ -193,9 +199,7 @@ func (e *Engine) SetEvaluator(ev *Evaluator) {
 	e.eval = ev
 }
 
-// Evaluator returns the installed evaluator (nil without one), for drivers
-// that measure outside Run — internal/simnet stamps its own
-// simulated-clock points with it.
+// Evaluator returns the installed evaluator (nil without one).
 func (e *Engine) Evaluator() *Evaluator { return e.eval }
 
 // SetStats installs a per-round stats recorder (see internal/obs); nil
@@ -213,10 +217,9 @@ func (e *Engine) SetStats(rec StatsRecorder) { e.stats = rec }
 // path keeps the engine's alloc budget. Safe between rounds, not during one.
 func (e *Engine) SetTracer(tr *trace.Tracer) { e.tracer = tr }
 
-// endRoundSpan closes the in-flight round span. It runs inside FlushStats
-// — which Run and the simnet driver both call exactly once per round,
-// after evaluation — so the round span covers selection through
-// measurement.
+// endRoundSpan closes the in-flight round span. It runs inside flushStats
+// — which Run calls exactly once per round, after evaluation — so the
+// round span covers selection through measurement.
 func (e *Engine) endRoundSpan() {
 	if e.roundOpen {
 		e.roundSpan.End()
@@ -224,12 +227,11 @@ func (e *Engine) endRoundSpan() {
 	}
 }
 
-// FlushStats finalizes the in-flight round record — the cumulative
+// flushStats finalizes the in-flight round record — the cumulative
 // gradient-evaluation count and the evaluation-phase duration — and
-// hands it to the recorder. Run calls it once per round; callers that drive
-// Step directly (internal/simnet) call it themselves after measuring.
-// No-op without a recorder (the round span, when tracing, still closes).
-func (e *Engine) FlushStats(evalSeconds float64) {
+// hands it to the recorder. Run calls it once per round. No-op without a
+// recorder (the round span, when tracing, still closes).
+func (e *Engine) flushStats(evalSeconds float64) {
 	e.endRoundSpan()
 	if e.stats == nil {
 		return
@@ -239,17 +241,11 @@ func (e *Engine) FlushStats(evalSeconds float64) {
 	e.stats.RecordRound(&e.rs)
 }
 
-// StampEval copies a measured point's convergence metrics (loss, test
-// accuracy, stationarity gap) into the in-flight round record, so sinks —
-// and the telemetry store built on them — see system accounting and
-// convergence in one record. Run calls it on evaluation rounds; drivers
-// that measure outside Run (internal/simnet) call it themselves before
-// FlushStats. No-op without a stats recorder, preserving the
-// observability-off alloc budget.
-func (e *Engine) StampEval(p metrics.Point) {
-	if e.stats == nil {
-		return
-	}
+// evalStats is a measured point's convergence metrics (loss, test
+// accuracy, stationarity gap) as Run stamps them into the round record, so
+// sinks — and the telemetry store built on them — see system accounting
+// and convergence in one record.
+func evalStats(p metrics.Point) *obs.EvalStats {
 	gn := p.GradNormSq
 	if gn == 0 {
 		// A zero GradNormSq means the round did not measure stationarity
@@ -257,11 +253,7 @@ func (e *Engine) StampEval(p metrics.Point) {
 		// "unmeasured", which marshals as null.
 		gn = math.NaN()
 	}
-	e.rs.Eval = &obs.EvalStats{
-		TrainLoss:  p.TrainLoss,
-		TestAcc:    p.TestAcc,
-		GradNormSq: gn,
-	}
+	return &obs.EvalStats{TrainLoss: p.TrainLoss, TestAcc: p.TestAcc, GradNormSq: gn}
 }
 
 // OnRound registers a hook called after every completed round, in
@@ -308,17 +300,18 @@ func (e *Engine) compactHooks() {
 // device IDs (after failure injection and executor-reported failures) and
 // the number of selected devices whose run failed; if every device drops
 // out the global model is left unchanged. The returned slice aliases an
-// engine buffer and is only valid until the next Step.
+// engine buffer and is only valid until the next Step. Step neither
+// measures nor completes the round record: Run does both.
 func (e *Engine) Step() ([]int, int, error) {
-	return e.StepCtx(context.Background())
+	return e.step(context.Background())
 }
 
-// StepCtx is Step under a caller context. With the straggler policy
+// step is Step under a caller context. With the straggler policy
 // configured (RoundDeadline/MinReport), the fan-out runs under a
 // deadline-bearing context and late devices come back as stragglers; the
 // failed count it returns includes stragglers (every nil result), with
-// the split available through Stragglers.
-func (e *Engine) StepCtx(ctx context.Context) ([]int, int, error) {
+// the split in e.res.Stragglers.
+func (e *Engine) step(ctx context.Context) ([]int, int, error) {
 	// Observability is strictly opt-in: with no recorder installed the
 	// round takes no timing samples and allocates nothing extra (the
 	// BenchmarkEngineRoundAllocs guarantee). Tracing is independently
@@ -333,7 +326,7 @@ func (e *Engine) StepCtx(ctx context.Context) ([]int, int, error) {
 	}
 	e.round++
 	if traced {
-		e.endRoundSpan() // a caller that skipped FlushStats leaves one open
+		e.endRoundSpan() // a Step-driven round leaves one open
 		e.roundSpan = e.tracer.StartRound(e.round)
 		e.roundOpen = true
 	}
@@ -448,16 +441,6 @@ func (e *Engine) cohort(t int, buf []int) (selected []int, nsel int) {
 	return Dropout(e.server, buf, e.cfg.DropoutProb), len(buf)
 }
 
-// GradEvals returns the cumulative gradient evaluations across the
-// backend's devices as of the last round that reached them (zero before
-// the first).
-func (e *Engine) GradEvals() int64 { return e.res.GradEvals }
-
-// Stragglers returns how many of the last round's selected devices the
-// straggler policy cut — the part of StepCtx's failed count that did not
-// fail.
-func (e *Engine) Stragglers() int { return e.res.Stragglers }
-
 // fanOut runs the executor for the round. Without a straggler policy the
 // executor gets context.Background(): nothing can cut the round (a caller's
 // cancellation takes effect between rounds), which is what lets Parallel
@@ -476,10 +459,11 @@ func (e *Engine) fanOut(ctx context.Context, spec RoundSpec) error {
 
 // Run executes the remaining global iterations (Rounds minus completed),
 // measuring every EvalEvery rounds and at the end, and returns the
-// recorded series. The round-0 point is included when starting fresh so
-// plots begin at the common initialization. ctx cancels between rounds:
-// Run returns the series so far plus ctx.Err(), with the global model left
-// at the last completed round (resumable — see internal/checkpoint).
+// recorded series, which starts with the points of a preceding Resume.
+// The round-0 point is included when starting fresh so plots begin at the
+// common initialization. ctx cancels between rounds: Run returns the
+// series so far plus ctx.Err(), with the global model left at the last
+// completed round (resumable — see internal/checkpoint).
 func (e *Engine) Run(ctx context.Context) (*metrics.Series, error) {
 	runName := e.cfg.Name
 	if runName == "" {
@@ -487,7 +471,8 @@ func (e *Engine) Run(ctx context.Context) (*metrics.Series, error) {
 	}
 	runSpan := e.tracer.StartRun(runName)
 	defer runSpan.End()
-	s := &metrics.Series{Name: e.cfg.Name}
+	s := &metrics.Series{Name: e.cfg.Name, Points: e.resumed}
+	e.resumed = nil
 	if e.round == 0 {
 		phase := e.tracer.StartPhase("evaluate")
 		p := e.measure(0)
@@ -499,12 +484,12 @@ func (e *Engine) Run(ctx context.Context) (*metrics.Series, error) {
 			return s, err
 		}
 		e.compactHooks()
-		sel, failed, err := e.StepCtx(ctx)
+		sel, failed, err := e.step(ctx)
 		if err != nil {
 			// Flush the aborted round's partial record (round number,
 			// selection and exec timings so far) so a JSONL trace shows the
 			// round that died, not just the rounds before it.
-			e.FlushStats(0)
+			e.flushStats(0)
 			return s, err
 		}
 		t := e.round
@@ -517,14 +502,14 @@ func (e *Engine) Run(ctx context.Context) (*metrics.Series, error) {
 			phase := e.tracer.StartPhase("evaluate")
 			p := e.measure(t)
 			phase.End()
+			p.Participants, p.Failed = len(sel), failed-e.res.Stragglers
 			if e.stats != nil {
 				evalSec = time.Since(t0).Seconds()
+				e.rs.Eval = evalStats(p)
 			}
-			p.Participants, p.Failed = len(sel), failed-e.res.Stragglers
-			e.StampEval(p)
 			s.Append(p)
 		}
-		e.FlushStats(evalSec)
+		e.flushStats(evalSec)
 		if e.liveHooks > 0 {
 			// Hooks get a stable copy: sel aliases the engine's selection
 			// buffer, which the next round overwrites in place.

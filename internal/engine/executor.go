@@ -145,7 +145,7 @@ type RoundSpec struct {
 	// Round is the global iteration number (1-based), the only source of
 	// round numbering below the engine: devices re-key their RNG streams
 	// from it (Device.BeginRound), fault schedules are looked up by it and
-	// it is the round number on the wire. A resumed engine (SetRound after
+	// it is the round number on the wire. A resumed engine (Resume after
 	// a checkpoint restore) therefore drives every layer at the true global
 	// round. 0 means the caller does not number rounds: streams are left
 	// as constructed.

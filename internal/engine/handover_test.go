@@ -140,7 +140,7 @@ func TestHandoverInvisible(t *testing.T) {
 // handed round 3's cohort its v⁰ at w̄², re-anchors the engine — a new
 // global model, or the round counter rewound so round 3 runs from another
 // model — and steps on. The result must equal the same sequence driven by
-// Step alone: a stale gradient that survived SetGlobal or SetRound would
+// Step alone: a stale gradient that survived SetGlobal or Resume would
 // seed round 3's solves at the wrong point.
 func TestHandoverDroppedOnReanchor(t *testing.T) {
 	p := testPartition(5, 40, 4, 3, 9)
@@ -156,7 +156,7 @@ func TestHandoverDroppedOnReanchor(t *testing.T) {
 			mathx.Scal(0.5, w)
 			eng.SetGlobal(w)
 		}},
-		{"SetRound", func(eng *engine.Engine) { eng.SetRound(1) }},
+		{"Resume", func(eng *engine.Engine) { eng.Resume(1, nil) }},
 	}
 	stop := errors.New("stop after round 2")
 	for _, parallel := range []bool{false, true} {

@@ -152,7 +152,7 @@ func (s *specSpy) RunRound(ctx context.Context, spec engine.RoundSpec, res *engi
 // contract. Policy off: no quorum and a context nothing can cut — even when
 // the caller's own context is cancellable — which is what keeps Parallel on
 // its allocation-free strategy (BenchmarkEngineRoundAllocs). Policy on: the
-// configured quorum and a deadline. And after SetRound(t) the next spec is
+// configured quorum and a deadline. And after Resume(t, nil) the next spec is
 // numbered t+1, so a resumed engine drives device re-keying, fault
 // schedules and the wire at the true global round.
 func TestRoundSpecCarriesPolicyAndRound(t *testing.T) {
@@ -165,7 +165,7 @@ func TestRoundSpecCarriesPolicyAndRound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.SetRound(resumeAt)
+		eng.Resume(resumeAt, nil)
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		if _, err := eng.Run(ctx); err != nil {

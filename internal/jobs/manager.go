@@ -11,7 +11,6 @@ import (
 
 	"fedproxvr/internal/checkpoint"
 	"fedproxvr/internal/engine"
-	"fedproxvr/internal/metrics"
 	"fedproxvr/internal/telemetry"
 )
 
@@ -395,9 +394,8 @@ func (m *Manager) train(ctx context.Context, j *job) error {
 		// reported.
 		telemetry.Attach(eng, js)
 	}
-	var prefix []metrics.Point
 	if st, err := m.store.LoadCheckpoint(j.spec.ID); err == nil {
-		if prefix, err = checkpoint.Restore(eng, st); err != nil {
+		if err := checkpoint.Restore(eng, st); err != nil {
 			return fmt.Errorf("jobs: %w", err)
 		}
 		m.mu.Lock()
@@ -433,14 +431,14 @@ func (m *Manager) train(ctx context.Context, j *job) error {
 			if err := m.store.RotateCheckpoint(spec.ID); err != nil {
 				return err
 			}
-			points := make([]metrics.Point, 0, len(prefix)+len(info.Series.Points))
-			points = append(append(points, prefix...), info.Series.Points...)
+			// Save encodes before it returns: the state may alias the
+			// engine's model and history.
 			if err := checkpoint.Save(ckptPath, &checkpoint.State{
 				Name:   spec.ID,
 				Round:  info.Round,
 				Seed:   spec.Seed,
-				Global: append([]float64(nil), info.Global...),
-				Points: points,
+				Global: info.Global,
+				Points: info.Series.Points,
 			}); err != nil {
 				return err
 			}

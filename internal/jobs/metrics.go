@@ -1,8 +1,9 @@
 package jobs
 
 import (
-	"fmt"
 	"io"
+
+	"fedproxvr/internal/obs"
 )
 
 // WritePrometheus makes the Manager an obs.MetricsWriter: the control
@@ -22,51 +23,37 @@ import (
 func (m *Manager) WritePrometheus(w io.Writer) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ew := &errWriter{w: w}
-	ew.printf("# HELP fed_jobs_epoch Manager incarnation number (the durable lease-fencing epoch).\n")
-	ew.printf("# TYPE fed_jobs_epoch gauge\n")
-	ew.printf("fed_jobs_epoch %d\n", m.epoch)
-	ew.printf("# HELP fed_jobs_registered Jobs registered with this manager, in any lifecycle state.\n")
-	ew.printf("# TYPE fed_jobs_registered gauge\n")
-	ew.printf("fed_jobs_registered %d\n", len(m.order))
+	ew := &obs.ErrWriter{W: w}
+	ew.Printf("# HELP fed_jobs_epoch Manager incarnation number (the durable lease-fencing epoch).\n")
+	ew.Printf("# TYPE fed_jobs_epoch gauge\n")
+	ew.Printf("fed_jobs_epoch %d\n", m.epoch)
+	ew.Printf("# HELP fed_jobs_registered Jobs registered with this manager, in any lifecycle state.\n")
+	ew.Printf("# TYPE fed_jobs_registered gauge\n")
+	ew.Printf("fed_jobs_registered %d\n", len(m.order))
 	counts := map[State]int{}
 	for _, j := range m.jobs {
 		counts[j.manifest.State]++
 	}
 	states := []State{Pending, Running, Done, Failed, Cancelled}
-	ew.printf("# HELP fed_jobs_state Jobs currently in each lifecycle state.\n")
-	ew.printf("# TYPE fed_jobs_state gauge\n")
+	ew.Printf("# HELP fed_jobs_state Jobs currently in each lifecycle state.\n")
+	ew.Printf("# TYPE fed_jobs_state gauge\n")
 	for _, s := range states {
-		ew.printf("fed_jobs_state{state=%q} %d\n", s, counts[s])
+		ew.Printf("fed_jobs_state{state=%q} %d\n", s, counts[s])
 	}
-	ew.printf("# HELP fed_jobs_transitions_total Lifecycle transitions into each state since this incarnation started.\n")
-	ew.printf("# TYPE fed_jobs_transitions_total counter\n")
+	ew.Printf("# HELP fed_jobs_transitions_total Lifecycle transitions into each state since this incarnation started.\n")
+	ew.Printf("# TYPE fed_jobs_transitions_total counter\n")
 	for _, s := range states {
-		ew.printf("fed_jobs_transitions_total{state=%q} %d\n", s, m.transitions[s])
+		ew.Printf("fed_jobs_transitions_total{state=%q} %d\n", s, m.transitions[s])
 	}
-	ew.printf("# HELP fed_jobs_round Last completed round per job.\n")
-	ew.printf("# TYPE fed_jobs_round gauge\n")
+	ew.Printf("# HELP fed_jobs_round Last completed round per job.\n")
+	ew.Printf("# TYPE fed_jobs_round gauge\n")
 	for _, id := range m.order {
-		ew.printf("fed_jobs_round{job=%q} %d\n", id, m.jobs[id].round)
+		ew.Printf("fed_jobs_round{job=%q} %d\n", id, m.jobs[id].round)
 	}
-	ew.printf("# HELP fed_jobs_rounds_target Configured total rounds per job.\n")
-	ew.printf("# TYPE fed_jobs_rounds_target gauge\n")
+	ew.Printf("# HELP fed_jobs_rounds_target Configured total rounds per job.\n")
+	ew.Printf("# TYPE fed_jobs_rounds_target gauge\n")
 	for _, id := range m.order {
-		ew.printf("fed_jobs_rounds_target{job=%q} %d\n", id, m.jobs[id].spec.Rounds)
+		ew.Printf("fed_jobs_rounds_target{job=%q} %d\n", id, m.jobs[id].spec.Rounds)
 	}
-	return ew.err
-}
-
-// errWriter is a sticky-error printf target so the exposition writer reads
-// as straight-line code.
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (ew *errWriter) printf(format string, args ...any) {
-	if ew.err != nil {
-		return
-	}
-	_, ew.err = fmt.Fprintf(ew.w, format, args...)
+	return ew.Err
 }

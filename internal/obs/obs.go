@@ -81,8 +81,8 @@ type RoundStats struct {
 	// only; zero elsewhere).
 	SimSeconds float64 `json:"sim_seconds,omitempty"`
 	// Eval carries the server-side convergence measurements of an
-	// evaluation round (engine.Run and simnet.Train stamp it via
-	// Engine.StampEval). Nil on rounds that did not measure, so the
+	// evaluation round (engine.Run stamps it, whatever drives the run).
+	// Nil on rounds that did not measure, so the
 	// system record stays pure accounting on non-eval rounds.
 	Eval *EvalStats `json:"eval,omitempty"`
 	// Clients holds per-participant latencies, in fan-out order.

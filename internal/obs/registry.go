@@ -106,12 +106,8 @@ func (r *Registry) LastRoundAge() (age time.Duration, ok bool) {
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var err error
-	p := func(format string, args ...interface{}) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
+	ew := &ErrWriter{W: w}
+	p := ew.Printf
 	p("# HELP fed_round Last completed federated round.\n# TYPE fed_round gauge\nfed_round %d\n", r.round)
 	p("# HELP fed_participants Devices that reported in the last round.\n# TYPE fed_participants gauge\nfed_participants %d\n", r.participants)
 	p("# HELP fed_rounds_total Completed federated rounds.\n# TYPE fed_rounds_total counter\nfed_rounds_total %d\n", r.rounds)
@@ -139,7 +135,22 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	p("fed_client_seconds_bucket{le=\"+Inf\"} %d\n", r.clientCount)
 	p("fed_client_seconds_sum %g\n", r.clientSum)
 	p("fed_client_seconds_count %d\n", r.clientCount)
-	return err
+	return ew.Err
+}
+
+// ErrWriter is a sticky-error printf target, so an exposition writer reads
+// as straight-line code: after the first failed write every Printf is a
+// no-op, and Err holds that failure.
+type ErrWriter struct {
+	W   io.Writer
+	Err error
+}
+
+// Printf writes to W unless an earlier write failed.
+func (ew *ErrWriter) Printf(format string, args ...any) {
+	if ew.Err == nil {
+		_, ew.Err = fmt.Fprintf(ew.W, format, args...)
+	}
 }
 
 // ServeHTTP serves the exposition (implements http.Handler).

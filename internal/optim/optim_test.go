@@ -119,8 +119,9 @@ func TestLocalConfigValidate(t *testing.T) {
 }
 
 // leastSquares is the convex fixture the solver tests train:
-// f_i(w) = ½(x_iᵀw − y_i)² over a regression dataset (targets in YReg), so a
-// noiseless quadDataset has its minimizer at w* in closed form.
+// f_i(w) = ½(x_iᵀw − y_i)² over a dataset whose rows carry their target
+// after the d features, [x_i, y_i], so a noiseless quadDataset has its
+// minimizer at w* in closed form.
 type leastSquares struct{ d int }
 
 func (m leastSquares) Dim() int            { return m.d }
@@ -138,7 +139,8 @@ func (m leastSquares) residuals(w []float64, ds *data.Dataset, idx []int, fn fun
 		if idx != nil {
 			i = idx[k]
 		}
-		fn(i, mathx.Dot(ds.Sample(i), w)-ds.YReg[i])
+		row := ds.Sample(i)
+		fn(i, mathx.Dot(row[:m.d], w)-row[m.d])
 	}
 	return n
 }
@@ -154,7 +156,7 @@ func (m leastSquares) Loss(w []float64, ds *data.Dataset, idx []int) float64 {
 
 func (m leastSquares) Grad(grad, w []float64, ds *data.Dataset, idx []int) {
 	mathx.Zero(grad)
-	n := m.residuals(w, ds, idx, func(i int, r float64) { mathx.Axpy(r, ds.Sample(i), grad) })
+	n := m.residuals(w, ds, idx, func(i int, r float64) { mathx.Axpy(r, ds.Sample(i)[:m.d], grad) })
 	if n > 0 {
 		mathx.Scal(1/float64(n), grad)
 	}
@@ -177,14 +179,7 @@ func distSq(x, y []float64) float64 {
 // quadDataset builds a least-squares task whose optimum is known:
 // y_i = x_iᵀ w*, so F is minimized at w* with F(w*) = 0.
 func quadDataset(n, d int, wStar []float64, seed int64) *data.Dataset {
-	rng := randx.New(seed)
-	ds := data.New(d, 0, n)
-	x := make([]float64, d)
-	for i := 0; i < n; i++ {
-		randx.NormalVec(rng, x, 0, 1)
-		ds.AppendReg(x, mathx.Dot(x, wStar))
-	}
-	return ds
+	return noisyQuadDataset(n, d, wStar, 0, seed)
 }
 
 func solveOnce(t *testing.T, est Estimator, tau int, mu float64, ret ReturnPolicy) float64 {
@@ -225,11 +220,15 @@ func TestSolverReducesLossAllEstimators(t *testing.T) {
 // vanish at the optimum (no interpolation regime).
 func noisyQuadDataset(n, d int, wStar []float64, noise float64, seed int64) *data.Dataset {
 	rng := randx.New(seed)
-	ds := data.New(d, 0, n)
+	ds := data.New(d+1, 0, n)
 	x := make([]float64, d)
 	for i := 0; i < n; i++ {
 		randx.NormalVec(rng, x, 0, 1)
-		ds.AppendReg(x, mathx.Dot(x, wStar)+noise*rng.NormFloat64())
+		y := mathx.Dot(x, wStar)
+		if noise != 0 {
+			y += noise * rng.NormFloat64()
+		}
+		ds.X = append(append(ds.X, x...), y)
 	}
 	return ds
 }

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"fedproxvr/internal/models"
 	"fedproxvr/internal/optim"
 	"fedproxvr/internal/randx"
+	"fedproxvr/internal/trace"
 )
 
 func TestDeviceProfileDerived(t *testing.T) {
@@ -135,7 +137,7 @@ func timedFixture(t *testing.T) *engine.Engine {
 func TestTimedTrainAdvancesClock(t *testing.T) {
 	r := timedFixture(t)
 	fleet := NewUniformFleet(4, DeviceProfile{ComputePerIter: 0.01, Uplink: 0.5, Downlink: 0.5}, 7)
-	ts, err := Train(r, fleet, 1)
+	ts, err := Train(r, fleet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +165,11 @@ func TestTimedTrainAdvancesClock(t *testing.T) {
 func TestTimedTrainValidations(t *testing.T) {
 	r := timedFixture(t)
 	small := NewUniformFleet(2, DeviceProfile{ComputePerIter: 0.01}, 8)
-	if _, err := Train(r, small, 1); err == nil {
+	if _, err := Train(r, small); err == nil {
 		t.Fatal("fleet smaller than device count should error")
 	}
 	bad := NewUniformFleet(4, DeviceProfile{ComputePerIter: -1}, 8)
-	if _, err := Train(r, bad, 1); err == nil {
+	if _, err := Train(r, bad); err == nil {
 		t.Fatal("invalid fleet should error")
 	}
 }
@@ -188,7 +190,7 @@ func TestSlowNetworkFavoursMoreLocalWork(t *testing.T) {
 		}
 		// Slow network: d_com = 2s, d_cmp = 1ms → γ = 5e-4.
 		fleet := NewUniformFleet(4, DeviceProfile{ComputePerIter: 0.001, Uplink: 1, Downlink: 1}, 9)
-		ts, err := Train(r2, fleet, 1)
+		ts, err := Train(r2, fleet)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +246,7 @@ func TestTimedTrainMeasuresAccuracy(t *testing.T) {
 		t.Fatal(err)
 	}
 	fleet := NewUniformFleet(4, DeviceProfile{ComputePerIter: 0.01, Uplink: 0.5, Downlink: 0.5}, 7)
-	ts, err := Train(r, fleet, 1)
+	ts, err := Train(r, fleet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,5 +265,98 @@ func TestTimedTrainMeasuresAccuracy(t *testing.T) {
 	}
 	if last.Participants != 4 {
 		t.Fatalf("full participation fixture reported %d participants", last.Participants)
+	}
+}
+
+// TestTimedTrainTracesLikeRun: a traced simulated-clock run has the span
+// tree of every other backend — one run span over the rounds, and one
+// evaluate span per measured round, round 0 included.
+func TestTimedTrainTracesLikeRun(t *testing.T) {
+	r := timedFixture(t)
+	tr := trace.New("test")
+	r.SetTracer(tr)
+	fleet := NewUniformFleet(4, DeviceProfile{ComputePerIter: 0.01, Uplink: 0.5, Downlink: 0.5}, 7)
+	if _, err := Train(r, fleet); err != nil {
+		t.Fatal(err)
+	}
+	roots, evals := 0, 0
+	for _, sp := range tr.Spans() {
+		if sp.Parent == 0 {
+			roots++
+		}
+		if sp.Name == "evaluate" {
+			evals++
+		}
+	}
+	if want := r.Config().Rounds + 1; roots != 1 || evals != want {
+		t.Fatalf("%d root spans and %d evaluate spans, want one run span and %d", roots, evals, want)
+	}
+}
+
+// TestTimedTrainCallsRoundHooks: a hook registered before Train sees every
+// round of the simulated-clock run, in order.
+func TestTimedTrainCallsRoundHooks(t *testing.T) {
+	r := timedFixture(t)
+	var rounds []int
+	r.OnRound(func(info engine.RoundInfo) error {
+		rounds = append(rounds, info.Round)
+		return nil
+	})
+	fleet := NewUniformFleet(4, DeviceProfile{ComputePerIter: 0.01, Uplink: 0.5, Downlink: 0.5}, 7)
+	if _, err := Train(r, fleet); err != nil {
+		t.Fatal(err)
+	}
+	if len(rounds) != r.Config().Rounds {
+		t.Fatalf("hook saw rounds %v, want 1..%d", rounds, r.Config().Rounds)
+	}
+	for i, round := range rounds {
+		if round != i+1 {
+			t.Fatalf("hook saw rounds %v, want 1..%d", rounds, r.Config().Rounds)
+		}
+	}
+}
+
+// roundSpy records the round number of every spec it forwards.
+type roundSpy struct {
+	inner  engine.Executor
+	rounds []int
+}
+
+func (s *roundSpy) RunRound(ctx context.Context, spec engine.RoundSpec, res *engine.RoundResult) error {
+	s.rounds = append(s.rounds, spec.Round)
+	return s.inner.RunRound(ctx, spec, res)
+}
+
+// TestTimedTrainResumed: on an engine resumed at round k, Train runs the
+// remaining rounds k+1..Rounds — the executor sees those numbers and the
+// points carry them, with the clock starting at the resumed round — and
+// hands the engine its executor back.
+func TestTimedTrainResumed(t *testing.T) {
+	const k = 5
+	r := timedFixture(t)
+	rounds := r.Config().Rounds
+	r.Resume(k, nil)
+	spy := &roundSpy{inner: r.Executor()}
+	r.SetExecutor(spy)
+	fleet := NewUniformFleet(4, DeviceProfile{ComputePerIter: 0.01, Uplink: 0.5, Downlink: 0.5}, 7)
+	ts, err := Train(r, fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Executor() != engine.Executor(spy) {
+		t.Fatal("Train did not restore the engine's executor")
+	}
+	if len(spy.rounds) != rounds-k || len(ts.Points) != rounds-k {
+		t.Fatalf("executor saw rounds %v and the series has %d points, want rounds %d..%d",
+			spy.rounds, len(ts.Points), k+1, rounds)
+	}
+	for i, p := range ts.Points {
+		if spy.rounds[i] != k+1+i || p.Round != k+1+i {
+			t.Fatalf("round %d: executor saw %d, point numbered %d", k+1+i, spy.rounds[i], p.Round)
+		}
+		// 1 s of transfer plus 10 iterations of 10 ms per round.
+		if want := float64(i+1) * 1.1; math.Abs(p.Time-want) > 1e-9 {
+			t.Fatalf("round %d at %v simulated seconds, want %v", p.Round, p.Time, want)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package simnet
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"fedproxvr/internal/engine"
 	"fedproxvr/internal/metrics"
@@ -76,17 +75,18 @@ func (x *TimedExecutor) RunRound(ctx context.Context, spec engine.RoundSpec, res
 	return nil
 }
 
-// Inner returns the wrapped executor.
-func (x *TimedExecutor) Inner() engine.Executor { return x.inner }
-
 // Now returns the simulated seconds elapsed so far.
 func (x *TimedExecutor) Now() float64 { return x.now }
 
 // Train runs an in-process engine (engine.NewInProcess) against the
-// fleet's clock by swapping a TimedExecutor into it for the duration of
-// the run, so the outer loop (selection, dropout, aggregation) stays the
-// engine's.
-func Train(eng *engine.Engine, fleet *Fleet, measureEvery int) (*TimedSeries, error) {
+// fleet's clock: it swaps a TimedExecutor in for the duration of the run
+// and lets eng.Run drive it, so the outer loop — selection, dropout,
+// aggregation, measurement, hooks and tracing — is the engine's, and a
+// round hook reads the clock after each round. The series holds the
+// round-0 point, at time 0, and the points of the rounds this call ran: on
+// a resumed engine the clock starts at the resumed round, and the restored
+// points after round 0, which another clock timed, are left out.
+func Train(eng *engine.Engine, fleet *Fleet) (*TimedSeries, error) {
 	if err := fleet.Validate(); err != nil {
 		return nil, err
 	}
@@ -98,44 +98,23 @@ func Train(eng *engine.Engine, fleet *Fleet, measureEvery int) (*TimedSeries, er
 		return nil, fmt.Errorf("simnet: fleet has %d profiles for %d devices",
 			len(fleet.Profiles), len(ev.Clients))
 	}
-	if measureEvery < 1 {
-		measureEvery = 1
-	}
 	cfg := eng.Config()
-	tx := NewTimedExecutor(eng.Executor(), fleet, cfg.Local.Tau)
+	inner := eng.Executor()
+	tx := NewTimedExecutor(inner, fleet, cfg.Local.Tau)
 	eng.SetExecutor(tx)
-	defer eng.SetExecutor(tx.Inner())
+	defer eng.SetExecutor(inner)
+	clock := map[int]float64{0: 0}
+	unhook := eng.OnRound(func(info engine.RoundInfo) error {
+		clock[info.Round] = tx.Now()
+		return nil
+	})
+	defer unhook()
+	s, err := eng.Run(context.Background())
 	out := &TimedSeries{Name: cfg.Name}
-	// Measurement is the engine's Evaluator.Measure, like engine.Run's but
-	// handing no gradient over, stamped with the simulated clock.
-	measure := func(round, participants, failed int) {
-		p := ev.Measure(eng.Global(), cfg.TrackStationarity, 0, nil)
-		p.Round, p.GradEvals = round, eng.GradEvals()
-		p.Participants, p.Failed = participants, failed
-		if round > 0 {
-			// Stamp convergence metrics into the in-flight round record so
-			// stats sinks (and the telemetry store) see them; round 0 has no
-			// in-flight round.
-			eng.StampEval(p)
+	for _, p := range s.Points {
+		if t, ok := clock[p.Round]; ok {
+			out.Points = append(out.Points, TimedPoint{Time: t, Point: p})
 		}
-		out.Points = append(out.Points, TimedPoint{Time: tx.Now(), Point: p})
 	}
-	measure(0, 0, 0)
-	for t := 1; t <= cfg.Rounds; t++ {
-		sel, failed, err := eng.Step()
-		if err != nil {
-			// Flush the partial in-flight round record so the trace shows
-			// how far the failing round got before aborting.
-			eng.FlushStats(0)
-			return out, err
-		}
-		var evalSec float64
-		if t%measureEvery == 0 || t == cfg.Rounds {
-			t0 := time.Now()
-			measure(t, len(sel), failed-eng.Stragglers())
-			evalSec = time.Since(t0).Seconds()
-		}
-		eng.FlushStats(evalSec)
-	}
-	return out, nil
+	return out, err
 }

@@ -65,7 +65,7 @@ func TestDivergentSimnetRunFlagsLossRising(t *testing.T) {
 	Attach(eng, js)
 
 	fleet := simnet.NewUniformFleet(4, simnet.DeviceProfile{ComputePerIter: 0.01, Uplink: 0.5, Downlink: 0.5}, 7)
-	if _, err := simnet.Train(eng, fleet, 1); err != nil {
+	if _, err := simnet.Train(eng, fleet); err != nil {
 		t.Fatal(err)
 	}
 
@@ -130,7 +130,7 @@ func TestTrainingBitIdenticalWithTelemetry(t *testing.T) {
 			}
 		}
 		fleet := simnet.NewUniformFleet(4, simnet.DeviceProfile{ComputePerIter: 0.01, Uplink: 0.5, Downlink: 0.5}, 7)
-		if _, err := simnet.Train(eng, fleet, 1); err != nil {
+		if _, err := simnet.Train(eng, fleet); err != nil {
 			t.Fatal(err)
 		}
 		return append([]float64(nil), eng.Global()...)

@@ -1,9 +1,10 @@
 package telemetry
 
 import (
-	"fmt"
 	"io"
 	"strconv"
+
+	"fedproxvr/internal/obs"
 )
 
 // WritePrometheus implements obs.MetricsWriter: the hub's alert counters
@@ -31,62 +32,48 @@ func (h *Hub) WritePrometheus(w io.Writer) error {
 		rows = append(rows, row{id: id, c: js.snapshot()})
 	}
 
-	bw := &errWriter{w: w}
-	bw.printf("# HELP fed_alert_total Times each telemetry alert rule transitioned to firing, per job.\n")
-	bw.printf("# TYPE fed_alert_total counter\n")
+	bw := &obs.ErrWriter{W: w}
+	bw.Printf("# HELP fed_alert_total Times each telemetry alert rule transitioned to firing, per job.\n")
+	bw.Printf("# TYPE fed_alert_total counter\n")
 	for _, r := range rows {
 		for _, rule := range RuleNames {
-			bw.printf("fed_alert_total{job=%q,rule=%q} %d\n", r.id, rule, r.c.alertsTotal[rule])
+			bw.Printf("fed_alert_total{job=%q,rule=%q} %d\n", r.id, rule, r.c.alertsTotal[rule])
 		}
 	}
-	bw.printf("# HELP fed_alert_active Whether a telemetry alert rule is currently firing (1) or not (0), per job.\n")
-	bw.printf("# TYPE fed_alert_active gauge\n")
+	bw.Printf("# HELP fed_alert_active Whether a telemetry alert rule is currently firing (1) or not (0), per job.\n")
+	bw.Printf("# TYPE fed_alert_active gauge\n")
 	for _, r := range rows {
 		for _, rule := range RuleNames {
 			v := 0
 			if r.c.active[rule] {
 				v = 1
 			}
-			bw.printf("fed_alert_active{job=%q,rule=%q} %d\n", r.id, rule, v)
+			bw.Printf("fed_alert_active{job=%q,rule=%q} %d\n", r.id, rule, v)
 		}
 	}
-	bw.printf("# HELP fed_alert_events_total Alert state transitions (fires plus clears) emitted, per job.\n")
-	bw.printf("# TYPE fed_alert_events_total counter\n")
+	bw.Printf("# HELP fed_alert_events_total Alert state transitions (fires plus clears) emitted, per job.\n")
+	bw.Printf("# TYPE fed_alert_events_total counter\n")
 	for _, r := range rows {
-		bw.printf("fed_alert_events_total{job=%q} %d\n", r.id, r.c.eventsTotal)
+		bw.Printf("fed_alert_events_total{job=%q} %d\n", r.id, r.c.eventsTotal)
 	}
-	bw.printf("# HELP fed_telemetry_rounds_ingested_total Rounds ingested into the telemetry store, per job.\n")
-	bw.printf("# TYPE fed_telemetry_rounds_ingested_total counter\n")
+	bw.Printf("# HELP fed_telemetry_rounds_ingested_total Rounds ingested into the telemetry store, per job.\n")
+	bw.Printf("# TYPE fed_telemetry_rounds_ingested_total counter\n")
 	for _, r := range rows {
-		bw.printf("fed_telemetry_rounds_ingested_total{job=%q} %d\n", r.id, r.c.ingested)
+		bw.Printf("fed_telemetry_rounds_ingested_total{job=%q} %d\n", r.id, r.c.ingested)
 	}
-	bw.printf("# HELP fed_telemetry_client_seconds Per-client round latencies observed by the telemetry store (log-bucketed), per job.\n")
-	bw.printf("# TYPE fed_telemetry_client_seconds histogram\n")
+	bw.Printf("# HELP fed_telemetry_client_seconds Per-client round latencies observed by the telemetry store (log-bucketed), per job.\n")
+	bw.Printf("# TYPE fed_telemetry_client_seconds histogram\n")
 	for _, r := range rows {
 		var cum int64
 		for i, bound := range latBounds {
 			cum += r.c.latCounts[i]
-			bw.printf("fed_telemetry_client_seconds_bucket{job=%q,le=%q} %d\n",
+			bw.Printf("fed_telemetry_client_seconds_bucket{job=%q,le=%q} %d\n",
 				r.id, strconv.FormatFloat(bound, 'g', -1, 64), cum)
 		}
 		cum += r.c.latCounts[len(latBounds)]
-		bw.printf("fed_telemetry_client_seconds_bucket{job=%q,le=\"+Inf\"} %d\n", r.id, cum)
-		bw.printf("fed_telemetry_client_seconds_sum{job=%q} %g\n", r.id, r.c.latSum)
-		bw.printf("fed_telemetry_client_seconds_count{job=%q} %d\n", r.id, r.c.latN)
+		bw.Printf("fed_telemetry_client_seconds_bucket{job=%q,le=\"+Inf\"} %d\n", r.id, cum)
+		bw.Printf("fed_telemetry_client_seconds_sum{job=%q} %g\n", r.id, r.c.latSum)
+		bw.Printf("fed_telemetry_client_seconds_count{job=%q} %d\n", r.id, r.c.latN)
 	}
-	return bw.err
-}
-
-// errWriter is a sticky-error printf target so the exposition writer reads
-// as straight-line code.
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (ew *errWriter) printf(format string, args ...any) {
-	if ew.err != nil {
-		return
-	}
-	_, ew.err = fmt.Fprintf(ew.w, format, args...)
+	return bw.Err
 }

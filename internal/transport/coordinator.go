@@ -14,8 +14,6 @@ import (
 
 	"fedproxvr/internal/data"
 	"fedproxvr/internal/engine"
-	"fedproxvr/internal/mathx"
-	"fedproxvr/internal/metrics"
 	"fedproxvr/internal/models"
 	"fedproxvr/internal/obs"
 	"fedproxvr/internal/optim"
@@ -1143,38 +1141,39 @@ func (x *Executor) RunRound(ctx context.Context, spec engine.RoundSpec, res *eng
 // ChildWeight reports shard child's Σ D_n for the current round (raw
 // sample counts over its reporting devices; zero when the whole shard sat
 // out or its connection failed). It is the weight callback a PartialMean
-// root aggregator folds with — see Coordinator.TreeEngine.
+// root aggregator folds with — see Coordinator.Engine.
 func (x *Executor) ChildWeight(child int) float64 { return x.c.treeWeight[child] }
 
-// Train runs cfg.Rounds federated rounds starting from w0 and returns the
-// final global model and the metric series. If evalModel and trainSets are
-// provided, per-round loss is measured server-side (the coordinator needs
-// the data only for evaluation; training data never leaves workers in a
-// real deployment — pass nil to skip).
-func (c *Coordinator) Train(w0 []float64, cfg engine.Config, evalModel models.Model, trainSets []*data.Dataset) ([]float64, *metrics.Series, error) {
-	return c.TrainContext(context.Background(), w0, cfg, evalModel, trainSets)
-}
-
-// TrainContext is Train with cancellation: the run stops between rounds
-// when ctx is done, returning the series so far alongside ctx.Err().
-func (c *Coordinator) TrainContext(ctx context.Context, w0 []float64, cfg engine.Config, evalModel models.Model, trainSets []*data.Dataset) ([]float64, *metrics.Series, error) {
-	eng, err := c.Engine(w0, cfg, evalModel, trainSets)
-	if err != nil {
-		return nil, nil, err
-	}
-	series, err := eng.Run(ctx)
-	if err != nil {
-		return nil, series, err
-	}
-	return mathx.Clone(eng.Global()), series, nil
-}
-
-// Engine builds a ready-to-run engine over this coordinator's workers:
-// Train in pieces, for callers that want hooks or checkpointing.
+// Engine builds a ready-to-run engine over this coordinator's workers;
+// drive it with Run and read the model with Global. If evalModel is given,
+// per-round loss over trainSets (and, with cfg.Test, test accuracy) is
+// measured server-side (the coordinator needs the data only for
+// evaluation; training data never leaves workers in a real deployment —
+// pass nil to skip).
+//
+// On a tree coordinator (NewTreeCoordinator) the engine's "cohort" is the
+// shards, every shard is addressed every round (full participation at the
+// root), and the root aggregator is a PartialMean folding the shards'
+// pre-weighted partial sums in ascending shard order — bit-identical to a
+// flat ShardedMean over the same shard map. cfg.ActivateProb is lifted off
+// the engine and broadcast to the nodes instead, which evaluate the
+// per-device activation over their own ranges; everything per-device
+// (sampling, dropout injection, DP, secure masking, training shards to
+// measure) is rejected because the root never sees devices, so training
+// loss is NaN.
 func (c *Coordinator) Engine(w0 []float64, cfg engine.Config, evalModel models.Model, trainSets []*data.Dataset) (*engine.Engine, error) {
-	eng, err := engine.New(cfg, len(w0), c.weights, c.Executor(cfg.Local))
+	if c.tree {
+		if err := c.treeConfig(&cfg, trainSets); err != nil {
+			return nil, err
+		}
+	}
+	x := c.Executor(cfg.Local)
+	eng, err := engine.New(cfg, len(w0), c.weights, x)
 	if err != nil {
 		return nil, err
+	}
+	if c.tree {
+		eng.SetAggregator(engine.NewPartialMean(len(w0), x.ChildWeight))
 	}
 	eng.SetGlobal(w0)
 	if evalModel != nil {
@@ -1188,51 +1187,26 @@ func (c *Coordinator) Engine(w0 []float64, cfg engine.Config, evalModel models.M
 	return eng, nil
 }
 
-// TreeEngine builds a ready-to-run engine over this tree coordinator's
-// aggregator nodes: the engine's "cohort" is the shards, every shard is
-// addressed every round (full participation at the root), and the root
-// aggregator is a PartialMean folding the shards' pre-weighted partial sums
-// in ascending shard order — bit-identical to a flat ShardedMean over the
-// same shard map. cfg.ActivateProb is lifted off the engine and broadcast
-// to the nodes instead, which evaluate the per-device activation over their
-// own ranges; everything per-device (sampling, dropout injection, DP,
-// secure masking) is rejected because the root never sees devices.
-// evalModel (with cfg.Test) gives test-set accuracy; training loss is NaN —
-// the root holds no training shards, by design.
-func (c *Coordinator) TreeEngine(w0 []float64, cfg engine.Config, evalModel models.Model) (*engine.Engine, error) {
-	if !c.tree {
-		return nil, fmt.Errorf("transport: TreeEngine needs a tree coordinator (NewTreeCoordinator)")
+// treeConfig refuses what a tree root cannot honor and lifts
+// cfg.ActivateProb off the engine onto the nodes' broadcast.
+func (c *Coordinator) treeConfig(cfg *engine.Config, trainSets []*data.Dataset) error {
+	switch {
+	case c.codec != CodecFloat64:
+		return fmt.Errorf("transport: the aggregation tree is float64-only (partial sums must stay exact), coordinator codec is %v", c.codec)
+	case cfg.SecureAgg || cfg.DPClip > 0 || cfg.DPNoise > 0:
+		return fmt.Errorf("transport: SecureAgg/DP aggregation needs per-device submissions; the tree root only sees per-shard partial sums")
+	case cfg.DropoutProb > 0:
+		return fmt.Errorf("transport: engine-side dropout injection over the tree would drop whole shards, not devices; use -activate-prob or chaos schedules on the nodes")
+	case cfg.ClientFraction != 0 && cfg.ClientFraction != 1:
+		return fmt.Errorf("transport: ClientFraction sampling over the tree would sample shards, not devices; use ActivateProb")
+	case cfg.ActivateProb < 0 || cfg.ActivateProb > 1:
+		return fmt.Errorf("transport: ActivateProb must be in [0,1], got %v", cfg.ActivateProb)
+	case trainSets != nil:
+		return fmt.Errorf("transport: the tree root holds no training shards to measure loss over")
 	}
-	if c.codec != CodecFloat64 {
-		return nil, fmt.Errorf("transport: the aggregation tree is float64-only (partial sums must stay exact), coordinator codec is %v", c.codec)
-	}
-	if cfg.SecureAgg || cfg.DPClip > 0 || cfg.DPNoise > 0 {
-		return nil, fmt.Errorf("transport: SecureAgg/DP aggregation needs per-device submissions; the tree root only sees per-shard partial sums")
-	}
-	if cfg.DropoutProb > 0 {
-		return nil, fmt.Errorf("transport: engine-side dropout injection over the tree would drop whole shards, not devices; use -activate-prob or chaos schedules on the nodes")
-	}
-	if cfg.ClientFraction != 0 && cfg.ClientFraction != 1 {
-		return nil, fmt.Errorf("transport: ClientFraction sampling over the tree would sample shards, not devices; use ActivateProb")
-	}
-	if cfg.ActivateProb < 0 || cfg.ActivateProb > 1 {
-		return nil, fmt.Errorf("transport: ActivateProb must be in [0,1], got %v", cfg.ActivateProb)
-	}
-	x := c.Executor(cfg.Local)
-	// The nodes run the activation draw over their device ranges; the root
-	// engine addresses every shard every round.
 	c.actProb = cfg.ActivateProb
 	cfg.ActivateProb = 0
-	eng, err := engine.New(cfg, len(w0), c.weights, x)
-	if err != nil {
-		return nil, err
-	}
-	eng.SetAggregator(engine.NewPartialMean(len(w0), x.ChildWeight))
-	eng.SetGlobal(w0)
-	if evalModel != nil {
-		eng.SetEvaluator(&engine.Evaluator{Model: evalModel, Test: cfg.Test})
-	}
-	return eng, nil
+	return nil
 }
 
 // Shutdown tells every live worker (including pending rejoins) to exit

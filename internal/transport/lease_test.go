@@ -105,7 +105,7 @@ func TestLeaseEpochFencesCoordinatorRestart(t *testing.T) {
 	cfg1 := cfg
 	cfg1.Rounds = split
 	w0 := make([]float64, m.Dim())
-	mid, _, err := c1.Train(w0, cfg1, m.Clone(), p.Clients)
+	mid, _, err := train(c1, w0, cfg1, m.Clone(), p.Clients)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestLeaseEpochFencesCoordinatorRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.SetRound(split)
+	eng.Resume(split, nil)
 	if _, err := eng.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestLeaseCycleLeavesNoGoroutines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := c1.Train(w0, cfg, nil, nil); err != nil {
+		if _, _, err := train(c1, w0, cfg, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		closeWithin(t, c1) // no Done: the workers enter their rejoin loops
@@ -200,7 +200,7 @@ func TestLeaseCycleLeavesNoGoroutines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := c2.Train(w0, cfg, nil, nil); err != nil {
+		if _, _, err := train(c2, w0, cfg, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		c2.Shutdown()

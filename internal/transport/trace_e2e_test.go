@@ -231,7 +231,7 @@ func TestTraceTreeShardSpans(t *testing.T) {
 	run := func(tracer *trace.Tracer) []float64 {
 		c, wg := launchTree(t, p, m, cfg.Seed, fanout, nil, tracer != nil)
 		defer c.Close()
-		eng, err := c.TreeEngine(make([]float64, m.Dim()), cfg, nil)
+		eng, err := c.Engine(make([]float64, m.Dim()), cfg, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,11 +16,26 @@ import (
 	"fedproxvr/internal/data"
 	"fedproxvr/internal/engine"
 	"fedproxvr/internal/mathx"
+	"fedproxvr/internal/metrics"
 	"fedproxvr/internal/models"
 	"fedproxvr/internal/optim"
 	"fedproxvr/internal/randx"
 	"fedproxvr/internal/testx"
 )
+
+// train builds c's engine from w0, runs it to the end and returns a copy
+// of the final global model with the series.
+func train(c *Coordinator, w0 []float64, cfg engine.Config, evalModel models.Model, trainSets []*data.Dataset) ([]float64, *metrics.Series, error) {
+	eng, err := c.Engine(w0, cfg, evalModel, trainSets)
+	if err != nil {
+		return nil, nil, err
+	}
+	series, err := eng.Run(context.Background())
+	if err != nil {
+		return nil, series, err
+	}
+	return mathx.Clone(eng.Global()), series, nil
+}
 
 // Round is one flat round over every worker outside any engine: it
 // broadcasts the anchor, gathers the local models and returns them indexed
@@ -115,7 +130,7 @@ func TestDistributedMatchesInProcessExactly(t *testing.T) {
 	c, wg := launchTwoPhase(t, p, m, cfg.Seed)
 	defer c.Close()
 	w0 := make([]float64, m.Dim())
-	got, series, err := c.Train(w0, cfg, m.Clone(), p.Clients)
+	got, series, err := train(c, w0, cfg, m.Clone(), p.Clients)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +224,7 @@ func TestTrainValidatesConfig(t *testing.T) {
 	c, wg := launchTwoPhase(t, p, m, 1)
 	defer c.Close()
 	bad := engine.Config{Rounds: 0, Local: optim.LocalConfig{Eta: 0.1, Tau: 1, Batch: 1}}
-	if _, _, err := c.Train(make([]float64, m.Dim()), bad, nil, nil); err == nil {
+	if _, _, err := train(c, make([]float64, m.Dim()), bad, nil, nil); err == nil {
 		t.Fatal("invalid config should error")
 	}
 	c.Shutdown()
@@ -229,7 +244,7 @@ func TestQuantizedTrainingAndBandwidth(t *testing.T) {
 		defer c.Close()
 		c.SetCodec(codec)
 		w0 := make([]float64, m.Dim())
-		_, series, err := c.Train(w0, cfg, m.Clone(), p.Clients)
+		_, series, err := train(c, w0, cfg, m.Clone(), p.Clients)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +278,7 @@ func TestBandwidthAccounting(t *testing.T) {
 	}
 	cfg := engine.FedAvg(5, 1, 2, 2, 1)
 	cfg.Seed = 2
-	if _, _, err := c.Train(make([]float64, m.Dim()), cfg, nil, nil); err != nil {
+	if _, _, err := train(c, make([]float64, m.Dim()), cfg, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	sent1, recv1 := c.Bandwidth()
@@ -283,7 +298,7 @@ func TestCoordinatorSurvivesDeadWorkerAsDropout(t *testing.T) {
 	cfg := engine.FedAvg(5, 1, 2, 2, 1)
 	cfg.Seed = 3
 	w0 := make([]float64, m.Dim())
-	if _, _, err := c.Train(w0, cfg, nil, nil); err != nil {
+	if _, _, err := train(c, w0, cfg, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	var faults []int
@@ -421,7 +436,7 @@ func TestQuorumAbortsAfterMaxFailedRounds(t *testing.T) {
 	cfg.Seed = 4
 	w0 := make([]float64, m.Dim())
 	c.clients[1].conn.Close()
-	_, _, err := c.Train(w0, cfg, nil, nil)
+	_, _, err := train(c, w0, cfg, nil, nil)
 	if err == nil {
 		t.Fatal("sub-quorum rounds beyond MaxFailedRounds should abort")
 	}
@@ -637,7 +652,7 @@ func TestFleetCycleLeavesNoGoroutines(t *testing.T) {
 	cfg := engine.FedAvg(5, 1, 2, 2, 2)
 	cyclesLeaveNoGoroutines(t, 3, func() {
 		c, wg := launchTwoPhase(t, p, m, 1)
-		if _, _, err := c.Train(make([]float64, m.Dim()), cfg, nil, nil); err != nil {
+		if _, _, err := train(c, make([]float64, m.Dim()), cfg, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		c.Shutdown()
@@ -693,7 +708,7 @@ func TestTreeCycleLeavesNoGoroutines(t *testing.T) {
 	cfg := engine.FedAvg(5, 1, 2, 2, 3)
 	cyclesLeaveNoGoroutines(t, 2, func() {
 		c, wg := launchTree(t, p, m, 1, 3, nil, false)
-		eng, err := c.TreeEngine(make([]float64, m.Dim()), cfg, nil)
+		eng, err := c.Engine(make([]float64, m.Dim()), cfg, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -262,7 +262,7 @@ func TestTreeMatchesFlatBitIdentical(t *testing.T) {
 			if got := c.VirtualDevices(); got != len(p.Clients) {
 				t.Fatalf("tree coordinator sees %d virtual devices, want %d", got, len(p.Clients))
 			}
-			eng, err := c.TreeEngine(w0, cfg, nil)
+			eng, err := c.Engine(w0, cfg, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -388,7 +388,7 @@ func TestTreeChaosMatchesScriptedShardDropout(t *testing.T) {
 	// One retry absorbs the flake; quorum 1 lets the crash round degrade.
 	c.SetFaultPolicy(FaultPolicy{MaxRetries: 1, RetryBackoff: 10 * time.Millisecond,
 		MinParticipants: 1, MaxFailedRounds: 3})
-	eng, err := c.TreeEngine(w0, cfg, nil)
+	eng, err := c.Engine(w0, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -648,8 +648,9 @@ func TestAggregatorNodeHeapIsDeviceCountInvariant(t *testing.T) {
 	}
 }
 
-// TestTreeEngineRejectsPerDeviceFeatures: everything that needs per-device
-// submissions or per-device selection at the root is rejected up front.
+// TestTreeEngineRejectsPerDeviceFeatures: on a tree coordinator, Engine
+// rejects up front everything that needs per-device submissions,
+// per-device selection or per-device data at the root.
 func TestTreeEngineRejectsPerDeviceFeatures(t *testing.T) {
 	const fanout = 2
 	p := testPartition(4, 10, 3, 3, 2)
@@ -663,23 +664,26 @@ func TestTreeEngineRejectsPerDeviceFeatures(t *testing.T) {
 	reject := func(name string, mut func(*engine.Config)) {
 		cfg := base
 		mut(&cfg)
-		if _, err := c.TreeEngine(w0, cfg, nil); err == nil {
-			t.Errorf("%s: TreeEngine accepted a per-device feature the root cannot honor", name)
+		if _, err := c.Engine(w0, cfg, nil, nil); err == nil {
+			t.Errorf("%s: a tree Engine accepted a per-device feature the root cannot honor", name)
 		}
 	}
 	reject("secureagg", func(cfg *engine.Config) { cfg.SecureAgg = true })
 	reject("dropout", func(cfg *engine.Config) { cfg.DropoutProb = 0.5 })
 	reject("fraction", func(cfg *engine.Config) { cfg.ClientFraction = 0.5 })
 	reject("dp", func(cfg *engine.Config) { cfg.DPClip = 1; cfg.DPNoise = 0.1 })
+	if _, err := c.Engine(w0, base, m.Clone(), p.Clients); err == nil {
+		t.Error("a tree Engine accepted training shards the root never holds")
+	}
 
 	c.SetCodec(CodecInt8)
-	if _, err := c.TreeEngine(w0, base, nil); err == nil {
-		t.Error("TreeEngine accepted a lossy codec — partial sums must stay exact")
+	if _, err := c.Engine(w0, base, nil, nil); err == nil {
+		t.Error("a tree Engine accepted a lossy codec — partial sums must stay exact")
 	}
 	c.SetCodec(CodecFloat64)
 
 	// The happy path still builds and runs after the rejections.
-	eng, err := c.TreeEngine(w0, base, nil)
+	eng, err := c.Engine(w0, base, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -205,7 +205,7 @@ func TestQuantizedCodecsStillTrain(t *testing.T) {
 		if err := c.SetTopKFrac(0.25); err != nil {
 			t.Fatal(err)
 		}
-		_, series, err := c.Train(make([]float64, m.Dim()), cfg, m.Clone(), p.Clients)
+		_, series, err := train(c, make([]float64, m.Dim()), cfg, m.Clone(), p.Clients)
 		if err != nil {
 			t.Fatal(err)
 		}

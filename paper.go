@@ -371,7 +371,7 @@ func trainTimed(task Task, cfg Config, fleet *simnet.Fleet) (*simnet.TimedSeries
 		return nil, err
 	}
 	defer eng.Close()
-	return simnet.Train(eng, fleet, 1)
+	return simnet.Train(eng, fleet)
 }
 
 // StragglerRow is one runtime's measurement in the straggler study.
