@@ -72,8 +72,9 @@ expolint:
 # over GOMAXPROCS workers and promises numbers that do not depend on how
 # many there are, which a single-GOMAXPROCS `race` pass cannot show. (The
 # helper pool grows with GOMAXPROCS, so one process covers all three.) The
-# LossGrad and Handover tests cover the gradients a measurement hands the
-# next round's devices, written by whichever worker claims the shard.
+# LossGrad and Handover tests cover the gradients a measurement hands
+# every device for the next round, written by whichever worker claims the
+# shard, and the stationarity gap folded from them.
 evalcpu:
 	$(GO) test -race $(RACE_TESTFLAGS) -count=1 -cpu 1,2,4 \
 		-run 'Evaluator|PredictBatch|LossGrad|Handover' ./internal/engine/ ./internal/models/
@@ -91,22 +92,25 @@ bench-smoke:
 # tests across CPU counts, the race-enabled suite, the traced end-to-end
 # fedsim run (trace-demo, the one run of a command binary), and the
 # benchmark regression gate against the committed snapshot. The
-# race-enabled suite replays the FuzzFrameDecode, FuzzCheckpointLoad and
-# FuzzChaosParse seed corpora (plain `go test` runs f.Add seeds), so every
-# committed decoder regression input is exercised on each CI run;
-# `make fuzz` explores beyond the seeds.
+# race-enabled suite replays the FuzzFrameDecode, FuzzCheckpointLoad,
+# FuzzChaosParse and FuzzSpecSubmit seed corpora (plain `go test` runs
+# f.Add seeds), so every committed decoder regression input is exercised
+# on each CI run; `make fuzz` explores beyond the seeds.
 check: fmt vet deadcode bench-smoke expolint evalcpu race trace-demo benchgate
 
 # fuzz runs coverage-guided exploration of the untrusted-byte decoders: the
 # wire frames, which sit directly on the network, the checkpoint file,
-# read back from disk after a crash, and the chaos schedule, read from a
-# user's file. Any input must decode or error — never panic. FUZZ_TIME
-# bounds each target's run (default 30s).
+# read back from disk after a crash, the chaos schedule, read from a
+# user's file, and a job spec POSTed to the control plane, decoded,
+# defaulted and validated (which builds the whole run). Any input must
+# decode or error — never panic. FUZZ_TIME bounds each target's run
+# (default 30s).
 FUZZ_TIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime $(FUZZ_TIME) ./internal/transport/
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointLoad -fuzztime $(FUZZ_TIME) ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz FuzzChaosParse -fuzztime $(FUZZ_TIME) ./internal/chaos/
+	$(GO) test -run '^$$' -fuzz FuzzSpecSubmit -fuzztime $(FUZZ_TIME) ./internal/jobs/
 
 # trace-demo runs a short traced experiment and validates that the emitted
 # Chrome trace-event JSON still parses and is internally consistent (every

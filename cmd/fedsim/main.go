@@ -1,5 +1,6 @@
 // Command fedsim runs one federated training experiment in-process and
-// emits the per-round metric series as CSV (stdout or a file).
+// emits the per-round metric series — loss, accuracy and eq. (12)'s
+// stationarity gap ‖∇F̄‖², all from one pass — as CSV (stdout or a file).
 //
 // Examples:
 //
@@ -48,7 +49,6 @@ func main() {
 		seed      = flag.Int64("seed", 2020, "experiment seed")
 		parallel  = flag.Bool("parallel", true, "run devices on all cores")
 		evalEvery = flag.Int("eval-every", 1, "evaluate metrics every k rounds")
-		station   = flag.Bool("stationarity", false, "track ‖∇F̄‖² (extra full pass per eval)")
 		fraction  = flag.Float64("fraction", 1, "fraction of devices sampled per round")
 		dropout   = flag.Float64("dropout", 0, "per-round device failure probability")
 		secure    = flag.Bool("secure", false, "aggregate through pairwise additive masking")
@@ -90,7 +90,6 @@ func main() {
 	cfg.Seed = *seed
 	cfg.Parallel = *parallel
 	cfg.EvalEvery = *evalEvery
-	cfg.TrackStationarity = *station
 	cfg.ClientFraction = *fraction
 	cfg.DropoutProb = *dropout
 	cfg.SecureAgg = *secure

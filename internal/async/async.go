@@ -177,9 +177,10 @@ func (r *Runner) Run() (*simnet.TimedSeries, error) {
 		out.Points = append(out.Points, simnet.TimedPoint{
 			Time: r.now,
 			Point: metrics.Point{
-				Round:     r.version,
-				TrainLoss: r.globalLoss(),
-				TestAcc:   math.NaN(),
+				Round:      r.version,
+				TrainLoss:  r.globalLoss(),
+				TestAcc:    math.NaN(),
+				GradNormSq: math.NaN(),
 			},
 		})
 	}

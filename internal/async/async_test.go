@@ -1,6 +1,7 @@
 package async
 
 import (
+	"math"
 	"testing"
 
 	"fedproxvr/internal/data"
@@ -101,6 +102,27 @@ func TestAsyncConverges(t *testing.T) {
 	for i := 1; i < len(ts.Points); i++ {
 		if ts.Points[i].Time < ts.Points[i-1].Time {
 			t.Fatal("clock went backwards")
+		}
+	}
+}
+
+// TestAsyncGapUnmeasured: the async evaluator has no in-process devices
+// to fold ‖∇F̄‖² from, so every point records the gap as NaN, never a 0
+// that reads as converged.
+func TestAsyncGapUnmeasured(t *testing.T) {
+	p := blobPartition(3, 20, 3, 3, 4)
+	fleet := simnet.NewUniformFleet(3, simnet.DeviceProfile{ComputePerIter: 0.001}, 4)
+	r, err := NewRunner(models.NewSoftmax(3, 3, 0), p, fleet, asyncConfig(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pt := range ts.Points {
+		if !math.IsNaN(pt.GradNormSq) {
+			t.Fatalf("version %d: GradNormSq = %v, want NaN", pt.Round, pt.GradNormSq)
 		}
 	}
 }

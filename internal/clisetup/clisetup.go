@@ -6,6 +6,7 @@ package clisetup
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	fedproxvr "fedproxvr"
@@ -23,6 +24,9 @@ func Task(dataset, model string, devices, samples, widthDiv int, seed int64) (fe
 		}
 		return fedproxvr.SyntheticTask(fedproxvr.SyntheticOptions{Devices: devices, Seed: seed}), nil
 	case "digits", "fashion":
+		if samples < 0 {
+			return fedproxvr.Task{}, fmt.Errorf("samples per class must be ≥ 0 (0 = default), got %d", samples)
+		}
 		style := fedproxvr.Digits
 		if dataset == "fashion" {
 			style = fedproxvr.Fashion
@@ -41,8 +45,12 @@ func Task(dataset, model string, devices, samples, widthDiv int, seed int64) (fe
 	}
 }
 
-// Config builds the algorithm configuration named by the alg flag.
+// Config builds the algorithm configuration named by the alg flag. β sets
+// the step size η = 1/(βL), so it must be finite and positive.
 func Config(alg string, beta, l, mu float64, tau, batch, rounds int) (fedproxvr.Config, error) {
+	if !(beta > 0) || math.IsInf(beta, 1) {
+		return fedproxvr.Config{}, fmt.Errorf("beta must be finite and > 0, got %v", beta)
+	}
 	switch alg {
 	case "fedavg":
 		return fedproxvr.FedAvg(beta, l, tau, batch, rounds), nil

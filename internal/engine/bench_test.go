@@ -87,19 +87,19 @@ func BenchmarkEvaluatorMeasure(b *testing.B) {
 	m := models.NewSoftmax(cfg.Dim, cfg.NumClasses, 0)
 	ev := &engine.Evaluator{Model: m, Clients: part.Clients, Weights: part.Weights(), Test: data.Merge(tests...)}
 	w := make([]float64, m.Dim())
-	sinkPoint = ev.Measure(w, false, 0, nil) // build the helpers' clones
+	sinkPoint = ev.Measure(w, 0) // build the helpers' clones
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkPoint = ev.Measure(w, false, 0, nil)
+		sinkPoint = ev.Measure(w, 0)
 	}
 }
 
 // BenchmarkEvaluatorMeasureHandOver is BenchmarkEvaluatorMeasure with
-// every shard's device in the next round's cohort: each shard's loss comes
-// from one LossGrad pass that leaves the device its v⁰. The hand-over
-// buffers are allocated by the first measurement; steady state allocates
-// nothing.
+// each shard's device: each shard's loss comes from one LossGrad pass that
+// leaves the device its v⁰, and the gap ‖∇F̄‖² is folded from those
+// gradients. The hand-over buffers are allocated by the first measurement;
+// steady state allocates nothing.
 func BenchmarkEvaluatorMeasureHandOver(b *testing.B) {
 	cfg := data.SyntheticConfig{NumDevices: 100, Dim: 60, NumClasses: 10,
 		Alpha: 1, Beta: 1, MinSamples: 37, MaxSamples: 1600, Seed: 1}
@@ -110,17 +110,15 @@ func BenchmarkEvaluatorMeasureHandOver(b *testing.B) {
 	}
 	m := models.NewSoftmax(cfg.Dim, cfg.NumClasses, 0)
 	devices := make([]*engine.Device, len(part.Clients))
-	next := make([]int, len(part.Clients))
 	for i, shard := range part.Clients {
 		devices[i] = engine.NewDevice(i, shard, m, cfg.Seed)
-		next[i] = i
 	}
 	ev := &engine.Evaluator{Model: m, Clients: part.Clients, Weights: part.Weights(), Test: data.Merge(tests...), Devices: devices}
 	w := make([]float64, m.Dim())
-	sinkPoint = ev.Measure(w, false, 1, next) // clones and hand-over buffers
+	sinkPoint = ev.Measure(w, 1) // clones and hand-over buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkPoint = ev.Measure(w, false, 1, next)
+		sinkPoint = ev.Measure(w, 1)
 	}
 }

@@ -34,9 +34,6 @@ type Config struct {
 	EvalEvery int
 	// Test, if non-nil, is the held-out set used for accuracy.
 	Test *data.Dataset
-	// TrackStationarity adds ‖∇F̄(w̄)‖² (one full-data gradient pass per
-	// evaluation) to the series — the paper's convergence indicator (12).
-	TrackStationarity bool
 	// Parallel fans the devices of each round out to a persistent pool of
 	// GOMAXPROCS workers. Results are identical to the sequential schedule
 	// because every device owns an independent RNG stream.

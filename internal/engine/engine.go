@@ -63,7 +63,6 @@ type Engine struct {
 	server  *rand.Rand
 	w       []float64
 	selBuf  []int
-	nextBuf []int // round t+1's cohort, drawn by Run to measure round t
 	eval    *Evaluator
 	round   int
 	resumed []metrics.Point // Resume's points, which the next Run extends
@@ -241,21 +240,6 @@ func (e *Engine) flushStats(evalSeconds float64) {
 	e.stats.RecordRound(&e.rs)
 }
 
-// evalStats is a measured point's convergence metrics (loss, test
-// accuracy, stationarity gap) as Run stamps them into the round record, so
-// sinks — and the telemetry store built on them — see system accounting
-// and convergence in one record.
-func evalStats(p metrics.Point) *obs.EvalStats {
-	gn := p.GradNormSq
-	if gn == 0 {
-		// A zero GradNormSq means the round did not measure stationarity
-		// (TrackStationarity off), not a converged model — record
-		// "unmeasured", which marshals as null.
-		gn = math.NaN()
-	}
-	return &obs.EvalStats{TrainLoss: p.TrainLoss, TestAcc: p.TestAcc, GradNormSq: gn}
-}
-
 // OnRound registers a hook called after every completed round, in
 // registration order. The returned function unregisters it (for callers
 // like internal/checkpoint that borrow an engine for one run); it is
@@ -331,8 +315,7 @@ func (e *Engine) step(ctx context.Context) ([]int, int, error) {
 		e.roundOpen = true
 	}
 	phase := e.tracer.StartPhase("select")
-	selected, nsel := e.cohort(e.round, e.selBuf)
-	e.selBuf = selected
+	selected, nsel := e.cohort(e.round)
 	phase.End()
 	if stats {
 		now := time.Now()
@@ -422,23 +405,23 @@ func (e *Engine) step(ctx context.Context) ([]int, int, error) {
 	return selected, failed, nil
 }
 
-// cohort draws round t's cohort into buf (reused): the selected devices,
-// then the survivors of dropout injection, and nsel, the selection's size
-// before dropout. It first re-keys the server stream for the round — the
-// executor re-keys its devices' streams from the same number
-// (RoundSpec.Round) — so the cohort is a pure function of (seed, t): no
-// draw made before, in this process or a previous coordinator
+// cohort draws round t's cohort into the selection buffer: the selected
+// devices, then the survivors of dropout injection, and nsel, the
+// selection's size before dropout. It first re-keys the server stream for
+// the round — the executor re-keys its devices' streams from the same
+// number (RoundSpec.Round) — so the cohort is a pure function of (seed,
+// t): no draw made before, in this process or a previous coordinator
 // incarnation, influences it, which is what makes checkpoint resume
-// bit-identical, and Run can draw round t+1's cohort ahead of the round.
-// The stream is left where the round's later draws (DP noise) continue.
-func (e *Engine) cohort(t int, buf []int) (selected []int, nsel int) {
+// bit-identical. The stream is left where the round's later draws (DP
+// noise) continue.
+func (e *Engine) cohort(t int) (selected []int, nsel int) {
 	e.server.Seed(randx.RoundSeed(e.cfg.Seed, 1, int64(t)))
 	if e.cfg.ActivateProb > 0 {
-		buf = ActivatedClients(e.cfg.Seed, t, len(e.weights), e.cfg.ActivateProb, buf)
+		e.selBuf = ActivatedClients(e.cfg.Seed, t, len(e.weights), e.cfg.ActivateProb, e.selBuf)
 	} else {
-		buf = SelectClients(e.server, len(e.weights), e.cfg.ClientFraction, buf)
+		e.selBuf = SelectClients(e.server, len(e.weights), e.cfg.ClientFraction, e.selBuf)
 	}
-	return Dropout(e.server, buf, e.cfg.DropoutProb), len(buf)
+	return Dropout(e.server, e.selBuf, e.cfg.DropoutProb), len(e.selBuf)
 }
 
 // fanOut runs the executor for the round. Without a straggler policy the
@@ -505,7 +488,9 @@ func (e *Engine) Run(ctx context.Context) (*metrics.Series, error) {
 			p.Participants, p.Failed = len(sel), failed-e.res.Stragglers
 			if e.stats != nil {
 				evalSec = time.Since(t0).Seconds()
-				e.rs.Eval = evalStats(p)
+				// Convergence rides in the round record, so sinks — and the
+				// telemetry store built on them — see it with the accounting.
+				e.rs.Eval = &obs.EvalStats{TrainLoss: p.TrainLoss, TestAcc: p.TestAcc, GradNormSq: p.GradNormSq}
 			}
 			s.Append(p)
 		}
@@ -528,20 +513,14 @@ func (e *Engine) Run(ctx context.Context) (*metrics.Series, error) {
 	return s, nil
 }
 
-// measure evaluates the configured metrics at the current global model.
-// Unless round is the last, the global model is the anchor of the next
-// round, so it draws that round's cohort and has the evaluator hand those
-// devices their v⁰ from the same pass (Evaluator.Measure); an evaluator
-// without devices hands nothing over.
+// measure evaluates the configured metrics at the current global model,
+// the anchor of the next round: the evaluator hands every device its v⁰
+// for that round from the same pass (Evaluator.Measure). Without an
+// evaluator the point carries no loss, accuracy or gap.
 func (e *Engine) measure(round int) metrics.Point {
-	p := metrics.Point{TestAcc: math.NaN()}
+	p := metrics.Point{TestAcc: math.NaN(), GradNormSq: math.NaN()}
 	if e.eval != nil {
-		var next []int
-		if round < e.cfg.Rounds && e.eval.Devices != nil {
-			next, _ = e.cohort(round+1, e.nextBuf)
-			e.nextBuf = next
-		}
-		p = e.eval.Measure(e.w, e.cfg.TrackStationarity, round+1, next)
+		p = e.eval.Measure(e.w, round+1)
 	}
 	p.Round, p.GradEvals = round, e.res.GradEvals
 	return p

@@ -13,27 +13,30 @@ import (
 )
 
 // Evaluator measures server-side metrics — the global training loss over
-// the cohort's shards and test accuracy — on every core, with numbers that
-// do not depend on how many cores there are.
+// every training shard, test accuracy and, for an in-process run, the
+// stationarity gap ‖∇F̄(w)‖² — on every core, with numbers that do not
+// depend on how many cores there are.
 //
 // One measurement is a list of independent tasks: one Model.Loss per
-// training shard — or, for a shard whose device is handed its next round's
-// v⁰, one Model.LossGrad (see Measure) — then one batched prediction per
-// models.PredictBlock rows of the test set. The calling goroutine and up
-// to GOMAXPROCS-1 helpers from a process-wide pool claim tasks off a
-// shared counter (shard sizes are power-law, so a static split would leave
-// cores idle), each on a model of its own: the caller on Model, helper k on a Model.Clone() built
-// the first time a k-th helper is wanted. Determinism rests on two facts.
-// A shard's loss lands in that shard's slot and the caller folds
-// Σ Weights[i]·loss[i] in ascending shard order once every slot is filled,
-// so the sum is the serial sum bit for bit whoever computed each term.
+// training shard — or, with Devices, one Model.LossGrad (see Measure) —
+// then one batched prediction per models.PredictBlock rows of the test
+// set. The calling goroutine and up to GOMAXPROCS-1 helpers from a
+// process-wide pool claim tasks off a shared counter (shard sizes are
+// power-law, so a static split would leave cores idle), each on a model of
+// its own: the caller on Model, helper k on a Model.Clone() built the
+// first time a k-th helper is wanted. Determinism rests on two facts. A
+// shard's loss lands in that shard's slot, and its gradient in a buffer
+// of that shard's, and the caller folds Σ Weights[i]·loss[i] and
+// Σ Weights[i]·∇F_i in ascending shard order once every slot is filled,
+// so each sum is the serial sum bit for bit whoever computed each term.
 // Accuracy is a count of integers over fixed row blocks, and integer
 // addition is order-free. With one core, one task or a measurement under
 // evalFanOutMin, everything runs inline on the caller.
 //
 // The cost is memory: (GOMAXPROCS-1 at most) × (one model's scratch),
-// plus one float64 per shard and PredictBlock ints per worker. Steady-state
-// measurements allocate nothing.
+// plus one float64 per shard, PredictBlock ints per worker and, with
+// Devices, one dim-sized accumulator. Steady-state measurements allocate
+// nothing.
 //
 // An Evaluator serves one goroutine at a time and must not be copied after
 // first use.
@@ -43,8 +46,9 @@ type Evaluator struct {
 	Weights []float64
 	Test    *data.Dataset
 	// Devices, when set, holds the in-process device that trains each of
-	// Clients, in the same order: Measure can hand them their next round's
-	// v⁰. Evaluators of the TCP, tree and async runtimes have none.
+	// Clients, in the same order: Measure hands each its next round's v⁰
+	// and measures ‖∇F̄‖² from the same vectors. Evaluators of the TCP,
+	// tree and async runtimes have none.
 	Devices []*Device
 
 	// The measurement in flight, published to helpers by the job send.
@@ -56,13 +60,14 @@ type Evaluator struct {
 	hits    atomic.Int64 // correctly classified test rows
 	lossAt  []float64    // lossAt[i] = Model.Loss(w, Clients[i])
 	wg      sync.WaitGroup
-	// handTo[i] is set when shard i's device is handed its v⁰ for round
-	// handRound; empty outside a Measure that hands over, so Loss never
-	// does.
-	handTo    []bool
+	// With grad, shard tasks run LossGrad and hand over for round
+	// handRound; gradAt[i] is where shard i's gradient went: its device's
+	// buffer, or busyGrad[i] when the device was busy.
+	grad      bool
 	handRound int
-
-	grads, g []float64
+	gradAt    [][]float64
+	busyGrad  [][]float64
+	sum       []float64 // Σ Weights[i]·gradAt[i]
 }
 
 // evalFanOutMin is the measurement size, in rows × parameters, below which
@@ -123,33 +128,29 @@ func evalHelpers(n int) chan<- evalJob {
 }
 
 // Measure evaluates loss and accuracy in one fan-out (no barrier between
-// the two) and, when trackStationarity is set, ‖∇F̄(w)‖². The returned
-// point carries only what the evaluator measures; the caller stamps round
-// number, gradient-eval count and participation.
+// the two). The returned point carries only what the evaluator measures;
+// the caller stamps round number, gradient-eval count and participation.
 //
-// next, when the evaluator has Devices, is round nextRound's cohort, whose
-// solves will start from w: for each of those devices not busy with a cut
-// round's solve, the shard's loss comes from one Model.LossGrad pass that
-// leaves ∇F_n(w) with the device as that round's v⁰ (Device.handOver).
-// LossGrad returns Loss's bits, so the point is the same either way.
-// A nil next hands nothing over.
-func (ev *Evaluator) Measure(w []float64, trackStationarity bool, nextRound int, next []int) metrics.Point {
-	if len(next) > 0 && ev.Devices != nil {
-		if cap(ev.handTo) < len(ev.Clients) {
-			ev.handTo = make([]bool, len(ev.Clients))
-		}
-		ev.handTo = ev.handTo[:len(ev.Clients)]
-		clear(ev.handTo)
-		for _, id := range next {
-			ev.handTo[id] = !ev.Devices[id].busy.Load()
-		}
-		ev.handRound = nextRound
-	}
+// With Devices, each shard's loss comes from one Model.LossGrad pass
+// (Loss's bits) that leaves ∇F_n(w) with its device as round nextRound's
+// v⁰ — unless the device is busy with a cut round's solve — and the gap
+// ‖Σ_n Weights[n]·∇F_n(w)‖² of eq. (12) is folded from those vectors.
+// Without Devices, or without shards, the gap is NaN: unmeasured.
+func (ev *Evaluator) Measure(w []float64, nextRound int) metrics.Point {
+	ev.handRound = nextRound
 	var p metrics.Point
-	p.TrainLoss, p.TestAcc = ev.run(w, true, true)
-	ev.handTo = ev.handTo[:0]
-	if trackStationarity {
-		p.GradNormSq = ev.GradNormSq(w)
+	p.TrainLoss, p.TestAcc = ev.run(w, true, ev.Devices != nil)
+	p.GradNormSq = math.NaN()
+	if ev.grad && ev.nLoss > 0 {
+		if cap(ev.sum) < len(w) {
+			ev.sum = make([]float64, len(w))
+		}
+		sum := ev.sum[:len(w)]
+		mathx.Zero(sum)
+		for i, g := range ev.gradAt[:ev.nLoss] {
+			mathx.Axpy(ev.Weights[i], g, sum)
+		}
+		p.GradNormSq = mathx.Nrm2Sq(sum)
 	}
 	return p
 }
@@ -158,18 +159,16 @@ func (ev *Evaluator) Measure(w []float64, trackStationarity bool, nextRound int,
 // or NaN when the evaluator holds no training shards (a tree-root
 // coordinator never sees per-device data; it can still measure TestAcc).
 func (ev *Evaluator) Loss(w []float64) float64 {
-	loss, _ := ev.run(w, true, false)
+	loss, _ := ev.run(w, false, false)
 	return loss
 }
 
 // run is the one measurement path: it lays out the task list, engages the
 // helpers that are free, works through the list alongside them and reduces
 // the results. Either result is NaN when not asked for or not measurable.
-func (ev *Evaluator) run(w []float64, loss, acc bool) (float64, float64) {
-	ev.nLoss = 0
-	if loss {
-		ev.nLoss = len(ev.Clients)
-	}
+// With grad, each shard task runs LossGrad (see lossGrad).
+func (ev *Evaluator) run(w []float64, acc, grad bool) (float64, float64) {
+	ev.nLoss, ev.grad = len(ev.Clients), grad
 	testN := 0
 	if _, ok := ev.Model.(models.Classifier); ok && acc && ev.Test != nil {
 		testN = ev.Test.N()
@@ -180,6 +179,10 @@ func (ev *Evaluator) run(w []float64, loss, acc bool) (float64, float64) {
 	}
 	if cap(ev.lossAt) < ev.nLoss {
 		ev.lossAt = make([]float64, ev.nLoss)
+	}
+	if ev.grad && len(ev.gradAt) < ev.nLoss {
+		ev.gradAt = make([][]float64, ev.nLoss)
+		ev.busyGrad = make([][]float64, ev.nLoss)
 	}
 	ev.w = w
 	ev.next.Store(0)
@@ -248,8 +251,8 @@ func (ev *Evaluator) work(wk *evalWorker) {
 			break
 		}
 		if t < ev.nLoss {
-			if len(ev.handTo) > 0 && ev.handTo[t] {
-				ev.lossAt[t] = ev.Devices[t].handOver(wk.model, ev.w, ev.handRound)
+			if ev.grad {
+				ev.lossAt[t] = ev.lossGrad(wk.model, t)
 			} else {
 				ev.lossAt[t] = wk.model.Loss(ev.w, ev.Clients[t], nil)
 			}
@@ -262,22 +265,26 @@ func (ev *Evaluator) work(wk *evalWorker) {
 	ev.hits.Add(int64(hits))
 }
 
-// GradNormSq returns ‖∇F̄(w)‖² — the stationarity gap used in (12) — using
-// reusable scratch buffers. It stays serial on the caller: the weighted
-// gradients must be added in ascending shard order to keep the sum's bits,
-// and a parallel version would need a dim-sized buffer per worker and an
-// ordered hand-over for a measurement that is off by default
-// (Config.TrackStationarity).
-func (ev *Evaluator) GradNormSq(w []float64) float64 {
-	if cap(ev.grads) < len(w) {
-		ev.grads = make([]float64, len(w))
-		ev.g = make([]float64, len(w))
+// lossGrad is shard t's task in a measurement with Devices: one LossGrad
+// into device t's hand-over buffer, keyed handRound, or, when a cut
+// round's solve may still be reading that, into the evaluator's own buffer
+// for the shard. Only the engine goroutine sets busy, never during a
+// measurement, so a device seen idle at claim stays idle until the
+// measurement ends. Either buffer is allocated at its first use.
+func (ev *Evaluator) lossGrad(m models.Model, t int) float64 {
+	d := ev.Devices[t]
+	idle := !d.busy.Load()
+	buf := &ev.busyGrad[t]
+	if idle {
+		buf = &d.v0
 	}
-	grads, g := ev.grads[:len(w)], ev.g[:len(w)]
-	mathx.Zero(grads)
-	for i, shard := range ev.Clients {
-		ev.Model.Grad(g, w, shard, nil)
-		mathx.Axpy(ev.Weights[i], g, grads)
+	if *buf == nil {
+		*buf = make([]float64, len(ev.w))
 	}
-	return mathx.Nrm2Sq(grads)
+	ev.gradAt[t] = *buf
+	loss := m.LossGrad(*buf, ev.w, ev.Clients[t])
+	if idle {
+		d.v0Round.Store(int64(ev.handRound))
+	}
+	return loss
 }

@@ -4,13 +4,11 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"slices"
 	"sync"
 	"testing"
 
 	"fedproxvr/internal/data"
 	"fedproxvr/internal/engine"
-	"fedproxvr/internal/mathx"
 	"fedproxvr/internal/models"
 	"fedproxvr/internal/randx"
 	"fedproxvr/internal/testx"
@@ -62,15 +60,23 @@ func (f *evalFixture) evaluator() *engine.Evaluator {
 	return &engine.Evaluator{Model: f.m.Clone(), Clients: f.shards, Weights: f.weights, Test: f.test}
 }
 
+// withDevices is f.evaluator() with a device per shard, as an in-process
+// run builds it: its measurements run LossGrad and fold the gap.
+func (f *evalFixture) withDevices() (*engine.Evaluator, []*engine.Device) {
+	ev := f.evaluator()
+	ev.Devices = make([]*engine.Device, len(f.shards))
+	for i, shard := range f.shards {
+		ev.Devices[i] = engine.NewDevice(i, shard, f.m, 1)
+	}
+	return ev, ev.Devices
+}
+
 // serial is the naive reference: one model, one goroutine, shards in
 // order, and one batched sweep of the whole test set.
 func (f *evalFixture) serial() (loss, acc, gradNormSq float64) {
 	m := f.m.Clone().(*models.Softmax)
-	grads, g := make([]float64, len(f.w)), make([]float64, len(f.w))
 	for i, shard := range f.shards {
 		loss += f.weights[i] * m.Loss(f.w, shard, nil)
-		m.Grad(g, f.w, shard, nil)
-		mathx.Axpy(f.weights[i], g, grads)
 	}
 	if len(f.shards) == 0 {
 		loss = math.NaN()
@@ -80,7 +86,8 @@ func (f *evalFixture) serial() (loss, acc, gradNormSq float64) {
 	if f.test.N() > 0 {
 		acc = float64(correct) / float64(f.test.N())
 	}
-	return loss, acc, mathx.Nrm2Sq(grads)
+	ref := &engine.Evaluator{Model: m, Clients: f.shards, Weights: f.weights}
+	return loss, acc, ref.SerialGradNormSq(f.w)
 }
 
 // sameBits reports whether a and b are the same float64, NaN included.
@@ -88,8 +95,9 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 
 // TestEvaluatorMatchesSerialReference pins the fanned-out Loss and Measure
 // to the serial reference bit for bit, over the partition shapes that
-// stress the task list. Run it at -cpu 1,2,4 (make check does):
-// the numbers may not depend on the worker count.
+// stress the task list: loss and accuracy with and without devices, and
+// the gap, which only a measurement with devices takes. Run it at -cpu
+// 1,2,4 (make check does): the numbers may not depend on the worker count.
 func TestEvaluatorMatchesSerialReference(t *testing.T) {
 	tiny := make([]int, 10000)
 	for i := range tiny {
@@ -113,56 +121,55 @@ func TestEvaluatorMatchesSerialReference(t *testing.T) {
 			f := newEvalFixture(int64(len(tc.sizes))+7, tc.sizes, tc.testN)
 			wantLoss, wantAcc, wantGrad := f.serial()
 			ev := f.evaluator()
+			evd, _ := f.withDevices()
 			for rep := 0; rep < 3; rep++ { // scratch reuse must not leak between calls
 				if got := ev.Loss(f.w); !sameBits(got, wantLoss) {
 					t.Fatalf("rep %d: Loss = %v, serial %v", rep, got, wantLoss)
 				}
-				p := ev.Measure(f.w, rep%2 == 0, 0, nil)
+				p := ev.Measure(f.w, rep)
 				if !sameBits(p.TrainLoss, wantLoss) || !sameBits(p.TestAcc, wantAcc) {
 					t.Fatalf("rep %d: Measure = (%v, %v), serial (%v, %v)", rep, p.TrainLoss, p.TestAcc, wantLoss, wantAcc)
 				}
-				if rep%2 == 0 && len(tc.sizes) > 0 && !sameBits(p.GradNormSq, wantGrad) {
-					t.Fatalf("rep %d: GradNormSq = %v, serial %v", rep, p.GradNormSq, wantGrad)
+				if !math.IsNaN(p.GradNormSq) {
+					t.Fatalf("rep %d: GradNormSq = %v without devices, want NaN", rep, p.GradNormSq)
 				}
-				if rep%2 == 1 && p.GradNormSq != 0 {
-					t.Fatalf("rep %d: GradNormSq = %v without trackStationarity", rep, p.GradNormSq)
+				p = evd.Measure(f.w, rep)
+				if !sameBits(p.TrainLoss, wantLoss) || !sameBits(p.TestAcc, wantAcc) {
+					t.Fatalf("rep %d: Measure with devices = (%v, %v), serial (%v, %v)", rep, p.TrainLoss, p.TestAcc, wantLoss, wantAcc)
+				}
+				if !sameBits(p.GradNormSq, wantGrad) {
+					t.Fatalf("rep %d: GradNormSq = %v, serial %v", rep, p.GradNormSq, wantGrad)
 				}
 			}
 		})
 	}
 }
 
-// TestEvaluatorHandOver: a measurement that hands the next round's cohort
-// its v⁰ measures the same point as one that hands nothing over, and leaves
-// each device of the cohort exactly Grad's bits at w, keyed by that round,
-// whichever worker claimed the shard. Devices outside the cohort, and one
-// still busy with a cut round's solve, are handed nothing.
+// TestEvaluatorHandOver: a measurement with devices measures the same
+// point as one without, hands every device exactly Grad's bits at w, keyed
+// by the round it names, whichever worker claimed the shard, and folds the
+// gap from those vectors. A device still busy with a cut round's solve is
+// handed nothing, but its shard's gradient still counts towards the gap.
 func TestEvaluatorHandOver(t *testing.T) {
 	f := newEvalFixture(13, []int{700, 37, 5, 260, 90, 33, 1200, 64, 31, 0, 48}, 1000)
-	wantLoss, wantAcc, _ := f.serial()
-	devices := make([]*engine.Device, len(f.shards))
-	for i, shard := range f.shards {
-		devices[i] = engine.NewDevice(i, shard, f.m, 1)
-	}
+	wantLoss, wantAcc, wantGrad := f.serial()
+	ev, devices := f.withDevices()
 	const busy = 4
 	devices[busy].SetBusy(true)
-	next := []int{6, 0, 3, 9, busy, 10} // drawn order, an empty shard included
-	ev := f.evaluator()
-	ev.Devices = devices
 	m := f.m.Clone()
 	want := make([]float64, len(f.w))
 	for rep := 0; rep < 3; rep++ {
 		round := 5 + rep
-		p := ev.Measure(f.w, false, round, next)
-		if !sameBits(p.TrainLoss, wantLoss) || !sameBits(p.TestAcc, wantAcc) {
-			t.Fatalf("rep %d: Measure = (%v, %v), serial (%v, %v)", rep, p.TrainLoss, p.TestAcc, wantLoss, wantAcc)
+		p := ev.Measure(f.w, round)
+		if !sameBits(p.TrainLoss, wantLoss) || !sameBits(p.TestAcc, wantAcc) || !sameBits(p.GradNormSq, wantGrad) {
+			t.Fatalf("rep %d: Measure = (%v, %v, %v), serial (%v, %v, %v)", rep,
+				p.TrainLoss, p.TestAcc, p.GradNormSq, wantLoss, wantAcc, wantGrad)
 		}
 		for i, d := range devices {
 			got := d.HandedOver(round)
-			inCohort := i != busy && slices.Contains(next, i)
-			if !inCohort {
+			if i == busy {
 				if got != nil || d.HeldV0() {
-					t.Fatalf("rep %d: device %d was handed a gradient", rep, i)
+					t.Fatalf("rep %d: busy device %d was handed a gradient", rep, i)
 				}
 				continue
 			}
@@ -177,8 +184,8 @@ func TestEvaluatorHandOver(t *testing.T) {
 			}
 		}
 	}
-	if p := ev.Measure(f.w, false, 9, nil); !sameBits(p.TrainLoss, wantLoss) || devices[0].HandedOver(9) != nil {
-		t.Fatalf("a measurement with no cohort measured %v or handed device 0 a gradient", p.TrainLoss)
+	if got := ev.Loss(f.w); !sameBits(got, wantLoss) || devices[0].HandedOver(7) == nil {
+		t.Fatalf("Loss measured %v or dropped device 0's hand-over", got)
 	}
 }
 
@@ -195,7 +202,7 @@ func TestEvaluatorsShareThePool(t *testing.T) {
 			defer wg.Done()
 			ev := f.evaluator()
 			for rep := 0; rep < 20; rep++ {
-				if p := ev.Measure(f.w, false, 0, nil); !sameBits(p.TrainLoss, wantLoss) || !sameBits(p.TestAcc, wantAcc) {
+				if p := ev.Measure(f.w, 0); !sameBits(p.TrainLoss, wantLoss) || !sameBits(p.TestAcc, wantAcc) {
 					t.Errorf("Measure = (%v, %v), serial (%v, %v)", p.TrainLoss, p.TestAcc, wantLoss, wantAcc)
 					return
 				}
@@ -220,12 +227,12 @@ func TestEvaluatorAccuracyUnmeasured(t *testing.T) {
 		"no model":         {Test: f.test},
 		"not a classifier": {Model: notClassifier{f.m}, Test: f.test},
 	} {
-		if acc := ev.Measure(f.w, false, 0, nil).TestAcc; !math.IsNaN(acc) {
+		if acc := ev.Measure(f.w, 0).TestAcc; !math.IsNaN(acc) {
 			t.Errorf("%s: TestAcc = %v, want NaN", name, acc)
 		}
 	}
 	ev := &engine.Evaluator{Model: f.m, Clients: f.shards, Weights: f.weights, Test: data.New(30, 6, 0)}
-	if p := ev.Measure(f.w, false, 0, nil); !math.IsNaN(p.TestAcc) || math.IsNaN(p.TrainLoss) {
+	if p := ev.Measure(f.w, 0); !math.IsNaN(p.TestAcc) || math.IsNaN(p.TrainLoss) {
 		t.Errorf("Measure with an empty test set = (%v, %v), want (loss, NaN)", p.TrainLoss, p.TestAcc)
 	}
 }
@@ -235,29 +242,33 @@ func TestEvaluatorAccuracyUnmeasured(t *testing.T) {
 // goroutine count does not grow with the number of evaluators.
 func TestEvaluatorsLeaveNoGoroutines(t *testing.T) {
 	f := newEvalFixture(9, []int{50, 80, 20, 60}, 300)
-	f.evaluator().Measure(f.w, false, 0, nil) // start the pool
+	f.evaluator().Measure(f.w, 0) // start the pool
 	// Grace 0: nothing may outlive a measurement, so the count is read at once.
-	testx.NoGoroutineGrowth(t, 100, 0, func() { f.evaluator().Measure(f.w, false, 0, nil) })
+	testx.NoGoroutineGrowth(t, 100, 0, func() { f.evaluator().Measure(f.w, 0) })
 }
 
 // TestEvaluatorMeasureAllocFree holds steady-state measurement to zero
 // allocs/op with the fan-out live (testing.AllocsPerRun would pin
-// GOMAXPROCS to 1 and measure only the inline case). The runtime itself
-// allocates now and then when a parked goroutine's wait record misses its
-// cache, so the bound is what a benchmark would round to zero; a goroutine
-// or a closure per measurement costs at least one each.
+// GOMAXPROCS to 1 and measure only the inline case), with and without
+// devices, one of them busy. The runtime itself allocates now and then
+// when a parked goroutine's wait record misses its cache, so the bound is
+// what a benchmark would round to zero; a goroutine or a closure per
+// measurement costs at least one each.
 func TestEvaluatorMeasureAllocFree(t *testing.T) {
 	f := newEvalFixture(11, []int{200, 40, 90, 33, 500, 64}, 600)
-	ev := f.evaluator()
-	ev.Measure(f.w, true, 0, nil)
-	const calls = 100
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < calls; i++ {
-		ev.Measure(f.w, true, 0, nil)
-	}
-	runtime.ReadMemStats(&after)
-	if n := after.Mallocs - before.Mallocs; 2*n >= calls {
-		t.Fatalf("%d measurements allocated %d times", calls, n)
+	evd, devices := f.withDevices()
+	devices[2].SetBusy(true)
+	for name, ev := range map[string]*engine.Evaluator{"loss only": f.evaluator(), "devices": evd} {
+		ev.Measure(f.w, 1)
+		const calls = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			ev.Measure(f.w, 1)
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; 2*n >= calls {
+			t.Fatalf("%s: %d measurements allocated %d times", name, calls, n)
+		}
 	}
 }

@@ -27,11 +27,12 @@ import (
 // device whatever the model.
 //
 // The hand-over is the in-process Evaluator's: measuring the global model
-// w̄ˢ, it computes ∇F_n(w̄ˢ) for each device of round s+1's cohort in the
-// same pass as the device's loss and leaves it here, keyed by round s+1,
-// and that round's solve copies it as v⁰ instead of recomputing it. The
-// buffer is allocated at the first hand-over, so devices of the TCP and
-// tree runtimes, which are never handed one, never hold it.
+// w̄ˢ, it computes ∇F_n(w̄ˢ) for every device in the same pass as the
+// device's loss and leaves it here, keyed by round s+1; if the device is
+// in that round's cohort, its solve copies it as v⁰ instead of
+// recomputing it. The buffer is allocated at the first hand-over, so
+// devices of the TCP and tree runtimes, which are never handed one, never
+// hold it.
 type Device struct {
 	ID     int
 	Shard  *data.Dataset
@@ -93,18 +94,6 @@ func (d *Device) RunRound(sc *optim.Scratch, anchor, out []float64, cfg optim.Lo
 	}
 	n := d.Solver.Solve(sc, d.Shard, anchor, out, cfg, d.RNG, v0)
 	d.gradEvals.Add(int64(n))
-}
-
-// handOver computes ∇F_n(w) into the device's hand-over buffer with m, for
-// round t to use as v⁰, and returns F_n(w) — Loss's bits, from the same
-// pass. The caller makes sure the device is not busy.
-func (d *Device) handOver(m models.Model, w []float64, t int) float64 {
-	if d.v0 == nil {
-		d.v0 = make([]float64, len(w))
-	}
-	loss := m.LossGrad(d.v0, w, d.Shard)
-	d.v0Round.Store(int64(t))
-	return loss
 }
 
 // dropHandOver forgets the handed-over gradient, whichever round it served.

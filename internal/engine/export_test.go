@@ -1,6 +1,27 @@
 package engine
 
-import "fedproxvr/internal/metrics"
+import (
+	"math"
+
+	"fedproxvr/internal/mathx"
+	"fedproxvr/internal/metrics"
+	"fedproxvr/internal/obs"
+)
+
+// SerialGradNormSq is the reference for the gap Measure folds: ‖∇F̄(w)‖²,
+// one Model.Grad per shard on the caller, added with its weight in
+// ascending shard order. It is NaN, unmeasured, without shards.
+func (ev *Evaluator) SerialGradNormSq(w []float64) float64 {
+	if len(ev.Clients) == 0 {
+		return math.NaN()
+	}
+	sum, g := make([]float64, len(w)), make([]float64, len(w))
+	for i, shard := range ev.Clients {
+		ev.Model.Grad(g, w, shard, nil)
+		mathx.Axpy(ev.Weights[i], g, sum)
+	}
+	return mathx.Nrm2Sq(sum)
+}
 
 // HeldV0 reports whether an evaluation has ever handed the device a v⁰, so
 // the hand-over tests can tell a run that used the mechanism from one that
@@ -28,7 +49,7 @@ func (e *Engine) FlushStats(evalSeconds float64) { e.flushStats(evalSeconds) }
 // StampEval stamps a measured point into the in-flight round record.
 func (e *Engine) StampEval(p metrics.Point) {
 	if e.stats != nil {
-		e.rs.Eval = evalStats(p)
+		e.rs.Eval = &obs.EvalStats{TrainLoss: p.TrainLoss, TestAcc: p.TestAcc, GradNormSq: p.GradNormSq}
 	}
 }
 

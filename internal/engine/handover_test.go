@@ -10,6 +10,7 @@ import (
 	"fedproxvr/internal/data"
 	"fedproxvr/internal/engine"
 	"fedproxvr/internal/mathx"
+	"fedproxvr/internal/metrics"
 	"fedproxvr/internal/models"
 )
 
@@ -57,18 +58,19 @@ func heldAny(devices []*engine.Device) bool {
 	return false
 }
 
-// TestHandoverInvisible pins the evaluation's gradient hand-over to the
-// path without it: Run, whose measurements hand each next-round device its
-// v⁰, ends on the same global model bits and gradient-evaluation count as a
-// Step loop of the same config, which never hands over — under every kind
-// of cohort draw, a sparse evaluation cadence, fault injection and a
-// quorum cut.
-func TestHandoverInvisible(t *testing.T) {
-	p := testPartition(7, 37, 5, 3, 3) // 37 rows: a shard is more than one chunk
-	m := models.NewSoftmax(5, 3, 0.01)
-	base := conformanceConfigs()["full"]
-	base.Rounds = 7
+// handoverVariant is one in-process run configuration the hand-over is
+// checked under; wrap, when set, decorates the engine's executor.
+type handoverVariant struct {
+	name string
+	cfg  func(*engine.Config)
+	wrap func(*engine.Engine)
+}
 
+// handoverVariants are every kind of cohort draw, a sparse evaluation
+// cadence, fault injection and a quorum cut, on both in-process executors
+// where the executor matters, over p's shards.
+func handoverVariants(t *testing.T, p *data.Partition) []handoverVariant {
+	t.Helper()
 	sched := &chaos.Schedule{Seed: 5, Events: []chaos.Event{
 		{Device: 1, Round: 2, Kind: chaos.Crash},
 		{Device: 2, Round: 3, Kind: chaos.Delay, DelayMS: 1},
@@ -80,18 +82,13 @@ func TestHandoverInvisible(t *testing.T) {
 	}
 	withChaos := func(eng *engine.Engine) { eng.SetExecutor(chaos.NewExecutor(eng.Executor(), sched)) }
 
-	type variant struct {
-		name string
-		cfg  func(*engine.Config)
-		wrap func(*engine.Engine)
-	}
-	var variants []variant
+	var variants []handoverVariant
 	for _, parallel := range []bool{false, true} {
 		backend := "Sequential"
 		if parallel {
 			backend = "Parallel"
 		}
-		for _, v := range []variant{
+		for _, v := range []handoverVariant{
 			{name: "full", cfg: func(*engine.Config) {}},
 			{name: "fraction 0.3", cfg: func(c *engine.Config) { c.ClientFraction = 0.3 }},
 			{name: "dropout 0.2", cfg: func(c *engine.Config) { c.DropoutProb = 0.2 }},
@@ -104,12 +101,24 @@ func TestHandoverInvisible(t *testing.T) {
 			variants = append(variants, v)
 		}
 	}
-	variants = append(variants,
-		variant{name: "Parallel/chaos", cfg: func(c *engine.Config) { c.Parallel = true }, wrap: withChaos},
-		variant{name: "Sequential/min-report", cfg: func(c *engine.Config) { c.MinReport = len(p.Clients) - 1 }},
+	return append(variants,
+		handoverVariant{name: "Parallel/chaos", cfg: func(c *engine.Config) { c.Parallel = true }, wrap: withChaos},
+		handoverVariant{name: "Sequential/min-report", cfg: func(c *engine.Config) { c.MinReport = len(p.Clients) - 1 }},
 	)
+}
 
-	for _, v := range variants {
+// TestHandoverInvisible pins the evaluation's gradient hand-over to the
+// path without it: Run, whose measurements hand each device its next
+// round's v⁰, ends on the same global model bits and gradient-evaluation
+// count as a Step loop of the same config, which never hands over — under
+// every handoverVariants configuration.
+func TestHandoverInvisible(t *testing.T) {
+	p := testPartition(7, 37, 5, 3, 3) // 37 rows: a shard is more than one chunk
+	m := models.NewSoftmax(5, 3, 0.01)
+	base := conformanceConfigs()["full"]
+	base.Rounds = 7
+
+	for _, v := range handoverVariants(t, p) {
 		t.Run(v.name, func(t *testing.T) {
 			cfg := base
 			v.cfg(&cfg)
@@ -132,6 +141,51 @@ func TestHandoverInvisible(t *testing.T) {
 			if run.GradEvals() != step.GradEvals() {
 				t.Fatalf("GradEvals: Run %d, Step loop %d", run.GradEvals(), step.GradEvals())
 			}
+		})
+	}
+}
+
+// runCheckingGap runs eng to the end and checks every evaluated point's
+// ‖∇F̄‖² against the serial reference at the global model that point
+// measured, which a round hook sees right after the measurement.
+func runCheckingGap(t *testing.T, eng *engine.Engine) *metrics.Series {
+	t.Helper()
+	ref := eng.Evaluator()
+	want := map[int]float64{0: ref.SerialGradNormSq(eng.Global())}
+	eng.OnRound(func(info engine.RoundInfo) error {
+		want[info.Round] = ref.SerialGradNormSq(info.Global)
+		return nil
+	})
+	s, err := eng.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pt := range s.Points {
+		if w := want[pt.Round]; math.Float64bits(pt.GradNormSq) != math.Float64bits(w) || !(w > 0) {
+			t.Fatalf("round %d: GradNormSq = %v, serial reference %v", pt.Round, pt.GradNormSq, w)
+		}
+	}
+	return s
+}
+
+// TestHandoverGapMatchesSerial: under every handoverVariants configuration
+// each evaluated point of a Run carries the gap the serial reference
+// measures at that round's global model, bit for bit — including devices
+// outside the next cohort, whose gradients the fold needs all the same.
+func TestHandoverGapMatchesSerial(t *testing.T) {
+	p := testPartition(7, 37, 5, 3, 3)
+	m := models.NewSoftmax(5, 3, 0.01)
+	base := conformanceConfigs()["full"]
+	base.Rounds = 7
+	for _, v := range handoverVariants(t, p) {
+		t.Run(v.name, func(t *testing.T) {
+			cfg := base
+			v.cfg(&cfg)
+			eng, _ := newInProcessEngine(t, m, p, cfg)
+			if v.wrap != nil {
+				v.wrap(eng)
+			}
+			runCheckingGap(t, eng)
 		})
 	}
 }
@@ -200,9 +254,11 @@ func TestHandoverDroppedOnReanchor(t *testing.T) {
 // round: a Parallel quorum leaves cut devices solving while the engine
 // measures — and hands gradients to — the next cohort, and SetGlobal drops
 // hand-overs while late solves may still be reading theirs. The cut set
-// depends on timing, so there is no reference to compare with; the race
-// detector (make evalcpu, make race) is the check, plus the quorum's own
-// accounting.
+// depends on timing, so there is no reference model to compare with; the
+// race detector (make evalcpu, make race) is the check, plus the quorum's
+// own accounting and the gap, which must match the serial reference at
+// each round's model whichever devices were busy — their shards'
+// gradients go to the evaluator's own buffers.
 func TestHandoverUnderQuorumCuts(t *testing.T) {
 	p := testPartition(6, 60, 5, 3, 4)
 	m := models.NewSoftmax(5, 3, 0)
@@ -211,10 +267,7 @@ func TestHandoverUnderQuorumCuts(t *testing.T) {
 	cfg.MinReport = 2
 	cfg.Rounds = 12
 	eng, devices := newInProcessEngine(t, m, p, cfg)
-	s, err := eng.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := runCheckingGap(t, eng)
 	for _, pt := range s.Points[1:] {
 		if pt.Participants < cfg.MinReport || pt.Failed != 0 {
 			t.Fatalf("round %d: %d participants, %d failed", pt.Round, pt.Participants, pt.Failed)

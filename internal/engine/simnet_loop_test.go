@@ -43,7 +43,7 @@ func stepLoopTimedTrain(eng *engine.Engine, fleet *simnet.Fleet, measureEvery in
 	defer eng.SetExecutor(inner)
 	out := &simnet.TimedSeries{Name: cfg.Name}
 	measure := func(round, participants, failed int) {
-		p := ev.Measure(eng.Global(), cfg.TrackStationarity, 0, nil)
+		p := ev.Measure(eng.Global(), 0) // round 0's v⁰ is never read
 		p.Round, p.GradEvals = round, eng.GradEvals()
 		p.Participants, p.Failed = participants, failed
 		if round > 0 {
@@ -109,7 +109,6 @@ func TestTimedTrainMatchesStepLoop(t *testing.T) {
 	}
 	base := conformanceConfigs()["partial"]
 	base.Rounds = 6
-	base.TrackStationarity = true
 
 	sched := &chaos.Schedule{Seed: 5, Events: []chaos.Event{
 		{Device: 1, Round: 2, Kind: chaos.Crash},

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -85,6 +86,45 @@ func TestJobTelemetryDivergentRunFlagged(t *testing.T) {
 		}
 	}
 	t.Fatal("fed_alert_total series missing from hub exposition")
+}
+
+// TestJobGradNormStallFires is the path fedserver's -alert-grad-eps and
+// -alert-grad-stall configure: every evaluation of a job measures the
+// eq. (12) gap, so each sample past round 0 carries it, and a step too
+// small to move the gap 1 % per evaluation fires grad_norm_stall.
+func TestJobGradNormStallFires(t *testing.T) {
+	hub := telemetry.NewHub(telemetry.Options{Rules: telemetry.RuleConfig{GradStallEps: 1e-12, GradStallK: 3}})
+	m := openManager(t, t.TempDir(), Options{Telemetry: hub})
+	defer m.Stop()
+	sp := testSpec("stall", 8)
+	sp.Beta = 1e6 // η = 1/(βL): the model barely moves
+	if _, err := m.Submit(sp); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, "stall", Done, 30*time.Second)
+
+	js, ok := hub.Get("stall")
+	if !ok {
+		t.Fatal("no telemetry store registered for the job")
+	}
+	samples := js.Series(0, 0, 0)
+	if len(samples) != sp.Rounds {
+		t.Fatalf("store holds %d rounds, want %d", len(samples), sp.Rounds)
+	}
+	for _, s := range samples {
+		if gn := s.GradNormSq; s.Round > 0 && !(gn > 0 && !math.IsInf(gn, 0)) {
+			t.Fatalf("round %d: grad_norm_sq = %v, want finite and positive", s.Round, gn)
+		}
+	}
+	var fired bool
+	for _, e := range js.Events(0, 0) {
+		if e.Rule == telemetry.RuleGradNormStall && e.State == "firing" {
+			fired = true
+		}
+	}
+	if !fired {
+		t.Fatal("a stalled job did not fire grad_norm_stall")
+	}
 }
 
 // TestJobHealthzDegradesOnFiringAlert: a job whose cohort never reaches

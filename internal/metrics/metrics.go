@@ -16,7 +16,7 @@ type Point struct {
 	Round        int
 	TrainLoss    float64
 	TestAcc      float64 // fraction in [0,1]; NaN if no test set
-	GradNormSq   float64 // ‖∇F̄(w̄^(s))‖² — the stationarity gap of eq. (12)
+	GradNormSq   float64 // ‖∇F̄(w̄^(s))‖², the gap of eq. (12); NaN if unmeasured (no in-process devices)
 	GradEvals    int64   // cumulative gradient evaluations across devices
 	Participants int     // devices that reported this round (0 for the round-0 point)
 	Failed       int     // selected devices whose round failed (crash, network fault)

@@ -128,10 +128,11 @@ func TestCNNGradientThin(t *testing.T) {
 
 // TestLossGradMatchesLossAndGrad pins LossGrad to Loss plus Grad bit for
 // bit, on the softmax with and without L2, the thin CNN and the MLP, at
-// shard sizes around the chunk boundary. The engine's evaluation hands
-// LossGrad's gradient to the next round's solve in place of Grad's and
-// records its loss in place of Loss's, so any other answer would move a
-// result.
+// shard sizes around the chunk boundary and on an empty shard, which the
+// evaluation's gap reaches through LossGrad like any other. The engine's
+// evaluation hands LossGrad's gradient to the next round's solve in place
+// of Grad's, folds it into ‖∇F̄‖² and records its loss in place of Loss's,
+// so any other answer would move a result.
 func TestLossGradMatchesLossAndGrad(t *testing.T) {
 	cases := []struct {
 		name string
@@ -144,7 +145,7 @@ func TestLossGradMatchesLossAndGrad(t *testing.T) {
 		{"MLP", NewMLP(9, 11, 5, 0.02), 9},
 	}
 	for _, tc := range cases {
-		for _, n := range []int{1, 31, 32, 33, 257} {
+		for _, n := range []int{0, 1, 31, 32, 33, 257} { // 0: an empty shard
 			ds := classificationDataset(n, tc.dim, 5, int64(n))
 			w := make([]float64, tc.m.Dim())
 			randx.NormalVec(randx.New(int64(n)+1), w, 0, 0.3)

@@ -151,6 +151,29 @@ func TestDistributedMatchesInProcessExactly(t *testing.T) {
 	}
 }
 
+// TestCoordinatorGapUnmeasured: the coordinator's evaluator holds no
+// devices, so a TCP run records the gap ‖∇F̄‖² as NaN at every point,
+// never a 0 that reads as converged.
+func TestCoordinatorGapUnmeasured(t *testing.T) {
+	p := testPartition(3, 20, 3, 3, 5)
+	m := models.NewSoftmax(3, 3, 0)
+	cfg := engine.FedProxVR(optim.SARAH, 6, 1, 0.2, 3, 4, 2)
+	cfg.Seed = 9
+	c, wg := launchTwoPhase(t, p, m, cfg.Seed)
+	defer c.Close()
+	_, series, err := train(c, make([]float64, m.Dim()), cfg, m.Clone(), p.Clients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Shutdown()
+	wg.Wait()
+	for _, pt := range series.Points {
+		if !math.IsNaN(pt.GradNormSq) {
+			t.Fatalf("round %d: GradNormSq = %v, want NaN", pt.Round, pt.GradNormSq)
+		}
+	}
+}
+
 func TestCoordinatorWeights(t *testing.T) {
 	p := testPartition(3, 10, 2, 2, 2)
 	p.Clients[0] = p.Clients[0].Subset([]int{0, 1, 2, 3, 4}) // size 5

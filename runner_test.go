@@ -201,7 +201,6 @@ func TestStationarityTracking(t *testing.T) {
 	p, _ := blobPartition(4, 30, 3, 4, 12)
 	m := models.NewSoftmax(3, 4, 0)
 	cfg := FedProxVR(optim.SARAH, 5, 1, 0.1, 5, 4, 10)
-	cfg.TrackStationarity = true
 	cfg.Seed = 13
 	r, err := NewRunner(Task{Model: m, Part: p}, cfg)
 	if err != nil {
