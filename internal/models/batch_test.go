@@ -8,6 +8,7 @@ import (
 	"fedproxvr/internal/data"
 	"fedproxvr/internal/mathx"
 	"fedproxvr/internal/randx"
+	"fedproxvr/internal/testx"
 )
 
 // classDataset builds a small random classification dataset.
@@ -40,7 +41,7 @@ func gradPerSample(m *NNModel, grad, w []float64, ds *data.Dataset, idx []int) {
 			i = idx[k]
 		}
 		copy(dOut, m.Net.ForwardBatch(w, ds.Sample(i), 1, m.ws))
-		mathx.SoftmaxInPlace(dOut)
+		testx.SoftmaxInPlace(dOut)
 		dOut[ds.Y[i]] -= 1
 		mathx.Scal(inv, dOut)
 		m.Net.BackwardBatch(w, dOut, 1, m.ws, grad)

@@ -11,8 +11,11 @@
 package models
 
 import (
+	"math"
+
 	"fedproxvr/internal/data"
 	"fedproxvr/internal/mathx"
+	"fedproxvr/internal/tensor"
 )
 
 // Model is a differentiable empirical-risk oracle over a dataset.
@@ -108,4 +111,51 @@ func addL2(reg float64, w, grad []float64) float64 {
 		mathx.Axpy(reg, w, grad)
 	}
 	return reg / 2 * mathx.Nrm2Sq(w)
+}
+
+// xentChunk is the softmax cross-entropy head on one chunk: z holds the
+// logits of the chunk's b rows, c to a row, and row r is sample lo+r of the
+// selection. It takes each row's max and shifts the row by it, exponentiates
+// the whole chunk in one tensor.Exp call, and sums each row's exponentials
+// in ascending order. With loss set it returns sum plus every row's
+// logsumexp(z) − z[y], added in ascending row order, and otherwise returns
+// sum untouched without taking a log. With inv != 0 it leaves in z the
+// gradient rows (softmax(z) − e_y)·inv: each row scaled by 1/its sum, its
+// label entry less 1, then scaled by inv. With inv == 0 z is left as scratch.
+//
+// Per row these are the operations of a max-shifted softmax and
+// log-sum-exp taken a row at a time — the same max, differences,
+// exponentials (tensor.Exp is math.Exp bit for bit), ascending sum, log
+// and scale — so the values are theirs bit for bit.
+func xentChunk(sum float64, z []float64, b, c int, ds *data.Dataset, idx []int, lo int, loss bool, inv float64) float64 {
+	var mx, zy [gradChunk]float64
+	for r := 0; r < b; r++ {
+		row := z[r*c : (r+1)*c]
+		m := mathx.Max(row)
+		mx[r], zy[r] = m, row[chunkLabel(ds, idx, lo, r)]
+		for i, v := range row {
+			row[i] = v - m
+		}
+	}
+	tensor.Exp(z[:b*c])
+	for r := 0; r < b; r++ {
+		row := z[r*c : (r+1)*c]
+		var s float64
+		for _, e := range row {
+			s += e
+		}
+		if loss {
+			lse := math.Inf(-1)
+			if m := mx[r]; !math.IsInf(m, -1) {
+				lse = m + math.Log(s)
+			}
+			sum += lse - zy[r]
+		}
+		if inv != 0 {
+			mathx.Scal(1/s, row)
+			row[chunkLabel(ds, idx, lo, r)] -= 1
+			mathx.Scal(inv, row)
+		}
+	}
+	return sum
 }

@@ -241,6 +241,23 @@ func BenchmarkSoftmaxGradB32(b *testing.B) {
 	}
 }
 
+// BenchmarkSoftmaxXent32x10 is the softmax cross-entropy head of one
+// convex inner-loop step: xentChunk's gradient pass over a 32-row chunk of
+// 10 logits, each iteration first restoring the logits it overwrites.
+func BenchmarkSoftmaxXent32x10(b *testing.B) {
+	const rows, classes = 32, 10
+	ds := classificationDataset(rows, 1, classes, 1)
+	logits := make([]float64, rows*classes)
+	randx.NormalVec(randx.New(2), logits, 0, 3)
+	z := make([]float64, len(logits))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(z, logits)
+		xentChunk(0, z, rows, classes, ds, nil, 0, false, 1.0/rows)
+	}
+}
+
 func BenchmarkCNNGradSingleSample(b *testing.B) {
 	ds := classificationDataset(4, 784, 10, 2)
 	m := NewPaperCNN(10, 8, 0)

@@ -63,11 +63,8 @@ func (m *NNModel) Loss(w []float64, ds *data.Dataset, idx []int) float64 {
 		b := min(gradChunk, n-lo)
 		x := gatherRows(ds, idx, lo, b, m.xbuf)
 		y := m.Net.ForwardBatch(w, x, b, m.ws)
-		for r := 0; r < b; r++ {
-			row := m.dOut[r*out : (r+1)*out]
-			copy(row, y[r*out:(r+1)*out])
-			sum += mathx.LogSumExp(row) - row[chunkLabel(ds, idx, lo, r)]
-		}
+		copy(m.dOut, y)
+		sum = xentChunk(sum, m.dOut, b, out, ds, idx, lo, true, 0)
 	}
 	return sum/float64(n) + addL2(m.L2, w, nil)
 }
@@ -75,18 +72,19 @@ func (m *NNModel) Loss(w []float64, ds *data.Dataset, idx []int) float64 {
 // Grad implements Model: backprop of (softmax − onehot)/n through the net,
 // whole chunks at a time.
 func (m *NNModel) Grad(grad, w []float64, ds *data.Dataset, idx []int) {
-	m.lossGrad(grad, w, ds, idx)
+	m.lossGrad(grad, w, ds, idx, false)
 }
 
 // LossGrad implements Model: Grad's pass, which also sums each row's loss
-// term from the log-sum-exp its softmax returns.
+// term from the exponentials its softmax sums.
 func (m *NNModel) LossGrad(grad, w []float64, ds *data.Dataset) float64 {
-	return m.lossGrad(grad, w, ds, nil)
+	return m.lossGrad(grad, w, ds, nil, true)
 }
 
-// lossGrad is the one body of Grad and LossGrad; its loss is Loss's bit for
-// bit (the same terms, added in the same order).
-func (m *NNModel) lossGrad(grad, w []float64, ds *data.Dataset, idx []int) float64 {
+// lossGrad is the one body of Grad and LossGrad; with loss set its loss is
+// Loss's bit for bit (the same terms, added in the same order); without it
+// no log is taken and Grad discards the result.
+func (m *NNModel) lossGrad(grad, w []float64, ds *data.Dataset, idx []int, loss bool) float64 {
 	mathx.Zero(grad)
 	n := batchSize(ds, idx)
 	if n == 0 {
@@ -102,14 +100,7 @@ func (m *NNModel) lossGrad(grad, w []float64, ds *data.Dataset, idx []int) float
 		y := m.Net.ForwardBatch(w, x, b, m.ws)
 		dOut := m.dOut[:b*out]
 		copy(dOut, y)
-		for r := 0; r < b; r++ {
-			row := dOut[r*out : (r+1)*out]
-			c := chunkLabel(ds, idx, lo, r)
-			zc := row[c]
-			sum += mathx.SoftmaxInPlace(row) - zc
-			row[c] -= 1
-			mathx.Scal(inv, row)
-		}
+		sum = xentChunk(sum, dOut, b, out, ds, idx, lo, loss, inv)
 		m.Net.BackwardBatch(w, dOut, b, m.ws, grad)
 	}
 	return sum/float64(n) + addL2(m.L2, w, grad)

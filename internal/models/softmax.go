@@ -60,10 +60,7 @@ func (m *Softmax) Loss(w []float64, ds *data.Dataset, idx []int) float64 {
 	for lo := 0; lo < n; lo += gradChunk {
 		b := min(gradChunk, n-lo)
 		lm, _ := m.forwardChunk(w, ds, idx, lo, b)
-		for r := 0; r < b; r++ {
-			row := lm.Row(r)
-			sum += mathx.LogSumExp(row) - row[chunkLabel(ds, idx, lo, r)]
-		}
+		sum = xentChunk(sum, lm.Data, b, m.Classes, ds, idx, lo, true, 0)
 	}
 	return sum/float64(n) + addL2(m.L2, w, nil)
 }
@@ -71,19 +68,19 @@ func (m *Softmax) Loss(w []float64, ds *data.Dataset, idx []int) float64 {
 // Grad implements Model: ∇_{W_c} = (p_c − 1{y=c})·x, ∇_{b_c} = p_c − 1{y=c},
 // accumulated one chunk GEMM at a time in ascending sample order.
 func (m *Softmax) Grad(grad, w []float64, ds *data.Dataset, idx []int) {
-	m.lossGrad(grad, w, ds, idx)
+	m.lossGrad(grad, w, ds, idx, false)
 }
 
 // LossGrad implements Model: Grad's pass, which also sums each row's loss
-// term from the log-sum-exp its softmax returns.
+// term from the exponentials its softmax sums.
 func (m *Softmax) LossGrad(grad, w []float64, ds *data.Dataset) float64 {
-	return m.lossGrad(grad, w, ds, nil)
+	return m.lossGrad(grad, w, ds, nil, true)
 }
 
-// lossGrad is the one body of Grad and LossGrad. The loss terms are
-// LogSumExp(logits) − logit[y], added in Loss's order, so the returned
-// value is Loss's bit for bit.
-func (m *Softmax) lossGrad(grad, w []float64, ds *data.Dataset, idx []int) float64 {
+// lossGrad is the one body of Grad and LossGrad. With loss set it returns
+// Loss's value bit for bit: xentChunk adds the same terms in the same
+// order. Without it no log is taken and Grad discards the result.
+func (m *Softmax) lossGrad(grad, w []float64, ds *data.Dataset, idx []int, loss bool) float64 {
 	mathx.Zero(grad)
 	n := batchSize(ds, idx)
 	if n == 0 {
@@ -96,14 +93,7 @@ func (m *Softmax) lossGrad(grad, w []float64, ds *data.Dataset, idx []int) float
 	for lo := 0; lo < n; lo += gradChunk {
 		b := min(gradChunk, n-lo)
 		lm, x := m.forwardChunk(w, ds, idx, lo, b)
-		for r := 0; r < b; r++ {
-			row := lm.Row(r)
-			y := chunkLabel(ds, idx, lo, r)
-			zy := row[y]
-			sum += mathx.SoftmaxInPlace(row) - zy
-			row[y] -= 1
-			mathx.Scal(inv, row)
-		}
+		sum = xentChunk(sum, lm.Data, b, m.Classes, ds, idx, lo, loss, inv)
 		m.par.GemmTN(1, lm, x, 1, dw)
 		tensor.ColSumsAcc(grad[nw:], lm)
 	}

@@ -166,11 +166,23 @@ func scaleRows(beta float64, c Mat, lo, hi int) {
 // tail; the B rows left over take dot4. Every element is alpha times the
 // same fixed-order dot, combined with beta·C the same way, so results are
 // bit-identical to the one-element-at-a-time loop.
+//
+// The plain forms — alpha = 1 with beta 0 (a forward pass) or beta 1 (an
+// accumulated gradient) — hand all of [lo, hi) of each B triple to one
+// dot3RowsSIMD call, which runs dot3SIMD's body per row and stores d or
+// C + d itself, betaCombine's result for those betas (1·d is d).
 func GemmNTRows(alpha float64, a, b Mat, beta float64, c Mat, lo, hi int) {
-	kn := a.Cols
+	kn, n := a.Cols, c.Cols
+	j0 := 0 // B rows [0, j0) are done
+	if simdEnabled && alpha == 1 && (beta == 0 || beta == 1) && lo < hi {
+		for ; j0+3 <= b.Rows; j0 += 3 {
+			dot3RowsSIMD(a.Data[lo*kn:hi*kn], b.Data[j0*kn:(j0+3)*kn],
+				c.Data[lo*n+j0:(hi-1)*n+j0+3], kn, n, hi-lo, beta == 1)
+		}
+	}
 	for i0 := lo; i0 < hi; i0 += 4 {
 		i1 := min(i0+4, hi)
-		j := 0
+		j := j0
 		if simdEnabled {
 			for ; j+3 <= b.Rows; j += 3 {
 				y := b.Data[j*kn : (j+3)*kn]

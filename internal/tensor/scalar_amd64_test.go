@@ -18,7 +18,8 @@ var WithScalarKernels = withScalarKernels
 // TestScalarFallbackKernels reruns the GEMM tests on the scalar fallback:
 // against the naive product, parallel against serial, at several
 // GOMAXPROCS, and bit for bit against the reference bodies, which on this
-// path run the scalar axpyRow and dot4.
+// path run the scalar axpyRow and dot4. It replays FuzzExp's seeds too,
+// through Exp's math.Exp loop.
 func TestScalarFallbackKernels(t *testing.T) {
 	for _, test := range []struct {
 		name string
@@ -28,6 +29,8 @@ func TestScalarFallbackKernels(t *testing.T) {
 		{"ParGemmBitIdenticalToSerial", TestParGemmBitIdenticalToSerial},
 		{"ParGemmIndependentOfGOMAXPROCS", TestParGemmIndependentOfGOMAXPROCS},
 		{"GemmTilesMatchReference", TestGemmTilesMatchReference},
+		{"GemmNTRowLoopMatchesGoPath", TestGemmNTRowLoopMatchesGoPath},
+		{"ExpMatchesMath", TestExpMatchesMath},
 	} {
 		t.Run(test.name, func(t *testing.T) {
 			withScalarKernels(t)

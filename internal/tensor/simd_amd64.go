@@ -31,3 +31,17 @@ func dot3SIMD(x, y0, y1, y2 []float64) (d0, d1, d2 float64)
 // element gets axpySIMD's fused multiply-add per term. Implemented in
 // assembly.
 func axpyTileSIMD(alpha float64, a []float64, rs, ks, kn int, b, c []float64, ld, n int)
+
+// expSIMD overwrites x, four elements at a time, with math.Exp's FMA path
+// op for op. It stops before the first group of four holding an element
+// outside [−708, 709.78] (NaN included) or before a tail of fewer than
+// four, and returns how many elements it wrote. Implemented in assembly.
+func expSIMD(x []float64) int
+
+// dot3RowsSIMD runs dot3SIMD for each of the m rows of A at a (row r is
+// a[r*k:(r+1)*k]) against the three B rows b[:k], b[k:2k] and b[2k:3k],
+// and writes the three dots of row r to c[r*ldc : r*ldc+3]: as they are,
+// or added to c's values (c + d) when acc is set. Every dot has dotSIMD's
+// bits. The slices must cover every index this reaches. Implemented in
+// assembly.
+func dot3RowsSIMD(a, b, c []float64, k, ldc, m int, acc bool)

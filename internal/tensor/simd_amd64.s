@@ -353,3 +353,129 @@ k4:
 tiledone:
 	VZEROUPPER
 	RET
+
+// func dot3RowsSIMD(a, b, c []float64, k, ldc, m int, acc bool)
+//
+// dot3SIMD's body once per row r < m of A (k elements from a[r*k]) against
+// the three B rows at b, b+k and b+2k: the same twelve accumulators, the
+// same 16-element loop, combine order and interleaved in-order scalar
+// tail, so every dot has dotSIMD's bits. The three dots of row r go to
+// c[r*ldc], c[r*ldc+1] and c[r*ldc+2]: stored as they are, or, with acc,
+// added to what is there as c + d, GemmNTRows' beta = 1 combine.
+TEXT ·dot3RowsSIMD(SB), NOSPLIT, $0-97
+	MOVQ a_base+0(FP), R11
+	MOVQ c_base+48(FP), DI
+	MOVQ k+72(FP), AX
+	MOVQ ldc+80(FP), R12
+	SHLQ $3, R12              // R12 = C row stride, bytes
+	MOVQ m+88(FP), R13
+	TESTQ R13, R13
+	JZ    rowsdone
+
+row:
+	MOVQ R11, SI
+	MOVQ b_base+24(FP), R8
+	LEAQ (R8)(AX*8), R9
+	LEAQ (R9)(AX*8), R10
+
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	VXORPD Y8, Y8, Y8
+	VXORPD Y9, Y9, Y9
+	VXORPD Y10, Y10, Y10
+	VXORPD Y11, Y11, Y11
+
+	MOVQ AX, DX
+	SHRQ $4, DX               // DX = k/16
+	JZ   rcombine
+
+rloop:
+	VMOVUPD (SI), Y12
+	VMOVUPD 32(SI), Y13
+	VMOVUPD 64(SI), Y14
+	VMOVUPD 96(SI), Y15
+	VFMADD231PD (R8), Y12, Y0
+	VFMADD231PD 32(R8), Y13, Y1
+	VFMADD231PD 64(R8), Y14, Y2
+	VFMADD231PD 96(R8), Y15, Y3
+	VFMADD231PD (R9), Y12, Y4
+	VFMADD231PD 32(R9), Y13, Y5
+	VFMADD231PD 64(R9), Y14, Y6
+	VFMADD231PD 96(R9), Y15, Y7
+	VFMADD231PD (R10), Y12, Y8
+	VFMADD231PD 32(R10), Y13, Y9
+	VFMADD231PD 64(R10), Y14, Y10
+	VFMADD231PD 96(R10), Y15, Y11
+	ADDQ $128, SI
+	ADDQ $128, R8
+	ADDQ $128, R9
+	ADDQ $128, R10
+	DECQ DX
+	JNZ  rloop
+
+rcombine:
+	VADDPD Y1, Y0, Y0
+	VADDPD Y3, Y2, Y2
+	VADDPD Y2, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VADDPD X1, X0, X0
+	VHADDPD X0, X0, X0
+
+	VADDPD Y5, Y4, Y4
+	VADDPD Y7, Y6, Y6
+	VADDPD Y6, Y4, Y4
+	VEXTRACTF128 $1, Y4, X5
+	VADDPD X5, X4, X4
+	VHADDPD X4, X4, X4
+
+	VADDPD Y9, Y8, Y8
+	VADDPD Y11, Y10, Y10
+	VADDPD Y10, Y8, Y8
+	VEXTRACTF128 $1, Y8, X9
+	VADDPD X9, X8, X8
+	VHADDPD X8, X8, X8
+
+	MOVQ AX, CX
+	ANDQ $15, CX              // tail length
+	JZ   rstore
+
+rtail:
+	VMOVSD (SI), X12
+	VFMADD231SD (R8), X12, X0
+	VFMADD231SD (R9), X12, X4
+	VFMADD231SD (R10), X12, X8
+	ADDQ $8, SI
+	ADDQ $8, R8
+	ADDQ $8, R9
+	ADDQ $8, R10
+	DECQ CX
+	JNZ  rtail
+
+rstore:
+	CMPB acc+96(FP), $0
+	JEQ  rset
+	VMOVSD (DI), X12
+	VADDSD X0, X12, X0        // c + d
+	VMOVSD 8(DI), X12
+	VADDSD X4, X12, X4
+	VMOVSD 16(DI), X12
+	VADDSD X8, X12, X8
+
+rset:
+	VMOVSD X0, (DI)
+	VMOVSD X4, 8(DI)
+	VMOVSD X8, 16(DI)
+	ADDQ R12, DI
+	LEAQ (R11)(AX*8), R11
+	DECQ R13
+	JNZ  row
+
+rowsdone:
+	VZEROUPPER
+	RET

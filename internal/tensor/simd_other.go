@@ -16,3 +16,9 @@ func dot3SIMD(x, y0, y1, y2 []float64) (d0, d1, d2 float64) {
 func axpyTileSIMD(alpha float64, a []float64, rs, ks, kn int, b, c []float64, ld, n int) {
 	panic("tensor: SIMD kernel unavailable")
 }
+
+func expSIMD(x []float64) int { panic("tensor: SIMD kernel unavailable") }
+
+func dot3RowsSIMD(a, b, c []float64, k, ldc, m int, acc bool) {
+	panic("tensor: SIMD kernel unavailable")
+}
