@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"os/exec"
+	"strings"
 	"testing"
 )
 
@@ -25,7 +26,19 @@ func TestHeadWithoutFMA(t *testing.T) {
 		return
 	}
 	cmd := exec.Command(os.Args[0], "-test.run=^(TestHeadWithoutFMA|TestHeadMatchesRowReference)$", "-test.count=1", "-test.v")
-	cmd.Env = append(os.Environ(), "GODEBUG=cpu.fma=off", fmaOffChild+"=1")
+	// Keep the parent's GODEBUG settings: os/exec passes only the last of
+	// two GODEBUG entries.
+	godebug := "cpu.fma=off"
+	if prev := os.Getenv("GODEBUG"); prev != "" {
+		godebug = prev + "," + godebug
+	}
+	var env []string
+	for _, kv := range os.Environ() {
+		if !strings.HasPrefix(kv, "GODEBUG=") {
+			env = append(env, kv)
+		}
+	}
+	cmd.Env = append(env, "GODEBUG="+godebug, fmaOffChild+"=1")
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("under GODEBUG=cpu.fma=off: %v\n%s", err, out)

@@ -161,16 +161,16 @@ func scaleRows(beta float64, c Mat, lo, hi int) {
 //
 // Output rows go four at a time so each streamed row of B feeds four dot
 // products while hot in cache. With AVX2, B rows go three at a time through
-// dot3SIMD, which shares each loaded chunk of the A row across three dots
-// that each keep dotSIMD's accumulator layout, combine order and scalar
-// tail; the B rows left over take dot4. Every element is alpha times the
-// same fixed-order dot, combined with beta·C the same way, so results are
-// bit-identical to the one-element-at-a-time loop.
+// dot3RowsSIMD, which shares each loaded chunk of the A row across three
+// dots that each keep dotSIMD's accumulator layout, combine order and
+// scalar tail; the B rows left over take dot4. Every element is alpha times
+// the same fixed-order dot, combined with beta·C the same way, so results
+// are bit-identical to the one-element-at-a-time loop.
 //
 // The plain forms — alpha = 1 with beta 0 (a forward pass) or beta 1 (an
 // accumulated gradient) — hand all of [lo, hi) of each B triple to one
-// dot3RowsSIMD call, which runs dot3SIMD's body per row and stores d or
-// C + d itself, betaCombine's result for those betas (1·d is d).
+// dot3RowsSIMD call, which stores d or C + d itself, betaCombine's result
+// for those betas (1·d is d). Other forms take one row per call.
 func GemmNTRows(alpha float64, a, b Mat, beta float64, c Mat, lo, hi int) {
 	kn, n := a.Cols, c.Cols
 	j0 := 0 // B rows [0, j0) are done
@@ -186,13 +186,13 @@ func GemmNTRows(alpha float64, a, b Mat, beta float64, c Mat, lo, hi int) {
 		if simdEnabled {
 			for ; j+3 <= b.Rows; j += 3 {
 				y := b.Data[j*kn : (j+3)*kn]
-				b0, b1, b2 := y[:kn], y[kn:2*kn], y[2*kn:]
 				for i := i0; i < i1; i++ {
-					d0, d1, d2 := dot3SIMD(a.Row(i), b0, b1, b2)
+					var d [3]float64
+					dot3RowsSIMD(a.Row(i), y, d[:], kn, 3, 1, false)
 					crow := c.Row(i)
-					crow[j] = betaCombine(beta, crow[j], alpha*d0)
-					crow[j+1] = betaCombine(beta, crow[j+1], alpha*d1)
-					crow[j+2] = betaCombine(beta, crow[j+2], alpha*d2)
+					crow[j] = betaCombine(beta, crow[j], alpha*d[0])
+					crow[j+1] = betaCombine(beta, crow[j+1], alpha*d[1])
+					crow[j+2] = betaCombine(beta, crow[j+2], alpha*d[2])
 				}
 			}
 		}

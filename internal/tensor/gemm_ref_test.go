@@ -88,38 +88,6 @@ func refGemmNTRows(alpha float64, a, b Mat, beta float64, c Mat, lo, hi int) {
 	}
 }
 
-// refGemmNTRowsDot3 is GemmNTRows as it stood before dot3RowsSIMD, kept
-// verbatim: one Go-level dot3SIMD call per row of each four-row block and
-// B triple, a Mat.Row and a betaCombine per element, and dot4 for the B
-// rows left over.
-func refGemmNTRowsDot3(alpha float64, a, b Mat, beta float64, c Mat, lo, hi int) {
-	kn := a.Cols
-	for i0 := lo; i0 < hi; i0 += 4 {
-		i1 := min(i0+4, hi)
-		j := 0
-		if simdEnabled {
-			for ; j+3 <= b.Rows; j += 3 {
-				y := b.Data[j*kn : (j+3)*kn]
-				b0, b1, b2 := y[:kn], y[kn:2*kn], y[2*kn:]
-				for i := i0; i < i1; i++ {
-					d0, d1, d2 := dot3SIMD(a.Row(i), b0, b1, b2)
-					crow := c.Row(i)
-					crow[j] = betaCombine(beta, crow[j], alpha*d0)
-					crow[j+1] = betaCombine(beta, crow[j+1], alpha*d1)
-					crow[j+2] = betaCombine(beta, crow[j+2], alpha*d2)
-				}
-			}
-		}
-		for ; j < b.Rows; j++ {
-			brow := b.Row(j)
-			for i := i0; i < i1; i++ {
-				crow := c.Row(i)
-				crow[j] = betaCombine(beta, crow[j], alpha*dot4(a.Row(i), brow))
-			}
-		}
-	}
-}
-
 func refGemmTNRows(alpha float64, a, b Mat, beta float64, c Mat, lo, hi int) {
 	scaleRows(beta, c, lo, hi)
 	m := a.Cols
@@ -216,7 +184,10 @@ var gemmDiffDims = []int{0, 1, 3, 4, 5, 7, 8, 9, 12, 16, 17, 31, 60, 70}
 // gemmWideShapes are (M, K, N) wide enough that a four-row block of
 // half-zero A takes the per-row path instead of the tile (tilePays). The
 // fill cycles with the shape index, so 9×33×400 and 7×20×500 get sparse A.
-var gemmWideShapes = [][3]int{{8, 16, 784}, {9, 33, 400}, {5, 7, 336}, {12, 3, 784}, {7, 20, 500}, {16, 9, 344}}
+// The last two are the softmax head's forward and gradient GEMM shapes:
+// 32×60×10 and a 784-wide 8×784×10.
+var gemmWideShapes = [][3]int{{8, 16, 784}, {9, 33, 400}, {5, 7, 336}, {12, 3, 784}, {7, 20, 500}, {16, 9, 344},
+	{32, 60, 10}, {8, 784, 10}}
 
 // TestGemmTilesMatchReference holds GemmNNRows, GemmTNRows and GemmNTRows to
 // the pre-tiling bodies bit for bit, over every (M, K, N) in gemmDiffDims³
@@ -297,48 +268,6 @@ func TestTilePaysRoutesSparseWideBlocks(t *testing.T) {
 		fillOperand(rng, a, tc.kind)
 		if got := tilePays(a, 32, 1, 32, tc.n, 0); got != tc.want {
 			t.Errorf("fill %d, n=%d: tilePays = %v, want %v", tc.kind, tc.n, got, tc.want)
-		}
-	}
-}
-
-// TestGemmNTRowLoopMatchesGoPath holds GemmNTRows, whose alpha = 1,
-// beta ∈ {0, 1} forms run each B triple's rows in one dot3RowsSIMD call,
-// to the Go row loop it replaced, bit for bit: at the softmax forward's
-// 32×60×10 and a 784-wide 8×784×10, over odd K and odd class counts, with
-// dense and special operands, unaligned sub-slices and interior [lo, hi).
-// One alpha and beta outside those forms checks the path they keep.
-func TestGemmNTRowLoopMatchesGoPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(38))
-	shapes := [][3]int{{32, 60, 10}, {8, 784, 10}}
-	for _, m := range []int{1, 3, 4, 5, 9, 32} {
-		for _, k := range []int{1, 3, 7, 17, 33, 61, 333} {
-			for _, n := range []int{1, 3, 5, 7, 11, 13} {
-				shapes = append(shapes, [3]int{m, k, n})
-			}
-		}
-	}
-	forms := [][2]float64{{1, 0}, {1, 1}, {-0.3, 0.7}}
-	for shape, dims := range shapes {
-		m, k, n := dims[0], dims[1], dims[2]
-		kind := []int{fillDense, fillSpecial}[shape%2]
-		off := shape % 4
-		lo, hi := 0, m
-		if shape%3 == 1 && m > 2 {
-			lo, hi = 1+rng.Intn(m/2), m-rng.Intn(m/2)
-		}
-		a, b := subMat(m, k, off), subMat(n, k, (off+1)%4)
-		fillOperand(rng, a.Data, kind)
-		fillOperand(rng, b.Data, kind)
-		c0 := subMat(m, n, (off+2)%4)
-		fillOutput(rng, c0.Data, kind)
-		got, want := subMat(m, n, off), subMat(m, n, (off+3)%4)
-		for _, f := range forms {
-			copy(got.Data, c0.Data)
-			copy(want.Data, c0.Data)
-			GemmNTRows(f[0], a, b, f[1], got, lo, hi)
-			refGemmNTRowsDot3(f[0], a, b, f[1], want, lo, hi)
-			sameBits(t, fmt.Sprintf("M=%d K=%d N=%d rows [%d,%d) alpha=%v beta=%v fill=%d",
-				m, k, n, lo, hi, f[0], f[1], kind), got.Data, want.Data)
 		}
 	}
 }

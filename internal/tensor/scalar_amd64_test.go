@@ -29,7 +29,6 @@ func TestScalarFallbackKernels(t *testing.T) {
 		{"ParGemmBitIdenticalToSerial", TestParGemmBitIdenticalToSerial},
 		{"ParGemmIndependentOfGOMAXPROCS", TestParGemmIndependentOfGOMAXPROCS},
 		{"GemmTilesMatchReference", TestGemmTilesMatchReference},
-		{"GemmNTRowLoopMatchesGoPath", TestGemmNTRowLoopMatchesGoPath},
 		{"ExpMatchesMath", TestExpMatchesMath},
 	} {
 		t.Run(test.name, func(t *testing.T) {

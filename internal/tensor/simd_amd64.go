@@ -19,11 +19,6 @@ func dotSIMD(x, y []float64) float64
 // ≥ len(x). Implemented in assembly.
 func axpySIMD(s float64, x, y []float64)
 
-// dot3SIMD computes the three dots of x with y0, y1 and y2, each with
-// dotSIMD's layout and therefore its bits. Each y must be at least as long
-// as x. Implemented in assembly.
-func dot3SIMD(x, y0, y1, y2 []float64) (d0, d1, d2 float64)
-
 // axpyTileSIMD adds (alpha·A(r,k))·b[k*ld+j] to c[r*ld+j] for the four rows
 // r < 4, the columns j < n and k < kn ascending, where A(r,k) = a[r*rs+k*ks]
 // and a term with A(r,k) == 0 is skipped. n must be a positive multiple of
@@ -38,10 +33,12 @@ func axpyTileSIMD(alpha float64, a []float64, rs, ks, kn int, b, c []float64, ld
 // four, and returns how many elements it wrote. Implemented in assembly.
 func expSIMD(x []float64) int
 
-// dot3RowsSIMD runs dot3SIMD for each of the m rows of A at a (row r is
-// a[r*k:(r+1)*k]) against the three B rows b[:k], b[k:2k] and b[2k:3k],
-// and writes the three dots of row r to c[r*ldc : r*ldc+3]: as they are,
-// or added to c's values (c + d) when acc is set. Every dot has dotSIMD's
-// bits. The slices must cover every index this reaches. Implemented in
-// assembly.
+// dot3RowsSIMD computes, for each of the m rows of A at a (row r is
+// a[r*k:(r+1)*k]), its three dots with the B rows b[:k], b[k:2k] and
+// b[2k:3k], and writes them to c[r*ldc : r*ldc+3]: as they are, or added
+// to c's values (c + d) when acc is set. Each dot keeps dotSIMD's
+// accumulator layout and therefore its bits. The slices must cover every
+// index this reaches. Implemented in assembly.
+//
+//go:noescape
 func dot3RowsSIMD(a, b, c []float64, k, ldc, m int, acc bool)

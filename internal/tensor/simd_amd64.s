@@ -136,105 +136,6 @@ done2:
 	VZEROUPPER
 	RET
 
-// func dot3SIMD(x, y0, y1, y2 []float64) (d0, d1, d2 float64)
-//
-// Three dotSIMD dots that share each loaded 16-element chunk of x: each dot
-// keeps its own four accumulators (Y0–Y3, Y4–Y7, Y8–Y11), is combined in
-// dotSIMD's order and finishes with dotSIMD's in-order scalar tail. Every FMA has
-// dotSIMD's operand roles (x in a register, y from memory), so each result
-// has dotSIMD's bits.
-TEXT ·dot3SIMD(SB), NOSPLIT, $0-120
-	MOVQ x_base+0(FP), SI
-	MOVQ x_len+8(FP), CX
-	MOVQ y0_base+24(FP), R8
-	MOVQ y1_base+48(FP), R9
-	MOVQ y2_base+72(FP), R10
-
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-	VXORPD Y8, Y8, Y8
-	VXORPD Y9, Y9, Y9
-	VXORPD Y10, Y10, Y10
-	VXORPD Y11, Y11, Y11
-
-	MOVQ CX, DX
-	SHRQ $4, DX               // DX = len/16
-	JZ   combine3
-
-loop3:
-	VMOVUPD (SI), Y12
-	VMOVUPD 32(SI), Y13
-	VMOVUPD 64(SI), Y14
-	VMOVUPD 96(SI), Y15
-	VFMADD231PD (R8), Y12, Y0
-	VFMADD231PD 32(R8), Y13, Y1
-	VFMADD231PD 64(R8), Y14, Y2
-	VFMADD231PD 96(R8), Y15, Y3
-	VFMADD231PD (R9), Y12, Y4
-	VFMADD231PD 32(R9), Y13, Y5
-	VFMADD231PD 64(R9), Y14, Y6
-	VFMADD231PD 96(R9), Y15, Y7
-	VFMADD231PD (R10), Y12, Y8
-	VFMADD231PD 32(R10), Y13, Y9
-	VFMADD231PD 64(R10), Y14, Y10
-	VFMADD231PD 96(R10), Y15, Y11
-	ADDQ $128, SI
-	ADDQ $128, R8
-	ADDQ $128, R9
-	ADDQ $128, R10
-	DECQ DX
-	JNZ  loop3
-
-combine3:
-	VADDPD Y1, Y0, Y0
-	VADDPD Y3, Y2, Y2
-	VADDPD Y2, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPD X1, X0, X0
-	VHADDPD X0, X0, X0
-
-	VADDPD Y5, Y4, Y4
-	VADDPD Y7, Y6, Y6
-	VADDPD Y6, Y4, Y4
-	VEXTRACTF128 $1, Y4, X5
-	VADDPD X5, X4, X4
-	VHADDPD X4, X4, X4
-
-	VADDPD Y9, Y8, Y8
-	VADDPD Y11, Y10, Y10
-	VADDPD Y10, Y8, Y8
-	VEXTRACTF128 $1, Y8, X9
-	VADDPD X9, X8, X8
-	VHADDPD X8, X8, X8
-
-	ANDQ $15, CX              // tail length
-	JZ   done3
-
-tail3:
-	VMOVSD (SI), X12
-	VFMADD231SD (R8), X12, X0
-	VFMADD231SD (R9), X12, X4
-	VFMADD231SD (R10), X12, X8
-	ADDQ $8, SI
-	ADDQ $8, R8
-	ADDQ $8, R9
-	ADDQ $8, R10
-	DECQ CX
-	JNZ  tail3
-
-done3:
-	VMOVSD X0, d0+96(FP)
-	VMOVSD X4, d1+104(FP)
-	VMOVSD X8, d2+112(FP)
-	VZEROUPPER
-	RET
-
 // AXPY8 and AXPY4 add one term of one tile row: with av = A(r,k) loaded
 // from aaddr, skip when av == 0 (ZF set, PF clear: ±0 but not NaN, which is
 // Go's av != 0), else broadcast s = av·alpha (X13) and fuse s·B[k,:] (Y8,
@@ -356,12 +257,15 @@ tiledone:
 
 // func dot3RowsSIMD(a, b, c []float64, k, ldc, m int, acc bool)
 //
-// dot3SIMD's body once per row r < m of A (k elements from a[r*k]) against
-// the three B rows at b, b+k and b+2k: the same twelve accumulators, the
-// same 16-element loop, combine order and interleaved in-order scalar
-// tail, so every dot has dotSIMD's bits. The three dots of row r go to
-// c[r*ldc], c[r*ldc+1] and c[r*ldc+2]: stored as they are, or, with acc,
-// added to what is there as c + d, GemmNTRows' beta = 1 combine.
+// Three dotSIMD dots per row r < m of A (k elements from a[r*k]) against
+// the three B rows at b, b+k and b+2k, sharing each loaded 16-element
+// chunk of the A row: each dot keeps its own four accumulators (Y0–Y3,
+// Y4–Y7, Y8–Y11), is combined in dotSIMD's order and finishes with
+// dotSIMD's in-order scalar tail (the three tails run interleaved). Every
+// FMA has dotSIMD's operand roles (A in a register, B from memory), so
+// every dot has dotSIMD's bits. The three dots of row r go to c[r*ldc],
+// c[r*ldc+1] and c[r*ldc+2]: stored as they are, or, with acc, added to
+// what is there as c + d, GemmNTRows' beta = 1 combine.
 TEXT ·dot3RowsSIMD(SB), NOSPLIT, $0-97
 	MOVQ a_base+0(FP), R11
 	MOVQ c_base+48(FP), DI
