@@ -67,17 +67,22 @@ expolint:
 	$(GO) test $(TESTFLAGS) -run 'Lint|Exposition|Prometheus' \
 		./internal/obs/ ./internal/jobs/ ./internal/telemetry/
 
-# evalcpu runs the measurement determinism tests at 1, 2 and 4 logical
-# CPUs under the race detector: engine.Evaluator spreads loss and accuracy
-# over GOMAXPROCS workers and promises numbers that do not depend on how
-# many there are, which a single-GOMAXPROCS `race` pass cannot show. (The
-# helper pool grows with GOMAXPROCS, so one process covers all three.) The
-# LossGrad and Handover tests cover the gradients a measurement hands
-# every device for the next round, written by whichever worker claims the
-# shard, and the stationarity gap folded from them.
+# evalcpu runs the tests of everything that fans out over the process-wide
+# helper pool at 1, 2 and 4 logical CPUs under the race detector: the
+# kernel fan-out (tensor's Par and Fan tests, and the batched-gradient
+# determinism tests of nn and models), the Parallel executor and the
+# backend conformance suite, nested fan-out, and engine.Evaluator, which
+# spreads loss and accuracy over GOMAXPROCS workers. Each promises numbers
+# that do not depend on how many workers there are, which a
+# single-GOMAXPROCS `race` pass cannot show. (The pool grows with
+# GOMAXPROCS, so one process covers all three.) The LossGrad and Handover
+# tests cover the gradients a measurement hands every device for the next
+# round, written by whichever worker claims the shard, and the
+# stationarity gap folded from them.
 evalcpu:
 	$(GO) test -race $(RACE_TESTFLAGS) -count=1 -cpu 1,2,4 \
-		-run 'Evaluator|PredictBatch|LossGrad|Handover' ./internal/engine/ ./internal/models/
+		-run 'Evaluator|PredictBatch|LossGrad|Handover|Parallel|Conformance|Par[A-Z]|Fan|BitDeterministic' \
+		./internal/engine/ ./internal/models/ ./internal/nn/ ./internal/tensor/
 
 # bench-smoke compiles and tests the frozen benchmark module. bench/ is its
 # own Go module (it imports this one through a replace directive), so the

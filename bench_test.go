@@ -104,7 +104,7 @@ func ablationTask(b *testing.B) Task {
 }
 
 // BenchmarkAblationParallelRound measures one global round with devices
-// fanned out across GOMAXPROCS workers…
+// fanned out across GOMAXPROCS goroutines of the process-wide pool…
 func BenchmarkAblationParallelRound(b *testing.B) {
 	benchRound(b, true)
 }
@@ -123,7 +123,6 @@ func benchRound(b *testing.B, parallel bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer r.Engine().Close()
 	r.Step() // the first round builds the workers' scratch and the report buffers
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -97,14 +97,12 @@ func Train(task Task, cfg Config) (*Series, []float64, error) {
 }
 
 // TrainContext is Train with cancellation: the run stops between rounds
-// when ctx is done and returns the series so far alongside ctx.Err(). The
-// run's worker pool (cfg.Parallel) is stopped before it returns.
+// when ctx is done and returns the series so far alongside ctx.Err().
 func TrainContext(ctx context.Context, task Task, cfg Config) (*Series, []float64, error) {
 	r, err := NewRunner(task, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer r.eng.Close()
 	series, err := r.RunContext(ctx)
 	return series, mathx.Clone(r.Global()), err
 }

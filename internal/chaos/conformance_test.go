@@ -78,8 +78,7 @@ func runInProcess(t *testing.T, cfg engine.Config, p *data.Partition, m models.M
 	devices := newDevices(p, m, cfg.Seed)
 	var inner engine.Executor
 	if parallel {
-		par := engine.NewParallel(devices, cfg.Local, 0)
-		defer par.Close()
+		par := engine.NewParallel(devices, cfg.Local)
 		inner = par
 	} else {
 		inner = engine.NewSequential(devices, cfg.Local)
@@ -285,8 +284,7 @@ func TestChaosStragglerCutInProcess(t *testing.T) {
 		devices := newDevices(p, m, cfg.Seed)
 		var inner engine.Executor
 		if parallel {
-			par := engine.NewParallel(devices, cfg.Local, 0)
-			defer par.Close()
+			par := engine.NewParallel(devices, cfg.Local)
 			inner = par
 		} else {
 			inner = engine.NewSequential(devices, cfg.Local)
@@ -351,8 +349,7 @@ func TestChaosDelayOnQuorumCutDevice(t *testing.T) {
 	if err := sched.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	par := engine.NewParallel(newDevices(p, m, cfg.Seed), cfg.Local, 0)
-	defer par.Close()
+	par := engine.NewParallel(newDevices(p, m, cfg.Seed), cfg.Local)
 	eng, err := engine.New(cfg, m.Dim(), p.Weights(), chaos.NewExecutor(par, sched))
 	if err != nil {
 		t.Fatal(err)

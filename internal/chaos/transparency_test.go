@@ -38,8 +38,7 @@ var backends = map[string]func(t *testing.T, devices []*engine.Device, cfg engin
 		return engine.NewSequential(devices, cfg.Local)
 	},
 	"parallel": func(t *testing.T, devices []*engine.Device, cfg engine.Config) engine.Executor {
-		par := engine.NewParallel(devices, cfg.Local, 0)
-		t.Cleanup(par.Close)
+		par := engine.NewParallel(devices, cfg.Local)
 		return par
 	},
 }

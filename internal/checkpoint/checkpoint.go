@@ -49,21 +49,30 @@ type State struct {
 	Points  []metrics.Point
 }
 
-// Save writes the state atomically: a temp file in the same directory is
-// fsync'd and renamed over the target, and the parent directory is fsync'd
-// after the rename so the new directory entry itself is durable — without
-// it a crash between rename and the next journal commit can resurrect the
-// old checkpoint (or none at all).
+// Save writes the state atomically with WriteFile.
 func Save(path string, s *State) error {
 	s.Version = Version
+	return WriteFile(path, func(w io.Writer) error { return encode(w, s) })
+}
+
+// WriteFile is the one durable write sequence, which Save and the job
+// store's manifests share: fill writes the content into a temp file in
+// path's directory, the temp file is fsync'd, closed and renamed over
+// path, and the directory is fsync'd after the rename so the new entry
+// itself is durable — without it a crash between rename and the next
+// journal commit can resurrect the old file (or none at all). At every
+// crash point path holds either its old content or all of the new. fill's
+// error is returned as is; the others name the step that failed.
+func WriteFile(path string, fill func(io.Writer) error) error {
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ckpt-*")
+	// A constant pattern: one built from path would allocate on every save.
+	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	tmpName := tmp.Name()
 	defer os.Remove(tmpName) // no-op after successful rename
-	if err := encode(tmp, s); err != nil {
+	if err := fill(tmp); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -77,11 +86,11 @@ func Save(path string, s *State) error {
 	if err := os.Rename(tmpName, path); err != nil {
 		return fmt.Errorf("checkpoint: rename: %w", err)
 	}
-	return syncDir(dir)
+	return SyncDir(dir)
 }
 
-// syncDir fsyncs a directory so a just-renamed entry survives a crash.
-func syncDir(dir string) error {
+// SyncDir fsyncs a directory so a just-renamed entry survives a crash.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return fmt.Errorf("checkpoint: open dir: %w", err)

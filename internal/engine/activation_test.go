@@ -174,7 +174,7 @@ func TestAllDroppedRound(t *testing.T) {
 
 	backends := map[string]func([]*engine.Device) engine.Executor{
 		"sequential": func(d []*engine.Device) engine.Executor { return engine.NewSequential(d, cfg.Local) },
-		"parallel":   func(d []*engine.Device) engine.Executor { return engine.NewParallel(d, cfg.Local, 0) },
+		"parallel":   func(d []*engine.Device) engine.Executor { return engine.NewParallel(d, cfg.Local) },
 		"timed": func(d []*engine.Device) engine.Executor {
 			return simnet.NewTimedExecutor(engine.NewSequential(d, cfg.Local), fleet, cfg.Local.Tau)
 		},
@@ -187,9 +187,6 @@ func TestAllDroppedRound(t *testing.T) {
 				t.Fatal(err)
 			}
 			check(t, eng)
-			if c, ok := exec.(*engine.Parallel); ok {
-				c.Close()
-			}
 		})
 	}
 

@@ -10,10 +10,10 @@ import (
 )
 
 // BenchmarkEngineRoundAllocs measures steady-state per-round allocations of
-// the pooled parallel executor: the worker pool, the locals buffer and the
-// selection buffer are all reused across rounds, so a round allocates O(1)
-// (the WaitGroup escaping into the job structs) — versus the historical
-// per-Step `make([][]float64, n)` + goroutine-per-device fan-out.
+// the parallel executor: the fan-out state, the scratches, the locals
+// buffer and the selection buffer are all reused across rounds, so a round
+// allocates O(1) — versus the historical per-Step `make([][]float64, n)` +
+// goroutine-per-device fan-out.
 func BenchmarkEngineRoundAllocs(b *testing.B) {
 	p := testPartition(8, 40, 5, 3, 1)
 	m := models.NewSoftmax(5, 3, 0)
@@ -24,8 +24,7 @@ func BenchmarkEngineRoundAllocs(b *testing.B) {
 	for i, shard := range p.Clients {
 		devices[i] = engine.NewDevice(i, shard, m, cfg.Seed)
 	}
-	exec := engine.NewParallel(devices, cfg.Local, 0)
-	defer exec.Close()
+	exec := engine.NewParallel(devices, cfg.Local)
 	eng, err := engine.New(cfg, m.Dim(), p.Weights(), exec)
 	if err != nil {
 		b.Fatal(err)

@@ -34,9 +34,10 @@ type Config struct {
 	EvalEvery int
 	// Test, if non-nil, is the held-out set used for accuracy.
 	Test *data.Dataset
-	// Parallel fans the devices of each round out to a persistent pool of
-	// GOMAXPROCS workers. Results are identical to the sequential schedule
-	// because every device owns an independent RNG stream.
+	// Parallel fans the devices of each round out over the process-wide
+	// helper pool, up to GOMAXPROCS solves at once. Results are identical to
+	// the sequential schedule because every device owns an independent RNG
+	// stream.
 	Parallel bool
 	// ClientFraction samples this fraction of devices per round (default 1,
 	// as in the paper, where all devices participate). An explicit 0 is a

@@ -68,9 +68,6 @@ func runBackend(t *testing.T, cfg engine.Config, p *data.Partition, m models.Mod
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c, ok := exec.(*engine.Parallel); ok {
-		c.Close()
-	}
 	return mathx.Clone(eng.Global()), s
 }
 
@@ -161,7 +158,7 @@ func TestBackendConformance(t *testing.T) {
 			backends := map[string]func(*testing.T) ([]float64, *metrics.Series){
 				"parallel": func(t *testing.T) ([]float64, *metrics.Series) {
 					return runBackend(t, cfg, p, m, func(d []*engine.Device) engine.Executor {
-						return engine.NewParallel(d, cfg.Local, 0)
+						return engine.NewParallel(d, cfg.Local)
 					})
 				},
 				"timed": func(t *testing.T) ([]float64, *metrics.Series) {

@@ -66,7 +66,6 @@ type Engine struct {
 	eval    *Evaluator
 	round   int
 	resumed []metrics.Point // Resume's points, which the next Run extends
-	pool    *Parallel       // the pool NewInProcess started, stopped by Close
 
 	hooks      []hookEntry
 	liveHooks  int

@@ -3,13 +3,13 @@ package engine
 import (
 	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"fedproxvr/internal/data"
 	"fedproxvr/internal/mathx"
 	"fedproxvr/internal/metrics"
 	"fedproxvr/internal/models"
+	"fedproxvr/internal/tensor"
 )
 
 // Evaluator measures server-side metrics — the global training loss over
@@ -20,18 +20,18 @@ import (
 // One measurement is a list of independent tasks: one Model.Loss per
 // training shard — or, with Devices, one Model.LossGrad (see Measure) —
 // then one batched prediction per models.PredictBlock rows of the test
-// set. The calling goroutine and up to GOMAXPROCS-1 helpers from a
-// process-wide pool claim tasks off a shared counter (shard sizes are
-// power-law, so a static split would leave cores idle), each on a model of
-// its own: the caller on Model, helper k on a Model.Clone() built the
-// first time a k-th helper is wanted. Determinism rests on two facts. A
-// shard's loss lands in that shard's slot, and its gradient in a buffer
-// of that shard's, and the caller folds Σ Weights[i]·loss[i] and
-// Σ Weights[i]·∇F_i in ascending shard order once every slot is filled,
-// so each sum is the serial sum bit for bit whoever computed each term.
-// Accuracy is a count of integers over fixed row blocks, and integer
-// addition is order-free. With one core, one task or a measurement under
-// evalFanOutMin, everything runs inline on the caller.
+// set. The calling goroutine and up to GOMAXPROCS-1 helpers of the
+// process-wide pool (tensor.Fan) claim tasks off a shared counter (shard
+// sizes are power-law, so a static split would leave cores idle), each on
+// a model of its own: the caller on Model, helper slot k on a
+// Model.Clone() built the first time a k-th helper is wanted. Determinism
+// rests on two facts. A shard's loss lands in that shard's slot, and its
+// gradient in a buffer of that shard's, and the caller folds
+// Σ Weights[i]·loss[i] and Σ Weights[i]·∇F_i in ascending shard order once
+// every slot is filled, so each sum is the serial sum bit for bit whoever
+// computed each term. Accuracy is a count of integers over fixed row
+// blocks, and integer addition is order-free. With one core, one task or a
+// measurement under evalFanOutMin, everything runs inline on the caller.
 //
 // The cost is memory: (GOMAXPROCS-1 at most) × (one model's scratch),
 // plus one float64 per shard, PredictBlock ints per worker and, with
@@ -51,15 +51,15 @@ type Evaluator struct {
 	// tree and async runtimes have none.
 	Devices []*Device
 
-	// The measurement in flight, published to helpers by the job send.
-	workers []evalWorker // [0] is the caller on Model, the rest helpers on clones
+	// The measurement in flight, published to helpers by the fan-out.
+	fan     tensor.Fan
+	do      func(slot, task int) // ev.task, bound at the first measurement
+	workers []evalWorker         // [0] is the caller on Model, the rest helpers on clones
 	w       []float64
 	nLoss   int          // tasks [0, nLoss) are shard losses,
 	nTasks  int          // tasks [nLoss, nTasks) are test blocks
-	next    atomic.Int64 // first unclaimed task
 	hits    atomic.Int64 // correctly classified test rows
 	lossAt  []float64    // lossAt[i] = Model.Loss(w, Clients[i])
-	wg      sync.WaitGroup
 	// With grad, shard tasks run LossGrad and hand over for round
 	// handRound; gradAt[i] is where shard i's gradient went: its device's
 	// buffer, or busyGrad[i] when the device was busy.
@@ -82,49 +82,6 @@ type evalWorker struct {
 	model models.Model
 	clf   models.Classifier // model as a classifier; nil when it is not one
 	pred  []int             // predicted labels of one test block
-}
-
-// evalJob asks a pool helper to join ev's measurement as worker slot.
-type evalJob struct {
-	ev   *Evaluator
-	slot int
-}
-
-// evalPool is the process-wide set of helper goroutines behind every
-// Evaluator. Evaluators come and go (one per engine, one engine per job in
-// internal/jobs), so helpers belong to the process, not to an evaluator:
-// building and dropping evaluators starts and leaks nothing. The pool only
-// grows, to the largest GOMAXPROCS-1 a measurement has asked for. It is
-// separate from the tensor kernel pool because a helper's Model.Loss
-// dispatches kernel blocks there, and that pool forbids nested dispatch.
-//
-// jobs is unbuffered and sends never block: a measurement hands a job only
-// to a helper already parked in receive and does the rest itself, so no
-// job outlives the measurement that issued it.
-var evalPool struct {
-	mu      sync.Mutex
-	jobs    chan evalJob
-	helpers int
-}
-
-// evalHelpers makes sure the pool has at least n helpers and returns its
-// job channel.
-func evalHelpers(n int) chan<- evalJob {
-	p := &evalPool
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.jobs == nil {
-		p.jobs = make(chan evalJob)
-	}
-	for ; p.helpers < n; p.helpers++ {
-		go func(jobs <-chan evalJob) {
-			for j := range jobs {
-				j.ev.work(&j.ev.workers[j.slot])
-				j.ev.wg.Done()
-			}
-		}(p.jobs)
-	}
-	return p.jobs
 }
 
 // Measure evaluates loss and accuracy in one fan-out (no barrier between
@@ -163,10 +120,10 @@ func (ev *Evaluator) Loss(w []float64) float64 {
 	return loss
 }
 
-// run is the one measurement path: it lays out the task list, engages the
-// helpers that are free, works through the list alongside them and reduces
-// the results. Either result is NaN when not asked for or not measurable.
-// With grad, each shard task runs LossGrad (see lossGrad).
+// run is the one measurement path: it lays out the task list, fans it out
+// over the caller and the helpers that are free, and reduces the results.
+// Either result is NaN when not asked for or not measurable. With grad,
+// each shard task runs LossGrad (see lossGrad).
 func (ev *Evaluator) run(w []float64, acc, grad bool) (float64, float64) {
 	ev.nLoss, ev.grad = len(ev.Clients), grad
 	testN := 0
@@ -185,31 +142,21 @@ func (ev *Evaluator) run(w []float64, acc, grad bool) (float64, float64) {
 		ev.busyGrad = make([][]float64, ev.nLoss)
 	}
 	ev.w = w
-	ev.next.Store(0)
 	ev.hits.Store(0)
 
 	rows := testN
 	for _, shard := range ev.Clients[:ev.nLoss] {
 		rows += shard.N()
 	}
-	helpers := 0
+	workers := 1
 	if rows*ev.Model.Dim() >= evalFanOutMin {
-		helpers = min(runtime.GOMAXPROCS(0), ev.nTasks) - 1
+		workers = min(runtime.GOMAXPROCS(0), ev.nTasks)
 	}
-	ev.grow(1 + helpers)
-	if helpers > 0 {
-		jobs := evalHelpers(helpers)
-		for k := 1; k <= helpers; k++ {
-			ev.wg.Add(1)
-			select {
-			case jobs <- evalJob{ev, k}:
-			default: // that helper is busy in another evaluator's measurement
-				ev.wg.Done()
-			}
-		}
+	ev.grow(workers)
+	if ev.do == nil {
+		ev.do = ev.task
 	}
-	ev.work(&ev.workers[0])
-	ev.wg.Wait()
+	ev.fan.Run(ev.nTasks, workers, ev.do)
 
 	lossV, accV := math.NaN(), math.NaN()
 	if ev.nLoss > 0 {
@@ -224,8 +171,8 @@ func (ev *Evaluator) run(w []float64, acc, grad bool) (float64, float64) {
 	return lossV, accV
 }
 
-// grow builds worker slots up to n. It runs before any job of the
-// measurement is sent, so helpers never see the slice move.
+// grow builds worker slots up to n. It runs before the measurement fans
+// out, so helpers never see the slice move.
 func (ev *Evaluator) grow(n int) {
 	for len(ev.workers) < n {
 		m := ev.Model
@@ -240,29 +187,22 @@ func (ev *Evaluator) grow(n int) {
 	}
 }
 
-// work claims tasks until none are left. Tasks are claimed in ascending
-// order, so the small uniform test blocks come last and even out whatever
-// imbalance the power-law shards left.
-func (ev *Evaluator) work(wk *evalWorker) {
-	hits := 0
-	for {
-		t := int(ev.next.Add(1)) - 1
-		if t >= ev.nTasks {
-			break
+// task is task t of the measurement in flight, run on worker slot's model.
+// Tasks are claimed in ascending order, so the small uniform test blocks
+// come last and even out whatever imbalance the power-law shards left.
+func (ev *Evaluator) task(slot, t int) {
+	wk := &ev.workers[slot]
+	if t < ev.nLoss {
+		if ev.grad {
+			ev.lossAt[t] = ev.lossGrad(wk.model, t)
+		} else {
+			ev.lossAt[t] = wk.model.Loss(ev.w, ev.Clients[t], nil)
 		}
-		if t < ev.nLoss {
-			if ev.grad {
-				ev.lossAt[t] = ev.lossGrad(wk.model, t)
-			} else {
-				ev.lossAt[t] = wk.model.Loss(ev.w, ev.Clients[t], nil)
-			}
-			continue
-		}
-		lo := (t - ev.nLoss) * models.PredictBlock
-		hi := min(lo+models.PredictBlock, ev.Test.N())
-		hits += models.CountCorrect(wk.clf, wk.pred, ev.w, ev.Test, lo, hi)
+		return
 	}
-	ev.hits.Add(int64(hits))
+	lo := (t - ev.nLoss) * models.PredictBlock
+	hi := min(lo+models.PredictBlock, ev.Test.N())
+	ev.hits.Add(int64(models.CountCorrect(wk.clf, wk.pred, ev.w, ev.Test, lo, hi)))
 }
 
 // lossGrad is shard t's task in a measurement with Devices: one LossGrad

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -263,28 +262,6 @@ func (s *Sequential) RunRound(ctx context.Context, spec RoundSpec, res *RoundRes
 	return nil
 }
 
-// parJob is one device solve handed to the worker pool. It carries every
-// pointer a worker needs so the workers never reference the Parallel struct
-// itself (which lets a forgotten pool be finalized and its goroutines
-// reaped).
-type parJob struct {
-	i      int
-	dev    *Device
-	anchor []float64
-	buf    []float64 // the device's report buffer (see reports)
-	local  optim.LocalConfig
-	wg     *sync.WaitGroup
-	lat    []obs.ClientStat // nil when stats are off
-	tr     *trace.Tracer    // nil when tracing is off
-
-	// done switches the job to the cut strategy (runCut): the worker sends
-	// its result on done instead of writing lat and signaling wg, so a
-	// cut round can stop collecting while late solves finish in the
-	// background. stats mirrors lat != nil for this strategy.
-	done  chan parResult
-	stats bool
-}
-
 // parResult is one finished solve under the cut strategy.
 type parResult struct {
 	i     int
@@ -293,17 +270,29 @@ type parResult struct {
 	solve float64
 }
 
-// Parallel fans each round's devices out to a persistent pool of worker
-// goroutines. Unlike a per-round goroutine fan-out it allocates nothing per
-// round beyond one WaitGroup: the job channel lives as long as the executor
-// and the locals buffer is the caller's reused RoundResult (see
-// BenchmarkEngineRoundAllocs).
+// Parallel fans each round's devices out over the process-wide helper pool
+// (tensor.Fan): the calling goroutine solves devices alongside whichever
+// helpers are parked, so an executor owns no goroutine and needs no
+// stopping. A solve runs in a scratch taken from the executor's idle list
+// (built on first need) and put back when it ends, so the executor holds
+// one scratch per solve that has ever run at once. An uncuttable round
+// allocates nothing (see BenchmarkEngineRoundAllocs): its state lives in
+// the executor and the locals buffer is the caller's reused RoundResult.
 type Parallel struct {
 	devices []*Device
 	local   optim.LocalConfig
 	reports reports // touched by the dispatching goroutine only
-	jobs    chan parJob
-	once    sync.Once
+
+	// The uncuttable round in flight (runAll), read by solveAt.
+	fan     tensor.Fan
+	solveAt func(slot, i int)
+	spec    RoundSpec
+	out     [][]float64
+	lat     []obs.ClientStat
+
+	mu   sync.Mutex
+	idle []*optim.Scratch // scratches no solve is running in
+
 	// abandoned is set once a cut round has returned with solves still
 	// running on the pool. From then on a device may be busy at dispatch,
 	// and only the cut strategy checks for that.
@@ -312,71 +301,58 @@ type Parallel struct {
 
 var _ Executor = (*Parallel)(nil)
 
-// NewParallel builds the pooled parallel executor. workers ≤ 0 selects the
-// tensor worker budget (GOMAXPROCS-derived).
-func NewParallel(devices []*Device, local optim.LocalConfig, workers int) *Parallel {
-	if workers < 1 {
-		workers = maxParallel()
+// NewParallel builds the parallel executor.
+func NewParallel(devices []*Device, local optim.LocalConfig) *Parallel {
+	p := &Parallel{devices: devices, local: local, reports: make(reports, len(devices))}
+	p.solveAt = func(_, i int) {
+		dev := p.devices[p.spec.Selected[i]]
+		d := p.solve(dev, p.spec.Anchor, p.out[i], p.spec.Tracer, p.lat != nil)
+		if p.lat != nil {
+			p.lat[i] = obs.ClientStat{ID: dev.ID, Seconds: d, SolveSeconds: d}
+		}
 	}
-	p := &Parallel{devices: devices, local: local, reports: make(reports, len(devices)), jobs: make(chan parJob)}
-	for k := 0; k < workers; k++ {
-		go parWorker(p.jobs)
-	}
-	// Safety net: reap the pool goroutines when an un-Closed executor
-	// becomes unreachable (runs created via the facade are not obliged to
-	// call Close).
-	runtime.SetFinalizer(p, (*Parallel).Close)
 	return p
 }
 
-// parWorker is one pool goroutine. The scratch every solve it executes runs
-// in is its own: built by its first job, freed when the pool closes.
-func parWorker(jobs <-chan parJob) {
-	var sc optim.Scratch
-	for j := range jobs {
-		if j.done != nil {
-			// Cut strategy: deliver on the round's buffered channel. busy is
-			// released before the send so a device whose result loses the
-			// race against a cut is immediately schedulable next round.
-			sp := j.tr.StartClient(j.dev.ID)
-			var t0 time.Time
-			if j.stats {
-				t0 = time.Now()
-			}
-			j.dev.RunRound(&sc, j.anchor, j.buf, j.local)
-			var d float64
-			if j.stats {
-				d = time.Since(t0).Seconds()
-			}
-			sp.End()
-			j.dev.busy.Store(false)
-			j.done <- parResult{i: j.i, id: j.dev.ID, vec: j.buf, solve: d}
-			continue
-		}
-		sp := j.tr.StartClient(j.dev.ID)
-		if j.lat != nil {
-			t0 := time.Now()
-			j.dev.RunRound(&sc, j.anchor, j.buf, j.local)
-			d := time.Since(t0).Seconds()
-			j.lat[j.i] = obs.ClientStat{ID: j.dev.ID, Seconds: d, SolveSeconds: d}
-		} else {
-			j.dev.RunRound(&sc, j.anchor, j.buf, j.local)
-		}
-		sp.End()
-		j.wg.Done()
+// solve runs dev's round from anchor into out in an idle scratch and
+// returns the solve's seconds when timed (0 otherwise).
+func (p *Parallel) solve(dev *Device, anchor, out []float64, tr *trace.Tracer, timed bool) float64 {
+	p.mu.Lock()
+	var sc *optim.Scratch
+	if n := len(p.idle); n > 0 {
+		sc, p.idle = p.idle[n-1], p.idle[:n-1]
+	} else {
+		sc = new(optim.Scratch)
 	}
+	p.mu.Unlock()
+	sp := tr.StartClient(dev.ID)
+	var t0 time.Time
+	if timed {
+		t0 = time.Now()
+	}
+	dev.RunRound(sc, anchor, out, p.local)
+	var d float64
+	if timed {
+		d = time.Since(t0).Seconds()
+	}
+	sp.End()
+	p.mu.Lock()
+	p.idle = append(p.idle, sc)
+	p.mu.Unlock()
+	return d
 }
 
 // RunRound implements Executor with one of two strategies, chosen from
 // what the round can observe: a round nothing can cut (no cancellable ctx,
-// no quorum) on a pool with no solve left over from an earlier cut waits
-// for every device on a WaitGroup and shares the caller's buffers with the
-// pool; any other round collects over a per-round channel, so late solves
-// can be abandoned and a device still busy with one is skipped. The second
-// costs an anchor snapshot and a channel per round, which is why the first
-// is kept. The pool state matters because a cuttable round can be followed
-// by an uncuttable call on the same pool: chaos.Executor runs each delayed
-// device in a call of its own with MinReport 0.
+// no quorum) on an executor with no solve left over from an earlier cut
+// fans out over the pool with the caller working too, and shares the
+// caller's buffers with the helpers; any other round hands each device to
+// a helper and collects over a per-round channel, so late solves can be
+// abandoned and a device still busy with one is skipped. The second costs
+// an anchor snapshot, a channel and a closure per device, which is why the
+// first is kept. The executor state matters because a cuttable round can
+// be followed by an uncuttable call on the same executor: chaos.Executor
+// runs each delayed device in a call of its own with MinReport 0.
 // Results are bit-identical to Sequential because every device owns a
 // private RNG stream.
 func (p *Parallel) RunRound(ctx context.Context, spec RoundSpec, res *RoundResult) error {
@@ -389,47 +365,45 @@ func (p *Parallel) RunRound(ctx context.Context, spec RoundSpec, res *RoundResul
 	return nil
 }
 
-// runAll is the uncuttable round on a pool where no device is busy.
+// runAll is the uncuttable round on an executor where no device is busy.
 // Devices are re-keyed for the round here, on the dispatching goroutine —
-// the job-channel send publishes the new RNG state to the pool worker. The
-// workers write their ClientStat straight into the record's tail; wg.Wait
-// is the synchronization point.
+// the fan-out's hand-over publishes the new RNG state to the helpers. The
+// solves write their ClientStat straight into the record's tail; the
+// fan-out's return is the synchronization point.
 func (p *Parallel) runAll(spec RoundSpec, res *RoundResult) {
 	n := len(spec.Selected)
-	out := res.Reset(n)
-	lat := clientSlots(spec.Stats, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
+	p.out = res.Reset(n)
+	p.lat = clientSlots(spec.Stats, n)
 	for i, id := range spec.Selected {
-		dev := p.devices[id]
-		dev.BeginRound(spec.Round)
-		out[i] = p.reports.of(id, len(spec.Anchor))
-		p.jobs <- parJob{i: i, dev: dev, anchor: spec.Anchor, buf: out[i], local: p.local, wg: &wg, lat: lat, tr: spec.Tracer}
+		p.devices[id].BeginRound(spec.Round)
+		p.out[i] = p.reports.of(id, len(spec.Anchor))
 	}
-	wg.Wait()
+	p.spec = spec
+	p.fan.Run(n, n, p.solveAt)
 }
 
-// runCut is the round under a deadline or quorum. Results flow through a
-// per-round buffered channel instead of being published up front, so the
-// collector can stop at the deadline or quorum while late solves finish
-// harmlessly in the background: a late worker's send lands in the
-// abandoned round's channel and is dropped with it. A device still
+// runCut is the round under a deadline or quorum. The engine goroutine
+// solves nothing itself: it hands each device to a pool helper
+// (tensor.Hand blocks until one is free, which is safe because the engine
+// goroutine is never a helper) and collects results from a per-round
+// buffered channel, so it can stop at the deadline or quorum while late
+// solves finish harmlessly in the background: a late solve's send lands in
+// the abandoned round's channel and is dropped with it. A device still
 // solving a previously-cut round (busy) is skipped — and counted as a
 // straggler — rather than raced on its RNG stream and report buffer. (The
-// scratch needs no guard: it belongs to the pool goroutine, which runs one
-// solve at a time.)
+// scratch needs no guard: a late solve keeps the one it took until it
+// ends.)
 func (p *Parallel) runCut(ctx context.Context, spec RoundSpec, res *RoundResult) {
 	// Abandoned solves outlive the round, so the anchor they read must not
 	// alias the engine's global vector, which the next aggregation mutates.
 	// The snapshot is a fresh slice, not a reused buffer, because a cut
-	// round's workers may still be reading the previous round's snapshot.
+	// round's solves may still be reading the previous round's snapshot.
 	anchor := append([]float64(nil), spec.Anchor...)
 	n := len(spec.Selected)
 	out := res.Reset(n)
 	lat := clientSlots(spec.Stats, n)
 	done := make(chan parResult, n)
 	submitted := 0
-submit:
 	for i, id := range spec.Selected {
 		dev := p.devices[id]
 		if !dev.busy.CompareAndSwap(false, true) {
@@ -438,16 +412,22 @@ submit:
 		// Re-key only after winning the CAS: a device still solving a cut
 		// round must not have its stream reset underneath the late solve.
 		dev.BeginRound(spec.Round)
-		j := parJob{i: i, dev: dev, anchor: anchor, buf: p.reports.of(id, len(anchor)), local: p.local, done: done, stats: lat != nil, tr: spec.Tracer}
-		select {
-		case p.jobs <- j:
-			submitted++
-		case <-ctx.Done():
-			// Every pool worker is occupied past the deadline; don't queue
-			// more work into a round that is already over.
+		buf, tr := p.reports.of(id, len(anchor)), spec.Tracer
+		solve := func() {
+			d := p.solve(dev, anchor, buf, tr, lat != nil)
+			// busy is released before the send so a device whose result
+			// loses the race against a cut is immediately schedulable next
+			// round.
 			dev.busy.Store(false)
-			break submit
+			done <- parResult{i: i, id: id, vec: buf, solve: d}
 		}
+		if !tensor.Hand(ctx.Done(), solve) {
+			// Every helper is occupied past the deadline; don't queue more
+			// work into a round that is already over.
+			dev.busy.Store(false)
+			break
+		}
+		submitted++
 	}
 	accept := func(r parResult) {
 		out[r.i] = r.vec
@@ -491,13 +471,13 @@ drain:
 	}
 }
 
-// Close stops the worker pool. Idempotent; the pool is also closed by a
-// finalizer if the executor is dropped without Close.
+// Close drops the executor's idle scratches (a later round builds them
+// again). The executor owns no goroutine, so there is nothing to stop;
+// Close exists for callers that release an executor's memory early.
 func (p *Parallel) Close() {
-	p.once.Do(func() {
-		runtime.SetFinalizer(p, nil)
-		close(p.jobs)
-	})
+	p.mu.Lock()
+	p.idle = nil
+	p.mu.Unlock()
 }
 
 // clientSlots appends n unfilled slots (ID -1) to the record's Clients —
@@ -530,12 +510,4 @@ func sumEvals(devices []*Device) int64 {
 		total += d.GradEvals()
 	}
 	return total
-}
-
-func maxParallel() int {
-	n := tensor.MaxWorkers()
-	if n < 1 {
-		return 1
-	}
-	return n
 }

@@ -15,14 +15,13 @@ import (
 )
 
 // newInProcessEngine builds the in-process run NewInProcess builds, with
-// its evaluator, and closes its pool when the test ends.
+// its evaluator.
 func newInProcessEngine(t *testing.T, m models.Model, p *data.Partition, cfg engine.Config) (*engine.Engine, []*engine.Device) {
 	t.Helper()
 	eng, devices, err := engine.NewInProcess(m, p, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(eng.Close)
 	return eng, devices
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"runtime"
 	"testing"
-	"time"
 
 	"fedproxvr/internal/data"
 	"fedproxvr/internal/engine"
@@ -46,8 +45,9 @@ func cnnCloneBytes(m *models.NNModel, shard *data.Dataset) int64 {
 
 // TestParallelScratchIsPerWorker: after a full-participation round over 32
 // thinned-CNN devices, an executor holds one model clone per goroutine that
-// executes solves — two for a 2-worker Parallel, one for Sequential — plus
-// the devices' dim-length report buffers, never one clone per device.
+// executes solves — at most two for Parallel at GOMAXPROCS 2, one for
+// Sequential — plus the devices' dim-length report buffers, never one
+// clone per device.
 func TestParallelScratchIsPerWorker(t *testing.T) {
 	const devices = 32
 	m := models.NewPaperCNN(10, 8, 0)
@@ -59,21 +59,19 @@ func TestParallelScratchIsPerWorker(t *testing.T) {
 		selected[i] = i
 	}
 	anchor := make([]float64, m.Dim())
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 
 	for _, tc := range []struct {
 		name    string
 		workers int
 		mk      func([]*engine.Device) engine.Executor
 	}{
-		{"Parallel", 2, func(d []*engine.Device) engine.Executor { return engine.NewParallel(d, local, 2) }},
+		{"Parallel", 2, func(d []*engine.Device) engine.Executor { return engine.NewParallel(d, local) }},
 		{"Sequential", 1, func(d []*engine.Device) engine.Executor { return engine.NewSequential(d, local) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := testx.LiveHeap()
 			exec := tc.mk(newDevices(p, m, 7))
-			if c, ok := exec.(*engine.Parallel); ok {
-				defer c.Close()
-			}
 			var res engine.RoundResult
 			spec := engine.RoundSpec{Round: 1, Anchor: anchor, Selected: selected}
 			if err := exec.RunRound(context.Background(), spec, &res); err != nil {
@@ -90,23 +88,24 @@ func TestParallelScratchIsPerWorker(t *testing.T) {
 	}
 }
 
-// TestParallelCloseFreesWorkers: a pool goroutine owns its scratch, so both
-// must be gone once Close returns and the goroutine has drained — 100
-// executors that each ran a round leave no goroutine behind.
+// TestParallelCloseFreesWorkers: a Parallel executor owns no goroutine —
+// its rounds run on the caller and the process-wide helpers — so 100
+// executors that are built, run a round each and are dropped without
+// Close leave no goroutine behind, with nothing to wait for.
 func TestParallelCloseFreesWorkers(t *testing.T) {
 	p := testPartition(4, 20, 5, 3, 1)
 	m := models.NewSoftmax(5, 3, 0)
 	local := conformanceConfigs()["full"].Local
 	devices := newDevices(p, m, 1)
 	anchor := make([]float64, m.Dim())
-	// Close only closes the job channel; the workers exit on their own.
-	testx.NoGoroutineGrowth(t, 100, 5*time.Second, func() {
-		exec := engine.NewParallel(devices, local, 3)
+	round := func() {
+		exec := engine.NewParallel(devices, local)
 		var res engine.RoundResult
 		spec := engine.RoundSpec{Round: 1, Anchor: anchor, Selected: []int{0, 1, 2, 3}}
 		if err := exec.RunRound(context.Background(), spec, &res); err != nil {
 			t.Fatal(err)
 		}
-		exec.Close()
-	})
+	}
+	round() // grows the process-wide pool to GOMAXPROCS
+	testx.NoGoroutineGrowth(t, 100, 0, round)
 }

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
@@ -98,8 +99,8 @@ func TestMinReportParallelQuorum(t *testing.T) {
 	cfg.MinReport = 2
 	cfg.Rounds = 4
 
-	par := engine.NewParallel(newDevices(p, m, cfg.Seed), cfg.Local, 2)
-	defer par.Close()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	par := engine.NewParallel(newDevices(p, m, cfg.Seed), cfg.Local)
 	eng, err := engine.New(cfg, m.Dim(), p.Weights(), par)
 	if err != nil {
 		t.Fatal(err)

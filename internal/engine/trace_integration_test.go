@@ -30,9 +30,6 @@ func runTraced(t *testing.T, cfg engine.Config, mk func([]*engine.Device) engine
 	if _, err := eng.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if c, ok := exec.(*engine.Parallel); ok {
-		c.Close()
-	}
 	return tr
 }
 
@@ -42,7 +39,7 @@ func TestEngineTraceHierarchy(t *testing.T) {
 
 	for name, mk := range map[string]func([]*engine.Device) engine.Executor{
 		"sequential": func(d []*engine.Device) engine.Executor { return engine.NewSequential(d, cfg.Local) },
-		"parallel":   func(d []*engine.Device) engine.Executor { return engine.NewParallel(d, cfg.Local, 0) },
+		"parallel":   func(d []*engine.Device) engine.Executor { return engine.NewParallel(d, cfg.Local) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			tr := runTraced(t, cfg, mk)

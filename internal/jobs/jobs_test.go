@@ -556,6 +556,6 @@ func TestStopReopenLeavesNoGoroutines(t *testing.T) {
 		waitRound(m, "leak", st.Round+2)
 		m.Stop()
 	}
-	cycle() // starts the process-wide kernel and evaluator pools
+	cycle() // grows the process-wide helper pool
 	testx.NoGoroutineGrowth(t, 3, 0, cycle)
 }

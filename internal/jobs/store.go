@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -104,48 +105,21 @@ func (st *Store) JobDir(id string) (string, error) {
 	return dir, nil
 }
 
-// writeJSONAtomic writes v as JSON with full crash durability: temp file in
-// the target's directory, fsync, rename over the target, parent-dir fsync.
+// writeJSONAtomic writes v as JSON with full crash durability
+// (checkpoint.WriteFile).
 func writeJSONAtomic(path string, v interface{}) error {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return fmt.Errorf("jobs: encode %s: %w", filepath.Base(path), err)
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+"-*")
+	err = checkpoint.WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(append(data, '\n'))
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("jobs: %w", err)
+		return fmt.Errorf("jobs: %s: %w", filepath.Base(path), err)
 	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after successful rename
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		return fmt.Errorf("jobs: write: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("jobs: sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("jobs: close: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("jobs: rename: %w", err)
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a just-renamed entry survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("jobs: open dir: %w", err)
-	}
-	if err := d.Sync(); err != nil {
-		d.Close()
-		return fmt.Errorf("jobs: sync dir: %w", err)
-	}
-	return d.Close()
+	return nil
 }
 
 func readJSON(path string, v interface{}) error {
@@ -241,7 +215,7 @@ func (st *Store) RotateCheckpoint(id string) error {
 	if err := os.Rename(ckpt, ckpt+".prev"); err != nil {
 		return fmt.Errorf("jobs: rotate checkpoint: %w", err)
 	}
-	return syncDir(filepath.Dir(ckpt))
+	return checkpoint.SyncDir(filepath.Dir(ckpt))
 }
 
 // LoadCheckpoint reads a job's latest intact checkpoint: ckpt first, and on

@@ -155,7 +155,7 @@ func TestModelGradZeroAllocSteadyState(t *testing.T) {
 			w := make([]float64, tc.m.Dim())
 			randx.NormalVec(rng, w, 0, 0.1)
 			g := make([]float64, tc.m.Dim())
-			tc.m.Grad(g, w, tc.ds, idx) // warm scratch and worker pool
+			tc.m.Grad(g, w, tc.ds, idx) // warm scratch and helper pool
 			tc.m.Grad(g, w, tc.ds, nil)
 			allocs := testing.AllocsPerRun(10, func() {
 				tc.m.Grad(g, w, tc.ds, idx)

@@ -116,7 +116,7 @@ func TestBatchedPassZeroAlloc(t *testing.T) {
 	x, dOut := randomBatch(rng, net, b)
 	ws := net.NewWorkspaceBatch(b)
 	grad := make([]float64, net.NumParams())
-	net.ForwardBatch(params, x, b, ws) // warm the worker pool
+	net.ForwardBatch(params, x, b, ws) // warm the helper pool
 	net.BackwardBatch(params, dOut, b, ws, grad)
 	allocs := testing.AllocsPerRun(20, func() {
 		net.ForwardBatch(params, x, b, ws)

@@ -62,8 +62,8 @@ type Options struct {
 // returns all trials sorted by descending best accuracy. The global model
 // starts at initW (nil → zeros; otherwise one entry per model parameter),
 // e.g. a network initialization shared across trials for comparability.
-// Each trial's worker pool (opts.Parallel) is stopped before the next
-// starts.
+// A trial starts no goroutine of its own: with opts.Parallel its rounds
+// fan out over the process-wide helper pool.
 func Run(m models.Model, part *data.Partition, test *data.Dataset, space Space, opts Options, initW []float64) ([]Trial, error) {
 	if err := space.Validate(); err != nil {
 		return nil, err
@@ -115,7 +115,6 @@ func Run(m models.Model, part *data.Partition, test *data.Dataset, space Space, 
 			return nil, err
 		}
 		series, err := eng.Run(context.Background())
-		eng.Close()
 		if err != nil {
 			return nil, err
 		}

@@ -146,8 +146,8 @@ func TestSearchRejectsMisSizedInitW(t *testing.T) {
 	}
 }
 
-// TestSearchStopsItsWorkerPools: every parallel trial's pool is stopped
-// when the trial ends, not left to a finalizer.
+// TestSearchStopsItsWorkerPools: parallel trials leave no goroutine
+// behind: they fan out over the process-wide helper pool.
 func TestSearchStopsItsWorkerPools(t *testing.T) {
 	part, test, m := searchFixture(t)
 	space := Space{Taus: []int{2}, Betas: []float64{5, 10}, Mus: []float64{0.1}, Batches: []int{8}}
@@ -157,6 +157,6 @@ func TestSearchStopsItsWorkerPools(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run() // starts the process-wide kernel and evaluator pools
+	run() // grows the process-wide helper pool
 	testx.NoGoroutineGrowth(t, 5, 2*time.Second, run)
 }

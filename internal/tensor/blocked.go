@@ -1,7 +1,8 @@
 // Package tensor provides dense row-major matrix views and the compute
 // kernels (GEMM, matvec, im2col) that back the neural-network substrate.
 // Kernels are written cache-consciously, the large ones fan fixed-size
-// blocks out over a process-wide worker pool (Par), and every result is
+// blocks out (Par) over the process's one helper pool, which every other
+// fan-out in the process shares too (Fan, Hand), and every result is
 // bit-reproducible whatever the worker count.
 package tensor
 

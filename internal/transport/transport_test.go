@@ -657,7 +657,7 @@ func TestHandshakeRejectsForeignPeers(t *testing.T) {
 }
 
 // cyclesLeaveNoGoroutines runs one fleet cycle to start the process-wide
-// pools it uses (the tensor kernel pool starts on the first solve), then
+// pool it uses (the tensor helper pool grows on the first fan-out), then
 // checks n more leave no goroutine behind. The rejoin accept loop exits on
 // its own once Close shuts the listener, hence the grace period.
 func cyclesLeaveNoGoroutines(t *testing.T, n int, cycle func()) {

@@ -364,13 +364,12 @@ func RunTimingStudy(sc Scale) ([]TimingRow, error) {
 }
 
 // trainTimed runs cfg in-process on task against the fleet's simulated
-// clock, and stops the run's worker pool before it returns.
+// clock.
 func trainTimed(task Task, cfg Config, fleet *simnet.Fleet) (*simnet.TimedSeries, error) {
 	eng, _, err := engine.NewInProcess(task.Model, task.Part, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer eng.Close()
 	return simnet.Train(eng, fleet)
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // Runner drives a prepared federated run in-process: an engine over a
-// sequential or pooled-parallel executor (see engine.NewInProcess), plus
+// sequential or parallel executor (see engine.NewInProcess), plus
 // the paper's local-accuracy diagnostic. The engine is exposed for hooks,
 // stats, checkpointing (internal/checkpoint) and measurement.
 type Runner struct {
@@ -25,8 +25,9 @@ type Runner struct {
 
 // NewRunner prepares a federated run on a task: the task's test set is
 // used unless cfg overrides it, and the task's initialization (if any) is
-// the initial global model. With cfg.Parallel the runner owns a worker
-// pool; Engine().Close() stops it (a finalizer does if nobody does).
+// the initial global model. A runner owns no goroutine: with cfg.Parallel
+// its rounds fan out over the process-wide helper pool, so there is
+// nothing to stop when it is dropped.
 func NewRunner(task Task, cfg Config) (*Runner, error) {
 	if task.Model == nil || task.Part == nil {
 		return nil, fmt.Errorf("fedproxvr: task needs Model and Part")

@@ -545,8 +545,9 @@ func TestNewRunnerRejectsMisSizedInitW(t *testing.T) {
 
 // TestRunsStopTheirWorkerPools: every run the package starts and finishes
 // — Train, a TrainContext cancelled before its first round, and the
-// simulated-clock run behind the timing and straggler studies — stops its
-// Parallel pool before returning instead of leaving it to a finalizer.
+// simulated-clock run behind the timing and straggler studies — leaves no
+// goroutine behind: a Parallel run fans out over the process-wide helper
+// pool and starts none of its own.
 func TestRunsStopTheirWorkerPools(t *testing.T) {
 	task := SyntheticTask(SyntheticOptions{Devices: 4, MinSamples: 20, MaxSamples: 40, Seed: 8})
 	cfg := FedProxVR(SARAH, 5, task.L, 0.1, 2, 8, 2)
@@ -565,6 +566,6 @@ func TestRunsStopTheirWorkerPools(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run() // starts the process-wide kernel and evaluator pools
+	run() // grows the process-wide helper pool
 	testx.NoGoroutineGrowth(t, 5, 2*time.Second, run)
 }
