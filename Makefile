@@ -32,8 +32,12 @@ test:
 
 # vet also holds the one-wire line: encoding/gob is the checkpoint payload
 # (internal/checkpoint), never a second wire format through a side door.
+# The arm64 pass type-checks the !amd64 build, so an assembly kernel
+# declared without its simd_other.go stub fails here, not on another
+# architecture.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 	@out=$$(grep -rl --include='*.go' --exclude='*_test.go' '"encoding/gob"' internal/transport cmd examples); \
 		if [ -n "$$out" ]; then echo "encoding/gob imported on the wire side:"; echo "$$out"; exit 1; fi
 

@@ -66,43 +66,45 @@ func GemmNNRows(alpha float64, a, b Mat, beta float64, c Mat, lo, hi int) {
 // where A(i,k) = a[i*rs+k*ks]. Each element of C therefore sees one
 // multiply-add per nonzero term in ascending k, whichever path computes it.
 //
-// Output rows go four at a time so each streamed row of B is reused
-// fourfold. With AVX2 the first n&^3 columns of a four-row block are one
-// register-tiled axpyTileSIMD call, which keeps its slice of C in registers
-// for the whole k loop and does per element exactly what axpySIMD does; the
-// columns and rows a tile does not cover take axpyRow on sub-slices. A wide
-// block whose A is sparse skips the tile (see tilePays); which path runs
-// never changes a bit.
+// Output rows go four at a time, the last one to three together, so each
+// streamed row of B is reused across the block. With AVX2 and alpha = 1
+// (every caller's), the first n&^3 columns of a block are one
+// register-tiled axpyTileSIMD call, which keeps its slice of C in
+// registers for the whole k loop and does per element exactly what
+// axpySIMD does; the n%4 columns a tile does not cover, and every column
+// at another alpha, take axpyRow on sub-slices. A wide block whose A is
+// sparse skips the tile (see tilePays); which path runs never changes a
+// bit.
 func gemmAxpy(alpha float64, a []float64, rs, ks, kn int, b, c Mat, lo, hi int) {
 	n := b.Cols
-	tiled := 0 // columns [0, tiled) of a dense four-row block are register-tiled
-	if simdEnabled && kn > 0 {
+	tiled := 0 // columns [0, tiled) of a dense block are register-tiled
+	if simdEnabled && alpha == 1 && kn > 0 {
 		tiled = n &^ 3
 	}
-	i := lo
-	for ; i+4 <= hi; i += 4 {
+	for i := lo; i < hi; i += 4 {
+		rows := min(4, hi-i)
 		j0 := 0
-		if tiled > 0 && tilePays(a, rs, ks, kn, n, i) {
+		if tiled > 0 && tilePays(a, rs, ks, kn, n, i, rows) {
 			// The slice expressions bound everything the kernel touches.
-			axpyTileSIMD(alpha, a[i*rs:(i+3)*rs+(kn-1)*ks+1], rs, ks, kn,
-				b.Data[:(kn-1)*n+tiled], c.Data[i*n:(i+3)*n+tiled], n, tiled)
+			axpyTileSIMD(a[i*rs:(i+rows-1)*rs+(kn-1)*ks+1], rs, ks, kn,
+				b.Data[:(kn-1)*n+tiled], c.Data[i*n:(i+rows-1)*n+tiled], n, tiled, rows)
 			j0 = tiled
 		}
-		axpyRows(alpha, a, rs, ks, kn, b, c, i, i+4, j0)
+		axpyRows(alpha, a, rs, ks, kn, b, c, i, i+rows, j0)
 	}
-	axpyRows(alpha, a, rs, ks, kn, b, c, i, hi, 0)
 }
 
 // tilePays reports whether the register tile beats the per-row path on the
-// four rows at i of an n-column output. The tile skips a zero A(i,k) with a
-// branch in each of its n/8 column tiles, which mispredicts when zeros are
-// common and scattered (the ReLU-masked dY of a dense layer's backward pass
-// is about half zeros); the per-row path pays one axpyRow call per nonzero
-// term and nothing per zero. Measured on random A, the tile wins while the
-// zero fraction times n stays under about 160: any fraction for n ≤ 160,
-// about 20 % at n = 784. The fraction is sampled over the first 16 k,
-// counted branch-free so the count does not mispredict on the same data.
-func tilePays(a []float64, rs, ks, kn, n, i int) bool {
+// rows i..i+rows-1 of an n-column output. The tile skips a zero A(i,k)
+// with a branch in each of its column tiles (8 or 12 wide), which
+// mispredicts when zeros are common and scattered (the ReLU-masked dY of
+// a dense layer's backward pass is about half zeros); the per-row path
+// pays one axpyRow call per nonzero term and nothing per zero. Measured on
+// random A, the tile wins while the zero fraction times n stays under
+// about 160: any fraction for n ≤ 160, about 20 % at n = 784. The
+// fraction is sampled over the first 16 k, counted branch-free so the
+// count does not mispredict on the same data.
+func tilePays(a []float64, rs, ks, kn, n, i, rows int) bool {
 	if n <= 160 {
 		return true
 	}
@@ -110,12 +112,12 @@ func tilePays(a []float64, rs, ks, kn, n, i int) bool {
 	zeros := 0
 	for k := 0; k < m; k++ {
 		p := i*rs + k*ks
-		for r := 0; r < 4; r++ {
+		for r := 0; r < rows; r++ {
 			y := math.Float64bits(a[p+r*rs]) << 1 // 0 iff ±0
 			zeros += int((y|-y)>>63) ^ 1
 		}
 	}
-	return zeros*n <= 160*4*m
+	return zeros*n <= 160*rows*m
 }
 
 // axpyRows is gemmAxpy's reference form on rows [r0, r1) and columns
@@ -160,44 +162,49 @@ func scaleRows(beta float64, c Mat, lo, hi int) {
 // GemmNTRows computes output rows [lo, hi) of C = alpha*A*Bᵀ + beta*C
 // serially. A is (M×K), B is (N×K), C is (M×N); C must not alias A or B.
 //
-// Output rows go four at a time so each streamed row of B feeds four dot
-// products while hot in cache. With AVX2, B rows go three at a time through
-// dot3RowsSIMD, which shares each loaded chunk of the A row across three
-// dots that each keep dotSIMD's accumulator layout, combine order and
-// scalar tail; the B rows left over take dot4. Every element is alpha times
-// the same fixed-order dot, combined with beta·C the same way, so results
-// are bit-identical to the one-element-at-a-time loop.
+// With AVX2, B rows go three at a time, the last one or two together,
+// through dotRowsSIMD, which shares each loaded chunk of an A row across
+// the dots of its B rows and runs the K%16 tails of four A rows together.
+// Every dot keeps the one accumulator layout, combine order and scalar
+// tail whichever rows it shares a call with. Every element is alpha times
+// that fixed-order dot, combined with beta·C the same way, so results are
+// bit-identical to the one-element-at-a-time loop.
 //
 // The plain forms — alpha = 1 with beta 0 (a forward pass) or beta 1 (an
-// accumulated gradient) — hand all of [lo, hi) of each B triple to one
-// dot3RowsSIMD call, which stores d or C + d itself, betaCombine's result
-// for those betas (1·d is d). Other forms take one row per call.
+// accumulated gradient) — hand all of [lo, hi) of each B group to one
+// dotRowsSIMD call, which stores d or C + d itself, betaCombine's result
+// for those betas (1·d is d). Other forms take four rows per call into a
+// local block and combine in Go. Without AVX2 every element is one dot4.
 func GemmNTRows(alpha float64, a, b Mat, beta float64, c Mat, lo, hi int) {
 	kn, n := a.Cols, c.Cols
-	j0 := 0 // B rows [0, j0) are done
-	if simdEnabled && alpha == 1 && (beta == 0 || beta == 1) && lo < hi {
-		for ; j0+3 <= b.Rows; j0 += 3 {
-			dot3RowsSIMD(a.Data[lo*kn:hi*kn], b.Data[j0*kn:(j0+3)*kn],
-				c.Data[lo*n+j0:(hi-1)*n+j0+3], kn, n, hi-lo, beta == 1)
+	if simdEnabled && lo < hi {
+		if alpha == 1 && (beta == 0 || beta == 1) {
+			for j := 0; j < b.Rows; j += 3 {
+				nb := min(3, b.Rows-j)
+				dotRowsSIMD(a.Data[lo*kn:hi*kn], b.Data[j*kn:(j+nb)*kn],
+					c.Data[lo*n+j:(hi-1)*n+j+nb], kn, n, hi-lo, nb, beta == 1)
+			}
+			return
 		}
-	}
-	for i0 := lo; i0 < hi; i0 += 4 {
-		i1 := min(i0+4, hi)
-		j := j0
-		if simdEnabled {
-			for ; j+3 <= b.Rows; j += 3 {
-				y := b.Data[j*kn : (j+3)*kn]
+		for i0 := lo; i0 < hi; i0 += 4 {
+			i1 := min(i0+4, hi)
+			for j := 0; j < b.Rows; j += 3 {
+				nb := min(3, b.Rows-j)
+				var d [12]float64 // dot j of row i at d[3(i-i0)+j]
+				dotRowsSIMD(a.Data[i0*kn:i1*kn], b.Data[j*kn:(j+nb)*kn], d[:], kn, 3, i1-i0, nb, false)
 				for i := i0; i < i1; i++ {
-					var d [3]float64
-					dot3RowsSIMD(a.Row(i), y, d[:], kn, 3, 1, false)
-					crow := c.Row(i)
-					crow[j] = betaCombine(beta, crow[j], alpha*d[0])
-					crow[j+1] = betaCombine(beta, crow[j+1], alpha*d[1])
-					crow[j+2] = betaCombine(beta, crow[j+2], alpha*d[2])
+					crow := c.Row(i)[j : j+nb]
+					for jj, dv := range d[(i-i0)*3 : (i-i0)*3+nb] {
+						crow[jj] = betaCombine(beta, crow[jj], alpha*dv)
+					}
 				}
 			}
 		}
-		for ; j < b.Rows; j++ {
+		return
+	}
+	for i0 := lo; i0 < hi; i0 += 4 {
+		i1 := min(i0+4, hi)
+		for j := 0; j < b.Rows; j++ {
 			brow := b.Row(j)
 			for i := i0; i < i1; i++ {
 				crow := c.Row(i)
@@ -261,13 +268,10 @@ func ColSumsAcc(dst []float64, m Mat) {
 	}
 }
 
-// dot4 is an inner product with four independent accumulators combined in a
-// fixed order; the unroll breaks the add dependency chain without
-// sacrificing reproducibility.
+// dot4 is the scalar fallback's inner product: four independent
+// accumulators combined in a fixed order; the unroll breaks the add
+// dependency chain without sacrificing reproducibility.
 func dot4(x, y []float64) float64 {
-	if simdEnabled {
-		return dotSIMD(x, y)
-	}
 	y = y[:len(x)] // bounds-check elimination hint
 	var s0, s1, s2, s3 float64
 	n := len(x) &^ 3

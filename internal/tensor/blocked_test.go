@@ -238,6 +238,19 @@ func BenchmarkGemmShapeNTFwd32x60x10(b *testing.B) {
 	benchGemmShape(b, gemmNT, 0, 32, 60, 10, 60, 32, 10)
 }
 
+// BenchmarkGemmShapeNTFwd16x60x10 is the convex Softmax forward at the
+// 16-row minibatch of the jobs3 workload (beta 0).
+func BenchmarkGemmShapeNTFwd16x60x10(b *testing.B) {
+	benchGemmShape(b, gemmNT, 0, 16, 60, 10, 60, 16, 10)
+}
+
+// BenchmarkGemmShapeNT8x196x100 is the thinned CNN's conv2 weight
+// gradient for one sample: 8 filters' 196-pixel output gradients against
+// 100 im2col rows, accumulated into dW (beta 1).
+func BenchmarkGemmShapeNT8x196x100(b *testing.B) {
+	benchGemmShape(b, gemmNT, 1, 8, 196, 100, 196, 8, 100)
+}
+
 // BenchmarkGemmShapeTN10x32x60 is the convex Softmax weight gradient:
 // 10 classes × 60 features reduced over a 32-row minibatch.
 func BenchmarkGemmShapeTN10x32x60(b *testing.B) {
@@ -266,8 +279,10 @@ func TestSIMDKernelsMatchScalar(t *testing.T) {
 		for i := range x {
 			want += x[i] * y[i]
 		}
-		if got := dotSIMD(x, y); math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
-			t.Fatalf("n=%d dot: simd %v scalar %v", n, got, want)
+		var got [1]float64
+		dotRowsSIMD(x, y, got[:], n, 1, 1, 1, false)
+		if math.Abs(got[0]-want) > 1e-9*(1+math.Abs(want)) {
+			t.Fatalf("n=%d dot: simd %v scalar %v", n, got[0], want)
 		}
 		y2 := append([]float64(nil), y...)
 		axpySIMD(0.7, x, y2)

@@ -8,8 +8,8 @@ import (
 )
 
 // The ref* functions are the one-row-block GEMM bodies the register-tiled
-// kernels replaced, kept verbatim as the bit-exact reference: four output
-// rows at a time, one axpyRow or dot4 per (row, k) or (row, column).
+// kernels replaced, kept as the bit-exact reference: four output rows at a
+// time, one axpyRow per (row, k) or one refDot per (row, column).
 
 func refGemmNNRows(alpha float64, a, b Mat, beta float64, c Mat, lo, hi int) {
 	n := b.Cols
@@ -53,10 +53,10 @@ func refGemmNTRows(alpha float64, a, b Mat, beta float64, c Mat, lo, hi int) {
 		c0, c1, c2, c3 := c.Row(i), c.Row(i+1), c.Row(i+2), c.Row(i+3)
 		for j := 0; j < b.Rows; j++ {
 			brow := b.Row(j)
-			s0 := alpha * dot4(a0, brow)
-			s1 := alpha * dot4(a1, brow)
-			s2 := alpha * dot4(a2, brow)
-			s3 := alpha * dot4(a3, brow)
+			s0 := alpha * refDot(a0, brow)
+			s1 := alpha * refDot(a1, brow)
+			s2 := alpha * refDot(a2, brow)
+			s3 := alpha * refDot(a3, brow)
 			if beta == 0 {
 				c0[j], c1[j], c2[j], c3[j] = s0, s1, s2, s3
 			} else if beta == 1 {
@@ -76,7 +76,7 @@ func refGemmNTRows(alpha float64, a, b Mat, beta float64, c Mat, lo, hi int) {
 		arow := a.Row(i)
 		crow := c.Row(i)
 		for j := 0; j < b.Rows; j++ {
-			s := alpha * dot4(arow, b.Row(j))
+			s := alpha * refDot(arow, b.Row(j))
 			if beta == 0 {
 				crow[j] = s
 			} else if beta == 1 {
@@ -86,6 +86,69 @@ func refGemmNTRows(alpha float64, a, b Mat, beta float64, c Mat, lo, hi int) {
 			}
 		}
 	}
+}
+
+// refDot is the reference dot product: on an AVX2 host fmaDot, the Go
+// transcription of the SIMD dot, and on the scalar fallback dot4 itself.
+func refDot(x, y []float64) float64 {
+	if simdEnabled {
+		return fmaDot(x, y)
+	}
+	return dot4(x, y)
+}
+
+// fmaDot computes Σ x[i]*y[i] in the order every AVX2 dot of GemmNTRows
+// promises, written out in Go so the assembly is checked against a spec
+// rather than against itself: sixteen accumulators acc[q][l], element
+// 16c+4q+l fused into acc[q][l] for every full 16-element chunk c; per
+// lane l the combine (acc[0][l]+acc[1][l]) + (acc[2][l]+acc[3][l]); the
+// low half plus the high half, (u0+u2) and (u1+u3); their sum; then one
+// fused multiply-add per remaining element in ascending order.
+func fmaDot(x, y []float64) float64 {
+	var acc [4][4]float64
+	n := len(x) &^ 15
+	for c := 0; c < n; c += 16 {
+		for q := range acc {
+			for l := range acc[q] {
+				i := c + 4*q + l
+				acc[q][l] = fmaX86(x[i], y[i], acc[q][l])
+			}
+		}
+	}
+	var u [4]float64
+	for l := range u {
+		u[l] = addX86(addX86(acc[0][l], acc[1][l]), addX86(acc[2][l], acc[3][l]))
+	}
+	s := addX86(addX86(u[0], u[2]), addX86(u[1], u[3]))
+	for i := n; i < len(x); i++ {
+		s = fmaX86(x[i], y[i], s)
+	}
+	return s
+}
+
+// addX86 is x + y with the NaN an x86 vector add returns when both
+// operands are NaN: the first operand's. Go leaves that choice to the
+// compiler's operand order, so it is made here.
+func addX86(x, y float64) float64 {
+	if x != x {
+		return x
+	}
+	return x + y
+}
+
+// fmaX86 is a·b + c rounded once, with the NaN an x86 FMA returns when
+// several operands are NaN: a's, then b's, then c's (a is the register
+// multiplicand, b the memory one, c the accumulator).
+func fmaX86(a, b, c float64) float64 {
+	switch {
+	case a != a:
+		return a
+	case b != b:
+		return b
+	case c != c:
+		return c
+	}
+	return math.FMA(a, b, c)
 }
 
 func refGemmTNRows(alpha float64, a, b Mat, beta float64, c Mat, lo, hi int) {
@@ -184,16 +247,19 @@ var gemmDiffDims = []int{0, 1, 3, 4, 5, 7, 8, 9, 12, 16, 17, 31, 60, 70}
 // gemmWideShapes are (M, K, N) wide enough that a four-row block of
 // half-zero A takes the per-row path instead of the tile (tilePays). The
 // fill cycles with the shape index, so 9×33×400 and 7×20×500 get sparse A.
-// The last two are the softmax head's forward and gradient GEMM shapes:
-// 32×60×10 and a 784-wide 8×784×10.
+// The rest are the shapes the models hit: the softmax head's forward and
+// gradient GEMMs at 32×60×10 and a 784-wide 8×784×10, its 16-row
+// minibatch (16×60×10), the thin CNN's dense layer (8×392×10) and its
+// conv2 weight gradient (8×196×100).
 var gemmWideShapes = [][3]int{{8, 16, 784}, {9, 33, 400}, {5, 7, 336}, {12, 3, 784}, {7, 20, 500}, {16, 9, 344},
-	{32, 60, 10}, {8, 784, 10}}
+	{32, 60, 10}, {8, 784, 10}, {16, 60, 10}, {8, 392, 10}, {8, 196, 100}}
 
 // TestGemmTilesMatchReference holds GemmNNRows, GemmTNRows and GemmNTRows to
-// the pre-tiling bodies bit for bit, over every (M, K, N) in gemmDiffDims³
-// and gemmWideShapes, alpha ∈ {1, 1.5, −0.3}, beta ∈ {0, 1, 0.7}, dense,
-// sparse and special operands, unaligned sub-slices, and both the full row
-// range and an interior [lo, hi).
+// the pre-tiling bodies bit for bit, over every (M, K, N) in gemmDiffDims³,
+// gemmWideShapes and a K sweep over every tail length, alpha ∈ {1, 1.5, −0.3}, beta ∈ {0, 1,
+// 0.7}, dense, sparse and special operands, unaligned sub-slices, and both
+// the full row range and an interior [lo, hi). On an AVX2 host the NT
+// reference takes its dots from fmaDot, not from the assembly under test.
 func TestGemmTilesMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	alphas := []float64{1, 1.5, -0.3}
@@ -219,12 +285,23 @@ func TestGemmTilesMatchReference(t *testing.T) {
 			}
 		}
 	}
+	// The tail sweep: K over every residue mod 16, with no, one and two
+	// whole 16-element chunks before the tail, at the softmax head's N = 10
+	// (three B triples and one leftover B row) and M = 11, on the interior
+	// rows [1, 10): two blocks of four rows and one row left over.
+	tails := len(shapes)
+	for k := 0; k < 48; k++ {
+		shapes = append(shapes, [3]int{11, k, 10})
+	}
 	for shape, dims := range shapes {
 		m, k, n := dims[0], dims[1], dims[2]
 		kind := shape % fillKinds
 		off := shape % 4
 		lo, hi := 0, m
-		if shape%2 == 1 && m > 2 {
+		switch {
+		case shape >= tails:
+			lo, hi = 1, m-1
+		case shape%2 == 1 && m > 2:
 			lo, hi = 1+rng.Intn(m/2), m-rng.Intn(m/2)
 		}
 		for _, f := range forms {
@@ -266,7 +343,7 @@ func TestTilePaysRoutesSparseWideBlocks(t *testing.T) {
 	} {
 		a := make([]float64, 4*32)
 		fillOperand(rng, a, tc.kind)
-		if got := tilePays(a, 32, 1, 32, tc.n, 0); got != tc.want {
+		if got := tilePays(a, 32, 1, 32, tc.n, 0, 4); got != tc.want {
 			t.Errorf("fill %d, n=%d: tilePays = %v, want %v", tc.kind, tc.n, got, tc.want)
 		}
 	}
