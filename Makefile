@@ -82,11 +82,16 @@ expolint:
 # GOMAXPROCS, so one process covers all three.) The LossGrad and Handover
 # tests cover the gradients a measurement hands every device for the next
 # round, written by whichever worker claims the shard, and the
-# stationarity gap folded from them.
+# stationarity gap folded from them. The second line pins the paper CNN's
+# bits at the same three counts with its digest on both kernel sets (the
+# fused ReLU + max-pool's oracle sets GOMAXPROCS 1 and 2 itself and runs
+# in `test` and `race`). It runs without the race detector, which would
+# slow the digest's table tenfold and cannot change a bit.
 evalcpu:
 	$(GO) test -race $(RACE_TESTFLAGS) -count=1 -cpu 1,2,4 \
 		-run 'Evaluator|PredictBatch|LossGrad|Handover|Parallel|Conformance|Par[A-Z]|Fan|BitDeterministic' \
 		./internal/engine/ ./internal/models/ ./internal/nn/ ./internal/tensor/
+	$(GO) test $(TESTFLAGS) -count=1 -cpu 1,2,4 -run 'PaperCNNDigest' ./internal/tensor/
 
 # bench-smoke compiles and tests the frozen benchmark module. bench/ is its
 # own Go module (it imports this one through a replace directive), so the
@@ -165,11 +170,13 @@ soak-restart:
 # measurement of the paper's convex scenario, the GEMM kernels and
 # Softmax gradient at the shapes the benchmark's models hit (GemmShape*,
 # SoftmaxGradB32), the softmax cross-entropy head of one convex step
-# (SoftmaxXent32x10), conv1's im2col/col2im (Im2Col28x28k5, Col2Im28x28k5)
-# and the thin CNN's B = 8 gradient (CNNThinGradB8). bench and benchgate
+# (SoftmaxXent32x10), conv1's and the thin conv2's im2col/col2im
+# (Im2Col28x28k5, Col2Im28x28k5, Im2Col14x14c4k5, Col2Im14x14c4k5), the
+# fused ReLU + max-pool over conv1's output (ReLUMaxPool4x28x28B8) and the
+# thin CNN's B = 8 gradient (CNNThinGradB8). bench and benchgate
 # must agree on this set, so a benchmark in the snapshot is never silently
 # absent from the gate run.
-BENCH_PATTERN := RoundAllocs|Ablation|NewRunnerCNN10|NNBatch|NNMinibatch|NNInnerSolve|TopK|Frame|WireRound|EvaluatorMeasure|GemmShape|SoftmaxGradB32|SoftmaxXent32x10|Im2Col28x28k5|Col2Im28x28k5|CNNThinGradB8
+BENCH_PATTERN := RoundAllocs|Ablation|NewRunnerCNN10|NNBatch|NNMinibatch|NNInnerSolve|TopK|Frame|WireRound|EvaluatorMeasure|GemmShape|SoftmaxGradB32|SoftmaxXent32x10|Im2Col28x28k5|Col2Im28x28k5|Im2Col14x14c4k5|Col2Im14x14c4k5|ReLUMaxPool4x28x28B8|CNNThinGradB8
 BENCH_PKGS := . ./internal/engine ./internal/nn ./internal/models ./internal/optim ./internal/transport ./internal/tensor
 
 # bench runs the recorded benchmark set three times and snapshots the

@@ -48,7 +48,6 @@ var allow = []struct{ name, reason string }{
 	{"fedproxvr/internal/engine.NewShardedMean", "flat reference that the aggregation-tree tests compare against"},
 	{"fedproxvr/internal/engine.ShardedMean.Aggregate", "flat reference that the aggregation-tree tests compare against"},
 	{"fedproxvr/internal/transport.Coordinator.AwaitRejoin", "rejoin barrier of the chaos suite, which as another package cannot reach a _test.go"},
-	{"fedproxvr/internal/models.NewMLP", "the gated NNMinibatch*/NNInnerSolve* benchmarks' model"},
 }
 
 func main() {

@@ -172,7 +172,7 @@ const (
 // ImageOptions controls ImageTask.
 type ImageOptions struct {
 	Style           ImageStyle
-	Devices         int // default 100 (convex experiments)
+	Devices         int // default 100 for ImageTask (convex), 10 for CNNTask
 	SamplesPerClass int // total per class before the split; default 300
 	LabelsPerDevice int // default 2 (paper)
 	MinSamples      int // default 40
@@ -209,14 +209,15 @@ func ImageTask(o ImageOptions) (Task, error) {
 }
 
 // CNNTask builds the paper's non-convex task: the two-layer CNN on
-// procedural digit images, 10 devices (the paper reduces the device count
-// for CNN cost reasons). widthDivisor > 1 thins the CNN for fast runs
-// (1 = the paper's 32/64-channel network).
+// procedural digit images, on 10 devices unless o.Devices asks for another
+// count (the paper reduces the device count for CNN cost reasons).
+// widthDivisor > 1 thins the CNN for fast runs (1 = the paper's
+// 32/64-channel network).
 func CNNTask(o ImageOptions, widthDivisor int) (Task, error) {
-	o = imageDefaults(o)
-	if o.Devices == 0 || o.Devices > 10 {
+	if o.Devices == 0 {
 		o.Devices = 10
 	}
+	o = imageDefaults(o)
 	gen := data.NewImageGenerator(data.ImageConfig{Style: o.Style, Seed: o.Seed})
 	full := gen.Generate(o.SamplesPerClass*10, 0)
 	train, test := full.Split(0.75, o.Seed+1)

@@ -62,13 +62,26 @@ func TestImageTaskShape(t *testing.T) {
 	}
 }
 
+// TestCNNTaskHonoursDeviceCount: a device count other than 0 is the
+// task's shard count, above the default 10 too (CNNTask once clamped it to
+// 10 without an error).
+func TestCNNTaskHonoursDeviceCount(t *testing.T) {
+	task, err := CNNTask(ImageOptions{Style: Digits, Devices: 20, SamplesPerClass: 30, MinSamples: 4, MaxSamples: 20, Seed: 3}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(task.Part.Clients); n != 20 {
+		t.Fatalf("CNNTask with 20 devices built %d shards", n)
+	}
+}
+
 func TestCNNTaskShape(t *testing.T) {
 	task, err := CNNTask(ImageOptions{Style: Digits, SamplesPerClass: 30, Seed: 3}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(task.Part.Clients) != 10 {
-		t.Fatalf("CNN task should cap devices at 10, got %d", len(task.Part.Clients))
+		t.Fatalf("CNN task should default to 10 devices, got %d", len(task.Part.Clients))
 	}
 	if task.InitW == nil {
 		t.Fatal("CNN task must carry an initialization")

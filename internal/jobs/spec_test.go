@@ -72,3 +72,46 @@ func FuzzSpecSubmit(f *testing.F) {
 		_ = sp.Validate()
 	})
 }
+
+// TestCNNSpecKeepsItsDevices: a CNN job for 20 devices with a quorum of 15
+// runs on 20 devices, so a round in which they all report reaches the
+// quorum and moves the global model. CNNTask once clamped it to 10
+// devices, which Validate accepted and quorumGate then skipped in every
+// round. A real round's local solves on the full-width CNN take seconds,
+// so the job's aggregator gets the full cohort's reports directly.
+func TestCNNSpecKeepsItsDevices(t *testing.T) {
+	var s Spec
+	if err := json.Unmarshal([]byte(`{"id":"cnn20","rounds":1,"dataset":"digits","model":"cnn","devices":20,"min_participants":15,"samples":4}`), &s); err != nil {
+		t.Fatal(err)
+	}
+	s = s.withDefaults()
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.runner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(r.Devices())
+	if n != 20 {
+		t.Fatalf("the spec asks for 20 devices, its run has %d", n)
+	}
+	w := append([]float64(nil), r.Global()...)
+	selected, locals := make([]int, n), make([][]float64, n)
+	for i := range selected {
+		selected[i] = i
+		locals[i] = make([]float64, len(w))
+		for j, v := range w {
+			locals[i][j] = v + 1
+		}
+	}
+	if err := r.Engine().Aggregator().Aggregate(w, selected, locals); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range r.Global() {
+		if w[i] != v {
+			return
+		}
+	}
+	t.Fatal("a round of all 20 devices with a quorum of 15 left the global model unchanged")
+}

@@ -79,7 +79,7 @@ func TestNNModelGradMatchesPerSample(t *testing.T) {
 		m    *NNModel
 		dim  int
 	}{
-		{"MLP", NewMLP(20, 16, 4, 0.01), 20},
+		{"MLP", newMLP(20, 16, 4, 0.01), 20},
 		{"PaperCNN", NewPaperCNN(4, 16, 0), 784},
 	}
 	for _, tc := range cases {
@@ -106,7 +106,7 @@ func TestNNModelGradMatchesPerSample(t *testing.T) {
 // TestNNModelGradBitDeterministic asserts repeated batched gradients, and
 // gradients under different GOMAXPROCS values, are bit-identical.
 func TestNNModelGradBitDeterministic(t *testing.T) {
-	m := NewMLP(50, 32, 5, 0)
+	m := newMLP(50, 32, 5, 0)
 	ds := classDataset(50, 5, 96, 33)
 	rng := randx.New(34)
 	w := make([]float64, m.Dim())
@@ -147,7 +147,7 @@ func TestModelGradZeroAllocSteadyState(t *testing.T) {
 		ds   *data.Dataset
 	}{
 		{"Softmax", NewSoftmax(30, 3, 0.1), ds},
-		{"MLP", NewMLP(30, 16, 3, 0.1), ds},
+		{"MLP", newMLP(30, 16, 3, 0.1), ds},
 	}
 	for _, tc := range models {
 		t.Run(tc.name, func(t *testing.T) {
@@ -180,7 +180,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 		classes int
 	}{
 		{"Softmax", NewSoftmax(30, 5, 0.1), 30, 5},
-		{"MLP", NewMLP(20, 16, 4, 0.01), 20, 4},
+		{"MLP", newMLP(20, 16, 4, 0.01), 20, 4},
 		{"PaperCNN", NewPaperCNN(4, 16, 0), 784, 4},
 	}
 	for _, tc := range cases {
@@ -222,7 +222,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 }
 
 func benchGradModel() (*NNModel, *data.Dataset, []float64) {
-	m := NewMLP(784, 128, 10, 0)
+	m := newMLP(784, 128, 10, 0)
 	ds := classDataset(784, 10, 256, 41)
 	rng := randx.New(42)
 	w := make([]float64, m.Dim())

@@ -5,8 +5,16 @@ import (
 	"testing"
 
 	"fedproxvr/internal/data"
+	"fedproxvr/internal/nn"
 	"fedproxvr/internal/randx"
+	"fedproxvr/internal/testx"
 )
+
+// newMLP builds a one-hidden-layer ReLU perceptron classifier, the NN model
+// the tests and the NNMinibatchGrad32 benchmark train besides the CNN.
+func newMLP(in, hidden, classes int, l2 float64) *NNModel {
+	return NewNNModel(nn.MustNetwork(nn.NewDense(in, hidden), testx.NewReLU(hidden), nn.NewDense(hidden, classes)), l2)
+}
 
 // checkModelGradient compares Grad against central finite differences of
 // Loss over a fixed batch.
@@ -87,8 +95,8 @@ func TestSoftmaxLearnsSeparableData(t *testing.T) {
 
 func TestMLPGradient(t *testing.T) {
 	ds := classificationDataset(8, 5, 3, 11)
-	checkModelGradient(t, NewMLP(5, 7, 3, 0), ds, nil, 12, 1e-4)
-	checkModelGradient(t, NewMLP(5, 7, 3, 0.1), ds, []int{0, 2, 5}, 13, 1e-4)
+	checkModelGradient(t, newMLP(5, 7, 3, 0), ds, nil, 12, 1e-4)
+	checkModelGradient(t, newMLP(5, 7, 3, 0.1), ds, []int{0, 2, 5}, 13, 1e-4)
 }
 
 func TestCNNGradientThin(t *testing.T) {
@@ -142,7 +150,7 @@ func TestLossGradMatchesLossAndGrad(t *testing.T) {
 		{"Softmax", NewSoftmax(13, 5, 0), 13},
 		{"Softmax L2", NewSoftmax(13, 5, 0.05), 13},
 		{"thin CNN", NewPaperCNN(5, 16, 0.01), 784},
-		{"MLP", NewMLP(9, 11, 5, 0.02), 9},
+		{"MLP", newMLP(9, 11, 5, 0.02), 9},
 	}
 	for _, tc := range cases {
 		for _, n := range []int{0, 1, 31, 32, 33, 257} { // 0: an empty shard
@@ -180,7 +188,7 @@ func TestCloneIndependence(t *testing.T) {
 	if m.Loss(w, ds, nil) != c.Loss(w, ds, nil) {
 		t.Fatal("clone computes different loss")
 	}
-	nm := NewMLP(4, 5, 3, 0)
+	nm := newMLP(4, 5, 3, 0)
 	nc := nm.Clone().(*NNModel)
 	if nc.Net != nm.Net {
 		t.Fatal("NNModel clones should share the network structure")

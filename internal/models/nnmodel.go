@@ -132,7 +132,8 @@ func (m *NNModel) InitParams(rng *rand.Rand, w []float64) {
 // NewPaperCNN builds the paper's non-convex model: "two 5x5 convolution
 // layers (32 and 64 channels ..., max pooling size 2x2 is used after each
 // layer), ReLu activation, and a softmax layer at the end", over 28×28
-// single-channel images with `classes` outputs. Pass a channel width
+// single-channel images with `classes` outputs. Each convolution's ReLU and
+// 2×2 max-pool run as one fused nn.ReLUMaxPool layer. Pass a channel width
 // divisor > 1 to build a proportionally thinner network for fast tests and
 // benches (e.g. 8 → 4/8 channels).
 func NewPaperCNN(classes, widthDivisor int, l2 float64) *NNModel {
@@ -143,24 +144,12 @@ func NewPaperCNN(classes, widthDivisor int, l2 float64) *NNModel {
 	ch2 := max(1, 64/widthDivisor)
 	s1 := tensor.ConvShape{InC: 1, InH: 28, InW: 28, KH: 5, KW: 5, Stride: 1, Pad: 2}
 	c1 := nn.NewConv2D(s1, ch1)
-	p1 := nn.NewMaxPool2D(ch1, 28, 28, 2)
 	s2 := tensor.ConvShape{InC: ch1, InH: 14, InW: 14, KH: 5, KW: 5, Stride: 1, Pad: 2}
 	c2 := nn.NewConv2D(s2, ch2)
-	p2 := nn.NewMaxPool2D(ch2, 14, 14, 2)
 	net := nn.MustNetwork(
-		c1, nn.NewReLU(c1.OutSize()), p1,
-		c2, nn.NewReLU(c2.OutSize()), p2,
+		c1, nn.NewReLUMaxPool(c1, 2),
+		c2, nn.NewReLUMaxPool(c2, 2),
 		nn.NewDense(ch2*7*7, classes),
-	)
-	return NewNNModel(net, l2)
-}
-
-// NewMLP builds a one-hidden-layer ReLU perceptron classifier.
-func NewMLP(in, hidden, classes int, l2 float64) *NNModel {
-	net := nn.MustNetwork(
-		nn.NewDense(in, hidden),
-		nn.NewReLU(hidden),
-		nn.NewDense(hidden, classes),
 	)
 	return NewNNModel(net, l2)
 }

@@ -154,7 +154,7 @@ func TestHeadMatchesRowReference(t *testing.T) {
 		{"Softmax", NewSoftmax(60, 10, 0), 60, 0.3},
 		{"Softmax L2", NewSoftmax(13, 5, 0.05), 13, 0.3},
 		{"Softmax wide logits", NewSoftmax(13, 5, 0), 13, 120},
-		{"MLP", NewMLP(9, 11, 5, 0.02), 9, 0.3},
+		{"MLP", newMLP(9, 11, 5, 0.02), 9, 0.3},
 		{"thin CNN", NewPaperCNN(5, 16, 0.01), 784, 0.3},
 	}
 	for _, tc := range cases {

@@ -5,9 +5,12 @@ import (
 	"math/rand"
 	"testing"
 	"unsafe"
+
+	"fedproxvr/internal/testx"
 )
 
-// TestReLUMatchesBranchyReference holds the branch-free ReLU to the
+// TestReLUMatchesBranchyReference holds the branch-free ReLU (testx.ReLU,
+// the MLP's activation and part of the fused pool's reference) to the
 // if/else bodies it replaced (y = v if v > 0 else 0; dX = dY if the input
 // was > 0 else 0), bit for bit, over every pairing of NaN, ±0, ±Inf,
 // subnormal and extreme inputs and upstream gradients plus random values,
@@ -28,7 +31,7 @@ func TestReLUMatchesBranchyReference(t *testing.T) {
 			x[i], dY[i] = rng.NormFloat64(), rng.NormFloat64()
 		}
 	}
-	r := NewReLU(size)
+	r := testx.NewReLU(size)
 	cache := r.NewCache(b)
 	y, dX := make([]float64, size*b), make([]float64, size*b)
 	r.Forward(nil, x, y, b, cache)
@@ -45,7 +48,7 @@ func TestReLUMatchesBranchyReference(t *testing.T) {
 			t.Fatalf("backward at x=%v, dY=%v: %v, reference %v", v, dY[i], dX[i], wantDX)
 		}
 	}
-	if mask := cache.(*reluCache).mask; unsafe.Sizeof(mask[0]) != 1 || len(mask) != size*b {
+	if mask := cache.(*testx.ReLUCache).Mask; unsafe.Sizeof(mask[0]) != 1 || len(mask) != size*b {
 		t.Fatalf("ReLU mask is %d bytes × %d elements, want 1 × %d", unsafe.Sizeof(mask[0]), len(mask), size*b)
 	}
 }

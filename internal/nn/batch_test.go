@@ -7,16 +7,17 @@ import (
 	"testing"
 
 	"fedproxvr/internal/tensor"
+	"fedproxvr/internal/testx"
 )
 
 // batchFixture builds a network exercising every layer type.
 func batchFixture() *Network {
 	shape := tensor.ConvShape{InC: 2, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}
 	conv := NewConv2D(shape, 4)
-	pool := NewMaxPool2D(4, 8, 8, 2)
+	pool := NewReLUMaxPool(conv, 2)
 	return MustNetwork(
-		conv, NewReLU(conv.OutSize()), pool,
-		NewDense(pool.OutSize(), 12), NewReLU(12), NewDense(12, 5),
+		conv, pool,
+		NewDense(pool.OutSize(), 12), testx.NewReLU(12), NewDense(12, 5),
 	)
 }
 
@@ -34,7 +35,8 @@ func randomBatch(rng *rand.Rand, net *Network, b int) (x, dOut []float64) {
 
 // TestBatchedMatchesPerSample drives the same samples through the batched
 // path and the batch-of-one reference, comparing outputs and accumulated
-// gradients to 1e-9. Covers dense, conv, pooling and activations.
+// gradients to 1e-9. Covers dense, conv, the fused ReLU + max-pool and
+// ReLU.
 func TestBatchedMatchesPerSample(t *testing.T) {
 	net := batchFixture()
 	rng := rand.New(rand.NewSource(11))
@@ -128,7 +130,7 @@ func TestBatchedPassZeroAlloc(t *testing.T) {
 }
 
 func benchMLP() *Network {
-	return MustNetwork(NewDense(784, 128), NewReLU(128), NewDense(128, 10))
+	return MustNetwork(NewDense(784, 128), testx.NewReLU(128), NewDense(128, 10))
 }
 
 // BenchmarkNNBatchForward32 measures one batched forward of the MLP.

@@ -183,114 +183,3 @@ func (c *Conv2D) Init(rng *rand.Rand, params []float64) {
 		params[i] = 0
 	}
 }
-
-// MaxPool2D is a channels-first max pooling layer with square window and
-// stride equal to the window (the paper's CNN uses 2×2).
-type MaxPool2D struct {
-	C, H, W int // input volume
-	K       int // window and stride
-}
-
-// NewMaxPool2D constructs a pooling layer; H and W must be divisible by k.
-func NewMaxPool2D(c, h, w, k int) *MaxPool2D {
-	if k <= 0 || h%k != 0 || w%k != 0 {
-		panic("nn: MaxPool2D window must divide input dims")
-	}
-	return &MaxPool2D{C: c, H: h, W: w, K: k}
-}
-
-// InSize implements Layer.
-func (p *MaxPool2D) InSize() int { return p.C * p.H * p.W }
-
-// OutSize implements Layer.
-func (p *MaxPool2D) OutSize() int { return p.C * (p.H / p.K) * (p.W / p.K) }
-
-// NumParams implements Layer.
-func (p *MaxPool2D) NumParams() int { return 0 }
-
-type poolCache struct {
-	layer  *MaxPool2D
-	argmax []int // per-sample index into the sample's input, maxBatch×OutSize
-	par    *tensor.Par
-
-	x, y, dY, dX []float64
-	b            int
-
-	fwdBody, bwdBody func(lo, hi int)
-}
-
-// NewCache implements Layer.
-func (p *MaxPool2D) NewCache(maxBatch int) Cache {
-	pc := &poolCache{layer: p, argmax: make([]int, maxBatch*p.OutSize()), par: tensor.NewPar()}
-	pc.fwdBody = pc.forwardSamples
-	pc.bwdBody = pc.backwardSamples
-	return pc
-}
-
-func (pc *poolCache) forwardSamples(lo, hi int) {
-	p := pc.layer
-	inN, outN := p.InSize(), p.OutSize()
-	oh, ow := p.H/p.K, p.W/p.K
-	for s := lo; s < hi; s++ {
-		in := pc.x[s*inN : (s+1)*inN]
-		out := pc.y[s*outN : (s+1)*outN]
-		argmax := pc.argmax[s*outN : (s+1)*outN]
-		oi := 0
-		for c := 0; c < p.C; c++ {
-			base := c * p.H * p.W
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					bestIdx := base + (oy*p.K)*p.W + ox*p.K
-					best := in[bestIdx]
-					for ky := 0; ky < p.K; ky++ {
-						rowBase := base + (oy*p.K+ky)*p.W + ox*p.K
-						for kx := 0; kx < p.K; kx++ {
-							if v := in[rowBase+kx]; v > best {
-								best, bestIdx = v, rowBase+kx
-							}
-						}
-					}
-					out[oi] = best
-					argmax[oi] = bestIdx
-					oi++
-				}
-			}
-		}
-	}
-}
-
-func (pc *poolCache) backwardSamples(lo, hi int) {
-	p := pc.layer
-	inN, outN := p.InSize(), p.OutSize()
-	for s := lo; s < hi; s++ {
-		dIn := pc.dX[s*inN : (s+1)*inN]
-		dOut := pc.dY[s*outN : (s+1)*outN]
-		argmax := pc.argmax[s*outN : (s+1)*outN]
-		for i := range dIn {
-			dIn[i] = 0
-		}
-		for oi, ii := range argmax {
-			dIn[ii] += dOut[oi]
-		}
-	}
-}
-
-// Forward implements Layer, fanned out over samples.
-func (p *MaxPool2D) Forward(params, x, y []float64, b int, cache Cache) {
-	pc := cache.(*poolCache)
-	pc.x, pc.y, pc.b = x, y, b
-	pc.par.Run(b, 1, b*p.InSize(), pc.fwdBody)
-}
-
-// Backward implements Layer: route each output gradient to its argmax input.
-func (p *MaxPool2D) Backward(params, dY, dX, dParams []float64, b int, cache Cache) {
-	pc := cache.(*poolCache)
-	if b != pc.b {
-		panic("nn: MaxPool2D Backward batch differs from last Forward")
-	}
-	if dX == nil {
-		return
-	}
-	pc.dY, pc.dX = dY, dX
-	pc.par.Run(b, 1, b*p.InSize(), pc.bwdBody)
-}

@@ -56,8 +56,10 @@ type Layer interface {
 	Backward(params, dY, dX, dParams []float64, b int, cache Cache)
 }
 
-// Cache is opaque per-layer scratch. Each layer type asserts its own.
-type Cache interface{}
+// Cache is opaque per-layer scratch. Each layer type asserts its own. It
+// is an alias of any, so a layer declared outside this package (the
+// test-only ReLU of package testx) implements Layer without importing it.
+type Cache = any
 
 // Network is a sequential composition of layers sharing one flat parameter
 // vector.

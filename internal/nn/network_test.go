@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fedproxvr/internal/tensor"
+	"fedproxvr/internal/testx"
 )
 
 // scalarProbe evaluates φ(params) = <net's output on the one sample x, r>.
@@ -64,15 +65,15 @@ func TestDenseGradient(t *testing.T) {
 }
 
 func TestDenseReLUDenseGradient(t *testing.T) {
-	net := MustNetwork(NewDense(6, 8), NewReLU(8), NewDense(8, 3))
+	net := MustNetwork(NewDense(6, 8), testx.NewReLU(8), NewDense(8, 3))
 	checkNetGradient(t, net, 2, 1e-5)
 }
 
 func TestConvPoolGradient(t *testing.T) {
 	shape := tensor.ConvShape{InC: 1, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}
 	conv := NewConv2D(shape, 2)
-	pool := NewMaxPool2D(2, 8, 8, 2)
-	net := MustNetwork(conv, NewReLU(conv.OutSize()), pool, NewDense(pool.OutSize(), 3))
+	pool := NewReLUMaxPool(conv, 2)
+	net := MustNetwork(conv, pool, NewDense(pool.OutSize(), 3))
 	checkNetGradient(t, net, 4, 1e-5)
 }
 
@@ -88,8 +89,8 @@ func TestInputGradient(t *testing.T) {
 	}{
 		{"Dense", NewDense(5, 4)},
 		{"Conv2D", NewConv2D(conv, 3)},
-		{"ReLU", NewReLU(7)},
-		{"MaxPool2D", NewMaxPool2D(2, 4, 4, 2)},
+		{"ReLU", testx.NewReLU(7)},
+		{"ReLUMaxPool", poolOver(2, 4, 4, 2)},
 	}
 	const b, h = 2, 1e-6
 	for _, tc := range cases {
@@ -159,8 +160,7 @@ func thinPaperCNN() *Network {
 	c1 := NewConv2D(s1, 4)
 	s2 := tensor.ConvShape{InC: 4, InH: 14, InW: 14, KH: 5, KW: 5, Stride: 1, Pad: 2}
 	c2 := NewConv2D(s2, 8)
-	return MustNetwork(c1, NewReLU(c1.OutSize()), NewMaxPool2D(4, 28, 28, 2),
-		c2, NewReLU(c2.OutSize()), NewMaxPool2D(8, 14, 14, 2), NewDense(8*7*7, 10))
+	return MustNetwork(c1, NewReLUMaxPool(c1, 2), c2, NewReLUMaxPool(c2, 2), NewDense(8*7*7, 10))
 }
 
 // TestSkippedInputGradientIsBitNeutral pins BackwardBatch, which passes
@@ -173,7 +173,7 @@ func TestSkippedInputGradientIsBitNeutral(t *testing.T) {
 		net  *Network
 	}{
 		{"ThinCNN", thinPaperCNN()},
-		{"MLP", MustNetwork(NewDense(784, 32), NewReLU(32), NewDense(32, 10))},
+		{"MLP", MustNetwork(NewDense(784, 32), testx.NewReLU(32), NewDense(32, 10))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			net := tc.net
@@ -247,8 +247,12 @@ func TestNetworkValidation(t *testing.T) {
 	net.ForwardBatch(make([]float64, 1), make([]float64, 3), 1, net.NewWorkspaceBatch(1))
 }
 
+// TestMaxPoolForwardValues checks the fused layer's values and routing on
+// one 4×4 channel: a window's output is its largest input and its
+// gradient goes there. A window with no positive input outputs +0 and
+// passes nothing.
 func TestMaxPoolForwardValues(t *testing.T) {
-	p := NewMaxPool2D(1, 4, 4, 2)
+	p := poolOver(1, 4, 4, 2)
 	in := []float64{
 		1, 2, 0, 0,
 		3, 4, 0, 5,
@@ -277,18 +281,22 @@ func TestMaxPoolForwardValues(t *testing.T) {
 	if total != 4 {
 		t.Fatalf("pool gradient mass %v, want 4", total)
 	}
+
+	in[2], in[3], in[6], in[7] = -1, math.Copysign(0, -1), -2, math.NaN()
+	p.Forward(nil, in, out, 1, cache)
+	p.Backward(nil, []float64{1, 1, 1, 1}, dIn, nil, 1, cache)
+	if math.Float64bits(out[1]) != 0 || dIn[2] != 0 || dIn[3] != 0 || dIn[6] != 0 || dIn[7] != 0 {
+		t.Fatalf("a window with no positive input: out %v, routed %v, want +0 and nothing", out[1], dIn[2:8])
+	}
 }
 
 func TestConvSameShapeAsPaper(t *testing.T) {
 	// The paper's CNN: 28x28 → conv5x5(32) → pool2 → conv5x5(64) → pool2.
 	s1 := tensor.ConvShape{InC: 1, InH: 28, InW: 28, KH: 5, KW: 5, Stride: 1, Pad: 2}
 	c1 := NewConv2D(s1, 32)
-	p1 := NewMaxPool2D(32, 28, 28, 2)
 	s2 := tensor.ConvShape{InC: 32, InH: 14, InW: 14, KH: 5, KW: 5, Stride: 1, Pad: 2}
 	c2 := NewConv2D(s2, 64)
-	p2 := NewMaxPool2D(64, 14, 14, 2)
-	net := MustNetwork(c1, NewReLU(c1.OutSize()), p1, c2, NewReLU(c2.OutSize()), p2,
-		NewDense(64*7*7, 10))
+	net := MustNetwork(c1, NewReLUMaxPool(c1, 2), c2, NewReLUMaxPool(c2, 2), NewDense(64*7*7, 10))
 	if net.InSize() != 784 || net.OutSize() != 10 {
 		t.Fatalf("paper CNN sizes wrong: in %d out %d", net.InSize(), net.OutSize())
 	}
@@ -312,12 +320,9 @@ func TestConvSameShapeAsPaper(t *testing.T) {
 func BenchmarkPaperCNNForward(b *testing.B) {
 	s1 := tensor.ConvShape{InC: 1, InH: 28, InW: 28, KH: 5, KW: 5, Stride: 1, Pad: 2}
 	c1 := NewConv2D(s1, 32)
-	p1 := NewMaxPool2D(32, 28, 28, 2)
 	s2 := tensor.ConvShape{InC: 32, InH: 14, InW: 14, KH: 5, KW: 5, Stride: 1, Pad: 2}
 	c2 := NewConv2D(s2, 64)
-	p2 := NewMaxPool2D(64, 14, 14, 2)
-	net := MustNetwork(c1, NewReLU(c1.OutSize()), p1, c2, NewReLU(c2.OutSize()), p2,
-		NewDense(64*7*7, 10))
+	net := MustNetwork(c1, NewReLUMaxPool(c1, 2), c2, NewReLUMaxPool(c2, 2), NewDense(64*7*7, 10))
 	rng := rand.New(rand.NewSource(1))
 	params := make([]float64, net.NumParams())
 	net.InitParams(rng, params)

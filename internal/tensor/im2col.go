@@ -41,8 +41,10 @@ func (s ConvShape) validCols(kx, ow int) (lo, hi int) {
 // single GEMM: out(OC × OutH*OutW) = W(OC × ColRows) · col.
 // Out-of-bounds taps (padding) contribute zeros.
 //
-// Each output row is two zeroed padding edges around one contiguous run of
-// input taps (validCols), copied without a per-element bounds test.
+// At stride 1 with OutW == InW (every "same" padding), each (c, ky, kx) row
+// is one contiguous run of the channel plane (im2colRun). Otherwise each
+// output row is two zeroed padding edges around one contiguous run of input
+// taps (validCols), copied without a per-element bounds test.
 func Im2Col(s ConvShape, input, col []float64) {
 	oh, ow := s.OutH(), s.OutW()
 	cols := oh * ow
@@ -52,14 +54,19 @@ func Im2Col(s ConvShape, input, col []float64) {
 	if len(col) != s.ColRows()*cols {
 		panic("tensor: Im2Col col size mismatch")
 	}
+	plane := s.InH * s.InW
 	r := 0
 	for c := 0; c < s.InC; c++ {
-		chBase := c * s.InH * s.InW
+		chBase := c * plane
 		for ky := 0; ky < s.KH; ky++ {
 			for kx := 0; kx < s.KW; kx++ {
 				lo, hi := s.validCols(kx, ow)
 				dst := col[r*cols : (r+1)*cols]
 				r++
+				if s.Stride == 1 && ow == s.InW {
+					s.im2colRun(input[chBase:chBase+plane:chBase+plane], dst, ky, kx, lo, hi, oh)
+					continue
+				}
 				for oy := 0; oy < oh; oy++ {
 					row := dst[oy*ow : (oy+1)*ow]
 					iy := oy*s.Stride + ky - s.Pad
@@ -79,6 +86,39 @@ func Im2Col(s ConvShape, input, col []float64) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// im2colRun fills the im2col row dst of tap (ky, kx) from the channel
+// plane at stride 1 with OutW == InW. There output element o reads plane
+// element o + shift, shift = (ky − Pad)·InW + kx − Pad, so every output row
+// whose input row lies inside the plane is one copy, clipped to the plane.
+// That copy also fills the |kx − Pad| columns of each row outside
+// [lo, hi), which wrap to the neighbouring input row (or are clipped off):
+// they are zeroed after it, with the output rows that read padding. The
+// caller caps plane at its channel, so a run clipped late panics instead of
+// reading the next channel.
+func (s ConvShape) im2colRun(plane, dst []float64, ky, kx, lo, hi, oh int) {
+	ow := s.InW
+	yLo := min(max(s.Pad-ky, 0), oh)         // first output row inside the input
+	yHi := max(min(s.InH+s.Pad-ky, oh), yLo) // one past the last
+	if lo == hi || yLo == yHi {
+		clear(dst)
+		return
+	}
+	clear(dst[:yLo*ow])
+	clear(dst[yHi*ow:])
+	shift := (ky-s.Pad)*s.InW + kx - s.Pad
+	a, e := max(yLo*ow, -shift), min(yHi*ow, len(plane)-shift)
+	copy(dst[a:e], plane[a+shift:e+shift])
+	edge, n := 0, lo // the wrapped columns: [0, lo) or [hi, ow), never both
+	if lo == 0 {
+		edge, n = hi, ow-hi
+	}
+	for o := yLo*ow + edge; o < yHi*ow; o += ow {
+		for j := o; j < o+n; j++ {
+			dst[j] = 0
 		}
 	}
 }

@@ -134,9 +134,13 @@ func TestCol2ImAccumulates(t *testing.T) {
 // TestIm2ColCol2ImMatchReference holds the contiguous-run kernels to the
 // per-element reference bodies by math.Float64bits: over 3000 random
 // shapes (every one NewConv2D would accept), padding as wide as or wider
-// than the kernel and the input, and 1×1 inputs. Im2Col writes into a
-// destination full of garbage, so a missed zeroing shows; Col2Im adds onto
-// a non-zero dInput, so a reordered or dropped term shows.
+// than the kernel and the input, and 1×1 inputs. The explicit shapes also
+// hold Im2Col's one-run path (stride 1, OutW == InW) at both paper
+// convolutions, with KH ≠ KW (so OutH ≠ InH), with padding wider than the
+// input, and with several channels, where a run clipped one element late
+// would read the next channel's plane. Im2Col writes into a destination
+// full of garbage, so a missed zeroing shows; Col2Im adds onto a non-zero
+// dInput, so a reordered or dropped term shows.
 func TestIm2ColCol2ImMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	shapes := []ConvShape{
@@ -147,8 +151,15 @@ func TestIm2ColCol2ImMatchReference(t *testing.T) {
 		{InC: 3, InH: 2, InW: 9, KH: 5, KW: 1, Stride: 2, Pad: 4},
 		{InC: 1, InH: 4, InW: 2, KH: 1, KW: 3, Stride: 2, Pad: 4},
 		{InC: 1, InH: 28, InW: 28, KH: 5, KW: 5, Stride: 1, Pad: 2},
+		{InC: 4, InH: 14, InW: 14, KH: 5, KW: 5, Stride: 1, Pad: 2},
+		{InC: 2, InH: 6, InW: 7, KH: 3, KW: 5, Stride: 1, Pad: 2},
+		{InC: 3, InH: 5, InW: 4, KH: 7, KW: 5, Stride: 1, Pad: 2},
+		{InC: 2, InH: 2, InW: 2, KH: 7, KW: 7, Stride: 1, Pad: 3},
+		{InC: 3, InH: 3, InW: 1, KH: 9, KW: 9, Stride: 1, Pad: 4},
+		{InC: 2, InH: 4, InW: 3, KH: 1, KW: 7, Stride: 1, Pad: 3},
 	}
-	for len(shapes) < 3000+7 {
+	explicit := len(shapes)
+	for len(shapes) < 3000+explicit {
 		s := ConvShape{InC: 1 + rng.Intn(3), InH: 1 + rng.Intn(9), InW: 1 + rng.Intn(9),
 			KH: 1 + rng.Intn(5), KW: 1 + rng.Intn(5), Stride: 1 + rng.Intn(3), Pad: rng.Intn(5)}
 		if s.OutH() > 0 && s.OutW() > 0 {
@@ -201,8 +212,14 @@ func TestIm2ColCol2ImMatchReference(t *testing.T) {
 	}
 }
 
-func BenchmarkIm2Col28x28k5(b *testing.B) {
-	s := ConvShape{InC: 1, InH: 28, InW: 28, KH: 5, KW: 5, Stride: 1, Pad: 2}
+// conv1 and conv2 are the paper CNN's two convolution shapes, conv2 at the
+// thin network's 4 input channels.
+var (
+	conv1Shape = ConvShape{InC: 1, InH: 28, InW: 28, KH: 5, KW: 5, Stride: 1, Pad: 2}
+	conv2Shape = ConvShape{InC: 4, InH: 14, InW: 14, KH: 5, KW: 5, Stride: 1, Pad: 2}
+)
+
+func benchIm2Col(b *testing.B, s ConvShape) {
 	input := make([]float64, s.InC*s.InH*s.InW)
 	col := make([]float64, s.ColRows()*s.ColCols())
 	b.ResetTimer()
@@ -211,10 +228,7 @@ func BenchmarkIm2Col28x28k5(b *testing.B) {
 	}
 }
 
-// BenchmarkCol2Im28x28k5 is conv1's input-gradient scatter at the paper
-// CNN's shape, the adjoint of BenchmarkIm2Col28x28k5.
-func BenchmarkCol2Im28x28k5(b *testing.B) {
-	s := ConvShape{InC: 1, InH: 28, InW: 28, KH: 5, KW: 5, Stride: 1, Pad: 2}
+func benchCol2Im(b *testing.B, s ConvShape) {
 	dInput := make([]float64, s.InC*s.InH*s.InW)
 	col := make([]float64, s.ColRows()*s.ColCols())
 	b.ResetTimer()
@@ -222,3 +236,17 @@ func BenchmarkCol2Im28x28k5(b *testing.B) {
 		Col2Im(s, col, dInput)
 	}
 }
+
+// BenchmarkIm2Col28x28k5 is conv1's im2col at the paper CNN's shape.
+func BenchmarkIm2Col28x28k5(b *testing.B) { benchIm2Col(b, conv1Shape) }
+
+// BenchmarkCol2Im28x28k5 is conv1's input-gradient scatter at the paper
+// CNN's shape, the adjoint of BenchmarkIm2Col28x28k5.
+func BenchmarkCol2Im28x28k5(b *testing.B) { benchCol2Im(b, conv1Shape) }
+
+// BenchmarkIm2Col14x14c4k5 is conv2's im2col in the thin paper CNN.
+func BenchmarkIm2Col14x14c4k5(b *testing.B) { benchIm2Col(b, conv2Shape) }
+
+// BenchmarkCol2Im14x14c4k5 is conv2's input-gradient scatter in the thin
+// paper CNN.
+func BenchmarkCol2Im14x14c4k5(b *testing.B) { benchCol2Im(b, conv2Shape) }

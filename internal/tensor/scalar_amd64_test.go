@@ -15,6 +15,10 @@ func withScalarKernels(t testing.TB) {
 // whose model gradient checks cannot live inside package tensor.
 var WithScalarKernels = withScalarKernels
 
+// SIMDEnabled reports to the external test package whether the AVX2+FMA
+// kernels run, so a test pinning their bits can skip where they do not.
+func SIMDEnabled() bool { return simdEnabled }
+
 // TestScalarFallbackKernels reruns the GEMM tests on the scalar fallback:
 // against the naive product, parallel against serial, at several
 // GOMAXPROCS, and bit for bit against the reference bodies, which on this

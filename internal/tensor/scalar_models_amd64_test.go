@@ -6,8 +6,10 @@ import (
 
 	"fedproxvr/internal/data"
 	"fedproxvr/internal/models"
+	"fedproxvr/internal/nn"
 	"fedproxvr/internal/randx"
 	"fedproxvr/internal/tensor"
+	"fedproxvr/internal/testx"
 )
 
 // TestModelGradientsOnScalarKernels checks the Softmax and the thin paper
@@ -89,7 +91,7 @@ func TestLossGradOnScalarKernels(t *testing.T) {
 		{"Softmax", models.NewSoftmax(13, 5, 0), 13},
 		{"Softmax L2", models.NewSoftmax(13, 5, 0.05), 13},
 		{"thin CNN", models.NewPaperCNN(5, 16, 0.01), 784},
-		{"MLP", models.NewMLP(9, 11, 5, 0.02), 9},
+		{"MLP", models.NewNNModel(nn.MustNetwork(nn.NewDense(9, 11), testx.NewReLU(11), nn.NewDense(11, 5)), 0.02), 9},
 	}
 	for _, tc := range cases {
 		for _, n := range []int{1, 31, 32, 33, 257} {

@@ -2,7 +2,8 @@
 // readings for "memory does not scale with X" tests and the goroutine-leak
 // check for anything that owns a pool. It also keeps the row-at-a-time
 // softmax and log-sum-exp, the reference the models' chunked softmax
-// cross-entropy head is held to bit for bit.
+// cross-entropy head is held to bit for bit, and the ReLU layer of the
+// tests' MLP (relu.go).
 package testx
 
 import (
