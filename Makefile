@@ -10,7 +10,7 @@ TESTFLAGS ?= -timeout 120s
 # race-enabled targets carry their own, larger guard.
 RACE_TESTFLAGS ?= -timeout 900s
 
-.PHONY: build test vet fmt race check deadcode expolint evalcpu bench bench-all bench-smoke benchgate chaos soak-restart trace-demo fuzz loc
+.PHONY: build test vet fmt race check deadcode expolint evalcpu bench bench-all bench-smoke benchgate benchpair chaos soak-restart trace-demo fuzz loc
 
 build:
 	$(GO) build ./...
@@ -83,15 +83,16 @@ expolint:
 # tests cover the gradients a measurement hands every device for the next
 # round, written by whichever worker claims the shard, and the
 # stationarity gap folded from them. The second line pins the paper CNN's
-# bits at the same three counts with its digest on both kernel sets (the
-# fused ReLU + max-pool's oracle sets GOMAXPROCS 1 and 2 itself and runs
-# in `test` and `race`). It runs without the race detector, which would
-# slow the digest's table tenfold and cannot change a bit.
+# and the convex softmax model's bits at the same three counts with their
+# digests on both kernel sets (the fused ReLU + max-pool's oracle sets
+# GOMAXPROCS 1 and 2 itself and runs in `test` and `race`). It runs
+# without the race detector, which would slow the digests' tables tenfold
+# and cannot change a bit.
 evalcpu:
 	$(GO) test -race $(RACE_TESTFLAGS) -count=1 -cpu 1,2,4 \
 		-run 'Evaluator|PredictBatch|LossGrad|Handover|Parallel|Conformance|Par[A-Z]|Fan|BitDeterministic' \
 		./internal/engine/ ./internal/models/ ./internal/nn/ ./internal/tensor/
-	$(GO) test $(TESTFLAGS) -count=1 -cpu 1,2,4 -run 'PaperCNNDigest' ./internal/tensor/
+	$(GO) test $(TESTFLAGS) -count=1 -cpu 1,2,4 -run 'PaperCNNDigest|SoftmaxDigest' ./internal/tensor/
 
 # bench-smoke compiles and tests the frozen benchmark module. bench/ is its
 # own Go module (it imports this one through a replace directive), so the
@@ -107,10 +108,10 @@ bench-smoke:
 # fedsim run (trace-demo, the one run of a command binary), and the
 # benchmark regression gate against the committed snapshot. The
 # race-enabled suite replays the FuzzFrameDecode, FuzzCheckpointLoad,
-# FuzzChaosParse, FuzzSpecSubmit and FuzzExp seed corpora (plain `go test`
-# runs f.Add seeds), so every committed decoder regression input and every
-# exp-kernel edge argument is exercised on each CI run; `make fuzz`
-# explores beyond the seeds.
+# FuzzChaosParse, FuzzSpecSubmit, FuzzExp and FuzzSoftmaxHead seed corpora
+# (plain `go test` runs f.Add seeds), so every committed decoder regression
+# input, every exp-kernel edge argument and every softmax-head edge logit
+# is exercised on each CI run; `make fuzz` explores beyond the seeds.
 check: fmt vet deadcode bench-smoke expolint evalcpu race trace-demo benchgate
 
 # fuzz runs coverage-guided exploration of the untrusted-byte decoders: the
@@ -120,8 +121,10 @@ check: fmt vet deadcode bench-smoke expolint evalcpu race trace-demo benchgate
 # defaulted and validated (which builds the whole run). Any input must
 # decode or error — never panic. It also fuzzes tensor.Exp, the vectorised
 # exponential of the softmax head, which must equal math.Exp bit for bit
-# for any argument, slice length and alignment. FUZZ_TIME bounds each
-# target's run (default 30s).
+# for any argument, slice length and alignment, and the class-major softmax
+# head itself, whose loss and gradient must equal the row-at-a-time
+# reference's bits for any logit bits, labels, chunk and class count.
+# FUZZ_TIME bounds each target's run (default 30s).
 FUZZ_TIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime $(FUZZ_TIME) ./internal/transport/
@@ -129,6 +132,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzChaosParse -fuzztime $(FUZZ_TIME) ./internal/chaos/
 	$(GO) test -run '^$$' -fuzz FuzzSpecSubmit -fuzztime $(FUZZ_TIME) ./internal/jobs/
 	$(GO) test -run '^$$' -fuzz FuzzExp -fuzztime $(FUZZ_TIME) ./internal/tensor/
+	$(GO) test -run '^$$' -fuzz FuzzSoftmaxHead -fuzztime $(FUZZ_TIME) ./internal/models/
 
 # trace-demo runs a short traced experiment and validates that the emitted
 # Chrome trace-event JSON still parses and is internally consistent (every
@@ -170,13 +174,15 @@ soak-restart:
 # measurement of the paper's convex scenario, the GEMM kernels and
 # Softmax gradient at the shapes the benchmark's models hit (GemmShape*,
 # SoftmaxGradB32), the softmax cross-entropy head of one convex step
-# (SoftmaxXent32x10), conv1's and the thin conv2's im2col/col2im
+# (SoftmaxXent32x10), a full-shard softmax LossGrad at convex100's mean
+# shard (SoftmaxLossGradShard), one 32-row softmax prediction
+# (SoftmaxPredict32x10), conv1's and the thin conv2's im2col/col2im
 # (Im2Col28x28k5, Col2Im28x28k5, Im2Col14x14c4k5, Col2Im14x14c4k5), the
 # fused ReLU + max-pool over conv1's output (ReLUMaxPool4x28x28B8) and the
 # thin CNN's B = 8 gradient (CNNThinGradB8). bench and benchgate
 # must agree on this set, so a benchmark in the snapshot is never silently
 # absent from the gate run.
-BENCH_PATTERN := RoundAllocs|Ablation|NewRunnerCNN10|NNBatch|NNMinibatch|NNInnerSolve|TopK|Frame|WireRound|EvaluatorMeasure|GemmShape|SoftmaxGradB32|SoftmaxXent32x10|Im2Col28x28k5|Col2Im28x28k5|Im2Col14x14c4k5|Col2Im14x14c4k5|ReLUMaxPool4x28x28B8|CNNThinGradB8
+BENCH_PATTERN := RoundAllocs|Ablation|NewRunnerCNN10|NNBatch|NNMinibatch|NNInnerSolve|TopK|Frame|WireRound|EvaluatorMeasure|GemmShape|SoftmaxGradB32|SoftmaxXent32x10|SoftmaxLossGradShard|SoftmaxPredict32x10|Im2Col28x28k5|Col2Im28x28k5|Im2Col14x14c4k5|Col2Im14x14c4k5|ReLUMaxPool4x28x28B8|CNNThinGradB8
 BENCH_PKGS := . ./internal/engine ./internal/nn ./internal/models ./internal/optim ./internal/transport ./internal/tensor
 
 # bench runs the recorded benchmark set three times and snapshots the
@@ -197,6 +203,19 @@ bench:
 benchgate:
 	$(GO) test -run '^$$' -count=3 -bench '$(BENCH_PATTERN)' -benchmem $(BENCH_PKGS) \
 		| $(GO) run ./cmd/benchgate -baseline BENCH_engine.json
+
+# benchpair measures the working tree against a base revision on the
+# repository's benchmark: alternated pairs of untraced leaf runs of one
+# workload, each tree built from its own bench/run.sh, then per end-to-end
+# metric the per-pair values, the base's median [IQR], the change's
+# median, Δ %, pairs won and whether the gap exceeds the base's IQR. The
+# defaults are convex100, seed 7, 10 pairs, and a temporary git worktree
+# of the merge-base with main as the base; BENCHPAIR_FLAGS passes
+# cmd/benchpair's flags, e.g.
+#   make benchpair BENCHPAIR_FLAGS='-workload jobs3 -pairs 6 -base-dir ../parent'
+BENCHPAIR_FLAGS ?=
+benchpair:
+	$(GO) run ./cmd/benchpair $(BENCHPAIR_FLAGS)
 
 # bench-all sweeps every benchmark in the repo (figure/table reproductions
 # included) without recording.

@@ -103,6 +103,3 @@ func ArgMax(x []float64) int {
 	}
 	return bi
 }
-
-// Max returns the maximum element. Panics on empty input.
-func Max(x []float64) float64 { return x[ArgMax(x)] }

@@ -105,9 +105,6 @@ func TestArgMaxMax(t *testing.T) {
 	if ArgMax(x) != 1 {
 		t.Fatalf("ArgMax = %d, want first max index 1", ArgMax(x))
 	}
-	if Max(x) != 5 {
-		t.Fatal("Max wrong")
-	}
 }
 
 func TestLogSumExpStable(t *testing.T) {

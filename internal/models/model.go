@@ -6,13 +6,11 @@
 // (plain vector aggregation).
 //
 // Provided models: multinomial logistic regression (the paper's convex
-// task), the paper's two-layer CNN (the non-convex task) and an MLP, the
-// latter two built on package nn.
+// task) and, through NNModel over package nn, the paper's two-layer CNN
+// (the non-convex task).
 package models
 
 import (
-	"math"
-
 	"fedproxvr/internal/data"
 	"fedproxvr/internal/mathx"
 	"fedproxvr/internal/tensor"
@@ -113,49 +111,39 @@ func addL2(reg float64, w, grad []float64) float64 {
 	return reg / 2 * mathx.Nrm2Sq(w)
 }
 
-// xentChunk is the softmax cross-entropy head on one chunk: z holds the
-// logits of the chunk's b rows, c to a row, and row r is sample lo+r of the
-// selection. It takes each row's max and shifts the row by it, exponentiates
-// the whole chunk in one tensor.Exp call, and sums each row's exponentials
-// in ascending order. With loss set it returns sum plus every row's
-// logsumexp(z) − z[y], added in ascending row order, and otherwise returns
-// sum untouched without taking a log. With inv != 0 it leaves in z the
-// gradient rows (softmax(z) − e_y)·inv: each row scaled by 1/its sum, its
-// label entry less 1, then scaled by inv. With inv == 0 z is left as scratch.
+// softmaxHead is the softmax cross-entropy head on one chunk, which both
+// models share: z holds the logits of the chunk's b samples class-major (c
+// rows of b; class j's row is z[j*b:(j+1)*b], and column r is sample lo+r
+// of the selection). It takes each sample's max and shifts the sample by
+// it, exponentiates the whole block in one tensor.Exp call, and sums each
+// sample's exponentials in ascending class order. With loss set it returns
+// sum plus every sample's logsumexp(z) − z[y], added in ascending sample
+// order, and otherwise returns sum untouched without taking a log. With
+// inv != 0 it leaves in z the gradient (softmax(z) − e_y)·inv, each entry
+// scaled by 1/its sample's sum, the label's entry less 1, then scaled by
+// inv, and adds each class row into db[j] in ascending sample order when
+// db is non-nil. With inv == 0 z is left as scratch.
 //
-// Per row these are the operations of a max-shifted softmax and
+// Per sample these are the operations of a max-shifted softmax and
 // log-sum-exp taken a row at a time — the same max, differences,
 // exponentials (tensor.Exp is math.Exp bit for bit), ascending sum, log
-// and scale — so the values are theirs bit for bit.
-func xentChunk(sum float64, z []float64, b, c int, ds *data.Dataset, idx []int, lo int, loss bool, inv float64) float64 {
-	var mx, zy [gradChunk]float64
+// and scales — so the values are theirs bit for bit; the tensor head
+// kernels run them four samples at a time, one sample a lane.
+func softmaxHead(sum float64, z []float64, b, c int, ds *data.Dataset, idx []int, lo int, loss bool, inv float64, db []float64) float64 {
+	var mx, zy, s [gradChunk]float64
+	var y [gradChunk]int
 	for r := 0; r < b; r++ {
-		row := z[r*c : (r+1)*c]
-		m := mathx.Max(row)
-		mx[r], zy[r] = m, row[chunkLabel(ds, idx, lo, r)]
-		for i, v := range row {
-			row[i] = v - m
-		}
+		y[r] = chunkLabel(ds, idx, lo, r)
+		zy[r] = z[y[r]*b+r]
 	}
+	tensor.HeadMaxShift(z, b, c, mx[:b])
 	tensor.Exp(z[:b*c])
-	for r := 0; r < b; r++ {
-		row := z[r*c : (r+1)*c]
-		var s float64
-		for _, e := range row {
-			s += e
-		}
-		if loss {
-			lse := math.Inf(-1)
-			if m := mx[r]; !math.IsInf(m, -1) {
-				lse = m + math.Log(s)
-			}
-			sum += lse - zy[r]
-		}
-		if inv != 0 {
-			mathx.Scal(1/s, row)
-			row[chunkLabel(ds, idx, lo, r)] -= 1
-			mathx.Scal(inv, row)
-		}
+	tensor.HeadSums(z, b, c, s[:b])
+	if loss {
+		sum = tensor.HeadLoss(sum, mx[:b], s[:b], zy[:b])
+	}
+	if inv != 0 {
+		tensor.HeadGrad(z, b, c, s[:b], y[:b], inv, db)
 	}
 	return sum
 }

@@ -250,19 +250,53 @@ func BenchmarkSoftmaxGradB32(b *testing.B) {
 }
 
 // BenchmarkSoftmaxXent32x10 is the softmax cross-entropy head of one
-// convex inner-loop step: xentChunk's gradient pass over a 32-row chunk of
-// 10 logits, each iteration first restoring the logits it overwrites.
+// convex inner-loop step: softmaxHead's gradient pass, bias gradient
+// included, over a 32-sample chunk of 10 class-major logits, each
+// iteration first restoring the logits it overwrites.
 func BenchmarkSoftmaxXent32x10(b *testing.B) {
 	const rows, classes = 32, 10
 	ds := classificationDataset(rows, 1, classes, 1)
 	logits := make([]float64, rows*classes)
 	randx.NormalVec(randx.New(2), logits, 0, 3)
 	z := make([]float64, len(logits))
+	db := make([]float64, classes)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(z, logits)
-		xentChunk(0, z, rows, classes, ds, nil, 0, false, 1.0/rows)
+		softmaxHead(0, z, rows, classes, ds, nil, 0, false, 1.0/rows, db)
+	}
+}
+
+// BenchmarkSoftmaxLossGradShard is one full-shard LossGrad of the convex
+// model at convex100's mean shard: 470 samples of 60 features over 10
+// classes, the anchor gradient and the evaluation pass of a round.
+func BenchmarkSoftmaxLossGradShard(b *testing.B) {
+	ds := classificationDataset(470, 60, 10, 1)
+	m := NewSoftmax(60, 10, 0)
+	w := make([]float64, m.Dim())
+	randx.NormalVec(randx.New(2), w, 0, 0.1)
+	g := make([]float64, m.Dim())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.LossGrad(g, w, ds)
+	}
+}
+
+// BenchmarkSoftmaxPredict32x10 is the convex model's prediction over one
+// 32-sample chunk of 60 features and 10 classes: the logits GEMM and the
+// class-major argmax.
+func BenchmarkSoftmaxPredict32x10(b *testing.B) {
+	ds := classificationDataset(32, 60, 10, 1)
+	m := NewSoftmax(60, 10, 0)
+	w := make([]float64, m.Dim())
+	randx.NormalVec(randx.New(2), w, 0, 0.1)
+	pred := make([]int, 32)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.PredictBatch(pred, w, ds, 0, 32)
 	}
 }
 

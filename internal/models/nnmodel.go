@@ -30,7 +30,8 @@ type NNModel struct {
 
 	ws   *nn.Workspace // nil until the first evaluation (see workspace)
 	xbuf []float64     // gathered input rows, gradChunk×InSize (idx path only)
-	dOut []float64     // head gradient / probability scratch, gradChunk×OutSize
+	zt   []float64     // the head's class-major logits and gradient, OutSize×gradChunk
+	dOut []float64     // the head gradient sample-major, gradChunk×OutSize
 }
 
 // NewNNModel wraps net; net.OutSize() is the class count.
@@ -43,7 +44,9 @@ func (m *NNModel) workspace() {
 	if m.ws == nil {
 		m.ws = m.Net.NewWorkspaceBatch(gradChunk)
 		m.xbuf = make([]float64, gradChunk*m.Net.InSize())
-		m.dOut = make([]float64, gradChunk*m.Net.OutSize())
+		n := gradChunk * m.Net.OutSize()
+		buf := make([]float64, 2*n) // one allocation for the two
+		m.zt, m.dOut = buf[:n:n], buf[n:]
 	}
 }
 
@@ -62,9 +65,8 @@ func (m *NNModel) Loss(w []float64, ds *data.Dataset, idx []int) float64 {
 	for lo := 0; lo < n; lo += gradChunk {
 		b := min(gradChunk, n-lo)
 		x := gatherRows(ds, idx, lo, b, m.xbuf)
-		y := m.Net.ForwardBatch(w, x, b, m.ws)
-		copy(m.dOut, y)
-		sum = xentChunk(sum, m.dOut, b, out, ds, idx, lo, true, 0)
+		zt := m.logits(w, x, b)
+		sum = softmaxHead(sum, zt.Data, b, out, ds, idx, lo, true, 0, nil)
 	}
 	return sum/float64(n) + addL2(m.L2, w, nil)
 }
@@ -97,25 +99,32 @@ func (m *NNModel) lossGrad(grad, w []float64, ds *data.Dataset, idx []int, loss 
 	for lo := 0; lo < n; lo += gradChunk {
 		b := min(gradChunk, n-lo)
 		x := gatherRows(ds, idx, lo, b, m.xbuf)
-		y := m.Net.ForwardBatch(w, x, b, m.ws)
-		dOut := m.dOut[:b*out]
-		copy(dOut, y)
-		sum = xentChunk(sum, dOut, b, out, ds, idx, lo, loss, inv)
-		m.Net.BackwardBatch(w, dOut, b, m.ws, grad)
+		zt := m.logits(w, x, b)
+		sum = softmaxHead(sum, zt.Data, b, out, ds, idx, lo, loss, inv, nil)
+		dOut := tensor.MatOf(b, out, m.dOut[:b*out])
+		tensor.TransposeInto(dOut, zt, nil)
+		m.Net.BackwardBatch(w, dOut.Data, b, m.ws, grad)
 	}
 	return sum/float64(n) + addL2(m.L2, w, grad)
 }
 
-// PredictBatch implements Classifier: one batched forward per chunk.
+// logits runs the network over the chunk's b rows x and returns its
+// output class-major, in m.zt: the head's layout.
+func (m *NNModel) logits(w, x []float64, b int) tensor.Mat {
+	out := m.Net.OutSize()
+	zt := tensor.MatOf(out, b, m.zt[:out*b])
+	tensor.TransposeInto(zt, tensor.MatOf(b, out, m.Net.ForwardBatch(w, x, b, m.ws)), nil)
+	return zt
+}
+
+// PredictBatch implements Classifier: one batched forward and one
+// class-major argmax per chunk.
 func (m *NNModel) PredictBatch(pred []int, w []float64, ds *data.Dataset, lo, hi int) {
 	m.workspace()
-	out := m.Net.OutSize()
 	for ; lo < hi; lo += gradChunk {
 		b := min(gradChunk, hi-lo)
-		y := m.Net.ForwardBatch(w, gatherRows(ds, nil, lo, b, nil), b, m.ws)
-		for r := 0; r < b; r++ {
-			pred[r] = mathx.ArgMax(y[r*out : (r+1)*out])
-		}
+		zt := m.logits(w, gatherRows(ds, nil, lo, b, nil), b)
+		tensor.HeadArgMax(pred, zt.Data, b, zt.Rows)
 		pred = pred[b:]
 	}
 }

@@ -13,13 +13,16 @@ import (
 // optional L2 regularization on the whole parameter vector.
 //
 // Loss and Grad are batch-first: a chunk of samples becomes one
-// logits = X·Wᵀ GEMM, and the gradient one dW += dLᵀ·X GEMM.
+// logits = X·Wᵀ GEMM, held class-major for the softmax head (logits
+// transposed, plus the bias), and the gradient one dW += P·X GEMM over the
+// head's class-major gradient P.
 type Softmax struct {
 	Features int
 	Classes  int
 	L2       float64
 
 	logits []float64 // gradChunk×Classes scratch; cloned per goroutine
+	zt     []float64 // the logits class-major, Classes×gradChunk
 	xbuf   []float64 // gathered rows, gradChunk×Features (idx path only)
 	par    *tensor.Par
 }
@@ -29,25 +32,32 @@ func NewSoftmax(d, classes int, l2 float64) *Softmax {
 	if d <= 0 || classes <= 1 {
 		panic("models: Softmax needs d>0 and classes>1")
 	}
+	n := gradChunk * classes
+	buf := make([]float64, 2*n+gradChunk*d) // one allocation for the three
 	return &Softmax{Features: d, Classes: classes, L2: l2,
-		logits: make([]float64, gradChunk*classes),
-		xbuf:   make([]float64, gradChunk*d),
+		logits: buf[:n:n],
+		zt:     buf[n : 2*n : 2*n],
+		xbuf:   buf[2*n:],
 		par:    tensor.NewPar()}
 }
 
 // Dim implements Model.
 func (m *Softmax) Dim() int { return m.Classes*m.Features + m.Classes }
 
-// forwardChunk fills m.logits[:b*Classes] with the affine scores of the
-// chunk [lo, lo+b): logits = X·Wᵀ + 1·bᵀ. It returns the logits and X, the
-// chunk's rows (gathered into m.xbuf, or the dataset's own on idx == nil).
-func (m *Softmax) forwardChunk(w []float64, ds *data.Dataset, idx []int, lo, b int) (lm, x tensor.Mat) {
+// forwardChunk fills m.zt[:Classes*b] with the affine scores of the chunk
+// [lo, lo+b), class-major: zt = (X·Wᵀ)ᵀ + b·1ᵀ. The GEMM keeps X as its A
+// operand, so every dot fuses x·w in the operand roles a NaN payload
+// depends on (DESIGN §5.5), and the transposing copy adds the bias. It
+// returns the class-major logits and X, the chunk's rows (gathered into
+// m.xbuf, or the dataset's own on idx == nil).
+func (m *Softmax) forwardChunk(w []float64, ds *data.Dataset, idx []int, lo, b int) (zt, x tensor.Mat) {
 	nw := m.Classes * m.Features
 	x = tensor.MatOf(b, m.Features, gatherRows(ds, idx, lo, b, m.xbuf))
-	lm = tensor.MatOf(b, m.Classes, m.logits[:b*m.Classes])
+	lm := tensor.MatOf(b, m.Classes, m.logits[:b*m.Classes])
 	m.par.GemmNT(1, x, tensor.MatOf(m.Classes, m.Features, w[:nw]), 0, lm)
-	tensor.AddRowVec(lm, w[nw:])
-	return lm, x
+	zt = tensor.MatOf(m.Classes, b, m.zt[:m.Classes*b])
+	tensor.TransposeInto(zt, lm, w[nw:])
+	return zt, x
 }
 
 // Loss implements Model.
@@ -59,14 +69,15 @@ func (m *Softmax) Loss(w []float64, ds *data.Dataset, idx []int) float64 {
 	var sum float64
 	for lo := 0; lo < n; lo += gradChunk {
 		b := min(gradChunk, n-lo)
-		lm, _ := m.forwardChunk(w, ds, idx, lo, b)
-		sum = xentChunk(sum, lm.Data, b, m.Classes, ds, idx, lo, true, 0)
+		zt, _ := m.forwardChunk(w, ds, idx, lo, b)
+		sum = softmaxHead(sum, zt.Data, b, m.Classes, ds, idx, lo, true, 0, nil)
 	}
 	return sum/float64(n) + addL2(m.L2, w, nil)
 }
 
 // Grad implements Model: ∇_{W_c} = (p_c − 1{y=c})·x, ∇_{b_c} = p_c − 1{y=c},
-// accumulated one chunk GEMM at a time in ascending sample order.
+// accumulated one chunk at a time in ascending sample order: the head adds
+// the bias gradient, one GEMM the weight gradient.
 func (m *Softmax) Grad(grad, w []float64, ds *data.Dataset, idx []int) {
 	m.lossGrad(grad, w, ds, idx, false)
 }
@@ -78,7 +89,7 @@ func (m *Softmax) LossGrad(grad, w []float64, ds *data.Dataset) float64 {
 }
 
 // lossGrad is the one body of Grad and LossGrad. With loss set it returns
-// Loss's value bit for bit: xentChunk adds the same terms in the same
+// Loss's value bit for bit: softmaxHead adds the same terms in the same
 // order. Without it no log is taken and Grad discards the result.
 func (m *Softmax) lossGrad(grad, w []float64, ds *data.Dataset, idx []int, loss bool) float64 {
 	mathx.Zero(grad)
@@ -92,22 +103,20 @@ func (m *Softmax) lossGrad(grad, w []float64, ds *data.Dataset, idx []int, loss 
 	var sum float64
 	for lo := 0; lo < n; lo += gradChunk {
 		b := min(gradChunk, n-lo)
-		lm, x := m.forwardChunk(w, ds, idx, lo, b)
-		sum = xentChunk(sum, lm.Data, b, m.Classes, ds, idx, lo, loss, inv)
-		m.par.GemmTN(1, lm, x, 1, dw)
-		tensor.ColSumsAcc(grad[nw:], lm)
+		zt, x := m.forwardChunk(w, ds, idx, lo, b)
+		sum = softmaxHead(sum, zt.Data, b, m.Classes, ds, idx, lo, loss, inv, grad[nw:])
+		m.par.GemmNN(1, zt, x, 1, dw)
 	}
 	return sum/float64(n) + addL2(m.L2, w, grad)
 }
 
-// PredictBatch implements Classifier: one logits GEMM per chunk.
+// PredictBatch implements Classifier: one logits GEMM and one class-major
+// argmax per chunk.
 func (m *Softmax) PredictBatch(pred []int, w []float64, ds *data.Dataset, lo, hi int) {
 	for ; lo < hi; lo += gradChunk {
 		b := min(gradChunk, hi-lo)
-		lm, _ := m.forwardChunk(w, ds, nil, lo, b)
-		for r := 0; r < b; r++ {
-			pred[r] = mathx.ArgMax(lm.Row(r))
-		}
+		zt, _ := m.forwardChunk(w, ds, nil, lo, b)
+		tensor.HeadArgMax(pred, zt.Data, b, m.Classes)
 		pred = pred[b:]
 	}
 }

@@ -40,3 +40,35 @@ func expSIMD(x []float64) int
 //
 //go:noescape
 func dotRowsSIMD(a, b, c []float64, k, ldc, m, nb int, acc bool)
+
+// headMaxShiftSIMD is HeadMaxShift on the first b&^3 samples of the
+// class-major block z (c rows of b), four at a time. Implemented in
+// assembly.
+//
+//go:noescape
+func headMaxShiftSIMD(z []float64, b, c int, mx []float64)
+
+// headSumsSIMD is HeadSums on the first b&^3 samples. Implemented in
+// assembly.
+//
+//go:noescape
+func headSumsSIMD(z []float64, b, c int, s []float64)
+
+// headGradSIMD is HeadGrad on the first b&^3 samples; an empty db takes no
+// bias gradient. Implemented in assembly.
+//
+//go:noescape
+func headGradSIMD(z []float64, b, c int, s []float64, y []int, inv float64, db []float64)
+
+// headArgMaxSIMD is HeadArgMax on the first b&^3 samples. Implemented in
+// assembly.
+//
+//go:noescape
+func headArgMaxSIMD(pred []int, z []float64, b, c int)
+
+// transposeSIMD is TransposeInto on dst's first n&^3 columns (src's first
+// n&^3 rows), four src rows at a time; an empty bias adds none.
+// Implemented in assembly.
+//
+//go:noescape
+func transposeSIMD(dst, src []float64, n, m int, bias []float64)

@@ -50,8 +50,9 @@ func NoGoroutineGrowth(t testing.TB, n int, grace time.Duration, f func()) {
 }
 
 // LogSumExp returns log Σ exp(x_i), computed stably: with m the first
-// largest element, m + log of the ascending sum of exp(x_i − m), or −Inf
-// when m is −Inf.
+// largest element, log of the ascending sum of exp(x_i − m), plus m, or
+// −Inf when m is −Inf. Every add keeps its left operand's NaN when both
+// are NaNs (see AddNaNFirst).
 func LogSumExp(x []float64) float64 {
 	m := rowMax(x)
 	if math.IsInf(m, -1) {
@@ -59,33 +60,54 @@ func LogSumExp(x []float64) float64 {
 	}
 	var s float64
 	for _, v := range x {
-		s += math.Exp(v - m)
+		s = AddNaNFirst(s, math.Exp(v-m))
 	}
-	return m + math.Log(s)
+	return AddNaNFirst(math.Log(s), m)
 }
 
-// SoftmaxInPlace overwrites x with softmax(x), computed stably, and
-// returns LogSumExp of the x it was given, bit for bit: the same max and
-// the same ascending sum of exponentials.
+// SoftmaxInPlace overwrites x with softmax(x), computed stably — each
+// exp(x_i − m) times 1/its sum — and returns LogSumExp of the x it was
+// given, bit for bit: the same max and the same ascending sum of
+// exponentials.
 func SoftmaxInPlace(x []float64) float64 {
 	m := rowMax(x)
 	var s float64
 	for i, v := range x {
 		e := math.Exp(v - m)
 		x[i] = e
-		s += e
+		s = AddNaNFirst(s, e)
 	}
 	inv := 1 / s
 	for i := range x {
-		x[i] *= inv
+		x[i] = MulNaNFirst(x[i], inv)
 	}
 	if math.IsInf(m, -1) {
 		return math.Inf(-1)
 	}
-	return m + math.Log(s)
+	return AddNaNFirst(math.Log(s), m)
 }
 
-// rowMax returns the first largest element of x, as mathx.Max does (a NaN
+// AddNaNFirst returns x + y, and x (quieted, as x + x) when x is a NaN.
+// When both operands are NaNs an x86 add keeps its first source's payload,
+// and the Go compiler orders a commutative add's operands as it likes; the
+// references name their NaN order with this, so a head that keeps another
+// operand's payload fails them whatever code the compiler emits.
+func AddNaNFirst(x, y float64) float64 {
+	if x != x {
+		return x + x
+	}
+	return x + y
+}
+
+// MulNaNFirst is AddNaNFirst for x·y.
+func MulNaNFirst(x, y float64) float64 {
+	if x != x {
+		return x + x
+	}
+	return x * y
+}
+
+// rowMax returns the first largest element of x, mathx.ArgMax's (a NaN
 // is never larger, unless it comes first). Panics on empty input.
 func rowMax(x []float64) float64 {
 	best := x[0]
