@@ -10,22 +10,24 @@ TESTFLAGS ?= -timeout 120s
 # race-enabled targets carry their own, larger guard.
 RACE_TESTFLAGS ?= -timeout 900s
 
-.PHONY: build test vet fmt race check deadcode expolint evalcpu bench bench-all bench-smoke benchgate benchpair chaos soak-restart trace-demo fuzz loc
+.PHONY: build test vet fmt race check deadcode expolint evalcpu bench bench-all bench-smoke benchgate benchpair chaos soak-restart trace-demo fleet-demo fuzz loc
 
 build:
 	$(GO) build ./...
 
 # loc prints the non-test and test Go lines of every package (one directory
-# each), with totals — the before/after numbers a design change reports.
-# bench/ is its own module and is left out.
+# each) and its exported identifiers (the line count of `go doc -short`,
+# zero for a command), with totals — the before/after numbers a design
+# change reports. bench/ is its own module and is left out.
 loc:
 	@find . -path ./bench -prune -o -name '*.go' -print | xargs wc -l | awk ' \
 		$$2 == "total" { next } \
 		{ d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\.\/?/, "", d); if (d == "") d = "."; \
 		  if ($$2 ~ /_test\.go$$/) { t[d] += $$1; tt += $$1 } else { n[d] += $$1; nt += $$1 }; seen[d] = 1 } \
-		END { printf "%-24s %8s %8s\n", "package", "non-test", "test"; \
-		      for (d in seen) printf "%-24s %8d %8d\n", d, n[d], t[d] | "sort"; close("sort"); \
-		      printf "%-24s %8d %8d\n", "total", nt, tt }'
+		END { printf "%-24s %8s %8s %8s\n", "package", "non-test", "test", "exported"; \
+		      for (d in seen) { cmd = "$(GO) doc -short ./" d " 2>/dev/null | wc -l"; cmd | getline e; close(cmd); et += e; \
+		        printf "%-24s %8d %8d %8d\n", d, n[d], t[d], e | "sort" }; close("sort"); \
+		      printf "%-24s %8d %8d %8d\n", "total", nt, tt, et }'
 
 test:
 	$(GO) test $(TESTFLAGS) ./...
@@ -105,21 +107,24 @@ bench-smoke:
 # check is the CI gate: formatting, static analysis, the dead-code gate,
 # the frozen bench module, the exposition lint, the evaluator determinism
 # tests across CPU counts, the race-enabled suite, the traced end-to-end
-# fedsim run (trace-demo, the one run of a command binary), and the
-# benchmark regression gate against the committed snapshot. The
-# race-enabled suite replays the FuzzFrameDecode, FuzzCheckpointLoad,
-# FuzzChaosParse, FuzzSpecSubmit, FuzzExp and FuzzSoftmaxHead seed corpora
-# (plain `go test` runs f.Add seeds), so every committed decoder regression
-# input, every exp-kernel edge argument and every softmax-head edge logit
-# is exercised on each CI run; `make fuzz` explores beyond the seeds.
-check: fmt vet deadcode bench-smoke expolint evalcpu race trace-demo benchgate
+# fedsim run (trace-demo), the real fedserver and fedclient processes of
+# fleet-demo, and the benchmark regression gate against the committed
+# snapshot. The race-enabled suite replays the FuzzFrameDecode,
+# FuzzCheckpointLoad, FuzzChaosParse, FuzzSpecSubmit, FuzzManifestLoad,
+# FuzzSeriesQuery, FuzzExp and FuzzSoftmaxHead seed corpora (plain `go
+# test` runs f.Add seeds), so every committed decoder regression input,
+# every exp-kernel edge argument and every softmax-head edge logit is
+# exercised on each CI run; `make fuzz` explores beyond the seeds.
+check: fmt vet deadcode bench-smoke expolint evalcpu race trace-demo fleet-demo benchgate
 
 # fuzz runs coverage-guided exploration of the untrusted-byte decoders: the
-# wire frames, which sit directly on the network, the checkpoint file,
-# read back from disk after a crash, the chaos schedule, read from a
-# user's file, and a job spec POSTed to the control plane, decoded,
-# defaulted and validated (which builds the whole run). Any input must
-# decode or error — never panic. It also fuzzes tensor.Exp, the vectorised
+# wire frames, which sit directly on the network, the checkpoint file and a
+# job's manifest, read back from disk after a crash, the chaos schedule,
+# read from a user's file, a job spec POSTed to the control plane, decoded,
+# defaulted and validated (which builds the whole run), and the telemetry
+# API's from/to/limit range queries. Any input must decode or error —
+# never panic; a malformed query is a 400 and a well-formed one returns
+# only the rounds it asked for. It also fuzzes tensor.Exp, the vectorised
 # exponential of the softmax head, which must equal math.Exp bit for bit
 # for any argument, slice length and alignment, and the class-major softmax
 # head itself, whose loss and gradient must equal the row-at-a-time
@@ -131,6 +136,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointLoad -fuzztime $(FUZZ_TIME) ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz FuzzChaosParse -fuzztime $(FUZZ_TIME) ./internal/chaos/
 	$(GO) test -run '^$$' -fuzz FuzzSpecSubmit -fuzztime $(FUZZ_TIME) ./internal/jobs/
+	$(GO) test -run '^$$' -fuzz FuzzManifestLoad -fuzztime $(FUZZ_TIME) ./internal/jobs/
+	$(GO) test -run '^$$' -fuzz FuzzSeriesQuery -fuzztime $(FUZZ_TIME) ./internal/telemetry/
 	$(GO) test -run '^$$' -fuzz FuzzExp -fuzztime $(FUZZ_TIME) ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz FuzzSoftmaxHead -fuzztime $(FUZZ_TIME) ./internal/models/
 
@@ -142,6 +149,14 @@ trace-demo:
 	$(GO) run ./cmd/fedsim -dataset synthetic -alg sarah -rounds 3 -tau 5 \
 		-trace-spans $(TRACE_DEMO_OUT) -csv /dev/null
 	$(GO) run ./cmd/tracecheck -min-spans 10 $(TRACE_DEMO_OUT)
+
+# fleet-demo runs real fedserver and fedclient processes on loopback for two
+# rounds in each shape of the single-job server — flat workers, an
+# aggregation tree, leased workers — and fails unless every process exits 0
+# and the server prints its CSV (see scripts/fleet-demo.sh). Ports are
+# chosen at run time.
+fleet-demo:
+	GO=$(GO) ./scripts/fleet-demo.sh
 
 # chaos runs the seeded fault-injection suite under the race detector: the
 # declarative-schedule conformance tests (bit-identical models across the

@@ -115,12 +115,15 @@ func main() {
 
 	// In tree mode the data is partitioned over the VIRTUAL device cohort;
 	// each fedclient shard node regenerates its contiguous slice of it.
-	nDev := *devices
+	peers, nDev, shape := *devices, *devices, "workers"
 	if *fanout > 0 {
 		if *virtDev < *fanout {
 			fatal(fmt.Errorf("-virtual-devices (%d) must be >= -tree-fanout (%d)", *virtDev, *fanout))
 		}
-		nDev = *virtDev
+		if *jobLease != "" {
+			fatal(fmt.Errorf("-job leases drive flat workers; drop -tree-fanout"))
+		}
+		peers, nDev, shape = *fanout, *virtDev, "tree shard nodes"
 	} else if *virtDev > 0 {
 		fatal(fmt.Errorf("-virtual-devices needs -tree-fanout"))
 	}
@@ -141,28 +144,26 @@ func main() {
 	cfg.MinReport = *minRep
 	cfg.ActivateProb = *actProb
 
-	var coord *transport.Coordinator
-	switch {
-	case *jobLease != "":
-		if *fanout > 0 {
-			fatal(fmt.Errorf("-job leases drive flat workers; drop -tree-fanout"))
-		}
-		fmt.Printf("fedserver: waiting for %d workers on %s (lease %s@%d) …\n", *devices, *addr, *jobLease, *jobEpoch)
-		var ln net.Listener
-		if ln, err = net.Listen("tcp", *addr); err == nil {
-			coord, err = transport.NewLeasedCoordinatorOn(ln, *devices, *timeout, *jobLease, *jobEpoch)
-		}
-	case *fanout > 0:
-		fmt.Printf("fedserver: waiting for %d tree shard nodes on %s (%d virtual devices) …\n", *fanout, *addr, *virtDev)
-		coord, err = transport.NewTreeCoordinator(*addr, *fanout, *timeout)
-	default:
-		fmt.Printf("fedserver: waiting for %d workers on %s …\n", *devices, *addr)
-		coord, err = transport.NewCoordinator(*addr, *devices, *timeout)
+	lease := ""
+	if *jobLease != "" {
+		lease = fmt.Sprintf(", lease %s@%d", *jobLease, *jobEpoch)
 	}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fatal(err)
+	}
+	// The bound address, so a -addr with port 0 tells clients where to dial.
+	fmt.Printf("fedserver: waiting for %d %s on %s (%d devices%s) …\n", peers, shape, ln.Addr(), nDev, lease)
+	// One constructor for every shape: the peers' Hellos say whether they
+	// are workers or tree nodes, and an empty lease means none.
+	coord, err := transport.NewLeasedCoordinatorOn(ln, peers, *timeout, *jobLease, *jobEpoch)
 	if err != nil {
 		fatal(err)
 	}
 	defer coord.Close()
+	if got := coord.VirtualDevices(); got != nDev {
+		fatal(fmt.Errorf("the %d peers own %d devices, this run has %d: start fedclient with the server's -devices, -tree-fanout and -virtual-devices", peers, got, nDev))
+	}
 	coord.SetCodec(codec)
 	if err := coord.SetTopKFrac(*topkFrac); err != nil {
 		fatal(err)

@@ -37,7 +37,6 @@ type AggregatorNode struct {
 	lo      int
 	devices []*engine.Device // devices[i].ID == lo+i
 	counts  []float64        // raw per-device sample counts D_n, by local index
-	samples int64            // Σ counts
 	seed    int64
 
 	ps      PartialSum // the pending reply solve fills
@@ -84,7 +83,11 @@ func newAggregatorNode(addr string, shardID, loDevice int, shards []*data.Datase
 		return nil, fmt.Errorf("transport: aggregator shard %d has no devices", shardID)
 	}
 	n := &AggregatorNode{
-		session: session{id: shardID, addr: addr, sched: sched},
+		session: session{
+			id:    shardID,
+			hello: Hello{ClientID: shardID, LoDevice: loDevice, NumDevices: len(shards), Partial: true},
+			addr:  addr, sched: sched,
+		},
 		lo:      loDevice,
 		devices: make([]*engine.Device, len(shards)),
 		counts:  make([]float64, len(shards)),
@@ -93,16 +96,12 @@ func newAggregatorNode(addr string, shardID, loDevice int, shards []*data.Datase
 	for i, shard := range shards {
 		n.devices[i] = engine.NewDevice(loDevice+i, shard, m, seed)
 		n.counts[i] = float64(shard.N())
-		n.samples += int64(shard.N())
+		n.hello.NumSamples += int64(shard.N())
 	}
 	if err := n.connect(n); err != nil {
 		return nil, err
 	}
 	return n, nil
-}
-
-func (n *AggregatorNode) appendHello(buf []byte) []byte {
-	return marshalAggHello(buf, &AggHello{ShardID: n.id, LoDevice: n.lo, NumDevices: len(n.devices), NumSamples: n.samples})
 }
 
 // solve runs the shard fan-out for req into n.ps. Accumulation is in

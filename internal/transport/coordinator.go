@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sort"
 	"strconv"
@@ -29,9 +30,8 @@ import (
 // mu (readers off the main goroutine — the rejoin accept loop — also take
 // mu).
 type clientConn struct {
-	id      int
-	samples int
-	conn    *countingConn
+	id   int
+	conn *countingConn
 	// rep is the per-connection decode target: its Local and Spans buffers
 	// are reused round over round, so decoded models alias it and are valid
 	// until the connection's next exchange (the engine consumes them within
@@ -39,17 +39,14 @@ type clientConn struct {
 	fr  frameReader
 	fw  frameWriter
 	rep RoundReply
-	// Aggregation-tree shard node (AggHello handshake): the connection owns
-	// devices [lo, lo+ndev) and replies with PartialSum frames decoded into
-	// ps (reused like rep), whose shared fields exchange mirrors into rep.
-	isAgg bool
-	lo    int
-	ndev  int
-	ps    PartialSum
-	// Lease offered in the Hello (zero when the worker holds none) —
-	// checked against the coordinator's own lease by leaseCheck.
-	jobID string
-	epoch int64
+	// An aggregation-tree node (a Hello with the partial role) replies with
+	// PartialSum frames decoded into ps (reused like rep), whose shared
+	// fields exchange mirrors into rep; its round weight and device counts
+	// stay in ps, read after the fan-out.
+	ps PartialSum
+	// hello is what the peer said: its identity, checked again on rejoin,
+	// and its lease, checked against the coordinator's own by leaseCheck.
+	hello Hello
 	dead  bool
 	// The connection's exchange goroutine (serveExchanges) runs its slot of
 	// every round: wake carries the slot's index in the round's selection,
@@ -60,10 +57,10 @@ type clientConn struct {
 	stop sync.Once
 }
 
-// handshake reads the Hello (or AggHello) frame off a fresh connection. A
-// peer that opens with anything else — a stray byte, another protocol — fails
-// here as a framing error or at the timeout. On error the caller owns
-// closing conn.
+// handshake reads the Hello frame off a fresh connection. A peer that
+// opens with anything else — a stray byte, another protocol — fails here as
+// a framing error or at the timeout, as does a Hello with a malformed range
+// or sample count. On error the caller owns closing conn.
 func handshake(conn net.Conn, timeout time.Duration) (*clientConn, error) {
 	counted := newCountingConn(conn)
 	if timeout > 0 {
@@ -75,33 +72,17 @@ func handshake(conn net.Conn, timeout time.Duration) (*clientConn, error) {
 		fw:   frameWriter{w: counted},
 	}
 	typ, payload, err := cc.fr.next()
+	if err == nil && typ != msgHello {
+		err = errFrame("expected hello, got frame type %d", typ)
+	}
+	if err == nil {
+		cc.hello, err = unmarshalHello(payload)
+	}
 	if err != nil {
 		return nil, protocolError("hello", err)
 	}
-	var hello Hello
-	switch typ {
-	case msgHello:
-		if hello, err = unmarshalHello(payload); err != nil {
-			return nil, protocolError("hello", err)
-		}
-	case msgAggHello:
-		ah, err := unmarshalAggHello(payload)
-		if err != nil {
-			return nil, protocolError("hello", err)
-		}
-		if ah.NumDevices <= 0 || ah.LoDevice < 0 {
-			return nil, protocolError("hello",
-				errFrame("aggregator shard %d claims device range [%d,+%d)", ah.ShardID, ah.LoDevice, ah.NumDevices))
-		}
-		cc.isAgg = true
-		cc.lo, cc.ndev = ah.LoDevice, ah.NumDevices
-		hello = Hello{ClientID: ah.ShardID, NumSamples: int(ah.NumSamples)}
-	default:
-		return nil, protocolError("hello", errFrame("expected hello, got frame type %d", typ))
-	}
 	conn.SetReadDeadline(time.Time{})
-	cc.id, cc.samples = hello.ClientID, hello.NumSamples
-	cc.jobID, cc.epoch = hello.JobID, hello.Epoch
+	cc.id = cc.hello.ClientID
 	return cc, nil
 }
 
@@ -129,7 +110,7 @@ type FaultPolicy struct {
 	MaxFailedRounds int
 }
 
-// DefaultFaultPolicy is the policy installed by NewCoordinator: one retry
+// DefaultFaultPolicy is the policy a new Coordinator starts with: one retry
 // per worker per round, a quorum of one, and tolerance for three
 // consecutive empty rounds.
 func DefaultFaultPolicy() FaultPolicy {
@@ -151,14 +132,6 @@ type Coordinator struct {
 	fault    FaultPolicy
 	onFault  func(clientID int, err error)
 
-	// Aggregation-tree mode (NewTreeCoordinator): every connection is an
-	// AggHello shard node replying with PartialSum frames. actProb is the
-	// per-device activation probability broadcast each round; the tree*
-	// slices are per-child round metadata (weight Σ D_n, device-level
-	// participant/failed/straggler counts), indexed by shard ID, rewritten
-	// each round on the coordinator goroutine + the per-child fan-out
-	// goroutine that owns the slot. The root's state is O(model + shards) —
-	// it never holds per-device anything.
 	// Lease identity (jobs control plane): when set, only workers whose
 	// Hello carries exactly (leaseJob, leaseEpoch) are admitted — at
 	// construction and through the rejoin path alike. Immutable after
@@ -166,14 +139,15 @@ type Coordinator struct {
 	leaseJob   string
 	leaseEpoch int64
 
-	tree            bool
-	actProb         float64
-	treeWeight      []float64
-	treeDevices     []int
-	treeFailed      []int
-	treeStragglers  []int
-	treeReported    []bool
-	totalVirtualDev int // Σ shard NumDevices, for logs/sanity only
+	// The fleet's shape, learned from the Hellos: tree is their one role
+	// (every peer an aggregation-tree node replying with PartialSum
+	// frames), devices is Σ NumDevices over the peers. actProb is the
+	// per-device activation probability a tree broadcasts each round. A
+	// tree root's state is O(model + shards) — it never holds per-device
+	// anything.
+	tree    bool
+	devices int
+	actProb float64
 
 	// obsSpanBytes accumulates decoder-measured shipped-span bytes this
 	// round (see RoundReply.SpanBytes), so wire accounting can subtract
@@ -268,24 +242,17 @@ func (c *Coordinator) Bandwidth() (sent, received int64) {
 	return sent, received
 }
 
-// NewCoordinator listens on addr (e.g. "127.0.0.1:0") and waits until
-// numClients workers have connected and said Hello. Client IDs must be
-// distinct and in [0, numClients). When workers need the bound address
-// before the handshake completes (":0" ports), bind the listener yourself
-// and use NewCoordinatorOn.
-func NewCoordinator(addr string, numClients int, timeout time.Duration) (*Coordinator, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, protocolError("listen", err)
-	}
-	return NewCoordinatorOn(ln, numClients, timeout)
-}
-
-// NewCoordinatorOn completes coordinator construction over an existing
-// listener: it blocks until numClients workers have connected and
-// handshaked, then returns. On error the listener is closed.
+// NewCoordinatorOn builds a coordinator over an existing listener: it
+// blocks until numClients peers have connected and said Hello, then
+// returns. The peers are flat workers or aggregation-tree nodes, and the
+// fleet is one or the other: peer IDs must be exactly 0..numClients-1, and
+// their device ranges must tile [0, N) contiguously in ID order — for a
+// tree the ascending-shard fold order is what makes it bit-identical to a
+// flat ShardedMean over the same map. A fleet that breaks either rule,
+// mixes the two roles or holds no training samples fails construction. On
+// error the listener is closed.
 func NewCoordinatorOn(ln net.Listener, numClients int, timeout time.Duration) (*Coordinator, error) {
-	return newCoordinatorOn(ln, numClients, timeout, false, "", 0)
+	return NewLeasedCoordinatorOn(ln, numClients, timeout, "", 0)
 }
 
 // NewLeasedCoordinatorOn is NewCoordinatorOn for one jobs-control-plane
@@ -298,30 +265,6 @@ func NewCoordinatorOn(ln net.Listener, numClients int, timeout time.Duration) (*
 // next one's rounds. Epoch 0 with an empty jobID means no lease
 // (equivalent to NewCoordinatorOn).
 func NewLeasedCoordinatorOn(ln net.Listener, numClients int, timeout time.Duration, jobID string, epoch int64) (*Coordinator, error) {
-	return newCoordinatorOn(ln, numClients, timeout, false, jobID, epoch)
-}
-
-// NewTreeCoordinator is NewCoordinator for an aggregation tree: it waits for
-// numShards aggregator nodes (AggHello handshakes) instead of flat workers.
-func NewTreeCoordinator(addr string, numShards int, timeout time.Duration) (*Coordinator, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, protocolError("listen", err)
-	}
-	return NewTreeCoordinatorOn(ln, numShards, timeout)
-}
-
-// NewTreeCoordinatorOn completes tree-coordinator construction over an
-// existing listener: it blocks until numShards aggregator nodes have said
-// AggHello, then validates that their device ranges tile [0, N)
-// contiguously in shard-ID order — the ascending-shard fold order is what
-// makes the tree bit-identical to a flat ShardedMean over the same map.
-// Tree mode is CodecFloat64-only (partial sums are exact).
-func NewTreeCoordinatorOn(ln net.Listener, numShards int, timeout time.Duration) (*Coordinator, error) {
-	return newCoordinatorOn(ln, numShards, timeout, true, "", 0)
-}
-
-func newCoordinatorOn(ln net.Listener, numClients int, timeout time.Duration, tree bool, leaseJob string, leaseEpoch int64) (*Coordinator, error) {
 	if numClients <= 0 {
 		ln.Close()
 		return nil, fmt.Errorf("transport: need at least one client")
@@ -331,9 +274,8 @@ func newCoordinatorOn(ln net.Listener, numClients int, timeout time.Duration, tr
 		timeout:    timeout,
 		fault:      DefaultFaultPolicy(),
 		pending:    make(map[int]*clientConn),
-		tree:       tree,
-		leaseJob:   leaseJob,
-		leaseEpoch: leaseEpoch,
+		leaseJob:   jobID,
+		leaseEpoch: epoch,
 	}
 	c.rejoined = sync.NewCond(&c.mu)
 	seen := make(map[int]bool)
@@ -350,9 +292,9 @@ func newCoordinatorOn(ln net.Listener, numClients int, timeout time.Duration, tr
 			return nil, err
 		}
 		if !c.leaseCheck(cc) {
-			// A stale-leased worker is told the current lease and closed;
-			// it re-Hello's with the adopted values, so keep collecting
-			// rather than aborting construction.
+			// A stale-leased peer is told the current lease and closed; it
+			// re-Hello's with the adopted values, so keep collecting rather
+			// than aborting construction.
 			continue
 		}
 		if cc.id < 0 || cc.id >= numClients || seen[cc.id] {
@@ -360,51 +302,13 @@ func newCoordinatorOn(ln net.Listener, numClients int, timeout time.Duration, tr
 			c.Close()
 			return nil, fmt.Errorf("transport: bad or duplicate client id %d", cc.id)
 		}
-		if cc.isAgg != tree {
-			conn.Close()
-			c.Close()
-			if tree {
-				return nil, fmt.Errorf("transport: tree coordinator needs aggregator nodes (AggHello), client %d sent a flat Hello", cc.id)
-			}
-			return nil, fmt.Errorf("transport: aggregator node %d connected to a flat coordinator; use NewTreeCoordinator", cc.id)
-		}
 		seen[cc.id] = true
 		c.clients = append(c.clients, cc)
 	}
 	sort.Slice(c.clients, func(i, j int) bool { return c.clients[i].id < c.clients[j].id })
-	total := 0
-	for _, cc := range c.clients {
-		total += cc.samples
-	}
-	if total <= 0 {
-		// An all-empty cohort would yield 0/0 = NaN aggregation weights
-		// that silently poison the global model.
+	if err := c.admitFleet(); err != nil {
 		c.Close()
-		return nil, fmt.Errorf("transport: cohort reported no training samples (total %d)", total)
-	}
-	c.weights = make([]float64, numClients)
-	c.evals = make([]int64, numClients)
-	for i, cc := range c.clients {
-		c.weights[i] = float64(cc.samples) / float64(total)
-	}
-	if tree {
-		// Shard ranges must tile [0, N) contiguously in shard-ID order:
-		// a gap or overlap would silently double-count or drop devices.
-		running := 0
-		for _, cc := range c.clients {
-			if cc.lo != running {
-				c.Close()
-				return nil, fmt.Errorf("transport: shard %d owns devices [%d,+%d), expected range to start at %d (shards must tile contiguously in shard-ID order)",
-					cc.id, cc.lo, cc.ndev, running)
-			}
-			running += cc.ndev
-		}
-		c.totalVirtualDev = running
-		c.treeWeight = make([]float64, numClients)
-		c.treeDevices = make([]int, numClients)
-		c.treeFailed = make([]int, numClients)
-		c.treeStragglers = make([]int, numClients)
-		c.treeReported = make([]bool, numClients)
+		return nil, err
 	}
 	for _, cc := range c.clients {
 		c.startExchanges(cc)
@@ -413,6 +317,40 @@ func newCoordinatorOn(ln net.Listener, numClients int, timeout time.Duration, tr
 	// re-Hellos with its old client ID and is adopted at the next round.
 	go c.acceptLoop()
 	return c, nil
+}
+
+// admitFleet checks the whole fleet's Hellos, sorted by ID, and derives its
+// shape and aggregation weights: one role throughout, device ranges that
+// tile [0, N) contiguously in ID order (a gap or overlap would silently
+// drop or double-count devices), and a positive sample total.
+func (c *Coordinator) admitFleet() error {
+	c.tree = c.clients[0].hello.Partial
+	var total int64
+	for _, cc := range c.clients {
+		h := &cc.hello
+		switch {
+		case h.Partial != c.tree:
+			return fmt.Errorf("transport: peer %d and peer 0 declare different roles: a fleet is all workers or all aggregation-tree nodes", cc.id)
+		case h.LoDevice != c.devices:
+			return fmt.Errorf("transport: peer %d owns devices [%d,+%d), expected range to start at %d (ranges must tile contiguously in ID order)",
+				cc.id, h.LoDevice, h.NumDevices, c.devices)
+		case h.NumSamples > math.MaxInt64-total:
+			return fmt.Errorf("transport: peer %d's sample count %d overflows the fleet total", cc.id, h.NumSamples)
+		}
+		c.devices += h.NumDevices
+		total += h.NumSamples
+	}
+	if total == 0 {
+		// An all-empty cohort would yield 0/0 = NaN aggregation weights
+		// that silently poison the global model.
+		return fmt.Errorf("transport: cohort reported no training samples (total %d)", total)
+	}
+	c.weights = make([]float64, len(c.clients))
+	c.evals = make([]int64, len(c.clients))
+	for i, cc := range c.clients {
+		c.weights[i] = float64(cc.hello.NumSamples) / float64(total)
+	}
+	return nil
 }
 
 // startExchanges gives an admitted connection its exchange goroutine.
@@ -446,9 +384,9 @@ func (c *Coordinator) serveExchanges(cc *clientConn) {
 	}
 }
 
-// VirtualDevices returns the total device count the tree's shards own
-// (zero for a flat coordinator).
-func (c *Coordinator) VirtualDevices() int { return c.totalVirtualDev }
+// VirtualDevices returns the total device count the fleet's peers own: the
+// number of workers of a flat fleet, Σ shard sizes of a tree.
+func (c *Coordinator) VirtualDevices() int { return c.devices }
 
 // acceptLoop serves post-construction connections: restarted workers
 // re-performing the Hello handshake. It exits when the listener closes.
@@ -464,9 +402,9 @@ func (c *Coordinator) acceptLoop() {
 
 // handleRejoin validates a rejoin Hello and parks the connection for
 // adoption at the next round boundary. The replacement must present the ID
-// of a currently-dead worker and the same shard size (the aggregation
-// weights were fixed at construction); anything else is rejected by
-// closing the connection.
+// of a currently-dead peer with the same role, device range and sample
+// count (the aggregation weights were fixed at construction); anything else
+// is rejected by closing the connection.
 func (c *Coordinator) handleRejoin(conn net.Conn) {
 	cc, err := handshake(conn, c.timeout)
 	if err != nil {
@@ -482,9 +420,9 @@ func (c *Coordinator) handleRejoin(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	old := c.clients[cc.id]
-	if !old.dead || cc.samples != old.samples ||
-		cc.isAgg != old.isAgg || cc.lo != old.lo || cc.ndev != old.ndev {
+	old, h := c.clients[cc.id], &cc.hello
+	if !old.dead || h.NumSamples != old.hello.NumSamples || h.Partial != old.hello.Partial ||
+		h.LoDevice != old.hello.LoDevice || h.NumDevices != old.hello.NumDevices {
 		conn.Close()
 		return
 	}
@@ -497,22 +435,19 @@ func (c *Coordinator) handleRejoin(conn net.Conn) {
 
 // leaseCheck enforces the lease fence on a freshly handshaked connection.
 // A coordinator without a lease admits everyone. With one, a mismatched
-// Hello is rejected: a flat worker is first told the current lease
-// in a LeaseReject frame (so it adopts the values and re-Hello's through
-// its rejoin loop), then the connection closes. Returns whether the
+// Hello is rejected: the peer is first told the current lease in a
+// LeaseReject frame (so it adopts the values and re-Hello's through its
+// rejoin loop), then the connection closes. Returns whether the
 // connection was admitted; on false the connection is already closed.
 // leaseJob/leaseEpoch are immutable after construction, so no lock.
 func (c *Coordinator) leaseCheck(cc *clientConn) bool {
 	if c.leaseJob == "" && c.leaseEpoch == 0 {
 		return true
 	}
-	if cc.jobID == c.leaseJob && cc.epoch == c.leaseEpoch {
+	if cc.hello.JobID == c.leaseJob && cc.hello.Epoch == c.leaseEpoch {
 		return true
 	}
-	if !cc.isAgg {
-		frame := marshalLeaseReject(nil, &LeaseReject{JobID: c.leaseJob, Epoch: c.leaseEpoch})
-		_ = cc.fw.writeFrame(frame)
-	}
+	_ = cc.fw.writeFrame(marshalLeaseReject(nil, &LeaseReject{JobID: c.leaseJob, Epoch: c.leaseEpoch}))
 	cc.conn.Close()
 	return false
 }
@@ -650,16 +585,6 @@ func (c *Coordinator) roundSubset(ctx context.Context, local optim.LocalConfig, 
 		c.resetRoundObs(len(selected))
 	}
 	c.adoptRejoined()
-	if c.tree {
-		// Per-child round metadata is rewritten by the fan-out goroutines;
-		// clear it here so a child that fails the round reads as absent
-		// (weight 0) to ChildWeight and the stats rollup.
-		for i := range c.treeWeight {
-			c.treeWeight[i] = 0
-			c.treeDevices[i], c.treeFailed[i], c.treeStragglers[i] = 0, 0, 0
-			c.treeReported[i] = false
-		}
-	}
 	topK := 0
 	if c.codec == CodecTopK {
 		topK = TopKFor(c.topKFrac, len(anchor))
@@ -922,7 +847,7 @@ func (c *Coordinator) exchange(cc *clientConn, rc *roundCtx) (vec []float64, sol
 		sentAt = time.Now()
 	}
 	peer, proc, want, what := "client", "worker-", byte(msgRoundReply), "round reply"
-	if cc.isAgg {
+	if c.tree {
 		peer, proc, want, what = "shard", "shard-", msgPartialSum, "partial sum"
 	}
 	if err := cc.fw.writeFrame(rc.frame); err != nil {
@@ -938,7 +863,7 @@ func (c *Coordinator) exchange(cc *clientConn, rc *roundCtx) (vec []float64, sol
 	case err != nil:
 	case typ != want:
 		err = errFrame("expected %s, got frame type %d", what, typ)
-	case cc.isAgg:
+	case c.tree:
 		err = cc.decodePartial(payload)
 	default:
 		err = unmarshalReply(payload, rep, rc.ref)
@@ -968,17 +893,6 @@ func (c *Coordinator) exchange(cc *clientConn, rc *roundCtx) (vec []float64, sol
 			peer, cc.id, len(rep.Local), rc.dim), true
 	}
 	c.evals[cc.id] = rep.GradEvals
-	if cc.isAgg {
-		// The shard's round weight and device-level counts land in the
-		// per-child tree metadata slots, which only this goroutine writes
-		// this round.
-		ps := &cc.ps
-		c.treeWeight[cc.id] = ps.Weight
-		c.treeDevices[cc.id] = ps.Devices
-		c.treeFailed[cc.id] = ps.Failed
-		c.treeStragglers[cc.id] = ps.Stragglers
-		c.treeReported[cc.id] = true
-	}
 	if c.tracer != nil && len(rep.Spans) > 0 {
 		c.tracer.IngestWire(rep.Spans, rc.spanID, proc+strconv.Itoa(cc.id), sentAt)
 	}
@@ -1118,18 +1032,22 @@ func (x *Executor) RunRound(ctx context.Context, spec engine.RoundSpec, res *eng
 		if c.tree {
 			// The engine counts shard connections; roll the shards'
 			// PartialSum accounting up to device-level totals for the
-			// record. A shard whose connection failed contributes nothing
-			// (its devices' fate is unknown to the root — by design it
-			// holds no per-device state).
+			// record. A shard reported when its slot's exchange succeeded
+			// (a below-quorum round included); one whose exchange failed
+			// contributes nothing (its devices' fate is unknown to the
+			// root — by design it holds no per-device state). Adoption
+			// happens only at round start, so c.clients[id] is the
+			// connection that exchanged.
 			x.tally = engine.Tally{}
-			for id, ok := range c.treeReported {
-				if !ok {
+			for i, id := range c.rc.selected {
+				if c.rc.errs[i] != nil {
 					continue
 				}
+				ps := &c.clients[id].ps
 				st.Shards++
-				x.tally.Participants += c.treeDevices[id]
-				x.tally.Failed += c.treeFailed[id]
-				x.tally.Stragglers += c.treeStragglers[id]
+				x.tally.Participants += ps.Devices
+				x.tally.Failed += ps.Failed
+				x.tally.Stragglers += ps.Stragglers
 			}
 			res.Devices = &x.tally
 		}
@@ -1138,11 +1056,12 @@ func (x *Executor) RunRound(ctx context.Context, spec engine.RoundSpec, res *eng
 	return nil
 }
 
-// ChildWeight reports shard child's Σ D_n for the current round (raw
-// sample counts over its reporting devices; zero when the whole shard sat
-// out or its connection failed). It is the weight callback a PartialMean
-// root aggregator folds with — see Coordinator.Engine.
-func (x *Executor) ChildWeight(child int) float64 { return x.c.treeWeight[child] }
+// shardWeight reports shard id's Σ D_n for the current round: raw sample
+// counts over its reporting devices, zero when the whole shard sat out. It
+// is the weight a PartialMean root folds with (see Engine), which asks only
+// for shards that reported, so the connection's last decoded PartialSum is
+// this round's.
+func (c *Coordinator) shardWeight(id int) float64 { return c.clients[id].ps.Weight }
 
 // Engine builds a ready-to-run engine over this coordinator's workers;
 // drive it with Run and read the model with Global. If evalModel is given,
@@ -1151,16 +1070,16 @@ func (x *Executor) ChildWeight(child int) float64 { return x.c.treeWeight[child]
 // evaluation; training data never leaves workers in a real deployment —
 // pass nil to skip).
 //
-// On a tree coordinator (NewTreeCoordinator) the engine's "cohort" is the
-// shards, every shard is addressed every round (full participation at the
-// root), and the root aggregator is a PartialMean folding the shards'
-// pre-weighted partial sums in ascending shard order — bit-identical to a
-// flat ShardedMean over the same shard map. cfg.ActivateProb is lifted off
-// the engine and broadcast to the nodes instead, which evaluate the
-// per-device activation over their own ranges; everything per-device
-// (sampling, dropout injection, DP, secure masking, training shards to
-// measure) is rejected because the root never sees devices, so training
-// loss is NaN.
+// On a tree coordinator (a fleet of AggregatorNodes) the engine's
+// "cohort" is the shards, every shard is addressed every round (full
+// participation at the root), and the root aggregator is a PartialMean
+// folding the shards' pre-weighted partial sums in ascending shard order —
+// bit-identical to a flat ShardedMean over the same shard map.
+// cfg.ActivateProb is lifted off the engine and broadcast to the nodes
+// instead, which evaluate the per-device activation over their own ranges;
+// everything per-device (sampling, dropout injection, DP, secure masking,
+// training shards to measure) is rejected because the root never sees
+// devices, so training loss is NaN.
 func (c *Coordinator) Engine(w0 []float64, cfg engine.Config, evalModel models.Model, trainSets []*data.Dataset) (*engine.Engine, error) {
 	if c.tree {
 		if err := c.treeConfig(&cfg, trainSets); err != nil {
@@ -1173,7 +1092,7 @@ func (c *Coordinator) Engine(w0 []float64, cfg engine.Config, evalModel models.M
 		return nil, err
 	}
 	if c.tree {
-		eng.SetAggregator(engine.NewPartialMean(len(w0), x.ChildWeight))
+		eng.SetAggregator(engine.NewPartialMean(len(w0), c.shardWeight))
 	}
 	eng.SetGlobal(w0)
 	if evalModel != nil {

@@ -10,9 +10,10 @@ package transport
 //
 //	magic(0xFE) | type(u8) | payloadLen(u32 LE) | payload
 //
-// with six frame types: Hello, RoundRequest, RoundReply, the
-// aggregation-tree pair AggHello and PartialSum, and the jobs control
-// plane's LeaseReject. All integers are
+// with five frame types: Hello (1), RoundRequest (2), RoundReply (3),
+// the aggregation tree's PartialSum (5) and the jobs control plane's
+// LeaseReject (6). Type 4 is retired, never to be reused: peers built for
+// the old two-hello handshake opened with it. All integers are
 // little-endian; floats are IEEE-754 bits (float64 vectors round-trip
 // bit-exactly, keeping the conformance suites bit-identical in
 // CodecFloat64). A stream whose first byte is not the magic is not this
@@ -21,12 +22,15 @@ package transport
 //
 // Payload layouts (all fields fixed-width unless marked uvarint):
 //
-//	Hello        version(u8) clientID(i32) numSamples(i32)
+//	Hello        version(u8) role(u8) clientID(i32)
+//	             loDevice(i32) numDevices(i32) numSamples(i64)
+//	                                            -- role 0: a worker, replies
+//	                                               RoundReply, numDevices 1;
+//	                                               role 1: a tree node,
+//	                                               replies PartialSum
 //	             -- lease extension, present only when a lease is held:
 //	             epoch(i64) jobLen(uvarint) jobID
 //	LeaseReject  version(u8) epoch(i64) jobLen(uvarint) jobID
-//	AggHello     version(u8) shardID(i32) loDevice(i32) numDevices(i32)
-//	             numSamples(i64)
 //	RoundRequest round(u32) flags(u8) codec(u8) topK(u32)
 //	             -- omitted when flags&reqFlagDone:
 //	             eta(f64) mu(f64) clipNorm(f64) tau(u32) batch(u32)
@@ -84,12 +88,11 @@ import (
 
 const (
 	frameMagic   = 0xFE
-	frameVersion = 1
+	frameVersion = 2 // leads Hello and LeaseReject; 2 is the Hello with a range and a role
 
 	msgHello        = 1
 	msgRoundRequest = 2
 	msgRoundReply   = 3
-	msgAggHello     = 4
 	msgPartialSum   = 5
 	msgLeaseReject  = 6
 
@@ -356,15 +359,28 @@ func codecLevels(c Codec) (levels, width int) {
 // ---------------------------------------------------------------------------
 // Marshalling
 
+// Hello roles (the role byte).
+const (
+	roleReply   = 0
+	rolePartial = 1
+)
+
 // marshalHello appends a Hello frame to dst.
 func marshalHello(dst []byte, h *Hello) []byte {
 	w := wireBuf{b: dst}
 	body := w.beginFrame(msgHello)
 	w.u8(frameVersion)
+	role := byte(roleReply)
+	if h.Partial {
+		role = rolePartial
+	}
+	w.u8(role)
 	w.i32(int32(h.ClientID))
-	w.i32(int32(h.NumSamples))
+	w.i32(int32(h.LoDevice))
+	w.i32(int32(h.NumDevices))
+	w.i64(h.NumSamples)
 	// Lease extension: written only when a lease is held, so an unleased
-	// worker's Hello is byte-identical to the pre-lease wire.
+	// Hello has a fixed size (HelloWireSize).
 	if h.Epoch != 0 || h.JobID != "" {
 		w.i64(h.Epoch)
 		w.uvarint(uint64(len(h.JobID)))
@@ -383,21 +399,6 @@ func marshalLeaseReject(dst []byte, lr *LeaseReject) []byte {
 	w.i64(lr.Epoch)
 	w.uvarint(uint64(len(lr.JobID)))
 	w.bytes([]byte(lr.JobID))
-	w.endFrame(body)
-	return w.b
-}
-
-// marshalAggHello appends an AggHello frame to dst — the handshake of an
-// aggregation-tree shard node, which owns a contiguous device ID range
-// instead of a single device.
-func marshalAggHello(dst []byte, h *AggHello) []byte {
-	w := wireBuf{b: dst}
-	body := w.beginFrame(msgAggHello)
-	w.u8(frameVersion)
-	w.i32(int32(h.ShardID))
-	w.i32(int32(h.LoDevice))
-	w.i32(int32(h.NumDevices))
-	w.i64(h.NumSamples)
 	w.endFrame(body)
 	return w.b
 }
@@ -645,13 +646,26 @@ func deltaInto(scratch, v, ref []float64) []float64 {
 // ---------------------------------------------------------------------------
 // Unmarshalling
 
-// unmarshalHello decodes a Hello payload. The lease extension is
-// length-gated, not version-gated: a 9-byte payload is a pre-lease Hello
-// (zero lease), a longer one carries epoch + job ID. Both decode forever.
+// unmarshalHello decodes a Hello payload. The version is checked first, so
+// a peer speaking an older handshake is told so instead of having its
+// fields misread. The lease extension is length-gated: a payload that ends
+// after numSamples carries no lease. A Hello that claims no devices, a
+// negative device or sample count, or a worker speaking for more than one
+// device is malformed: it would tile the fleet wrongly or hand the
+// aggregation a negative weight.
 func unmarshalHello(p []byte) (Hello, error) {
 	c := wireCursor{b: p}
-	v := c.u8("hello version")
-	h := Hello{ClientID: int(c.i32("hello client id")), NumSamples: int(c.i32("hello samples"))}
+	if v := c.u8("hello version"); c.err == nil && v != frameVersion {
+		return Hello{}, errFrame("unsupported protocol version %d", v)
+	}
+	role := c.u8("hello role")
+	h := Hello{
+		ClientID:   int(c.i32("hello client id")),
+		LoDevice:   int(c.i32("hello lo device")),
+		NumDevices: int(c.i32("hello device count")),
+		NumSamples: c.i64("hello samples"),
+		Partial:    role == rolePartial,
+	}
 	if c.err == nil && c.off < len(c.b) {
 		h.Epoch = c.i64("hello lease epoch")
 		n := int(c.uvarint("hello job id length"))
@@ -660,8 +674,13 @@ func unmarshalHello(p []byte) (Hello, error) {
 	if err := c.done(); err != nil {
 		return Hello{}, err
 	}
-	if v != frameVersion {
-		return Hello{}, errFrame("unsupported protocol version %d", v)
+	switch {
+	case role != roleReply && role != rolePartial:
+		return Hello{}, errFrame("peer %d declares unknown role %d", h.ClientID, role)
+	case h.NumDevices < 1 || h.LoDevice < 0 || (!h.Partial && h.NumDevices != 1):
+		return Hello{}, errFrame("peer %d claims device range [%d,+%d)", h.ClientID, h.LoDevice, h.NumDevices)
+	case h.NumSamples < 0:
+		return Hello{}, errFrame("peer %d claims %d training samples", h.ClientID, h.NumSamples)
 	}
 	return h, nil
 }
@@ -680,25 +699,6 @@ func unmarshalLeaseReject(p []byte) (LeaseReject, error) {
 		return LeaseReject{}, errFrame("unsupported protocol version %d", v)
 	}
 	return lr, nil
-}
-
-// unmarshalAggHello decodes an AggHello payload.
-func unmarshalAggHello(p []byte) (AggHello, error) {
-	c := wireCursor{b: p}
-	v := c.u8("agghello version")
-	h := AggHello{
-		ShardID:    int(c.i32("agghello shard id")),
-		LoDevice:   int(c.i32("agghello lo device")),
-		NumDevices: int(c.i32("agghello device count")),
-		NumSamples: c.i64("agghello samples"),
-	}
-	if err := c.done(); err != nil {
-		return AggHello{}, err
-	}
-	if v != frameVersion {
-		return AggHello{}, errFrame("unsupported protocol version %d", v)
-	}
-	return h, nil
 }
 
 // unmarshalPartialSum decodes a PartialSum payload into ps, overwriting

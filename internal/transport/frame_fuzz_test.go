@@ -16,10 +16,11 @@ import (
 //
 // The seed corpus (f.Add) holds one well-formed frame per type and codec
 // plus classic trouble: truncations, trailing bytes, a hostile topk index,
-// and a lying length prefix. The tree (AggHello, PartialSum) and lease
-// (LeaseReject) frames follow, appended so earlier seed indices stay put. `go test` replays the corpus on every plain
-// run — make check covers it — and `make fuzz` (go test -fuzz=FuzzFrameDecode)
-// explores from there.
+// and a lying length prefix. The Hello in its node shape, the tree's
+// PartialSum, the lease fence's LeaseReject and the Hello in its worker and
+// leased shapes follow, appended so earlier seed indices stay put. `go
+// test` replays the corpus on every plain run — make check covers it — and
+// `make fuzz` (go test -fuzz=FuzzFrameDecode) explores from there.
 func FuzzFrameDecode(f *testing.F) {
 	anchor := testVec(1, 12)
 	for _, codec := range allCodecs {
@@ -31,7 +32,8 @@ func FuzzFrameDecode(f *testing.F) {
 		f.Add(req[:len(req)-3])
 		f.Add(append(append([]byte(nil), rep...), 0x7F))
 	}
-	f.Add(marshalHello(nil, &Hello{ClientID: 9, NumSamples: 100}))
+	worker := marshalHello(nil, workerHello(9, 100))
+	f.Add(worker)
 	done := marshalRequest(nil, &RoundRequest{Done: true})
 	f.Add(done)
 	errRep := marshalReply(nil, &RoundReply{ClientID: 2, Round: 1, Err: "boom"}, nil, new(replyScratch), 0)
@@ -40,14 +42,18 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{frameMagic, msgRoundReply, 0xF0, 0xFF, 0x00, 0x00, 1, 2, 3})
 	// What a peer on the removed gob wire opens with: no magic, rejected.
 	f.Add(legacyGobHello(f))
-	// The tree and lease frames: one well-formed frame each, then its
-	// payload truncated and with a trailing byte, each re-framed so the
-	// decoder sees the bad body instead of the reader a short stream.
+	// The handshake, tree and lease frames: one well-formed frame each,
+	// then its payload truncated and with a trailing byte, each re-framed
+	// so the decoder sees the bad body instead of the reader a short stream.
+	leased := workerHello(2, 30)
+	leased.JobID, leased.Epoch = "job-a", 2
 	for _, frame := range [][]byte{
-		marshalAggHello(nil, &AggHello{ShardID: 1, LoDevice: 40, NumDevices: 20, NumSamples: 800}),
+		marshalHello(nil, &Hello{ClientID: 1, LoDevice: 40, NumDevices: 20, NumSamples: 800, Partial: true}),
 		marshalPartialSum(nil, &PartialSum{ShardID: 1, Round: 3, Devices: 2, GradEvals: 7, Weight: 80, Sum: anchor,
 			Spans: []trace.WireSpan{{ID: 1, Name: "shard-solve", End: 0.5}}}),
 		marshalLeaseReject(nil, &LeaseReject{JobID: "job-a", Epoch: 2}),
+		worker,
+		marshalHello(nil, leased),
 	} {
 		payload := frame[frameHeaderSize:]
 		f.Add(frame)
@@ -76,8 +82,6 @@ func FuzzFrameDecode(f *testing.F) {
 				_ = unmarshalReply(payload, &rep, ref)
 				var rep2 RoundReply
 				_ = unmarshalReply(payload, &rep2, nil)
-			case msgAggHello:
-				_, _ = unmarshalAggHello(payload)
 			case msgPartialSum:
 				var ps PartialSum
 				_ = unmarshalPartialSum(payload, &ps)

@@ -49,22 +49,77 @@ func spread(v []float64) float64 {
 	return hi - lo
 }
 
+// workerHello is the Hello a Worker for device id holding samples training
+// samples says: the peer whose range is that one device.
+func workerHello(id int, samples int64) *Hello {
+	return &Hello{ClientID: id, LoDevice: id, NumDevices: 1, NumSamples: samples}
+}
+
+// TestHelloRoundTrip: the one Hello in each shape a fleet peer sends — a
+// worker, an aggregation-tree node and a leased worker — round-trips
+// exactly, the unleased shapes at HelloWireSize, and every truncation and a
+// trailing byte are rejected.
 func TestHelloRoundTrip(t *testing.T) {
-	frame := marshalHello(nil, &Hello{ClientID: 42, NumSamples: 1234})
-	if len(frame) != HelloWireSize {
-		t.Fatalf("hello frame is %d bytes, HelloWireSize says %d", len(frame), HelloWireSize)
+	leased := workerHello(7, 40)
+	leased.JobID, leased.Epoch = "job-a", 3
+	for _, h := range []*Hello{
+		workerHello(42, 1234),
+		{ClientID: 3, LoDevice: 4000, NumDevices: 1000, NumSamples: 123456789, Partial: true},
+		leased,
+	} {
+		frame := marshalHello(nil, h)
+		if h.JobID == "" && len(frame) != HelloWireSize {
+			t.Fatalf("hello frame is %d bytes, HelloWireSize says %d", len(frame), HelloWireSize)
+		}
+		got, err := unmarshalHello(frame[frameHeaderSize:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != *h {
+			t.Fatalf("decoded %+v, want %+v", got, *h)
+		}
+		payload := frame[frameHeaderSize:]
+		for n := 0; n < len(payload); n++ {
+			if n == HelloWireSize-frameHeaderSize {
+				continue // a leased Hello cut before its extension is an unleased one
+			}
+			if _, err := unmarshalHello(payload[:n]); err == nil {
+				t.Fatalf("hello %+v truncated to %d bytes accepted", *h, n)
+			}
+		}
+		if _, err := unmarshalHello(append(append([]byte(nil), payload...), 0x7F)); err == nil {
+			t.Fatalf("hello %+v with a trailing byte accepted", *h)
+		}
 	}
-	got, err := unmarshalHello(frame[frameHeaderSize:])
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestHelloRejectsMalformedIdentity: a Hello whose device range, sample
+// count or role could not belong to a fleet peer fails to decode, naming
+// the peer.
+func TestHelloRejectsMalformedIdentity(t *testing.T) {
+	for _, tc := range []struct {
+		h    Hello
+		want string
+	}{
+		{Hello{ClientID: 1, LoDevice: 1, NumDevices: 1, NumSamples: -5}, "peer 1 claims -5 training samples"},
+		{Hello{ClientID: 2, LoDevice: 0, NumDevices: 0, NumSamples: 5, Partial: true}, "peer 2 claims device range [0,+0)"},
+		{Hello{ClientID: 3, LoDevice: -1, NumDevices: 1, NumSamples: 5}, "peer 3 claims device range [-1,+1)"},
+		{Hello{ClientID: 4, LoDevice: 4, NumDevices: 2, NumSamples: 5}, "peer 4 claims device range [4,+2)"},
+	} {
+		frame := marshalHello(nil, &tc.h)
+		if _, err := unmarshalHello(frame[frameHeaderSize:]); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("hello %+v: error %v, want one naming %q", tc.h, err, tc.want)
+		}
 	}
-	if got.ClientID != 42 || got.NumSamples != 1234 {
-		t.Fatalf("round-tripped %+v", got)
+	frame := marshalHello(nil, workerHello(5, 5))
+	frame[frameHeaderSize+1] = 7 // the role byte
+	if _, err := unmarshalHello(frame[frameHeaderSize:]); err == nil || !strings.Contains(err.Error(), "unknown role 7") {
+		t.Errorf("unknown role: error %v", err)
 	}
 }
 
 func TestHelloRejectsBadVersion(t *testing.T) {
-	frame := marshalHello(nil, &Hello{ClientID: 1, NumSamples: 1})
+	frame := marshalHello(nil, workerHello(1, 1))
 	frame[frameHeaderSize] = frameVersion + 1
 	if _, err := unmarshalHello(frame[frameHeaderSize:]); err == nil {
 		t.Fatal("version mismatch accepted")
@@ -351,7 +406,7 @@ func TestFrameReaderRejectsBadStream(t *testing.T) {
 		t.Fatalf("oversized payload: %v", err)
 	}
 	// Truncated payload.
-	frame := marshalHello(nil, &Hello{ClientID: 1, NumSamples: 1})
+	frame := marshalHello(nil, workerHello(1, 1))
 	fr = frameReader{r: bufio.NewReader(bytes.NewReader(frame[:len(frame)-2]))}
 	if _, _, err := fr.next(); err == nil {
 		t.Fatal("truncated frame accepted")
@@ -361,7 +416,7 @@ func TestFrameReaderRejectsBadStream(t *testing.T) {
 func TestFrameReaderWriterRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	fw := frameWriter{w: &buf}
-	h := marshalHello(nil, &Hello{ClientID: 2, NumSamples: 50})
+	h := marshalHello(nil, workerHello(2, 50))
 	req := marshalRequest(nil, &RoundRequest{Round: 1, Codec: CodecFloat32, Anchor: testVec(8, 6)})
 	if err := fw.writeFrame(h); err != nil {
 		t.Fatal(err)

@@ -15,7 +15,7 @@ import (
 
 func TestHelloLeaseExtensionRoundTrip(t *testing.T) {
 	// Leased Hello carries the extension.
-	h := Hello{ClientID: 3, NumSamples: 40, JobID: "job-a", Epoch: 7}
+	h := Hello{ClientID: 3, LoDevice: 3, NumDevices: 1, NumSamples: 40, JobID: "job-a", Epoch: 7}
 	b := marshalHello(nil, &h)
 	got, err := unmarshalHello(b[frameHeaderSize:])
 	if err != nil {
@@ -24,8 +24,8 @@ func TestHelloLeaseExtensionRoundTrip(t *testing.T) {
 	if got != h {
 		t.Fatalf("round trip %+v, want %+v", got, h)
 	}
-	// Unleased Hello is byte-identical to the legacy wire: no extension.
-	legacy := Hello{ClientID: 3, NumSamples: 40}
+	// Unleased Hello carries no extension.
+	legacy := *workerHello(3, 40)
 	lb := marshalHello(nil, &legacy)
 	if len(lb) >= len(b) {
 		t.Fatal("unleased Hello must not carry the lease extension")

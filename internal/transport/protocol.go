@@ -3,7 +3,10 @@
 // Worker processes (devices), exchanging length-prefixed binary frames (see
 // frame.go). Devices are seeded exactly like the in-process simulator's, so a
 // distributed run reproduces an in-process run bit-for-bit given the same
-// seeds — which the integration tests assert.
+// seeds — which the integration tests assert. An aggregation tree is the
+// same fleet one level deeper: its peers are AggregatorNodes, each speaking
+// for a contiguous shard of devices, and the coordinator learns which shape
+// it drives from the role the peers declare in their one Hello.
 //
 // The runtime degrades gracefully under worker failures, matching the
 // paper's partial-participation model (a round aggregates whichever
@@ -12,10 +15,10 @@
 // than a run-aborting error. Application-level failures are retried with
 // backoff (FaultPolicy.MaxRetries); network-level failures tear the
 // connection down, and a restarted worker rejoins between rounds by
-// re-dialing and re-sending Hello with its old client ID and shard size.
-// Only a fully-dead cohort, or more than FaultPolicy.MaxFailedRounds
-// consecutive rounds below the FaultPolicy.MinParticipants quorum floor,
-// aborts the run.
+// re-dialing and re-sending its Hello: the same ID, device range and
+// sample count. Only a fully-dead cohort, or more than
+// FaultPolicy.MaxFailedRounds consecutive rounds below the
+// FaultPolicy.MinParticipants quorum floor, aborts the run.
 package transport
 
 import (
@@ -25,15 +28,27 @@ import (
 	"fedproxvr/internal/trace"
 )
 
-// Hello is the first message a worker sends after connecting.
+// Hello is the first message every fleet peer sends after connecting. The
+// peer speaks for the contiguous device ID range [LoDevice,
+// LoDevice+NumDevices): a Worker for device n says [n, n+1), an
+// aggregation-tree AggregatorNode says its shard's range. NumSamples is
+// the range's total Σ D_n — the coordinator only ever learns per-peer
+// totals, which is what keeps a tree root's memory O(model), not
+// O(devices).
 type Hello struct {
 	ClientID   int
-	NumSamples int
+	LoDevice   int
+	NumDevices int
+	NumSamples int64
+	// Partial is the peer's role: it replies with a PartialSum over its
+	// range (an aggregation-tree node) instead of a RoundReply for its one
+	// device. One fleet holds one role.
+	Partial bool
 
 	// Lease fields (jobs control plane): the worker offers to
 	// serve job JobID under coordinator incarnation Epoch. A coordinator
 	// running with a lease rejects a mismatched Epoch with a LeaseReject
-	// frame carrying the current values, and the worker re-Hello's with
+	// frame carrying the current values, and the peer re-Hello's with
 	// them through its rejoin loop — the fence that keeps a worker leased
 	// to a dead coordinator incarnation from silently joining the next
 	// one's rounds. Zero values mean "no lease".
@@ -43,23 +58,11 @@ type Hello struct {
 
 // LeaseReject is the coordinator's answer to a Hello whose lease is stale:
 // it names the job and lease epoch the coordinator is currently serving,
-// and the connection closes. The worker adopts the told values and
+// and the connection closes. The peer adopts the told values and
 // re-Hello's.
 type LeaseReject struct {
 	JobID string
 	Epoch int64
-}
-
-// AggHello is the first message an aggregation-tree shard node sends after
-// connecting to a tree coordinator. The node owns the
-// contiguous device ID range [LoDevice, LoDevice+NumDevices) and NumSamples
-// is the shard's total Σ D_n — the coordinator only ever learns per-shard
-// totals, which is what keeps its memory O(model), not O(devices).
-type AggHello struct {
-	ShardID    int
-	LoDevice   int
-	NumDevices int
-	NumSamples int64
 }
 
 // RoundRequest is broadcast by the coordinator at each global iteration.

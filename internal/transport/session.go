@@ -14,11 +14,10 @@ import (
 // peerRole is what a participant of the round exchange supplies to the
 // session it runs: a Worker speaks for one device and answers with a
 // RoundReply, an AggregatorNode speaks for a shard of devices and answers
-// with a PartialSum. Everything else — dialing, the request loop, chaos
-// enforcement, lease adoption, rejoin, tracing — is the session's.
+// with a PartialSum. Everything else — dialing, the Hello, the request
+// loop, chaos enforcement, lease adoption, rejoin, tracing — is the
+// session's.
 type peerRole interface {
-	// appendHello appends the handshake frame (Hello or AggHello) to buf.
-	appendHello(buf []byte) []byte
 	// solve runs the round body for req into the role's pending reply. ev is
 	// the chaos event firing this round (zero when none); the session has
 	// already enforced every kind but Corrupt. A non-empty return fails the
@@ -37,10 +36,13 @@ type peerRole interface {
 type session struct {
 	role peerRole
 	// id is the ID the peer says hello with — a client ID or a shard ID —
-	// and the one its fault schedule is keyed by.
-	id   int
-	addr string
-	conn net.Conn
+	// and the one its fault schedule is keyed by. hello is the peer's
+	// identity (ID, device range, sample count, role), sent with the
+	// current lease on every dial.
+	id    int
+	hello Hello
+	addr  string
+	conn  net.Conn
 
 	fr   frameReader
 	fw   frameWriter
@@ -55,7 +57,7 @@ type session struct {
 	// coordinator's retry of the same round succeeds (flake-once semantics).
 	flaked map[int]bool
 
-	// Lease (jobs control plane), offered in a worker's every Hello. When
+	// Lease (jobs control plane), offered in the peer's every Hello. When
 	// the coordinator answers with a LeaseReject, the peer adopts the told
 	// values before re-dialing — see recvRequest and lost.
 	leaseJob   string
@@ -121,7 +123,9 @@ func (s *session) dial() error {
 	}
 	s.fw = frameWriter{w: s.conn}
 	s.fr = frameReader{r: bufio.NewReader(s.conn)}
-	s.wbuf = s.role.appendHello(s.wbuf[:0])
+	h := s.hello
+	h.JobID, h.Epoch = s.leaseJob, s.leaseEpoch
+	s.wbuf = marshalHello(s.wbuf[:0], &h)
 	if err := s.fw.writeFrame(s.wbuf); err != nil {
 		conn.Close()
 		return protocolError("hello", err)

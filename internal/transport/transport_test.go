@@ -470,40 +470,85 @@ func TestQuorumAbortsAfterMaxFailedRounds(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCoordinatorRejectsZeroSampleCohort: an all-empty-shard cohort must
-// be rejected at construction instead of yielding NaN aggregation weights.
-func TestCoordinatorRejectsZeroSampleCohort(t *testing.T) {
+// TestCoordinatorRejectsBadFleet: construction admits a fleet only when
+// its IDs are 0..n-1 once each, its device ranges tile [0, N) in ID order,
+// its peers share one role and it holds training samples (an all-empty
+// cohort would yield NaN aggregation weights, an overflowing total
+// negative ones). Each broken fleet, sent as
+// raw Hellos, fails construction with an error saying what is wrong.
+func TestCoordinatorRejectsBadFleet(t *testing.T) {
+	node := func(id, lo, ndev int) *Hello {
+		return &Hello{ClientID: id, LoDevice: lo, NumDevices: ndev, NumSamples: 10, Partial: true}
+	}
+	for _, tc := range []struct {
+		name   string
+		hellos []*Hello
+		want   string
+	}{
+		{"shard gap", []*Hello{node(0, 0, 2), node(1, 3, 2)}, "peer 1 owns devices [3,+2), expected range to start at 2"},
+		{"shard overlap", []*Hello{node(0, 0, 3), node(1, 2, 2)}, "peer 1 owns devices [2,+2), expected range to start at 3"},
+		{"flat id out of range", []*Hello{workerHello(0, 10), workerHello(2, 10)}, "bad or duplicate client id 2"},
+		{"mixed fleet", []*Hello{workerHello(0, 10), node(1, 1, 2)}, "peer 1 and peer 0 declare different roles"},
+		{"zero-sample cohort", []*Hello{workerHello(0, 0), workerHello(1, 0)}, "no training samples"},
+		{"sample total overflow", []*Hello{workerHello(0, math.MaxInt64), workerHello(1, 1)}, "peer 1's sample count 1 overflows the fleet total"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, h := range tc.hellos {
+				conn, err := net.Dial("tcp", ln.Addr().String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer conn.Close()
+				if _, err := conn.Write(marshalHello(nil, h)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c, err := NewCoordinatorOn(ln, len(tc.hellos), 2*time.Second)
+			if err == nil {
+				c.Close()
+				t.Fatal("construction admitted the fleet")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("construction error %q, want one naming %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestCoordinatorRejectsNegativeSampleCount: a peer whose Hello claims a
+// negative sample count next to a real worker would get a negative
+// aggregation weight, so WeightedMean would extrapolate instead of
+// averaging. Construction fails with an error naming the peer.
+func TestCoordinatorRejectsNegativeSampleCount(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := ln.Addr().String()
-	type result struct {
-		c   *Coordinator
-		err error
+	p := testPartition(1, 10, 3, 2, 1)
+	w, err := NewWorker(ln.Addr().String(), 0, p.Clients[0], models.NewSoftmax(3, 2, 0), 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	resCh := make(chan result, 1)
-	go func() {
-		c, err := NewCoordinatorOn(ln, 2, 2*time.Second)
-		resCh <- result{c, err}
-	}()
-	for k := 0; k < 2; k++ {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		if _, err := conn.Write(marshalHello(nil, &Hello{ClientID: k, NumSamples: 0})); err != nil {
-			t.Fatal(err)
-		}
+	defer w.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
 	}
-	res := <-resCh
-	if res.err == nil {
-		res.c.Close()
-		t.Fatal("all-empty cohort should be rejected")
+	defer conn.Close()
+	if _, err := conn.Write(marshalHello(nil, workerHello(1, -5))); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(res.err.Error(), "samples") {
-		t.Fatalf("unexpected error: %v", res.err)
+	c, err := NewCoordinatorOn(ln, 2, 2*time.Second)
+	if err == nil {
+		defer c.Close()
+		t.Fatalf("construction admitted a peer with -5 samples: weights %v", c.Weights())
+	}
+	if !strings.Contains(err.Error(), "peer 1 claims -5 training samples") {
+		t.Fatalf("construction error %q does not name peer 1's sample count", err)
 	}
 }
 
@@ -524,7 +569,7 @@ func TestRoundTimeoutFires(t *testing.T) {
 		}
 		defer conn.Close()
 		// Handshake like a worker, then go silent.
-		_, _ = conn.Write(marshalHello(nil, &Hello{ClientID: 0, NumSamples: 5}))
+		_, _ = conn.Write(marshalHello(nil, workerHello(0, 5)))
 		<-done2
 	}()
 	c, err := NewCoordinatorOn(ln, 1, 300*time.Millisecond)
@@ -557,9 +602,10 @@ func legacyGobHello(tb testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// TestHandshakeRejectsForeignPeers: the handshake accepts a Hello or
-// AggHello frame and nothing else. A peer that opens with another protocol,
-// a stray byte or an unknown frame type fails construction with a
+// TestHandshakeRejectsForeignPeers: the handshake accepts a well-formed
+// Hello frame and nothing else. A peer that opens with another protocol, a
+// stray byte, an unknown frame type, the tree nodes' old hello (type 4) or a
+// Hello claiming a negative sample count fails construction with a
 // "transport: hello:" error, and on the rejoin accept path is closed within
 // the handshake timeout, parked nowhere, with the live cohort still
 // serving rounds.
@@ -573,6 +619,8 @@ func TestHandshakeRejectsForeignPeers(t *testing.T) {
 		{"gob hello", legacyGobHello(t), "bad magic"},
 		{"stray byte then silence", []byte{0x2A}, "timeout"},
 		{"unknown frame type", []byte{frameMagic, 0x7F, 0, 0, 0, 0}, "expected hello, got frame type 127"},
+		{"old tree-node hello", []byte{frameMagic, 4, 0, 0, 0, 0}, "expected hello, got frame type 4"},
+		{"negative sample count", marshalHello(nil, workerHello(0, -5)), "peer 0 claims -5 training samples"},
 	}
 	listen := func() net.Listener {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -1,4 +1,4 @@
-// Aggregation-tree tests: frame round-trips for the tree's wire messages,
+// Aggregation-tree tests: the node's Hello and the PartialSum frame round-trips,
 // the bit-identity of a tree run against the flat ShardedMean reference,
 // chaos against an interior node degrading exactly like a scripted dropout
 // of its shard, and the O(model + shards) root-memory guarantee.
@@ -36,13 +36,19 @@ func partialSumWireSize(dim int) int {
 	return frameHeaderSize + 4 + 4 + 1 + 4 + 4 + 4 + 8 + 8 + 8 + 1 + 4 + 8*dim
 }
 
+// TestAggHelloRoundTrip: the Hello an aggregation-tree node says — its
+// shard range with the node role — round-trips exactly at HelloWireSize,
+// carries role byte 1 on the wire, and every truncation is rejected.
 func TestAggHelloRoundTrip(t *testing.T) {
-	h := AggHello{ShardID: 3, LoDevice: 4000, NumDevices: 1000, NumSamples: 123456789}
-	frame := marshalAggHello(nil, &h)
-	if len(frame) != AggHelloWireSize {
-		t.Fatalf("AggHello frame is %d bytes, AggHelloWireSize says %d", len(frame), AggHelloWireSize)
+	h := Hello{ClientID: 3, LoDevice: 4000, NumDevices: 1000, NumSamples: 123456789, Partial: true}
+	frame := marshalHello(nil, &h)
+	if len(frame) != HelloWireSize {
+		t.Fatalf("node hello frame is %d bytes, HelloWireSize says %d", len(frame), HelloWireSize)
 	}
-	got, err := unmarshalAggHello(frame[frameHeaderSize:])
+	if role := frame[frameHeaderSize+1]; role != 1 {
+		t.Fatalf("node hello role byte %d, want 1", role)
+	}
+	got, err := unmarshalHello(frame[frameHeaderSize:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,8 +56,8 @@ func TestAggHelloRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %+v, want %+v", got, h)
 	}
 	for n := 0; n < len(frame)-frameHeaderSize; n++ {
-		if _, err := unmarshalAggHello(frame[frameHeaderSize : frameHeaderSize+n]); err == nil {
-			t.Fatalf("agghello truncated to %d bytes accepted", n)
+		if _, err := unmarshalHello(frame[frameHeaderSize : frameHeaderSize+n]); err == nil {
+			t.Fatalf("node hello truncated to %d bytes accepted", n)
 		}
 	}
 }
@@ -141,8 +147,8 @@ func treeShards(p *data.Partition, fanout int) (los, his []int) {
 }
 
 // launchTree starts one AggregatorNode per shard (chaos nodes when sched is
-// non-nil, recording trace spans when traced) and returns the connected tree
-// coordinator.
+// non-nil, recording trace spans when traced) and returns the coordinator
+// they connected to, a tree because the nodes say so in their Hellos.
 func launchTree(t *testing.T, p *data.Partition, m models.Model, seed int64,
 	fanout int, sched *chaos.Schedule, traced bool) (*Coordinator, *sync.WaitGroup) {
 	t.Helper()
@@ -176,7 +182,7 @@ func launchTree(t *testing.T, p *data.Partition, m models.Model, seed int64,
 			}
 		}(s)
 	}
-	c, err := NewTreeCoordinatorOn(ln, fanout, 5*time.Second)
+	c, err := NewCoordinatorOn(ln, fanout, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +499,7 @@ func stubShardPeer(t *testing.T, addr string, shardID, lo, ndev, dim int, done *
 	defer conn.Close()
 	fw := frameWriter{w: conn}
 	fr := frameReader{r: bufio.NewReader(conn)}
-	buf := marshalAggHello(nil, &AggHello{ShardID: shardID, LoDevice: lo, NumDevices: ndev, NumSamples: int64(ndev) * 10})
+	buf := marshalHello(nil, &Hello{ClientID: shardID, LoDevice: lo, NumDevices: ndev, NumSamples: int64(ndev) * 10, Partial: true})
 	if err := fw.writeFrame(buf); err != nil {
 		t.Errorf("stub shard %d hello: %v", shardID, err)
 		return
@@ -551,7 +557,7 @@ func TestTreeRootMemoryIsDeviceCountInvariant(t *testing.T) {
 			wg.Add(1)
 			go stubShardPeer(t, addr, s, lo, hi-lo, dim, &wg)
 		}
-		c, err := NewTreeCoordinatorOn(ln, fanout, 5*time.Second)
+		c, err := NewCoordinatorOn(ln, fanout, 5*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -618,7 +624,7 @@ func TestAggregatorNodeHeapIsDeviceCountInvariant(t *testing.T) {
 			}
 			served <- err
 		}()
-		c, err := NewTreeCoordinatorOn(ln, 1, 5*time.Second)
+		c, err := NewCoordinatorOn(ln, 1, 5*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,8 +31,9 @@ func vecUpBodySize(c Codec, dim, topK int) int {
 	return vecDownBodySize(c, dim)
 }
 
-// HelloWireSize is the framed Hello size in bytes, header included.
-const HelloWireSize = frameHeaderSize + 1 + 4 + 4
+// HelloWireSize is the framed size in bytes, header included, of a Hello
+// without the lease extension.
+const HelloWireSize = frameHeaderSize + 1 + 1 + 4 + 4 + 4 + 8
 
 // requestFixedSize is the non-Done request fixed part after the header:
 // round+flags+codec+topK, the local config, and the vector dim prefix.
@@ -52,9 +53,6 @@ func RequestWireSize(c Codec, dim int, traced bool) int {
 // ActivateFieldSize is the extra request bytes when the round carries a
 // probabilistic-activation probability (reqFlagActivate): one f64.
 const ActivateFieldSize = 8
-
-// AggHelloWireSize is the framed AggHello size in bytes, header included.
-const AggHelloWireSize = frameHeaderSize + 1 + 4 + 4 + 4 + 8
 
 // DoneWireSize is the framed size of a Done request.
 const DoneWireSize = frameHeaderSize + 4 + 1 + 1 + 4

@@ -11,15 +11,14 @@ import (
 )
 
 // Worker is the device side of the distributed runtime: it connects to a
-// coordinator, announces its shard size, and serves rounds until told to
-// stop. Its RNG stream derivation matches engine.NewDevice, so a distributed
+// coordinator, says Hello as the peer whose device range is its one
+// device, and serves rounds until told to stop. Its RNG stream derivation matches engine.NewDevice, so a distributed
 // run is bit-identical to the in-process simulator with the same seed. The
 // connection, chaos, lease, rejoin and tracing machinery is the session it
 // shares with AggregatorNode.
 type Worker struct {
 	session
 	device *engine.Device
-	shard  *data.Dataset
 
 	// The worker executes its device's solves itself, so it owns the memory
 	// they run in and the one buffer they report into; both are sized by the
@@ -88,21 +87,17 @@ func NewLeasedWorker(addr string, id int, shard *data.Dataset, m models.Model, s
 
 func newWorker(addr string, id int, shard *data.Dataset, m models.Model, seed int64, sched *chaos.Schedule, leaseJob string, leaseEpoch int64) (*Worker, error) {
 	w := &Worker{
-		session: session{id: id, addr: addr, sched: sched, leaseJob: leaseJob, leaseEpoch: leaseEpoch},
-		device:  engine.NewDevice(id, shard, m, seed),
-		shard:   shard,
+		session: session{
+			id:    id,
+			hello: Hello{ClientID: id, LoDevice: id, NumDevices: 1, NumSamples: int64(shard.N())},
+			addr:  addr, sched: sched, leaseJob: leaseJob, leaseEpoch: leaseEpoch,
+		},
+		device: engine.NewDevice(id, shard, m, seed),
 	}
 	if err := w.connect(w); err != nil {
 		return nil, err
 	}
 	return w, nil
-}
-
-func (w *Worker) appendHello(buf []byte) []byte {
-	return marshalHello(buf, &Hello{
-		ClientID: w.id, NumSamples: w.shard.N(),
-		JobID: w.leaseJob, Epoch: w.leaseEpoch,
-	})
 }
 
 // solve runs the device's local solve for req into w.rep, corrupting the
