@@ -152,9 +152,11 @@ trace-demo:
 
 # fleet-demo runs real fedserver and fedclient processes on loopback for two
 # rounds in each shape of the single-job server — flat workers, an
-# aggregation tree, leased workers — and fails unless every process exits 0
-# and the server prints its CSV (see scripts/fleet-demo.sh). Ports are
-# chosen at run time.
+# aggregation tree, leased workers, a leased tree, leased workers under a
+# chaos schedule — and fails unless every process exits 0 and the server
+# prints its CSV; two fleets of the wrong shape must instead make every
+# process exit non-zero (see scripts/fleet-demo.sh). Ports are chosen at
+# run time.
 fleet-demo:
 	GO=$(GO) ./scripts/fleet-demo.sh
 

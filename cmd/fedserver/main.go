@@ -115,15 +115,12 @@ func main() {
 
 	// In tree mode the data is partitioned over the VIRTUAL device cohort;
 	// each fedclient shard node regenerates its contiguous slice of it.
-	peers, nDev, shape := *devices, *devices, "workers"
+	peers, nDev := *devices, *devices
 	if *fanout > 0 {
 		if *virtDev < *fanout {
 			fatal(fmt.Errorf("-virtual-devices (%d) must be >= -tree-fanout (%d)", *virtDev, *fanout))
 		}
-		if *jobLease != "" {
-			fatal(fmt.Errorf("-job leases drive flat workers; drop -tree-fanout"))
-		}
-		peers, nDev, shape = *fanout, *virtDev, "tree shard nodes"
+		peers, nDev = *fanout, *virtDev
 	} else if *virtDev > 0 {
 		fatal(fmt.Errorf("-virtual-devices needs -tree-fanout"))
 	}
@@ -153,7 +150,7 @@ func main() {
 		fatal(err)
 	}
 	// The bound address, so a -addr with port 0 tells clients where to dial.
-	fmt.Printf("fedserver: waiting for %d %s on %s (%d devices%s) …\n", peers, shape, ln.Addr(), nDev, lease)
+	fmt.Printf("fedserver: waiting for %d %s on %s (%d devices%s) …\n", peers, role(*fanout > 0), ln.Addr(), nDev, lease)
 	// One constructor for every shape: the peers' Hellos say whether they
 	// are workers or tree nodes, and an empty lease means none.
 	coord, err := transport.NewLeasedCoordinatorOn(ln, peers, *timeout, *jobLease, *jobEpoch)
@@ -161,8 +158,11 @@ func main() {
 		fatal(err)
 	}
 	defer coord.Close()
-	if got := coord.VirtualDevices(); got != nDev {
-		fatal(fmt.Errorf("the %d peers own %d devices, this run has %d: start fedclient with the server's -devices, -tree-fanout and -virtual-devices", peers, got, nDev))
+	// Refuse before round 1 a fleet of the other shape or size.
+	if coord.Tree() != (*fanout > 0) || coord.VirtualDevices() != nDev {
+		fatal(fmt.Errorf("the %d peers said Hello as %s owning %d devices, but the server's flags expect %s owning %d: "+
+			"start fedclient with the server's -devices, -tree-fanout and -virtual-devices",
+			peers, role(coord.Tree()), coord.VirtualDevices(), role(*fanout > 0), nDev))
 	}
 	coord.SetCodec(codec)
 	if err := coord.SetTopKFrac(*topkFrac); err != nil {
@@ -350,6 +350,14 @@ func runJobsMode(stateDir, adminAddr string, maxJobs, slots int, hub *telemetry.
 	m.Stop()
 	srv.Close()
 	fmt.Fprintln(os.Stderr, "fedserver: job state flushed; non-terminal jobs will resume on the next start")
+}
+
+// role names the peers of a flat fleet or of an aggregation tree.
+func role(tree bool) string {
+	if tree {
+		return "tree shard nodes"
+	}
+	return "workers"
 }
 
 func fatal(err error) {

@@ -7,8 +7,8 @@
 //     sparsified delta against the broadcast anchor). Bytes are the
 //     coordinator's countingConn measurement, so framing overhead is
 //     included; loss/accuracy show what each lossy mode costs.
-//  2. Top-k delta sparsification in isolation (transport.TopK /
-//     SparsifyDelta): bandwidth-vs-fidelity of one local update. Dense
+//  2. The top-k fraction of topk-delta (Coordinator.SetTopKFrac) swept on
+//     the same TCP fleet: bytes moved against final loss. Dense
 //     logistic-regression updates make aggressive sparsification visibly
 //     lossy — in practice the residual is carried to the next round.
 //  3. The (β, μ) optimum shift: compressing updates scales the paper's
@@ -26,9 +26,6 @@ import (
 	"time"
 
 	fedproxvr "fedproxvr"
-	"fedproxvr/internal/engine"
-	"fedproxvr/internal/mathx"
-	"fedproxvr/internal/optim"
 	"fedproxvr/internal/theory"
 	"fedproxvr/internal/transport"
 )
@@ -51,7 +48,7 @@ func main() {
 		transport.CodecInt8,
 		transport.CodecTopK,
 	} {
-		loss, acc, moved := runDistributed(task, cfg, codec)
+		loss, acc, moved := runDistributed(task, cfg, codec, transport.DefaultTopKFraction)
 		if codec == transport.CodecFloat64 {
 			exactBytes = moved
 		}
@@ -59,26 +56,12 @@ func main() {
 			codec, moved, float64(exactBytes)/float64(moved), loss, acc*100)
 	}
 
-	fmt.Println("\n— Top-k delta sparsification (one local update) —")
-	dim := task.Model.Dim()
-	anchor := make([]float64, dim)
-	dev := engine.NewDevice(0, task.Part.Clients[0], task.Model, cfg.Seed)
-	local := make([]float64, dim)
-	dev.RunRound(new(optim.Scratch), anchor, local, cfg.Local)
-	fmt.Printf("%-8s %12s %22s\n", "keep", "bytes", "reconstruction error")
+	fmt.Println("\n— Top-k fraction of topk-delta on the TCP runtime —")
+	fmt.Printf("%-8s %14s %10s %12s %10s\n", "keep", "bytes moved", "vs float64", "final loss", "acc")
 	for _, frac := range []float64{1.0, 0.25, 0.10, 0.02} {
-		k := int(frac * float64(dim))
-		sv, err := transport.SparsifyDelta(local, anchor, k)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rec := make([]float64, dim)
-		if err := transport.ApplyDelta(rec, anchor, sv); err != nil {
-			log.Fatal(err)
-		}
-		relErr := mathxDist(rec, local) / mathx.Nrm2(local)
-		fmt.Printf("%-8s %12d %21.2f%%\n",
-			fmt.Sprintf("%.0f%%", frac*100), sv.WireSize(), relErr*100)
+		loss, acc, moved := runDistributed(task, cfg, transport.CodecTopK, frac)
+		fmt.Printf("%-8s %14d %9.1fx %12.4f %9.2f%%\n",
+			fmt.Sprintf("%.0f%%", frac*100), moved, float64(exactBytes)/float64(moved), loss, acc*100)
 	}
 
 	// Compression enters the Section 4.3 time model through d_com: a codec
@@ -88,6 +71,7 @@ func main() {
 	fmt.Println("\n— (β, μ) optimum shift under compression (problem 23) —")
 	problem := theory.Problem{L: 1, Lambda: 0.5, SigmaBar2: 1}
 	base := theory.TimingModel{DCom: 2.0, DCmp: 0.0004} // cellular regime
+	dim := task.Model.Dim()
 	topK := transport.TopKFor(0, dim)
 	fmt.Printf("%-22s %8s %8s %8s %8s %8s\n", "codec", "d_com", "β*", "μ*", "τ*", "T·𝒯")
 	for _, row := range []struct {
@@ -110,16 +94,11 @@ func main() {
 	}
 }
 
-func mathxDist(a, b []float64) float64 {
-	d := make([]float64, len(a))
-	mathx.Sub(d, a, b)
-	return mathx.Nrm2(d)
-}
-
-// runDistributed executes the config over loopback TCP with the codec and
+// runDistributed executes the config over loopback TCP with the codec
+// (keeping topKFrac of the delta's coordinates under topk-delta) and
 // returns final loss, accuracy and total bytes moved (sent + received) as
 // measured on the coordinator's connections.
-func runDistributed(task fedproxvr.Task, cfg fedproxvr.Config, codec transport.Codec) (loss, acc float64, moved int64) {
+func runDistributed(task fedproxvr.Task, cfg fedproxvr.Config, codec transport.Codec, topKFrac float64) (loss, acc float64, moved int64) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
@@ -144,6 +123,9 @@ func runDistributed(task fedproxvr.Task, cfg fedproxvr.Config, codec transport.C
 	}
 	defer coord.Close()
 	coord.SetCodec(codec)
+	if err := coord.SetTopKFrac(topKFrac); err != nil {
+		log.Fatal(err)
+	}
 	w0 := make([]float64, task.Model.Dim())
 	eng, err := coord.Engine(w0, cfg, task.Model, task.Part.Clients)
 	if err != nil {

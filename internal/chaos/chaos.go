@@ -2,9 +2,9 @@
 // federated runtimes: a seeded, declarative schedule of per-device,
 // per-round fault events with two enforcement points — an engine.Executor
 // decorator for the in-process and simnet backends (see Executor) and a
-// net.Conn wrapper for the TCP worker (see Conn, wired through
-// transport.NewChaosWorker) — so the same schedule + seed produces the
-// same failure pattern on every backend.
+// net.Conn wrapper for the TCP peers (see Conn, installed by the SetChaos
+// of a transport.Worker or transport.AggregatorNode) — so the same
+// schedule + seed produces the same failure pattern on every backend.
 //
 // The package is deliberately declarative: a Schedule says *what* fails
 // *when*; the enforcement points translate events into the failure idiom

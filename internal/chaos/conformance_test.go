@@ -112,7 +112,10 @@ func runTCPChaos(t *testing.T, cfg engine.Config, p *data.Partition, m models.Mo
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			w, err := transport.NewChaosWorker(addr, k, p.Clients[k], m, cfg.Seed, sched)
+			w, err := transport.NewWorker(addr, k, p.Clients[k], m, cfg.Seed)
+			if err == nil {
+				err = w.SetChaos(sched)
+			}
 			if err != nil {
 				t.Errorf("chaos worker %d: %v", k, err)
 				return

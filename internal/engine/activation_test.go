@@ -259,8 +259,10 @@ func TestAllDroppedRound(t *testing.T) {
 			w := newFlakyWorker(t, addr, k, p.Clients[k], m, fcfg.Seed, flakeRound)
 			go func(k int) {
 				defer wg.Done()
-				if err := w.Serve(); err != nil {
-					t.Errorf("worker %d serve: %v", k, err)
+				// Torn down after its flake and never rejoining, the flaker
+				// sees its connection closed before Done.
+				if err := w.Serve(); err == nil || !strings.Contains(err.Error(), "before Done") {
+					t.Errorf("worker %d, torn down after its flake, served to %v", k, err)
 				}
 			}(k)
 		}

@@ -237,7 +237,7 @@ func (f *failAfterExec) RunRound(ctx context.Context, spec engine.RoundSpec, res
 	return nil
 }
 
-// newFlakyWorker dials a worker that serves rounds like any other, except
+// newFlakyWorker builds a worker that serves rounds like any other, except
 // that at round flakeRound it replies with an application-level error once —
 // WITHOUT running the local solve — and then computes normally when the
 // coordinator retries the same round. The device therefore runs exactly once
@@ -249,7 +249,10 @@ func newFlakyWorker(t *testing.T, addr string, id int, shard *data.Dataset, m mo
 	if err := sched.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	w, err := transport.NewChaosWorker(addr, id, shard, m, seed, sched)
+	w, err := transport.NewWorker(addr, id, shard, m, seed)
+	if err == nil {
+		err = w.SetChaos(sched)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

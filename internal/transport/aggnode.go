@@ -30,8 +30,8 @@ import (
 //
 // The node speaks the framed wire only, and only CodecFloat64: quantizing
 // a partial sum would break the exactness the tree's conformance story
-// rests on. Its session — connection, chaos, rejoin, tracing — is the one
-// Worker runs, keyed by the shard ID.
+// rests on. Its session — connection, chaos, lease, rejoin, tracing — is
+// the one Worker runs, keyed by the shard ID.
 type AggregatorNode struct {
 	session
 	lo      int
@@ -49,36 +49,13 @@ type AggregatorNode struct {
 	local   []float64
 }
 
-// NewAggregatorNode connects to the tree coordinator at addr and announces
-// shard shardID owning devices [loDevice, loDevice+len(shards)) — shards[i]
-// is the data of global device loDevice+i. The same call is the rejoin
-// path after a connection loss (see SetRejoin).
+// NewAggregatorNode builds shard node shardID owning devices [loDevice,
+// loDevice+len(shards)) — shards[i] is the data of global device
+// loDevice+i — without dialing: configure it through the session's setters
+// (SetChaos keyed by shard ID, SetLease, SetRejoin, EnableTrace), then
+// Serve dials the tree coordinator at addr and announces the shard. The
+// same sequence is the rejoin path after a connection loss.
 func NewAggregatorNode(addr string, shardID, loDevice int, shards []*data.Dataset, m models.Model, seed int64) (*AggregatorNode, error) {
-	return newAggregatorNode(addr, shardID, loDevice, shards, m, seed, nil)
-}
-
-// NewChaosAggregatorNode is NewAggregatorNode with a fault schedule keyed
-// by shard ID: before each round's fan-out the node looks up
-// ActionFor(shardID, round) and enforces it on the wire — killing the
-// connection (Crash/Partition), failing once (Flake), or delaying its
-// reply (Delay) — always BEFORE any device solves, so the shard's device
-// RNG streams stay untouched that round exactly like a scripted dropout
-// of the shard. A Corrupt event on the shard is refused: a corrupted
-// partial sum has no in-process reference to match. Chaos nodes default
-// to rejoining after injected kills (40 attempts, 25ms apart); tune with
-// SetRejoin. sched must be non-nil.
-func NewChaosAggregatorNode(addr string, shardID, loDevice int, shards []*data.Dataset, m models.Model, seed int64, sched *chaos.Schedule) (*AggregatorNode, error) {
-	for _, ev := range sched.Events {
-		if ev.Kind == chaos.Corrupt && ev.Device == shardID {
-			return nil, fmt.Errorf("transport: aggregator shard %d cannot enforce chaos event %q on device %d in round %d: "+
-				"a corrupted partial sum has no in-process reference (nodes enforce crash, partition, flake and delay)",
-				shardID, ev.Kind, ev.Device, ev.Round)
-		}
-	}
-	return newAggregatorNode(addr, shardID, loDevice, shards, m, seed, sched)
-}
-
-func newAggregatorNode(addr string, shardID, loDevice int, shards []*data.Dataset, m models.Model, seed int64, sched *chaos.Schedule) (*AggregatorNode, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("transport: aggregator shard %d has no devices", shardID)
 	}
@@ -86,20 +63,18 @@ func newAggregatorNode(addr string, shardID, loDevice int, shards []*data.Datase
 		session: session{
 			id:    shardID,
 			hello: Hello{ClientID: shardID, LoDevice: loDevice, NumDevices: len(shards), Partial: true},
-			addr:  addr, sched: sched,
+			addr:  addr,
 		},
 		lo:      loDevice,
 		devices: make([]*engine.Device, len(shards)),
 		counts:  make([]float64, len(shards)),
 		seed:    seed,
 	}
+	n.role = n
 	for i, shard := range shards {
 		n.devices[i] = engine.NewDevice(loDevice+i, shard, m, seed)
 		n.counts[i] = float64(shard.N())
 		n.hello.NumSamples += int64(shard.N())
-	}
-	if err := n.connect(n); err != nil {
-		return nil, err
 	}
 	return n, nil
 }
@@ -107,8 +82,8 @@ func newAggregatorNode(addr string, shardID, loDevice int, shards []*data.Datase
 // solve runs the shard fan-out for req into n.ps. Accumulation is in
 // ascending device order with raw sample counts — the canonical sharded
 // arithmetic the flat ShardedMean reference and the root's PartialMean
-// share. The node refuses Corrupt events at construction, so ev never
-// needs enforcing here.
+// share. The node refuses Corrupt events in SetChaos, so ev never needs
+// enforcing here.
 func (n *AggregatorNode) solve(req *RoundRequest, _ chaos.Event) string {
 	ps := &n.ps
 	*ps = PartialSum{ShardID: n.id, Round: req.Round}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"fedproxvr/internal/data"
 	"fedproxvr/internal/engine"
 	"fedproxvr/internal/models"
 	"fedproxvr/internal/optim"
@@ -109,9 +108,7 @@ func wireRoundFleet(tb testing.TB, codec Codec) (round, stop func()) {
 	m := models.NewSoftmax(100, 10, 0)
 	cfg := engine.FedAvg(4, 1, 1, 4, 1)
 	cfg.Seed = 21
-	c, wg := launchFleet(tb, p, m, cfg.Seed, func(addr string, id int, shard *data.Dataset) (*Worker, error) {
-		return NewWorker(addr, id, shard, m, cfg.Seed)
-	})
+	c, wg := launchTwoPhase(tb, p, m, cfg.Seed)
 	c.SetCodec(codec)
 	x := c.Executor(cfg.Local)
 	spec := engine.RoundSpec{Anchor: testVec(9, m.Dim()), Selected: []int{0, 1, 2}}

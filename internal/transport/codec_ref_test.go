@@ -84,14 +84,18 @@ func refVecUp(w *wireBuf, c Codec, v, ref []float64, topK int) {
 		w.f64(0)
 		return
 	}
-	sv := topKSortRef(delta, k)
-	lo, step := quantBounds(sv.Values, int8Levels)
+	kept := topKSortRef(delta, k)
+	vals := make([]float64, k)
+	for i, j := range kept {
+		vals[i] = delta[j]
+	}
+	lo, step := quantBounds(vals, int8Levels)
 	w.f64(lo)
 	w.f64(step)
-	for _, j := range sv.Indices {
+	for _, j := range kept {
 		w.u32(uint32(j))
 	}
-	for _, x := range sv.Values {
+	for _, x := range vals {
 		w.u8(byte(quantLevel(x, lo, step, int8Levels)))
 	}
 }

@@ -388,6 +388,10 @@ func (c *Coordinator) serveExchanges(cc *clientConn) {
 // number of workers of a flat fleet, Σ shard sizes of a tree.
 func (c *Coordinator) VirtualDevices() int { return c.devices }
 
+// Tree reports the role the peers said Hello with: true for
+// aggregation-tree nodes, false for flat workers.
+func (c *Coordinator) Tree() bool { return c.tree }
+
 // acceptLoop serves post-construction connections: restarted workers
 // re-performing the Hello handshake. It exits when the listener closes.
 func (c *Coordinator) acceptLoop() {

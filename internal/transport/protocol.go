@@ -6,7 +6,12 @@
 // seeds — which the integration tests assert. An aggregation tree is the
 // same fleet one level deeper: its peers are AggregatorNodes, each speaking
 // for a contiguous shard of devices, and the coordinator learns which shape
-// it drives from the role the peers declare in their one Hello.
+// it drives from the role the peers declare in their one Hello. Both peers
+// are built the same way: NewWorker or NewAggregatorNode, which do not
+// dial; then the setters of the session they share — SetChaos for a fault
+// schedule, SetLease for a jobs-control-plane lease, SetRejoin,
+// EnableTrace — which compose freely; then Serve, which dials, says Hello
+// and serves rounds until Done or Close.
 //
 // The runtime degrades gracefully under worker failures, matching the
 // paper's partial-participation model (a round aggregates whichever
@@ -45,7 +50,7 @@ type Hello struct {
 	// device. One fleet holds one role.
 	Partial bool
 
-	// Lease fields (jobs control plane): the worker offers to
+	// Lease fields (jobs control plane): the peer offers to
 	// serve job JobID under coordinator incarnation Epoch. A coordinator
 	// running with a lease rejects a mismatched Epoch with a LeaseReject
 	// frame carrying the current values, and the peer re-Hello's with

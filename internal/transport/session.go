@@ -3,8 +3,11 @@ package transport
 import (
 	"bufio"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"sync"
+	"syscall"
 	"time"
 
 	"fedproxvr/internal/chaos"
@@ -31,8 +34,11 @@ type peerRole interface {
 }
 
 // session is the participant side of the coordinator exchange, shared by
-// both peers. Its read and write buffers are reused round over round, so the
-// steady-state loop does not allocate for the wire.
+// both peers. A peer is built without dialing, configured through the
+// session's setters (SetChaos, SetLease, SetRejoin, EnableTrace) and then
+// run by Serve, which makes the first dial. Its read and write buffers are
+// reused round over round, so the steady-state loop does not allocate for
+// the wire.
 type session struct {
 	role peerRole
 	// id is the ID the peer says hello with — a client ID or a shard ID —
@@ -42,7 +48,12 @@ type session struct {
 	id    int
 	hello Hello
 	addr  string
-	conn  net.Conn
+
+	// mu guards conn and closed, the fields Close touches from another
+	// goroutine; the Serve goroutine, the only writer, reads them bare.
+	mu     sync.Mutex
+	conn   net.Conn
+	closed bool
 
 	fr   frameReader
 	fw   frameWriter
@@ -63,12 +74,14 @@ type session struct {
 	leaseJob   string
 	leaseEpoch int64
 
-	// Rejoin policy: after an unclean connection loss the peer re-dials the
+	// Rejoin policy: after a connection loss the peer re-dials the
 	// coordinator up to rejoinAttempts times, spaced by rejoinBackoff, and is
 	// adopted back at the next round boundary. Zero attempts, the default
-	// for a plain peer, ends Serve on the first loss.
+	// for a plain peer, ends Serve on the first loss. rejoinSet records a
+	// SetRejoin call, which overrides the chaos and lease default.
 	rejoinAttempts int
 	rejoinBackoff  time.Duration
+	rejoinSet      bool
 	outageTries    int
 
 	// rec, when non-nil, records the round body's spans relative to each
@@ -78,49 +91,99 @@ type session struct {
 	rec *trace.Recorder
 }
 
-// connect installs role and dials. A fault schedule or a lease turns on the
-// persistent rejoin policy (40 attempts, 25ms apart): both peers expect to
-// lose the connection and come back.
-func (s *session) connect(role peerRole) error {
-	s.role = role
-	if s.sched != nil {
-		s.flaked = make(map[int]bool)
-	}
-	if s.sched != nil || s.leaseJob != "" || s.leaseEpoch != 0 {
-		s.rejoinAttempts = 40
-		s.rejoinBackoff = 25 * time.Millisecond
-	}
-	return s.dial()
-}
-
 // EnableTrace makes the peer record its round body's trace spans and return
 // them in its replies whenever the coordinator propagates a trace context
 // (RoundRequest.TraceID != 0). Call before Serve.
 func (s *session) EnableTrace() { s.rec = trace.NewRecorder() }
 
 // SetRejoin configures how persistently the peer re-dials the coordinator
-// after losing its connection. attempts == 0 disables rejoining (the
-// default for plain peers).
+// after losing its connection. attempts == 0 disables rejoining. Without a
+// call a plain peer does not rejoin, and a peer with a fault schedule or a
+// lease re-dials 40 times, 25ms apart. Call before Serve.
 func (s *session) SetRejoin(attempts int, backoff time.Duration) {
-	s.rejoinAttempts = attempts
-	s.rejoinBackoff = backoff
+	s.rejoinAttempts, s.rejoinBackoff, s.rejoinSet = attempts, backoff, true
 }
+
+// SetChaos makes the peer enforce sched's events keyed by its ID: before
+// each round's body it looks up ActionFor(id, round) and kills the
+// connection (Crash, Partition), fails the round once (Flake), delays its
+// reply (Delay) or corrupts its update (Corrupt). Kills come before any
+// device solves, so the device RNG streams stay untouched that round, and
+// the in-process chaos decorator injects the same faults at the same
+// (device, round) points: a chaos run is bit-identical across the
+// sequential, parallel and TCP backends. An aggregation-tree node refuses a
+// schedule with a Corrupt event on its shard, since a corrupted partial sum
+// has no in-process reference. Call before Serve.
+func (s *session) SetChaos(sched *chaos.Schedule) error {
+	if s.hello.Partial {
+		for _, ev := range sched.Events {
+			if ev.Kind == chaos.Corrupt && ev.Device == s.id {
+				return fmt.Errorf("transport: aggregator shard %d cannot enforce chaos event %q on device %d in round %d: "+
+					"a corrupted partial sum has no in-process reference (nodes enforce crash, partition, flake and delay)",
+					s.id, ev.Kind, ev.Device, ev.Round)
+			}
+		}
+	}
+	s.sched = sched
+	s.flaked = make(map[int]bool)
+	return nil
+}
+
+// SetLease offers (jobID, epoch) in every Hello, for the jobs control
+// plane. A coordinator incarnation holding a different lease answers with a
+// LeaseReject naming its own; the peer adopts the told values and
+// re-Hello's through its rejoin loop, so a peer leased to a dead
+// incarnation is fenced out of the next one until it rejoins under the new
+// epoch. Call before Serve.
+func (s *session) SetLease(jobID string, epoch int64) { s.leaseJob, s.leaseEpoch = jobID, epoch }
+
+// Close ends the peer: Serve returns nil once it sees the connection
+// close, and a Serve that has not dialed yet returns without dialing.
+func (s *session) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closed = true
+	if s.conn == nil {
+		return nil
+	}
+	return s.conn.Close()
+}
+
+func (s *session) isClosed() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.closed
+}
+
+// errPeerClosed is dial's answer when Close came first.
+var errPeerClosed = errors.New("transport: peer closed")
 
 // dial (re)establishes the connection and performs the handshake. The chaos
 // wrapper, when present, must be installed before the frame reader and
 // writer are built: the wire assumes a single uninterrupted stream, so
 // swapping the writer mid-stream would corrupt the protocol.
 func (s *session) dial() error {
+	if s.isClosed() {
+		return errPeerClosed
+	}
 	conn, err := net.Dial("tcp", s.addr)
 	if err != nil {
 		return protocolError("dial", err)
 	}
-	s.conn = conn
+	var c net.Conn = conn
 	s.cconn = nil
 	if s.sched != nil {
 		s.cconn = chaos.NewConn(conn)
-		s.conn = s.cconn
+		c = s.cconn
 	}
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		conn.Close()
+		return errPeerClosed
+	}
+	s.conn = c
+	s.mu.Unlock()
 	s.fw = frameWriter{w: s.conn}
 	s.fr = frameReader{r: bufio.NewReader(s.conn)}
 	h := s.hello
@@ -161,10 +224,21 @@ func (s *session) recvRequest() error {
 	}
 }
 
-// Serve processes round requests until the coordinator sends Done or the
-// connection closes. A clean shutdown (Done or EOF) returns nil. With a
-// rejoin policy, connection losses trigger re-dials before giving up.
+// Serve dials the coordinator, says Hello and processes round requests
+// until the coordinator sends Done or the peer is closed, and then returns
+// nil. A connection lost any other way — the coordinator closed it before
+// Done, a reset, a bad frame — is re-dialed under the rejoin policy, and
+// is Serve's error once no attempts are left.
 func (s *session) Serve() error {
+	if !s.rejoinSet && (s.sched != nil || s.leaseJob != "" || s.leaseEpoch != 0) {
+		s.rejoinAttempts, s.rejoinBackoff = 40, 25*time.Millisecond
+	}
+	if err := s.dial(); err != nil {
+		if err == errPeerClosed {
+			return nil
+		}
+		return err
+	}
 	defer func() { s.conn.Close() }()
 	for {
 		again, err := s.serveConn()
@@ -263,28 +337,29 @@ func (s *session) killConn() {
 	s.conn.Close()
 }
 
-// lost handles a connection loss: clean closes (Done/EOF/ErrClosed) with
-// no rejoin policy end Serve with nil, other errors propagate. With a
-// rejoin policy the peer first re-dials, up to the attempts left in this
-// outage (a served request resets the count).
+// lost handles a connection loss. A peer that was closed ends Serve with
+// nil. Otherwise it re-dials, up to the rejoin attempts left in this outage
+// (a served request resets the count); once none are left the loss is
+// Serve's error.
 func (s *session) lost(cause error) (rejoin bool, err error) {
-	clean := errors.Is(cause, io.EOF) || errors.Is(cause, net.ErrClosed)
-	if s.rejoinAttempts <= 0 {
-		if clean {
-			return false, nil
-		}
-		return false, protocolError("recv", cause)
-	}
-	s.conn.Close()
-	for s.outageTries < s.rejoinAttempts {
-		s.outageTries++
-		time.Sleep(s.rejoinBackoff)
-		if err := s.dial(); err == nil {
-			return true, nil
-		}
-	}
-	if clean {
+	if s.isClosed() {
 		return false, nil
+	}
+	if s.rejoinAttempts > 0 {
+		s.conn.Close()
+		for s.outageTries < s.rejoinAttempts {
+			s.outageTries++
+			time.Sleep(s.rejoinBackoff)
+			switch err := s.dial(); err {
+			case nil:
+				return true, nil
+			case errPeerClosed:
+				return false, nil
+			}
+		}
+	}
+	if errors.Is(cause, io.EOF) || errors.Is(cause, io.ErrUnexpectedEOF) || errors.Is(cause, syscall.ECONNRESET) {
+		return false, fmt.Errorf("transport: the coordinator closed the connection before Done: %w", cause)
 	}
 	return false, protocolError("recv", cause)
 }

@@ -1,47 +1,15 @@
 package transport
 
-import (
-	"fmt"
-	"slices"
-)
+import "slices"
 
-// SparseVec is a top-k sparsified model update: only the k
-// largest-magnitude coordinates are kept, as (index, value) pairs. It is
-// the classic FL upload-compression scheme (Konečný et al., "Strategies
-// for Improving Communication Efficiency"); with k ≪ dim it cuts
-// per-round upload by dim/k at the cost of a biased update.
-type SparseVec struct {
-	Dim     int
-	Indices []int32
-	Values  []float64
-}
-
-// TopK sparsifies w, keeping the k largest-|w_i| coordinates (all of them
-// if k ≥ len(w)). k must be positive.
-func TopK(w []float64, k int) (*SparseVec, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("transport: TopK k must be positive, got %d", k)
-	}
-	if k > len(w) {
-		k = len(w)
-	}
-	kept := selectTopK(w, k, nil)[:k]
-	sv := &SparseVec{
-		Dim:     len(w),
-		Indices: make([]int32, k),
-		Values:  make([]float64, k),
-	}
-	for i, j := range kept {
-		sv.Indices[i] = int32(j)
-		sv.Values[i] = w[j]
-	}
-	return sv, nil
-}
-
-// selectTopK is TopK's selection over a reusable permutation: it returns
-// idx (grown to len(w)) with idx[:k] holding the kept coordinates in
-// ascending index order, 1 ≤ k ≤ len(w). The wire encoder calls it with
-// the same buffer every round.
+// selectTopK is the topk-delta codec's selection of the k largest-|w_i|
+// coordinates, over a reusable permutation: it returns idx (grown to
+// len(w)) with idx[:k] holding the kept coordinates in ascending index
+// order, 1 ≤ k ≤ len(w). The wire encoder calls it with the same buffer
+// every round. Keeping the top-k of a model delta is the classic FL
+// upload-compression scheme (Konečný et al., "Strategies for Improving
+// Communication Efficiency"); with k ≪ dim it cuts per-round upload by
+// about dim/k at the cost of a biased update.
 func selectTopK(w []float64, k int, idx []int) []int {
 	if cap(idx) < len(w) {
 		idx = make([]int, len(w))
@@ -57,51 +25,6 @@ func selectTopK(w []float64, k int, idx []int) []int {
 	quickselect(w, idx, k)
 	slices.Sort(idx[:k])
 	return idx
-}
-
-// AddTo scatter-adds scale·s into dst (len must equal Dim).
-func (s *SparseVec) AddTo(dst []float64, scale float64) error {
-	if len(dst) != s.Dim {
-		return fmt.Errorf("transport: AddTo dim %d, want %d", len(dst), s.Dim)
-	}
-	for i, j := range s.Indices {
-		dst[j] += scale * s.Values[i]
-	}
-	return nil
-}
-
-// WireSize returns the exact framed encoding size in bytes: the uplink
-// topk layout is dim(u32) k(u32) lo(f64) step(f64), then a u32 index and
-// an int8 level per kept coordinate (see frame.go). The RoundStats
-// wire-byte accounting tests assert against this number.
-func (s *SparseVec) WireSize() int { return 24 + 5*len(s.Indices) }
-
-// SparsifyDelta compresses an update as TopK(local − anchor): deltas
-// concentrate mass in few coordinates far better than raw models, and the
-// receiver reconstructs anchor + delta. Returns the sparse delta.
-func SparsifyDelta(local, anchor []float64, k int) (*SparseVec, error) {
-	if len(local) != len(anchor) {
-		return nil, fmt.Errorf("transport: delta length mismatch %d vs %d", len(local), len(anchor))
-	}
-	delta := make([]float64, len(local))
-	for i := range delta {
-		delta[i] = local[i] - anchor[i]
-	}
-	return TopK(delta, k)
-}
-
-// ApplyDelta reconstructs anchor + sparse delta into dst (which may alias
-// anchor).
-func ApplyDelta(dst, anchor []float64, delta *SparseVec) error {
-	if len(dst) != len(anchor) || delta.Dim != len(anchor) {
-		return fmt.Errorf("transport: ApplyDelta dimension mismatch")
-	}
-	// Guard len > 0: indexing [0] of a zero-length slice panics, and a
-	// zero-dim ApplyDelta is a valid no-op.
-	if len(dst) > 0 && &dst[0] != &anchor[0] {
-		copy(dst, anchor)
-	}
-	return delta.AddTo(dst, 1)
 }
 
 func abs(x float64) float64 {

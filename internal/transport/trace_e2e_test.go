@@ -40,8 +40,8 @@ func traceConfig(rounds int) engine.Config {
 	}
 }
 
-// launchTracedWorkers starts one tracing worker per shard (chaos workers
-// for ids present in scheds) and returns the connected coordinator.
+// launchTracedWorkers starts one tracing worker per shard (enforcing
+// scheds[id] where present) and returns the connected coordinator.
 func launchTracedWorkers(t *testing.T, p *data.Partition, m models.Model, seed int64,
 	scheds map[int]*chaos.Schedule) (*Coordinator, *sync.WaitGroup) {
 	t.Helper()
@@ -56,12 +56,9 @@ func launchTracedWorkers(t *testing.T, p *data.Partition, m models.Model, seed i
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			var w *Worker
-			var err error
-			if sched := scheds[k]; sched != nil {
-				w, err = NewChaosWorker(addr, k, p.Clients[k], m, seed, sched)
-			} else {
-				w, err = NewWorker(addr, k, p.Clients[k], m, seed)
+			w, err := NewWorker(addr, k, p.Clients[k], m, seed)
+			if err == nil && scheds[k] != nil {
+				err = w.SetChaos(scheds[k])
 			}
 			if err != nil {
 				t.Errorf("worker %d: %v", k, err)

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"math"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -80,7 +81,10 @@ func testPartition(devices, perDevice, dim, classes int, seed int64) *data.Parti
 // launchTwoPhase binds a loopback listener, starts one worker goroutine per
 // shard against its address, completes the coordinator handshake, and
 // returns the coordinator plus a WaitGroup done when all workers exit.
-func launchTwoPhase(t *testing.T, p *data.Partition, m models.Model, seed int64) (*Coordinator, *sync.WaitGroup) {
+// Every worker's Serve must return nil, except those listed in lost: the
+// test closes their connections from the coordinator's side, and their
+// Serve must fail saying the coordinator closed before Done.
+func launchTwoPhase(t testing.TB, p *data.Partition, m models.Model, seed int64, lost ...int) (*Coordinator, *sync.WaitGroup) {
 	t.Helper()
 	n := len(p.Clients)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -98,7 +102,13 @@ func launchTwoPhase(t *testing.T, p *data.Partition, m models.Model, seed int64)
 				t.Errorf("worker %d: %v", k, err)
 				return
 			}
-			if err := w.Serve(); err != nil {
+			err = w.Serve()
+			switch {
+			case slices.Contains(lost, k):
+				if err == nil || !strings.Contains(err.Error(), "closed the connection before Done") {
+					t.Errorf("worker %d, closed by the coordinator, served to %v", k, err)
+				}
+			case err != nil:
 				t.Errorf("worker %d serve: %v", k, err)
 			}
 		}(k)
@@ -216,6 +226,9 @@ func TestCoordinatorRejectsDuplicateID(t *testing.T) {
 	if err == nil {
 		defer w2.Close()
 	}
+	// Both dial from Serve; the refused fleet's Serve errors are expected.
+	go w1.Serve()
+	go w2.Serve()
 	res := <-resCh
 	if res.err == nil {
 		res.c.Close()
@@ -315,7 +328,7 @@ func TestBandwidthAccounting(t *testing.T) {
 func TestCoordinatorSurvivesDeadWorkerAsDropout(t *testing.T) {
 	p := testPartition(2, 10, 3, 2, 7)
 	m := models.NewSoftmax(3, 2, 0)
-	c, wg := launchTwoPhase(t, p, m, 1)
+	c, wg := launchTwoPhase(t, p, m, 1, 0)
 	defer c.Close()
 	// One healthy round first.
 	cfg := engine.FedAvg(5, 1, 2, 2, 1)
@@ -452,7 +465,7 @@ func TestWorkerRejoinAfterFailure(t *testing.T) {
 func TestQuorumAbortsAfterMaxFailedRounds(t *testing.T) {
 	p := testPartition(2, 10, 3, 2, 11)
 	m := models.NewSoftmax(3, 2, 0)
-	c, wg := launchTwoPhase(t, p, m, 1)
+	c, wg := launchTwoPhase(t, p, m, 1, 1)
 	defer c.Close()
 	c.SetFaultPolicy(FaultPolicy{MinParticipants: 2, MaxFailedRounds: 1})
 	cfg := engine.FedAvg(5, 1, 2, 2, 10)
@@ -534,6 +547,7 @@ func TestCoordinatorRejectsNegativeSampleCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
+	go w.Serve() // fails with the refused fleet
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)

@@ -146,7 +146,7 @@ func treeShards(p *data.Partition, fanout int) (los, his []int) {
 	return los, his
 }
 
-// launchTree starts one AggregatorNode per shard (chaos nodes when sched is
+// launchTree starts one AggregatorNode per shard (enforcing sched when it is
 // non-nil, recording trace spans when traced) and returns the coordinator
 // they connected to, a tree because the nodes say so in their Hellos.
 func launchTree(t *testing.T, p *data.Partition, m models.Model, seed int64,
@@ -163,12 +163,9 @@ func launchTree(t *testing.T, p *data.Partition, m models.Model, seed int64,
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			var n *AggregatorNode
-			var err error
-			if sched != nil {
-				n, err = NewChaosAggregatorNode(addr, s, los[s], p.Clients[los[s]:his[s]], m, seed, sched)
-			} else {
-				n, err = NewAggregatorNode(addr, s, los[s], p.Clients[los[s]:his[s]], m, seed)
+			n, err := NewAggregatorNode(addr, s, los[s], p.Clients[los[s]:his[s]], m, seed)
+			if err == nil && sched != nil {
+				err = n.SetChaos(sched)
 			}
 			if err != nil {
 				t.Errorf("aggregator node %d: %v", s, err)
@@ -463,26 +460,24 @@ func TestChaosAggregatorNodeRefusesCorrupt(t *testing.T) {
 	if err := sched.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	n, err := NewAggregatorNode("127.0.0.1:0", 1, 2, p.Clients[2:], m, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	addr := ln.Addr().String()
-
-	n, err := NewChaosAggregatorNode(addr, 1, 2, p.Clients[2:], m, 7, sched)
+	err = n.SetChaos(sched)
 	if err == nil {
-		n.conn.Close()
 		t.Fatal("a node accepted a Corrupt event on its own shard it cannot enforce")
 	}
 	if msg := err.Error(); !strings.Contains(msg, `"corrupt"`) || !strings.Contains(msg, "round 3") {
 		t.Fatalf("refusal %q does not name the corrupt event of round 3", msg)
 	}
-	other, err := NewChaosAggregatorNode(addr, 0, 0, p.Clients[:2], m, 7, sched)
+	other, err := NewAggregatorNode("127.0.0.1:0", 0, 0, p.Clients[:2], m, 7)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.SetChaos(sched); err != nil {
 		t.Fatalf("shard 0 refused a schedule whose Corrupt event targets shard 1: %v", err)
 	}
-	other.conn.Close()
 }
 
 // stubShardPeer handshakes as an aggregator node claiming ndev virtual

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"math"
 	"net"
@@ -9,46 +10,12 @@ import (
 	"testing"
 	"time"
 
-	"fedproxvr/internal/data"
 	"fedproxvr/internal/engine"
 	"fedproxvr/internal/models"
 	"fedproxvr/internal/obs"
 	"fedproxvr/internal/optim"
 	"fedproxvr/internal/trace"
 )
-
-// launchFleet is launchTwoPhase with a custom worker constructor, so tests
-// can raise misconfigured workers.
-func launchFleet(t testing.TB, p *data.Partition, m models.Model, seed int64,
-	mk func(addr string, id int, shard *data.Dataset) (*Worker, error)) (*Coordinator, *sync.WaitGroup) {
-	t.Helper()
-	n := len(p.Clients)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	var wg sync.WaitGroup
-	for k := 0; k < n; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			w, err := mk(addr, k, p.Clients[k])
-			if err != nil {
-				t.Errorf("worker %d: %v", k, err)
-				return
-			}
-			if err := w.Serve(); err != nil {
-				t.Errorf("worker %d serve: %v", k, err)
-			}
-		}(k)
-	}
-	c, err := NewCoordinatorOn(ln, n, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c, &wg
-}
 
 // TestCompressedCodecsCutWireBytes is the compression acceptance gate, on
 // the 1010-parameter softmax task where payloads dominate: relative to the
@@ -98,8 +65,8 @@ func TestCompressedCodecsCutWireBytes(t *testing.T) {
 // TestRoundStatsExactWireAccounting pins the RoundStats byte counters to
 // the closed-form wire sizes: with the framed protocol the per-round
 // numbers are exact, not approximations — the downlink is
-// RequestWireSize and the topk uplink is the frame fixed part plus
-// SparseVec.WireSize, per worker.
+// RequestWireSize and the topk uplink is the frame fixed part plus the
+// topk layout's 24 + 5k bytes, per worker.
 func TestRoundStatsExactWireAccounting(t *testing.T) {
 	p := testPartition(3, 20, 100, 10, 5)
 	m := models.NewSoftmax(100, 10, 0)
@@ -126,11 +93,12 @@ func TestRoundStatsExactWireAccounting(t *testing.T) {
 		wantSent := int64(len(selected) * RequestWireSize(codec, dim, false))
 		wantRecv := int64(len(selected) * ReplyWireSize(codec, dim, topK))
 		if codec == CodecTopK {
-			// The uplink vector body is exactly a framed SparseVec.
-			sv := &SparseVec{Dim: dim, Indices: make([]int32, topK), Values: make([]float64, topK)}
-			alt := int64(len(selected) * (frameHeaderSize + 27 + sv.WireSize()))
+			// The uplink vector body is the topk layout: dim(u32) k(u32)
+			// lo(f64) step(f64), then a u32 index and an int8 level per kept
+			// coordinate.
+			alt := int64(len(selected) * (frameHeaderSize + 27 + 24 + 5*topK))
 			if wantRecv != alt {
-				t.Fatalf("ReplyWireSize %d disagrees with SparseVec.WireSize-based %d", wantRecv, alt)
+				t.Fatalf("ReplyWireSize %d disagrees with the topk layout's %d", wantRecv, alt)
 			}
 		}
 		if rs.BytesSent != wantSent {
@@ -148,25 +116,36 @@ func TestRoundStatsExactWireAccounting(t *testing.T) {
 	}
 }
 
-// TestCodecMismatchRejected: a worker pinned to the wrong codec must be
-// rejected by the coordinator (dropout after retries), never silently
-// dequantized into the aggregate.
+// TestCodecMismatchRejected: a peer replying in another codec than the
+// round asked for must be rejected by the coordinator (dropout after
+// retries), never silently dequantized into the aggregate.
 func TestCodecMismatchRejected(t *testing.T) {
 	p := testPartition(2, 10, 3, 2, 9)
 	m := models.NewSoftmax(3, 2, 0)
 	cfg := engine.FedAvg(3, 1, 2, 2, 1)
 	cfg.Seed = 14
 
-	var faultErr error
-	mk := func(addr string, id int, shard *data.Dataset) (*Worker, error) {
-		w, err := NewWorker(addr, id, shard, m, cfg.Seed)
-		if err == nil && id == 1 {
-			w.ForceCodec(CodecFloat32) // coordinator expects float64
-		}
-		return w, err
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	c, wg := launchFleet(t, p, m, cfg.Seed, mk)
+	addr := ln.Addr().String()
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		w, _ := NewWorker(addr, 0, p.Clients[0], m, cfg.Seed)
+		if err := w.Serve(); err != nil {
+			t.Errorf("worker 0 serve: %v", err)
+		}
+	}()
+	go float32Peer(t, addr, 1, int64(p.Clients[1].N()), &wg) // coordinator expects float64
+	c, err := NewCoordinatorOn(ln, 2, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer c.Close()
+	var faultErr error
 	c.SetFaultHandler(func(id int, err error) {
 		if id == 1 {
 			faultErr = err
@@ -187,6 +166,50 @@ func TestCodecMismatchRejected(t *testing.T) {
 	}
 	c.Shutdown()
 	wg.Wait()
+}
+
+// float32Peer handshakes as worker id and answers every round request with
+// the anchor in a float32 reply, whatever codec the request asked for: the
+// misconfigured peer the coordinator must reject.
+func float32Peer(t *testing.T, addr string, id int, samples int64, done *sync.WaitGroup) {
+	defer done.Done()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Errorf("float32 peer %d: %v", id, err)
+		return
+	}
+	defer conn.Close()
+	fw := frameWriter{w: conn}
+	fr := frameReader{r: bufio.NewReader(conn)}
+	buf := marshalHello(nil, workerHello(id, samples))
+	if err := fw.writeFrame(buf); err != nil {
+		t.Errorf("float32 peer %d hello: %v", id, err)
+		return
+	}
+	var req RoundRequest
+	var sc replyScratch
+	for {
+		typ, payload, err := fr.next()
+		if err != nil {
+			return // torn down after its rejected replies
+		}
+		if typ != msgRoundRequest {
+			t.Errorf("float32 peer %d: frame type %d", id, typ)
+			return
+		}
+		if err := unmarshalRequest(payload, &req); err != nil {
+			t.Errorf("float32 peer %d: %v", id, err)
+			return
+		}
+		if req.Done {
+			return
+		}
+		rep := RoundReply{ClientID: id, Round: req.Round, Codec: CodecFloat32, Local: req.Anchor}
+		buf = marshalReply(buf[:0], &rep, req.Anchor, &sc, req.TopK)
+		if err := fw.writeFrame(buf); err != nil {
+			return
+		}
+	}
 }
 
 // TestQuantizedCodecsStillTrain: end-to-end sanity that the lossy codecs
