@@ -50,9 +50,9 @@ func main() {
 		dropout    = flag.Float64("dropout", 0, "per-round simulated report-failure probability")
 		seed       = flag.Int64("seed", 2020, "shared experiment seed")
 		timeout    = flag.Duration("timeout", 2*time.Minute, "per-message network timeout")
-		retries    = flag.Int("retries", 1, "per-round retries for a worker's application-level failure")
+		retries    = flag.Int("retries", 1, "per-round retries for a worker's application-level failure (>= 0; every worker is asked once more than this)")
 		backoff    = flag.Duration("retry-backoff", 50*time.Millisecond, "pause before each retry")
-		quorum     = flag.Int("quorum", 1, "minimum workers that must report, or the round is skipped")
+		quorum     = flag.Int("quorum", 1, "minimum peers (workers, or shard nodes with -tree-fanout) that must report, or the round is skipped; at most the peers waited for")
 		maxSkip    = flag.Int("max-failed-rounds", 3, "consecutive sub-quorum rounds tolerated before aborting")
 		admin      = flag.String("admin", "", "HTTP admin address serving /metrics, /healthz, /buildz, /debug/pprof/ (empty = off)")
 		staleAft   = flag.Duration("health-stale-after", 0, "/healthz reports stale (503) this long after the last round (0 = off)")
@@ -100,18 +100,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// Inverted comparisons so NaN is rejected too.
-	if !(*fraction > 0 && *fraction <= 1) {
-		fatal(fmt.Errorf("-fraction must be in (0,1], got %v", *fraction))
-	}
-	// Checked again by SetTopKFrac, but fail here before blocking on worker
-	// connections.
-	if !(*topkFrac > 0 && *topkFrac <= 1) {
-		fatal(fmt.Errorf("-topk-frac must be in (0,1], got %v", *topkFrac))
-	}
-	if !(*actProb >= 0 && *actProb <= 1) {
-		fatal(fmt.Errorf("-activate-prob must be in [0,1], got %v", *actProb))
-	}
 
 	// In tree mode the data is partitioned over the VIRTUAL device cohort;
 	// each fedclient shard node regenerates its contiguous slice of it.
@@ -123,6 +111,20 @@ func main() {
 		peers, nDev = *fanout, *virtDev
 	} else if *virtDev > 0 {
 		fatal(fmt.Errorf("-virtual-devices needs -tree-fanout"))
+	}
+	// Refuse bad flags before blocking on peer connections. The inverted
+	// comparisons reject NaN too; SetTopKFrac checks -topk-frac again.
+	switch {
+	case !(*fraction > 0 && *fraction <= 1):
+		fatal(fmt.Errorf("-fraction must be in (0,1], got %v", *fraction))
+	case !(*topkFrac > 0 && *topkFrac <= 1):
+		fatal(fmt.Errorf("-topk-frac must be in (0,1], got %v", *topkFrac))
+	case !(*actProb >= 0 && *actProb <= 1):
+		fatal(fmt.Errorf("-activate-prob must be in [0,1], got %v", *actProb))
+	case *retries < 0:
+		fatal(fmt.Errorf("-retries must be >= 0, got %d", *retries))
+	case *quorum > peers:
+		fatal(fmt.Errorf("-quorum %d exceeds the %d %s the server waits for: no round could reach it", *quorum, peers, role(*fanout > 0)))
 	}
 
 	task, err := clisetup.Task(*dataset, "softmax", nDev, *samples, 1, *seed)
@@ -326,15 +328,11 @@ func runJobsMode(stateDir, adminAddr string, maxJobs, slots int, hub *telemetry.
 			endpoints += ", /dash"
 		}
 	}
-	adm := obs.NewAdmin(&obs.Registry{}, obs.AdminOptions{
-		Extra:  extra,
-		Mounts: mounts,
-	})
 	ln, err := net.Listen("tcp", adminAddr)
 	if err != nil {
 		fatal(err)
 	}
-	srv := &http.Server{Handler: adm}
+	srv := &http.Server{Handler: obs.NewAdminMux(&obs.Registry{}, obs.AdminOptions{Extra: extra, Mounts: mounts})}
 	go func() {
 		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			fmt.Fprintf(os.Stderr, "fedserver: admin endpoint: %v\n", err)

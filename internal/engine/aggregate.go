@@ -101,8 +101,7 @@ type SecureMean struct {
 
 // NewSecureMean builds one masker per device from a group seed derived
 // from the experiment seed (standing in for pairwise key agreement).
-// maskScale 0 selects the secure package default.
-func NewSecureMean(weights []float64, dim int, seed int64, maskScale float64) *SecureMean {
+func NewSecureMean(weights []float64, dim int, seed int64) *SecureMean {
 	n := len(weights)
 	group := randx.DeriveSeed(seed, 33)
 	a := &SecureMean{
@@ -111,7 +110,7 @@ func NewSecureMean(weights []float64, dim int, seed int64, maskScale float64) *S
 		masked:  make([][]float64, n),
 	}
 	for id := 0; id < n; id++ {
-		a.maskers[id] = &secure.Masker{ID: id, N: n, Dim: dim, GroupSeed: group, MaskScale: maskScale}
+		a.maskers[id] = &secure.Masker{ID: id, N: n, Dim: dim, GroupSeed: group}
 		a.masked[id] = make([]float64, dim)
 	}
 	return a

@@ -75,8 +75,6 @@ type Config struct {
 	// (ClientFraction 1, DropoutProb 0 — the simplified protocol has no
 	// dropout recovery) and is mutually exclusive with DPClip.
 	SecureAgg bool
-	// SecureMaskScale is the stddev of mask entries (default 100).
-	SecureMaskScale float64
 	// RoundDeadline, when positive, bounds each round's executor fan-out:
 	// devices that have not reported when it fires are cut from the round
 	// and counted as stragglers (obs.RoundStats.Stragglers), distinct from
@@ -137,9 +135,6 @@ func (c Config) Validate() error {
 		if c.DropoutProb > 0 || (c.ClientFraction > 0 && c.ClientFraction < 1) || c.ActivateProb > 0 {
 			return fmt.Errorf("engine: SecureAgg needs full participation (no sampling, activation, or dropout): absent clients' pairwise masks cannot cancel")
 		}
-	}
-	if c.SecureMaskScale < 0 {
-		return fmt.Errorf("engine: SecureMaskScale must be non-negative, got %v", c.SecureMaskScale)
 	}
 	if c.RoundDeadline < 0 {
 		return fmt.Errorf("engine: RoundDeadline must be non-negative, got %v", c.RoundDeadline)

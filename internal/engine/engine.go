@@ -121,7 +121,7 @@ func New(cfg Config, dim int, weights []float64, exec Executor) (*Engine, error)
 	}
 	switch {
 	case cfg.SecureAgg:
-		e.agg = NewSecureMean(weights, dim, cfg.Seed, cfg.SecureMaskScale)
+		e.agg = NewSecureMean(weights, dim, cfg.Seed)
 	case cfg.DPClip > 0:
 		e.agg = NewDPMean(weights, dim, cfg.DPClip, cfg.DPNoise, e.server)
 	default:

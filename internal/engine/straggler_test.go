@@ -91,7 +91,9 @@ func TestMinReportPointFailedExcludesStragglers(t *testing.T) {
 
 // TestMinReportParallelQuorum: the parallel backend accepts at least the
 // quorum (plus any results that raced the cut) and counts the rest as
-// stragglers; every nil slot must be a straggler, never a failure.
+// stragglers; every nil slot must be a straggler, never a failure. Device
+// 0's first solve is held at its start until round 1's hook runs, so round
+// 1 is cut however fast the other solves are.
 func TestMinReportParallelQuorum(t *testing.T) {
 	p := testPartition(6, 20, 3, 3, 8)
 	m := models.NewSoftmax(3, 3, 0)
@@ -100,13 +102,24 @@ func TestMinReportParallelQuorum(t *testing.T) {
 	cfg.Rounds = 4
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	par := engine.NewParallel(newDevices(p, m, cfg.Seed), cfg.Local)
+	devices := newDevices(p, m, cfg.Seed)
+	gate := make(chan struct{})
+	devices[0].Solver.SetPhaseHook(func(name string) func() {
+		if name == "anchor-grad" {
+			<-gate
+		}
+		return nil
+	})
+	par := engine.NewParallel(devices, cfg.Local)
 	eng, err := engine.New(cfg, m.Dim(), p.Weights(), par)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cutRounds := 0
 	eng.OnRound(func(info engine.RoundInfo) error {
+		if info.Round == 1 {
+			close(gate)
+		}
 		if info.Failed != 0 {
 			return fmt.Errorf("round %d: %d failed — quorum cuts must be stragglers", info.Round, info.Failed)
 		}

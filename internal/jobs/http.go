@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
 )
 
@@ -88,8 +87,9 @@ func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case err == nil:
 		writeJSON(w, http.StatusCreated, st)
 	case errors.Is(err, ErrSaturated):
-		// Admission control: the fleet is full; tell the client when to retry.
-		w.Header().Set("Retry-After", strconv.Itoa(int(m.RetryAfter().Seconds())))
+		// Admission control: the fleet is full; tell the client to retry
+		// in a second.
+		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusTooManyRequests, err)
 	case isConflict(err):
 		httpError(w, http.StatusConflict, err)

@@ -347,7 +347,7 @@ func (r *recordingAgg) Aggregate(w []float64, selected []int, locals [][]float64
 }
 
 func TestHTTPAPI(t *testing.T) {
-	m := openManager(t, t.TempDir(), Options{MaxJobs: 2, RetryAfter: 3 * time.Second})
+	m := openManager(t, t.TempDir(), Options{MaxJobs: 2})
 	defer m.Stop()
 	srv := httptest.NewServer(m.Handler())
 	defer srv.Close()
@@ -396,8 +396,8 @@ func TestHTTPAPI(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated: %d, want 429", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "3" {
-		t.Fatalf("Retry-After %q, want 3", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After %q, want 1", ra)
 	}
 	resp.Body.Close()
 

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"fedproxvr/internal/checkpoint"
 	"fedproxvr/internal/engine"
@@ -38,9 +37,6 @@ type Options struct {
 	// round-robin rather than running to completion serially. 0 defaults
 	// to 1.
 	Slots int
-	// RetryAfter is the client backoff hint returned with ErrSaturated
-	// (the HTTP Retry-After header). 0 defaults to 1s.
-	RetryAfter time.Duration
 	// Telemetry, when set, gives every job a round-indexed store in the
 	// hub: the engine's stats path feeds it, a telemetry.Probe wraps the
 	// job's aggregator for drift diagnostics, alert events mirror to
@@ -57,9 +53,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Slots == 0 {
 		o.Slots = 1
-	}
-	if o.RetryAfter == 0 {
-		o.RetryAfter = time.Second
 	}
 	return o
 }
@@ -237,9 +230,6 @@ func (m *Manager) Submit(sp Spec) (Status, error) {
 	m.launchLocked(j)
 	return m.statusLocked(j), nil
 }
-
-// RetryAfter is the backoff hint accompanying ErrSaturated.
-func (m *Manager) RetryAfter() time.Duration { return m.opt.RetryAfter }
 
 // launchLocked starts a job's runner goroutine. Callers hold m.mu.
 func (m *Manager) launchLocked(j *job) {

@@ -11,6 +11,10 @@
 // run's would have. A kill mid-round loses only the uncommitted round —
 // state-wise the aborted attempt is a full-cohort dropout of that round,
 // and the re-run after recovery replays it identically.
+//
+// Admission is capped at Options.MaxJobs live jobs; a submission past the
+// cap is refused with ErrSaturated, which the HTTP API answers with 429
+// and Retry-After: 1.
 package jobs
 
 import (

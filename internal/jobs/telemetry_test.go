@@ -172,7 +172,7 @@ func TestJobHealthzDegradesOnStaleIngest(t *testing.T) {
 	hub := telemetry.NewHub(telemetry.Options{
 		StaleAfter: time.Nanosecond,
 		// Alerts off so the stale branch is the one exercised.
-		Rules: telemetry.RuleConfig{LossRisingK: -1, DisableNaNCheck: true},
+		Rules: telemetry.RuleConfig{LossRisingK: -1},
 	})
 	m := openManager(t, t.TempDir(), Options{Telemetry: hub})
 	defer m.Stop()

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime/debug"
-	"sync/atomic"
 	"time"
 )
 
@@ -84,38 +83,6 @@ func NewAdminMux(reg *Registry, opt AdminOptions) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-// Admin is a stable http.Handler whose backing mux can be swapped while a
-// server keeps serving it. http.ServeMux registration is append-only — a
-// process that restarts its coordinator in place (crash-recovery tests,
-// rolling in-process restarts) cannot re-register /metrics on a shared
-// mux. Admin makes registration idempotent instead: each Rebind builds a
-// fresh per-instance mux via NewAdminMux and publishes it atomically, so
-// the listener, the URL space and any in-flight requests are undisturbed
-// while the restarted coordinator's fresh Registry takes over the
-// endpoints.
-type Admin struct {
-	cur atomic.Pointer[http.ServeMux]
-}
-
-// NewAdmin builds an Admin serving reg with opt (see NewAdminMux).
-func NewAdmin(reg *Registry, opt AdminOptions) *Admin {
-	a := &Admin{}
-	a.Rebind(reg, opt)
-	return a
-}
-
-// Rebind atomically replaces the backing mux with a fresh one over reg and
-// opt. Safe to call concurrently with request serving; requests already
-// dispatched finish against the mux they started on.
-func (a *Admin) Rebind(reg *Registry, opt AdminOptions) {
-	a.cur.Store(NewAdminMux(reg, opt))
-}
-
-// ServeHTTP implements http.Handler.
-func (a *Admin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	a.cur.Load().ServeHTTP(w, r)
 }
 
 // buildInfo is the /buildz document: enough to identify a deployed binary

@@ -2,7 +2,8 @@
 // per-round RoundStats record (phase timings, per-client latencies,
 // transport bandwidth, fault counts) collected by the engine and fanned out
 // to pluggable sinks — a JSONL event log, an in-process Prometheus-style
-// registry, and a terminal summary.
+// registry, and a terminal summary. NewAdminMux serves a registry on one
+// plain http.ServeMux: /metrics, /healthz, /buildz and pprof.
 //
 // The package is a leaf: the engine and the executor backends produce
 // RoundStats, the cmds choose sinks. Collection is strictly opt-in — an

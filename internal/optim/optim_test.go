@@ -110,6 +110,10 @@ func TestLocalConfigValidate(t *testing.T) {
 		{Eta: 0.1, Tau: -1, Batch: 2},
 		{Eta: 0.1, Tau: 5, Batch: 0},
 		{Eta: 0.1, Tau: 5, Batch: 2, Mu: -1},
+		{Eta: 0.1, Tau: 5, Batch: 2, Estimator: -1},
+		{Eta: 0.1, Tau: 5, Batch: 2, Estimator: SARAH + 1},
+		{Eta: 0.1, Tau: 5, Batch: 2, Return: -1},
+		{Eta: 0.1, Tau: 5, Batch: 2, Return: ReturnRandom + 1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -370,7 +374,7 @@ func TestReturnPolicies(t *testing.T) {
 	m := leastSquares{4}
 	s, sc := NewSolver(m), new(Scratch)
 	anchor := make([]float64, 4)
-	for _, ret := range []ReturnPolicy{ReturnLast, ReturnRandom, ReturnAverage} {
+	for _, ret := range []ReturnPolicy{ReturnLast, ReturnRandom} {
 		out := make([]float64, 4)
 		cfg := LocalConfig{Estimator: SVRG, Eta: 0.05, Tau: 30, Batch: 4, Return: ret}
 		s.Solve(sc, ds, anchor, out, cfg, randx.New(10), nil)
@@ -438,63 +442,6 @@ func BenchmarkSolverSVRGQuadratic(b *testing.B) {
 	}
 }
 
-func TestDiminishingScheduleStepSizes(t *testing.T) {
-	c := LocalConfig{Eta: 0.4, Schedule: EtaDiminishing}
-	if c.etaAt(0) != 0.4 {
-		t.Fatalf("etaAt(0) = %v", c.etaAt(0))
-	}
-	if math.Abs(c.etaAt(3)-0.2) > 1e-15 {
-		t.Fatalf("etaAt(3) = %v, want 0.2", c.etaAt(3))
-	}
-	fixed := LocalConfig{Eta: 0.4}
-	if fixed.etaAt(100) != 0.4 {
-		t.Fatal("fixed schedule must not decay")
-	}
-}
-
-func TestDiminishingScheduleRuns(t *testing.T) {
-	ds := quadDataset(100, 5, []float64{1, -1, 0.5, 2, 0}, 30)
-	m := leastSquares{5}
-	s, sc := NewSolver(m), new(Scratch)
-	anchor := make([]float64, 5)
-	out := make([]float64, 5)
-	cfg := LocalConfig{Estimator: SARAH, Eta: 0.05, Tau: 100, Batch: 8,
-		Schedule: EtaDiminishing}
-	s.Solve(sc, ds, anchor, out, cfg, randx.New(31), nil)
-	if loss := m.Loss(out, ds, nil); loss >= m.Loss(anchor, ds, nil) {
-		t.Fatalf("diminishing schedule made no progress: %v", loss)
-	}
-}
-
-func TestClippingBoundsFirstStep(t *testing.T) {
-	// Huge targets make the full gradient at the anchor enormous; the
-	// clipped first step must have norm ≤ η·ClipNorm (μ=0, single step).
-	wStar := []float64{1e4, -1e4, 1e4}
-	ds := quadDataset(50, 3, wStar, 32)
-	m := leastSquares{3}
-	s, sc := NewSolver(m), new(Scratch)
-	anchor := make([]float64, 3)
-	out := make([]float64, 3)
-	cfg := LocalConfig{Estimator: SGD, Eta: 0.01, Tau: 0, Batch: 1, ClipNorm: 1}
-	s.Solve(sc, ds, anchor, out, cfg, randx.New(33), nil)
-	if step := mathx.Nrm2(out); step > 0.01+1e-12 {
-		t.Fatalf("clipped step has norm %v, want ≤ η·ClipNorm = 0.01", step)
-	}
-	// Without clipping the same step is enormous.
-	cfg.ClipNorm = 0
-	s.Solve(sc, ds, anchor, out, cfg, randx.New(33), nil)
-	if mathx.Nrm2(out) < 1 {
-		t.Fatal("unclipped step unexpectedly small — fixture broken")
-	}
-}
-
-func TestClipNormValidation(t *testing.T) {
-	c := LocalConfig{Eta: 0.1, Tau: 1, Batch: 1, ClipNorm: -1}
-	if err := c.Validate(); err == nil {
-		t.Fatal("negative ClipNorm should be invalid")
-	}
-}
-
 // Property: as μ → ∞ the proximal step pins the iterate to the anchor.
 func TestHugeMuPinsIterateQuick(t *testing.T) {
 	ds := quadDataset(40, 4, []float64{3, -3, 3, -3}, 50)
@@ -536,5 +483,50 @@ func TestReturnRandomIsUniformish(t *testing.T) {
 	frac := float64(anchors) / trials
 	if frac < 0.4 || frac > 0.6 {
 		t.Fatalf("P(return anchor) = %v, want ≈0.5", frac)
+	}
+}
+
+// TestSARAHMatchesHandReplay replays a one-step SARAH solve by hand: the
+// first proximal step from v⁰ = ∇F(w⁰), then recursion (8a)
+// v¹ = ∇f_B(w¹) − ∇f_B(w⁰) + v⁰ and the step along v¹. The replay makes
+// the Solver's mathx calls in its order on the same RNG stream, so the
+// comparison is bitwise.
+func TestSARAHMatchesHandReplay(t *testing.T) {
+	const (
+		dim     = 3
+		eta     = 0.01
+		batchSz = 4
+	)
+	ds := quadDataset(60, dim, []float64{1e4, -1e4, 1e4}, 32)
+	m := leastSquares{dim}
+
+	cfg := LocalConfig{Estimator: SARAH, Eta: eta, Tau: 1, Batch: batchSz}
+	out := make([]float64, dim)
+	s := NewSolver(m)
+	s.Solve(new(Scratch), ds, make([]float64, dim), out, cfg, randx.New(7), nil)
+
+	w0 := make([]float64, dim)
+	v0 := make([]float64, dim)
+	m.Grad(v0, w0, ds, nil)
+	w1 := make([]float64, dim)
+	mathx.AddScaled(w1, w0, -eta, v0) // μ=0 ⇒ prox is the identity
+
+	rng := randx.New(7) // Solve drew only the batch from its stream
+	batch := make([]int, batchSz)
+	randx.Batch(rng, batch, ds.N())
+	g1 := make([]float64, dim)
+	g2 := make([]float64, dim)
+	m.Grad(g1, w1, ds, batch)
+	m.Grad(g2, w0, ds, batch)
+	v1 := make([]float64, dim)
+	for i := range v1 {
+		v1[i] = g1[i] - g2[i] + v0[i]
+	}
+	want := make([]float64, dim)
+	mathx.AddScaled(want, w1, -eta, v1)
+	for i := range want {
+		if out[i] != want[i] {
+			t.Fatalf("solver output differs from the hand replay at %d: %v vs %v", i, out[i], want[i])
+		}
 	}
 }

@@ -1,8 +1,9 @@
 // Package optim implements the local (device-side) solvers of FedProxVR:
 // the proximal operator of the consensus penalty h_s, the three stochastic
 // gradient estimators of Algorithm 1 — plain SGD, SVRG (8b) and SARAH (8a)
-// — and the inner-loop Solver that combines them into the proximal update
-// w^(t+1) = prox_{ηh_s}(w^(t) − η v^(t)).
+// — and the inner-loop Solver that combines them into the fixed-step
+// proximal update w^(t+1) = prox_{ηh_s}(w^(t) − η v^(t)) and reports the
+// last iterate or, as in Algorithm 1's line 10, a uniformly random one.
 package optim
 
 // Prox is the proximal operator of η·h_s where

@@ -2,7 +2,6 @@ package optim
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"fedproxvr/internal/data"
@@ -48,23 +47,11 @@ const (
 	// ReturnRandom reports a uniformly random iterate from {0,…,τ}, as in
 	// the paper's Algorithm 1.
 	ReturnRandom
-	// ReturnAverage reports the average of all iterates.
-	ReturnAverage
 )
 
-// EtaSchedule selects how the local step size evolves over the inner loop.
-// The paper uses a fixed step size ("more practical than diminishing",
-// footnote 1); the diminishing schedule exists as the ablation baseline.
-type EtaSchedule int
-
-const (
-	// EtaFixed uses η at every local iteration (the paper's choice).
-	EtaFixed EtaSchedule = iota
-	// EtaDiminishing uses η/√(t+1) at local iteration t.
-	EtaDiminishing
-)
-
-// LocalConfig parametrizes one device's inner loop.
+// LocalConfig parametrizes one device's inner loop: the fixed-step
+// proximal SGD/SVRG/SARAH steps of Algorithm 1 (footnote 1 prefers a
+// fixed step size to a diminishing one).
 type LocalConfig struct {
 	Estimator Estimator
 	Eta       float64 // step size η = 1/(βL)
@@ -72,23 +59,16 @@ type LocalConfig struct {
 	Batch     int     // mini-batch size B (≥1)
 	Mu        float64 // proximal penalty μ (0 disables the prox term)
 	Return    ReturnPolicy
-	Schedule  EtaSchedule
-	// ClipNorm, when positive, rescales the stochastic direction v^(t) to
-	// at most this Euclidean norm before the proximal step — a standard
-	// stabilizer for aggressive step sizes on non-convex models.
-	ClipNorm float64
-}
-
-// etaAt returns the step size for local iteration t under the schedule.
-func (c LocalConfig) etaAt(t int) float64 {
-	if c.Schedule == EtaDiminishing {
-		return c.Eta / math.Sqrt(float64(t+1))
-	}
-	return c.Eta
 }
 
 // Validate reports configuration errors.
 func (c LocalConfig) Validate() error {
+	if c.Estimator < SGD || c.Estimator > SARAH {
+		return fmt.Errorf("optim: unknown estimator %d", int(c.Estimator))
+	}
+	if c.Return < ReturnLast || c.Return > ReturnRandom {
+		return fmt.Errorf("optim: unknown return policy %d", int(c.Return))
+	}
 	if c.Eta <= 0 {
 		return fmt.Errorf("optim: step size must be positive, got %v", c.Eta)
 	}
@@ -100,9 +80,6 @@ func (c LocalConfig) Validate() error {
 	}
 	if c.Mu < 0 {
 		return fmt.Errorf("optim: mu must be non-negative, got %v", c.Mu)
-	}
-	if c.ClipNorm < 0 {
-		return fmt.Errorf("optim: clip norm must be non-negative, got %v", c.ClipNorm)
 	}
 	return nil
 }
@@ -151,8 +128,6 @@ type Scratch struct {
 	vFull  []float64 // v^(0): full local gradient at the anchor
 	g1, g2 []float64 // minibatch gradient scratch
 	pre    []float64 // w − ηv before prox
-	avg    []float64 // ReturnAverage accumulator
-	vClip  []float64 // clipped copy of v for the proximal step
 	batch  []int
 }
 
@@ -171,7 +146,7 @@ func (s *Scratch) bind(m models.Model) {
 	*s = Scratch{
 		src: m, model: m.Clone(),
 		w: vec(), wPrev: vec(), v: vec(), anchor: vec(), vFull: vec(),
-		g1: vec(), g2: vec(), pre: vec(), avg: vec(), vClip: vec(),
+		g1: vec(), g2: vec(), pre: vec(),
 	}
 }
 
@@ -224,23 +199,15 @@ func (h *Solver) Solve(s *Scratch, ds *data.Dataset, anchor, out []float64, cfg 
 	if cfg.Return == ReturnRandom {
 		reportT = rng.Intn(cfg.Tau + 1)
 	}
-	if cfg.Return == ReturnAverage {
-		mathx.Zero(s.avg)
-	}
 	record := func(t int) {
-		switch cfg.Return {
-		case ReturnRandom:
-			if t == reportT {
-				copy(out, s.w)
-			}
-		case ReturnAverage:
-			mathx.Axpy(1/float64(cfg.Tau+1), s.w, s.avg)
+		if t == reportT {
+			copy(out, s.w)
 		}
 	}
 	record(0)
 
 	// w^(1) = prox(w^(0) − η v^(0)).
-	s.proxStep(cfg, prox, 0)
+	s.proxStep(cfg.Eta, prox)
 
 	// Lines 5–9: τ stochastic proximal steps.
 	if h.phase != nil {
@@ -268,53 +235,27 @@ func (h *Solver) Solve(s *Scratch, ds *data.Dataset, anchor, out []float64, cfg 
 				s.v[i] = s.g1[i] - s.g2[i] + s.v[i]
 			}
 			gradEvals += 2 * cfg.Batch
-		default:
-			panic(fmt.Sprintf("optim: unknown estimator %d", cfg.Estimator))
 		}
 		record(t)
-		s.proxStep(cfg, prox, t)
+		s.proxStep(cfg.Eta, prox)
 	}
 	if h.phase != nil && endPhase != nil {
 		endPhase()
 	}
 
-	switch cfg.Return {
-	case ReturnLast:
+	// Under ReturnRandom, out already holds iterate reportT.
+	if cfg.Return == ReturnLast {
 		copy(out, s.w)
-	case ReturnAverage:
-		copy(out, s.avg)
-	case ReturnRandom:
-		// out already holds iterate reportT.
 	}
 	return gradEvals
 }
 
 // proxStep moves w^(t) to wPrev and takes the proximal step
-// w^(t+1) = prox(w^(t) − η_t v^(t)).
-func (s *Scratch) proxStep(cfg LocalConfig, prox Prox, t int) {
+// w^(t+1) = prox(w^(t) − η v^(t)).
+func (s *Scratch) proxStep(eta float64, prox Prox) {
 	copy(s.wPrev, s.w)
-	eta := cfg.etaAt(t)
-	mathx.AddScaled(s.pre, s.w, -eta, s.direction(cfg))
+	mathx.AddScaled(s.pre, s.w, -eta, s.v)
 	prox.Apply(s.w, s.pre, eta)
-}
-
-// direction returns the vector to use in the proximal step: s.v itself, or
-// — when clipping is enabled and binding — a rescaled copy in s.vClip.
-// The stored direction s.v is never mutated: SARAH's recursion (8a) reads
-// v^(t−1) at the next iteration, and clipping it in place would silently
-// substitute the clipped step for the estimator's state (the historical
-// Solver.clip bug).
-func (s *Scratch) direction(cfg LocalConfig) []float64 {
-	if cfg.ClipNorm <= 0 {
-		return s.v
-	}
-	n := mathx.Nrm2(s.v)
-	if n <= cfg.ClipNorm {
-		return s.v
-	}
-	copy(s.vClip, s.v)
-	mathx.Scal(cfg.ClipNorm/n, s.vClip)
-	return s.vClip
 }
 
 // SurrogateGradNorm returns ‖∇J_n(w)‖ = ‖∇F_n(w) + μ(w − anchor)‖ — the

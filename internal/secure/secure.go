@@ -3,7 +3,8 @@
 // devices (n, m), n < m, shares a mask vector derived from a pairwise
 // seed; device n ADDS the mask, device m SUBTRACTS it, so the server-side
 // SUM of all submissions equals the sum of the raw updates while each
-// individual submission is statistically masked.
+// individual submission is statistically masked. Mask entries are
+// Gaussian with standard deviation 100 (maskScale).
 //
 // Weighted FedAvg aggregation Σ (D_n/D)·w_n is handled by having each
 // device pre-scale its update by D_n before masking; the server divides
@@ -30,10 +31,11 @@ type Masker struct {
 	N         int // total device count
 	Dim       int
 	GroupSeed int64 // shared across the cohort (stands in for key agreement)
-	// MaskScale is the standard deviation of mask entries; it should be
-	// large relative to update magnitudes (default 100 if zero).
-	MaskScale float64
 }
+
+// maskScale is the standard deviation of mask entries, large relative to
+// update magnitudes.
+const maskScale = 100
 
 // pairSeed derives the seed shared by devices a < b.
 func pairSeed(groupSeed int64, a, b int) int64 {
@@ -52,10 +54,6 @@ func (mk *Masker) Mask(dst, w []float64, scale float64) error {
 	if len(dst) != mk.Dim || len(w) != mk.Dim {
 		return fmt.Errorf("secure: dimension mismatch")
 	}
-	ms := mk.MaskScale
-	if ms == 0 {
-		ms = 100
-	}
 	for i := range dst {
 		dst[i] = scale * w[i]
 	}
@@ -71,7 +69,7 @@ func (mk *Masker) Mask(dst, w []float64, scale float64) error {
 			sign = -1.0 // the higher id subtracts the pair's mask
 		}
 		rng := randx.New(pairSeed(mk.GroupSeed, lo, hi))
-		randx.NormalVec(rng, mask, 0, ms)
+		randx.NormalVec(rng, mask, 0, maskScale)
 		mathx.Axpy(sign, mask, dst)
 	}
 	return nil

@@ -21,9 +21,10 @@ var RuleNames = []string{
 }
 
 // RuleConfig declares the per-job alert rules. The zero value enables the
-// loss-rising and NaN checks with defaults and leaves the threshold-based
-// rules (grad stall, quorum, straggler ratio) off until their thresholds
-// are set.
+// loss-rising check with its default and leaves the threshold-based rules
+// (grad stall, quorum, straggler ratio) off until their thresholds are
+// set. The nan_inf rule is always on: it fires the moment the aggregated
+// model or a measured loss goes non-finite.
 type RuleConfig struct {
 	// LossRisingK fires loss_rising when the measured training loss rises
 	// strictly for K consecutive measured rounds (default 3; negative
@@ -40,23 +41,21 @@ type RuleConfig struct {
 	GradStallK int
 
 	// QuorumMin fires quorum_miss when a round's participant count falls
-	// below this floor for QuorumK consecutive rounds. 0 leaves the rule
+	// below this floor for quorumK consecutive rounds. 0 leaves the rule
 	// off (jobs wire their Spec's MinParticipants here).
 	QuorumMin int
-	// QuorumK is the miss streak length (default 3).
-	QuorumK int
 
 	// StragglerRatio fires straggler_ratio when stragglers make up at
-	// least this fraction of the round's cohort for StragglerK consecutive
+	// least this fraction of the round's cohort for stragglerK consecutive
 	// rounds. 0 leaves the rule off.
 	StragglerRatio float64
-	// StragglerK is the streak length (default 3).
-	StragglerK int
-
-	// NaNCheck fires nan_inf the moment the aggregated model or a measured
-	// loss goes non-finite (default on; set DisableNaNCheck to turn off).
-	DisableNaNCheck bool
 }
+
+// The quorum_miss and straggler_ratio streak lengths.
+const (
+	quorumK    = 3
+	stragglerK = 3
+)
 
 func (c RuleConfig) withDefaults() RuleConfig {
 	if c.LossRisingK == 0 {
@@ -64,12 +63,6 @@ func (c RuleConfig) withDefaults() RuleConfig {
 	}
 	if c.GradStallK <= 0 {
 		c.GradStallK = 5
-	}
-	if c.QuorumK <= 0 {
-		c.QuorumK = 3
-	}
-	if c.StragglerK <= 0 {
-		c.StragglerK = 3
 	}
 	return c
 }
@@ -187,7 +180,7 @@ func (re *ruleEngine) eval(s *Sample) []transition {
 			emit(RuleQuorumMiss, false, float64(s.Participants), float64(min),
 				fmt.Sprintf("quorum restored: %d participants at round %d", s.Participants, s.Round))
 		}
-		if re.quorumStreak >= re.cfg.QuorumK {
+		if re.quorumStreak >= quorumK {
 			emit(RuleQuorumMiss, true, float64(s.Participants), float64(min),
 				fmt.Sprintf("only %d/%d participants for %d consecutive rounds", s.Participants, min, re.quorumStreak))
 		}
@@ -207,7 +200,7 @@ func (re *ruleEngine) eval(s *Sample) []transition {
 			emit(RuleStragglerRatio, false, r, ratio,
 				fmt.Sprintf("straggler ratio back to %.2f at round %d", r, s.Round))
 		}
-		if re.stragglerStreak >= re.cfg.StragglerK {
+		if re.stragglerStreak >= stragglerK {
 			emit(RuleStragglerRatio, true, r, ratio,
 				fmt.Sprintf("straggler ratio %.2f ≥ %.2f for %d rounds — deadline or fleet profile misconfigured", r, ratio, re.stragglerStreak))
 		}
@@ -215,18 +208,16 @@ func (re *ruleEngine) eval(s *Sample) []transition {
 
 	// nan_inf — immediate, no streak: a poisoned model never un-poisons by
 	// itself, and a non-finite loss means the divergence already happened.
-	if !re.cfg.DisableNaNCheck {
-		// A NaN TrainLoss means "unmeasured this round", so only a
-		// measured non-finite value counts: an Inf loss or grad norm, or
-		// the probe's model scan finding NaN/Inf coordinates.
-		bad := s.NonFinite || math.IsInf(s.TrainLoss, 0) || math.IsInf(s.GradNormSq, 0)
-		if bad {
-			emit(RuleNaNInf, true, nan(), 0,
-				fmt.Sprintf("non-finite model or loss at round %d", s.Round))
-		} else if s.Participants > 0 || !math.IsNaN(s.TrainLoss) {
-			emit(RuleNaNInf, false, nan(), 0,
-				fmt.Sprintf("model finite again at round %d", s.Round))
-		}
+	// A NaN TrainLoss means "unmeasured this round", so only a measured
+	// non-finite value counts: an Inf loss or grad norm, or the probe's
+	// model scan finding NaN/Inf coordinates.
+	bad := s.NonFinite || math.IsInf(s.TrainLoss, 0) || math.IsInf(s.GradNormSq, 0)
+	if bad {
+		emit(RuleNaNInf, true, nan(), 0,
+			fmt.Sprintf("non-finite model or loss at round %d", s.Round))
+	} else if s.Participants > 0 || !math.IsNaN(s.TrainLoss) {
+		emit(RuleNaNInf, false, nan(), 0,
+			fmt.Sprintf("model finite again at round %d", s.Round))
 	}
 
 	return out

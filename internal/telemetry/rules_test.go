@@ -86,11 +86,12 @@ func TestRulesFireAndClear(t *testing.T) {
 		},
 		{
 			name: "quorum_miss fires after K misses and clears on restore",
-			cfg:  RuleConfig{QuorumMin: 3, QuorumK: 2},
+			cfg:  RuleConfig{QuorumMin: 3},
 			steps: []step{
 				{mut: func(s *Sample) { s.Participants = 3 }},
 				{mut: func(s *Sample) { s.Participants = 2 }}, // miss 1
-				{mut: func(s *Sample) { s.Participants = 1 }, // miss 2 → fire
+				{mut: func(s *Sample) { s.Participants = 1 }}, // miss 2
+				{mut: func(s *Sample) { s.Participants = 2 }, // miss 3 → fire
 					want: []transition{{Rule: RuleQuorumMiss, Firing: true, Severity: "warning"}}},
 				{mut: func(s *Sample) { s.Participants = 2 }}, // still missing, still firing
 				{mut: func(s *Sample) { s.Participants = 4 }, // restored → clear
@@ -99,10 +100,11 @@ func TestRulesFireAndClear(t *testing.T) {
 		},
 		{
 			name: "straggler_ratio fires on sustained straggler share, clears when healthy",
-			cfg:  RuleConfig{StragglerRatio: 0.5, StragglerK: 2},
+			cfg:  RuleConfig{StragglerRatio: 0.5},
 			steps: []step{
 				{mut: func(s *Sample) { s.Participants = 2; s.Stragglers = 2 }}, // ratio 0.5, streak 1
-				{mut: func(s *Sample) { s.Participants = 1; s.Stragglers = 3 }, // ratio 0.75 → fire
+				{mut: func(s *Sample) { s.Participants = 1; s.Stragglers = 3 }}, // ratio 0.75, streak 2
+				{mut: func(s *Sample) { s.Participants = 2; s.Stragglers = 2 }, // streak 3 → fire
 					want: []transition{{Rule: RuleStragglerRatio, Firing: true, Severity: "warning"}}},
 				{mut: func(s *Sample) { s.Participants = 4; s.Stragglers = 0 }, // → clear
 					want: []transition{{Rule: RuleStragglerRatio, Firing: false, Severity: "warning"}}},
@@ -124,14 +126,14 @@ func TestRulesFireAndClear(t *testing.T) {
 		{
 			name: "disabled rules never fire",
 			cfg: RuleConfig{
-				LossRisingK: -1, DisableNaNCheck: true, // quorum/stall/straggler off by zero thresholds
+				LossRisingK: -1, // quorum/stall/straggler off by zero thresholds
 			},
 			steps: []step{
 				{mut: func(s *Sample) { s.TrainLoss = 1 }},
-				{mut: func(s *Sample) { s.TrainLoss = 2; s.NonFinite = true; s.Participants = 0 }},
-				{mut: func(s *Sample) { s.TrainLoss = 3; s.NonFinite = true; s.Participants = 0 }},
-				{mut: func(s *Sample) { s.TrainLoss = 4; s.NonFinite = true; s.Participants = 0 }},
-				{mut: func(s *Sample) { s.TrainLoss = 5; s.NonFinite = true; s.Participants = 0 }},
+				{mut: func(s *Sample) { s.TrainLoss = 2; s.Participants = 0 }},
+				{mut: func(s *Sample) { s.TrainLoss = 3; s.Participants = 0 }},
+				{mut: func(s *Sample) { s.TrainLoss = 4; s.Participants = 0 }},
+				{mut: func(s *Sample) { s.TrainLoss = 5; s.Participants = 0 }},
 			},
 		},
 	}
@@ -161,10 +163,15 @@ func TestRulesFireAndClear(t *testing.T) {
 // TestActiveRulesOrder: activeRules reports firing rules in the fixed
 // RuleNames order regardless of fire order.
 func TestActiveRulesOrder(t *testing.T) {
-	re := newRuleEngine(RuleConfig{LossRisingK: 1, QuorumMin: 5, QuorumK: 1})
-	// Fire quorum first, then loss.
-	re.eval(mkSample(1, func(s *Sample) { s.Participants = 1; s.TrainLoss = 1 }))
-	re.eval(mkSample(2, func(s *Sample) { s.Participants = 1; s.TrainLoss = 2 }))
+	re := newRuleEngine(RuleConfig{LossRisingK: 1, QuorumMin: 5})
+	// Fire quorum first (three misses at a flat loss), then loss.
+	for r := 1; r <= quorumK; r++ {
+		re.eval(mkSample(r, func(s *Sample) { s.Participants = 1; s.TrainLoss = 1 }))
+	}
+	if got := re.activeRules(); len(got) != 1 || got[0] != RuleQuorumMiss {
+		t.Fatalf("active = %v, want [quorum_miss]", got)
+	}
+	re.eval(mkSample(quorumK+1, func(s *Sample) { s.Participants = 1; s.TrainLoss = 2 }))
 	got := re.activeRules()
 	if len(got) != 2 || got[0] != RuleLossRising || got[1] != RuleQuorumMiss {
 		t.Fatalf("active = %v, want [loss_rising quorum_miss]", got)

@@ -85,6 +85,9 @@ type Diag struct {
 // a job's histogram is bounded memory no matter how long it runs.
 var latBounds = [...]float64{0.001, 0.004, 0.016, 0.064, 0.256, 1.024, 4.096, 16.384, 65.536, 262.144}
 
+// eventRing is the per-job alert-event ring capacity.
+const eventRing = 256
+
 // sseMsg is one pre-marshaled server-sent event.
 type sseMsg struct {
 	event string // "sample" | "alert"
@@ -105,7 +108,7 @@ type JobStore struct {
 	head    int      // index of oldest sample
 	n       int      // live samples in ring
 
-	events []Event // ring, cap opt.Events
+	events []Event // ring, cap eventRing
 	ehead  int
 	en     int
 	seq    int64 // next event sequence number
@@ -138,7 +141,7 @@ func newJobStore(id string, opt Options) *JobStore {
 		id:          id,
 		opt:         opt,
 		samples:     make([]Sample, opt.Rounds),
-		events:      make([]Event, opt.Events),
+		events:      make([]Event, eventRing),
 		rules:       newRuleEngine(opt.Rules),
 		alertsTotal: make(map[string]int64),
 		subs:        make(map[int]chan sseMsg),

@@ -38,7 +38,7 @@ func roundStats(round int, mut func(*obs.RoundStats)) *obs.RoundStats {
 }
 
 func TestStoreRingAndSeries(t *testing.T) {
-	h := testHub(Options{Rounds: 4, Events: 4})
+	h := testHub(Options{Rounds: 4})
 	js := h.Job("j1")
 	for r := 1; r <= 10; r++ {
 		js.RecordRound(roundStats(r, nil))

@@ -2,7 +2,8 @@
 // internal/obs: a per-job, round-indexed ring-buffer time-series store fed
 // from the engine's stats path on every backend (sequential, parallel,
 // simnet timed, TCP), a declarative rules engine that turns the series
-// into divergence/stall alerts, and a live HTTP surface — range-queryable
+// into divergence/stall alerts (quorum and straggler streaks of 3 rounds;
+// the nan_inf check always on), and a live HTTP surface — range-queryable
 // JSON series and event endpoints, a text/event-stream feed, and a
 // zero-dependency embedded dashboard.
 //
@@ -11,7 +12,7 @@
 // engine's aggregator, the per-round client-drift diagnostics the paper's
 // μ term fights: ‖w_n − w‖ statistics and the empirical across-client
 // variance of the local updates. Everything is bounded memory — a fixed
-// ring of samples per job, a fixed ring of events, log-bucketed latency
+// ring of samples per job, a fixed ring of 256 events, log-bucketed latency
 // histograms — and everything is strictly opt-in: an engine without a
 // telemetry sink runs the identical zero-allocation round loop
 // (BenchmarkEngineRunRoundAllocs), and attaching telemetry never touches
@@ -30,8 +31,6 @@ type Options struct {
 	// window the API and dashboard can query. Older rounds fall off the
 	// ring (full history belongs to the offline JSONL trace).
 	Rounds int
-	// Events is the per-job event-ring capacity (default 256).
-	Events int
 	// Rules is the default alert rule configuration for new job stores.
 	Rules RuleConfig
 	// StaleAfter marks a job's health degraded when no round has been
@@ -46,9 +45,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Rounds <= 0 {
 		o.Rounds = 512
-	}
-	if o.Events <= 0 {
-		o.Events = 256
 	}
 	o.Rules = o.Rules.withDefaults()
 	return o

@@ -333,7 +333,7 @@ func TestBulkDecodersRejectMalformedBodies(t *testing.T) {
 			anchor := testVec(int64(dim)+5, dim)
 			ref := codecReference(codec, anchor, nil)
 			topK := clampTopK(3, dim)
-			req := marshalRequest(nil, &RoundRequest{Round: 1, Codec: codec, Anchor: anchor, TopK: topK})[frameHeaderSize:]
+			req := marshalRequest(nil, &RoundRequest{Round: 1, Codec: codec, Anchor: anchor, Local: wireLocal, TopK: topK})[frameHeaderSize:]
 			rep := marshalReply(nil, &RoundReply{ClientID: 1, Round: 1, Codec: codec, Local: testVec(int64(dim)+6, dim)},
 				ref, new(replyScratch), topK)[frameHeaderSize:]
 			decReq := func(p []byte) error { var r RoundRequest; return unmarshalRequest(p, &r) }

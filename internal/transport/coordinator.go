@@ -216,11 +216,11 @@ func (c *Coordinator) SetTopKFrac(frac float64) error {
 }
 
 // SetFaultPolicy replaces the fault-handling knobs (default
-// DefaultFaultPolicy). Safe to change between rounds, not during one.
+// DefaultFaultPolicy). Safe to change between rounds, not during one. A
+// negative MaxRetries means no retry: every worker is still asked once.
 func (c *Coordinator) SetFaultPolicy(p FaultPolicy) {
-	if p.MinParticipants < 1 {
-		p.MinParticipants = 1
-	}
+	p.MinParticipants = max(p.MinParticipants, 1)
+	p.MaxRetries = max(p.MaxRetries, 0)
 	c.fault = p
 }
 

@@ -33,8 +33,8 @@ package transport
 //	LeaseReject  version(u8) epoch(i64) jobLen(uvarint) jobID
 //	RoundRequest round(u32) flags(u8) codec(u8) topK(u32)
 //	             -- omitted when flags&reqFlagDone:
-//	             eta(f64) mu(f64) clipNorm(f64) tau(u32) batch(u32)
-//	             estimator(u8) return(u8) schedule(u8)
+//	             eta(f64) mu(f64) tau(u32) batch(u32)
+//	             estimator(u8) return(u8)
 //	             traceID(u64) spanID(u64)      -- only when flags&reqFlagTrace
 //	             activateProb(f64)             -- only when flags&reqFlagActivate
 //	             anchor vector (downlink layout, see below)
@@ -88,7 +88,7 @@ import (
 
 const (
 	frameMagic   = 0xFE
-	frameVersion = 2 // leads Hello and LeaseReject; 2 is the Hello with a range and a role
+	frameVersion = 3 // leads Hello and LeaseReject; 3 is the RoundRequest without clip norm and schedule
 
 	msgHello        = 1
 	msgRoundRequest = 2
@@ -426,12 +426,10 @@ func marshalRequest(dst []byte, req *RoundRequest) []byte {
 	if !req.Done {
 		w.f64(req.Local.Eta)
 		w.f64(req.Local.Mu)
-		w.f64(req.Local.ClipNorm)
 		w.u32(uint32(req.Local.Tau))
 		w.u32(uint32(req.Local.Batch))
 		w.u8(byte(req.Local.Estimator))
 		w.u8(byte(req.Local.Return))
-		w.u8(byte(req.Local.Schedule))
 		if req.TraceID != 0 {
 			w.u64(req.TraceID)
 			w.u64(req.SpanID)
@@ -764,15 +762,16 @@ func unmarshalRequest(p []byte, req *RoundRequest) error {
 		return errFrame("unknown codec %d", req.Codec)
 	}
 	req.Local = optim.LocalConfig{
-		Eta:      c.f64("config eta"),
-		Mu:       c.f64("config mu"),
-		ClipNorm: c.f64("config clip"),
-		Tau:      int(c.u32("config tau")),
-		Batch:    int(c.u32("config batch")),
+		Eta:   c.f64("config eta"),
+		Mu:    c.f64("config mu"),
+		Tau:   int(c.u32("config tau")),
+		Batch: int(c.u32("config batch")),
 	}
 	req.Local.Estimator = optim.Estimator(c.u8("config estimator"))
 	req.Local.Return = optim.ReturnPolicy(c.u8("config return"))
-	req.Local.Schedule = optim.EtaSchedule(c.u8("config schedule"))
+	if err := req.Local.Validate(); err != nil && c.err == nil { // a short body reports its truncation below
+		return errFrame("%v", err)
+	}
 	if flags&reqFlagTrace != 0 {
 		req.TraceID = c.u64("trace id")
 		req.SpanID = c.u64("span id")

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"testing"
 
+	"fedproxvr/internal/optim"
 	"fedproxvr/internal/trace"
 )
 
@@ -17,14 +18,15 @@ import (
 // The seed corpus (f.Add) holds one well-formed frame per type and codec
 // plus classic trouble: truncations, trailing bytes, a hostile topk index,
 // and a lying length prefix. The Hello in its node shape, the tree's
-// PartialSum, the lease fence's LeaseReject and the Hello in its worker and
-// leased shapes follow, appended so earlier seed indices stay put. `go
+// PartialSum, the lease fence's LeaseReject, the Hello in its worker and
+// leased shapes, and requests naming an unknown estimator or return policy
+// follow, appended so earlier seed indices stay put. `go
 // test` replays the corpus on every plain run — make check covers it — and
 // `make fuzz` (go test -fuzz=FuzzFrameDecode) explores from there.
 func FuzzFrameDecode(f *testing.F) {
 	anchor := testVec(1, 12)
 	for _, codec := range allCodecs {
-		req := marshalRequest(nil, &RoundRequest{Round: 3, Codec: codec, Anchor: anchor, TopK: 4})
+		req := marshalRequest(nil, &RoundRequest{Round: 3, Codec: codec, Anchor: anchor, Local: wireLocal, TopK: 4})
 		f.Add(req)
 		ref := codecReference(codec, anchor, nil)
 		rep := marshalReply(nil, &RoundReply{ClientID: 1, Round: 3, Codec: codec, Local: ref}, ref, new(replyScratch), 4)
@@ -60,6 +62,12 @@ func FuzzFrameDecode(f *testing.F) {
 		f.Add(reframe(frame[1], payload[:len(payload)-3]))
 		f.Add(reframe(frame[1], append(append([]byte(nil), payload...), 0x7F)))
 	}
+	// Requests whose estimator or return byte names no policy.
+	badEstimator, badReturn := wireLocal, wireLocal
+	badEstimator.Estimator = optim.SARAH + 1
+	badReturn.Return = optim.ReturnRandom + 1
+	f.Add(marshalRequest(nil, &RoundRequest{Round: 3, Anchor: anchor, Local: badEstimator}))
+	f.Add(marshalRequest(nil, &RoundRequest{Round: 3, Anchor: anchor, Local: badReturn}))
 
 	ref := testVec(2, 12)
 	f.Fuzz(func(t *testing.T, stream []byte) {

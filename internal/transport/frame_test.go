@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -118,11 +119,16 @@ func TestHelloRejectsMalformedIdentity(t *testing.T) {
 	}
 }
 
+// TestHelloRejectsBadVersion: a peer one layout behind (version 2 still
+// sent a clip norm and a step schedule in every request) or one ahead is
+// refused at Hello.
 func TestHelloRejectsBadVersion(t *testing.T) {
-	frame := marshalHello(nil, workerHello(1, 1))
-	frame[frameHeaderSize] = frameVersion + 1
-	if _, err := unmarshalHello(frame[frameHeaderSize:]); err == nil {
-		t.Fatal("version mismatch accepted")
+	for _, v := range []byte{frameVersion - 1, frameVersion + 1} {
+		frame := marshalHello(nil, workerHello(1, 1))
+		frame[frameHeaderSize] = v
+		if _, err := unmarshalHello(frame[frameHeaderSize:]); err == nil || !strings.Contains(err.Error(), "unsupported protocol version") {
+			t.Errorf("version %d: error %v", v, err)
+		}
 	}
 }
 
@@ -139,8 +145,7 @@ func TestRequestRoundTrip(t *testing.T) {
 				Round: 9, Codec: codec, Anchor: anchor, TopK: 5,
 				Local: optim.LocalConfig{
 					Estimator: optim.SARAH, Eta: 0.05, Tau: 12, Batch: 4,
-					Mu: 0.9, Return: optim.ReturnLast, Schedule: optim.EtaFixed,
-					ClipNorm: 2.5,
+					Mu: 0.9, Return: optim.ReturnRandom,
 				},
 			}
 			frame := marshalRequest(nil, &req)
@@ -178,8 +183,70 @@ func TestRequestRoundTrip(t *testing.T) {
 	}
 }
 
+// wireLocal is a LocalConfig that passes Validate, so a request carrying
+// it decodes.
+var wireLocal = optim.LocalConfig{Eta: 0.1, Mu: 0.2, Tau: 4, Batch: 8}
+
+// TestRequestCarriesEveryLocalConfigField: each exported LocalConfig field,
+// moved alone off wireLocal to a non-zero value, survives
+// marshalRequest/unmarshalRequest. A field added without an encoding would
+// make TCP workers solve another problem than in-process devices; this fails
+// as soon as one exists.
+func TestRequestCarriesEveryLocalConfigField(t *testing.T) {
+	typ := reflect.TypeOf(optim.LocalConfig{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		cfg := wireLocal
+		v := reflect.ValueOf(&cfg).Elem().Field(i)
+		switch v.Kind() {
+		case reflect.Int:
+			v.SetInt(v.Int() + 1) // SVRG and ReturnRandom for the enums
+		case reflect.Float64:
+			v.SetFloat(v.Float() + 0.375)
+		default:
+			t.Fatalf("LocalConfig.%s: no test value for kind %v", f.Name, v.Kind())
+		}
+		frame := marshalRequest(nil, &RoundRequest{Round: 1, Anchor: testVec(3, 4), Local: cfg})
+		var got RoundRequest
+		if err := unmarshalRequest(frame[frameHeaderSize:], &got); err != nil {
+			t.Fatalf("LocalConfig.%s: %v", f.Name, err)
+		}
+		if got.Local != cfg {
+			t.Errorf("LocalConfig.%s does not cross the wire: sent %+v, decoded %+v", f.Name, cfg, got.Local)
+		}
+	}
+}
+
+// TestRequestRejectsUnknownPolicy: a config that LocalConfig.Validate
+// refuses — here an estimator or return byte that names no policy, or a
+// step no solve can take — is a frame error. Decoded unchecked, an unknown
+// return policy never writes the solve's output, so the worker would reply
+// with its previous round's model.
+func TestRequestRejectsUnknownPolicy(t *testing.T) {
+	for _, tc := range []struct {
+		edit func(*optim.LocalConfig)
+		want string
+	}{
+		{func(c *optim.LocalConfig) { c.Estimator = optim.SARAH + 1 }, "unknown estimator 3"},
+		{func(c *optim.LocalConfig) { c.Return = optim.ReturnRandom + 1 }, "return policy 2"},
+		{func(c *optim.LocalConfig) { c.Return = 0xFF }, "return policy 255"},
+		{func(c *optim.LocalConfig) { c.Eta = 0 }, "step size must be positive"},
+	} {
+		local := wireLocal
+		tc.edit(&local)
+		frame := marshalRequest(nil, &RoundRequest{Round: 1, Anchor: testVec(3, 4), Local: local})
+		var got RoundRequest
+		if err := unmarshalRequest(frame[frameHeaderSize:], &got); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: error %v, want one naming %q", local, err, tc.want)
+		}
+	}
+}
+
 func TestRequestTraceAndDoneRoundTrip(t *testing.T) {
-	req := RoundRequest{Round: 3, Codec: CodecFloat64, Anchor: testVec(1, 4), TraceID: 111, SpanID: 222}
+	req := RoundRequest{Round: 3, Codec: CodecFloat64, Anchor: testVec(1, 4), Local: wireLocal, TraceID: 111, SpanID: 222}
 	frame := marshalRequest(nil, &req)
 	if want := RequestWireSize(CodecFloat64, 4, true); len(frame) != want {
 		t.Fatalf("traced frame %d bytes, want %d", len(frame), want)
@@ -324,7 +391,7 @@ func TestReplyErrorAndSpansRoundTrip(t *testing.T) {
 // codecs, out-of-range topk indices. Every case must error, never panic.
 func TestFrameDecoderRejectsMalformed(t *testing.T) {
 	anchor := testVec(3, 10)
-	reqFrame := marshalRequest(nil, &RoundRequest{Round: 1, Codec: CodecInt8, Anchor: anchor, TopK: 3})
+	reqFrame := marshalRequest(nil, &RoundRequest{Round: 1, Codec: CodecInt8, Anchor: anchor, Local: wireLocal, TopK: 3})
 	rep := RoundReply{ClientID: 1, Round: 1, Codec: CodecTopK, Local: testVec(4, 10)}
 	ref := codecReference(CodecTopK, anchor, nil)
 	repFrame := marshalReply(nil, &rep, ref, new(replyScratch), 3)
@@ -406,7 +473,7 @@ func TestFrameReaderWriterRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	fw := frameWriter{w: &buf}
 	h := marshalHello(nil, workerHello(2, 50))
-	req := marshalRequest(nil, &RoundRequest{Round: 1, Codec: CodecFloat32, Anchor: testVec(8, 6)})
+	req := marshalRequest(nil, &RoundRequest{Round: 1, Codec: CodecFloat32, Anchor: testVec(8, 6), Local: wireLocal})
 	if err := fw.writeFrame(h); err != nil {
 		t.Fatal(err)
 	}

@@ -483,6 +483,34 @@ func TestQuorumAbortsAfterMaxFailedRounds(t *testing.T) {
 	wg.Wait()
 }
 
+// TestNegativeRetriesStillAsksOnce: a negative MaxRetries means no retry,
+// not no request. Unclamped, askWorker's attempt loop never ran: every
+// worker counted as reported, nothing was sent and no round moved the
+// model.
+func TestNegativeRetriesStillAsksOnce(t *testing.T) {
+	p := testPartition(2, 10, 3, 2, 11)
+	m := models.NewSoftmax(3, 2, 0)
+	c, wg := launchTwoPhase(t, p, m, 1)
+	defer c.Close()
+	c.SetFaultPolicy(FaultPolicy{MaxRetries: -1})
+	cfg := engine.FedAvg(5, 1, 2, 2, 3)
+	cfg.Seed = 4
+	w0 := make([]float64, m.Dim())
+	w, _, err := train(c, w0, cfg, nil, nil)
+	sent, _ := c.Bandwidth()
+	c.Shutdown()
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sent == 0 {
+		t.Fatal("no request was sent")
+	}
+	if slices.Equal(w, w0) {
+		t.Fatal("three rounds left the model at w0")
+	}
+}
+
 // TestCoordinatorRejectsBadFleet: construction admits a fleet only when
 // its IDs are 0..n-1 once each, its device ranges tile [0, N) in ID order,
 // its peers share one role and it holds training samples (an all-empty

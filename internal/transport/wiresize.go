@@ -37,7 +37,7 @@ const HelloWireSize = frameHeaderSize + 1 + 1 + 4 + 4 + 4 + 8
 
 // requestFixedSize is the non-Done request fixed part after the header:
 // round+flags+codec+topK, the local config, and the vector dim prefix.
-const requestFixedSize = 4 + 1 + 1 + 4 + (3*8 + 2*4 + 3) + 4
+const requestFixedSize = 4 + 1 + 1 + 4 + (2*8 + 2*4 + 2) + 4
 
 // RequestWireSize returns the exact framed size in bytes (header included)
 // of a non-Done RoundRequest broadcasting a dim-dimensional anchor. traced

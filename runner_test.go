@@ -339,23 +339,6 @@ func TestDropoutValidation(t *testing.T) {
 	}
 }
 
-func TestRunnerWithReturnAveragePolicy(t *testing.T) {
-	p, _ := blobPartition(4, 30, 3, 4, 26)
-	m := models.NewSoftmax(3, 4, 0)
-	cfg := FedProxVR(optim.SVRG, 5, 1, 0.1, 8, 4, 10)
-	cfg.Local.Return = optim.ReturnAverage
-	cfg.Seed = 27
-	r, err := NewRunner(Task{Model: m, Part: p}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := r.Run()
-	last, _ := s.Last()
-	if last.TrainLoss >= s.Points[0].TrainLoss {
-		t.Fatal("average-iterate policy failed to train")
-	}
-}
-
 func TestRunnerWithRandomIteratePolicy(t *testing.T) {
 	// Algorithm 1 line 10 (uniformly random iterate) must also converge.
 	p, _ := blobPartition(4, 30, 3, 4, 28)
