@@ -8,7 +8,6 @@
 //	fedsim -dataset fashion -alg fedavg -beta 10 -tau 10 -batch 16 -csv out.csv
 //	fedsim -dataset digits -model cnn -alg svrg -beta 7 -tau 20 -batch 64
 //	fedsim -rounds 500 -checkpoint run.ckpt            # Ctrl-C safe, resumable
-//	fedsim -secure -alg sarah -rounds 100              # masked aggregation
 //	fedsim -trace run.jsonl -phases                    # per-round system trace
 //	fedsim -trace-spans run.trace.json                 # Perfetto/chrome://tracing timeline
 package main
@@ -51,7 +50,6 @@ func main() {
 		evalEvery = flag.Int("eval-every", 1, "evaluate metrics every k rounds")
 		fraction  = flag.Float64("fraction", 1, "fraction of devices sampled per round")
 		dropout   = flag.Float64("dropout", 0, "per-round device failure probability")
-		secure    = flag.Bool("secure", false, "aggregate through pairwise additive masking")
 		ckptPath  = flag.String("checkpoint", "", "snapshot path; resumes if it exists")
 		ckptEvery = flag.Int("checkpoint-every", 5, "snapshot every k rounds")
 		csvPath   = flag.String("csv", "", "write series CSV to this path (default stdout)")
@@ -92,7 +90,6 @@ func main() {
 	cfg.EvalEvery = *evalEvery
 	cfg.ClientFraction = *fraction
 	cfg.DropoutProb = *dropout
-	cfg.SecureAgg = *secure
 	cfg.RoundDeadline = *deadline
 	cfg.MinReport = *minReport
 	cfg.ActivateProb = *actProb

@@ -87,10 +87,10 @@ func runFig1(sc fedproxvr.Scale, outdir string) error {
 			fmt.Sprintf("%g", r.SigmaBar2), fmt.Sprintf("%.3g", r.Gamma),
 			fmt.Sprintf("%.4g", r.Beta), fmt.Sprintf("%.4g", r.Mu),
 			fmt.Sprintf("%.4g", r.Theta), fmt.Sprintf("%.0f", r.Tau),
-			fmt.Sprintf("%.4g", r.Fed),
+			fmt.Sprintf("%.4g", r.Fed), fmt.Sprintf("%.4g", r.Objective),
 		})
 	}
-	if err := metrics.Table(os.Stdout, []string{"σ̄²", "γ", "β*", "μ*", "θ", "τ", "Θ"}, tbl); err != nil {
+	if err := metrics.Table(os.Stdout, []string{"σ̄²", "γ", "β*", "μ*", "θ", "τ", "Θ", "objective"}, tbl); err != nil {
 		return err
 	}
 	return writeFig1SVG(outdir, rows)

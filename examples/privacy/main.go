@@ -4,13 +4,17 @@
 //  1. Secure aggregation (internal/secure): devices submit pairwise-masked
 //     updates; the server recovers the exact weighted average without ever
 //     seeing an individual update in the clear — shown once by hand, then
-//     as a full training run through the engine (Config.SecureAgg).
-//  2. DP-style clipping + noise (Config.DPClip/DPNoise): per-device
-//     update norms are bounded and Gaussian noise is added to the
-//     aggregate; training still converges at mild settings.
+//     as a full training run whose engine aggregates through secure.NewMean.
+//  2. DP-style clipping + noise (engine.NewDPMean): per-device update
+//     norms are bounded and Gaussian noise is added to the aggregate;
+//     training still converges at mild settings.
+//
+// Both are aggregators, installed on the runner's engine with
+// SetAggregator in place of the weighted mean.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,6 +26,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	task := fedproxvr.SyntheticTask(fedproxvr.SyntheticOptions{
 		Devices: 6, MinSamples: 60, MaxSamples: 200, Seed: 23,
 	})
@@ -72,8 +77,14 @@ func main() {
 	secCfg := fedproxvr.FedProxVR(fedproxvr.SARAH, 5, task.L, 10, 10, 16, 30)
 	secCfg.Seed = 23
 	secCfg.EvalEvery = 30
-	secCfg.SecureAgg = true
-	secSeries, _, err := fedproxvr.Train(task, secCfg)
+	sec, err := fedproxvr.NewRunner(task, secCfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sec.Engine().SetAggregator(secure.NewMean(task.Part.Weights(), dim, secCfg.Seed))
+	// RunContext returns an aggregator's error (a round that lost a
+	// device), where Run would panic.
+	secSeries, err := sec.RunContext(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -90,13 +101,22 @@ func main() {
 		{"clip=2, noise=0.005", 2, 0.005},
 		{"clip=2, noise=0.05 (heavy)", 2, 0.05},
 	} {
-		run := fedproxvr.FedProxVR(fedproxvr.SARAH, 5, task.L, 10, 10, 16, 30)
-		run.Seed = 23
-		run.Parallel = true
-		run.EvalEvery = 30
-		run.DPClip = dp.clip
-		run.DPNoise = dp.noise
-		series, _, err := fedproxvr.Train(task, run)
+		dpCfg := fedproxvr.FedProxVR(fedproxvr.SARAH, 5, task.L, 10, 10, 16, 30)
+		dpCfg.Seed = 23
+		dpCfg.Parallel = true
+		dpCfg.EvalEvery = 30
+		r, err := fedproxvr.NewRunner(task, dpCfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if dp.clip > 0 {
+			agg, err := engine.NewDPMean(r.Engine(), dp.clip, dp.noise)
+			if err != nil {
+				log.Fatal(err)
+			}
+			r.Engine().SetAggregator(agg)
+		}
+		series, err := r.RunContext(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}

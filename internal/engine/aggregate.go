@@ -2,11 +2,10 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"fedproxvr/internal/mathx"
-	"fedproxvr/internal/randx"
-	"fedproxvr/internal/secure"
 )
 
 // Aggregator folds one round's local models into the global model in
@@ -44,22 +43,32 @@ func (a *WeightedMean) Aggregate(w []float64, selected []int, locals [][]float64
 }
 
 // DPMean is the DP-FedAvg mechanism: every device's round update
-// Δ_n = w_n − w̄ is clipped to at most Clip in L2 norm, the clipped deltas
-// are aggregated by data-size weights, and iid N(0, (Noise·Clip)²) noise is
-// added to the aggregate. It consumes the locals as delta scratch.
+// Δ_n = w_n − w̄ is clipped to at most clip in L2 norm, the clipped deltas
+// are aggregated by data-size weights, and iid N(0, (noise·clip)²) noise is
+// added to the aggregate — the mechanism, without a formal (ε, δ)
+// accountant. It consumes the locals as delta scratch.
 type DPMean struct {
 	weights []float64
 	clip    float64
 	noise   float64
-	rng     *rand.Rand // shared server stream: noise draws stay in seed order
+	rng     *rand.Rand // the engine's server stream: noise draws stay in seed order
 	scratch []float64
 }
 
-// NewDPMean builds the clipping+noise aggregator. rng must be the engine's
-// server stream so noise draws interleave deterministically with selection
-// and dropout draws.
-func NewDPMean(weights []float64, dim int, clip, noise float64, rng *rand.Rand) *DPMean {
-	return &DPMean{weights: weights, clip: clip, noise: noise, rng: rng, scratch: make([]float64, dim)}
+// NewDPMean builds the clipping+noise aggregator for e; install it with
+// e.SetAggregator. Its noise comes from e's server stream, after the
+// round's selection and dropout draws, so a seed fixes every draw. clip
+// must be finite and positive and noise finite and non-negative (0 clips
+// without noise).
+func NewDPMean(e *Engine, clip, noise float64) (*DPMean, error) {
+	// Inverted comparisons so NaN is rejected too.
+	if !(clip > 0 && clip <= math.MaxFloat64) {
+		return nil, fmt.Errorf("engine: DP clip must be finite and positive, got %v", clip)
+	}
+	if !(noise >= 0 && noise <= math.MaxFloat64) {
+		return nil, fmt.Errorf("engine: DP noise must be finite and non-negative, got %v", noise)
+	}
+	return &DPMean{weights: e.weights, clip: clip, noise: noise, rng: e.server, scratch: make([]float64, len(e.w))}, nil
 }
 
 // Aggregate implements Aggregator.
@@ -84,55 +93,6 @@ func (a *DPMean) Aggregate(w []float64, selected []int, locals [][]float64) erro
 		}
 	}
 	mathx.Axpy(1, a.scratch, w)
-	return nil
-}
-
-// SecureMean aggregates through internal/secure's pairwise additive
-// masking: every device pre-scales its model by its data share, adds its
-// pairwise masks, and the server sums the masked submissions — the masks
-// cancel, so the server recovers the weighted mean without ever observing
-// an individual model in the clear. Requires all devices every round (the
-// simplified protocol has no dropout recovery).
-type SecureMean struct {
-	weights []float64
-	maskers []*secure.Masker
-	masked  [][]float64
-}
-
-// NewSecureMean builds one masker per device from a group seed derived
-// from the experiment seed (standing in for pairwise key agreement).
-func NewSecureMean(weights []float64, dim int, seed int64) *SecureMean {
-	n := len(weights)
-	group := randx.DeriveSeed(seed, 33)
-	a := &SecureMean{
-		weights: weights,
-		maskers: make([]*secure.Masker, n),
-		masked:  make([][]float64, n),
-	}
-	for id := 0; id < n; id++ {
-		a.maskers[id] = &secure.Masker{ID: id, N: n, Dim: dim, GroupSeed: group}
-		a.masked[id] = make([]float64, dim)
-	}
-	return a
-}
-
-// Aggregate implements Aggregator.
-func (a *SecureMean) Aggregate(w []float64, selected []int, locals [][]float64) error {
-	if len(selected) != len(a.maskers) {
-		return fmt.Errorf("engine: secure aggregation needs all %d clients, got %d (absent clients' masks cannot cancel)",
-			len(a.maskers), len(selected))
-	}
-	total := selectedWeight(a.weights, selected)
-	for i, id := range selected {
-		if err := a.maskers[id].Mask(a.masked[id], locals[i], a.weights[id]); err != nil {
-			return err
-		}
-	}
-	sum, err := secure.Aggregate(a.masked, total)
-	if err != nil {
-		return err
-	}
-	copy(w, sum)
 	return nil
 }
 

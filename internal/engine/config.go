@@ -2,11 +2,12 @@
 // for every runtime. A round is: select the participating cohort, inject
 // report failures, fan the anchor out to an Executor (sequential, pooled
 // parallel goroutines, a simulated-clock fleet, or TCP workers), and fold
-// the returned local models through an Aggregator (weighted mean, DP
-// clip+noise, or pairwise-masked secure aggregation). Selection, dropout,
-// aggregation and metric measurement live only here; the in-process
-// executors (NewInProcess), internal/simnet and internal/transport are
-// Executors plugged into this loop, which is what makes their outputs
+// the returned local models through an Aggregator (the weighted mean by
+// default; DP clip+noise, a tree root's partial sums or any other rule is
+// installed with SetAggregator). Selection, dropout, aggregation and
+// metric measurement live only here; the in-process executors
+// (NewInProcess), internal/simnet and internal/transport are Executors
+// plugged into this loop, which is what makes their outputs
 // bit-identical by construction (every device owns a private RNG stream,
 // and every server-side draw comes from one stream consumed in a fixed
 // order).
@@ -52,7 +53,7 @@ type Config struct {
 	// stream. The draw is computable by any node that knows the seed and the
 	// round number, which is what lets aggregation-tree shards evaluate
 	// their own activation sets without coordination. Mutually exclusive
-	// with ClientFraction sampling (< 1) and SecureAgg. 0 disables.
+	// with ClientFraction sampling (< 1). 0 disables.
 	ActivateProb float64
 	// DropoutProb is the probability that a participating device fails to
 	// report its round (battery, network loss). The server aggregates over
@@ -60,21 +61,6 @@ type Config struct {
 	// drops, the global model is unchanged that round. 0 disables failure
 	// injection.
 	DropoutProb float64
-	// DPClip, when positive, clips every device's round update
-	// Δ_n = w_n − w̄ to at most this L2 norm before aggregation — the
-	// update-norm bounding step of DP-FedAvg. 0 disables clipping.
-	DPClip float64
-	// DPNoise, when positive, adds iid N(0, (DPNoise·DPClip)²) noise to
-	// every coordinate of the aggregated update (requires DPClip > 0).
-	// This is the mechanism of DP-FedAvg without a formal (ε, δ)
-	// accountant; see the privacy note in DESIGN.md.
-	DPNoise float64
-	// SecureAgg aggregates through pairwise additive masking
-	// (internal/secure): the server only ever observes masked submissions
-	// whose sum equals the weighted mean. Requires full participation
-	// (ClientFraction 1, DropoutProb 0 — the simplified protocol has no
-	// dropout recovery) and is mutually exclusive with DPClip.
-	SecureAgg bool
 	// RoundDeadline, when positive, bounds each round's executor fan-out:
 	// devices that have not reported when it fires are cut from the round
 	// and counted as stragglers (obs.RoundStats.Stragglers), distinct from
@@ -119,31 +105,11 @@ func (c Config) Validate() error {
 	if !(c.DropoutProb >= 0 && c.DropoutProb < 1) {
 		return fmt.Errorf("engine: DropoutProb must be in [0,1), got %v", c.DropoutProb)
 	}
-	if c.DPClip < 0 {
-		return fmt.Errorf("engine: DPClip must be non-negative, got %v", c.DPClip)
-	}
-	if c.DPNoise < 0 {
-		return fmt.Errorf("engine: DPNoise must be non-negative, got %v", c.DPNoise)
-	}
-	if c.DPNoise > 0 && c.DPClip == 0 {
-		return fmt.Errorf("engine: DPNoise requires DPClip > 0 (noise scales with the clip bound)")
-	}
-	if c.SecureAgg {
-		if c.DPClip > 0 {
-			return fmt.Errorf("engine: SecureAgg and DPClip are mutually exclusive aggregators")
-		}
-		if c.DropoutProb > 0 || (c.ClientFraction > 0 && c.ClientFraction < 1) || c.ActivateProb > 0 {
-			return fmt.Errorf("engine: SecureAgg needs full participation (no sampling, activation, or dropout): absent clients' pairwise masks cannot cancel")
-		}
-	}
 	if c.RoundDeadline < 0 {
 		return fmt.Errorf("engine: RoundDeadline must be non-negative, got %v", c.RoundDeadline)
 	}
 	if c.MinReport < 0 {
 		return fmt.Errorf("engine: MinReport must be non-negative, got %d", c.MinReport)
-	}
-	if c.SecureAgg && (c.RoundDeadline > 0 || c.MinReport > 0) {
-		return fmt.Errorf("engine: SecureAgg cannot combine with RoundDeadline/MinReport: a cut round's absent masks cannot cancel")
 	}
 	return nil
 }

@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
-	"math"
 	"net"
 	"sync"
 	"testing"
@@ -54,15 +53,23 @@ func newDevices(p *data.Partition, m models.Model, seed int64) []*engine.Device 
 	return devices
 }
 
-// runBackend builds an engine over the executor mk returns and runs it to
-// completion, returning the final global model and the series.
+// setupFunc prepares a built engine before its run (installs an
+// aggregator, say); nil leaves it as New built it.
+type setupFunc func(*testing.T, *engine.Engine)
+
+// runBackend builds an engine over the executor mk returns, prepares it
+// with setup and runs it to completion, returning the final global model
+// and the series.
 func runBackend(t *testing.T, cfg engine.Config, p *data.Partition, m models.Model,
-	mk func([]*engine.Device) engine.Executor) ([]float64, *metrics.Series) {
+	mk func([]*engine.Device) engine.Executor, setup setupFunc) ([]float64, *metrics.Series) {
 	t.Helper()
 	exec := mk(newDevices(p, m, cfg.Seed))
 	eng, err := engine.New(cfg, m.Dim(), p.Weights(), exec)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if setup != nil {
+		setup(t, eng)
 	}
 	s, err := eng.Run(context.Background())
 	if err != nil {
@@ -72,7 +79,7 @@ func runBackend(t *testing.T, cfg engine.Config, p *data.Partition, m models.Mod
 }
 
 // runTCP runs the same configuration over loopback TCP workers.
-func runTCP(t *testing.T, cfg engine.Config, p *data.Partition, m models.Model) ([]float64, *metrics.Series) {
+func runTCP(t *testing.T, cfg engine.Config, p *data.Partition, m models.Model, setup setupFunc) ([]float64, *metrics.Series) {
 	t.Helper()
 	n := len(p.Clients)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -104,6 +111,9 @@ func runTCP(t *testing.T, cfg engine.Config, p *data.Partition, m models.Model) 
 	if err != nil {
 		t.Fatal(err)
 	}
+	if setup != nil {
+		setup(t, eng)
+	}
 	s, err := eng.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -131,9 +141,7 @@ func conformanceConfigs() map[string]engine.Config {
 	partial.ClientFraction = 0.5
 	partial.DropoutProb = 0.25
 	partial.Seed = 7
-	dp := base
-	dp.DPClip = 0.5
-	dp.DPNoise = 0.05
+	dp := base // aggregates through NewDPMean (see conformanceSetups)
 	dp.Seed = 11
 	// Probabilistic per-device activation: the cohort is a pure function of
 	// (seed, round, id), so every backend — and every aggregation-tree node —
@@ -144,30 +152,42 @@ func conformanceConfigs() map[string]engine.Config {
 	return map[string]engine.Config{"full": base, "partial": partial, "dp": dp, "activate": activate}
 }
 
+// conformanceSetups prepares the engines of the conformance configs that
+// need more than a Config: the dp leg clips at 0.5 with noise 0.05.
+var conformanceSetups = map[string]setupFunc{
+	"dp": func(t *testing.T, eng *engine.Engine) {
+		dp, err := engine.NewDPMean(eng, 0.5, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.SetAggregator(dp)
+	},
+}
+
 func TestBackendConformance(t *testing.T) {
 	p := testPartition(4, 30, 3, 3, 1)
 	m := models.NewSoftmax(3, 3, 0)
 	fleet := simnet.NewUniformFleet(4, simnet.DeviceProfile{ComputePerIter: 0.01, Uplink: 0.1, Downlink: 0.1}, 5)
 
 	for name, cfg := range conformanceConfigs() {
-		cfg := cfg
+		cfg, setup := cfg, conformanceSetups[name]
 		t.Run(name, func(t *testing.T) {
 			want, wantSeries := runBackend(t, cfg, p, m, func(d []*engine.Device) engine.Executor {
 				return engine.NewSequential(d, cfg.Local)
-			})
+			}, setup)
 			backends := map[string]func(*testing.T) ([]float64, *metrics.Series){
 				"parallel": func(t *testing.T) ([]float64, *metrics.Series) {
 					return runBackend(t, cfg, p, m, func(d []*engine.Device) engine.Executor {
 						return engine.NewParallel(d, cfg.Local)
-					})
+					}, setup)
 				},
 				"timed": func(t *testing.T) ([]float64, *metrics.Series) {
 					return runBackend(t, cfg, p, m, func(d []*engine.Device) engine.Executor {
 						return simnet.NewTimedExecutor(engine.NewSequential(d, cfg.Local), fleet, cfg.Local.Tau)
-					})
+					}, setup)
 				},
 				"tcp": func(t *testing.T) ([]float64, *metrics.Series) {
-					return runTCP(t, cfg, p, m)
+					return runTCP(t, cfg, p, m, setup)
 				},
 			}
 			for bname, run := range backends {
@@ -279,7 +299,7 @@ func TestTCPWorkerFailureMatchesDropoutSchedule(t *testing.T) {
 	// In-process reference with the equivalent dropout schedule.
 	want, wantSeries := runBackend(t, cfg, p, m, func(d []*engine.Device) engine.Executor {
 		return &failAfterExec{inner: engine.NewSequential(d, cfg.Local), after: killAfter, victim: victim}
-	})
+	}, nil)
 
 	// TCP run: the victim worker's connection is killed after round
 	// killAfter, mid-training, via an engine hook.
@@ -449,49 +469,6 @@ func TestHookParticipantsRetainable(t *testing.T) {
 	}
 	if !distinct {
 		t.Fatal("no round had participants — the test is vacuous")
-	}
-}
-
-// TestSecureAggregationEndToEnd trains through the engine with the
-// pairwise-masking aggregator and checks the trajectory matches plain
-// weighted-mean training up to mask-cancellation rounding: the server never
-// sees a model in the clear, yet learns the same global model.
-func TestSecureAggregationEndToEnd(t *testing.T) {
-	p := testPartition(4, 30, 3, 3, 2)
-	m := models.NewSoftmax(3, 3, 0)
-	cfg := conformanceConfigs()["full"]
-
-	plain, _ := runBackend(t, cfg, p, m, func(d []*engine.Device) engine.Executor {
-		return engine.NewSequential(d, cfg.Local)
-	})
-
-	scfg := cfg
-	scfg.SecureAgg = true
-	sec, _ := runBackend(t, scfg, p, m, func(d []*engine.Device) engine.Executor {
-		return engine.NewSequential(d, scfg.Local)
-	})
-
-	for i := range plain {
-		if math.Abs(sec[i]-plain[i]) > 1e-6 {
-			t.Fatalf("secure model differs at %d: %v vs %v", i, sec[i], plain[i])
-		}
-	}
-}
-
-// TestSecureAggRejectsPartialParticipation: absent clients' masks cannot
-// cancel, so the config layer must refuse the combination.
-func TestSecureAggRejectsPartialParticipation(t *testing.T) {
-	cfg := conformanceConfigs()["full"]
-	cfg.ClientFraction = 1 // direct Validate skips the defaulting pass
-	cfg.SecureAgg = true
-	cfg.DropoutProb = 0.5
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("SecureAgg with dropout should fail validation")
-	}
-	cfg.DropoutProb = 0
-	cfg.ClientFraction = 0.5
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("SecureAgg with sampling should fail validation")
 	}
 }
 

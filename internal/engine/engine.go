@@ -97,9 +97,9 @@ func (e engineError) Error() string { return string(e) }
 const ErrNoClients = engineError("engine: no clients")
 
 // New validates cfg, applies defaults, and builds an engine over dim-sized
-// models for a cohort whose data shares are weights (summing to 1). The
-// aggregator is chosen from cfg (weighted mean, DP, or secure); override it
-// with SetAggregator before running.
+// models for a cohort whose data shares are weights (summing to 1). It
+// aggregates by the weighted mean of Algorithm 1's line 12; install another
+// rule (NewDPMean, say) with SetAggregator before running.
 func New(cfg Config, dim int, weights []float64, exec Executor) (*Engine, error) {
 	// Defaults are applied before validation so the zero value of an unset
 	// Config (ClientFraction 0 → full participation) keeps working while
@@ -119,14 +119,7 @@ func New(cfg Config, dim int, weights []float64, exec Executor) (*Engine, error)
 		w:       make([]float64, dim),
 		policy:  cfg.RoundDeadline > 0 || cfg.MinReport > 0,
 	}
-	switch {
-	case cfg.SecureAgg:
-		e.agg = NewSecureMean(weights, dim, cfg.Seed)
-	case cfg.DPClip > 0:
-		e.agg = NewDPMean(weights, dim, cfg.DPClip, cfg.DPNoise, e.server)
-	default:
-		e.agg = NewWeightedMean(weights, dim)
-	}
+	e.agg = NewWeightedMean(weights, dim)
 	return e, nil
 }
 
@@ -185,7 +178,8 @@ func (e *Engine) SetExecutor(x Executor) { e.exec = x }
 // Aggregator returns the current aggregation rule.
 func (e *Engine) Aggregator() Aggregator { return e.agg }
 
-// SetAggregator overrides the config-derived aggregation rule.
+// SetAggregator replaces the aggregation rule (the weighted mean New
+// installs). Safe between rounds, not during one.
 func (e *Engine) SetAggregator(a Aggregator) { e.agg = a }
 
 // SetEvaluator installs server-side measurement (loss, accuracy,
@@ -411,8 +405,8 @@ func (e *Engine) step(ctx context.Context) ([]int, int, error) {
 // number (RoundSpec.Round) — so the cohort is a pure function of (seed,
 // t): no draw made before, in this process or a previous coordinator
 // incarnation, influences it, which is what makes checkpoint resume
-// bit-identical. The stream is left where the round's later draws (DP
-// noise) continue.
+// bit-identical. The stream is left where the round's later draws (a
+// DPMean's noise) continue.
 func (e *Engine) cohort(t int) (selected []int, nsel int) {
 	e.server.Seed(randx.RoundSeed(e.cfg.Seed, 1, int64(t)))
 	if e.cfg.ActivateProb > 0 {

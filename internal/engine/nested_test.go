@@ -45,12 +45,12 @@ func TestNestedFanOut(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 
 	t.Run("ParallelRound", func(t *testing.T) {
-		want, _ := runBackend(t, cfg, p, m, func(d []*engine.Device) engine.Executor { return engine.NewSequential(d, cfg.Local) })
+		want, _ := runBackend(t, cfg, p, m, func(d []*engine.Device) engine.Executor { return engine.NewSequential(d, cfg.Local) }, nil)
 		for _, procs := range []int{1, 2, 4} {
 			runtime.GOMAXPROCS(procs)
 			var got []float64
 			within(t, time.Minute, func() {
-				got, _ = runBackend(t, cfg, p, m, func(d []*engine.Device) engine.Executor { return engine.NewParallel(d, cfg.Local) })
+				got, _ = runBackend(t, cfg, p, m, func(d []*engine.Device) engine.Executor { return engine.NewParallel(d, cfg.Local) }, nil)
 			})
 			if !sameVec(got, want) {
 				t.Fatalf("GOMAXPROCS=%d: Parallel global model differs from Sequential", procs)

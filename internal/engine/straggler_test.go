@@ -223,8 +223,8 @@ func TestRoundSpecCarriesPolicyAndRound(t *testing.T) {
 	}
 }
 
-// TestConfigRejectsBadPolicy: negative knobs and the SecureAgg conflict
-// (a cut round's absent masks cannot cancel) must fail validation.
+// TestConfigRejectsBadPolicy: negative straggler-policy knobs must fail
+// validation.
 func TestConfigRejectsBadPolicy(t *testing.T) {
 	base := conformanceConfigs()["full"]
 	// Direct Validate calls skip the engine's defaulting pass, so spell the
@@ -239,17 +239,6 @@ func TestConfigRejectsBadPolicy(t *testing.T) {
 	neg.MinReport = -1
 	if err := neg.Validate(); err == nil {
 		t.Fatal("negative MinReport should fail validation")
-	}
-	sec := base
-	sec.SecureAgg = true
-	sec.MinReport = 2
-	if err := sec.Validate(); err == nil {
-		t.Fatal("SecureAgg with a quorum cut should fail validation")
-	}
-	sec.MinReport = 0
-	sec.RoundDeadline = time.Second
-	if err := sec.Validate(); err == nil {
-		t.Fatal("SecureAgg with a round deadline should fail validation")
 	}
 }
 

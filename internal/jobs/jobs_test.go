@@ -3,17 +3,18 @@ package jobs
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"fedproxvr/internal/checkpoint"
-	"fedproxvr/internal/testx"
 )
 
 // testSpec is a small, fast job: synthetic data, 3 devices, few rounds.
@@ -517,11 +518,53 @@ func TestMultiJobSoak(t *testing.T) {
 	}
 }
 
+// exitingRunners reads every goroutine's stack and fails t at once if a
+// job runner is still inside its work. It returns how many runner
+// goroutines (those created by launchLocked) are left, all of them past
+// it: a runner whose runJob frame is on top of its stack, or directly under
+// sync.(*WaitGroup).Done, is running its deferred wg.Done or returning,
+// which Stop's Wait cannot wait out (under -race, Done's own
+// instrumentation keeps the frame there after Wait returns), and one whose
+// stack holds no runJob frame has returned and is exiting.
+func exitingRunners(t *testing.T) int {
+	t.Helper()
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	runners := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		var above string // the function line above the current one
+		for i, line := range strings.Split(g, "\n") {
+			if strings.HasPrefix(line, "created by fedproxvr/internal/jobs.(*Manager).launchLocked") {
+				runners++
+			}
+			if i == 0 || strings.HasPrefix(line, "\t") || strings.HasPrefix(line, "created by ") {
+				continue
+			}
+			if strings.HasPrefix(line, "fedproxvr/internal/jobs.(*Manager).runJob(") &&
+				above != "" && !strings.HasPrefix(above, "sync.(*WaitGroup).") {
+				t.Fatalf("a job runner is still running after Stop returned:\n%s", g)
+			}
+			above = line
+		}
+	}
+	return runners
+}
+
 // TestStopReopenLeavesNoGoroutines cycles a manager incarnation the way a
 // coordinator restart does — Open, submit, a few rounds, Stop, then a new
 // incarnation reopening the same directory and resuming the job until it
 // is stopped too — and holds the process to the goroutine count it had
-// before: every runner goroutine exits by the time Stop returns.
+// before. Every runner leaves runJob by the time Stop returns, which is
+// checked at once, and so is the count of every other goroutine. A
+// runner's wg.Done still precedes its goroutine's exit, so only the
+// runner goroutines already past runJob get a grace to finish exiting.
 func TestStopReopenLeavesNoGoroutines(t *testing.T) {
 	waitRound := func(m *Manager, id string, round int) {
 		t.Helper()
@@ -548,6 +591,7 @@ func TestStopReopenLeavesNoGoroutines(t *testing.T) {
 		}
 		waitRound(m, "leak", 2)
 		m.Stop()
+		exitingRunners(t)
 		m = openManager(t, dir, Options{})
 		st, err := m.Get("leak")
 		if err != nil {
@@ -555,7 +599,33 @@ func TestStopReopenLeavesNoGoroutines(t *testing.T) {
 		}
 		waitRound(m, "leak", st.Round+2)
 		m.Stop()
+		exitingRunners(t)
+	}
+	// settle polls until no runner goroutine is left, failing t after 5 s,
+	// and fails t at once whenever the goroutines other than those runners
+	// number more than limit. It returns the count once they are gone.
+	settle := func(limit int) int {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			runners := exitingRunners(t) // read before the count, so a runner exiting in between only lowers it
+			others := runtime.NumGoroutine() - runners
+			if others > limit {
+				t.Fatalf("goroutines grew from %d to %d over 3 cycles", limit, others)
+			}
+			if runners == 0 {
+				return others
+			}
+			if !time.Now().Before(deadline) {
+				t.Fatalf("%d job runner goroutines have not exited 5 s after Stop", runners)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 	cycle() // grows the process-wide helper pool
-	testx.NoGoroutineGrowth(t, 3, 0, cycle)
+	before := settle(math.MaxInt)
+	for i := 0; i < 3; i++ {
+		cycle()
+	}
+	settle(before)
 }

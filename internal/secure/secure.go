@@ -98,6 +98,62 @@ func Aggregate(masked [][]float64, totalScale float64) ([]float64, error) {
 	return sum, nil
 }
 
+// Mean is the weighted mean of Algorithm 1's line 12 computed through
+// pairwise masking, in the shape of the engine's Aggregator (install it
+// with Engine.SetAggregator): every device pre-scales its model by its
+// data share and adds its pairwise masks, and the server sums the masked
+// submissions — the masks cancel, so the server recovers the weighted mean
+// without ever observing an individual model in the clear. It needs every
+// device every round: a round that lost one is refused, and the global
+// model stays where it was.
+type Mean struct {
+	weights []float64
+	maskers []*Masker
+	masked  [][]float64
+}
+
+// NewMean builds one masker per device from a group seed derived from the
+// experiment seed (standing in for pairwise key agreement). weights are the
+// devices' data shares.
+func NewMean(weights []float64, dim int, seed int64) *Mean {
+	n := len(weights)
+	group := randx.DeriveSeed(seed, 33)
+	a := &Mean{
+		weights: weights,
+		maskers: make([]*Masker, n),
+		masked:  make([][]float64, n),
+	}
+	for id := 0; id < n; id++ {
+		a.maskers[id] = &Masker{ID: id, N: n, Dim: dim, GroupSeed: group}
+		a.masked[id] = make([]float64, dim)
+	}
+	return a
+}
+
+// Aggregate folds the round's local models (locals[i] from device
+// selected[i]) into w.
+func (a *Mean) Aggregate(w []float64, selected []int, locals [][]float64) error {
+	if len(selected) != len(a.maskers) {
+		return fmt.Errorf("secure: secure aggregation needs all %d clients, got %d (absent clients' masks cannot cancel)",
+			len(a.maskers), len(selected))
+	}
+	var total float64
+	for _, id := range selected {
+		total += a.weights[id]
+	}
+	for i, id := range selected {
+		if err := a.maskers[id].Mask(a.masked[id], locals[i], a.weights[id]); err != nil {
+			return err
+		}
+	}
+	sum, err := Aggregate(a.masked, total)
+	if err != nil {
+		return err
+	}
+	copy(w, sum)
+	return nil
+}
+
 // LeakageRatio measures how well a single masked submission hides its
 // update: ‖masked − scale·w‖ / ‖scale·w‖. Values ≫ 1 mean the submission
 // is dominated by mask, i.e. individually uninformative.

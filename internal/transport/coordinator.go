@@ -1081,9 +1081,10 @@ func (c *Coordinator) shardWeight(id int) float64 { return c.clients[id].ps.Weig
 // bit-identical to a flat ShardedMean over the same shard map.
 // cfg.ActivateProb is lifted off the engine and broadcast to the nodes
 // instead, which evaluate the per-device activation over their own ranges;
-// everything per-device (sampling, dropout injection, DP, secure masking,
-// training shards to measure) is rejected because the root never sees
-// devices, so training loss is NaN.
+// per-device sampling, dropout injection and training shards to measure
+// are rejected because the root never sees devices, so training loss is
+// NaN. The root's aggregator is the tree's own: replacing it with
+// SetAggregator would fold partial sums as if they were models.
 func (c *Coordinator) Engine(w0 []float64, cfg engine.Config, evalModel models.Model, trainSets []*data.Dataset) (*engine.Engine, error) {
 	if c.tree {
 		if err := c.treeConfig(&cfg, trainSets); err != nil {
@@ -1116,8 +1117,6 @@ func (c *Coordinator) treeConfig(cfg *engine.Config, trainSets []*data.Dataset) 
 	switch {
 	case c.codec != CodecFloat64:
 		return fmt.Errorf("transport: the aggregation tree is float64-only (partial sums must stay exact), coordinator codec is %v", c.codec)
-	case cfg.SecureAgg || cfg.DPClip > 0 || cfg.DPNoise > 0:
-		return fmt.Errorf("transport: SecureAgg/DP aggregation needs per-device submissions; the tree root only sees per-shard partial sums")
 	case cfg.DropoutProb > 0:
 		return fmt.Errorf("transport: engine-side dropout injection over the tree would drop whole shards, not devices; use -activate-prob or chaos schedules on the nodes")
 	case cfg.ClientFraction != 0 && cfg.ClientFraction != 1:

@@ -650,8 +650,8 @@ func TestAggregatorNodeHeapIsDeviceCountInvariant(t *testing.T) {
 }
 
 // TestTreeEngineRejectsPerDeviceFeatures: on a tree coordinator, Engine
-// rejects up front everything that needs per-device submissions,
-// per-device selection or per-device data at the root.
+// rejects up front everything that needs per-device selection or
+// per-device data at the root, and a lossy codec.
 func TestTreeEngineRejectsPerDeviceFeatures(t *testing.T) {
 	const fanout = 2
 	p := testPartition(4, 10, 3, 3, 2)
@@ -669,10 +669,8 @@ func TestTreeEngineRejectsPerDeviceFeatures(t *testing.T) {
 			t.Errorf("%s: a tree Engine accepted a per-device feature the root cannot honor", name)
 		}
 	}
-	reject("secureagg", func(cfg *engine.Config) { cfg.SecureAgg = true })
 	reject("dropout", func(cfg *engine.Config) { cfg.DropoutProb = 0.5 })
 	reject("fraction", func(cfg *engine.Config) { cfg.ClientFraction = 0.5 })
-	reject("dp", func(cfg *engine.Config) { cfg.DPClip = 1; cfg.DPNoise = 0.1 })
 	if _, err := c.Engine(w0, base, m.Clone(), p.Clients); err == nil {
 		t.Error("a tree Engine accepted training shards the root never holds")
 	}

@@ -60,7 +60,8 @@ func (r *Runner) Step() []int {
 	selected, _, err := r.eng.Step()
 	if err != nil {
 		// In-process executors cannot fail and partitions carry positive
-		// weights, so this is unreachable outside programmer error.
+		// weights, so only an aggregator installed with SetAggregator can
+		// fail here (secure.Mean refuses a round that lost a device).
 		panic(err)
 	}
 	return selected
@@ -68,11 +69,13 @@ func (r *Runner) Step() []int {
 
 // Run executes cfg.Rounds global iterations from the current global model
 // and returns the recorded series. The round-0 point (before any update)
-// is included so plots start at the common initialization.
+// is included so plots start at the common initialization. It panics on
+// a round's error, which only an installed aggregator can raise (see
+// Step); RunContext returns it instead.
 func (r *Runner) Run() *Series {
 	s, err := r.eng.Run(context.Background())
 	if err != nil {
-		panic(err) // see Step: unreachable in-process
+		panic(err)
 	}
 	return s
 }

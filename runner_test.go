@@ -398,83 +398,75 @@ func dist(x, y []float64) float64 {
 	return mathx.Nrm2(d)
 }
 
-func TestDPClipBoundsRoundUpdate(t *testing.T) {
-	p, _ := blobPartition(4, 30, 3, 4, 40)
-	m := models.NewSoftmax(3, 4, 0)
-	cfg := FedProxVR(optim.SVRG, 5, 1, 0, 50, 8, 1)
-	cfg.DPClip = 0.05
-	cfg.Seed = 41
-	r, err := NewRunner(Task{Model: m, Part: p}, cfg)
+// dpRunner prepares cfg on the task with the engine aggregating through
+// DP clipping at clip and noise at noise.
+func dpRunner(t *testing.T, task Task, cfg Config, clip, noise float64) *Runner {
+	t.Helper()
+	r, err := NewRunner(task, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dp, err := engine.NewDPMean(r.Engine(), clip, noise)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Engine().SetAggregator(dp)
+	return r
+}
+
+func TestDPClipBoundsRoundUpdate(t *testing.T) {
+	p, _ := blobPartition(4, 30, 3, 4, 40)
+	task := Task{Model: models.NewSoftmax(3, 4, 0), Part: p}
+	cfg := FedProxVR(optim.SVRG, 5, 1, 0, 50, 8, 1)
+	cfg.Seed = 41
+	const clip = 0.05
+	r := dpRunner(t, task, cfg, clip, 0)
 	before := mathx.Clone(r.Global())
 	r.Step()
 	// The aggregate of clipped deltas has norm ≤ clip (convex combination).
 	moved := dist(r.Global(), before)
-	if moved > cfg.DPClip+1e-12 {
-		t.Fatalf("round moved %v, clip bound %v", moved, cfg.DPClip)
+	if moved > clip+1e-12 {
+		t.Fatalf("round moved %v, clip bound %v", moved, clip)
 	}
 	// Without clipping the same round moves much further.
-	cfg2 := cfg
-	cfg2.DPClip = 0
-	r2, err := NewRunner(Task{Model: m, Part: p}, cfg2)
+	r2, err := NewRunner(task, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r2.Step()
-	if dist(r2.Global(), before) < 2*cfg.DPClip {
+	if dist(r2.Global(), before) < 2*clip {
 		t.Fatal("fixture too tame: unclipped round barely moves")
 	}
 }
 
 func TestDPNoiseInjectedDeterministically(t *testing.T) {
 	p, _ := blobPartition(3, 20, 3, 4, 42)
-	m := models.NewSoftmax(3, 4, 0)
+	task := Task{Model: models.NewSoftmax(3, 4, 0), Part: p}
 	cfg := FedProxVR(optim.SARAH, 5, 1, 0.1, 5, 4, 3)
-	cfg.DPClip = 1
-	cfg.DPNoise = 0.5
 	cfg.Seed = 43
-	run := func() []float64 {
-		r, err := NewRunner(Task{Model: m, Part: p}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+	run := func(noise float64) []float64 {
+		r := dpRunner(t, task, cfg, 1, noise)
 		r.Run()
 		return mathx.Clone(r.Global())
 	}
-	a, b := run(), run()
+	a, b := run(0.5), run(0.5)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("DP noise must be seeded (runs diverged)")
 		}
 	}
 	// Noise actually perturbs relative to the noiseless run.
-	quiet := cfg
-	quiet.DPNoise = 0
-	rq, err := NewRunner(Task{Model: m, Part: p}, quiet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rq.Run()
-	if dist(a, rq.Global()) == 0 {
-		t.Fatal("DPNoise>0 produced the noiseless trajectory")
+	if dist(a, run(0)) == 0 {
+		t.Fatal("noise>0 produced the noiseless trajectory")
 	}
 }
 
 func TestDPTrainingStillConverges(t *testing.T) {
 	p, test := blobPartition(6, 50, 4, 4, 44)
-	m := models.NewSoftmax(4, 4, 0)
 	cfg := FedProxVR(optim.SARAH, 5, 1, 0.1, 10, 8, 25)
-	cfg.DPClip = 2
-	cfg.DPNoise = 0.005
 	cfg.Test = test
 	cfg.Seed = 45
-	r, err := NewRunner(Task{Model: m, Part: p}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := r.Run()
+	s := dpRunner(t, Task{Model: models.NewSoftmax(4, 4, 0), Part: p}, cfg, 2, 0.005).Run()
 	last, _ := s.Last()
 	if last.TrainLoss >= s.Points[0].TrainLoss {
 		t.Fatal("mild DP should still allow training")
@@ -484,18 +476,35 @@ func TestDPTrainingStillConverges(t *testing.T) {
 	}
 }
 
+// TestDPValidation: NewDPMean refuses every clip and noise outside range,
+// NaN and ±Inf included — a NaN clip or noise would switch the mechanism
+// off unnoticed, and an infinite one trains an Inf model.
 func TestDPValidation(t *testing.T) {
 	p, _ := blobPartition(2, 10, 3, 4, 46)
-	m := models.NewSoftmax(3, 4, 0)
-	cfg := FedAvg(5, 1, 1, 1, 1)
-	cfg.DPClip = -1
-	if _, err := NewRunner(Task{Model: m, Part: p}, cfg); err == nil {
-		t.Fatal("negative DPClip should fail")
+	r, err := NewRunner(Task{Model: models.NewSoftmax(3, 4, 0), Part: p}, FedAvg(5, 1, 1, 1, 1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	cfg = FedAvg(5, 1, 1, 1, 1)
-	cfg.DPNoise = 0.1 // without clip
-	if _, err := NewRunner(Task{Model: m, Part: p}, cfg); err == nil {
-		t.Fatal("DPNoise without DPClip should fail")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name        string
+		clip, noise float64
+	}{
+		{"nan clip", nan, 0},
+		{"nan noise", 1, nan},
+		{"inf noise", 1, inf},
+		{"inf clip", inf, 0.1},
+		{"-inf clip", -inf, 0},
+		{"zero clip", 0, 0},
+		{"negative clip", -1, 0},
+		{"negative noise", 1, -0.1},
+	} {
+		if _, err := engine.NewDPMean(r.Engine(), c.clip, c.noise); err == nil {
+			t.Errorf("%s: NewDPMean accepted clip %v, noise %v", c.name, c.clip, c.noise)
+		}
+	}
+	if _, err := engine.NewDPMean(r.Engine(), 1, 0); err != nil {
+		t.Errorf("clip 1 without noise: %v", err)
 	}
 }
 
