@@ -89,12 +89,16 @@ expolint:
 # digests on both kernel sets (the fused ReLU + max-pool's oracle sets
 # GOMAXPROCS 1 and 2 itself and runs in `test` and `race`). It runs
 # without the race detector, which would slow the digests' tables tenfold
-# and cannot change a bit.
+# and cannot change a bit. The third line pins the data every task builder
+# hands out (TestTaskDataDigest): the synthetic generator draws its
+# devices as tasks of one fan-out over the same pool, so it runs at the
+# same three counts, under the race detector.
 evalcpu:
 	$(GO) test -race $(RACE_TESTFLAGS) -count=1 -cpu 1,2,4 \
 		-run 'Evaluator|PredictBatch|LossGrad|Handover|Parallel|Conformance|Par[A-Z]|Fan|BitDeterministic' \
 		./internal/engine/ ./internal/models/ ./internal/nn/ ./internal/tensor/
 	$(GO) test $(TESTFLAGS) -count=1 -cpu 1,2,4 -run 'PaperCNNDigest|SoftmaxDigest' ./internal/tensor/
+	$(GO) test -race $(RACE_TESTFLAGS) -count=1 -cpu 1,2,4 -run 'TaskDataDigest' .
 
 # bench-smoke compiles and tests the frozen benchmark module. bench/ is its
 # own Go module (it imports this one through a replace directive), so the
@@ -121,7 +125,7 @@ check: fmt vet deadcode bench-smoke expolint evalcpu race trace-demo fleet-demo 
 # wire frames, which sit directly on the network, the checkpoint file and a
 # job's manifest, read back from disk after a crash, the chaos schedule,
 # read from a user's file, a job spec POSTed to the control plane, decoded,
-# defaulted and validated (which builds the whole run), and the telemetry
+# defaulted and validated (which generates no data), and the telemetry
 # API's from/to/limit range queries. Any input must decode or error —
 # never panic; a malformed query is a 400 and a well-formed one returns
 # only the rounds it asked for. It also fuzzes tensor.Exp, the vectorised

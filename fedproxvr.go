@@ -27,6 +27,7 @@ package fedproxvr
 
 import (
 	"context"
+	"fmt"
 
 	"fedproxvr/internal/data"
 	"fedproxvr/internal/engine"
@@ -186,22 +187,12 @@ type ImageOptions struct {
 // power-law sizes) and a multinomial logistic regression model. Use
 // CNNTask for the non-convex counterpart.
 func ImageTask(o ImageOptions) (Task, error) {
-	o = imageDefaults(o)
-	gen := data.NewImageGenerator(data.ImageConfig{Style: o.Style, Seed: o.Seed})
-	full := gen.Generate(o.SamplesPerClass*10, 0)
-	train, test := full.Split(0.75, o.Seed+1)
-	part, err := data.PartitionByLabel(train, data.PartitionConfig{
-		NumDevices:      o.Devices,
-		LabelsPerDevice: o.LabelsPerDevice,
-		MinSamples:      o.MinSamples,
-		MaxSamples:      o.MaxSamples,
-		Seed:            o.Seed + 2,
-	})
+	part, test, err := imageData(imageDefaults(o))
 	if err != nil {
 		return Task{}, err
 	}
 	return Task{
-		Model: models.NewSoftmax(data.ImageDim, 10, o.L2),
+		Model: models.NewSoftmax(data.ImageDim, imageClasses, o.L2),
 		Part:  part,
 		Test:  test,
 		L:     estimateSoftmaxL(part),
@@ -218,20 +209,11 @@ func CNNTask(o ImageOptions, widthDivisor int) (Task, error) {
 		o.Devices = 10
 	}
 	o = imageDefaults(o)
-	gen := data.NewImageGenerator(data.ImageConfig{Style: o.Style, Seed: o.Seed})
-	full := gen.Generate(o.SamplesPerClass*10, 0)
-	train, test := full.Split(0.75, o.Seed+1)
-	part, err := data.PartitionByLabel(train, data.PartitionConfig{
-		NumDevices:      o.Devices,
-		LabelsPerDevice: o.LabelsPerDevice,
-		MinSamples:      o.MinSamples,
-		MaxSamples:      o.MaxSamples,
-		Seed:            o.Seed + 2,
-	})
+	part, test, err := imageData(o)
 	if err != nil {
 		return Task{}, err
 	}
-	m := models.NewPaperCNN(10, widthDivisor, o.L2)
+	m := models.NewPaperCNN(imageClasses, widthDivisor, o.L2)
 	w0 := make([]float64, m.Dim())
 	m.InitParams(randx.NewStream(o.Seed, 31), w0)
 	return Task{
@@ -244,6 +226,69 @@ func CNNTask(o ImageOptions, widthDivisor int) (Task, error) {
 		L:     2,
 		InitW: w0,
 	}, nil
+}
+
+// The image corpus holds SamplesPerClass rows of each of imageClasses
+// classes, row i of label i mod imageClasses, and imageData holds out the
+// rows after the first imageTrainFrac of the split's permutation.
+const (
+	imageClasses   = 10
+	imageTrainFrac = 0.75
+)
+
+// imageData generates the image corpus, holds out a quarter of it and
+// partitions the rest across the devices with the paper's label skew. The
+// held-out rows are copied out of the corpus, which is garbage once the
+// devices have their shards.
+func imageData(o ImageOptions) (*Partition, *Dataset, error) {
+	if err := o.Validate(); err != nil {
+		return nil, nil, err
+	}
+	gen := data.NewImageGenerator(data.ImageConfig{Style: o.Style, NumClasses: imageClasses, Seed: o.Seed})
+	full := gen.Generate(o.SamplesPerClass*imageClasses, 0)
+	train, test := full.Split(imageTrainFrac, o.splitSeed())
+	part, err := data.PartitionByLabel(train, data.PartitionConfig{
+		NumDevices:      o.Devices,
+		LabelsPerDevice: o.LabelsPerDevice,
+		MinSamples:      o.MinSamples,
+		MaxSamples:      o.MaxSamples,
+		Seed:            o.Seed + 2,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return part, data.Merge(test), nil
+}
+
+func (o ImageOptions) splitSeed() int64 { return o.Seed + 1 }
+
+// Validate returns the error ImageTask and CNNTask give for o, without
+// generating an image: a negative count, a labels-per-device count
+// outside [1, 10], or a label none of whose rows survives the hold-out.
+// Which rows are held out depends only on the corpus size and the seed,
+// and a row's label only on its index, so no pixel is needed.
+func (o ImageOptions) Validate() error {
+	o = imageDefaults(o)
+	if o.SamplesPerClass < 0 {
+		return fmt.Errorf("fedproxvr: SamplesPerClass must be ≥ 0 (0 = default), got %d", o.SamplesPerClass)
+	}
+	if o.Devices < 0 {
+		return fmt.Errorf("fedproxvr: Devices must be ≥ 0 (0 = default), got %d", o.Devices)
+	}
+	if o.LabelsPerDevice < 0 || o.LabelsPerDevice > imageClasses {
+		return fmt.Errorf("fedproxvr: LabelsPerDevice %d outside [1,%d] (0 = default)", o.LabelsPerDevice, imageClasses)
+	}
+	n := o.SamplesPerClass * imageClasses
+	var kept [imageClasses]bool
+	for _, i := range randx.New(o.splitSeed()).Perm(n)[:int(imageTrainFrac*float64(n))] {
+		kept[i%imageClasses] = true
+	}
+	for label, ok := range kept {
+		if !ok {
+			return fmt.Errorf("fedproxvr: no training sample of label %d survives the hold-out of %d samples per class", label, o.SamplesPerClass)
+		}
+	}
+	return nil
 }
 
 func imageDefaults(o ImageOptions) ImageOptions {
@@ -266,7 +311,10 @@ func imageDefaults(o ImageOptions) ImageOptions {
 }
 
 // splitPartition holds out a fraction of every shard into one global test
-// set, preserving per-device heterogeneity in the training shards.
+// set, preserving per-device heterogeneity in the training shards. Each
+// shard is split in place, so its training rows stay where they are, and
+// its held-out rows are copied once, into a test set sized for all of
+// them.
 func splitPartition(p *Partition, trainFrac float64, seed int64) (*Partition, *Dataset) {
 	trainShards := make([]*data.Dataset, len(p.Clients))
 	testParts := make([]*data.Dataset, 0, len(p.Clients))

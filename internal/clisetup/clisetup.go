@@ -17,31 +17,51 @@ import (
 // Determinism: the same (dataset, model, devices, samples, widthDiv, seed)
 // always yields the same task on every process.
 func Task(dataset, model string, devices, samples, widthDiv int, seed int64) (fedproxvr.Task, error) {
+	build, err := taskBuilder(dataset, model, devices, samples, widthDiv, seed)
+	if err != nil {
+		return fedproxvr.Task{}, err
+	}
+	return build()
+}
+
+// CheckTask returns the error Task gives for the same flags, without
+// generating any data.
+func CheckTask(dataset, model string, devices, samples, widthDiv int, seed int64) error {
+	_, err := taskBuilder(dataset, model, devices, samples, widthDiv, seed)
+	return err
+}
+
+// taskBuilder resolves the flags to the function that generates their
+// task. Its error is every refusal Task can give, so the builder it
+// returns does not fail.
+func taskBuilder(dataset, model string, devices, samples, widthDiv int, seed int64) (func() (fedproxvr.Task, error), error) {
 	switch dataset {
 	case "synthetic":
 		if model != "softmax" {
-			return fedproxvr.Task{}, fmt.Errorf("synthetic dataset supports only the softmax model")
+			return nil, fmt.Errorf("synthetic dataset supports only the softmax model")
 		}
-		return fedproxvr.SyntheticTask(fedproxvr.SyntheticOptions{Devices: devices, Seed: seed}), nil
+		return func() (fedproxvr.Task, error) {
+			return fedproxvr.SyntheticTask(fedproxvr.SyntheticOptions{Devices: devices, Seed: seed}), nil
+		}, nil
 	case "digits", "fashion":
-		if samples < 0 {
-			return fedproxvr.Task{}, fmt.Errorf("samples per class must be ≥ 0 (0 = default), got %d", samples)
-		}
 		style := fedproxvr.Digits
 		if dataset == "fashion" {
 			style = fedproxvr.Fashion
 		}
 		opts := fedproxvr.ImageOptions{Style: style, Devices: devices, SamplesPerClass: samples, Seed: seed}
+		if err := opts.Validate(); err != nil {
+			return nil, err
+		}
 		switch model {
 		case "softmax":
-			return fedproxvr.ImageTask(opts)
+			return func() (fedproxvr.Task, error) { return fedproxvr.ImageTask(opts) }, nil
 		case "cnn":
-			return fedproxvr.CNNTask(opts, widthDiv)
+			return func() (fedproxvr.Task, error) { return fedproxvr.CNNTask(opts, widthDiv) }, nil
 		default:
-			return fedproxvr.Task{}, fmt.Errorf("unknown model %q", model)
+			return nil, fmt.Errorf("unknown model %q", model)
 		}
 	default:
-		return fedproxvr.Task{}, fmt.Errorf("unknown dataset %q", dataset)
+		return nil, fmt.Errorf("unknown dataset %q", dataset)
 	}
 }
 

@@ -51,17 +51,9 @@ func (d *Dataset) AppendClass(x []float64, label int) {
 	d.Y = append(d.Y, label)
 }
 
-// Subset returns a new dataset holding copies of the samples at idx.
-func (d *Dataset) Subset(idx []int) *Dataset {
-	out := New(d.Dim, d.NumClasses, len(idx))
-	for _, i := range idx {
-		out.AppendClass(d.Sample(i), d.Y[i])
-	}
-	return out
-}
-
 // Merge returns a new dataset concatenating all inputs, which must share
-// Dim and NumClasses.
+// Dim and NumClasses. It is sized once, so every row is copied once; the
+// inputs may be views (see Split).
 func Merge(parts ...*Dataset) *Dataset {
 	if len(parts) == 0 {
 		panic("data: Merge of nothing")
@@ -83,7 +75,11 @@ func Merge(parts ...*Dataset) *Dataset {
 
 // Split randomly partitions the dataset into train/test with the given
 // training fraction (the paper uses 0.75). The split is deterministic given
-// the seed.
+// the seed. It copies nothing: it reorders the receiver's rows in place
+// (row i becomes the old row perm[i] of randx.New(seed).Perm(n)) and
+// returns its first cut rows as train and the rest as test, both views of
+// the receiver. Each view's capacity ends at its last row, so an append to
+// either reallocates instead of overwriting the other.
 func (d *Dataset) Split(trainFrac float64, seed int64) (train, test *Dataset) {
 	n := d.N()
 	perm := randx.New(seed).Perm(n)
@@ -94,5 +90,35 @@ func (d *Dataset) Split(trainFrac float64, seed int64) (train, test *Dataset) {
 	if cut > n {
 		cut = n
 	}
-	return d.Subset(perm[:cut]), d.Subset(perm[cut:])
+	// Follow each cycle of perm once, carrying its first row in row; a
+	// placed row is marked -1.
+	row := make([]float64, d.Dim)
+	for s, k := range perm {
+		if k < 0 || k == s {
+			continue
+		}
+		copy(row, d.Sample(s))
+		y := d.Y[s]
+		j := s
+		for k != s {
+			copy(d.Sample(j), d.Sample(k))
+			d.Y[j] = d.Y[k]
+			perm[j] = -1
+			j, k = k, perm[k]
+		}
+		copy(d.Sample(j), row)
+		d.Y[j] = y
+		perm[j] = -1
+	}
+	return d.view(0, cut), d.view(cut, n)
+}
+
+// view returns rows [lo, hi) of d, aliased, with capacity capped at hi.
+func (d *Dataset) view(lo, hi int) *Dataset {
+	return &Dataset{
+		Dim:        d.Dim,
+		NumClasses: d.NumClasses,
+		X:          d.X[lo*d.Dim : hi*d.Dim : hi*d.Dim],
+		Y:          d.Y[lo:hi:hi],
+	}
 }

@@ -2,9 +2,12 @@ package data
 
 import (
 	"math"
+	"math/rand"
+	"runtime"
 
 	"fedproxvr/internal/mathx"
 	"fedproxvr/internal/randx"
+	"fedproxvr/internal/tensor"
 )
 
 // SyntheticConfig parametrizes the Synthetic(α, β) heterogeneous dataset of
@@ -36,7 +39,13 @@ type SyntheticConfig struct {
 
 // GenerateSynthetic builds the federated Synthetic(α, β) dataset: one shard
 // per device, each drawn from that device's own model, plus nothing shared.
-// The result is deterministic given cfg.Seed.
+// The result is deterministic given cfg.Seed. The sizes are drawn first, on
+// the root stream; then every device is one task of a fan-out over the
+// process-wide helper pool and draws only from its own stream
+// (randx.NewStream(cfg.Seed, k+1)) into its own shard, so the shards are
+// the same bits at any GOMAXPROCS. When no helper is parked (called from
+// inside another fan-out's task, say) it generates every device on its
+// caller.
 func GenerateSynthetic(cfg SyntheticConfig) *Partition {
 	if cfg.NumDevices <= 0 || cfg.Dim <= 0 || cfg.NumClasses <= 1 {
 		panic("data: invalid SyntheticConfig")
@@ -50,36 +59,64 @@ func GenerateSynthetic(cfg SyntheticConfig) *Partition {
 		sigma[j] = math.Pow(float64(j+1), -0.6) // stddev = sqrt(j^-1.2)
 	}
 
-	p := &Partition{Clients: make([]*Dataset, cfg.NumDevices)}
-	logits := make([]float64, cfg.NumClasses)
-	for k := 0; k < cfg.NumDevices; k++ {
-		rng := randx.NewStream(cfg.Seed, int64(k)+1)
-
-		uk := math.Sqrt(cfg.Alpha) * rng.NormFloat64()
-		bk := math.Sqrt(cfg.Beta) * rng.NormFloat64()
-
-		// Device model.
-		w := make([]float64, cfg.NumClasses*cfg.Dim)
-		randx.NormalVec(rng, w, uk, 1)
-		b := make([]float64, cfg.NumClasses)
-		randx.NormalVec(rng, b, uk, 1)
-
-		// Device feature mean.
-		v := make([]float64, cfg.Dim)
-		randx.NormalVec(rng, v, bk, 1)
-
-		shard := New(cfg.Dim, cfg.NumClasses, sizes[k])
-		x := make([]float64, cfg.Dim)
-		for i := 0; i < sizes[k]; i++ {
-			for j := range x {
-				x[j] = v[j] + sigma[j]*rng.NormFloat64()
-			}
-			for c := 0; c < cfg.NumClasses; c++ {
-				logits[c] = b[c] + mathx.Dot(w[c*cfg.Dim:(c+1)*cfg.Dim], x)
-			}
-			shard.AppendClass(x, mathx.ArgMax(logits))
-		}
-		p.Clients[k] = shard
+	// Every shard's rows are cut from one allocation for all of them.
+	total := 0
+	for _, n := range sizes {
+		total += n
 	}
+	xs, ys := make([]float64, total*cfg.Dim), make([]int, total)
+	p := &Partition{Clients: make([]*Dataset, cfg.NumDevices)}
+	for k, n := range sizes {
+		p.Clients[k] = &Dataset{Dim: cfg.Dim, NumClasses: cfg.NumClasses, X: xs[: n*cfg.Dim : n*cfg.Dim], Y: ys[:n:n]}
+		xs, ys = xs[n*cfg.Dim:], ys[n:]
+	}
+	workers := runtime.GOMAXPROCS(0)
+	slots := make([]*syntheticScratch, workers)
+	var fan tensor.Fan
+	fan.Run(cfg.NumDevices, workers, func(slot, k int) {
+		sc := slots[slot]
+		if sc == nil {
+			sc = &syntheticScratch{
+				rng:    randx.New(0),
+				w:      make([]float64, cfg.NumClasses*cfg.Dim),
+				b:      make([]float64, cfg.NumClasses),
+				v:      make([]float64, cfg.Dim),
+				logits: make([]float64, cfg.NumClasses),
+			}
+			slots[slot] = sc
+		}
+		// Reseeded, the slot's generator draws what randx.NewStream(cfg.Seed, k+1) would.
+		sc.rng.Seed(randx.DeriveSeed(cfg.Seed, int64(k)+1))
+		sc.fill(p.Clients[k], cfg, sigma)
+	})
 	return p
+}
+
+// syntheticScratch is one pool slot's generator and device-model memory,
+// reused by every device the slot generates.
+type syntheticScratch struct {
+	rng     *rand.Rand
+	w, b, v []float64 // device model W_k, b_k and feature mean v_k
+	logits  []float64
+}
+
+// fill draws a device's model and feature mean from sc.rng, then the
+// device's samples, written straight into shard's rows.
+func (sc *syntheticScratch) fill(shard *Dataset, cfg SyntheticConfig, sigma []float64) {
+	rng := sc.rng
+	uk := math.Sqrt(cfg.Alpha) * rng.NormFloat64()
+	bk := math.Sqrt(cfg.Beta) * rng.NormFloat64()
+	randx.NormalVec(rng, sc.w, uk, 1)
+	randx.NormalVec(rng, sc.b, uk, 1)
+	randx.NormalVec(rng, sc.v, bk, 1)
+	for i := range shard.Y {
+		x := shard.Sample(i)
+		for j := range x {
+			x[j] = sc.v[j] + sigma[j]*rng.NormFloat64()
+		}
+		for c := range sc.logits {
+			sc.logits[c] = sc.b[c] + mathx.Dot(sc.w[c*cfg.Dim:(c+1)*cfg.Dim], x)
+		}
+		shard.Y[i] = mathx.ArgMax(sc.logits)
+	}
 }

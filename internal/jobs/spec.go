@@ -100,7 +100,15 @@ func (s Spec) withDefaults() Spec {
 }
 
 // Validate rejects specs the manager cannot run. Called on the defaulted
-// spec (Submit normalizes first).
+// spec (Submit normalizes first). It generates no data and builds no
+// engine, so a submission costs a few checks under the manager's lock.
+// It refuses what building the run would: the dataset and model names and
+// the sample count (clisetup.CheckTask, which for an image dataset also
+// finds a label the hold-out leaves without a training sample), and the
+// algorithm and its numbers (clisetup.Config and engine.Config's
+// Validate). One refusal waits for the run: η = 1/(βL) takes the
+// smoothness constant L from the data, so a β so large that βL
+// overflows (η = 0) fails the job when it first runs.
 func (s *Spec) Validate() error {
 	if !idPattern.MatchString(s.ID) {
 		return fmt.Errorf("jobs: id %q must match %s", s.ID, idPattern)
@@ -117,11 +125,31 @@ func (s *Spec) Validate() error {
 	if s.CheckpointEvery < 1 {
 		return fmt.Errorf("jobs: checkpoint_every must be ≥ 1, got %d", s.CheckpointEvery)
 	}
-	// The task/config builders validate the rest (dataset, model, alg,
-	// fractions) — build them once here so a bad spec is rejected at
-	// submission, not when the scheduler first dequeues the job.
-	_, err := s.runner()
-	return err
+	if err := clisetup.CheckTask(s.Dataset, s.Model, s.Devices, s.Samples, 1, s.Seed); err != nil {
+		return fmt.Errorf("jobs: %w", err)
+	}
+	cfg, err := s.config(1)
+	if err != nil {
+		return err
+	}
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("jobs: %w", err)
+	}
+	return nil
+}
+
+// config builds the job's engine configuration for a task of smoothness
+// constant l.
+func (s *Spec) config(l float64) (engine.Config, error) {
+	cfg, err := clisetup.Config(s.Alg, s.Beta, l, s.Mu, s.Tau, s.Batch, s.Rounds)
+	if err != nil {
+		return engine.Config{}, fmt.Errorf("jobs: %w", err)
+	}
+	cfg.Name = s.ID
+	cfg.Seed = s.Seed
+	cfg.ClientFraction = s.ClientFraction
+	cfg.DropoutProb = s.DropoutProb
+	return cfg, nil
 }
 
 // runner builds the job's private in-process run: its own task (devices,
@@ -133,15 +161,11 @@ func (s *Spec) runner() (*fedproxvr.Runner, error) {
 	if err != nil {
 		return nil, fmt.Errorf("jobs: %w", err)
 	}
-	cfg, err := clisetup.Config(s.Alg, s.Beta, task.L, s.Mu, s.Tau, s.Batch, s.Rounds)
+	cfg, err := s.config(task.L)
 	if err != nil {
-		return nil, fmt.Errorf("jobs: %w", err)
+		return nil, err
 	}
-	cfg.Name = s.ID
-	cfg.Seed = s.Seed
 	cfg.Test = task.Test
-	cfg.ClientFraction = s.ClientFraction
-	cfg.DropoutProb = s.DropoutProb
 	r, err := fedproxvr.NewRunner(task, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("jobs: %w", err)

@@ -12,9 +12,14 @@
 // state-wise the aborted attempt is a full-cohort dropout of that round,
 // and the re-run after recovery replays it identically.
 //
-// Admission is capped at Options.MaxJobs live jobs; a submission past the
-// cap is refused with ErrSaturated, which the HTTP API answers with 429
-// and Retry-After: 1.
+// Submit checks a spec without generating its data or building its
+// engine (Spec.Validate): the ID, the round, device, quorum and
+// checkpoint counts, the dataset, model and algorithm names, the numbers
+// the task and engine builders refuse, and, for an image dataset, that
+// the hold-out leaves every label a training sample. The job generates
+// its data once, when it first runs. Admission is capped at
+// Options.MaxJobs live jobs; a submission past the cap is refused with
+// ErrSaturated, which the HTTP API answers with 429 and Retry-After: 1.
 package jobs
 
 import (

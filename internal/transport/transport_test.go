@@ -186,7 +186,8 @@ func TestCoordinatorGapUnmeasured(t *testing.T) {
 
 func TestCoordinatorWeights(t *testing.T) {
 	p := testPartition(3, 10, 2, 2, 2)
-	p.Clients[0] = p.Clients[0].Subset([]int{0, 1, 2, 3, 4}) // size 5
+	c0 := p.Clients[0]
+	c0.X, c0.Y = c0.X[:5*c0.Dim], c0.Y[:5] // size 5
 	m := models.NewSoftmax(2, 2, 0)
 	c, wg := launchTwoPhase(t, p, m, 7)
 	defer c.Close()

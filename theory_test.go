@@ -19,13 +19,14 @@ func TestEstimateSigmaBar2OrdersHeterogeneity(t *testing.T) {
 	// Homogeneous: every device holds IID copies of the same mixture.
 	homoP, _ := blobPartition(6, 80, 4, 4, 30)
 	// Re-partition so every device sees all labels (IID-ize): equal shards
-	// of one random permutation.
-	merged := data.Merge(homoP.Clients...)
-	n := merged.N()
-	perm := randx.New(31).Perm(n)
+	// of one random permutation (a Split that keeps every row shuffles
+	// them in place).
+	shuffled, _ := data.Merge(homoP.Clients...).Split(1, 31)
+	n, dim := shuffled.N(), shuffled.Dim
 	iid := &data.Partition{Clients: make([]*data.Dataset, 6)}
 	for k := range iid.Clients {
-		iid.Clients[k] = merged.Subset(perm[k*n/6 : (k+1)*n/6])
+		lo, hi := k*n/6, (k+1)*n/6
+		iid.Clients[k] = &data.Dataset{Dim: dim, NumClasses: shuffled.NumClasses, X: shuffled.X[lo*dim : hi*dim], Y: shuffled.Y[lo:hi]}
 	}
 	homo := EstimateSigmaBar2(m, iid, 4, 0.5, rng)
 
