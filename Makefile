@@ -17,8 +17,11 @@ build:
 
 # loc prints the non-test and test Go lines of every package (one directory
 # each) and its exported identifiers (the line count of `go doc -short`,
-# zero for a command), with totals — the before/after numbers a design
-# change reports. bench/ is its own module and is left out.
+# zero for a command), with totals, then the flag definitions of every
+# command (each flag.Bool, flag.StringVar, flag.Var, flag.Func, … call in
+# its non-test files) — the before/after numbers a design change reports.
+# bench/ is its own module and is left out.
+FLAG_DEF := flag\.((Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Text)(Var)?|Var|Func|BoolFunc)\(
 loc:
 	@find . -path ./bench -prune -o -name '*.go' -print | xargs wc -l | awk ' \
 		$$2 == "total" { next } \
@@ -28,6 +31,11 @@ loc:
 		      for (d in seen) { cmd = "$(GO) doc -short ./" d " 2>/dev/null | wc -l"; cmd | getline e; close(cmd); et += e; \
 		        printf "%-24s %8d %8d %8d\n", d, n[d], t[d], e | "sort" }; close("sort"); \
 		      printf "%-24s %8d %8d %8d\n", "total", nt, tt, et }'
+	@printf '\n%-24s %8s\n' command flags; t=0; \
+	for d in cmd/*/; do \
+		n=$$(ls $$d*.go | grep -v '_test\.go$$' | xargs cat | grep -v '^[[:space:]]*//' | grep -oE '$(FLAG_DEF)' | wc -l); \
+		t=$$((t + n)); printf '%-24s %8d\n' "$${d%/}" $$n; \
+	done; printf '%-24s %8d\n' total $$t
 
 test:
 	$(GO) test $(TESTFLAGS) ./...

@@ -236,7 +236,7 @@ func benchEstimator(b *testing.B, est optim.Estimator) {
 		randx.NormalVec(rng, x, 0, 1)
 		ds.AppendClass(x, i%10)
 	}
-	m := models.NewSoftmax(60, 10, 0)
+	m := models.NewSoftmax(60, 10)
 	s, sc := optim.NewSolver(m), new(optim.Scratch)
 	anchor := make([]float64, m.Dim())
 	out := make([]float64, m.Dim())
@@ -262,7 +262,7 @@ func benchReturn(b *testing.B, ret optim.ReturnPolicy) {
 		randx.NormalVec(rng, x, 0, 1)
 		ds.AppendClass(x, i%10)
 	}
-	m := models.NewSoftmax(60, 10, 0)
+	m := models.NewSoftmax(60, 10)
 	s, sc := optim.NewSolver(m), new(optim.Scratch)
 	anchor := make([]float64, m.Dim())
 	out := make([]float64, m.Dim())

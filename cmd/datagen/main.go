@@ -33,8 +33,7 @@ func main() {
 	switch *dataset {
 	case "synthetic":
 		part := data.GenerateSynthetic(data.SyntheticConfig{
-			NumDevices: *devices, Dim: 60, NumClasses: 10,
-			Alpha: *alpha, Beta: *beta,
+			NumDevices: *devices, Alpha: *alpha, Beta: *beta,
 			MinSamples: 37, MaxSamples: 3277, Seed: *seed,
 		})
 		if *stats {
@@ -58,8 +57,7 @@ func main() {
 		}
 		if *stats {
 			part, err := data.PartitionByLabel(ds, data.PartitionConfig{
-				NumDevices: *devices, LabelsPerDevice: 2,
-				MinSamples: 40, MaxSamples: 400, Seed: *seed,
+				NumDevices: *devices, MinSamples: 40, MaxSamples: 400, Seed: *seed,
 			})
 			if err != nil {
 				fatal(err)

@@ -72,7 +72,6 @@ func main() {
 		jobLease   = flag.String("job", "", "lease this coordinator to one job ID; workers must present the same lease in their Hello")
 		jobEpoch   = flag.Int64("lease-epoch", 0, "lease epoch handed out with -job; a worker presenting a stale epoch is rejected and told the current lease")
 		telRounds  = flag.Int("telemetry-rounds", 512, "per-job telemetry ring size in rounds (with -state-dir; 0 disables convergence telemetry)")
-		dash       = flag.Bool("dash", true, "serve the live convergence dashboard at /dash on the admin endpoint (with -state-dir and telemetry on)")
 		lossRising = flag.Int("alert-loss-rising", 3, "fire loss_rising after this many consecutive train-loss rises (negative = off)")
 		gradEps    = flag.Float64("alert-grad-eps", 0, "grad_norm_stall floor ε: alert when ‖∇f‖² plateaus above it (0 = off)")
 		gradStall  = flag.Int("alert-grad-stall", 5, "rounds of ‖∇f‖² plateau above -alert-grad-eps before grad_norm_stall fires")
@@ -93,7 +92,7 @@ func main() {
 				},
 			})
 		}
-		runJobsMode(*stateDir, *admin, *maxJobs, *slots, hub, *dash)
+		runJobsMode(*stateDir, *admin, *maxJobs, *slots, hub)
 		return
 	}
 	codec, err := transport.ParseCodec(*codecStr)
@@ -305,7 +304,7 @@ func main() {
 // finish, checkpoints are fsynced, running jobs yield back to PENDING — and
 // the process exits 0; a later incarnation (epoch bumped) resumes every
 // non-terminal job at its last completed round, bit-identical.
-func runJobsMode(stateDir, adminAddr string, maxJobs, slots int, hub *telemetry.Hub, dash bool) {
+func runJobsMode(stateDir, adminAddr string, maxJobs, slots int, hub *telemetry.Hub) {
 	if adminAddr == "" {
 		fatal(fmt.Errorf("-state-dir needs -admin (the /jobs API is served on the admin endpoint)"))
 	}
@@ -321,12 +320,9 @@ func runJobsMode(stateDir, adminAddr string, maxJobs, slots int, hub *telemetry.
 		extra = append(extra, hub)
 		telAPI := hub.Handler()
 		mounts["/api/v1/"] = telAPI
-		endpoints += ", /api/v1/jobs"
-		if dash {
-			mounts["/dash"] = telAPI
-			mounts["/dash/"] = telAPI
-			endpoints += ", /dash"
-		}
+		mounts["/dash"] = telAPI
+		mounts["/dash/"] = telAPI
+		endpoints += ", /api/v1/jobs, /dash"
 	}
 	ln, err := net.Listen("tcp", adminAddr)
 	if err != nil {

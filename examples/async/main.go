@@ -45,14 +45,7 @@ func main() {
 	}
 
 	// Asynchronous runtime.
-	asyncCfg := async.Config{
-		Name:           "async",
-		Local:          local,
-		Updates:        150 * devices,
-		Alpha0:         0.6,
-		StalenessPower: 0.5,
-		Seed:           17,
-	}
+	asyncCfg := async.Config{Local: local, Updates: 150 * devices, Seed: 17}
 	ar, err := async.NewRunner(task.Model, task.Part, fleet, asyncCfg)
 	if err != nil {
 		log.Fatal(err)

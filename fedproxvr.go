@@ -115,7 +115,6 @@ type SyntheticOptions struct {
 	Beta       float64 // feature heterogeneity, default 1
 	MinSamples int     // default 37 (paper range)
 	MaxSamples int     // default 3277
-	L2         float64 // optional regularization
 	Seed       int64
 }
 
@@ -141,8 +140,6 @@ func SyntheticTask(o SyntheticOptions) Task {
 	}
 	cfg := data.SyntheticConfig{
 		NumDevices: o.Devices,
-		Dim:        60,
-		NumClasses: 10,
 		Alpha:      o.Alpha,
 		Beta:       o.Beta,
 		MinSamples: o.MinSamples,
@@ -152,7 +149,7 @@ func SyntheticTask(o SyntheticOptions) Task {
 	part := data.GenerateSynthetic(cfg)
 	train, test := splitPartition(part, 0.75, o.Seed)
 	return Task{
-		Model: models.NewSoftmax(60, 10, o.L2),
+		Model: models.NewSoftmax(60, 10),
 		Part:  train,
 		Test:  test,
 		L:     estimateSoftmaxL(train),
@@ -175,10 +172,8 @@ type ImageOptions struct {
 	Style           ImageStyle
 	Devices         int // default 100 for ImageTask (convex), 10 for CNNTask
 	SamplesPerClass int // total per class before the split; default 300
-	LabelsPerDevice int // default 2 (paper)
 	MinSamples      int // default 40
 	MaxSamples      int // default 400
-	L2              float64
 	Seed            int64
 }
 
@@ -192,7 +187,7 @@ func ImageTask(o ImageOptions) (Task, error) {
 		return Task{}, err
 	}
 	return Task{
-		Model: models.NewSoftmax(data.ImageDim, imageClasses, o.L2),
+		Model: models.NewSoftmax(data.ImageDim, imageClasses),
 		Part:  part,
 		Test:  test,
 		L:     estimateSoftmaxL(part),
@@ -213,7 +208,7 @@ func CNNTask(o ImageOptions, widthDivisor int) (Task, error) {
 	if err != nil {
 		return Task{}, err
 	}
-	m := models.NewPaperCNN(imageClasses, widthDivisor, o.L2)
+	m := models.NewPaperCNN(imageClasses, widthDivisor)
 	w0 := make([]float64, m.Dim())
 	m.InitParams(randx.NewStream(o.Seed, 31), w0)
 	return Task{
@@ -244,15 +239,14 @@ func imageData(o ImageOptions) (*Partition, *Dataset, error) {
 	if err := o.Validate(); err != nil {
 		return nil, nil, err
 	}
-	gen := data.NewImageGenerator(data.ImageConfig{Style: o.Style, NumClasses: imageClasses, Seed: o.Seed})
+	gen := data.NewImageGenerator(data.ImageConfig{Style: o.Style, Seed: o.Seed})
 	full := gen.Generate(o.SamplesPerClass*imageClasses, 0)
 	train, test := full.Split(imageTrainFrac, o.splitSeed())
 	part, err := data.PartitionByLabel(train, data.PartitionConfig{
-		NumDevices:      o.Devices,
-		LabelsPerDevice: o.LabelsPerDevice,
-		MinSamples:      o.MinSamples,
-		MaxSamples:      o.MaxSamples,
-		Seed:            o.Seed + 2,
+		NumDevices: o.Devices,
+		MinSamples: o.MinSamples,
+		MaxSamples: o.MaxSamples,
+		Seed:       o.Seed + 2,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -263,8 +257,8 @@ func imageData(o ImageOptions) (*Partition, *Dataset, error) {
 func (o ImageOptions) splitSeed() int64 { return o.Seed + 1 }
 
 // Validate returns the error ImageTask and CNNTask give for o, without
-// generating an image: a negative count, a labels-per-device count
-// outside [1, 10], or a label none of whose rows survives the hold-out.
+// generating an image: a negative count, or a label none of whose rows
+// survives the hold-out.
 // Which rows are held out depends only on the corpus size and the seed,
 // and a row's label only on its index, so no pixel is needed.
 func (o ImageOptions) Validate() error {
@@ -274,9 +268,6 @@ func (o ImageOptions) Validate() error {
 	}
 	if o.Devices < 0 {
 		return fmt.Errorf("fedproxvr: Devices must be ≥ 0 (0 = default), got %d", o.Devices)
-	}
-	if o.LabelsPerDevice < 0 || o.LabelsPerDevice > imageClasses {
-		return fmt.Errorf("fedproxvr: LabelsPerDevice %d outside [1,%d] (0 = default)", o.LabelsPerDevice, imageClasses)
 	}
 	n := o.SamplesPerClass * imageClasses
 	var kept [imageClasses]bool
@@ -297,9 +288,6 @@ func imageDefaults(o ImageOptions) ImageOptions {
 	}
 	if o.SamplesPerClass == 0 {
 		o.SamplesPerClass = 300
-	}
-	if o.LabelsPerDevice == 0 {
-		o.LabelsPerDevice = 2
 	}
 	if o.MinSamples == 0 {
 		o.MinSamples = 40

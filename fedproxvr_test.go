@@ -20,7 +20,6 @@ func microScale() Scale {
 		TableRounds:     8,
 		CNNWidthDiv:     16,
 		CNNRounds:       6,
-		Parallel:        true,
 		Seed:            2020,
 	}
 }

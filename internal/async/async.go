@@ -10,7 +10,9 @@
 //	w̄ ← (1−α)·w̄ + α·w_n,   α = α₀ · (1 + staleness)^(−p),
 //
 // where staleness counts how many server updates happened since the device
-// pulled its anchor (FedAsync-style polynomial decay). Device timing comes
+// pulled its anchor (FedAsync-style polynomial decay, α₀ = 0.6, p = 0.5).
+// The server measures the global objective every Updates/50 applied
+// updates (at least every one) and after the last. Device timing comes
 // from a simnet.Fleet, so async and sync runs are comparable on the same
 // simulated clock — the straggler-tolerance experiment in EXPERIMENTS.md
 // uses exactly that comparison.
@@ -32,27 +34,18 @@ import (
 
 // Config parametrizes an asynchronous run.
 type Config struct {
-	Name  string
 	Local optim.LocalConfig
 	// Updates is the total number of device updates the server applies
 	// (the async analogue of T·N).
 	Updates int
-	// Alpha0 is the base mixing rate α₀ ∈ (0, 1].
-	Alpha0 float64
-	// StalenessPower is the polynomial decay exponent p ≥ 0 (0 disables
-	// staleness damping).
-	StalenessPower float64
-	// EvalEvery measures the global objective every k applied updates
-	// (default: Updates/50, at least 1).
-	EvalEvery int
-	// DropoutProb is the probability that a finished device computation is
-	// lost before reaching the server (battery, network loss); the device
-	// just pulls a fresh anchor and retries. Failure draws come from the
-	// same server-stream primitive as the synchronous engine
-	// (engine.Dropped). 0 disables failure injection.
-	DropoutProb float64
-	Seed        int64
+	Seed    int64
 }
+
+// The mixing rule: base rate α₀ and staleness decay exponent p.
+const (
+	alpha0         = 0.6
+	stalenessPower = 0.5
+)
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
@@ -61,15 +54,6 @@ func (c Config) Validate() error {
 	}
 	if c.Updates < 1 {
 		return fmt.Errorf("async: Updates must be ≥ 1, got %d", c.Updates)
-	}
-	if c.Alpha0 <= 0 || c.Alpha0 > 1 {
-		return fmt.Errorf("async: Alpha0 must be in (0,1], got %v", c.Alpha0)
-	}
-	if c.StalenessPower < 0 {
-		return fmt.Errorf("async: StalenessPower must be ≥ 0, got %v", c.StalenessPower)
-	}
-	if c.DropoutProb < 0 || c.DropoutProb >= 1 {
-		return fmt.Errorf("async: DropoutProb must be in [0,1), got %v", c.DropoutProb)
 	}
 	return nil
 }
@@ -92,7 +76,6 @@ type Runner struct {
 	scratch optim.Scratch // the loop solves one dispatch at a time
 	rngs    []*rand.Rand  // per-client minibatch streams
 	weights []float64
-	server  *rand.Rand // failure-injection stream
 
 	w       []float64
 	version int
@@ -115,19 +98,12 @@ func NewRunner(m models.Model, part *data.Partition, fleet *simnet.Fleet, cfg Co
 		return nil, fmt.Errorf("async: fleet has %d profiles for %d devices",
 			len(fleet.Profiles), len(part.Clients))
 	}
-	if cfg.EvalEvery == 0 {
-		cfg.EvalEvery = cfg.Updates / 50
-	}
-	if cfg.EvalEvery < 1 {
-		cfg.EvalEvery = 1
-	}
 	r := &Runner{
 		cfg:     cfg,
 		part:    part,
 		fleet:   fleet,
 		weights: part.Weights(),
 		solver:  optim.NewSolver(m),
-		server:  randx.NewStream(cfg.Seed, 1),
 		w:       make([]float64, m.Dim()),
 	}
 	r.eval = &engine.Evaluator{Model: m.Clone(), Clients: part.Clients, Weights: r.weights}
@@ -172,7 +148,7 @@ func (r *Runner) popEarliest() pending {
 // Run executes the event loop until cfg.Updates device updates have been
 // applied, returning the time-stamped loss trajectory.
 func (r *Runner) Run() (*simnet.TimedSeries, error) {
-	out := &simnet.TimedSeries{Name: r.cfg.Name}
+	out := &simnet.TimedSeries{Name: "async"}
 	measure := func() {
 		out.Points = append(out.Points, simnet.TimedPoint{
 			Time: r.now,
@@ -184,6 +160,7 @@ func (r *Runner) Run() (*simnet.TimedSeries, error) {
 			},
 		})
 	}
+	every := max(1, r.cfg.Updates/50)
 	for id := range r.part.Clients {
 		r.dispatch(id)
 	}
@@ -191,14 +168,8 @@ func (r *Runner) Run() (*simnet.TimedSeries, error) {
 	for r.version < r.cfg.Updates {
 		p := r.popEarliest()
 		r.now = p.finishAt
-		if engine.Dropped(r.server, r.cfg.DropoutProb) {
-			// The report was lost in flight: discard it and let the device
-			// pull a fresh anchor.
-			r.dispatch(p.device)
-			continue
-		}
 		staleness := r.version - p.pulledVer
-		alpha := r.cfg.Alpha0 * math.Pow(1+float64(staleness), -r.cfg.StalenessPower)
+		alpha := alpha0 * math.Pow(1+float64(staleness), -stalenessPower)
 		// Weight by device data share relative to the mean share so the
 		// expected aggregate matches the synchronous weighted average.
 		alpha *= r.weights[p.device] * float64(len(r.part.Clients))
@@ -209,7 +180,7 @@ func (r *Runner) Run() (*simnet.TimedSeries, error) {
 			r.w[i] = (1-alpha)*r.w[i] + alpha*p.local[i]
 		}
 		r.version++
-		if r.version%r.cfg.EvalEvery == 0 || r.version == r.cfg.Updates {
+		if r.version%every == 0 || r.version == r.cfg.Updates {
 			measure()
 		}
 		r.dispatch(p.device)

@@ -201,7 +201,7 @@ func assertModelEqual(t *testing.T, name string, got, want []float64) {
 // fault is schedule-decided and determinism is exact.
 func TestChaosConformance(t *testing.T) {
 	p := testPartition(4, 30, 3, 3, 1)
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	cfg := chaosConfig(8, 42)
 	sched := &chaos.Schedule{
 		Seed: 2020,
@@ -269,7 +269,7 @@ func TestChaosConformance(t *testing.T) {
 // the full delay.
 func TestChaosStragglerCutInProcess(t *testing.T) {
 	p := testPartition(3, 20, 3, 3, 2)
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	cfg := chaosConfig(4, 7)
 	cfg.RoundDeadline = 150 * time.Millisecond
 	sched := &chaos.Schedule{
@@ -342,7 +342,7 @@ func TestChaosDelayOnQuorumCutDevice(t *testing.T) {
 	// devices' whole round, so the quorum always cuts it, and its abandoned
 	// solve is still running when the next round dispatches.
 	p.Clients[2] = testPartition(3, 400000, 3, 3, 4).Clients[2]
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	cfg := chaosConfig(2, 9)
 	cfg.MinReport = 2
 	sched := &chaos.Schedule{
@@ -381,7 +381,7 @@ func TestChaosDelayOnQuorumCutDevice(t *testing.T) {
 // next round.
 func TestChaosTCPStragglerDeadline(t *testing.T) {
 	p := testPartition(3, 20, 3, 3, 3)
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	cfg := chaosConfig(4, 11)
 	cfg.RoundDeadline = 200 * time.Millisecond
 	sched := &chaos.Schedule{
@@ -458,7 +458,7 @@ func TestChaosSoak(t *testing.T) {
 		rounds = 6
 	}
 	p := testPartition(5, 24, 3, 3, 4)
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	cfg := chaosConfig(rounds, 13)
 	sched, err := chaos.Generate(chaos.GenConfig{
 		Seed: 99, Devices: 5, Rounds: rounds,

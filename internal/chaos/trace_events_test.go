@@ -17,7 +17,7 @@ import (
 
 func TestChaosTraceEvents(t *testing.T) {
 	p := testPartition(3, 20, 3, 3, 2)
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	cfg := chaosConfig(4, 7)
 	cfg.RoundDeadline = 150 * time.Millisecond
 	sched := &chaos.Schedule{

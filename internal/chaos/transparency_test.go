@@ -50,7 +50,7 @@ var backends = map[string]func(t *testing.T, devices []*engine.Device, cfg engin
 // exactly the three that reported carry a ClientStat.
 func TestChaosRoundKeepsEveryClientStat(t *testing.T) {
 	p := testPartition(4, 20, 3, 3, 3)
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	cfg := chaosConfig(2, 11)
 	sched := &chaos.Schedule{Seed: 1, Events: []chaos.Event{
 		{Device: 1, Round: 2, Kind: chaos.Delay, DelayMS: 1},
@@ -112,7 +112,7 @@ func clientIDs(rs obs.RoundStats) []int {
 func TestDecoratorTransparency(t *testing.T) {
 	const devices = 4
 	p := testPartition(devices, 20, 3, 3, 5)
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	fleet := simnet.NewUniformFleet(devices, simnet.DeviceProfile{ComputePerIter: 0.01, Uplink: 0.1, Downlink: 0.05}, 9)
 	empty := &chaos.Schedule{Seed: 1}
 

@@ -30,7 +30,7 @@ func fixture(t *testing.T, rounds int) (*engine.Engine, models.Model, *data.Part
 		}
 		p.Clients[k] = ds
 	}
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	cfg := engine.FedProxVR(optim.SARAH, 5, 1, 0.1, 5, 8, rounds)
 	cfg.Seed = 2
 	r, _, err := engine.NewInProcess(m, p, cfg, nil)

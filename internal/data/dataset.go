@@ -4,6 +4,9 @@
 // MNIST-like image generator, and a procedural Fashion-MNIST-like generator
 // (substitutes for the real image corpora, which are not available offline;
 // see DESIGN.md §2), plus an IDX writer that exports the generated images.
+// Each generator and the label-skew partition has the one shape the paper
+// uses, fixed as constants: Synthetic(α, β) at 60 features and 10 classes,
+// 10-class images, and two labels per device.
 package data
 
 import (

@@ -13,10 +13,7 @@ import (
 )
 
 func TestGenerateSyntheticShapes(t *testing.T) {
-	cfg := SyntheticConfig{
-		NumDevices: 20, Dim: 60, NumClasses: 10,
-		Alpha: 1, Beta: 1, MinSamples: 37, MaxSamples: 500, Seed: 1,
-	}
+	cfg := SyntheticConfig{NumDevices: 20, Alpha: 1, Beta: 1, MinSamples: 37, MaxSamples: 500, Seed: 1}
 	p := GenerateSynthetic(cfg)
 	if len(p.Clients) != 20 {
 		t.Fatalf("%d clients", len(p.Clients))
@@ -42,8 +39,7 @@ func TestGenerateSyntheticShapes(t *testing.T) {
 }
 
 func TestSyntheticDeterminism(t *testing.T) {
-	cfg := SyntheticConfig{NumDevices: 3, Dim: 10, NumClasses: 4,
-		Alpha: 0.5, Beta: 0.5, MinSamples: 20, MaxSamples: 30, Seed: 7}
+	cfg := SyntheticConfig{NumDevices: 3, Alpha: 0.5, Beta: 0.5, MinSamples: 20, MaxSamples: 30, Seed: 7}
 	p1 := GenerateSynthetic(cfg)
 	p2 := GenerateSynthetic(cfg)
 	for k := range p1.Clients {
@@ -55,38 +51,35 @@ func TestSyntheticDeterminism(t *testing.T) {
 	}
 }
 
-// Heterogeneity property: with large alpha/beta the per-device label
-// distributions should differ much more than with alpha=beta=0.
+// Heterogeneity property: with large alpha/beta the devices' feature
+// distributions differ much more than with alpha=beta=0. The statistic is
+// the variance across devices of a device's mean feature, which β sets
+// through B_k. (The label mix is no statistic here: at d = 60, C = 10 every
+// device's own W_k spreads it as much at α = β = 0 as at 2.)
 func TestSyntheticHeterogeneityKnob(t *testing.T) {
 	spread := func(alpha, beta float64) float64 {
-		cfg := SyntheticConfig{NumDevices: 30, Dim: 20, NumClasses: 5,
-			Alpha: alpha, Beta: beta, MinSamples: 200, MaxSamples: 200, Seed: 11}
+		cfg := SyntheticConfig{NumDevices: 30, Alpha: alpha, Beta: beta, MinSamples: 200, MaxSamples: 200, Seed: 11}
 		p := GenerateSynthetic(cfg)
-		// Average total-variation distance of device label dist to global.
-		global := make([]float64, 5)
-		for _, c := range p.Clients {
-			for _, y := range c.Y {
-				global[y]++
+		means := make([]float64, len(p.Clients))
+		for k, c := range p.Clients {
+			for _, v := range c.X {
+				means[k] += v
 			}
+			means[k] /= float64(len(c.X))
 		}
-		mathx.Scal(1/float64(p.TotalSamples()), global)
-		var tv float64
-		for _, c := range p.Clients {
-			local := make([]float64, 5)
-			for _, y := range c.Y {
-				local[y]++
-			}
-			mathx.Scal(1/float64(c.N()), local)
-			for j := range local {
-				tv += math.Abs(local[j] - global[j])
-			}
+		var mu, v float64
+		for _, m := range means {
+			mu += m / float64(len(means))
 		}
-		return tv / float64(len(p.Clients))
+		for _, m := range means {
+			v += (m - mu) * (m - mu)
+		}
+		return v / float64(len(means))
 	}
 	iid := spread(0, 0)
 	het := spread(2, 2)
-	if het <= iid {
-		t.Fatalf("heterogeneity knob ineffective: spread(2,2)=%v <= spread(0,0)=%v", het, iid)
+	if het <= 10*iid {
+		t.Fatalf("heterogeneity knob ineffective: spread(2,2)=%v <= 10·spread(0,0)=%v", het, 10*iid)
 	}
 }
 

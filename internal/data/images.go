@@ -25,35 +25,25 @@ const (
 
 // ImageConfig controls procedural image generation. The generator is a
 // documented substitution for the real MNIST / Fashion-MNIST corpora (see
-// DESIGN.md §2): each class owns Prototypes stroke/shape templates drawn
+// DESIGN.md §2): each of 10 classes owns 3 stroke/shape templates drawn
 // from a class-specific random stream; each sample perturbs one template
-// with translation, intensity jitter and pixel noise. This yields a
-// 10-class dataset with intra-class structure and inter-class separation —
-// the properties the paper's label-skew experiments rely on.
+// with a translation of up to 2 pixels, intensity jitter and pixel noise of
+// stddev 0.15. This yields a 10-class dataset with intra-class structure
+// and inter-class separation — the properties the paper's label-skew
+// experiments rely on.
 type ImageConfig struct {
-	Style      ImageStyle
-	NumClasses int     // default 10
-	Prototypes int     // templates per class, default 3
-	Noise      float64 // pixel noise stddev, default 0.15
-	MaxShift   int     // max |translation| in pixels, default 2
-	Seed       int64
+	Style ImageStyle
+	Seed  int64
 }
 
-func (c ImageConfig) withDefaults() ImageConfig {
-	if c.NumClasses == 0 {
-		c.NumClasses = 10
-	}
-	if c.Prototypes == 0 {
-		c.Prototypes = 3
-	}
-	if c.Noise == 0 {
-		c.Noise = 0.15
-	}
-	if c.MaxShift == 0 {
-		c.MaxShift = 2
-	}
-	return c
-}
+// The generator's shape: classes, templates per class, pixel noise stddev
+// and largest |translation| in pixels.
+const (
+	imageClasses    = 10
+	imagePrototypes = 3
+	imageNoise      = 0.15
+	imageMaxShift   = 2
+)
 
 // ImageGenerator produces samples on demand; templates are built once.
 type ImageGenerator struct {
@@ -64,12 +54,11 @@ type ImageGenerator struct {
 // NewImageGenerator builds the per-class templates deterministically from
 // cfg.Seed.
 func NewImageGenerator(cfg ImageConfig) *ImageGenerator {
-	cfg = cfg.withDefaults()
 	g := &ImageGenerator{cfg: cfg}
-	g.templates = make([][][]float64, cfg.NumClasses)
-	for c := 0; c < cfg.NumClasses; c++ {
-		g.templates[c] = make([][]float64, cfg.Prototypes)
-		for p := 0; p < cfg.Prototypes; p++ {
+	g.templates = make([][][]float64, imageClasses)
+	for c := 0; c < imageClasses; c++ {
+		g.templates[c] = make([][]float64, imagePrototypes)
+		for p := 0; p < imagePrototypes; p++ {
 			rng := randx.NewStream(cfg.Seed, int64(c)*1000+int64(p))
 			switch cfg.Style {
 			case StyleFashion:
@@ -86,10 +75,10 @@ func NewImageGenerator(cfg ImageConfig) *ImageGenerator {
 // deterministic given the generator's seed and the provided stream id.
 func (g *ImageGenerator) Generate(n int, stream int64) *Dataset {
 	rng := randx.NewStream(g.cfg.Seed, 1<<32+stream)
-	d := New(ImageDim, g.cfg.NumClasses, n)
+	d := New(ImageDim, imageClasses, n)
 	img := make([]float64, ImageDim)
 	for i := 0; i < n; i++ {
-		class := i % g.cfg.NumClasses
+		class := i % imageClasses
 		g.Sample(rng, class, img)
 		d.AppendClass(img, class)
 	}
@@ -103,8 +92,8 @@ func (g *ImageGenerator) Sample(rng *rand.Rand, class int, dst []float64) {
 		panic("data: Sample dst must have ImageDim elements")
 	}
 	tmpl := g.templates[class][rng.Intn(len(g.templates[class]))]
-	dx := rng.Intn(2*g.cfg.MaxShift+1) - g.cfg.MaxShift
-	dy := rng.Intn(2*g.cfg.MaxShift+1) - g.cfg.MaxShift
+	dx := rng.Intn(2*imageMaxShift+1) - imageMaxShift
+	dy := rng.Intn(2*imageMaxShift+1) - imageMaxShift
 	gain := 0.8 + 0.4*rng.Float64()
 	for y := 0; y < ImageSide; y++ {
 		for x := 0; x < ImageSide; x++ {
@@ -113,7 +102,7 @@ func (g *ImageGenerator) Sample(rng *rand.Rand, class int, dst []float64) {
 			if sy >= 0 && sy < ImageSide && sx >= 0 && sx < ImageSide {
 				v = tmpl[sy*ImageSide+sx]
 			}
-			v = v*gain + g.cfg.Noise*rng.NormFloat64()
+			v = v*gain + imageNoise*rng.NormFloat64()
 			if v < 0 {
 				v = 0
 			} else if v > 1 {

@@ -8,17 +8,22 @@ import (
 )
 
 // PartitionConfig controls the non-IID federated split used by the paper's
-// experiments: per-device sample counts drawn from a power law, and each
-// device restricted to LabelsPerDevice distinct labels ("each device
+// experiments: per-device sample counts drawn from a power law of exponent
+// 1.5, and each device restricted to two distinct labels ("each device
 // contains only two different labels over 10 labels").
 type PartitionConfig struct {
-	NumDevices      int
-	LabelsPerDevice int     // e.g. 2
-	MinSamples      int     // lower end of the per-device size range
-	MaxSamples      int     // upper end of the per-device size range
-	PowerLawAlpha   float64 // skew of the size distribution; 0 → default 1.5
-	Seed            int64
+	NumDevices int
+	MinSamples int // lower end of the per-device size range
+	MaxSamples int // upper end of the per-device size range
+	Seed       int64
 }
+
+// The paper's label skew: labels per device, and the power-law exponent of
+// the device sizes (the Synthetic(α, β) devices' sizes too).
+const (
+	labelsPerDevice = 2
+	sizePowerLaw    = 1.5
+)
 
 // Partition is a federated dataset: one shard per device.
 type Partition struct {
@@ -61,7 +66,7 @@ func (p *Partition) SizeRange() (min, max int) {
 }
 
 // PartitionByLabel splits a classification dataset across devices so that
-// each device sees only cfg.LabelsPerDevice labels and device sizes follow
+// each device sees only labelsPerDevice labels and device sizes follow
 // a power law. Samples of each label form a pool; devices draw from their
 // assigned labels' pools round-robin, wrapping (re-using samples) only when
 // a pool is exhausted, so small corpora still yield the requested sizes.
@@ -71,13 +76,6 @@ func PartitionByLabel(d *Dataset, cfg PartitionConfig) (*Partition, error) {
 	}
 	if cfg.NumDevices <= 0 {
 		return nil, fmt.Errorf("data: NumDevices must be positive, got %d", cfg.NumDevices)
-	}
-	if cfg.LabelsPerDevice <= 0 || cfg.LabelsPerDevice > d.NumClasses {
-		return nil, fmt.Errorf("data: LabelsPerDevice %d outside [1,%d]", cfg.LabelsPerDevice, d.NumClasses)
-	}
-	alpha := cfg.PowerLawAlpha
-	if alpha == 0 {
-		alpha = 1.5
 	}
 	rng := randx.New(cfg.Seed)
 
@@ -102,14 +100,14 @@ func PartitionByLabel(d *Dataset, cfg PartitionConfig) (*Partition, error) {
 		return i
 	}
 
-	sizes := randx.PowerLawSizes(rng, cfg.NumDevices, alpha, cfg.MinSamples, cfg.MaxSamples)
+	sizes := randx.PowerLawSizes(rng, cfg.NumDevices, sizePowerLaw, cfg.MinSamples, cfg.MaxSamples)
 
 	p := &Partition{Clients: make([]*Dataset, cfg.NumDevices)}
 	for n := 0; n < cfg.NumDevices; n++ {
 		// Cycle label assignments so all labels are covered across devices.
-		labels := make([]int, cfg.LabelsPerDevice)
+		var labels [labelsPerDevice]int
 		for j := range labels {
-			labels[j] = (n*cfg.LabelsPerDevice + j) % d.NumClasses
+			labels[j] = (n*labelsPerDevice + j) % d.NumClasses
 		}
 		shard := New(d.Dim, d.NumClasses, sizes[n])
 		for i := 0; i < sizes[n]; i++ {

@@ -8,11 +8,10 @@ import (
 func TestPartitionByLabelInvariants(t *testing.T) {
 	d := makeToyClassification(2000, 5, 10, 1)
 	cfg := PartitionConfig{
-		NumDevices:      100,
-		LabelsPerDevice: 2,
-		MinSamples:      37,
-		MaxSamples:      327,
-		Seed:            9,
+		NumDevices: 100,
+		MinSamples: 37,
+		MaxSamples: 327,
+		Seed:       9,
 	}
 	p, err := PartitionByLabel(d, cfg)
 	if err != nil {
@@ -52,7 +51,7 @@ func TestPartitionByLabelInvariants(t *testing.T) {
 
 func TestPartitionByLabelDeterministic(t *testing.T) {
 	d := makeToyClassification(500, 3, 10, 2)
-	cfg := PartitionConfig{NumDevices: 10, LabelsPerDevice: 2, MinSamples: 10, MaxSamples: 50, Seed: 3}
+	cfg := PartitionConfig{NumDevices: 10, MinSamples: 10, MaxSamples: 50, Seed: 3}
 	p1, err := PartitionByLabel(d, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -75,24 +74,18 @@ func TestPartitionByLabelDeterministic(t *testing.T) {
 
 func TestPartitionByLabelErrors(t *testing.T) {
 	d := makeToyClassification(100, 2, 10, 1)
-	if _, err := PartitionByLabel(d, PartitionConfig{NumDevices: 0, LabelsPerDevice: 2}); err == nil {
+	if _, err := PartitionByLabel(d, PartitionConfig{NumDevices: 0}); err == nil {
 		t.Fatal("expected error for 0 devices")
 	}
-	if _, err := PartitionByLabel(d, PartitionConfig{NumDevices: 5, LabelsPerDevice: 0}); err == nil {
-		t.Fatal("expected error for 0 labels per device")
-	}
-	if _, err := PartitionByLabel(d, PartitionConfig{NumDevices: 5, LabelsPerDevice: 11}); err == nil {
-		t.Fatal("expected error for too many labels per device")
-	}
 	reg := New(2, 0, 1)
-	if _, err := PartitionByLabel(reg, PartitionConfig{NumDevices: 2, LabelsPerDevice: 1}); err == nil {
+	if _, err := PartitionByLabel(reg, PartitionConfig{NumDevices: 2}); err == nil {
 		t.Fatal("expected error for regression dataset")
 	}
 	// Missing label.
 	sparse := New(2, 3, 4)
 	sparse.AppendClass([]float64{1, 2}, 0)
 	sparse.AppendClass([]float64{1, 2}, 1)
-	if _, err := PartitionByLabel(sparse, PartitionConfig{NumDevices: 2, LabelsPerDevice: 1, MinSamples: 1, MaxSamples: 2}); err == nil {
+	if _, err := PartitionByLabel(sparse, PartitionConfig{NumDevices: 2, MinSamples: 1, MaxSamples: 2}); err == nil {
 		t.Fatal("expected error for missing label")
 	}
 }

@@ -23,19 +23,24 @@ import (
 //
 //	x ~ N(v_k·1, Σ), Σ_jj = j^{-1.2},  v_k,j ~ N(B_k, 1), B_k ~ N(0, β)
 //
-// with labels y = argmax softmax(W_k x + b_k). Alpha controls how much
-// local models differ; Beta controls how much local feature distributions
-// differ. Alpha = Beta = 0 gives the IID control.
+// with labels y = argmax softmax(W_k x + b_k), at FedProx's shape: d = 60
+// features and C = 10 classes. Alpha controls how much local models
+// differ; Beta controls how much local feature distributions differ.
+// Alpha = Beta = 0 gives the IID control.
 type SyntheticConfig struct {
 	NumDevices int
-	Dim        int // feature dimension d (paper/FedProx use 60)
-	NumClasses int // C (10)
 	Alpha      float64
 	Beta       float64
 	MinSamples int
 	MaxSamples int
 	Seed       int64
 }
+
+// The Synthetic(α, β) shape: features d and classes C.
+const (
+	syntheticDim     = 60
+	syntheticClasses = 10
+)
 
 // GenerateSynthetic builds the federated Synthetic(α, β) dataset: one shard
 // per device, each drawn from that device's own model, plus nothing shared.
@@ -47,14 +52,14 @@ type SyntheticConfig struct {
 // inside another fan-out's task, say) it generates every device on its
 // caller.
 func GenerateSynthetic(cfg SyntheticConfig) *Partition {
-	if cfg.NumDevices <= 0 || cfg.Dim <= 0 || cfg.NumClasses <= 1 {
+	if cfg.NumDevices <= 0 {
 		panic("data: invalid SyntheticConfig")
 	}
 	root := randx.New(cfg.Seed)
-	sizes := randx.PowerLawSizes(root, cfg.NumDevices, 1.5, cfg.MinSamples, cfg.MaxSamples)
+	sizes := randx.PowerLawSizes(root, cfg.NumDevices, sizePowerLaw, cfg.MinSamples, cfg.MaxSamples)
 
 	// Diagonal feature covariance Σ_jj = j^{-1.2} (1-indexed).
-	sigma := make([]float64, cfg.Dim)
+	sigma := make([]float64, syntheticDim)
 	for j := range sigma {
 		sigma[j] = math.Pow(float64(j+1), -0.6) // stddev = sqrt(j^-1.2)
 	}
@@ -64,11 +69,11 @@ func GenerateSynthetic(cfg SyntheticConfig) *Partition {
 	for _, n := range sizes {
 		total += n
 	}
-	xs, ys := make([]float64, total*cfg.Dim), make([]int, total)
+	xs, ys := make([]float64, total*syntheticDim), make([]int, total)
 	p := &Partition{Clients: make([]*Dataset, cfg.NumDevices)}
 	for k, n := range sizes {
-		p.Clients[k] = &Dataset{Dim: cfg.Dim, NumClasses: cfg.NumClasses, X: xs[: n*cfg.Dim : n*cfg.Dim], Y: ys[:n:n]}
-		xs, ys = xs[n*cfg.Dim:], ys[n:]
+		p.Clients[k] = &Dataset{Dim: syntheticDim, NumClasses: syntheticClasses, X: xs[: n*syntheticDim : n*syntheticDim], Y: ys[:n:n]}
+		xs, ys = xs[n*syntheticDim:], ys[n:]
 	}
 	workers := runtime.GOMAXPROCS(0)
 	slots := make([]*syntheticScratch, workers)
@@ -78,10 +83,10 @@ func GenerateSynthetic(cfg SyntheticConfig) *Partition {
 		if sc == nil {
 			sc = &syntheticScratch{
 				rng:    randx.New(0),
-				w:      make([]float64, cfg.NumClasses*cfg.Dim),
-				b:      make([]float64, cfg.NumClasses),
-				v:      make([]float64, cfg.Dim),
-				logits: make([]float64, cfg.NumClasses),
+				w:      make([]float64, syntheticClasses*syntheticDim),
+				b:      make([]float64, syntheticClasses),
+				v:      make([]float64, syntheticDim),
+				logits: make([]float64, syntheticClasses),
 			}
 			slots[slot] = sc
 		}
@@ -115,7 +120,7 @@ func (sc *syntheticScratch) fill(shard *Dataset, cfg SyntheticConfig, sigma []fl
 			x[j] = sc.v[j] + sigma[j]*rng.NormFloat64()
 		}
 		for c := range sc.logits {
-			sc.logits[c] = sc.b[c] + mathx.Dot(sc.w[c*cfg.Dim:(c+1)*cfg.Dim], x)
+			sc.logits[c] = sc.b[c] + mathx.Dot(sc.w[c*syntheticDim:(c+1)*syntheticDim], x)
 		}
 		shard.Y[i] = mathx.ArgMax(sc.logits)
 	}

@@ -41,7 +41,7 @@ func TestValidateRejectsExplicitClientFractionZero(t *testing.T) {
 	// The engine constructor applies defaults first: the same zero-value
 	// config builds and runs with full participation.
 	p := testPartition(3, 20, 3, 3, 1)
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	eng, err := engine.New(cfg, m.Dim(), p.Weights(), engine.NewSequential(newDevices(p, m, cfg.Seed), cfg.Local))
 	if err != nil {
 		t.Fatalf("zero-value ClientFraction must default to full participation, got: %v", err)
@@ -138,7 +138,7 @@ func TestActivationDeterminism(t *testing.T) {
 // Participants each round.
 func TestAllDroppedRound(t *testing.T) {
 	p := testPartition(3, 20, 3, 3, 9)
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	cfg := conformanceConfigs()["full"]
 	cfg.Rounds = 3
 	cfg.DropoutProb = math.Nextafter(1, 0)

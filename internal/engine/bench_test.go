@@ -16,7 +16,7 @@ import (
 // goroutine-per-device fan-out.
 func BenchmarkEngineRoundAllocs(b *testing.B) {
 	p := testPartition(8, 40, 5, 3, 1)
-	m := models.NewSoftmax(5, 3, 0)
+	m := models.NewSoftmax(5, 3)
 	cfg := conformanceConfigs()["full"]
 	cfg.Rounds = 1 << 30 // stepped manually; never reached
 
@@ -45,7 +45,7 @@ func BenchmarkEngineRoundAllocs(b *testing.B) {
 // round (no pool, no goroutines, same reused buffers).
 func BenchmarkSequentialRoundAllocs(b *testing.B) {
 	p := testPartition(8, 40, 5, 3, 1)
-	m := models.NewSoftmax(5, 3, 0)
+	m := models.NewSoftmax(5, 3)
 	cfg := conformanceConfigs()["full"]
 	cfg.Rounds = 1 << 30
 
@@ -76,14 +76,14 @@ var sinkPoint metrics.Point
 // shards plus a 15 k-row test set (each Synthetic(1,1) shard split 75/25),
 // loss and accuracy in one fan-out. Steady state allocates nothing.
 func BenchmarkEvaluatorMeasure(b *testing.B) {
-	cfg := data.SyntheticConfig{NumDevices: 100, Dim: 60, NumClasses: 10,
+	cfg := data.SyntheticConfig{NumDevices: 100,
 		Alpha: 1, Beta: 1, MinSamples: 37, MaxSamples: 1600, Seed: 1}
 	part := data.GenerateSynthetic(cfg)
 	tests := make([]*data.Dataset, len(part.Clients))
 	for k, shard := range part.Clients {
 		part.Clients[k], tests[k] = shard.Split(0.75, int64(k))
 	}
-	m := models.NewSoftmax(cfg.Dim, cfg.NumClasses, 0)
+	m := models.NewSoftmax(60, 10)
 	ev := &engine.Evaluator{Model: m, Clients: part.Clients, Weights: part.Weights(), Test: data.Merge(tests...)}
 	w := make([]float64, m.Dim())
 	sinkPoint = ev.Measure(w, 0) // build the helpers' clones
@@ -100,14 +100,14 @@ func BenchmarkEvaluatorMeasure(b *testing.B) {
 // gradients. The hand-over buffers are allocated by the first measurement;
 // steady state allocates nothing.
 func BenchmarkEvaluatorMeasureHandOver(b *testing.B) {
-	cfg := data.SyntheticConfig{NumDevices: 100, Dim: 60, NumClasses: 10,
+	cfg := data.SyntheticConfig{NumDevices: 100,
 		Alpha: 1, Beta: 1, MinSamples: 37, MaxSamples: 1600, Seed: 1}
 	part := data.GenerateSynthetic(cfg)
 	tests := make([]*data.Dataset, len(part.Clients))
 	for k, shard := range part.Clients {
 		part.Clients[k], tests[k] = shard.Split(0.75, int64(k))
 	}
-	m := models.NewSoftmax(cfg.Dim, cfg.NumClasses, 0)
+	m := models.NewSoftmax(60, 10)
 	devices := make([]*engine.Device, len(part.Clients))
 	for i, shard := range part.Clients {
 		devices[i] = engine.NewDevice(i, shard, m, cfg.Seed)

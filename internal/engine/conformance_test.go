@@ -166,7 +166,7 @@ var conformanceSetups = map[string]setupFunc{
 
 func TestBackendConformance(t *testing.T) {
 	p := testPartition(4, 30, 3, 3, 1)
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	fleet := simnet.NewUniformFleet(4, simnet.DeviceProfile{ComputePerIter: 0.01, Uplink: 0.1, Downlink: 0.1}, 5)
 
 	for name, cfg := range conformanceConfigs() {
@@ -290,7 +290,7 @@ func newFlakyWorker(t *testing.T, addr string, id int, shard *data.Dataset, m mo
 // the trace is asserted to capture both the retry and the dropout.
 func TestTCPWorkerFailureMatchesDropoutSchedule(t *testing.T) {
 	p := testPartition(4, 30, 3, 3, 1)
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	cfg := conformanceConfigs()["full"]
 	cfg.Rounds = 8
 	const killAfter, victim = 3, 2
@@ -429,7 +429,7 @@ func TestTCPWorkerFailureMatchesDropoutSchedule(t *testing.T) {
 // selection buffer, which the next round overwrites in place.
 func TestHookParticipantsRetainable(t *testing.T) {
 	p := testPartition(6, 20, 3, 3, 5)
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	cfg := conformanceConfigs()["partial"] // cohorts vary round to round
 	cfg.Rounds = 8
 
@@ -477,7 +477,7 @@ func TestHookParticipantsRetainable(t *testing.T) {
 // remaining rounds afterwards produces a complete series.
 func TestRunCancellation(t *testing.T) {
 	p := testPartition(3, 20, 3, 3, 3)
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	cfg := conformanceConfigs()["full"]
 	cfg.Rounds = 10
 

@@ -368,7 +368,7 @@ func (e *Engine) step(ctx context.Context) ([]int, int, error) {
 	stragglers := e.res.Stragglers
 	if stats {
 		if d := e.res.Devices; d != nil {
-			e.rs.Participants, e.rs.Failed, e.rs.Stragglers = d.Participants, d.Failed, d.Stragglers
+			e.rs.Participants, e.rs.Failed, e.rs.Stragglers = d.Participants, 0, 0
 		} else {
 			e.rs.Participants, e.rs.Failed, e.rs.Stragglers = k, failed-stragglers, stragglers
 		}
@@ -570,11 +570,6 @@ func ActivatedClients(seed int64, round, n int, p float64, buf []int) []int {
 	return buf
 }
 
-// Dropped draws one report-failure event from the server stream.
-func Dropped(rng *rand.Rand, prob float64) bool {
-	return prob > 0 && rng.Float64() < prob
-}
-
 // Dropout filters selected in place to the devices that survive failure
 // injection (one draw per selected device, in order).
 func Dropout(rng *rand.Rand, selected []int, prob float64) []int {
@@ -583,7 +578,7 @@ func Dropout(rng *rand.Rand, selected []int, prob float64) []int {
 	}
 	survivors := selected[:0]
 	for _, id := range selected {
-		if !Dropped(rng, prob) {
+		if !(rng.Float64() < prob) {
 			survivors = append(survivors, id)
 		}
 	}

@@ -41,7 +41,7 @@ func randomDataset(rng *rand.Rand, dim, classes, n int) *data.Dataset {
 func newEvalFixture(seed int64, sizes []int, testN int) *evalFixture {
 	const dim, classes = 30, 6
 	rng := randx.New(seed)
-	f := &evalFixture{m: models.NewSoftmax(dim, classes, 0.01), weights: make([]float64, len(sizes))}
+	f := &evalFixture{m: models.NewSoftmax(dim, classes), weights: make([]float64, len(sizes))}
 	total := 0
 	for _, n := range sizes {
 		f.shards = append(f.shards, randomDataset(rng, dim, classes, n))

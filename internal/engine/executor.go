@@ -179,8 +179,10 @@ type RoundResult struct {
 }
 
 // Tally is a device-level participation count (see RoundResult.Devices).
+// A tree round records no failed or cut device: a shard node reports the
+// devices that ran, and the root holds no per-device state.
 type Tally struct {
-	Participants, Failed, Stragglers int
+	Participants int
 }
 
 // Reset readies r for a round over n devices and returns r.Locals: n nil

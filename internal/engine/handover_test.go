@@ -113,7 +113,7 @@ func handoverVariants(t *testing.T, p *data.Partition) []handoverVariant {
 // every handoverVariants configuration.
 func TestHandoverInvisible(t *testing.T) {
 	p := testPartition(7, 37, 5, 3, 3) // 37 rows: a shard is more than one chunk
-	m := models.NewSoftmax(5, 3, 0.01)
+	m := models.NewSoftmax(5, 3)
 	base := conformanceConfigs()["full"]
 	base.Rounds = 7
 
@@ -173,7 +173,7 @@ func runCheckingGap(t *testing.T, eng *engine.Engine) *metrics.Series {
 // outside the next cohort, whose gradients the fold needs all the same.
 func TestHandoverGapMatchesSerial(t *testing.T) {
 	p := testPartition(7, 37, 5, 3, 3)
-	m := models.NewSoftmax(5, 3, 0.01)
+	m := models.NewSoftmax(5, 3)
 	base := conformanceConfigs()["full"]
 	base.Rounds = 7
 	for _, v := range handoverVariants(t, p) {
@@ -197,7 +197,7 @@ func TestHandoverGapMatchesSerial(t *testing.T) {
 // seed round 3's solves at the wrong point.
 func TestHandoverDroppedOnReanchor(t *testing.T) {
 	p := testPartition(5, 40, 4, 3, 9)
-	m := models.NewSoftmax(4, 3, 0)
+	m := models.NewSoftmax(4, 3)
 	cfg := conformanceConfigs()["full"]
 	cfg.Rounds = 6
 	reanchors := []struct {
@@ -260,7 +260,7 @@ func TestHandoverDroppedOnReanchor(t *testing.T) {
 // gradients go to the evaluator's own buffers.
 func TestHandoverUnderQuorumCuts(t *testing.T) {
 	p := testPartition(6, 60, 5, 3, 4)
-	m := models.NewSoftmax(5, 3, 0)
+	m := models.NewSoftmax(5, 3)
 	cfg := conformanceConfigs()["full"]
 	cfg.Parallel = true
 	cfg.MinReport = 2

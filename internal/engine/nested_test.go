@@ -37,7 +37,7 @@ func within(t *testing.T, d time.Duration, f func()) {
 //
 // Each must finish in time and match its reference bit for bit.
 func TestNestedFanOut(t *testing.T) {
-	m := models.NewPaperCNN(10, 8, 0)
+	m := models.NewPaperCNN(10, 8)
 	p := testPartition(4, 40, 784, 10, 5)
 	cfg := conformanceConfigs()["full"]
 	cfg.Local.Eta, cfg.Local.Tau, cfg.Local.Batch = 0.01, 2, 8 // 8-sample convs clear the threshold

@@ -34,7 +34,7 @@ func (c *captureStats) Close() error { return nil }
 // the participants slice — one allocation per round for the rest of the run.
 func TestDeadHookNoPerRoundAllocs(t *testing.T) {
 	p := testPartition(4, 20, 3, 3, 1)
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	cfg := conformanceConfigs()["full"]
 	cfg.Rounds = 400
 	cfg.EvalEvery = 1 << 30 // only the final round measures
@@ -72,7 +72,7 @@ func TestDeadHookNoPerRoundAllocs(t *testing.T) {
 // the hook list mid-run.
 func TestHookUnregisterIdempotentAcrossCompaction(t *testing.T) {
 	p := testPartition(4, 20, 3, 3, 1)
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	cfg := conformanceConfigs()["full"]
 	cfg.Rounds = 8
 
@@ -131,7 +131,7 @@ func TestHookUnregisterIdempotentAcrossCompaction(t *testing.T) {
 // gradient evaluations monotone.
 func TestEngineStatsIntegration(t *testing.T) {
 	p := testPartition(4, 30, 3, 3, 1)
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	cfg := conformanceConfigs()["full"]
 
 	eng, err := engine.New(cfg, m.Dim(), p.Weights(), engine.NewSequential(newDevices(p, m, cfg.Seed), cfg.Local))
@@ -182,7 +182,7 @@ func TestEngineStatsIntegration(t *testing.T) {
 // growth is the only allocation left.
 func BenchmarkEngineRunRoundAllocs(b *testing.B) {
 	p := testPartition(8, 40, 5, 3, 1)
-	m := models.NewSoftmax(5, 3, 0)
+	m := models.NewSoftmax(5, 3)
 	cfg := conformanceConfigs()["full"]
 	cfg.Rounds = b.N
 	cfg.EvalEvery = 1

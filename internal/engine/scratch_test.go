@@ -17,7 +17,7 @@ import (
 // one dim-length vector per device would be 125 MB.
 func TestDeviceHoldsNoModelSizedState(t *testing.T) {
 	const n = 2000
-	m := models.NewSoftmax(784, 10, 0)
+	m := models.NewSoftmax(784, 10)
 	shard := data.New(784, 10, 0)
 	devices := make([]*engine.Device, n)
 	before := testx.LiveHeap()
@@ -50,7 +50,7 @@ func cnnCloneBytes(m *models.NNModel, shard *data.Dataset) int64 {
 // clone per device.
 func TestParallelScratchIsPerWorker(t *testing.T) {
 	const devices = 32
-	m := models.NewPaperCNN(10, 8, 0)
+	m := models.NewPaperCNN(10, 8)
 	p := testPartition(devices, 4, 784, 10, 3)
 	clone := cnnCloneBytes(m, p.Clients[0])
 	local := optim.LocalConfig{Estimator: optim.SARAH, Eta: 0.01, Tau: 1, Batch: 2, Mu: 0.1}
@@ -94,7 +94,7 @@ func TestParallelScratchIsPerWorker(t *testing.T) {
 // Close leave no goroutine behind, with nothing to wait for.
 func TestParallelCloseFreesWorkers(t *testing.T) {
 	p := testPartition(4, 20, 5, 3, 1)
-	m := models.NewSoftmax(5, 3, 0)
+	m := models.NewSoftmax(5, 3)
 	local := conformanceConfigs()["full"].Local
 	devices := newDevices(p, m, 1)
 	anchor := make([]float64, m.Dim())

@@ -99,7 +99,7 @@ func untimed(rs obs.RoundStats) string {
 // point field bitwise — and the same round records.
 func TestTimedTrainMatchesStepLoop(t *testing.T) {
 	p := testPartition(6, 25, 4, 3, 4)
-	m := models.NewSoftmax(4, 3, 0.01)
+	m := models.NewSoftmax(4, 3)
 	// A fleet draws its stragglers from a stream of its own: each run gets
 	// a fresh one.
 	newFleet := func() *simnet.Fleet {

@@ -25,7 +25,7 @@ import (
 // participant set is deterministic and the remainder are stragglers.
 func TestMinReportSequentialDeterministic(t *testing.T) {
 	p := testPartition(4, 20, 3, 3, 6)
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	cfg := conformanceConfigs()["full"]
 	cfg.MinReport = 2
 	cfg.Rounds = 3
@@ -65,7 +65,7 @@ func TestMinReportSequentialDeterministic(t *testing.T) {
 // split RoundInfo and the round record make.
 func TestMinReportPointFailedExcludesStragglers(t *testing.T) {
 	p := testPartition(4, 20, 3, 3, 6)
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	cfg := conformanceConfigs()["full"]
 	cfg.MinReport = len(p.Clients) - 1
 	cfg.Rounds = 3
@@ -96,7 +96,7 @@ func TestMinReportPointFailedExcludesStragglers(t *testing.T) {
 // 1 is cut however fast the other solves are.
 func TestMinReportParallelQuorum(t *testing.T) {
 	p := testPartition(6, 20, 3, 3, 8)
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	cfg := conformanceConfigs()["full"]
 	cfg.MinReport = 2
 	cfg.Rounds = 4
@@ -171,7 +171,7 @@ func (s *specSpy) RunRound(ctx context.Context, spec engine.RoundSpec, res *engi
 // schedules and the wire at the true global round.
 func TestRoundSpecCarriesPolicyAndRound(t *testing.T) {
 	p := testPartition(3, 10, 3, 3, 9)
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	run := func(cfg engine.Config, resumeAt int) *specSpy {
 		t.Helper()
 		x := &specSpy{inner: engine.NewSequential(newDevices(p, m, cfg.Seed), cfg.Local)}
@@ -260,7 +260,7 @@ func (f *failingExec) RunRound(ctx context.Context, spec engine.RoundSpec, res *
 // that died — not just the rounds before it.
 func TestRunFlushesPartialStatsOnError(t *testing.T) {
 	p := testPartition(3, 15, 3, 3, 10)
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	cfg := conformanceConfigs()["full"]
 	cfg.Rounds = 6
 	const dieAt = 3
@@ -310,7 +310,7 @@ func (f *failingAgg) Aggregate(w []float64, selected []int, locals [][]float64) 
 // must carry the time the failing aggregation took.
 func TestAggregateErrorClosesSpanAndStampsTime(t *testing.T) {
 	p := testPartition(3, 15, 3, 3, 10)
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	cfg := conformanceConfigs()["full"]
 	cfg.Rounds = 5
 	const dieAt = 2

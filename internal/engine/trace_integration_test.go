@@ -19,7 +19,7 @@ import (
 func runTraced(t *testing.T, cfg engine.Config, mk func([]*engine.Device) engine.Executor) *trace.Tracer {
 	t.Helper()
 	p := testPartition(4, 20, 3, 3, 1)
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	exec := mk(newDevices(p, m, cfg.Seed))
 	eng, err := engine.New(cfg, m.Dim(), p.Weights(), exec)
 	if err != nil {
@@ -144,7 +144,7 @@ func TestEngineTracerRemoval(t *testing.T) {
 	cfg := conformanceConfigs()["full"]
 	cfg.Rounds = 2
 	p := testPartition(4, 20, 3, 3, 1)
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	eng, err := engine.New(cfg, m.Dim(), p.Weights(), engine.NewSequential(newDevices(p, m, cfg.Seed), cfg.Local))
 	if err != nil {
 		t.Fatal(err)

@@ -46,7 +46,6 @@ func gradPerSample(m *NNModel, grad, w []float64, ds *data.Dataset, idx []int) {
 		mathx.Scal(inv, dOut)
 		m.Net.BackwardBatch(w, dOut, 1, m.ws, grad)
 	}
-	addL2(m.L2, w, grad)
 }
 
 // predictRow is the one-row reference for PredictBatch: the arg-max class
@@ -79,8 +78,8 @@ func TestNNModelGradMatchesPerSample(t *testing.T) {
 		m    *NNModel
 		dim  int
 	}{
-		{"MLP", newMLP(20, 16, 4, 0.01), 20},
-		{"PaperCNN", NewPaperCNN(4, 16, 0), 784},
+		{"MLP", newMLP(20, 16, 4), 20},
+		{"PaperCNN", NewPaperCNN(4, 16), 784},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -106,7 +105,7 @@ func TestNNModelGradMatchesPerSample(t *testing.T) {
 // TestNNModelGradBitDeterministic asserts repeated batched gradients, and
 // gradients under different GOMAXPROCS values, are bit-identical.
 func TestNNModelGradBitDeterministic(t *testing.T) {
-	m := newMLP(50, 32, 5, 0)
+	m := newMLP(50, 32, 5)
 	ds := classDataset(50, 5, 96, 33)
 	rng := randx.New(34)
 	w := make([]float64, m.Dim())
@@ -146,8 +145,8 @@ func TestModelGradZeroAllocSteadyState(t *testing.T) {
 		m    Model
 		ds   *data.Dataset
 	}{
-		{"Softmax", NewSoftmax(30, 3, 0.1), ds},
-		{"MLP", newMLP(30, 16, 3, 0.1), ds},
+		{"Softmax", NewSoftmax(30, 3), ds},
+		{"MLP", newMLP(30, 16, 3), ds},
 	}
 	for _, tc := range models {
 		t.Run(tc.name, func(t *testing.T) {
@@ -179,9 +178,9 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 		dim     int
 		classes int
 	}{
-		{"Softmax", NewSoftmax(30, 5, 0.1), 30, 5},
-		{"MLP", newMLP(20, 16, 4, 0.01), 20, 4},
-		{"PaperCNN", NewPaperCNN(4, 16, 0), 784, 4},
+		{"Softmax", NewSoftmax(30, 5), 30, 5},
+		{"MLP", newMLP(20, 16, 4), 20, 4},
+		{"PaperCNN", NewPaperCNN(4, 16), 784, 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -222,7 +221,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 }
 
 func benchGradModel() (*NNModel, *data.Dataset, []float64) {
-	m := newMLP(784, 128, 10, 0)
+	m := newMLP(784, 128, 10)
 	ds := classDataset(784, 10, 256, 41)
 	rng := randx.New(42)
 	w := make([]float64, m.Dim())
@@ -249,7 +248,7 @@ func BenchmarkNNMinibatchGrad32(b *testing.B) {
 // BenchmarkCNNThinGradB8 measures one 8-sample minibatch gradient of the
 // paper CNN at width divisor 8: the cnn10 workload's inner-loop step.
 func BenchmarkCNNThinGradB8(b *testing.B) {
-	m := NewPaperCNN(10, 8, 0)
+	m := NewPaperCNN(10, 8)
 	ds := classDataset(784, 10, 64, 43)
 	w := make([]float64, m.Dim())
 	m.InitParams(randx.New(44), w)

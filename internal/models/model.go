@@ -12,7 +12,6 @@ package models
 
 import (
 	"fedproxvr/internal/data"
-	"fedproxvr/internal/mathx"
 	"fedproxvr/internal/tensor"
 )
 
@@ -97,18 +96,6 @@ func chunkLabel(ds *data.Dataset, idx []int, lo, r int) int {
 		return ds.Y[lo+r]
 	}
 	return ds.Y[idx[lo+r]]
-}
-
-// addL2 adds the value and gradient of (reg/2)‖w‖² to a loss/grad pair.
-// Returns the regularization value; if grad is non-nil adds reg*w into it.
-func addL2(reg float64, w, grad []float64) float64 {
-	if reg == 0 {
-		return 0
-	}
-	if grad != nil {
-		mathx.Axpy(reg, w, grad)
-	}
-	return reg / 2 * mathx.Nrm2Sq(w)
 }
 
 // softmaxHead is the softmax cross-entropy head on one chunk, which both

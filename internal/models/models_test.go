@@ -12,8 +12,8 @@ import (
 
 // newMLP builds a one-hidden-layer ReLU perceptron classifier, the NN model
 // the tests and the NNMinibatchGrad32 benchmark train besides the CNN.
-func newMLP(in, hidden, classes int, l2 float64) *NNModel {
-	return NewNNModel(nn.MustNetwork(nn.NewDense(in, hidden), testx.NewReLU(hidden), nn.NewDense(hidden, classes)), l2)
+func newMLP(in, hidden, classes int) *NNModel {
+	return NewNNModel(nn.MustNetwork(nn.NewDense(in, hidden), testx.NewReLU(hidden), nn.NewDense(hidden, classes)))
 }
 
 // checkModelGradient compares Grad against central finite differences of
@@ -53,13 +53,13 @@ func classificationDataset(n, d, classes int, seed int64) *data.Dataset {
 
 func TestSoftmaxGradient(t *testing.T) {
 	ds := classificationDataset(15, 6, 3, 6)
-	checkModelGradient(t, NewSoftmax(6, 3, 0), ds, nil, 7, 1e-5)
-	checkModelGradient(t, NewSoftmax(6, 3, 0.2), ds, []int{1, 4, 9, 14}, 8, 1e-5)
+	checkModelGradient(t, NewSoftmax(6, 3), ds, nil, 7, 1e-5)
+	checkModelGradient(t, NewSoftmax(6, 3), ds, []int{1, 4, 9, 14}, 8, 1e-5)
 }
 
 func TestSoftmaxLossAtZeroIsLogC(t *testing.T) {
 	ds := classificationDataset(10, 4, 5, 9)
-	m := NewSoftmax(4, 5, 0)
+	m := NewSoftmax(4, 5)
 	w := make([]float64, m.Dim())
 	want := math.Log(5)
 	if got := m.Loss(w, ds, nil); math.Abs(got-want) > 1e-12 {
@@ -79,7 +79,7 @@ func TestSoftmaxLearnsSeparableData(t *testing.T) {
 		x[1] = centers[c][1] + 0.5*rng.NormFloat64()
 		ds.AppendClass(x, c)
 	}
-	m := NewSoftmax(2, 3, 0)
+	m := NewSoftmax(2, 3)
 	w := make([]float64, m.Dim())
 	g := make([]float64, m.Dim())
 	for it := 0; it < 300; it++ {
@@ -95,8 +95,8 @@ func TestSoftmaxLearnsSeparableData(t *testing.T) {
 
 func TestMLPGradient(t *testing.T) {
 	ds := classificationDataset(8, 5, 3, 11)
-	checkModelGradient(t, newMLP(5, 7, 3, 0), ds, nil, 12, 1e-4)
-	checkModelGradient(t, newMLP(5, 7, 3, 0.1), ds, []int{0, 2, 5}, 13, 1e-4)
+	checkModelGradient(t, newMLP(5, 7, 3), ds, nil, 12, 1e-4)
+	checkModelGradient(t, newMLP(5, 7, 3), ds, []int{0, 2, 5}, 13, 1e-4)
 }
 
 func TestCNNGradientThin(t *testing.T) {
@@ -111,7 +111,7 @@ func TestCNNGradientThin(t *testing.T) {
 		}
 		img.AppendClass(x, i%3)
 	}
-	m := NewPaperCNN(3, 16, 0)
+	m := NewPaperCNN(3, 16)
 	// Full finite differences over ~8k params is too slow; spot-check a
 	// random subset of coordinates.
 	w := make([]float64, m.Dim())
@@ -147,10 +147,9 @@ func TestLossGradMatchesLossAndGrad(t *testing.T) {
 		m    Model
 		dim  int
 	}{
-		{"Softmax", NewSoftmax(13, 5, 0), 13},
-		{"Softmax L2", NewSoftmax(13, 5, 0.05), 13},
-		{"thin CNN", NewPaperCNN(5, 16, 0.01), 784},
-		{"MLP", newMLP(9, 11, 5, 0.02), 9},
+		{"Softmax", NewSoftmax(13, 5), 13},
+		{"thin CNN", NewPaperCNN(5, 16), 784},
+		{"MLP", newMLP(9, 11, 5), 9},
 	}
 	for _, tc := range cases {
 		for _, n := range []int{0, 1, 31, 32, 33, 257} { // 0: an empty shard
@@ -179,7 +178,7 @@ func TestLossGradMatchesLossAndGrad(t *testing.T) {
 
 func TestCloneIndependence(t *testing.T) {
 	ds := classificationDataset(10, 4, 3, 15)
-	m := NewSoftmax(4, 3, 0)
+	m := NewSoftmax(4, 3)
 	c := m.Clone().(*Softmax)
 	if c == m {
 		t.Fatal("Softmax Clone must not return the receiver (it has scratch)")
@@ -188,7 +187,7 @@ func TestCloneIndependence(t *testing.T) {
 	if m.Loss(w, ds, nil) != c.Loss(w, ds, nil) {
 		t.Fatal("clone computes different loss")
 	}
-	nm := newMLP(4, 5, 3, 0)
+	nm := newMLP(4, 5, 3)
 	nc := nm.Clone().(*NNModel)
 	if nc.Net != nm.Net {
 		t.Fatal("NNModel clones should share the network structure")
@@ -202,7 +201,7 @@ func w2(m Model) []float64 { return make([]float64, m.Dim()) }
 
 func TestEmptyBatchIsZero(t *testing.T) {
 	ds := classificationDataset(5, 3, 2, 16)
-	m := NewSoftmax(3, 2, 0)
+	m := NewSoftmax(3, 2)
 	w := make([]float64, m.Dim())
 	if m.Loss(w, ds, []int{}) != 0 {
 		t.Fatal("empty batch loss should be 0")
@@ -217,7 +216,7 @@ func TestEmptyBatchIsZero(t *testing.T) {
 
 func BenchmarkSoftmaxGrad784x10(b *testing.B) {
 	ds := classificationDataset(64, 784, 10, 1)
-	m := NewSoftmax(784, 10, 0)
+	m := NewSoftmax(784, 10)
 	w := make([]float64, m.Dim())
 	g := make([]float64, m.Dim())
 	idx := make([]int, 32)
@@ -234,7 +233,7 @@ func BenchmarkSoftmaxGrad784x10(b *testing.B) {
 // shape: a 32-row minibatch of 60 features over 10 classes.
 func BenchmarkSoftmaxGradB32(b *testing.B) {
 	ds := classificationDataset(256, 60, 10, 1)
-	m := NewSoftmax(60, 10, 0)
+	m := NewSoftmax(60, 10)
 	w := make([]float64, m.Dim())
 	randx.NormalVec(randx.New(2), w, 0, 0.1)
 	g := make([]float64, m.Dim())
@@ -273,7 +272,7 @@ func BenchmarkSoftmaxXent32x10(b *testing.B) {
 // classes, the anchor gradient and the evaluation pass of a round.
 func BenchmarkSoftmaxLossGradShard(b *testing.B) {
 	ds := classificationDataset(470, 60, 10, 1)
-	m := NewSoftmax(60, 10, 0)
+	m := NewSoftmax(60, 10)
 	w := make([]float64, m.Dim())
 	randx.NormalVec(randx.New(2), w, 0, 0.1)
 	g := make([]float64, m.Dim())
@@ -289,7 +288,7 @@ func BenchmarkSoftmaxLossGradShard(b *testing.B) {
 // class-major argmax.
 func BenchmarkSoftmaxPredict32x10(b *testing.B) {
 	ds := classificationDataset(32, 60, 10, 1)
-	m := NewSoftmax(60, 10, 0)
+	m := NewSoftmax(60, 10)
 	w := make([]float64, m.Dim())
 	randx.NormalVec(randx.New(2), w, 0, 0.1)
 	pred := make([]int, 32)
@@ -302,7 +301,7 @@ func BenchmarkSoftmaxPredict32x10(b *testing.B) {
 
 func BenchmarkCNNGradSingleSample(b *testing.B) {
 	ds := classificationDataset(4, 784, 10, 2)
-	m := NewPaperCNN(10, 8, 0)
+	m := NewPaperCNN(10, 8)
 	w := make([]float64, m.Dim())
 	m.InitParams(randx.New(3), w)
 	g := make([]float64, m.Dim())

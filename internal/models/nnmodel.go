@@ -26,7 +26,6 @@ const gradChunk = 32
 // network gradChunk rows at a time as blocked GEMMs.
 type NNModel struct {
 	Net *nn.Network
-	L2  float64
 
 	ws   *nn.Workspace // nil until the first evaluation (see workspace)
 	xbuf []float64     // gathered input rows, gradChunk×InSize (idx path only)
@@ -35,8 +34,8 @@ type NNModel struct {
 }
 
 // NewNNModel wraps net; net.OutSize() is the class count.
-func NewNNModel(net *nn.Network, l2 float64) *NNModel {
-	return &NNModel{Net: net, L2: l2}
+func NewNNModel(net *nn.Network) *NNModel {
+	return &NNModel{Net: net}
 }
 
 // workspace builds the evaluation scratch on first use.
@@ -68,7 +67,7 @@ func (m *NNModel) Loss(w []float64, ds *data.Dataset, idx []int) float64 {
 		zt := m.logits(w, x, b)
 		sum = softmaxHead(sum, zt.Data, b, out, ds, idx, lo, true, 0, nil)
 	}
-	return sum/float64(n) + addL2(m.L2, w, nil)
+	return sum / float64(n)
 }
 
 // Grad implements Model: backprop of (softmax − onehot)/n through the net,
@@ -105,7 +104,7 @@ func (m *NNModel) lossGrad(grad, w []float64, ds *data.Dataset, idx []int, loss 
 		tensor.TransposeInto(dOut, zt, nil)
 		m.Net.BackwardBatch(w, dOut.Data, b, m.ws, grad)
 	}
-	return sum/float64(n) + addL2(m.L2, w, grad)
+	return sum / float64(n)
 }
 
 // logits runs the network over the chunk's b rows x and returns its
@@ -131,7 +130,7 @@ func (m *NNModel) PredictBatch(pred []int, w []float64, ds *data.Dataset, lo, hi
 
 // Clone implements Model: the network is shared, the clone builds its own
 // workspace when first evaluated.
-func (m *NNModel) Clone() Model { return NewNNModel(m.Net, m.L2) }
+func (m *NNModel) Clone() Model { return NewNNModel(m.Net) }
 
 // InitParams initializes a parameter vector for this model.
 func (m *NNModel) InitParams(rng *rand.Rand, w []float64) {
@@ -145,7 +144,7 @@ func (m *NNModel) InitParams(rng *rand.Rand, w []float64) {
 // 2×2 max-pool run as one fused nn.ReLUMaxPool layer. Pass a channel width
 // divisor > 1 to build a proportionally thinner network for fast tests and
 // benches (e.g. 8 → 4/8 channels).
-func NewPaperCNN(classes, widthDivisor int, l2 float64) *NNModel {
+func NewPaperCNN(classes, widthDivisor int) *NNModel {
 	if widthDivisor < 1 {
 		widthDivisor = 1
 	}
@@ -160,5 +159,5 @@ func NewPaperCNN(classes, widthDivisor int, l2 float64) *NNModel {
 		c2, nn.NewReLUMaxPool(c2, 2),
 		nn.NewDense(ch2*7*7, classes),
 	)
-	return NewNNModel(net, l2)
+	return NewNNModel(net)
 }

@@ -9,8 +9,7 @@ import (
 // Softmax is multinomial logistic regression — the paper's convex task
 // ("image classification with a multinomial logistic regression model").
 // Parameters are the weight matrix W (C×d, row-major) followed by the bias
-// b (C). The per-sample loss is cross-entropy −log softmax(Wx+b)[y], plus
-// optional L2 regularization on the whole parameter vector.
+// b (C). The per-sample loss is cross-entropy −log softmax(Wx+b)[y].
 //
 // Loss and Grad are batch-first: a chunk of samples becomes one
 // logits = X·Wᵀ GEMM, held class-major for the softmax head (logits
@@ -19,7 +18,6 @@ import (
 type Softmax struct {
 	Features int
 	Classes  int
-	L2       float64
 
 	logits []float64 // gradChunk×Classes scratch; cloned per goroutine
 	zt     []float64 // the logits class-major, Classes×gradChunk
@@ -28,13 +26,13 @@ type Softmax struct {
 }
 
 // NewSoftmax constructs the model.
-func NewSoftmax(d, classes int, l2 float64) *Softmax {
+func NewSoftmax(d, classes int) *Softmax {
 	if d <= 0 || classes <= 1 {
 		panic("models: Softmax needs d>0 and classes>1")
 	}
 	n := gradChunk * classes
 	buf := make([]float64, 2*n+gradChunk*d) // one allocation for the three
-	return &Softmax{Features: d, Classes: classes, L2: l2,
+	return &Softmax{Features: d, Classes: classes,
 		logits: buf[:n:n],
 		zt:     buf[n : 2*n : 2*n],
 		xbuf:   buf[2*n:],
@@ -72,7 +70,7 @@ func (m *Softmax) Loss(w []float64, ds *data.Dataset, idx []int) float64 {
 		zt, _ := m.forwardChunk(w, ds, idx, lo, b)
 		sum = softmaxHead(sum, zt.Data, b, m.Classes, ds, idx, lo, true, 0, nil)
 	}
-	return sum/float64(n) + addL2(m.L2, w, nil)
+	return sum / float64(n)
 }
 
 // Grad implements Model: ∇_{W_c} = (p_c − 1{y=c})·x, ∇_{b_c} = p_c − 1{y=c},
@@ -107,7 +105,7 @@ func (m *Softmax) lossGrad(grad, w []float64, ds *data.Dataset, idx []int, loss 
 		sum = softmaxHead(sum, zt.Data, b, m.Classes, ds, idx, lo, loss, inv, grad[nw:])
 		m.par.GemmNN(1, zt, x, 1, dw)
 	}
-	return sum/float64(n) + addL2(m.L2, w, grad)
+	return sum / float64(n)
 }
 
 // PredictBatch implements Classifier: one logits GEMM and one class-major
@@ -123,5 +121,5 @@ func (m *Softmax) PredictBatch(pred []int, w []float64, ds *data.Dataset, lo, hi
 
 // Clone implements Model: shares the immutable shape, fresh scratch.
 func (m *Softmax) Clone() Model {
-	return NewSoftmax(m.Features, m.Classes, m.L2)
+	return NewSoftmax(m.Features, m.Classes)
 }

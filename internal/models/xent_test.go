@@ -55,12 +55,11 @@ func refLossGrad(model Model, grad, w []float64, ds *data.Dataset, idx []int, lo
 	if grad == nil {
 		loss, inv = true, 0
 	}
-	var sum, l2 float64
+	var sum float64
 	for lo := 0; lo < n; lo += gradChunk {
 		b := min(gradChunk, n-lo)
 		switch m := model.(type) {
 		case *Softmax:
-			l2 = m.L2
 			nw := m.Classes * m.Features
 			x := tensor.MatOf(b, m.Features, gatherRows(ds, idx, lo, b, m.xbuf))
 			lm := tensor.MatOf(b, m.Classes, make([]float64, b*m.Classes))
@@ -72,7 +71,6 @@ func refLossGrad(model Model, grad, w []float64, ds *data.Dataset, idx []int, lo
 				tensor.ColSumsAcc(grad[nw:], lm)
 			}
 		case *NNModel:
-			l2 = m.L2
 			m.workspace()
 			out := m.Net.OutSize()
 			y := m.Net.ForwardBatch(w, gatherRows(ds, idx, lo, b, m.xbuf), b, m.ws)
@@ -84,7 +82,7 @@ func refLossGrad(model Model, grad, w []float64, ds *data.Dataset, idx []int, lo
 			}
 		}
 	}
-	return sum/float64(n) + addL2(l2, w, grad)
+	return sum / float64(n)
 }
 
 func sameBits(t *testing.T, what string, got, want []float64) {
@@ -216,11 +214,10 @@ func TestHeadMatchesRowReference(t *testing.T) {
 		dim   int
 		scale float64
 	}{
-		{"Softmax", NewSoftmax(60, 10, 0), 60, 0.3},
-		{"Softmax L2", NewSoftmax(13, 5, 0.05), 13, 0.3},
-		{"Softmax wide logits", NewSoftmax(13, 5, 0), 13, 120},
-		{"MLP", newMLP(9, 11, 5, 0.02), 9, 0.3},
-		{"thin CNN", NewPaperCNN(5, 16, 0.01), 784, 0.3},
+		{"Softmax", NewSoftmax(60, 10), 60, 0.3},
+		{"Softmax wide logits", NewSoftmax(13, 5), 13, 120},
+		{"MLP", newMLP(9, 11, 5), 9, 0.3},
+		{"thin CNN", NewPaperCNN(5, 16), 784, 0.3},
 	}
 	for _, tc := range cases {
 		for _, n := range []int{1, 31, 32, 33, 70} {

@@ -67,8 +67,9 @@ type RoundStats struct {
 	SpanBytes int64 `json:"span_bytes,omitempty"`
 	// Shards is the number of aggregation-tree child nodes that reported
 	// this round (tree coordinator only; zero for flat backends). When set,
-	// Participants/Failed/Stragglers are device-level totals rolled up from
-	// the shards' PartialSum frames, not per-connection counts.
+	// Participants is the device-level total rolled up from the shards'
+	// PartialSum frames, not a per-connection count, and Failed and
+	// Stragglers are zero.
 	Shards int `json:"shards,omitempty"`
 	// Codec is the wire codec the transport used this round ("float64",
 	// "int8", "topk-delta", ...); empty for in-process backends.

@@ -16,7 +16,7 @@ import (
 // batch size of 32 is the smallest size named by the perf budget.
 func nnInnerSolveFixture(b *testing.B) (Solver, *data.Dataset, []float64, []float64) {
 	b.Helper()
-	m := models.NewNNModel(nn.MustNetwork(nn.NewDense(784, 128), testx.NewReLU(128), nn.NewDense(128, 10)), 0)
+	m := models.NewNNModel(nn.MustNetwork(nn.NewDense(784, 128), testx.NewReLU(128), nn.NewDense(128, 10)))
 	rng := randx.New(71)
 	ds := data.New(784, 10, 256)
 	x := make([]float64, 784)

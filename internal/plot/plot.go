@@ -1,6 +1,8 @@
 // Package plot renders line charts as standalone SVG using only the
 // standard library — enough to turn the reproduction's metric series into
 // actual figures (results/figN.svg) without external plotting stacks.
+// Every chart is drawn on one 720 × 440 canvas with a linear y axis; the x
+// axis may be log₁₀ (Fig 1's γ sweep).
 package plot
 
 import (
@@ -16,16 +18,14 @@ type Line struct {
 	X, Y []float64 // equal lengths; NaN Y values break the polyline
 }
 
-// Chart is a set of lines with axes and a legend.
+// Chart is a set of lines with axes and a legend, drawn 720 × 440 pixels
+// on a linear y axis.
 type Chart struct {
 	Title  string
 	XLabel string
 	YLabel string
 	Lines  []Line
-	Width  int  // default 720
-	Height int  // default 440
 	LogX   bool // log₁₀ x axis (e.g. the γ sweep)
-	LogY   bool
 }
 
 // palette of visually distinct stroke colors (cycled).
@@ -35,6 +35,8 @@ var palette = []string{
 }
 
 const (
+	chartWidth   = 720
+	chartHeight  = 440
 	marginLeft   = 64.0
 	marginRight  = 16.0
 	marginTop    = 36.0
@@ -48,13 +50,6 @@ func (c *Chart) RenderSVG(w io.Writer) error {
 	if len(c.Lines) == 0 {
 		return fmt.Errorf("plot: chart has no lines")
 	}
-	width, height := c.Width, c.Height
-	if width <= 0 {
-		width = 720
-	}
-	if height <= 0 {
-		height = 440
-	}
 	xmin, xmax, ymin, ymax := math.Inf(1), math.Inf(-1), math.Inf(1), math.Inf(-1)
 	for _, l := range c.Lines {
 		if len(l.X) != len(l.Y) {
@@ -65,14 +60,11 @@ func (c *Chart) RenderSVG(w io.Writer) error {
 			if math.IsNaN(x) || math.IsNaN(y) || math.IsInf(x, 0) || math.IsInf(y, 0) {
 				continue
 			}
-			if c.LogX && x <= 0 || c.LogY && y <= 0 {
+			if c.LogX && x <= 0 {
 				continue
 			}
 			if c.LogX {
 				x = math.Log10(x)
-			}
-			if c.LogY {
-				y = math.Log10(y)
 			}
 			xmin, xmax = math.Min(xmin, x), math.Max(xmax, x)
 			ymin, ymax = math.Min(ymin, y), math.Max(ymax, y)
@@ -92,8 +84,8 @@ func (c *Chart) RenderSVG(w io.Writer) error {
 	ymin -= pad
 	ymax += pad
 
-	plotW := float64(width) - marginLeft - marginRight
-	plotH := float64(height) - marginTop - marginBottom
+	plotW := float64(chartWidth) - marginLeft - marginRight
+	plotH := float64(chartHeight) - marginTop - marginBottom
 	sx := func(x float64) float64 {
 		if c.LogX {
 			x = math.Log10(x)
@@ -101,15 +93,12 @@ func (c *Chart) RenderSVG(w io.Writer) error {
 		return marginLeft + (x-xmin)/(xmax-xmin)*plotW
 	}
 	sy := func(y float64) float64 {
-		if c.LogY {
-			y = math.Log10(y)
-		}
 		return marginTop + (1-(y-ymin)/(ymax-ymin))*plotH
 	}
 
 	var b strings.Builder
-	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" font-family="sans-serif" font-size="12">`+"\n", width, height)
-	fmt.Fprintf(&b, `<rect width="%d" height="%d" fill="white"/>`+"\n", width, height)
+	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" font-family="sans-serif" font-size="12">`+"\n", chartWidth, chartHeight)
+	fmt.Fprintf(&b, `<rect width="%d" height="%d" fill="white"/>`+"\n", chartWidth, chartHeight)
 	// Frame.
 	fmt.Fprintf(&b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="none" stroke="#444"/>`+"\n",
 		marginLeft, marginTop, plotW, plotH)
@@ -120,7 +109,7 @@ func (c *Chart) RenderSVG(w io.Writer) error {
 	}
 	if c.XLabel != "" {
 		fmt.Fprintf(&b, `<text x="%.1f" y="%.1f" text-anchor="middle">%s</text>`+"\n",
-			marginLeft+plotW/2, float64(height)-10, escape(c.XLabel))
+			marginLeft+plotW/2, float64(chartHeight)-10, escape(c.XLabel))
 	}
 	if c.YLabel != "" {
 		fmt.Fprintf(&b, `<text x="14" y="%.1f" text-anchor="middle" transform="rotate(-90 14 %.1f)">%s</text>`+"\n",
@@ -141,7 +130,7 @@ func (c *Chart) RenderSVG(w io.Writer) error {
 		fmt.Fprintf(&b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="#444"/>`+"\n",
 			marginLeft-4, py, marginLeft, py)
 		fmt.Fprintf(&b, `<text x="%.1f" y="%.1f" text-anchor="end">%s</text>`+"\n",
-			marginLeft-8, py+4, tickLabel(ty, c.LogY))
+			marginLeft-8, py+4, tickLabel(ty, false))
 	}
 	// Lines.
 	for li, l := range c.Lines {
@@ -157,7 +146,7 @@ func (c *Chart) RenderSVG(w io.Writer) error {
 		for i := range l.X {
 			x, y := l.X[i], l.Y[i]
 			bad := math.IsNaN(x) || math.IsNaN(y) || math.IsInf(x, 0) || math.IsInf(y, 0) ||
-				(c.LogX && x <= 0) || (c.LogY && y <= 0)
+				(c.LogX && x <= 0)
 			if bad {
 				flush()
 				continue

@@ -53,17 +53,19 @@ type Options struct {
 	L         float64 // smoothness estimate used for η = 1/(βL)
 	Rounds    int     // T for each trial
 	Trials    int
-	EvalEvery int
-	Parallel  bool
 	Seed      int64
 }
+
+// evalEvery is the trials' measurement cadence: every fifth round, and the
+// last.
+const evalEvery = 5
 
 // Run executes a random search of opts.Trials sampled configurations and
 // returns all trials sorted by descending best accuracy. The global model
 // starts at initW (nil → zeros; otherwise one entry per model parameter),
 // e.g. a network initialization shared across trials for comparability.
-// A trial starts no goroutine of its own: with opts.Parallel its rounds
-// fan out over the process-wide helper pool.
+// A trial starts no goroutine of its own: its rounds fan out over the
+// process-wide helper pool.
 func Run(m models.Model, part *data.Partition, test *data.Dataset, space Space, opts Options, initW []float64) ([]Trial, error) {
 	if err := space.Validate(); err != nil {
 		return nil, err
@@ -105,9 +107,9 @@ func Run(m models.Model, part *data.Partition, test *data.Dataset, space Space, 
 				Return:    optim.ReturnLast,
 			},
 			Rounds:    opts.Rounds,
-			EvalEvery: opts.EvalEvery,
+			EvalEvery: evalEvery,
 			Test:      test,
-			Parallel:  opts.Parallel,
+			Parallel:  true,
 			Seed:      opts.Seed,
 		}
 		eng, _, err := engine.NewInProcess(m, part, cfg, initW)
@@ -128,20 +130,6 @@ func Run(m models.Model, part *data.Partition, test *data.Dataset, space Space, 
 	}
 	sort.Slice(trials, func(i, j int) bool { return trials[i].BestAcc > trials[j].BestAcc })
 	return trials, nil
-}
-
-// Best returns the highest-accuracy trial. Panics on empty input.
-func Best(trials []Trial) Trial {
-	if len(trials) == 0 {
-		panic("search: Best of no trials")
-	}
-	best := trials[0]
-	for _, t := range trials[1:] {
-		if t.BestAcc > best.BestAcc {
-			best = t
-		}
-	}
-	return best
 }
 
 // TableRow formats a trial as the paper's Tables 1–2 row:

@@ -26,12 +26,12 @@ func searchFixture(t *testing.T) (*data.Partition, *data.Dataset, *models.Softma
 	}
 	train, test := full.Split(0.75, 2)
 	part, err := data.PartitionByLabel(train, data.PartitionConfig{
-		NumDevices: 4, LabelsPerDevice: 2, MinSamples: 20, MaxSamples: 60, Seed: 3,
+		NumDevices: 4, MinSamples: 20, MaxSamples: 60, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return part, test, models.NewSoftmax(3, 3, 0)
+	return part, test, models.NewSoftmax(3, 3)
 }
 
 func TestSpaceValidate(t *testing.T) {
@@ -69,7 +69,7 @@ func TestRandomSearchFindsWorkingConfig(t *testing.T) {
 			t.Fatal("trials not sorted by accuracy")
 		}
 	}
-	best := Best(trials)
+	best := trials[0]
 	if best.BestAcc < 0.8 {
 		t.Fatalf("best accuracy %v too low on separable blobs", best.BestAcc)
 	}
@@ -121,15 +121,6 @@ func TestTableFormatting(t *testing.T) {
 	}
 }
 
-func TestBestPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Best(nil)
-}
-
 // TestSearchRejectsMisSizedInitW: a shared initialization shorter or longer
 // than the model is an error, not a silent truncation or zero-padding.
 func TestSearchRejectsMisSizedInitW(t *testing.T) {
@@ -151,7 +142,7 @@ func TestSearchRejectsMisSizedInitW(t *testing.T) {
 func TestSearchStopsItsWorkerPools(t *testing.T) {
 	part, test, m := searchFixture(t)
 	space := Space{Taus: []int{2}, Betas: []float64{5, 10}, Mus: []float64{0.1}, Batches: []int{8}}
-	opts := Options{Estimator: optim.SARAH, Name: "x", L: 1, Rounds: 2, Trials: 2, Parallel: true, Seed: 8}
+	opts := Options{Estimator: optim.SARAH, Name: "x", L: 1, Rounds: 2, Trials: 2, Seed: 8}
 	run := func() {
 		if _, err := Run(m, part, test, space, opts, nil); err != nil {
 			t.Fatal(err)

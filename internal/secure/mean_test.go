@@ -45,7 +45,7 @@ func config(seed int64) engine.Config {
 // through secure.NewMean when masked.
 func newEngine(t *testing.T, cfg engine.Config, p *data.Partition, masked bool) *engine.Engine {
 	t.Helper()
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	devices := make([]*engine.Device, len(p.Clients))
 	for i, shard := range p.Clients {
 		devices[i] = engine.NewDevice(i, shard, m, cfg.Seed)

@@ -124,7 +124,7 @@ func timedFixture(t *testing.T) *engine.Engine {
 		}
 		p.Clients[k] = ds
 	}
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	cfg := engine.FedProxVR(optim.SARAH, 5, 1, 0.1, 10, 8, 12)
 	cfg.Seed = 6
 	r, _, err := engine.NewInProcess(m, p, cfg, nil)
@@ -184,7 +184,7 @@ func TestSlowNetworkFavoursMoreLocalWork(t *testing.T) {
 		cfg := r.Config()
 		cfg.Local.Tau = tau
 		cfg.Rounds = 60
-		r2, _, err := engine.NewInProcess(models.NewSoftmax(3, 3, 0), partitionOf(t, r), cfg, nil)
+		r2, _, err := engine.NewInProcess(models.NewSoftmax(3, 3), partitionOf(t, r), cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func TestTimedTrainMeasuresAccuracy(t *testing.T) {
 		randx.NormalVec(rng, x, float64(c)*2, 0.5)
 		test.AppendClass(x, c)
 	}
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	cfg := engine.FedProxVR(optim.SARAH, 5, 1, 0.1, 10, 8, 12)
 	cfg.Seed = 6
 	cfg.Test = test

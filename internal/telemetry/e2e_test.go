@@ -36,7 +36,7 @@ func e2eFixture(t *testing.T, eta float64, rounds int) *engine.Engine {
 	if eta > 0 {
 		cfg.Local.Eta = eta
 	}
-	r, _, err := engine.NewInProcess(models.NewSoftmax(3, 3, 0), p, cfg, nil)
+	r, _, err := engine.NewInProcess(models.NewSoftmax(3, 3), p, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ var paperCNNDigests = map[bool][2]uint64{
 func paperCNNDigest() uint64 {
 	h := fnv.New64a()
 	for _, div := range []int{8, 4} {
-		m := models.NewPaperCNN(10, div, 0)
+		m := models.NewPaperCNN(10, div)
 		for kind := 0; kind < 3; kind++ {
 			rng := randx.New(int64(100*div + kind))
 			w := make([]float64, m.Dim())

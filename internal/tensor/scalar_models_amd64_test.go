@@ -25,8 +25,8 @@ func TestModelGradientsOnScalarKernels(t *testing.T) {
 		coords int     // finite-difference coordinates checked (0 = all)
 		h, tol float64 // finite-difference step and tolerance
 	}{
-		{"Softmax", models.NewSoftmax(13, 5, 0.1), 13, 0, 1e-6, 1e-5},
-		{"PaperCNN", models.NewPaperCNN(3, 16, 0), 784, 40, 1e-5, 1e-3},
+		{"Softmax", models.NewSoftmax(13, 5), 13, 0, 1e-6, 1e-5},
+		{"PaperCNN", models.NewPaperCNN(3, 16), 784, 40, 1e-5, 1e-3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -88,10 +88,9 @@ func TestLossGradOnScalarKernels(t *testing.T) {
 		m    models.Model
 		dim  int
 	}{
-		{"Softmax", models.NewSoftmax(13, 5, 0), 13},
-		{"Softmax L2", models.NewSoftmax(13, 5, 0.05), 13},
-		{"thin CNN", models.NewPaperCNN(5, 16, 0.01), 784},
-		{"MLP", models.NewNNModel(nn.MustNetwork(nn.NewDense(9, 11), testx.NewReLU(11), nn.NewDense(11, 5)), 0.02), 9},
+		{"Softmax", models.NewSoftmax(13, 5), 13},
+		{"thin CNN", models.NewPaperCNN(5, 16), 784},
+		{"MLP", models.NewNNModel(nn.MustNetwork(nn.NewDense(9, 11), testx.NewReLU(11), nn.NewDense(11, 5))), 9},
 	}
 	for _, tc := range cases {
 		for _, n := range []int{1, 31, 32, 33, 257} {

@@ -105,7 +105,7 @@ func BenchmarkFrameDecodeReply(b *testing.B) {
 // already run.
 func wireRoundFleet(tb testing.TB, codec Codec) (round, stop func()) {
 	p := testPartition(3, 20, 100, 10, 5)
-	m := models.NewSoftmax(100, 10, 0)
+	m := models.NewSoftmax(100, 10)
 	cfg := engine.FedAvg(4, 1, 1, 4, 1)
 	cfg.Seed = 21
 	c, wg := launchTwoPhase(tb, p, m, cfg.Seed)

@@ -1050,8 +1050,6 @@ func (x *Executor) RunRound(ctx context.Context, spec engine.RoundSpec, res *eng
 				ps := &c.clients[id].ps
 				st.Shards++
 				x.tally.Participants += ps.Devices
-				x.tally.Failed += ps.Failed
-				x.tally.Stragglers += ps.Stragglers
 			}
 			res.Devices = &x.tally
 		}

@@ -50,8 +50,8 @@ package transport
 //	PartialSum   shardID(i32) round(u32) flags(u8)
 //	             errLen(uvarint) err            -- only when flags&repFlagErr,
 //	                                               then nothing follows
-//	             devices(u32) failed(u32) stragglers(u32)
-//	             gradEvals(i64) solveSeconds(f64) weight(f64)
+//	             devices(u32) gradEvals(i64) solveSeconds(f64)
+//	             weight(f64)
 //	             spanCount(uvarint) spans       -- same layout as RoundReply
 //	             dim(u32) 8·dim                 -- Σ D_n·w_n, always float64:
 //	                                               the tree streams exact
@@ -88,7 +88,7 @@ import (
 
 const (
 	frameMagic   = 0xFE
-	frameVersion = 3 // leads Hello and LeaseReject; 3 is the RoundRequest without clip norm and schedule
+	frameVersion = 4 // leads Hello and LeaseReject; 4 is the PartialSum without failed and straggler counts
 
 	msgHello        = 1
 	msgRoundRequest = 2
@@ -614,8 +614,6 @@ func marshalPartialSum(dst []byte, ps *PartialSum) []byte {
 		return w.b
 	}
 	w.u32(uint32(ps.Devices))
-	w.u32(uint32(ps.Failed))
-	w.u32(uint32(ps.Stragglers))
 	w.i64(ps.GradEvals)
 	w.f64(ps.SolveSeconds)
 	w.f64(ps.Weight)
@@ -713,13 +711,11 @@ func unmarshalPartialSum(p []byte, ps *PartialSum) error {
 		n := int(c.uvarint("error length"))
 		ps.Err = string(c.take(n, "error text"))
 		ps.Sum = ps.Sum[:0]
-		ps.Devices, ps.Failed, ps.Stragglers = 0, 0, 0
+		ps.Devices = 0
 		ps.GradEvals, ps.SolveSeconds, ps.Weight = 0, 0, 0
 		return c.done()
 	}
 	ps.Devices = int(c.u32("partial devices"))
-	ps.Failed = int(c.u32("partial failed"))
-	ps.Stragglers = int(c.u32("partial stragglers"))
 	ps.GradEvals = c.i64("partial grad evals")
 	ps.SolveSeconds = c.f64("partial solve seconds")
 	ps.Weight = c.f64("partial weight")

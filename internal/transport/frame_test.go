@@ -119,8 +119,8 @@ func TestHelloRejectsMalformedIdentity(t *testing.T) {
 	}
 }
 
-// TestHelloRejectsBadVersion: a peer one layout behind (version 2 still
-// sent a clip norm and a step schedule in every request) or one ahead is
+// TestHelloRejectsBadVersion: a peer one layout behind (version 3 still
+// sent failed and straggler counts in every PartialSum) or one ahead is
 // refused at Hello.
 func TestHelloRejectsBadVersion(t *testing.T) {
 	for _, v := range []byte{frameVersion - 1, frameVersion + 1} {
@@ -216,6 +216,45 @@ func TestRequestCarriesEveryLocalConfigField(t *testing.T) {
 		}
 		if got.Local != cfg {
 			t.Errorf("LocalConfig.%s does not cross the wire: sent %+v, decoded %+v", f.Name, cfg, got.Local)
+		}
+	}
+}
+
+// TestPartialSumCarriesEveryField: each exported PartialSum field, set
+// alone on a frame that carries a sum, survives
+// marshalPartialSum/unmarshalPartialSum. SpanBytes is the decoder's
+// measurement of the spans' size, not a field the sender sets. A field
+// added without an encoding fails here as soon as it exists.
+func TestPartialSumCarriesEveryField(t *testing.T) {
+	typ := reflect.TypeOf(PartialSum{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if !f.IsExported() || f.Name == "SpanBytes" {
+			continue
+		}
+		sent := PartialSum{Sum: testVec(3, 4)}
+		v := reflect.ValueOf(&sent).Elem().Field(i)
+		switch v.Interface().(type) {
+		case int, int64:
+			v.SetInt(3)
+		case float64:
+			v.SetFloat(0.375)
+		case string:
+			v.SetString("shard failed")
+		case []float64:
+			v.Set(reflect.ValueOf(testVec(5, 6)))
+		case []trace.WireSpan:
+			v.Set(reflect.ValueOf([]trace.WireSpan{{ID: 1, Name: "shard-solve", End: 0.5}}))
+		default:
+			t.Fatalf("PartialSum.%s: no test value for type %v", f.Name, f.Type)
+		}
+		frame := marshalPartialSum(nil, &sent)
+		var got PartialSum
+		if err := unmarshalPartialSum(frame[frameHeaderSize:], &got); err != nil {
+			t.Fatalf("PartialSum.%s: %v", f.Name, err)
+		}
+		if g := reflect.ValueOf(got).Field(i).Interface(); !reflect.DeepEqual(g, v.Interface()) {
+			t.Errorf("PartialSum.%s does not cross the wire: sent %v, decoded %v", f.Name, v.Interface(), g)
 		}
 	}
 }

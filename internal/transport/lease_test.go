@@ -64,7 +64,7 @@ func TestLeaseRejectRoundTrip(t *testing.T) {
 func TestLeaseEpochFencesCoordinatorRestart(t *testing.T) {
 	const n, split = 3, 3
 	p := testPartition(n, 20, 3, 3, 9)
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	cfg := engine.FedProxVR(optim.SARAH, 6, 1, 0.2, 5, 4, 7)
 	cfg.Seed = 99
 
@@ -162,7 +162,7 @@ func TestLeaseEpochFencesCoordinatorRestart(t *testing.T) {
 func TestLeaseCycleLeavesNoGoroutines(t *testing.T) {
 	const n = 2
 	p := testPartition(n, 10, 3, 2, 6)
-	m := models.NewSoftmax(3, 2, 0)
+	m := models.NewSoftmax(3, 2)
 	cfg := engine.FedAvg(5, 1, 2, 2, 2)
 	w0 := make([]float64, m.Dim())
 	cyclesLeaveNoGoroutines(t, 2, func() {
@@ -290,7 +290,7 @@ func startPeers(t *testing.T, addr string, p *data.Partition, m models.Model, se
 func TestLeasedTreeFencedAcrossCoordinatorRestart(t *testing.T) {
 	const fanout, split = 3, 3
 	p := testPartition(12, 20, 3, 3, 1)
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	cfg := engine.FedProxVR(optim.SARAH, 6, 1, 0.2, 5, 4, 6)
 	cfg.Seed = 42
 	w0 := testVec(33, m.Dim())
@@ -368,7 +368,7 @@ func TestLeasedChaosMatchesUnleased(t *testing.T) {
 		flakeRound = 2
 	)
 	p := testPartition(peers*2, 20, 3, 3, 1)
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	cfg := engine.FedProxVR(optim.SARAH, 6, 1, 0.2, 5, 4, 5)
 	cfg.Seed = 42
 	w0 := testVec(33, m.Dim())

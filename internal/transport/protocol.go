@@ -139,11 +139,8 @@ type RoundReply struct {
 type PartialSum struct {
 	ShardID int
 	Round   int
-	// Devices/Failed/Stragglers count the shard's selected devices that
-	// reported / failed / were cut by the straggler policy this round.
-	Devices    int
-	Failed     int
-	Stragglers int
+	// Devices counts the shard's devices that reported this round.
+	Devices int
 	// GradEvals is the node's cumulative gradient-evaluation count over its
 	// shard (same semantics as RoundReply.GradEvals).
 	GradEvals int64

@@ -17,7 +17,7 @@ import (
 func TestServeFailsWhenCoordinatorClosesBeforeDone(t *testing.T) {
 	const n = 2
 	p := testPartition(n, 10, 3, 2, 5)
-	m := models.NewSoftmax(3, 2, 0)
+	m := models.NewSoftmax(3, 2)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func TestServeFailsWhenCoordinatorClosesBeforeDone(t *testing.T) {
 // nil either way (run it under -race).
 func TestCloseBeforeOrDuringFirstDial(t *testing.T) {
 	p := testPartition(1, 5, 2, 2, 3)
-	m := models.NewSoftmax(2, 2, 0)
+	m := models.NewSoftmax(2, 2)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestCloseBeforeOrDuringFirstDial(t *testing.T) {
 // SetRejoin wins whichever order the setters ran in.
 func TestRejoinDefaultFollowsChaosAndLease(t *testing.T) {
 	p := testPartition(1, 5, 2, 2, 3)
-	m := models.NewSoftmax(2, 2, 0)
+	m := models.NewSoftmax(2, 2)
 	sched := &chaos.Schedule{Events: []chaos.Event{{Device: 0, Round: 1, Kind: chaos.Flake}}}
 	for _, tc := range []struct {
 		name  string

@@ -79,7 +79,7 @@ func launchTracedWorkers(t *testing.T, p *data.Partition, m models.Model, seed i
 
 func TestTraceCrossProcessTimeline(t *testing.T) {
 	p := testPartition(3, 20, 3, 3, 1)
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	cfg := traceConfig(3)
 
 	// Untraced in-process reference: tracing must not perturb training.
@@ -223,7 +223,7 @@ func TestTraceCrossProcessTimeline(t *testing.T) {
 func TestTraceTreeShardSpans(t *testing.T) {
 	const fanout = 3
 	p := testPartition(6, 20, 3, 3, 1)
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	cfg := traceConfig(3)
 	run := func(tracer *trace.Tracer) []float64 {
 		c, wg := launchTree(t, p, m, cfg.Seed, fanout, nil, tracer != nil)
@@ -292,7 +292,7 @@ func TestTraceTreeShardSpans(t *testing.T) {
 // the coordinator's round span, and the retried round must still succeed.
 func TestTraceRetryEvent(t *testing.T) {
 	p := testPartition(3, 20, 3, 3, 1)
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	cfg := traceConfig(3)
 	sched := &chaos.Schedule{
 		Seed:   1,

@@ -122,7 +122,7 @@ func launchTwoPhase(t testing.TB, p *data.Partition, m models.Model, seed int64,
 
 func TestDistributedMatchesInProcessExactly(t *testing.T) {
 	p := testPartition(4, 30, 3, 3, 1)
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	cfg := engine.FedProxVR(optim.SARAH, 6, 1, 0.2, 5, 4, 6)
 	cfg.Seed = 42
 
@@ -166,7 +166,7 @@ func TestDistributedMatchesInProcessExactly(t *testing.T) {
 // never a 0 that reads as converged.
 func TestCoordinatorGapUnmeasured(t *testing.T) {
 	p := testPartition(3, 20, 3, 3, 5)
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	cfg := engine.FedProxVR(optim.SARAH, 6, 1, 0.2, 3, 4, 2)
 	cfg.Seed = 9
 	c, wg := launchTwoPhase(t, p, m, cfg.Seed)
@@ -188,7 +188,7 @@ func TestCoordinatorWeights(t *testing.T) {
 	p := testPartition(3, 10, 2, 2, 2)
 	c0 := p.Clients[0]
 	c0.X, c0.Y = c0.X[:5*c0.Dim], c0.Y[:5] // size 5
-	m := models.NewSoftmax(2, 2, 0)
+	m := models.NewSoftmax(2, 2)
 	c, wg := launchTwoPhase(t, p, m, 7)
 	defer c.Close()
 	w := c.Weights()
@@ -217,7 +217,7 @@ func TestCoordinatorRejectsDuplicateID(t *testing.T) {
 	}()
 	ds := data.New(2, 2, 1)
 	ds.AppendClass([]float64{1, 2}, 0)
-	m := models.NewSoftmax(2, 2, 0)
+	m := models.NewSoftmax(2, 2)
 	w1, err := NewWorker(addr, 0, ds, m, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +242,7 @@ func TestCoordinatorRejectsDuplicateID(t *testing.T) {
 
 func TestWorkerCleanShutdownOnDone(t *testing.T) {
 	p := testPartition(1, 5, 2, 2, 3)
-	m := models.NewSoftmax(2, 2, 0)
+	m := models.NewSoftmax(2, 2)
 	c, wg := launchTwoPhase(t, p, m, 1)
 	defer c.Close()
 	c.Shutdown()
@@ -257,7 +257,7 @@ func TestWorkerCleanShutdownOnDone(t *testing.T) {
 
 func TestTrainValidatesConfig(t *testing.T) {
 	p := testPartition(1, 5, 2, 2, 4)
-	m := models.NewSoftmax(2, 2, 0)
+	m := models.NewSoftmax(2, 2)
 	c, wg := launchTwoPhase(t, p, m, 1)
 	defer c.Close()
 	bad := engine.Config{Rounds: 0, Local: optim.LocalConfig{Eta: 0.1, Tau: 1, Batch: 1}}
@@ -272,7 +272,7 @@ func TestQuantizedTrainingAndBandwidth(t *testing.T) {
 	// Use a model large enough (1010 params) that vector payloads dominate
 	// protocol overhead.
 	p := testPartition(3, 20, 100, 10, 5)
-	m := models.NewSoftmax(100, 10, 0)
+	m := models.NewSoftmax(100, 10)
 	cfg := engine.FedProxVR(optim.SVRG, 6, 1, 0.1, 5, 4, 5)
 	cfg.Seed = 10
 
@@ -306,7 +306,7 @@ func TestQuantizedTrainingAndBandwidth(t *testing.T) {
 
 func TestBandwidthAccounting(t *testing.T) {
 	p := testPartition(2, 10, 3, 2, 6)
-	m := models.NewSoftmax(3, 2, 0)
+	m := models.NewSoftmax(3, 2)
 	c, wg := launchTwoPhase(t, p, m, 1)
 	defer c.Close()
 	sent0, recv0 := c.Bandwidth()
@@ -328,7 +328,7 @@ func TestBandwidthAccounting(t *testing.T) {
 
 func TestCoordinatorSurvivesDeadWorkerAsDropout(t *testing.T) {
 	p := testPartition(2, 10, 3, 2, 7)
-	m := models.NewSoftmax(3, 2, 0)
+	m := models.NewSoftmax(3, 2)
 	c, wg := launchTwoPhase(t, p, m, 1, 0)
 	defer c.Close()
 	// One healthy round first.
@@ -407,7 +407,7 @@ func launchWithWorkers(t *testing.T, p *data.Partition, m models.Model, seed int
 // worker participating again.
 func TestWorkerRejoinAfterFailure(t *testing.T) {
 	p := testPartition(2, 12, 3, 2, 9)
-	m := models.NewSoftmax(3, 2, 0)
+	m := models.NewSoftmax(3, 2)
 	seed := int64(21)
 	c, workers, wg := launchWithWorkers(t, p, m, seed)
 	defer c.Close()
@@ -465,7 +465,7 @@ func TestWorkerRejoinAfterFailure(t *testing.T) {
 // to MaxFailedRounds rounds and then abort instead of spinning forever.
 func TestQuorumAbortsAfterMaxFailedRounds(t *testing.T) {
 	p := testPartition(2, 10, 3, 2, 11)
-	m := models.NewSoftmax(3, 2, 0)
+	m := models.NewSoftmax(3, 2)
 	c, wg := launchTwoPhase(t, p, m, 1, 1)
 	defer c.Close()
 	c.SetFaultPolicy(FaultPolicy{MinParticipants: 2, MaxFailedRounds: 1})
@@ -490,7 +490,7 @@ func TestQuorumAbortsAfterMaxFailedRounds(t *testing.T) {
 // model.
 func TestNegativeRetriesStillAsksOnce(t *testing.T) {
 	p := testPartition(2, 10, 3, 2, 11)
-	m := models.NewSoftmax(3, 2, 0)
+	m := models.NewSoftmax(3, 2)
 	c, wg := launchTwoPhase(t, p, m, 1)
 	defer c.Close()
 	c.SetFaultPolicy(FaultPolicy{MaxRetries: -1})
@@ -571,7 +571,7 @@ func TestCoordinatorRejectsNegativeSampleCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := testPartition(1, 10, 3, 2, 1)
-	w, err := NewWorker(ln.Addr().String(), 0, p.Clients[0], models.NewSoftmax(3, 2, 0), 1)
+	w, err := NewWorker(ln.Addr().String(), 0, p.Clients[0], models.NewSoftmax(3, 2), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -685,7 +685,7 @@ func TestHandshakeRejectsForeignPeers(t *testing.T) {
 
 	// A live two-worker cohort for the rejoin accept path.
 	p := testPartition(2, 10, 3, 2, 6)
-	m := models.NewSoftmax(3, 2, 0)
+	m := models.NewSoftmax(3, 2)
 	cfg := engine.FedAvg(5, 1, 2, 2, 1)
 	ln := listen()
 	var wg sync.WaitGroup
@@ -762,7 +762,7 @@ func cyclesLeaveNoGoroutines(t *testing.T, n int, cycle func()) {
 // accept goroutine outlives its fleet.
 func TestFleetCycleLeavesNoGoroutines(t *testing.T) {
 	p := testPartition(2, 10, 3, 2, 6)
-	m := models.NewSoftmax(3, 2, 0)
+	m := models.NewSoftmax(3, 2)
 	cfg := engine.FedAvg(5, 1, 2, 2, 2)
 	cyclesLeaveNoGoroutines(t, 3, func() {
 		c, wg := launchTwoPhase(t, p, m, 1)
@@ -782,7 +782,7 @@ func TestFleetCycleLeavesNoGoroutines(t *testing.T) {
 func TestRejoinCycleLeavesNoGoroutines(t *testing.T) {
 	const crashRound = 2
 	p := testPartition(2, 10, 3, 2, 6)
-	m := models.NewSoftmax(3, 2, 0)
+	m := models.NewSoftmax(3, 2)
 	cfg := engine.FedAvg(5, 1, 2, 2, 4)
 	sched := &chaos.Schedule{Events: []chaos.Event{{Device: 1, Round: crashRound, Kind: chaos.Crash}}}
 	if err := sched.Validate(); err != nil {
@@ -818,7 +818,7 @@ func TestRejoinCycleLeavesNoGoroutines(t *testing.T) {
 // coordinator over aggregator nodes.
 func TestTreeCycleLeavesNoGoroutines(t *testing.T) {
 	p := testPartition(6, 10, 3, 3, 6)
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	cfg := engine.FedAvg(5, 1, 2, 2, 3)
 	cyclesLeaveNoGoroutines(t, 2, func() {
 		c, wg := launchTree(t, p, m, 1, 3, nil, false)

@@ -24,7 +24,7 @@ import (
 // must be the closed-form CompressionRatio.
 func TestCompressedCodecsCutWireBytes(t *testing.T) {
 	p := testPartition(3, 20, 100, 10, 5)
-	m := models.NewSoftmax(100, 10, 0)
+	m := models.NewSoftmax(100, 10)
 	cfg := engine.FedAvg(4, 1, 3, 4, 3)
 	cfg.Seed = 12
 	dim := m.Dim()
@@ -69,7 +69,7 @@ func TestCompressedCodecsCutWireBytes(t *testing.T) {
 // topk layout's 24 + 5k bytes, per worker.
 func TestRoundStatsExactWireAccounting(t *testing.T) {
 	p := testPartition(3, 20, 100, 10, 5)
-	m := models.NewSoftmax(100, 10, 0)
+	m := models.NewSoftmax(100, 10)
 	cfg := engine.FedAvg(3, 1, 3, 4, 3)
 	cfg.Seed = 13
 	dim := m.Dim()
@@ -121,7 +121,7 @@ func TestRoundStatsExactWireAccounting(t *testing.T) {
 // retries), never silently dequantized into the aggregate.
 func TestCodecMismatchRejected(t *testing.T) {
 	p := testPartition(2, 10, 3, 2, 9)
-	m := models.NewSoftmax(3, 2, 0)
+	m := models.NewSoftmax(3, 2)
 	cfg := engine.FedAvg(3, 1, 2, 2, 1)
 	cfg.Seed = 14
 
@@ -217,7 +217,7 @@ func float32Peer(t *testing.T, addr string, id int, samples int64, done *sync.Wa
 // the exact mode's on the small task.
 func TestQuantizedCodecsStillTrain(t *testing.T) {
 	p := testPartition(3, 20, 3, 3, 16)
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	cfg := engine.FedProxVR(optim.SARAH, 6, 1, 0.2, 5, 4, 6)
 	cfg.Seed = 17
 
@@ -274,7 +274,7 @@ func TestSetTopKFracValidation(t *testing.T) {
 // downlink is Σ RequestWireSize with the 16-byte trace context included.
 func TestTracedWireAccountingExact(t *testing.T) {
 	p := testPartition(3, 20, 3, 3, 19)
-	m := models.NewSoftmax(3, 3, 0)
+	m := models.NewSoftmax(3, 3)
 	dim := m.Dim()
 
 	for _, codec := range []Codec{CodecFloat64, CodecTopK} {

@@ -23,7 +23,6 @@ type Scale struct {
 	TableRounds     int // T for each table trial
 	CNNWidthDiv     int // CNN channel divisor (1 = paper's 32/64)
 	CNNRounds       int // T for the CNN figure
-	Parallel        bool
 	Seed            int64
 }
 
@@ -38,7 +37,6 @@ func PaperScale() Scale {
 		TableRounds:     200,
 		CNNWidthDiv:     1,
 		CNNRounds:       100,
-		Parallel:        true,
 		Seed:            2020,
 	}
 }
@@ -55,7 +53,6 @@ func QuickScale() Scale {
 		TableRounds:     25,
 		CNNWidthDiv:     8,
 		CNNRounds:       15,
-		Parallel:        true,
 		Seed:            2020,
 	}
 }
@@ -122,7 +119,7 @@ type FigResult struct {
 }
 
 // runPanel runs FedAvg and both FedProxVR variants on one task/setting.
-func runPanel(task Task, set FigSetting, mu float64, rounds int, parallel bool, seed int64) ([]FigResult, error) {
+func runPanel(task Task, set FigSetting, mu float64, rounds int, seed int64) ([]FigResult, error) {
 	algs := []Config{
 		FedAvg(set.Beta, task.L, set.Tau, set.Batch, rounds),
 		FedProxVR(SVRG, set.Beta, task.L, mu, set.Tau, set.Batch, rounds),
@@ -131,7 +128,7 @@ func runPanel(task Task, set FigSetting, mu float64, rounds int, parallel bool, 
 	out := make([]FigResult, 0, len(algs))
 	for _, cfg := range algs {
 		cfg.Name = fmt.Sprintf("%s [%s]", cfg.Name, set.Label)
-		cfg.Parallel = parallel
+		cfg.Parallel = true
 		cfg.Seed = seed
 		cfg.EvalEvery = max(1, rounds/50)
 		series, _, err := Train(task, cfg)
@@ -158,7 +155,7 @@ func RunFig2(sc Scale) ([]FigResult, error) {
 	}
 	var all []FigResult
 	for _, set := range Fig2Settings() {
-		rs, err := runPanel(task, set, 0.1, sc.Rounds, sc.Parallel, sc.Seed)
+		rs, err := runPanel(task, set, 0.1, sc.Rounds, sc.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -180,7 +177,7 @@ func RunFig3(sc Scale) ([]FigResult, error) {
 	}
 	var all []FigResult
 	for _, set := range Fig3Settings() {
-		rs, err := runPanel(task, set, 0.01, sc.CNNRounds, sc.Parallel, sc.Seed)
+		rs, err := runPanel(task, set, 0.01, sc.CNNRounds, sc.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -215,7 +212,7 @@ func RunFig4(sc Scale) ([]*Series, error) {
 	for _, mu := range Fig4Mus() {
 		cfg := FedProxVR(SVRG, beta, task.L, mu, 50, 16, sc.Rounds)
 		cfg.Name = fmt.Sprintf("FedProxVR (SVRG) mu=%g", mu)
-		cfg.Parallel = sc.Parallel
+		cfg.Parallel = true
 		cfg.Seed = sc.Seed
 		cfg.EvalEvery = max(1, sc.Rounds/50)
 		series, _, err := Train(task, cfg)
@@ -264,14 +261,12 @@ func tableSearch(task Task, sc Scale, cnn bool) ([]TableResult, error) {
 			L:         task.L,
 			Rounds:    rounds,
 			Trials:    sc.Trials,
-			EvalEvery: 5,
-			Parallel:  sc.Parallel,
 			Seed:      sc.Seed,
 		}, task.InitW)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, TableResult{Best: search.Best(trials), Trials: trials})
+		out = append(out, TableResult{Best: trials[0], Trials: trials})
 	}
 	return out, nil
 }
@@ -344,7 +339,7 @@ func RunTimingStudy(sc Scale) ([]TimingRow, error) {
 			cfg := FedProxVR(SVRG, 5, task.L, 10, tau, 16, sc.Rounds*4)
 			cfg.Name = fmt.Sprintf("tau=%d on %s", tau, f.name)
 			cfg.Seed = sc.Seed
-			cfg.Parallel = sc.Parallel
+			cfg.Parallel = true
 			ts, err := trainTimed(task, cfg, fleet)
 			if err != nil {
 				return nil, err
@@ -420,14 +415,7 @@ func RunStragglerStudy(sc Scale) ([]StragglerRow, error) {
 			Runtime: "sync", Spread: spread, TimeToTarget: syncTS.TimeToLoss(target),
 		})
 
-		asyncCfg := async.Config{
-			Name:           "async",
-			Local:          local,
-			Updates:        sc.Rounds * 8 * devices,
-			Alpha0:         0.6,
-			StalenessPower: 0.5,
-			Seed:           sc.Seed,
-		}
+		asyncCfg := async.Config{Local: local, Updates: sc.Rounds * 8 * devices, Seed: sc.Seed}
 		ar, err := async.NewRunner(task.Model, task.Part, fleet, asyncCfg)
 		if err != nil {
 			return nil, err

@@ -54,7 +54,7 @@ func blobPartition(devices, perDevice, dim, classes int, seed int64) (*data.Part
 
 func TestRunnerConfigValidation(t *testing.T) {
 	p, _ := blobPartition(2, 10, 3, 4, 1)
-	m := models.NewSoftmax(3, 4, 0)
+	m := models.NewSoftmax(3, 4)
 	bad := Config{Local: optim.LocalConfig{Eta: 0.1, Tau: 1, Batch: 1}, Rounds: 0}
 	if _, err := NewRunner(Task{Model: m, Part: p}, bad); err == nil {
 		t.Fatal("Rounds=0 should fail validation")
@@ -74,7 +74,7 @@ func TestRunnerConfigValidation(t *testing.T) {
 
 func TestFedProxVRTrainsHeterogeneousTask(t *testing.T) {
 	p, test := blobPartition(10, 60, 5, 4, 2)
-	m := models.NewSoftmax(5, 4, 0)
+	m := models.NewSoftmax(5, 4)
 	cfg := FedProxVR(optim.SARAH, 5, 1, 0.1, 10, 8, 30)
 	cfg.Test = test
 	cfg.Seed = 3
@@ -95,7 +95,7 @@ func TestFedProxVRTrainsHeterogeneousTask(t *testing.T) {
 
 func TestParallelMatchesSequentialExactly(t *testing.T) {
 	p, _ := blobPartition(8, 40, 4, 4, 4)
-	m := models.NewSoftmax(4, 4, 0)
+	m := models.NewSoftmax(4, 4)
 	run := func(parallel bool) []float64 {
 		cfg := FedProxVR(optim.SVRG, 7, 1, 0.1, 8, 8, 5)
 		cfg.Parallel = parallel
@@ -118,7 +118,7 @@ func TestParallelMatchesSequentialExactly(t *testing.T) {
 
 func TestRunDeterministicAcrossRuns(t *testing.T) {
 	p, _ := blobPartition(5, 30, 4, 4, 6)
-	m := models.NewSoftmax(4, 4, 0)
+	m := models.NewSoftmax(4, 4)
 	cfg := FedProxVR(optim.SARAH, 6, 1, 0.2, 5, 4, 4)
 	cfg.Seed = 7
 	w := func() []float64 {
@@ -144,7 +144,7 @@ func TestAggregationIsWeightedAverage(t *testing.T) {
 	// Give devices unequal sizes.
 	c0 := p.Clients[0]
 	c0.X, c0.Y = c0.X[:5*c0.Dim], c0.Y[:5]
-	m := models.NewSoftmax(3, 4, 0)
+	m := models.NewSoftmax(3, 4)
 	cfg := FedProxVR(optim.SVRG, 5, 1, 0.3, 0, 1, 1)
 	cfg.Seed = 9
 	r, err := NewRunner(Task{Model: m, Part: p}, cfg)
@@ -177,7 +177,7 @@ func TestAggregationIsWeightedAverage(t *testing.T) {
 
 func TestClientSampling(t *testing.T) {
 	p, _ := blobPartition(10, 20, 3, 4, 10)
-	m := models.NewSoftmax(3, 4, 0)
+	m := models.NewSoftmax(3, 4)
 	cfg := FedAvg(5, 1, 3, 4, 2)
 	cfg.ClientFraction = 0.3
 	cfg.Seed = 11
@@ -200,7 +200,7 @@ func TestClientSampling(t *testing.T) {
 
 func TestStationarityTracking(t *testing.T) {
 	p, _ := blobPartition(4, 30, 3, 4, 12)
-	m := models.NewSoftmax(3, 4, 0)
+	m := models.NewSoftmax(3, 4)
 	cfg := FedProxVR(optim.SARAH, 5, 1, 0.1, 5, 4, 10)
 	cfg.Seed = 13
 	r, err := NewRunner(Task{Model: m, Part: p}, cfg)
@@ -223,7 +223,7 @@ func TestStationarityTracking(t *testing.T) {
 
 func TestEvalEveryThinsSeries(t *testing.T) {
 	p, _ := blobPartition(3, 20, 3, 4, 14)
-	m := models.NewSoftmax(3, 4, 0)
+	m := models.NewSoftmax(3, 4)
 	cfg := FedAvg(5, 1, 2, 4, 10)
 	cfg.EvalEvery = 5
 	cfg.Seed = 15
@@ -240,7 +240,7 @@ func TestEvalEveryThinsSeries(t *testing.T) {
 
 func TestLocalAccuracyCriterion(t *testing.T) {
 	p, _ := blobPartition(3, 50, 4, 4, 16)
-	m := models.NewSoftmax(4, 4, 0)
+	m := models.NewSoftmax(4, 4)
 	// Generous local effort → strong local accuracy (small θ̂).
 	cfg := FedProxVR(optim.SARAH, 5, 1, 0.5, 200, 8, 1)
 	cfg.Seed = 17
@@ -256,7 +256,7 @@ func TestLocalAccuracyCriterion(t *testing.T) {
 
 func TestGradEvalsMonotone(t *testing.T) {
 	p, _ := blobPartition(3, 20, 3, 4, 18)
-	m := models.NewSoftmax(3, 4, 0)
+	m := models.NewSoftmax(3, 4)
 	cfg := FedProxVR(optim.SVRG, 5, 1, 0.1, 3, 4, 4)
 	cfg.Seed = 19
 	r, err := NewRunner(Task{Model: m, Part: p}, cfg)
@@ -278,7 +278,7 @@ func TestGradEvalsMonotone(t *testing.T) {
 
 func TestDropoutInjection(t *testing.T) {
 	p, _ := blobPartition(10, 20, 3, 4, 20)
-	m := models.NewSoftmax(3, 4, 0)
+	m := models.NewSoftmax(3, 4)
 	cfg := FedProxVR(optim.SARAH, 5, 1, 0.1, 3, 4, 20)
 	cfg.DropoutProb = 0.5
 	cfg.Seed = 21
@@ -303,7 +303,7 @@ func TestDropoutInjection(t *testing.T) {
 
 func TestDropoutAllFailKeepsModel(t *testing.T) {
 	p, _ := blobPartition(3, 20, 3, 4, 22)
-	m := models.NewSoftmax(3, 4, 0)
+	m := models.NewSoftmax(3, 4)
 	cfg := FedProxVR(optim.SVRG, 5, 1, 0.1, 3, 4, 1)
 	cfg.DropoutProb = 0.999999
 	cfg.Seed = 23
@@ -328,7 +328,7 @@ func TestDropoutAllFailKeepsModel(t *testing.T) {
 
 func TestDropoutValidation(t *testing.T) {
 	p, _ := blobPartition(2, 10, 3, 4, 24)
-	m := models.NewSoftmax(3, 4, 0)
+	m := models.NewSoftmax(3, 4)
 	cfg := FedAvg(5, 1, 1, 1, 1)
 	cfg.DropoutProb = 1
 	if _, err := NewRunner(Task{Model: m, Part: p}, cfg); err == nil {
@@ -343,7 +343,7 @@ func TestDropoutValidation(t *testing.T) {
 func TestRunnerWithRandomIteratePolicy(t *testing.T) {
 	// Algorithm 1 line 10 (uniformly random iterate) must also converge.
 	p, _ := blobPartition(4, 30, 3, 4, 28)
-	m := models.NewSoftmax(3, 4, 0)
+	m := models.NewSoftmax(3, 4)
 	cfg := FedProxVR(optim.SARAH, 5, 1, 0.1, 8, 4, 15)
 	cfg.Local.Return = optim.ReturnRandom
 	cfg.Seed = 29
@@ -360,7 +360,7 @@ func TestRunnerWithRandomIteratePolicy(t *testing.T) {
 
 func TestFedProxBaselineTrains(t *testing.T) {
 	p, _ := blobPartition(4, 30, 3, 4, 30)
-	m := models.NewSoftmax(3, 4, 0)
+	m := models.NewSoftmax(3, 4)
 	cfg := FedProx(5, 1, 0.5, 8, 4, 12)
 	cfg.Seed = 31
 	r, err := NewRunner(Task{Model: m, Part: p}, cfg)
@@ -378,7 +378,7 @@ func TestFedProxBaselineTrains(t *testing.T) {
 // FedProxVR with the SVRG estimator and μ = 0.
 func TestFSVRGBaselineTrains(t *testing.T) {
 	p, _ := blobPartition(4, 30, 3, 4, 32)
-	m := models.NewSoftmax(3, 4, 0)
+	m := models.NewSoftmax(3, 4)
 	cfg := engine.FedProxVR(optim.SVRG, 5, 1, 0, 8, 4, 12)
 	cfg.Seed = 33
 	r, err := NewRunner(Task{Model: m, Part: p}, cfg)
@@ -417,7 +417,7 @@ func dpRunner(t *testing.T, task Task, cfg Config, clip, noise float64) *Runner 
 
 func TestDPClipBoundsRoundUpdate(t *testing.T) {
 	p, _ := blobPartition(4, 30, 3, 4, 40)
-	task := Task{Model: models.NewSoftmax(3, 4, 0), Part: p}
+	task := Task{Model: models.NewSoftmax(3, 4), Part: p}
 	cfg := FedProxVR(optim.SVRG, 5, 1, 0, 50, 8, 1)
 	cfg.Seed = 41
 	const clip = 0.05
@@ -442,7 +442,7 @@ func TestDPClipBoundsRoundUpdate(t *testing.T) {
 
 func TestDPNoiseInjectedDeterministically(t *testing.T) {
 	p, _ := blobPartition(3, 20, 3, 4, 42)
-	task := Task{Model: models.NewSoftmax(3, 4, 0), Part: p}
+	task := Task{Model: models.NewSoftmax(3, 4), Part: p}
 	cfg := FedProxVR(optim.SARAH, 5, 1, 0.1, 5, 4, 3)
 	cfg.Seed = 43
 	run := func(noise float64) []float64 {
@@ -467,7 +467,7 @@ func TestDPTrainingStillConverges(t *testing.T) {
 	cfg := FedProxVR(optim.SARAH, 5, 1, 0.1, 10, 8, 25)
 	cfg.Test = test
 	cfg.Seed = 45
-	s := dpRunner(t, Task{Model: models.NewSoftmax(4, 4, 0), Part: p}, cfg, 2, 0.005).Run()
+	s := dpRunner(t, Task{Model: models.NewSoftmax(4, 4), Part: p}, cfg, 2, 0.005).Run()
 	last, _ := s.Last()
 	if last.TrainLoss >= s.Points[0].TrainLoss {
 		t.Fatal("mild DP should still allow training")
@@ -482,7 +482,7 @@ func TestDPTrainingStillConverges(t *testing.T) {
 // off unnoticed, and an infinite one trains an Inf model.
 func TestDPValidation(t *testing.T) {
 	p, _ := blobPartition(2, 10, 3, 4, 46)
-	r, err := NewRunner(Task{Model: models.NewSoftmax(3, 4, 0), Part: p}, FedAvg(5, 1, 1, 1, 1))
+	r, err := NewRunner(Task{Model: models.NewSoftmax(3, 4), Part: p}, FedAvg(5, 1, 1, 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +514,7 @@ func TestDPValidation(t *testing.T) {
 // the global model; one of the right size becomes the global model.
 func TestNewRunnerRejectsMisSizedInitW(t *testing.T) {
 	p, _ := blobPartition(2, 10, 3, 4, 48)
-	m := models.NewSoftmax(3, 4, 0)
+	m := models.NewSoftmax(3, 4)
 	cfg := FedAvg(5, 1, 1, 1, 1)
 	for _, n := range []int{m.Dim() - 1, m.Dim() + 1} {
 		if _, err := NewRunner(Task{Model: m, Part: p, InitW: make([]float64, n)}, cfg); err == nil {

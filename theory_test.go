@@ -13,7 +13,7 @@ import (
 )
 
 func TestEstimateSigmaBar2OrdersHeterogeneity(t *testing.T) {
-	m := models.NewSoftmax(4, 4, 0)
+	m := models.NewSoftmax(4, 4)
 	rng := randx.New(1)
 
 	// Homogeneous: every device holds IID copies of the same mixture.
@@ -51,7 +51,7 @@ func TestEstimateSigmaBar2ZeroWhenIdenticalShards(t *testing.T) {
 		ds.AppendClass(x, i%2)
 	}
 	p := &data.Partition{Clients: []*data.Dataset{ds, ds, ds}}
-	m := models.NewSoftmax(3, 2, 0)
+	m := models.NewSoftmax(3, 2)
 	if got := EstimateSigmaBar2(m, p, 3, 0.5, randx.New(3)); got > 1e-20 {
 		t.Fatalf("identical shards should give σ̄²=0, got %v", got)
 	}
@@ -59,7 +59,7 @@ func TestEstimateSigmaBar2ZeroWhenIdenticalShards(t *testing.T) {
 
 func TestEstimateDelta(t *testing.T) {
 	p, _ := blobPartition(4, 50, 3, 4, 32)
-	m := models.NewSoftmax(3, 4, 0)
+	m := models.NewSoftmax(3, 4)
 	w0 := make([]float64, m.Dim())
 	delta := EstimateDelta(m, p, w0, 30, 0.3)
 	if delta <= 0 {
@@ -105,7 +105,7 @@ func estimateL(p *data.Partition) float64 {
 // (1/T)Σ‖∇F̄‖² ≤ Δ/(ΘT) with Θ computed at θ̂.
 func TestTheorem1BoundHoldsEmpirically(t *testing.T) {
 	p, _ := blobPartition(5, 60, 4, 4, 33)
-	m := models.NewSoftmax(4, 4, 0)
+	m := models.NewSoftmax(4, 4)
 
 	l := estimateL(p)
 	sigma2 := EstimateSigmaBar2(m, p, 4, 0.5, randx.New(4))
