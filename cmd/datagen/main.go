@@ -22,7 +22,7 @@ func main() {
 		dataset = flag.String("dataset", "synthetic", "synthetic | digits | fashion")
 		devices = flag.Int("devices", 100, "device count (synthetic/partition stats)")
 		samples = flag.Int("samples", 300, "image samples per class")
-		alpha   = flag.Float64("alpha", 1, "synthetic model heterogeneity α")
+		alpha   = flag.Float64("alpha", 1, "synthetic α (FedProx's model heterogeneity): shifts every class's logit alike, so it changes no sample")
 		beta    = flag.Float64("beta", 1, "synthetic feature heterogeneity β")
 		seed    = flag.Int64("seed", 2020, "generation seed")
 		stats   = flag.Bool("stats", true, "print per-device statistics")
@@ -32,12 +32,16 @@ func main() {
 
 	switch *dataset {
 	case "synthetic":
-		part := data.GenerateSynthetic(data.SyntheticConfig{
+		part, test := data.GenerateSynthetic(data.SyntheticConfig{
 			NumDevices: *devices, Alpha: *alpha, Beta: *beta,
 			MinSamples: 37, MaxSamples: 3277, Seed: *seed,
 		})
 		if *stats {
+			fmt.Println("training shards (each device's 75 %; the other 25 % is the test set):")
 			printPartitionStats(part)
+		}
+		if test != nil {
+			fmt.Printf("test set: %d samples held out of all devices\n", test.N())
 		}
 	case "digits", "fashion":
 		style := data.StyleDigits

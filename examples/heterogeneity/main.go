@@ -3,7 +3,11 @@
 // Empirical: at an aggressive step size, FedProxVR with μ=0 fluctuates and
 // stalls at every Synthetic(α, β) heterogeneity level, while μ>0 converges
 // smoothly — the proximal "soft consensus" term is what keeps aggressive
-// local training stable (the paper's Fig. 4 message).
+// local training stable (the paper's Fig. 4 message). The levels are
+// α = β ∈ {0.5, 1, 1.5}. There is no 0 row: SyntheticTask reads a zero α
+// or β as its default 1, so a "0" row would run Synthetic(1, 1) again.
+// Only β moves the data: α shifts every class's logit alike and changes
+// no sample (see data.SyntheticConfig).
 //
 // Theory: the σ̄²-divergence of Assumption 1 caps the admissible local
 // accuracy at θ < (2(1+σ̄²))^(−1/2) (Remark 2), so more heterogeneous
@@ -29,7 +33,7 @@ func main() {
 
 	fmt.Println("Empirical: final global loss (and loss up-ticks: instability) after", rounds, "rounds")
 	fmt.Printf("%-12s %20s %20s\n", "α=β (het.)", "μ=0 (drift)", "μ=20 (proximal)")
-	for _, het := range []float64{0.0, 0.5, 1.5} {
+	for _, het := range []float64{0.5, 1, 1.5} {
 		task := fedproxvr.SyntheticTask(fedproxvr.SyntheticOptions{
 			Devices: devices, Alpha: het, Beta: het,
 			MinSamples: 50, MaxSamples: 300, Seed: 7,

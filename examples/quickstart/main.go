@@ -16,7 +16,7 @@ func main() {
 	//    data distributions, 75/25 train/test split.
 	task := fedproxvr.SyntheticTask(fedproxvr.SyntheticOptions{
 		Devices: 20,
-		Alpha:   1, // model heterogeneity across devices
+		Alpha:   1, // FedProx's model heterogeneity; changes no sample (see data.SyntheticConfig)
 		Beta:    1, // feature heterogeneity across devices
 		Seed:    42,
 	})

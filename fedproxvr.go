@@ -108,10 +108,12 @@ func TrainContext(ctx context.Context, task Task, cfg Config) (*Series, []float6
 	return series, mathx.Clone(r.Global()), err
 }
 
-// SyntheticOptions controls SyntheticTask.
+// SyntheticOptions controls SyntheticTask. A zero Alpha or Beta means its
+// default 1, so Synthetic(0, 0) cannot be asked for; only Beta changes
+// the data.
 type SyntheticOptions struct {
 	Devices    int     // default 100 (paper)
-	Alpha      float64 // model heterogeneity, default 1
+	Alpha      float64 // FedProx's model heterogeneity, default 1; changes no sample (see data.SyntheticConfig)
 	Beta       float64 // feature heterogeneity, default 1
 	MinSamples int     // default 37 (paper range)
 	MaxSamples int     // default 3277
@@ -120,8 +122,9 @@ type SyntheticOptions struct {
 
 // SyntheticTask builds the paper's "Synthetic" convex experiment: the
 // FedProx-style Synthetic(α,β) dataset with a multinomial logistic
-// regression model. 25% of every shard is held out into the global test
-// set (the paper splits 75/25).
+// regression model. 25% of every device's samples are held out into the
+// global test set (the paper splits 75/25), as data.GenerateSynthetic
+// generates them.
 func SyntheticTask(o SyntheticOptions) Task {
 	if o.Devices == 0 {
 		o.Devices = 100
@@ -146,8 +149,7 @@ func SyntheticTask(o SyntheticOptions) Task {
 		MaxSamples: o.MaxSamples,
 		Seed:       o.Seed,
 	}
-	part := data.GenerateSynthetic(cfg)
-	train, test := splitPartition(part, 0.75, o.Seed)
+	train, test := data.GenerateSynthetic(cfg)
 	return Task{
 		Model: models.NewSoftmax(60, 10),
 		Part:  train,
@@ -296,28 +298,6 @@ func imageDefaults(o ImageOptions) ImageOptions {
 		o.MaxSamples = 400
 	}
 	return o
-}
-
-// splitPartition holds out a fraction of every shard into one global test
-// set, preserving per-device heterogeneity in the training shards. Each
-// shard is split in place, so its training rows stay where they are, and
-// its held-out rows are copied once, into a test set sized for all of
-// them.
-func splitPartition(p *Partition, trainFrac float64, seed int64) (*Partition, *Dataset) {
-	trainShards := make([]*data.Dataset, len(p.Clients))
-	testParts := make([]*data.Dataset, 0, len(p.Clients))
-	for i, shard := range p.Clients {
-		tr, te := shard.Split(trainFrac, randx.DeriveSeed(seed, int64(i)+9000))
-		trainShards[i] = tr
-		if te.N() > 0 {
-			testParts = append(testParts, te)
-		}
-	}
-	var test *data.Dataset
-	if len(testParts) > 0 {
-		test = data.Merge(testParts...)
-	}
-	return &data.Partition{Clients: trainShards}, test
 }
 
 // estimateSoftmaxL estimates the smoothness constant of the softmax loss

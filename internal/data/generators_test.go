@@ -3,10 +3,12 @@ package data
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
+	"unsafe"
 
 	"fedproxvr/internal/mathx"
 	"fedproxvr/internal/randx"
@@ -14,16 +16,16 @@ import (
 
 func TestGenerateSyntheticShapes(t *testing.T) {
 	cfg := SyntheticConfig{NumDevices: 20, Alpha: 1, Beta: 1, MinSamples: 37, MaxSamples: 500, Seed: 1}
-	p := GenerateSynthetic(cfg)
+	p, test := GenerateSynthetic(cfg)
 	if len(p.Clients) != 20 {
 		t.Fatalf("%d clients", len(p.Clients))
 	}
-	for k, c := range p.Clients {
+	for k, c := range append(p.Clients, test) {
 		if c.Dim != 60 || c.NumClasses != 10 {
 			t.Fatalf("client %d shape wrong", k)
 		}
-		if c.N() < 37 || c.N() > 500 {
-			t.Fatalf("client %d size %d outside range", k, c.N())
+		if k < len(p.Clients) && (c.N() < 27 || c.N() > 375) { // int(0.75·n), n in [37, 500]
+			t.Fatalf("client %d: %d training samples outside 75 %% of [37, 500]", k, c.N())
 		}
 		for _, y := range c.Y {
 			if y < 0 || y >= 10 {
@@ -38,15 +40,92 @@ func TestGenerateSyntheticShapes(t *testing.T) {
 	}
 }
 
+// TestGenerateSyntheticMatchesSplit holds GenerateSynthetic to the
+// pipeline it replaced: every device's n samples drawn in order into a
+// shard of their own, each shard split in place by
+// Split(0.75, DeriveSeed(Seed, k+9000)), and the held-out views merged
+// in device order. The training shards and the test set must be those
+// bits, and views of one allocation: every training row first, then the
+// test set, each shard's capacity ending at its last row.
+func TestGenerateSyntheticMatchesSplit(t *testing.T) {
+	for _, cfg := range []SyntheticConfig{
+		{NumDevices: 7, Alpha: 0.5, Beta: 1.5, MinSamples: 1, MaxSamples: 90, Seed: 3},
+		{NumDevices: 30, Alpha: 1, Beta: 1, MinSamples: 37, MaxSamples: 400, Seed: 2020},
+	} {
+		sizes := randx.PowerLawSizes(randx.New(cfg.Seed), cfg.NumDevices, sizePowerLaw, cfg.MinSamples, cfg.MaxSamples)
+		sigma := make([]float64, syntheticDim)
+		for j := range sigma {
+			sigma[j] = math.Pow(float64(j+1), -0.6)
+		}
+		var tests []*Dataset
+		train, test := GenerateSynthetic(cfg)
+		for k, n := range sizes {
+			rng := randx.NewStream(cfg.Seed, int64(k)+1)
+			uk := math.Sqrt(cfg.Alpha) * rng.NormFloat64()
+			bk := math.Sqrt(cfg.Beta) * rng.NormFloat64()
+			w, b, v := make([]float64, 10*60), make([]float64, 10), make([]float64, 60)
+			randx.NormalVec(rng, w, uk, 1)
+			randx.NormalVec(rng, b, uk, 1)
+			randx.NormalVec(rng, v, bk, 1)
+			shard := New(60, 10, n)
+			x, logits := make([]float64, 60), make([]float64, 10)
+			for i := 0; i < n; i++ {
+				for j := range x {
+					x[j] = v[j] + sigma[j]*rng.NormFloat64()
+				}
+				for c := range logits {
+					logits[c] = b[c] + mathx.Dot(w[c*60:(c+1)*60], x)
+				}
+				shard.AppendClass(x, mathx.ArgMax(logits))
+			}
+			tr, te := shard.Split(0.75, randx.DeriveSeed(cfg.Seed, int64(k)+9000))
+			sameData(t, fmt.Sprintf("seed %d shard %d", cfg.Seed, k), train.Clients[k], tr)
+			if got := train.Clients[k]; cap(got.X) != len(got.X) || cap(got.Y) != len(got.Y) {
+				t.Fatalf("seed %d shard %d: capacity runs past its rows", cfg.Seed, k)
+			}
+			tests = append(tests, te)
+		}
+		sameData(t, fmt.Sprintf("seed %d test set", cfg.Seed), test, Merge(tests...))
+		last := train.Clients[len(train.Clients)-1].X
+		if unsafe.Add(unsafe.Pointer(&last[len(last)-1]), 8) != unsafe.Pointer(&test.X[0]) {
+			t.Fatalf("seed %d: the test set does not follow the last training shard in one allocation", cfg.Seed)
+		}
+	}
+}
+
+// sameData fails unless got and want hold the same labels and feature bits.
+func sameData(t *testing.T, what string, got, want *Dataset) {
+	t.Helper()
+	if got.N() != want.N() || got.Dim != want.Dim || got.NumClasses != want.NumClasses {
+		t.Fatalf("%s: %d×%d (%d classes), want %d×%d (%d classes)", what,
+			got.N(), got.Dim, got.NumClasses, want.N(), want.Dim, want.NumClasses)
+	}
+	for i := range want.Y {
+		if got.Y[i] != want.Y[i] {
+			t.Fatalf("%s: label %d = %d, want %d", what, i, got.Y[i], want.Y[i])
+		}
+	}
+	for i := range want.X {
+		if math.Float64bits(got.X[i]) != math.Float64bits(want.X[i]) {
+			t.Fatalf("%s: feature %d = %v, want %v", what, i, got.X[i], want.X[i])
+		}
+	}
+}
+
 func TestSyntheticDeterminism(t *testing.T) {
 	cfg := SyntheticConfig{NumDevices: 3, Alpha: 0.5, Beta: 0.5, MinSamples: 20, MaxSamples: 30, Seed: 7}
-	p1 := GenerateSynthetic(cfg)
-	p2 := GenerateSynthetic(cfg)
+	p1, t1 := GenerateSynthetic(cfg)
+	p2, t2 := GenerateSynthetic(cfg)
 	for k := range p1.Clients {
 		for i := range p1.Clients[k].X {
 			if p1.Clients[k].X[i] != p2.Clients[k].X[i] {
 				t.Fatal("synthetic generation not deterministic")
 			}
+		}
+	}
+	for i := range t1.X {
+		if t1.X[i] != t2.X[i] {
+			t.Fatal("synthetic test set not deterministic")
 		}
 	}
 }
@@ -59,7 +138,7 @@ func TestSyntheticDeterminism(t *testing.T) {
 func TestSyntheticHeterogeneityKnob(t *testing.T) {
 	spread := func(alpha, beta float64) float64 {
 		cfg := SyntheticConfig{NumDevices: 30, Alpha: alpha, Beta: beta, MinSamples: 200, MaxSamples: 200, Seed: 11}
-		p := GenerateSynthetic(cfg)
+		p, _ := GenerateSynthetic(cfg)
 		means := make([]float64, len(p.Clients))
 		for k, c := range p.Clients {
 			for _, v := range c.X {

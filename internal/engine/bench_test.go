@@ -78,13 +78,9 @@ var sinkPoint metrics.Point
 func BenchmarkEvaluatorMeasure(b *testing.B) {
 	cfg := data.SyntheticConfig{NumDevices: 100,
 		Alpha: 1, Beta: 1, MinSamples: 37, MaxSamples: 1600, Seed: 1}
-	part := data.GenerateSynthetic(cfg)
-	tests := make([]*data.Dataset, len(part.Clients))
-	for k, shard := range part.Clients {
-		part.Clients[k], tests[k] = shard.Split(0.75, int64(k))
-	}
+	part, test := data.GenerateSynthetic(cfg)
 	m := models.NewSoftmax(60, 10)
-	ev := &engine.Evaluator{Model: m, Clients: part.Clients, Weights: part.Weights(), Test: data.Merge(tests...)}
+	ev := &engine.Evaluator{Model: m, Clients: part.Clients, Weights: part.Weights(), Test: test}
 	w := make([]float64, m.Dim())
 	sinkPoint = ev.Measure(w, 0) // build the helpers' clones
 	b.ReportAllocs()
@@ -102,17 +98,13 @@ func BenchmarkEvaluatorMeasure(b *testing.B) {
 func BenchmarkEvaluatorMeasureHandOver(b *testing.B) {
 	cfg := data.SyntheticConfig{NumDevices: 100,
 		Alpha: 1, Beta: 1, MinSamples: 37, MaxSamples: 1600, Seed: 1}
-	part := data.GenerateSynthetic(cfg)
-	tests := make([]*data.Dataset, len(part.Clients))
-	for k, shard := range part.Clients {
-		part.Clients[k], tests[k] = shard.Split(0.75, int64(k))
-	}
+	part, test := data.GenerateSynthetic(cfg)
 	m := models.NewSoftmax(60, 10)
 	devices := make([]*engine.Device, len(part.Clients))
 	for i, shard := range part.Clients {
 		devices[i] = engine.NewDevice(i, shard, m, cfg.Seed)
 	}
-	ev := &engine.Evaluator{Model: m, Clients: part.Clients, Weights: part.Weights(), Test: data.Merge(tests...), Devices: devices}
+	ev := &engine.Evaluator{Model: m, Clients: part.Clients, Weights: part.Weights(), Test: test, Devices: devices}
 	w := make([]float64, m.Dim())
 	sinkPoint = ev.Measure(w, 1) // clones and hand-over buffers
 	b.ReportAllocs()

@@ -57,25 +57,28 @@ func GemmNN(alpha float64, a, b Mat, beta float64, c Mat) {
 // to those rows only.
 func GemmNNRows(alpha float64, a, b Mat, beta float64, c Mat, lo, hi int) {
 	scaleRows(beta, c, lo, hi)
-	gemmAxpy(alpha, a.Data, a.Cols, 1, a.Cols, b, c, lo, hi)
+	gemmAxpy(alpha, a.Data, a.Cols, 1, a.Cols, b, c, lo, hi, beta == 0)
 }
 
-// gemmAxpy is the body GemmNNRows and GemmTNRows share once beta is
-// applied: for every output row i in [lo, hi) and every k < kn in ascending
-// order it adds (alpha·A(i,k))·B[k,:] to C[i,:], skipping A(i,k) == 0,
-// where A(i,k) = a[i*rs+k*ks]. Each element of C therefore sees one
-// multiply-add per nonzero term in ascending k, whichever path computes it.
+// gemmAxpy is the body GemmNNRows and GemmTNRows share once a nonzero beta
+// is applied: for every output row i in [lo, hi) and every k < kn in
+// ascending order it adds (alpha·A(i,k))·B[k,:] to C[i,:], skipping
+// A(i,k) == 0, where A(i,k) = a[i*rs+k*ks]. With zero (beta 0) each
+// element starts from +0 instead, as if C had been cleared first. Each
+// element of C therefore sees one multiply-add per nonzero term in
+// ascending k, whichever path computes it.
 //
 // Output rows go four at a time, the last one to three together, so each
 // streamed row of B is reused across the block. With AVX2 and alpha = 1
 // (every caller's), the first n&^3 columns of a block are one
 // register-tiled axpyTileSIMD call, which keeps its slice of C in
-// registers for the whole k loop and does per element exactly what
-// axpySIMD does; the n%4 columns a tile does not cover, and every column
-// at another alpha, take axpyRow on sub-slices. A wide block whose A is
-// sparse skips the tile (see tilePays); which path runs never changes a
-// bit.
-func gemmAxpy(alpha float64, a []float64, rs, ks, kn int, b, c Mat, lo, hi int) {
+// registers for the whole k loop (starting them at +0 with zero, so a
+// beta-0 C is neither cleared nor read there) and does per element
+// exactly what axpySIMD does; the n%4 columns a tile does not cover, and
+// every column at another alpha, take axpyRow on sub-slices, cleared
+// first with zero. A wide block whose A is sparse skips the tile (see
+// tilePays); which path runs never changes a bit.
+func gemmAxpy(alpha float64, a []float64, rs, ks, kn int, b, c Mat, lo, hi int, zero bool) {
 	n := b.Cols
 	tiled := 0 // columns [0, tiled) of a dense block are register-tiled
 	if simdEnabled && alpha == 1 && kn > 0 {
@@ -87,8 +90,13 @@ func gemmAxpy(alpha float64, a []float64, rs, ks, kn int, b, c Mat, lo, hi int) 
 		if tiled > 0 && tilePays(a, rs, ks, kn, n, i, rows) {
 			// The slice expressions bound everything the kernel touches.
 			axpyTileSIMD(a[i*rs:(i+rows-1)*rs+(kn-1)*ks+1], rs, ks, kn,
-				b.Data[:(kn-1)*n+tiled], c.Data[i*n:(i+rows-1)*n+tiled], n, tiled, rows)
+				b.Data[:(kn-1)*n+tiled], c.Data[i*n:(i+rows-1)*n+tiled], n, tiled, rows, zero)
 			j0 = tiled
+		}
+		if zero && j0 < n {
+			for r := i; r < i+rows; r++ {
+				clear(c.Data[r*n+j0 : (r+1)*n])
+			}
 		}
 		axpyRows(alpha, a, rs, ks, kn, b, c, i, i+rows, j0)
 	}
@@ -140,21 +148,17 @@ func axpyRows(alpha float64, a []float64, rs, ks, kn int, b, c Mat, r0, r1, j0 i
 	}
 }
 
-// scaleRows applies beta to rows [lo, hi) of c ahead of accumulation.
+// scaleRows applies beta to rows [lo, hi) of c ahead of accumulation. It
+// leaves c alone at beta 1, and at beta 0, where gemmAxpy starts every
+// element from +0 itself.
 func scaleRows(beta float64, c Mat, lo, hi int) {
-	if beta == 1 {
+	if beta == 1 || beta == 0 {
 		return
 	}
 	for i := lo; i < hi; i++ {
 		crow := c.Row(i)
-		if beta == 0 {
-			for j := range crow {
-				crow[j] = 0
-			}
-		} else {
-			for j := range crow {
-				crow[j] *= beta
-			}
+		for j := range crow {
+			crow[j] *= beta
 		}
 	}
 }
@@ -238,7 +242,7 @@ func GemmTN(alpha float64, a, b Mat, beta float64, c Mat) {
 // body with A read down its columns.
 func GemmTNRows(alpha float64, a, b Mat, beta float64, c Mat, lo, hi int) {
 	scaleRows(beta, c, lo, hi)
-	gemmAxpy(alpha, a.Data, 1, a.Cols, a.Rows, b, c, lo, hi)
+	gemmAxpy(alpha, a.Data, 1, a.Cols, a.Rows, b, c, lo, hi, beta == 0)
 }
 
 // AddRowVec adds v to every row of c (the batched bias broadcast).

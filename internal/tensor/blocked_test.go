@@ -263,6 +263,20 @@ func BenchmarkGemmShapeNN4x25x784(b *testing.B) {
 	benchGemmShape(b, GemmNN, 1, 4, 25, 25, 784, 4, 784)
 }
 
+// BenchmarkGemmShapeNN8x100x196 is the thinned CNN's conv2 forward: 8
+// filters of 100 taps against a 100×196 im2col block, stored into a fresh
+// output (beta 0).
+func BenchmarkGemmShapeNN8x100x196(b *testing.B) {
+	benchGemmShape(b, GemmNN, 0, 8, 100, 100, 196, 8, 196)
+}
+
+// BenchmarkGemmShapeTN100x8x196 is the thinned CNN's conv2 input
+// gradient: Wᵀ (100 taps × 8 filters) against one sample's 8×196 output
+// gradient, stored into a fresh im2col block (beta 0).
+func BenchmarkGemmShapeTN100x8x196(b *testing.B) {
+	benchGemmShape(b, GemmTN, 0, 8, 100, 8, 196, 100, 196)
+}
+
 func TestSIMDKernelsMatchScalar(t *testing.T) {
 	if !simdEnabled {
 		t.Skip("SIMD unavailable on this CPU")

@@ -29,17 +29,25 @@ var paperCNNDigests = map[bool][2]uint64{
 	false: {0x696a516bbaa2e1fd, 0xd73345b89d44a275},
 }
 
-// paperCNNDigest runs the table: the paper CNN at width divisors 8 and 4;
-// normal inputs, image-like inputs with about 60 % exact zeros, and the
-// image-like inputs again with a quarter of the parameters exactly zero;
-// batch sizes 1, 3, 8, 16 and 48 (more than one 32-row chunk). Each batch
-// is a dataset of b samples evaluated whole (LossGrad, PredictBatch) and
-// through a drawn index list with repeats (Grad, Loss). LossGrad is Grad's
-// gradient and Loss's value bit for bit (models' LossGrad tests), so the
-// whole-dataset Grad and Loss are not run again.
-func paperCNNDigest() uint64 {
+// paperCNNWideDigests are paperCNNDigests for the paper's own width
+// (divisor 1: conv2 takes 32 channels to 64) at batch sizes 1, 3 and 8, the
+// shape at which conv2's GEMMs are 64×800×196 and 800×64×196.
+var paperCNNWideDigests = map[bool][2]uint64{
+	true:  {0x28e484c23df19d9f, 0x80c0e43352bf6767},
+	false: {0x1b4e2452399193cc, 0x79b4537b03cbe0d6},
+}
+
+// paperCNNDigest runs the table: the paper CNN at each width divisor in
+// divs; normal inputs, image-like inputs with about 60 % exact zeros, and
+// the image-like inputs again with a quarter of the parameters exactly
+// zero; each batch size in batches. Each batch is a dataset of b samples
+// evaluated whole (LossGrad, PredictBatch) and through a drawn index list
+// with repeats (Grad, Loss). LossGrad is Grad's gradient and Loss's value
+// bit for bit (models' LossGrad tests), so the whole-dataset Grad and Loss
+// are not run again.
+func paperCNNDigest(divs, batches []int) uint64 {
 	h := fnv.New64a()
-	for _, div := range []int{8, 4} {
+	for _, div := range divs {
 		m := models.NewPaperCNN(10, div)
 		for kind := 0; kind < 3; kind++ {
 			rng := randx.New(int64(100*div + kind))
@@ -52,7 +60,7 @@ func paperCNNDigest() uint64 {
 					}
 				}
 			}
-			for _, b := range []int{1, 3, 8, 16, 48} {
+			for _, b := range batches {
 				ds := digestBatch(rng, b, kind > 0)
 				grad := make([]float64, m.Dim())
 				hashFloats(h, m.LossGrad(grad, w, ds))
@@ -105,24 +113,34 @@ func hashFloats(h hash.Hash64, vs ...float64) {
 	}
 }
 
-// TestPaperCNNDigest pins the paper CNN's result bits on both kernel sets.
-// The AVX2 digest is checked only where the AVX2+FMA kernels run.
+// TestPaperCNNDigest pins the paper CNN's result bits on both kernel sets,
+// thinned (divisors 8 and 4) and at the paper's width (Wide). The AVX2
+// digests are checked only where the AVX2+FMA kernels run.
 func TestPaperCNNDigest(t *testing.T) {
 	// TestExpKernelGate's probe: math.Exp rounds this argument differently
 	// on and off its FMA path.
-	want := paperCNNDigests[math.Float64bits(math.Exp(-1.1057467696506076)) == 0x3fd52e821a8ec2c5]
-	t.Run("AVX2", func(t *testing.T) {
-		if !tensor.SIMDEnabled() {
-			t.Skip("AVX2+FMA kernels are off on this CPU")
-		}
-		if got := paperCNNDigest(); got != want[0] {
-			t.Fatalf("paper CNN digest %#x, want %#x: a result bit moved", got, want[0])
-		}
-	})
-	t.Run("Scalar", func(t *testing.T) {
-		tensor.WithScalarKernels(t)
-		if got := paperCNNDigest(); got != want[1] {
-			t.Fatalf("paper CNN digest on the scalar kernels %#x, want %#x: a result bit moved", got, want[1])
-		}
-	})
+	fma := math.Float64bits(math.Exp(-1.1057467696506076)) == 0x3fd52e821a8ec2c5
+	for _, tc := range []struct {
+		name          string
+		divs, batches []int
+		want          [2]uint64
+	}{
+		{"", []int{8, 4}, []int{1, 3, 8, 16, 48}, paperCNNDigests[fma]},
+		{"Wide", []int{1}, []int{1, 3, 8}, paperCNNWideDigests[fma]},
+	} {
+		t.Run("AVX2"+tc.name, func(t *testing.T) {
+			if !tensor.SIMDEnabled() {
+				t.Skip("AVX2+FMA kernels are off on this CPU")
+			}
+			if got := paperCNNDigest(tc.divs, tc.batches); got != tc.want[0] {
+				t.Fatalf("paper CNN digest %#x, want %#x: a result bit moved", got, tc.want[0])
+			}
+		})
+		t.Run("Scalar"+tc.name, func(t *testing.T) {
+			tensor.WithScalarKernels(t)
+			if got := paperCNNDigest(tc.divs, tc.batches); got != tc.want[1] {
+				t.Fatalf("paper CNN digest on the scalar kernels %#x, want %#x: a result bit moved", got, tc.want[1])
+			}
+		})
+	}
 }

@@ -13,7 +13,7 @@ import (
 
 func refGemmNNRows(alpha float64, a, b Mat, beta float64, c Mat, lo, hi int) {
 	n := b.Cols
-	scaleRows(beta, c, lo, hi)
+	refScaleRows(beta, c, lo, hi)
 	i := lo
 	for ; i+4 <= hi; i += 4 {
 		a0, a1, a2, a3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
@@ -42,6 +42,26 @@ func refGemmNNRows(alpha float64, a, b Mat, beta float64, c Mat, lo, hi int) {
 				continue
 			}
 			axpyRow(alpha*av, b.Data[k*n:(k+1)*n], crow)
+		}
+	}
+}
+
+// refScaleRows is the beta step the reference bodies ran before the
+// accumulation: beta 0 clears the rows, so NaN and Inf in C are gone.
+func refScaleRows(beta float64, c Mat, lo, hi int) {
+	if beta == 1 {
+		return
+	}
+	for i := lo; i < hi; i++ {
+		crow := c.Row(i)
+		if beta == 0 {
+			for j := range crow {
+				crow[j] = 0
+			}
+		} else {
+			for j := range crow {
+				crow[j] *= beta
+			}
 		}
 	}
 }
@@ -152,7 +172,7 @@ func fmaX86(a, b, c float64) float64 {
 }
 
 func refGemmTNRows(alpha float64, a, b Mat, beta float64, c Mat, lo, hi int) {
-	scaleRows(beta, c, lo, hi)
+	refScaleRows(beta, c, lo, hi)
 	m := a.Cols
 	i := lo
 	for ; i+4 <= hi; i += 4 {
@@ -347,4 +367,87 @@ func TestTilePaysRoutesSparseWideBlocks(t *testing.T) {
 			t.Errorf("fill %d, n=%d: tilePays = %v, want %v", tc.kind, tc.n, got, tc.want)
 		}
 	}
+}
+
+// TestGemmBetaZeroEdgeCases holds beta-0 GemmNNRows and GemmTNRows, which
+// never clear C first, to the reference bodies, which do: C prefilled
+// with NaNs and ±Inf that must not survive, A with an all-zero row, one of
+// −0s and products that are −0 (a negative A against B's zeros), N with
+// every residue mod 4 (the columns a register tile does not cover),
+// alpha ≠ 1 (no tile at all), a half-zero A wide enough that tilePays
+// routes it to the per-row path, and K = 0 (nothing to add: C is +0).
+// Interior row ranges check that rows outside [lo, hi) keep their
+// NaNs.
+func TestGemmBetaZeroEdgeCases(t *testing.T) {
+	forEachKernelSet(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(30))
+		cFill := []float64{math.NaN(), math.Float64frombits(0x7ff8_0000_0000_0bad), math.Inf(1), math.Inf(-1),
+			math.Copysign(0, -1)}
+		for _, k := range []int{0, 1, 3, 17} {
+			for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 13, 14, 400} {
+				for _, alpha := range []float64{1, -0.5} {
+					for _, kind := range []int{fillDense, fillSparse} {
+						m := 6
+						a, b := randMatKind(rng, m, k, kind), randMatKind(rng, k, n, kind)
+						for r := 0; r < k; r++ {
+							a.Data[1*k+r] = 0                        // row 1: all +0
+							a.Data[2*k+r] = math.Copysign(0, -1)     // row 2: all −0
+							a.Data[3*k+r] = -math.Abs(a.Data[3*k+r]) // row 3: −0 products on B's zeros
+						}
+						for j := range b.Data {
+							if j%3 == 0 {
+								b.Data[j] = 0
+							}
+						}
+						at := transposed(a)
+						for _, rows := range [][2]int{{0, m}, {1, 5}} {
+							lo, hi := rows[0], rows[1]
+							what := fmt.Sprintf("M=%d K=%d N=%d alpha=%v fill=%d rows [%d,%d)", m, k, n, alpha, kind, lo, hi)
+							for _, f := range []struct {
+								name     string
+								a        Mat
+								got, ref func(float64, Mat, Mat, float64, Mat, int, int)
+							}{
+								{"NN", a, GemmNNRows, refGemmNNRows},
+								{"TN", at, GemmTNRows, refGemmTNRows},
+							} {
+								got, want := MatOf(m, n, make([]float64, m*n)), MatOf(m, n, make([]float64, m*n))
+								for i := range got.Data {
+									got.Data[i] = cFill[i%len(cFill)]
+								}
+								copy(want.Data, got.Data)
+								f.got(alpha, f.a, b, 0, got, lo, hi)
+								f.ref(alpha, f.a, b, 0, want, lo, hi)
+								sameBits(t, f.name+" "+what, got.Data, want.Data)
+								// A and B are finite, and a sum from +0 is never −0.
+								for i, v := range got.Data[lo*n : hi*n] {
+									if math.IsNaN(v) || math.IsInf(v, 0) || v == 0 && math.Signbit(v) {
+										t.Fatalf("%s %s: element %d = %v survived from C", f.name, what, lo*n+i, v)
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// randMatKind is a rows×cols Mat filled by fillOperand.
+func randMatKind(rng *rand.Rand, rows, cols, kind int) Mat {
+	m := MatOf(rows, cols, make([]float64, rows*cols))
+	fillOperand(rng, m.Data, kind)
+	return m
+}
+
+// transposed returns a fresh copy of m transposed.
+func transposed(m Mat) Mat {
+	t := MatOf(m.Cols, m.Rows, make([]float64, len(m.Data)))
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			t.Data[j*m.Rows+i] = m.Data[i*m.Cols+j]
+		}
+	}
+	return t
 }

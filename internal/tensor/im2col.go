@@ -129,7 +129,12 @@ func (s ConvShape) im2colRun(plane, dst []float64, ky, kx, lo, hi, oh int) {
 //
 // Each row adds only its validCols run. Within one im2col row no two
 // columns reach the same input element, so every dInput element receives
-// at most one term per row, in ascending (c, ky, kx) row order.
+// at most one term per row, in ascending (c, ky, kx) row order. With AVX2
+// at stride 1 (every convolution of the paper CNN) a row's runs are one
+// addRowsSIMD call, whose adds keep that order and take dInput as the
+// first operand, as the compiled dInput[i] += term does: where both are
+// NaNs, dInput's payload is kept. (A race or fuzz build may compile the Go
+// loop with the operands swapped.)
 func Col2Im(s ConvShape, col, dInput []float64) {
 	oh, ow := s.OutH(), s.OutW()
 	cols := oh * ow
@@ -148,6 +153,16 @@ func Col2Im(s ConvShape, col, dInput []float64) {
 				src := col[r*cols : (r+1)*cols]
 				r++
 				if lo == hi {
+					continue
+				}
+				if s.Stride == 1 && simdEnabled {
+					// Output rows [yLo, yHi) read input rows inside the plane.
+					yLo, yHi := max(s.Pad-ky, 0), min(s.InH+s.Pad-ky, oh)
+					if yLo < yHi {
+						d := chBase + (yLo+ky-s.Pad)*s.InW + lo + kx - s.Pad
+						addRowsSIMD(src[yLo*ow+lo:(yHi-1)*ow+hi],
+							dInput[d:d+(yHi-1-yLo)*s.InW+hi-lo], yHi-yLo, hi-lo, ow, s.InW)
+					}
 					continue
 				}
 				for oy := 0; oy < oh; oy++ {

@@ -1,8 +1,11 @@
 package tensor
 
 // refIm2Col and refCol2Im are the per-element bodies the contiguous-run
-// kernels replaced, kept verbatim as the bit-exact reference: every output
-// column tests its own input column against [0, InW).
+// kernels replaced, kept as the bit-exact reference: every output column
+// tests its own input column against [0, InW). refCol2Im's add is
+// nanFirstAdd(dInput, term), the operand order the compiled
+// dInput[i] += term has, pinned so that where both are NaNs the reference
+// keeps dInput's payload whatever order the compiler picks for it.
 
 func refIm2Col(s ConvShape, input, col []float64) {
 	oh, ow := s.OutH(), s.OutW()
@@ -61,7 +64,7 @@ func refCol2Im(s ConvShape, col, dInput []float64) {
 					for ox := 0; ox < ow; ox++ {
 						ix := ox*s.Stride + kx - s.Pad
 						if ix >= 0 && ix < s.InW {
-							dInput[rowBase+ix] += src[i]
+							dInput[rowBase+ix] = nanFirstAdd(dInput[rowBase+ix], src[i])
 						}
 						i++
 					}

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -210,6 +211,67 @@ func TestIm2ColCol2ImMatchReference(t *testing.T) {
 		refCol2Im(s, col, dWant)
 		same("Col2Im", s, dGot, dWant)
 	}
+}
+
+// TestCol2ImEdgeCases holds Col2Im to the per-element reference on both
+// kernel sets where the vector adds could part from it: sums that meet
+// two NaNs of different payloads (dInput's must survive, as in Go's
+// dInput[i] += term), signalling NaNs, −0 terms onto −0 and +0, and ±Inf.
+// The shapes take the stride-1 kernel at both paper convolutions and at
+// run lengths of every residue mod 4, the Go loop at stride 2, and
+// padding wider than the kernel, where some kernel columns reach no
+// input column at all (an empty validCols run). The race detector's
+// build may swap the Go loop's operands, so there the Go loop's NaNs
+// compare as one value; the kernel's payloads are compared in every
+// build.
+func TestCol2ImEdgeCases(t *testing.T) {
+	shapes := []ConvShape{
+		conv1Shape,
+		conv2Shape,
+		{InC: 2, InH: 5, InW: 5, KH: 3, KW: 3, Stride: 1, Pad: 1},
+		{InC: 2, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 1, Pad: 0},
+		{InC: 1, InH: 7, InW: 7, KH: 3, KW: 5, Stride: 1, Pad: 0},
+		{InC: 3, InH: 4, InW: 9, KH: 2, KW: 2, Stride: 1, Pad: 0},
+		{InC: 2, InH: 7, InW: 9, KH: 3, KW: 3, Stride: 2, Pad: 1},
+		{InC: 1, InH: 8, InW: 8, KH: 5, KW: 5, Stride: 2, Pad: 2},
+		{InC: 1, InH: 3, InW: 3, KH: 2, KW: 2, Stride: 1, Pad: 3},
+		{InC: 2, InH: 2, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 4},
+		{InC: 1, InH: 3, InW: 3, KH: 2, KW: 2, Stride: 2, Pad: 3},
+	}
+	specials := []float64{
+		math.NaN(), math.Float64frombits(0x7ff8_0000_0000_0123), math.Float64frombits(0xfff8_0000_0000_4567),
+		math.Float64frombits(0x7ff4_0000_0000_0089), // signalling
+		0, math.Copysign(0, -1), math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+	}
+	forEachKernelSet(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(31))
+		fill := func(v []float64) {
+			for i := range v {
+				if rng.Intn(3) == 0 {
+					v[i] = rng.NormFloat64()
+				} else {
+					v[i] = specials[rng.Intn(len(specials))]
+				}
+			}
+		}
+		for _, s := range shapes {
+			col := make([]float64, s.ColRows()*s.ColCols())
+			fill(col)
+			got := make([]float64, s.InC*s.InH*s.InW)
+			fill(got)
+			want := append([]float64(nil), got...)
+			Col2Im(s, col, got)
+			refCol2Im(s, col, want)
+			if raceBuild && !(simdEnabled && s.Stride == 1) {
+				for i := range got {
+					if got[i] != got[i] && want[i] != want[i] {
+						got[i], want[i] = math.NaN(), math.NaN()
+					}
+				}
+			}
+			sameBits(t, fmt.Sprintf("Col2Im %+v", s), got, want)
+		}
+	})
 }
 
 // conv1 and conv2 are the paper CNN's two convolution shapes, conv2 at the

@@ -19,6 +19,21 @@ var WithScalarKernels = withScalarKernels
 // kernels run, so a test pinning their bits can skip where they do not.
 func SIMDEnabled() bool { return simdEnabled }
 
+// forEachKernelSet runs f once on the AVX2 kernels (where this CPU has
+// them) and once on the scalar fallback.
+func forEachKernelSet(t *testing.T, f func(t *testing.T)) {
+	t.Run("AVX2", func(t *testing.T) {
+		if !simdEnabled {
+			t.Skip("AVX2+FMA kernels are off on this CPU")
+		}
+		f(t)
+	})
+	t.Run("Scalar", func(t *testing.T) {
+		withScalarKernels(t)
+		f(t)
+	})
+}
+
 // TestScalarFallbackKernels reruns the GEMM tests on the scalar fallback:
 // against the naive product, parallel against serial, at several
 // GOMAXPROCS, and bit for bit against the reference bodies, which on this

@@ -21,8 +21,19 @@ func axpySIMD(s float64, x, y []float64)
 // a positive multiple of 4 and kn positive; the slices must cover every
 // index this reaches. Each element gets axpySIMD's fused multiply-add per
 // term, with s = A(r,k) (axpyRow's alpha·A(r,k) at alpha = 1, which is
-// A(r,k) to the bit). Implemented in assembly.
-func axpyTileSIMD(a []float64, rs, ks, kn int, b, c []float64, ld, n, rows int)
+// A(r,k) to the bit). With zero, each element starts from +0 instead of
+// c's value, which is then never read: the sum a C zeroed beforehand
+// would get. Implemented in assembly.
+func axpyTileSIMD(a []float64, rs, ks, kn int, b, c []float64, ld, n, rows int, zero bool)
+
+// addRowsSIMD adds src[r*ss+j] to dst[r*ds+j] for the rows r < rows and
+// the columns j < n, as dst + src with dst the first operand, so that
+// where both are NaNs dst's payload is kept, as Go's dst[j] += src[j]
+// keeps it. The slices must cover every index this reaches. Implemented
+// in assembly.
+//
+//go:noescape
+func addRowsSIMD(src, dst []float64, rows, n, ss, ds int)
 
 // expSIMD overwrites x, four elements at a time, with math.Exp's FMA path
 // op for op. It stops before the first group of four holding an element

@@ -107,15 +107,16 @@ done2:
 	VBROADCASTSD aaddr, Y10; \
 	VFMADD231PD  Y8, Y10, c0
 
-// func axpyTileSIMD(a []float64, rs, ks, kn int, b, c []float64, ld, n, rows int)
+// func axpyTileSIMD(a []float64, rs, ks, kn int, b, c []float64, ld, n, rows int, zero bool)
 //
 // rows ≤ 4 rows of C advance together through column tiles: four rows
 // through 12-column tiles (row r in Y3r–Y3r+2) while 12 columns remain,
 // then any rows through 8-column tiles (row r in Y2r, Y2r+1), then one
-// 4-column tile if 4 columns remain. A tile's slice of C is loaded once,
-// takes every k in ascending order, and is stored once. Each row count
-// has its own k loop, so no row test runs per term.
-TEXT ·axpyTileSIMD(SB), NOSPLIT, $0-120
+// 4-column tile if 4 columns remain. A tile's slice of C is loaded once
+// (with zero, set to +0 by VXORPD instead, so C is not read), takes every
+// k in ascending order, and is stored once. Each row count has its own k
+// loop, so no row test runs per term.
+TEXT ·axpyTileSIMD(SB), NOSPLIT, $0-121
 	MOVQ   a_base+0(FP), SI
 	MOVQ   rs+24(FP), R8
 	SHLQ   $3, R8             // R8 = A row stride, bytes
@@ -135,6 +136,8 @@ TEXT ·axpyTileSIMD(SB), NOSPLIT, $0-120
 tile12:
 	CMPQ    CX, $12
 	JLT     tile8
+	CMPB    zero+120(FP), $0
+	JNE     z12
 	LEAQ    (R11)(R11*2), AX  // AX = 3 C rows
 	VMOVUPD (DX), Y0
 	VMOVUPD 32(DX), Y1
@@ -148,6 +151,23 @@ tile12:
 	VMOVUPD (DX)(AX*1), Y9
 	VMOVUPD 32(DX)(AX*1), Y10
 	VMOVUPD 64(DX)(AX*1), Y11
+	JMP     l12
+
+z12:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	VXORPD Y8, Y8, Y8
+	VXORPD Y9, Y9, Y9
+	VXORPD Y10, Y10, Y10
+	VXORPD Y11, Y11, Y11
+
+l12:
 	MOVQ    SI, AX            // AX = &A(0,k)
 	MOVQ    DI, BX            // BX = &B[k, j]
 	MOVQ    R10, R12
@@ -186,6 +206,8 @@ k12:
 tile8:
 	CMPQ    CX, $8
 	JLT     tile4
+	CMPB    zero+120(FP), $0
+	JNE     z8
 	LEAQ    (R11)(R11*2), AX  // AX = 3 C rows
 	VMOVUPD (DX), Y0
 	VMOVUPD 32(DX), Y1
@@ -201,6 +223,17 @@ tile8:
 	JLT     l8
 	VMOVUPD (DX)(AX*1), Y6
 	VMOVUPD 32(DX)(AX*1), Y7
+	JMP     l8
+
+z8: // every row's accumulators, whatever rows is: they are not stored
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
 
 l8:
 	MOVQ SI, AX               // AX = &A(0,k)
@@ -283,6 +316,8 @@ n8:
 tile4:
 	TESTQ   CX, CX
 	JZ      tiledone
+	CMPB    zero+120(FP), $0
+	JNE     z4
 	LEAQ    (R11)(R11*2), AX
 	VMOVUPD (DX), Y0
 	CMPQ    R14, $2
@@ -294,6 +329,13 @@ tile4:
 	CMPQ    R14, $4
 	JLT     l4
 	VMOVUPD (DX)(AX*1), Y6
+	JMP     l4
+
+z4:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y2, Y2, Y2
+	VXORPD Y4, Y4, Y4
+	VXORPD Y6, Y6, Y6
 
 l4:
 	MOVQ SI, AX
@@ -690,5 +732,68 @@ sdone:
 	JNZ   group
 
 rowsdone:
+	VZEROUPPER
+	RET
+
+// func addRowsSIMD(src, dst []float64, rows, n, ss, ds int)
+//
+// Row by row, dst[j] = dst[j] + src[j]: four at a time with VADDPD, then
+// the n%4 tail two at a time (128-bit VADDPD) and one at a time
+// (VADDSD). dst is loaded into the register that is the add's first
+// source, so where both operands are NaNs the sum keeps dst's payload.
+// Memory operands are not indexed, so each add stays one fused micro-op.
+TEXT ·addRowsSIMD(SB), NOSPLIT, $0-80
+	MOVQ  src_base+0(FP), R8  // R8 = this row of src
+	MOVQ  dst_base+24(FP), R9 // R9 = this row of dst
+	MOVQ  rows+48(FP), R10
+	MOVQ  n+56(FP), BX
+	MOVQ  ss+64(FP), R11
+	SHLQ  $3, R11             // R11 = src row stride, bytes
+	MOVQ  ds+72(FP), R12
+	SHLQ  $3, R12             // R12 = dst row stride, bytes
+	TESTQ R10, R10
+	JZ    adddone
+	TESTQ BX, BX
+	JZ    adddone
+
+addrow:
+	MOVQ R8, SI
+	MOVQ R9, DI
+	MOVQ BX, CX
+	SHRQ $2, CX
+	JZ   addtail
+
+add4:
+	VMOVUPD (DI), Y0
+	VADDPD  (SI), Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     add4
+
+addtail:
+	TESTQ $2, BX
+	JZ    add1
+	VMOVUPD (DI), X0
+	VADDPD  (SI), X0, X0
+	VMOVUPD X0, (DI)
+	ADDQ    $16, SI
+	ADDQ    $16, DI
+
+add1:
+	TESTQ  $1, BX
+	JZ     addnext
+	VMOVSD (DI), X0
+	VADDSD (SI), X0, X0
+	VMOVSD X0, (DI)
+
+addnext:
+	ADDQ R11, R8
+	ADDQ R12, R9
+	DECQ R10
+	JNZ  addrow
+
+adddone:
 	VZEROUPPER
 	RET

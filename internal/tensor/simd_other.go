@@ -7,9 +7,11 @@ const simdEnabled = false
 
 func axpySIMD(s float64, x, y []float64) { panic("tensor: SIMD kernel unavailable") }
 
-func axpyTileSIMD(a []float64, rs, ks, kn int, b, c []float64, ld, n, rows int) {
+func axpyTileSIMD(a []float64, rs, ks, kn int, b, c []float64, ld, n, rows int, zero bool) {
 	panic("tensor: SIMD kernel unavailable")
 }
+
+func addRowsSIMD(src, dst []float64, rows, n, ss, ds int) { panic("tensor: SIMD kernel unavailable") }
 
 func expSIMD(x []float64) int { panic("tensor: SIMD kernel unavailable") }
 

@@ -105,17 +105,16 @@ func sampleBytes(task Task) uint64 {
 }
 
 // TestSyntheticTaskAllocatesItsSamplesOnce: building convex100's task
-// allocates at most 1.3× its samples' bytes — each device's rows once,
-// plus one copy of the held-out quarter into the test set. Copying every
-// shard through a split and then merging the held-out rows again cost
-// 2.4×.
+// allocates at most 1.1× its samples' bytes (1.02× measured) — every row
+// once, training and held-out alike, written straight to where it stays.
+// A copy of the held-out quarter into the test set would cost 1.29×.
 func TestSyntheticTaskAllocatesItsSamplesOnce(t *testing.T) {
 	var task Task
 	got := allocated(func() { task, _ = taskDataCases[0].build() })
 	held := sampleBytes(task)
 	t.Logf("SyntheticTask allocates %d bytes for %d bytes of samples (%.2f×)", got, held, float64(got)/float64(held))
-	if float64(got) > 1.3*float64(held) {
-		t.Fatalf("SyntheticTask allocates %d bytes, over 1.3× its %d bytes of samples", got, held)
+	if float64(got) > 1.1*float64(held) {
+		t.Fatalf("SyntheticTask allocates %d bytes, over 1.1× its %d bytes of samples", got, held)
 	}
 }
 
