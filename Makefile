@@ -100,13 +100,18 @@ expolint:
 # and cannot change a bit. The third line pins the data every task builder
 # hands out (TestTaskDataDigest): the synthetic generator draws its
 # devices as tasks of one fan-out over the same pool, so it runs at the
-# same three counts, under the race detector.
+# same three counts, under the race detector. The last line runs the
+# kernel package under coverage instrumentation, whose build may compile
+# the scalar Col2Im loop's add with its operands swapped (as the race build
+# does): its tests must hold there too, so `go test -coverpkg=./...` can
+# measure them.
 evalcpu:
 	$(GO) test -race $(RACE_TESTFLAGS) -count=1 -cpu 1,2,4 \
 		-run 'Evaluator|PredictBatch|LossGrad|Handover|Parallel|Conformance|Par[A-Z]|Fan|BitDeterministic' \
 		./internal/engine/ ./internal/models/ ./internal/nn/ ./internal/tensor/
 	$(GO) test $(TESTFLAGS) -count=1 -cpu 1,2,4 -run 'PaperCNNDigest|SoftmaxDigest' ./internal/tensor/
 	$(GO) test -race $(RACE_TESTFLAGS) -count=1 -cpu 1,2,4 -run 'TaskDataDigest' .
+	$(GO) test $(TESTFLAGS) -count=1 -cover ./internal/tensor/
 
 # bench-smoke compiles and tests the frozen benchmark module. bench/ is its
 # own Go module (it imports this one through a replace directive), so the
@@ -196,22 +201,21 @@ soak-restart:
 		-run SoakRestart -v ./internal/jobs/
 
 # The recorded benchmark set: the engine/ablation hot paths, the set-up cost
-# of a ten-device CNN runner (NewRunnerCNN10), plus the batched
-# NN kernels (forward/backward, minibatch gradient, full inner solve), the
-# transport top-k selector, the wire-frame marshal/unmarshal paths, the
-# end-to-end TCP round (exact and topk-delta codecs), one server-side
-# measurement of the paper's convex scenario, the GEMM kernels and
-# Softmax gradient at the shapes the benchmark's models hit (GemmShape*,
-# SoftmaxGradB32), the softmax cross-entropy head of one convex step
-# (SoftmaxXent32x10), a full-shard softmax LossGrad at convex100's mean
+# of a ten-device CNN runner (NewRunnerCNN10), plus the MLP's batched
+# forward (NNBatchForward32), the transport top-k selector, the wire-frame
+# marshal/unmarshal paths, the end-to-end TCP round (exact and topk-delta
+# codecs), one server-side measurement of the paper's convex scenario, the
+# GEMM kernels and Softmax gradient at the shapes the benchmark's models hit
+# (GemmShape*, SoftmaxGradB32), the softmax cross-entropy head of one convex
+# step (SoftmaxXent32x10), a full-shard softmax LossGrad at convex100's mean
 # shard (SoftmaxLossGradShard), one 32-row softmax prediction
 # (SoftmaxPredict32x10), conv1's and the thin conv2's im2col/col2im
 # (Im2Col28x28k5, Col2Im28x28k5, Im2Col14x14c4k5, Col2Im14x14c4k5), the
 # fused ReLU + max-pool over conv1's output (ReLUMaxPool4x28x28B8) and the
-# thin CNN's B = 8 gradient (CNNThinGradB8). bench and benchgate
-# must agree on this set, so a benchmark in the snapshot is never silently
-# absent from the gate run.
-BENCH_PATTERN := RoundAllocs|Ablation|NewRunnerCNN10|NNBatch|NNMinibatch|NNInnerSolve|TopK|Frame|WireRound|EvaluatorMeasure|GemmShape|SoftmaxGradB32|SoftmaxXent32x10|SoftmaxLossGradShard|SoftmaxPredict32x10|Im2Col28x28k5|Col2Im28x28k5|Im2Col14x14c4k5|Col2Im14x14c4k5|ReLUMaxPool4x28x28B8|CNNThinGradB8
+# thin CNN's B = 8 gradient (CNNThinGradB8). bench and benchgate must agree
+# on this set, so a benchmark in the snapshot is never silently absent from
+# the gate run.
+BENCH_PATTERN := RoundAllocs|Ablation|NewRunnerCNN10|NNBatchForward32|TopK|Frame|WireRound|EvaluatorMeasure|GemmShape|SoftmaxGradB32|SoftmaxXent32x10|SoftmaxLossGradShard|SoftmaxPredict32x10|Im2Col28x28k5|Col2Im28x28k5|Im2Col14x14c4k5|Col2Im14x14c4k5|ReLUMaxPool4x28x28B8|CNNThinGradB8
 BENCH_PKGS := . ./internal/engine ./internal/nn ./internal/models ./internal/optim ./internal/transport ./internal/tensor
 
 # bench runs the recorded benchmark set three times and snapshots the

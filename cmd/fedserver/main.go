@@ -328,7 +328,7 @@ func runJobsMode(stateDir, adminAddr string, maxJobs, slots int, hub *telemetry.
 	if err != nil {
 		fatal(err)
 	}
-	srv := &http.Server{Handler: obs.NewAdminMux(&obs.Registry{}, obs.AdminOptions{Extra: extra, Mounts: mounts})}
+	srv := &http.Server{Handler: obs.NewAdminMux(nil, obs.AdminOptions{Extra: extra, Mounts: mounts})}
 	go func() {
 		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			fmt.Fprintf(os.Stderr, "fedserver: admin endpoint: %v\n", err)

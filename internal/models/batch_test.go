@@ -220,31 +220,6 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	}
 }
 
-func benchGradModel() (*NNModel, *data.Dataset, []float64) {
-	m := newMLP(784, 128, 10)
-	ds := classDataset(784, 10, 256, 41)
-	rng := randx.New(42)
-	w := make([]float64, m.Dim())
-	m.InitParams(rng, w)
-	return m, ds, w
-}
-
-// BenchmarkNNMinibatchGrad32 measures one batched 32-sample minibatch
-// gradient of the MLP — the SVRG/SARAH inner-loop unit of work.
-func BenchmarkNNMinibatchGrad32(b *testing.B) {
-	m, ds, w := benchGradModel()
-	idx := make([]int, 32)
-	for i := range idx {
-		idx[i] = (i * 7) % ds.N()
-	}
-	g := make([]float64, m.Dim())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Grad(g, w, ds, idx)
-	}
-}
-
 // BenchmarkCNNThinGradB8 measures one 8-sample minibatch gradient of the
 // paper CNN at width divisor 8: the cnn10 workload's inner-loop step.
 func BenchmarkCNNThinGradB8(b *testing.B) {
@@ -262,21 +237,5 @@ func BenchmarkCNNThinGradB8(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Grad(g, w, ds, idx)
-	}
-}
-
-// BenchmarkNNMinibatchGradPerSample32 is the same work on the per-sample
-// reference path — the pre-batching baseline kept for comparison.
-func BenchmarkNNMinibatchGradPerSample32(b *testing.B) {
-	m, ds, w := benchGradModel()
-	idx := make([]int, 32)
-	for i := range idx {
-		idx[i] = (i * 7) % ds.N()
-	}
-	g := make([]float64, m.Dim())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gradPerSample(m, g, w, ds, idx)
 	}
 }

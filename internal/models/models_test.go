@@ -11,7 +11,7 @@ import (
 )
 
 // newMLP builds a one-hidden-layer ReLU perceptron classifier, the NN model
-// the tests and the NNMinibatchGrad32 benchmark train besides the CNN.
+// the tests train besides the CNN.
 func newMLP(in, hidden, classes int) *NNModel {
 	return NewNNModel(nn.MustNetwork(nn.NewDense(in, hidden), testx.NewReLU(hidden), nn.NewDense(hidden, classes)))
 }

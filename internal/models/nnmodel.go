@@ -150,13 +150,13 @@ func NewPaperCNN(classes, widthDivisor int) *NNModel {
 	}
 	ch1 := max(1, 32/widthDivisor)
 	ch2 := max(1, 64/widthDivisor)
-	s1 := tensor.ConvShape{InC: 1, InH: 28, InW: 28, KH: 5, KW: 5, Stride: 1, Pad: 2}
+	s1 := tensor.ConvShape{InC: 1, InH: 28, InW: 28, K: 5}
 	c1 := nn.NewConv2D(s1, ch1)
-	s2 := tensor.ConvShape{InC: ch1, InH: 14, InW: 14, KH: 5, KW: 5, Stride: 1, Pad: 2}
+	s2 := tensor.ConvShape{InC: ch1, InH: 14, InW: 14, K: 5}
 	c2 := nn.NewConv2D(s2, ch2)
 	net := nn.MustNetwork(
-		c1, nn.NewReLUMaxPool(c1, 2),
-		c2, nn.NewReLUMaxPool(c2, 2),
+		c1, nn.NewReLUMaxPool(c1),
+		c2, nn.NewReLUMaxPool(c2),
 		nn.NewDense(ch2*7*7, classes),
 	)
 	return NewNNModel(net)

@@ -52,7 +52,7 @@ func (m *Softmax) forwardChunk(w []float64, ds *data.Dataset, idx []int, lo, b i
 	nw := m.Classes * m.Features
 	x = tensor.MatOf(b, m.Features, gatherRows(ds, idx, lo, b, m.xbuf))
 	lm := tensor.MatOf(b, m.Classes, m.logits[:b*m.Classes])
-	m.par.GemmNT(1, x, tensor.MatOf(m.Classes, m.Features, w[:nw]), 0, lm)
+	m.par.GemmNT(x, tensor.MatOf(m.Classes, m.Features, w[:nw]), false, lm)
 	zt = tensor.MatOf(m.Classes, b, m.zt[:m.Classes*b])
 	tensor.TransposeInto(zt, lm, w[nw:])
 	return zt, x
@@ -103,7 +103,7 @@ func (m *Softmax) lossGrad(grad, w []float64, ds *data.Dataset, idx []int, loss 
 		b := min(gradChunk, n-lo)
 		zt, x := m.forwardChunk(w, ds, idx, lo, b)
 		sum = softmaxHead(sum, zt.Data, b, m.Classes, ds, idx, lo, loss, inv, grad[nw:])
-		m.par.GemmNN(1, zt, x, 1, dw)
+		m.par.GemmNN(zt, x, true, dw)
 	}
 	return sum / float64(n)
 }

@@ -63,11 +63,11 @@ func refLossGrad(model Model, grad, w []float64, ds *data.Dataset, idx []int, lo
 			nw := m.Classes * m.Features
 			x := tensor.MatOf(b, m.Features, gatherRows(ds, idx, lo, b, m.xbuf))
 			lm := tensor.MatOf(b, m.Classes, make([]float64, b*m.Classes))
-			tensor.GemmNTRows(1, x, tensor.MatOf(m.Classes, m.Features, w[:nw]), 0, lm, 0, b)
+			tensor.GemmNTRows(x, tensor.MatOf(m.Classes, m.Features, w[:nw]), false, lm, 0, b)
 			tensor.AddRowVec(lm, w[nw:])
 			sum = refXentChunk(sum, lm.Data, b, m.Classes, ds, idx, lo, loss, inv)
 			if grad != nil {
-				tensor.GemmTN(1, lm, x, 1, tensor.MatOf(m.Classes, m.Features, grad[:nw]))
+				tensor.GemmTN(lm, x, true, tensor.MatOf(m.Classes, m.Features, grad[:nw]))
 				tensor.ColSumsAcc(grad[nw:], lm)
 			}
 		case *NNModel:

@@ -12,9 +12,9 @@ import (
 
 // batchFixture builds a network exercising every layer type.
 func batchFixture() *Network {
-	shape := tensor.ConvShape{InC: 2, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	shape := tensor.ConvShape{InC: 2, InH: 8, InW: 8, K: 3}
 	conv := NewConv2D(shape, 4)
-	pool := NewReLUMaxPool(conv, 2)
+	pool := NewReLUMaxPool(conv)
 	return MustNetwork(
 		conv, pool,
 		NewDense(pool.OutSize(), 12), testx.NewReLU(12), NewDense(12, 5),
@@ -149,30 +149,5 @@ func BenchmarkNNBatchForward32(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.ForwardBatch(params, x, batch, ws)
-	}
-}
-
-// BenchmarkNNBatchBackward32 measures one batched forward+backward pair.
-func BenchmarkNNBatchBackward32(b *testing.B) {
-	net := benchMLP()
-	rng := rand.New(rand.NewSource(2))
-	params := make([]float64, net.NumParams())
-	net.InitParams(rng, params)
-	const batch = 32
-	x := make([]float64, batch*net.InSize())
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	dOut := make([]float64, batch*net.OutSize())
-	for i := range dOut {
-		dOut[i] = rng.NormFloat64()
-	}
-	ws := net.NewWorkspaceBatch(batch)
-	grad := make([]float64, net.NumParams())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.ForwardBatch(params, x, batch, ws)
-		net.BackwardBatch(params, dOut, batch, ws, grad)
 	}
 }

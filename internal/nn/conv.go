@@ -6,11 +6,11 @@ import (
 	"fedproxvr/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution over channels-first volumes, implemented as
-// im2col + GEMM. The parameter view holds the kernel W, row-major
-// (OutC × InC*KH*KW), followed by the per-output-channel bias (OutC).
-// Per-sample activations are flat: input len = InC*InH*InW, output len =
-// OutC*OutH*OutW; a batch is b such rows.
+// Conv2D is a stride-1, same-padded 2-D convolution over channels-first
+// volumes (tensor.ConvShape), implemented as im2col + GEMM. The parameter
+// view holds the kernel W, row-major (OutC × InC*K*K), followed by the
+// per-output-channel bias (OutC). Per-sample activations are flat: input
+// len = InC*InH*InW, output len = OutC*InH*InW; a batch is b such rows.
 //
 // Batched execution is deterministic by construction: forward and the
 // input-gradient pass fan out over samples (disjoint outputs), while the
@@ -26,11 +26,11 @@ func NewConv2D(shape tensor.ConvShape, outC int) *Conv2D {
 	if outC <= 0 {
 		panic("nn: Conv2D OutC must be positive")
 	}
-	if shape.Stride <= 0 {
-		panic("nn: Conv2D stride must be positive")
+	if shape.K <= 0 || shape.K%2 == 0 {
+		panic("nn: Conv2D kernel size must be odd and positive")
 	}
-	if shape.OutH() <= 0 || shape.OutW() <= 0 {
-		panic("nn: Conv2D output collapses to zero")
+	if shape.InC <= 0 || shape.InH <= 0 || shape.InW <= 0 {
+		panic("nn: Conv2D input dims must be positive")
 	}
 	return &Conv2D{Shape: shape, OutC: outC}
 }
@@ -39,7 +39,7 @@ func NewConv2D(shape tensor.ConvShape, outC int) *Conv2D {
 func (c *Conv2D) InSize() int { return c.Shape.InC * c.Shape.InH * c.Shape.InW }
 
 // OutSize implements Layer.
-func (c *Conv2D) OutSize() int { return c.OutC * c.Shape.OutH() * c.Shape.OutW() }
+func (c *Conv2D) OutSize() int { return c.OutC * c.Shape.ColCols() }
 
 // NumParams implements Layer.
 func (c *Conv2D) NumParams() int { return c.OutC*c.Shape.ColRows() + c.OutC }
@@ -87,7 +87,7 @@ func (cc *convCache) forwardSamples(lo, hi int) {
 		colS := cc.col[s*colN : (s+1)*colN]
 		tensor.Im2Col(l.Shape, cc.x[s*inN:(s+1)*inN], colS)
 		outS := tensor.MatOf(l.OutC, cols, cc.y[s*outN:(s+1)*outN])
-		tensor.GemmNN(1, w, tensor.MatOf(rows, cols, colS), 0, outS)
+		tensor.GemmNN(w, tensor.MatOf(rows, cols, colS), false, outS)
 		for oc := 0; oc < l.OutC; oc++ {
 			bv := bias[oc]
 			row := outS.Row(oc)
@@ -113,7 +113,7 @@ func (cc *convCache) weightGradRows(lo, hi int) {
 	for s := 0; s < cc.b; s++ {
 		dOutS := tensor.MatOf(l.OutC, cols, cc.dY[s*outN:(s+1)*outN])
 		colS := tensor.MatOf(rows, cols, cc.col[s*colN:(s+1)*colN])
-		tensor.GemmNTRows(1, dOutS, colS, 1, dw, lo, hi)
+		tensor.GemmNTRows(dOutS, colS, true, dw, lo, hi)
 		for oc := lo; oc < hi; oc++ {
 			var sum float64
 			for _, v := range dOutS.Row(oc) {
@@ -137,7 +137,7 @@ func (cc *convCache) inputGradSamples(lo, hi int) {
 	for s := lo; s < hi; s++ {
 		dOutS := tensor.MatOf(l.OutC, cols, cc.dY[s*outN:(s+1)*outN])
 		dcolS := cc.col[s*colN : (s+1)*colN]
-		tensor.GemmTN(1, w, dOutS, 0, tensor.MatOf(rows, cols, dcolS))
+		tensor.GemmTN(w, dOutS, false, tensor.MatOf(rows, cols, dcolS))
 		dInS := cc.dX[s*inN : (s+1)*inN]
 		for i := range dInS {
 			dInS[i] = 0
@@ -177,7 +177,7 @@ func (c *Conv2D) Backward(params, dY, dX, dParams []float64, b int, cache Cache)
 func (c *Conv2D) Init(rng *rand.Rand, params []float64) {
 	nw := c.OutC * c.Shape.ColRows()
 	fanIn := c.Shape.ColRows()
-	fanOut := c.OutC * c.Shape.KH * c.Shape.KW
+	fanOut := c.OutC * c.Shape.K * c.Shape.K
 	glorotUniform(rng, params[:nw], fanIn, fanOut)
 	for i := nw; i < len(params); i++ {
 		params[i] = 0

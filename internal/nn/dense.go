@@ -49,7 +49,7 @@ func (d *Dense) Forward(params, x, y []float64, b int, cache Cache) {
 	w := tensor.MatOf(d.Out, d.In, params[:d.Out*d.In])
 	bias := params[d.Out*d.In:]
 	ym := tensor.MatOf(b, d.Out, y)
-	c.par.GemmNT(1, tensor.MatOf(b, d.In, c.x[:b*d.In]), w, 0, ym)
+	c.par.GemmNT(tensor.MatOf(b, d.In, c.x[:b*d.In]), w, false, ym)
 	tensor.AddRowVec(ym, bias)
 }
 
@@ -68,10 +68,10 @@ func (d *Dense) Backward(params, dY, dX, dParams []float64, b int, cache Cache) 
 	db := dParams[d.Out*d.In:]
 	dym := tensor.MatOf(b, d.Out, dY)
 	xm := tensor.MatOf(b, d.In, c.x[:b*d.In])
-	c.par.GemmTN(1, dym, xm, 1, dw)
+	c.par.GemmTN(dym, xm, true, dw)
 	tensor.ColSumsAcc(db, dym)
 	if dX != nil {
-		c.par.GemmNN(1, dym, w, 0, tensor.MatOf(b, d.In, dX))
+		c.par.GemmNN(dym, w, false, tensor.MatOf(b, d.In, dX))
 	}
 }
 

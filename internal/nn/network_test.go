@@ -70,9 +70,9 @@ func TestDenseReLUDenseGradient(t *testing.T) {
 }
 
 func TestConvPoolGradient(t *testing.T) {
-	shape := tensor.ConvShape{InC: 1, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	shape := tensor.ConvShape{InC: 1, InH: 8, InW: 8, K: 3}
 	conv := NewConv2D(shape, 2)
-	pool := NewReLUMaxPool(conv, 2)
+	pool := NewReLUMaxPool(conv)
 	net := MustNetwork(conv, pool, NewDense(pool.OutSize(), 3))
 	checkNetGradient(t, net, 4, 1e-5)
 }
@@ -82,7 +82,7 @@ func TestConvPoolGradient(t *testing.T) {
 // φ(x) = <Forward(x), r> with params fixed. dX starts as NaN, so a layer
 // that accumulates into it instead of overwriting fails.
 func TestInputGradient(t *testing.T) {
-	conv := tensor.ConvShape{InC: 2, InH: 5, InW: 6, KH: 3, KW: 3, Stride: 2, Pad: 1}
+	conv := tensor.ConvShape{InC: 2, InH: 5, InW: 6, K: 3}
 	cases := []struct {
 		name string
 		l    Layer
@@ -90,7 +90,7 @@ func TestInputGradient(t *testing.T) {
 		{"Dense", NewDense(5, 4)},
 		{"Conv2D", NewConv2D(conv, 3)},
 		{"ReLU", testx.NewReLU(7)},
-		{"ReLUMaxPool", poolOver(2, 4, 4, 2)},
+		{"ReLUMaxPool", poolOver(2, 4, 4)},
 	}
 	const b, h = 2, 1e-6
 	for _, tc := range cases {
@@ -156,11 +156,11 @@ func backwardEveryLayer(n *Network, params, dOut []float64, b int, ws *Workspace
 // thinPaperCNN is the paper's CNN at channel width divisor 8 (4 and 8
 // channels), the model the benchmark's cnn10 workload trains.
 func thinPaperCNN() *Network {
-	s1 := tensor.ConvShape{InC: 1, InH: 28, InW: 28, KH: 5, KW: 5, Stride: 1, Pad: 2}
+	s1 := tensor.ConvShape{InC: 1, InH: 28, InW: 28, K: 5}
 	c1 := NewConv2D(s1, 4)
-	s2 := tensor.ConvShape{InC: 4, InH: 14, InW: 14, KH: 5, KW: 5, Stride: 1, Pad: 2}
+	s2 := tensor.ConvShape{InC: 4, InH: 14, InW: 14, K: 5}
 	c2 := NewConv2D(s2, 8)
-	return MustNetwork(c1, NewReLUMaxPool(c1, 2), c2, NewReLUMaxPool(c2, 2), NewDense(8*7*7, 10))
+	return MustNetwork(c1, NewReLUMaxPool(c1), c2, NewReLUMaxPool(c2), NewDense(8*7*7, 10))
 }
 
 // TestSkippedInputGradientIsBitNeutral pins BackwardBatch, which passes
@@ -252,7 +252,7 @@ func TestNetworkValidation(t *testing.T) {
 // gradient goes there. A window with no positive input outputs +0 and
 // passes nothing.
 func TestMaxPoolForwardValues(t *testing.T) {
-	p := poolOver(1, 4, 4, 2)
+	p := poolOver(1, 4, 4)
 	in := []float64{
 		1, 2, 0, 0,
 		3, 4, 0, 5,
@@ -292,11 +292,11 @@ func TestMaxPoolForwardValues(t *testing.T) {
 
 func TestConvSameShapeAsPaper(t *testing.T) {
 	// The paper's CNN: 28x28 → conv5x5(32) → pool2 → conv5x5(64) → pool2.
-	s1 := tensor.ConvShape{InC: 1, InH: 28, InW: 28, KH: 5, KW: 5, Stride: 1, Pad: 2}
+	s1 := tensor.ConvShape{InC: 1, InH: 28, InW: 28, K: 5}
 	c1 := NewConv2D(s1, 32)
-	s2 := tensor.ConvShape{InC: 32, InH: 14, InW: 14, KH: 5, KW: 5, Stride: 1, Pad: 2}
+	s2 := tensor.ConvShape{InC: 32, InH: 14, InW: 14, K: 5}
 	c2 := NewConv2D(s2, 64)
-	net := MustNetwork(c1, NewReLUMaxPool(c1, 2), c2, NewReLUMaxPool(c2, 2), NewDense(64*7*7, 10))
+	net := MustNetwork(c1, NewReLUMaxPool(c1), c2, NewReLUMaxPool(c2), NewDense(64*7*7, 10))
 	if net.InSize() != 784 || net.OutSize() != 10 {
 		t.Fatalf("paper CNN sizes wrong: in %d out %d", net.InSize(), net.OutSize())
 	}
@@ -318,11 +318,11 @@ func TestConvSameShapeAsPaper(t *testing.T) {
 }
 
 func BenchmarkPaperCNNForward(b *testing.B) {
-	s1 := tensor.ConvShape{InC: 1, InH: 28, InW: 28, KH: 5, KW: 5, Stride: 1, Pad: 2}
+	s1 := tensor.ConvShape{InC: 1, InH: 28, InW: 28, K: 5}
 	c1 := NewConv2D(s1, 32)
-	s2 := tensor.ConvShape{InC: 32, InH: 14, InW: 14, KH: 5, KW: 5, Stride: 1, Pad: 2}
+	s2 := tensor.ConvShape{InC: 32, InH: 14, InW: 14, K: 5}
 	c2 := NewConv2D(s2, 64)
-	net := MustNetwork(c1, NewReLUMaxPool(c1, 2), c2, NewReLUMaxPool(c2, 2), NewDense(64*7*7, 10))
+	net := MustNetwork(c1, NewReLUMaxPool(c1), c2, NewReLUMaxPool(c2), NewDense(64*7*7, 10))
 	rng := rand.New(rand.NewSource(1))
 	params := make([]float64, net.NumParams())
 	net.InitParams(rng, params)

@@ -7,7 +7,7 @@ import (
 )
 
 // ReLUMaxPool is the rectifier max(0, x) followed by a channels-first max
-// pooling with a K×K window and stride K, fused into one layer: the
+// pooling with a 2×2 window and stride 2, fused into one layer: the
 // paper's CNN applies both after each convolution. Fusing them keeps no
 // rectified activation, its gradient or a ReLU mask; the pool reads the
 // convolution's output once and its backward writes the convolution's
@@ -21,31 +21,30 @@ import (
 // window with no positive input passes no gradient.
 type ReLUMaxPool struct {
 	C, H, W int // input volume: the output of the convolution it follows
-	K       int // window and stride
 }
 
-// NewReLUMaxPool constructs the fused layer over the output volume of conv;
-// K must divide its height and width.
-func NewReLUMaxPool(conv *Conv2D, k int) *ReLUMaxPool {
-	c, h, w := conv.OutC, conv.Shape.OutH(), conv.Shape.OutW()
-	if k <= 0 || h%k != 0 || w%k != 0 {
+// NewReLUMaxPool constructs the fused layer over the output volume of conv,
+// whose height and width must be even.
+func NewReLUMaxPool(conv *Conv2D) *ReLUMaxPool {
+	c, h, w := conv.OutC, conv.Shape.InH, conv.Shape.InW
+	if h%2 != 0 || w%2 != 0 {
 		panic("nn: ReLUMaxPool window must divide the convolution's output dims")
 	}
-	return &ReLUMaxPool{C: c, H: h, W: w, K: k}
+	return &ReLUMaxPool{C: c, H: h, W: w}
 }
 
 // InSize implements Layer.
 func (p *ReLUMaxPool) InSize() int { return p.C * p.H * p.W }
 
 // OutSize implements Layer.
-func (p *ReLUMaxPool) OutSize() int { return p.C * (p.H / p.K) * (p.W / p.K) }
+func (p *ReLUMaxPool) OutSize() int { return p.C * (p.H / 2) * (p.W / 2) }
 
 // NumParams implements Layer.
 func (p *ReLUMaxPool) NumParams() int { return 0 }
 
 type reluPoolCache struct {
 	layer *ReLUMaxPool
-	// argmax is each window's winning input as its offset ky·K + kx in
+	// argmax is each window's winning input as its offset 2·ky + kx in
 	// the window, or −1 where no input of the window was positive (its
 	// output is +0 and it passes no gradient); maxBatch×OutSize.
 	argmax []int32
@@ -76,7 +75,7 @@ func keep(v float64, m uint8) float64 {
 // minus one lie below the bits of +Inf (±0, negatives and NaNs fall
 // outside), and the compiler turns that unsigned compare into a CMOV. A
 // rectified value is +0 or positive, never NaN, so its bits order as the
-// value does: the window scans below compare and select them as integers.
+// value does: pool2Row compares and selects them as integers.
 func rectBits(v float64) uint64 {
 	b := math.Float64bits(v)
 	var r uint64
@@ -86,42 +85,21 @@ func rectBits(v float64) uint64 {
 	return r
 }
 
-// forwardSamples pools samples [lo, hi), one row of windows at a time.
-// Each window's output is the largest of its rectified inputs and its
-// argmax the first input in (ky, kx) order that equals it — the first
-// strict maximum of a scan — or −1 where that maximum is +0. The paper's
-// 2×2 windows take pool2Row: the generic scan there made the layer's
-// forward and backward together about three times as slow.
+// forwardSamples pools samples [lo, hi), one row of windows at a time
+// (pool2Row). Each window's output is the largest of its rectified inputs
+// and its argmax the first input in (ky, kx) order that equals it — the
+// first strict maximum of a scan — or −1 where that maximum is +0.
 func (pc *reluPoolCache) forwardSamples(lo, hi int) {
 	p := pc.layer
 	inN, outN := p.InSize(), p.OutSize()
-	k, w, ow := p.K, p.W, p.W/p.K
+	w, ow := p.W, p.W/2
 	for s := lo; s < hi; s++ {
 		in := pc.x[s*inN : (s+1)*inN]
 		out := pc.y[s*outN : (s+1)*outN]
 		argmax := pc.argmax[s*outN : (s+1)*outN]
 		for o0 := 0; o0 < outN; o0 += ow {
-			top := o0 * k * k // the row of windows' first input
-			outs, args := out[o0:o0+ow], argmax[o0:o0+ow]
-			if k == 2 {
-				pool2Row(in[top:top+w], in[top+w:top+2*w], outs, args)
-				continue
-			}
-			for ox := range outs {
-				first := top + ox*k
-				best := uint64(0)
-				for i := first; i < first+k*w; i += w {
-					for _, v := range in[i : i+k] {
-						best = max(best, rectBits(v))
-					}
-				}
-				at := int32(k*k - 1)
-				for i := k*k - 1; i >= 0; i-- { // backwards: the earliest match wins
-					at ^= (at ^ int32(i)) & -bit(rectBits(in[first+i/k*w+i%k]) == best)
-				}
-				outs[ox] = math.Float64frombits(best)
-				args[ox] = at | -bit(best == 0)
-			}
+			top := 4 * o0 // the row of windows' first input
+			pool2Row(in[top:top+w], in[top+w:top+2*w], out[o0:o0+ow], argmax[o0:o0+ow])
 		}
 	}
 }
@@ -144,34 +122,20 @@ func pool2Row(r0, r1 []float64, outs []float64, args []int32) {
 	}
 }
 
-// backwardSamples writes dX for samples [lo, hi) densely, input row by
-// input row: 0 + dOut at each window's argmax and +0 at its other inputs.
-// 2×2 windows take unpool2Row: the generic loop there made the layer's
-// forward and backward together about 60 % slower.
+// backwardSamples writes dX for samples [lo, hi) densely, one row of
+// windows at a time (unpool2Row): 0 + dOut at each window's argmax and +0
+// at its other inputs.
 func (pc *reluPoolCache) backwardSamples(lo, hi int) {
 	p := pc.layer
 	inN, outN := p.InSize(), p.OutSize()
-	k, w, ow := p.K, p.W, p.W/p.K
+	w, ow := p.W, p.W/2
 	for s := lo; s < hi; s++ {
 		dIn := pc.dX[s*inN : (s+1)*inN]
 		dOut := pc.dY[s*outN : (s+1)*outN]
 		argmax := pc.argmax[s*outN : (s+1)*outN]
 		for o0 := 0; o0 < outN; o0 += ow {
-			top := o0 * k * k
-			gs, args := dOut[o0:o0+ow], argmax[o0:o0+ow]
-			if k == 2 {
-				unpool2Row(dIn[top:top+w], dIn[top+w:top+2*w], gs, args)
-				continue
-			}
-			for ky := 0; ky < k; ky++ { // the k input rows
-				row := dIn[top+ky*w : top+(ky+1)*w]
-				for ox, g := range gs {
-					g = 0 + g
-					for kx := 0; kx < k; kx++ {
-						row[ox*k+kx] = keep(g, eq(int32(ky*k+kx), args[ox]))
-					}
-				}
-			}
+			top := 4 * o0
+			unpool2Row(dIn[top:top+w], dIn[top+w:top+2*w], dOut[o0:o0+ow], argmax[o0:o0+ow])
 		}
 	}
 }

@@ -40,15 +40,21 @@ type AdminOptions struct {
 // (rather than importing net/http/pprof for its DefaultServeMux side
 // effect) so the admin mux can be served on a dedicated listener without
 // exposing pprof on any other server the process runs.
+//
+// A nil reg stands for no run of its own (the jobs control plane, whose
+// runs report per job through Extra and Mounts): /metrics then carries only
+// the Extra series, and /healthz only the status, never a round.
 func NewAdminMux(reg *Registry, opt AdminOptions) *http.ServeMux {
 	mux := http.NewServeMux()
-	if len(opt.Extra) == 0 {
+	if reg != nil && len(opt.Extra) == 0 {
 		mux.Handle("/metrics", reg)
 	} else {
 		extra := opt.Extra
 		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			_ = reg.WritePrometheus(w)
+			if reg != nil {
+				_ = reg.WritePrometheus(w)
+			}
 			for _, mw := range extra {
 				_ = mw.WritePrometheus(w)
 			}
@@ -59,6 +65,10 @@ func NewAdminMux(reg *Registry, opt AdminOptions) *http.ServeMux {
 	}
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
+		if reg == nil {
+			fmt.Fprintln(w, `{"status":"ok"}`)
+			return
+		}
 		// The historical keys ("status", "round") keep their shape; the age
 		// field is additive, and null before the first round.
 		status := "ok"

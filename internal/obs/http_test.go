@@ -147,6 +147,34 @@ func TestHealthzStalenessDisabled(t *testing.T) {
 	}
 }
 
+// TestAdminMuxWithoutRegistry: a nil registry (fedserver's jobs mode)
+// contributes no series and no round. The scrape holds only the Extra
+// expositors, still lint-clean, and /healthz reports only its status.
+func TestAdminMuxWithoutRegistry(t *testing.T) {
+	srv := httptest.NewServer(NewAdminMux(nil, AdminOptions{Extra: []MetricsWriter{RuntimeWriter{}}}))
+	defer srv.Close()
+
+	code, body := get(t, srv, "/metrics")
+	if code != 200 {
+		t.Fatalf("/metrics status %d", code)
+	}
+	if !strings.Contains(body, "fed_go_") {
+		t.Fatalf("the Extra series are missing:\n%s", body)
+	}
+	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(line, "fed_round") {
+			t.Fatalf("a registry-less scrape serves %q", line)
+		}
+	}
+	if problems := LintExposition(body); len(problems) > 0 {
+		t.Fatalf("exposition lint: %v", problems)
+	}
+	code, body = get(t, srv, "/healthz")
+	if code != 200 || body != "{\"status\":\"ok\"}\n" {
+		t.Fatalf("/healthz: %d %s", code, body)
+	}
+}
+
 func TestBuildz(t *testing.T) {
 	var reg Registry
 	srv := httptest.NewServer(NewAdminMux(&reg, AdminOptions{}))

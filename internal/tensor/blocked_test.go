@@ -15,7 +15,7 @@ func randMat(rng *rand.Rand, rows, cols int) Mat {
 	return m
 }
 
-func naiveNN(alpha float64, a, b Mat, beta float64, c Mat) Mat {
+func naiveNN(a, b Mat, acc bool, c Mat) Mat {
 	out := MatOf(c.Rows, c.Cols, append([]float64(nil), c.Data...))
 	for i := 0; i < c.Rows; i++ {
 		for j := 0; j < c.Cols; j++ {
@@ -23,16 +23,19 @@ func naiveNN(alpha float64, a, b Mat, beta float64, c Mat) Mat {
 			for k := 0; k < a.Cols; k++ {
 				s += a.Data[i*a.Cols+k] * b.Data[k*b.Cols+j]
 			}
-			out.Data[i*c.Cols+j] = alpha*s + beta*c.Data[i*c.Cols+j]
+			if acc {
+				s += c.Data[i*c.Cols+j]
+			}
+			out.Data[i*c.Cols+j] = s
 		}
 	}
 	return out
 }
 
-// gemmNT is the serial C = alpha*A*Bᵀ + beta*C over every row: the NT form
-// the naive and parallel products are checked against.
-func gemmNT(alpha float64, a, b Mat, beta float64, c Mat) {
-	GemmNTRows(alpha, a, b, beta, c, 0, c.Rows)
+// gemmNT is the serial C = A*Bᵀ (C += A*Bᵀ with acc) over every row: the NT
+// form the naive and parallel products are checked against.
+func gemmNT(a, b Mat, acc bool, c Mat) {
+	GemmNTRows(a, b, acc, c, 0, c.Rows)
 }
 
 func matsClose(t *testing.T, got, want Mat, tol float64) {
@@ -51,10 +54,10 @@ func TestGemmVariantsMatchNaive(t *testing.T) {
 		a := randMat(rng, m, k)
 		b := randMat(rng, k, n)
 		c := randMat(rng, m, n)
-		want := naiveNN(1.5, a, b, -0.5, c)
+		want := naiveNN(a, b, true, c)
 
 		got := MatOf(m, n, append([]float64(nil), c.Data...))
-		GemmNN(1.5, a, b, -0.5, got)
+		GemmNN(a, b, true, got)
 		matsClose(t, got, want, 1e-12)
 
 		// NT: B supplied transposed.
@@ -65,9 +68,9 @@ func TestGemmVariantsMatchNaive(t *testing.T) {
 				bNT.Data[j*n+i] = bt.Data[i*k+j]
 			}
 		}
-		want = naiveNN(2, a, bNT, 1, c)
+		want = naiveNN(a, bNT, true, c)
 		got = MatOf(m, n, append([]float64(nil), c.Data...))
-		gemmNT(2, a, bt, 1, got)
+		gemmNT(a, bt, true, got)
 		matsClose(t, got, want, 1e-12)
 
 		// TN: A supplied transposed.
@@ -78,9 +81,9 @@ func TestGemmVariantsMatchNaive(t *testing.T) {
 				aTN.Data[j*k+i] = at.Data[i*m+j]
 			}
 		}
-		want = naiveNN(-1, aTN, b, 0, c)
+		want = naiveNN(aTN, b, false, c)
 		got = MatOf(m, n, append([]float64(nil), c.Data...))
-		GemmTN(-1, at, b, 0, got)
+		GemmTN(at, b, false, got)
 		matsClose(t, got, want, 1e-12)
 	}
 }
@@ -94,26 +97,26 @@ func TestParGemmBitIdenticalToSerial(t *testing.T) {
 	at := randMat(rng, 90, 130)
 
 	serial := MatOf(130, 70, make([]float64, 130*70))
-	GemmNN(1, a, b, 0, serial)
+	GemmNN(a, b, false, serial)
 	par := NewPar()
 	got := MatOf(130, 70, make([]float64, 130*70))
-	par.GemmNN(1, a, b, 0, got)
+	par.GemmNN(a, b, false, got)
 	for i := range got.Data {
 		if got.Data[i] != serial.Data[i] {
 			t.Fatalf("GemmNN parallel differs from serial at %d", i)
 		}
 	}
 
-	gemmNT(1, a, bt, 0, serial)
-	par.GemmNT(1, a, bt, 0, got)
+	gemmNT(a, bt, false, serial)
+	par.GemmNT(a, bt, false, got)
 	for i := range got.Data {
 		if got.Data[i] != serial.Data[i] {
 			t.Fatalf("GemmNT parallel differs from serial at %d", i)
 		}
 	}
 
-	GemmTN(1, at, b, 0, serial)
-	par.GemmTN(1, at, b, 0, got)
+	GemmTN(at, b, false, serial)
+	par.GemmTN(at, b, false, got)
 	for i := range got.Data {
 		if got.Data[i] != serial.Data[i] {
 			t.Fatalf("GemmTN parallel differs from serial at %d", i)
@@ -128,7 +131,7 @@ func TestParGemmIndependentOfGOMAXPROCS(t *testing.T) {
 	run := func() []float64 {
 		p := NewPar()
 		c := MatOf(128, 96, make([]float64, 128*96))
-		p.GemmNN(1, a, b, 0, c)
+		p.GemmNN(a, b, false, c)
 		return c.Data
 	}
 	ref := run()
@@ -167,9 +170,9 @@ func TestParGemmZeroAllocSteadyState(t *testing.T) {
 	b := randMat(rng, 64, 96)
 	c := MatOf(128, 96, make([]float64, 128*96))
 	p := NewPar()
-	p.GemmNN(1, a, b, 0, c) // warm the pool
+	p.GemmNN(a, b, false, c) // warm the pool
 	allocs := testing.AllocsPerRun(50, func() {
-		p.GemmNN(1, a, b, 0, c)
+		p.GemmNN(a, b, false, c)
 	})
 	if allocs != 0 {
 		t.Fatalf("parallel GEMM allocates %v per call, want 0", allocs)
@@ -195,8 +198,8 @@ func TestGemmDimPanics(t *testing.T) {
 			t.Fatal("expected dimension panic")
 		}
 	}()
-	GemmNN(1, MatOf(2, 3, make([]float64, 6)), MatOf(2, 3, make([]float64, 6)),
-		0, MatOf(2, 3, make([]float64, 6)))
+	GemmNN(MatOf(2, 3, make([]float64, 6)), MatOf(2, 3, make([]float64, 6)),
+		false, MatOf(2, 3, make([]float64, 6)))
 }
 
 func BenchmarkGemmNTBatch32(b *testing.B) {
@@ -208,73 +211,73 @@ func BenchmarkGemmNTBatch32(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.GemmNT(1, x, w, 0, y)
+		p.GemmNT(x, w, false, y)
 	}
 }
 
-// benchGemmShape times one serial GEMM of the given form, C = A·B + beta·C
-// on an m×n output reducing over k, at a shape a benchmark workload's
-// model hits.
-func benchGemmShape(b *testing.B, gemm func(float64, Mat, Mat, float64, Mat), beta float64, ar, ac, br, bc, m, n int) {
+// benchGemmShape times one serial GEMM of the given form, C = A·B (C += A·B
+// with acc) on an m×n output reducing over k, at a shape a benchmark
+// workload's model hits.
+func benchGemmShape(b *testing.B, gemm func(Mat, Mat, bool, Mat), acc bool, ar, ac, br, bc, m, n int) {
 	rng := rand.New(rand.NewSource(6))
 	x, y := randMat(rng, ar, ac), randMat(rng, br, bc)
 	c := MatOf(m, n, make([]float64, m*n))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gemm(1, x, y, beta, c)
+		gemm(x, y, acc, c)
 	}
 }
 
 // BenchmarkGemmShapeNT32x60x10 is the convex Softmax forward's shape, 32
-// rows of 60 features against 10 class rows, accumulated into C (beta 1).
+// rows of 60 features against 10 class rows, accumulated into C (acc).
 func BenchmarkGemmShapeNT32x60x10(b *testing.B) {
-	benchGemmShape(b, gemmNT, 1, 32, 60, 10, 60, 32, 10)
+	benchGemmShape(b, gemmNT, true, 32, 60, 10, 60, 32, 10)
 }
 
 // BenchmarkGemmShapeNTFwd32x60x10 is the convex Softmax forward itself:
-// the same shape stored into a fresh C (beta 0), as forwardChunk calls it.
+// the same shape stored into a fresh C, as forwardChunk calls it.
 func BenchmarkGemmShapeNTFwd32x60x10(b *testing.B) {
-	benchGemmShape(b, gemmNT, 0, 32, 60, 10, 60, 32, 10)
+	benchGemmShape(b, gemmNT, false, 32, 60, 10, 60, 32, 10)
 }
 
 // BenchmarkGemmShapeNTFwd16x60x10 is the convex Softmax forward at the
-// 16-row minibatch of the jobs3 workload (beta 0).
+// 16-row minibatch of the jobs3 workload.
 func BenchmarkGemmShapeNTFwd16x60x10(b *testing.B) {
-	benchGemmShape(b, gemmNT, 0, 16, 60, 10, 60, 16, 10)
+	benchGemmShape(b, gemmNT, false, 16, 60, 10, 60, 16, 10)
 }
 
 // BenchmarkGemmShapeNT8x196x100 is the thinned CNN's conv2 weight
 // gradient for one sample: 8 filters' 196-pixel output gradients against
-// 100 im2col rows, accumulated into dW (beta 1).
+// 100 im2col rows, accumulated into dW (acc).
 func BenchmarkGemmShapeNT8x196x100(b *testing.B) {
-	benchGemmShape(b, gemmNT, 1, 8, 196, 100, 196, 8, 100)
+	benchGemmShape(b, gemmNT, true, 8, 196, 100, 196, 8, 100)
 }
 
 // BenchmarkGemmShapeTN10x32x60 is the convex Softmax weight gradient:
 // 10 classes × 60 features reduced over a 32-row minibatch.
 func BenchmarkGemmShapeTN10x32x60(b *testing.B) {
-	benchGemmShape(b, GemmTN, 1, 32, 10, 32, 60, 10, 60)
+	benchGemmShape(b, GemmTN, true, 32, 10, 32, 60, 10, 60)
 }
 
 // BenchmarkGemmShapeNN4x25x784 is the thinned CNN's conv1 forward: 4
 // filters of 25 taps against a 25×784 im2col block.
 func BenchmarkGemmShapeNN4x25x784(b *testing.B) {
-	benchGemmShape(b, GemmNN, 1, 4, 25, 25, 784, 4, 784)
+	benchGemmShape(b, GemmNN, true, 4, 25, 25, 784, 4, 784)
 }
 
 // BenchmarkGemmShapeNN8x100x196 is the thinned CNN's conv2 forward: 8
 // filters of 100 taps against a 100×196 im2col block, stored into a fresh
-// output (beta 0).
+// output.
 func BenchmarkGemmShapeNN8x100x196(b *testing.B) {
-	benchGemmShape(b, GemmNN, 0, 8, 100, 100, 196, 8, 196)
+	benchGemmShape(b, GemmNN, false, 8, 100, 100, 196, 8, 196)
 }
 
 // BenchmarkGemmShapeTN100x8x196 is the thinned CNN's conv2 input
 // gradient: Wᵀ (100 taps × 8 filters) against one sample's 8×196 output
-// gradient, stored into a fresh im2col block (beta 0).
+// gradient, stored into a fresh im2col block.
 func BenchmarkGemmShapeTN100x8x196(b *testing.B) {
-	benchGemmShape(b, GemmTN, 0, 8, 100, 8, 196, 100, 196)
+	benchGemmShape(b, GemmTN, false, 8, 100, 8, 196, 100, 196)
 }
 
 func TestSIMDKernelsMatchScalar(t *testing.T) {

@@ -11,9 +11,9 @@ import (
 // kernels replaced, kept as the bit-exact reference: four output rows at a
 // time, one axpyRow per (row, k) or one refDot per (row, column).
 
-func refGemmNNRows(alpha float64, a, b Mat, beta float64, c Mat, lo, hi int) {
+func refGemmNNRows(a, b Mat, acc bool, c Mat, lo, hi int) {
 	n := b.Cols
-	refScaleRows(beta, c, lo, hi)
+	refClearRows(acc, c, lo, hi)
 	i := lo
 	for ; i+4 <= hi; i += 4 {
 		a0, a1, a2, a3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
@@ -21,16 +21,16 @@ func refGemmNNRows(alpha float64, a, b Mat, beta float64, c Mat, lo, hi int) {
 		for k := 0; k < a.Cols; k++ {
 			brow := b.Data[k*n : (k+1)*n]
 			if av := a0[k]; av != 0 {
-				axpyRow(alpha*av, brow, c0)
+				axpyRow(av, brow, c0)
 			}
 			if av := a1[k]; av != 0 {
-				axpyRow(alpha*av, brow, c1)
+				axpyRow(av, brow, c1)
 			}
 			if av := a2[k]; av != 0 {
-				axpyRow(alpha*av, brow, c2)
+				axpyRow(av, brow, c2)
 			}
 			if av := a3[k]; av != 0 {
-				axpyRow(alpha*av, brow, c3)
+				axpyRow(av, brow, c3)
 			}
 		}
 	}
@@ -41,54 +41,44 @@ func refGemmNNRows(alpha float64, a, b Mat, beta float64, c Mat, lo, hi int) {
 			if av == 0 {
 				continue
 			}
-			axpyRow(alpha*av, b.Data[k*n:(k+1)*n], crow)
+			axpyRow(av, b.Data[k*n:(k+1)*n], crow)
 		}
 	}
 }
 
-// refScaleRows is the beta step the reference bodies ran before the
-// accumulation: beta 0 clears the rows, so NaN and Inf in C are gone.
-func refScaleRows(beta float64, c Mat, lo, hi int) {
-	if beta == 1 {
+// refClearRows is the step the reference bodies ran before a fresh
+// (not accumulated) product: the rows are cleared, so NaN and Inf in C are
+// gone.
+func refClearRows(acc bool, c Mat, lo, hi int) {
+	if acc {
 		return
 	}
 	for i := lo; i < hi; i++ {
 		crow := c.Row(i)
-		if beta == 0 {
-			for j := range crow {
-				crow[j] = 0
-			}
-		} else {
-			for j := range crow {
-				crow[j] *= beta
-			}
+		for j := range crow {
+			crow[j] = 0
 		}
 	}
 }
 
-func refGemmNTRows(alpha float64, a, b Mat, beta float64, c Mat, lo, hi int) {
+func refGemmNTRows(a, b Mat, acc bool, c Mat, lo, hi int) {
 	i := lo
 	for ; i+4 <= hi; i += 4 {
 		a0, a1, a2, a3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
 		c0, c1, c2, c3 := c.Row(i), c.Row(i+1), c.Row(i+2), c.Row(i+3)
 		for j := 0; j < b.Rows; j++ {
 			brow := b.Row(j)
-			s0 := alpha * refDot(a0, brow)
-			s1 := alpha * refDot(a1, brow)
-			s2 := alpha * refDot(a2, brow)
-			s3 := alpha * refDot(a3, brow)
-			if beta == 0 {
-				c0[j], c1[j], c2[j], c3[j] = s0, s1, s2, s3
-			} else if beta == 1 {
+			s0 := refDot(a0, brow)
+			s1 := refDot(a1, brow)
+			s2 := refDot(a2, brow)
+			s3 := refDot(a3, brow)
+			if acc {
 				c0[j] += s0
 				c1[j] += s1
 				c2[j] += s2
 				c3[j] += s3
 			} else {
-				c0[j] = beta*c0[j] + s0
-				c1[j] = beta*c1[j] + s1
-				c2[j] = beta*c2[j] + s2
-				c3[j] = beta*c3[j] + s3
+				c0[j], c1[j], c2[j], c3[j] = s0, s1, s2, s3
 			}
 		}
 	}
@@ -96,13 +86,11 @@ func refGemmNTRows(alpha float64, a, b Mat, beta float64, c Mat, lo, hi int) {
 		arow := a.Row(i)
 		crow := c.Row(i)
 		for j := 0; j < b.Rows; j++ {
-			s := alpha * refDot(arow, b.Row(j))
-			if beta == 0 {
-				crow[j] = s
-			} else if beta == 1 {
+			s := refDot(arow, b.Row(j))
+			if acc {
 				crow[j] += s
 			} else {
-				crow[j] = beta*crow[j] + s
+				crow[j] = s
 			}
 		}
 	}
@@ -171,8 +159,8 @@ func fmaX86(a, b, c float64) float64 {
 	return math.FMA(a, b, c)
 }
 
-func refGemmTNRows(alpha float64, a, b Mat, beta float64, c Mat, lo, hi int) {
-	refScaleRows(beta, c, lo, hi)
+func refGemmTNRows(a, b Mat, acc bool, c Mat, lo, hi int) {
+	refClearRows(acc, c, lo, hi)
 	m := a.Cols
 	i := lo
 	for ; i+4 <= hi; i += 4 {
@@ -181,16 +169,16 @@ func refGemmTNRows(alpha float64, a, b Mat, beta float64, c Mat, lo, hi int) {
 			arow := a.Data[k*m : (k+1)*m]
 			brow := b.Row(k)
 			if av := arow[i]; av != 0 {
-				axpyRow(alpha*av, brow, c0)
+				axpyRow(av, brow, c0)
 			}
 			if av := arow[i+1]; av != 0 {
-				axpyRow(alpha*av, brow, c1)
+				axpyRow(av, brow, c1)
 			}
 			if av := arow[i+2]; av != 0 {
-				axpyRow(alpha*av, brow, c2)
+				axpyRow(av, brow, c2)
 			}
 			if av := arow[i+3]; av != 0 {
-				axpyRow(alpha*av, brow, c3)
+				axpyRow(av, brow, c3)
 			}
 		}
 	}
@@ -201,13 +189,13 @@ func refGemmTNRows(alpha float64, a, b Mat, beta float64, c Mat, lo, hi int) {
 			if av == 0 {
 				continue
 			}
-			axpyRow(alpha*av, b.Row(k), crow)
+			axpyRow(av, b.Row(k), crow)
 		}
 	}
 }
 
 // Operand fills. Special values go into A and B only: C holds no NaN, so
-// the final beta·C + s never adds two NaNs, whose surviving payload Go
+// an accumulated C + s never adds two NaNs, whose surviving payload Go
 // leaves to the compiler's choice of operand order.
 const (
 	fillDense   = iota // standard normal
@@ -264,10 +252,10 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 // 16-element dot chunk, and the shapes the models hit (60, 70).
 var gemmDiffDims = []int{0, 1, 3, 4, 5, 7, 8, 9, 12, 16, 17, 31, 60, 70}
 
-// gemmWideShapes are (M, K, N) wide enough that a four-row block of
-// half-zero A takes the per-row path instead of the tile (tilePays). The
-// fill cycles with the shape index, so 9×33×400 and 7×20×500 get sparse A.
-// The rest are the shapes the models hit: the softmax head's forward and
+// gemmWideShapes are (M, K, N) with wide outputs, where a tile skips many
+// zero A(i,k) against long rows of B: the fill cycles with the shape
+// index, so 9×33×400 and 7×20×500 get sparse A. The rest are the shapes
+// the models hit: the softmax head's forward and
 // gradient GEMMs at 32×60×10 and a 784-wide 8×784×10, its 16-row
 // minibatch (16×60×10), the thin CNN's dense layer (8×392×10) and its
 // conv2 weight gradient (8×196×100).
@@ -276,17 +264,15 @@ var gemmWideShapes = [][3]int{{8, 16, 784}, {9, 33, 400}, {5, 7, 336}, {12, 3, 7
 
 // TestGemmTilesMatchReference holds GemmNNRows, GemmTNRows and GemmNTRows to
 // the pre-tiling bodies bit for bit, over every (M, K, N) in gemmDiffDims³,
-// gemmWideShapes and a K sweep over every tail length, alpha ∈ {1, 1.5, −0.3}, beta ∈ {0, 1,
-// 0.7}, dense, sparse and special operands, unaligned sub-slices, and both
-// the full row range and an interior [lo, hi). On an AVX2 host the NT
+// gemmWideShapes and a K sweep over every tail length, a fresh and an
+// accumulated C, dense, sparse and special operands, unaligned sub-slices,
+// and both the full row range and an interior [lo, hi). On an AVX2 host the NT
 // reference takes its dots from fmaDot, not from the assembly under test.
 func TestGemmTilesMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
-	alphas := []float64{1, 1.5, -0.3}
-	betas := []float64{0, 1, 0.7}
 	forms := []struct {
 		name     string
-		got, ref func(alpha float64, a, b Mat, beta float64, c Mat, lo, hi int)
+		got, ref func(a, b Mat, acc bool, c Mat, lo, hi int)
 		// shapes of A and B for an M×N output reducing over K
 		a, b func(m, k, n int) (int, int)
 	}{
@@ -333,51 +319,26 @@ func TestGemmTilesMatchReference(t *testing.T) {
 			c0 := subMat(m, n, (off+2)%4)
 			fillOutput(rng, c0.Data, kind)
 			got, want := subMat(m, n, off), subMat(m, n, (off+3)%4)
-			for _, alpha := range alphas {
-				for _, beta := range betas {
-					copy(got.Data, c0.Data)
-					copy(want.Data, c0.Data)
-					f.got(alpha, a, b, beta, got, lo, hi)
-					f.ref(alpha, a, b, beta, want, lo, hi)
-					sameBits(t, fmt.Sprintf("%s M=%d K=%d N=%d rows [%d,%d) alpha=%v beta=%v fill=%d",
-						f.name, m, k, n, lo, hi, alpha, beta, kind), got.Data, want.Data)
-				}
+			for _, acc := range []bool{false, true} {
+				copy(got.Data, c0.Data)
+				copy(want.Data, c0.Data)
+				f.got(a, b, acc, got, lo, hi)
+				f.ref(a, b, acc, want, lo, hi)
+				sameBits(t, fmt.Sprintf("%s M=%d K=%d N=%d rows [%d,%d) acc=%v fill=%d",
+					f.name, m, k, n, lo, hi, acc, kind), got.Data, want.Data)
 			}
 		}
 	}
 }
 
-// TestTilePaysRoutesSparseWideBlocks pins the routing the differential test
-// relies on to reach both axpy paths: dense A always tiles, half-zero A
-// tiles only while the output is narrow.
-func TestTilePaysRoutesSparseWideBlocks(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for _, tc := range []struct {
-		kind, n int
-		want    bool
-	}{
-		{fillDense, 784, true},
-		{fillSparse, 60, true},
-		{fillSparse, 160, true},
-		{fillSparse, 784, false},
-	} {
-		a := make([]float64, 4*32)
-		fillOperand(rng, a, tc.kind)
-		if got := tilePays(a, 32, 1, 32, tc.n, 0, 4); got != tc.want {
-			t.Errorf("fill %d, n=%d: tilePays = %v, want %v", tc.kind, tc.n, got, tc.want)
-		}
-	}
-}
-
-// TestGemmBetaZeroEdgeCases holds beta-0 GemmNNRows and GemmTNRows, which
-// never clear C first, to the reference bodies, which do: C prefilled
-// with NaNs and ±Inf that must not survive, A with an all-zero row, one of
-// −0s and products that are −0 (a negative A against B's zeros), N with
-// every residue mod 4 (the columns a register tile does not cover),
-// alpha ≠ 1 (no tile at all), a half-zero A wide enough that tilePays
-// routes it to the per-row path, and K = 0 (nothing to add: C is +0).
-// Interior row ranges check that rows outside [lo, hi) keep their
-// NaNs.
+// TestGemmBetaZeroEdgeCases holds fresh-C (not accumulated) GemmNNRows and
+// GemmTNRows, which never clear C first, to the reference bodies, which
+// do: C prefilled with NaNs and ±Inf that must not survive, A with an
+// all-zero row, one of −0s and products that are −0 (a negative A against
+// B's zeros), N with every residue mod 4 (the columns a register tile does
+// not cover), a half-zero A on a wide output, and K = 0 (nothing to add:
+// C is +0). Interior row ranges check that rows outside [lo, hi) keep
+// their NaNs.
 func TestGemmBetaZeroEdgeCases(t *testing.T) {
 	forEachKernelSet(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(30))
@@ -385,45 +346,43 @@ func TestGemmBetaZeroEdgeCases(t *testing.T) {
 			math.Copysign(0, -1)}
 		for _, k := range []int{0, 1, 3, 17} {
 			for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 13, 14, 400} {
-				for _, alpha := range []float64{1, -0.5} {
-					for _, kind := range []int{fillDense, fillSparse} {
-						m := 6
-						a, b := randMatKind(rng, m, k, kind), randMatKind(rng, k, n, kind)
-						for r := 0; r < k; r++ {
-							a.Data[1*k+r] = 0                        // row 1: all +0
-							a.Data[2*k+r] = math.Copysign(0, -1)     // row 2: all −0
-							a.Data[3*k+r] = -math.Abs(a.Data[3*k+r]) // row 3: −0 products on B's zeros
+				for _, kind := range []int{fillDense, fillSparse} {
+					m := 6
+					a, b := randMatKind(rng, m, k, kind), randMatKind(rng, k, n, kind)
+					for r := 0; r < k; r++ {
+						a.Data[1*k+r] = 0                        // row 1: all +0
+						a.Data[2*k+r] = math.Copysign(0, -1)     // row 2: all −0
+						a.Data[3*k+r] = -math.Abs(a.Data[3*k+r]) // row 3: −0 products on B's zeros
+					}
+					for j := range b.Data {
+						if j%3 == 0 {
+							b.Data[j] = 0
 						}
-						for j := range b.Data {
-							if j%3 == 0 {
-								b.Data[j] = 0
+					}
+					at := transposed(a)
+					for _, rows := range [][2]int{{0, m}, {1, 5}} {
+						lo, hi := rows[0], rows[1]
+						what := fmt.Sprintf("M=%d K=%d N=%d fill=%d rows [%d,%d)", m, k, n, kind, lo, hi)
+						for _, f := range []struct {
+							name     string
+							a        Mat
+							got, ref func(Mat, Mat, bool, Mat, int, int)
+						}{
+							{"NN", a, GemmNNRows, refGemmNNRows},
+							{"TN", at, GemmTNRows, refGemmTNRows},
+						} {
+							got, want := MatOf(m, n, make([]float64, m*n)), MatOf(m, n, make([]float64, m*n))
+							for i := range got.Data {
+								got.Data[i] = cFill[i%len(cFill)]
 							}
-						}
-						at := transposed(a)
-						for _, rows := range [][2]int{{0, m}, {1, 5}} {
-							lo, hi := rows[0], rows[1]
-							what := fmt.Sprintf("M=%d K=%d N=%d alpha=%v fill=%d rows [%d,%d)", m, k, n, alpha, kind, lo, hi)
-							for _, f := range []struct {
-								name     string
-								a        Mat
-								got, ref func(float64, Mat, Mat, float64, Mat, int, int)
-							}{
-								{"NN", a, GemmNNRows, refGemmNNRows},
-								{"TN", at, GemmTNRows, refGemmTNRows},
-							} {
-								got, want := MatOf(m, n, make([]float64, m*n)), MatOf(m, n, make([]float64, m*n))
-								for i := range got.Data {
-									got.Data[i] = cFill[i%len(cFill)]
-								}
-								copy(want.Data, got.Data)
-								f.got(alpha, f.a, b, 0, got, lo, hi)
-								f.ref(alpha, f.a, b, 0, want, lo, hi)
-								sameBits(t, f.name+" "+what, got.Data, want.Data)
-								// A and B are finite, and a sum from +0 is never −0.
-								for i, v := range got.Data[lo*n : hi*n] {
-									if math.IsNaN(v) || math.IsInf(v, 0) || v == 0 && math.Signbit(v) {
-										t.Fatalf("%s %s: element %d = %v survived from C", f.name, what, lo*n+i, v)
-									}
+							copy(want.Data, got.Data)
+							f.got(f.a, b, false, got, lo, hi)
+							f.ref(f.a, b, false, want, lo, hi)
+							sameBits(t, f.name+" "+what, got.Data, want.Data)
+							// A and B are finite, and a sum from +0 is never −0.
+							for i, v := range got.Data[lo*n : hi*n] {
+								if math.IsNaN(v) || math.IsInf(v, 0) || v == 0 && math.Signbit(v) {
+									t.Fatalf("%s %s: element %d = %v survived from C", f.name, what, lo*n+i, v)
 								}
 							}
 						}

@@ -8,18 +8,18 @@ package tensor
 // keeps dInput's payload whatever order the compiler picks for it.
 
 func refIm2Col(s ConvShape, input, col []float64) {
-	oh, ow := s.OutH(), s.OutW()
+	oh, ow, pad := s.InH, s.InW, s.K/2
 	cols := oh * ow
 	r := 0
 	for c := 0; c < s.InC; c++ {
 		chBase := c * s.InH * s.InW
-		for ky := 0; ky < s.KH; ky++ {
-			for kx := 0; kx < s.KW; kx++ {
+		for ky := 0; ky < s.K; ky++ {
+			for kx := 0; kx < s.K; kx++ {
 				dst := col[r*cols : (r+1)*cols]
 				r++
 				i := 0
 				for oy := 0; oy < oh; oy++ {
-					iy := oy*s.Stride + ky - s.Pad
+					iy := oy + ky - pad
 					if iy < 0 || iy >= s.InH {
 						for ox := 0; ox < ow; ox++ {
 							dst[i] = 0
@@ -29,7 +29,7 @@ func refIm2Col(s ConvShape, input, col []float64) {
 					}
 					rowBase := chBase + iy*s.InW
 					for ox := 0; ox < ow; ox++ {
-						ix := ox*s.Stride + kx - s.Pad
+						ix := ox + kx - pad
 						if ix < 0 || ix >= s.InW {
 							dst[i] = 0
 						} else {
@@ -44,25 +44,25 @@ func refIm2Col(s ConvShape, input, col []float64) {
 }
 
 func refCol2Im(s ConvShape, col, dInput []float64) {
-	oh, ow := s.OutH(), s.OutW()
+	oh, ow, pad := s.InH, s.InW, s.K/2
 	cols := oh * ow
 	r := 0
 	for c := 0; c < s.InC; c++ {
 		chBase := c * s.InH * s.InW
-		for ky := 0; ky < s.KH; ky++ {
-			for kx := 0; kx < s.KW; kx++ {
+		for ky := 0; ky < s.K; ky++ {
+			for kx := 0; kx < s.K; kx++ {
 				src := col[r*cols : (r+1)*cols]
 				r++
 				i := 0
 				for oy := 0; oy < oh; oy++ {
-					iy := oy*s.Stride + ky - s.Pad
+					iy := oy + ky - pad
 					if iy < 0 || iy >= s.InH {
 						i += ow
 						continue
 					}
 					rowBase := chBase + iy*s.InW
 					for ox := 0; ox < ow; ox++ {
-						ix := ox*s.Stride + kx - s.Pad
+						ix := ox + kx - pad
 						if ix >= 0 && ix < s.InW {
 							dInput[rowBase+ix] = nanFirstAdd(dInput[rowBase+ix], src[i])
 						}

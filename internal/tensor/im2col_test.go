@@ -8,26 +8,26 @@ import (
 )
 
 // naiveConv computes a direct convolution for one output channel given
-// kernel w laid out (InC, KH, KW) row-major.
+// kernel w laid out (InC, K, K) row-major.
 func naiveConv(s ConvShape, input, w []float64) []float64 {
-	oh, ow := s.OutH(), s.OutW()
+	oh, ow, pad := s.InH, s.InW, s.K/2
 	out := make([]float64, oh*ow)
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
 			var sum float64
 			for c := 0; c < s.InC; c++ {
-				for ky := 0; ky < s.KH; ky++ {
-					iy := oy*s.Stride + ky - s.Pad
+				for ky := 0; ky < s.K; ky++ {
+					iy := oy + ky - pad
 					if iy < 0 || iy >= s.InH {
 						continue
 					}
-					for kx := 0; kx < s.KW; kx++ {
-						ix := ox*s.Stride + kx - s.Pad
+					for kx := 0; kx < s.K; kx++ {
+						ix := ox + kx - pad
 						if ix < 0 || ix >= s.InW {
 							continue
 						}
 						sum += input[c*s.InH*s.InW+iy*s.InW+ix] *
-							w[c*s.KH*s.KW+ky*s.KW+kx]
+							w[c*s.K*s.K+ky*s.K+kx]
 					}
 				}
 			}
@@ -38,15 +38,12 @@ func naiveConv(s ConvShape, input, w []float64) []float64 {
 }
 
 func TestConvShapeDims(t *testing.T) {
-	s := ConvShape{InC: 1, InH: 28, InW: 28, KH: 5, KW: 5, Stride: 1, Pad: 2}
-	if s.OutH() != 28 || s.OutW() != 28 {
-		t.Fatalf("same-padding 28x28 conv should keep dims, got %dx%d", s.OutH(), s.OutW())
+	s := ConvShape{InC: 1, InH: 28, InW: 28, K: 5}
+	if s.ColRows() != 25 || s.ColCols() != 28*28 {
+		t.Fatalf("same-padding 28x28 conv should keep dims, got col %dx%d", s.ColRows(), s.ColCols())
 	}
-	v := ConvShape{InC: 3, InH: 10, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 0}
-	if v.OutH() != 8 || v.OutW() != 6 {
-		t.Fatalf("valid conv dims wrong: %dx%d", v.OutH(), v.OutW())
-	}
-	if v.ColRows() != 27 || v.ColCols() != 48 {
+	v := ConvShape{InC: 3, InH: 10, InW: 8, K: 3}
+	if v.ColRows() != 27 || v.ColCols() != 80 {
 		t.Fatalf("col dims wrong: %dx%d", v.ColRows(), v.ColCols())
 	}
 }
@@ -54,9 +51,9 @@ func TestConvShapeDims(t *testing.T) {
 func TestIm2ColMatchesNaiveConv(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	shapes := []ConvShape{
-		{InC: 1, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 1, Pad: 0},
-		{InC: 2, InH: 7, InW: 5, KH: 3, KW: 3, Stride: 1, Pad: 1},
-		{InC: 3, InH: 8, InW: 8, KH: 5, KW: 5, Stride: 2, Pad: 2},
+		{InC: 1, InH: 6, InW: 6, K: 1},
+		{InC: 2, InH: 7, InW: 5, K: 3},
+		{InC: 3, InH: 8, InW: 8, K: 5},
 	}
 	for _, s := range shapes {
 		input := make([]float64, s.InC*s.InH*s.InW)
@@ -73,7 +70,7 @@ func TestIm2ColMatchesNaiveConv(t *testing.T) {
 		wm := MatOf(1, s.ColRows(), w)
 		cm := MatOf(s.ColRows(), s.ColCols(), col)
 		om := MatOf(1, s.ColCols(), make([]float64, s.ColCols()))
-		GemmNN(1, wm, cm, 0, om)
+		GemmNN(wm, cm, false, om)
 		want := naiveConv(s, input, w)
 		for i := range want {
 			if math.Abs(om.Data[i]-want[i]) > 1e-10 {
@@ -87,7 +84,7 @@ func TestIm2ColMatchesNaiveConv(t *testing.T) {
 // defining property of the transpose operator and validates backprop.
 func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	s := ConvShape{InC: 2, InH: 6, InW: 7, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	s := ConvShape{InC: 2, InH: 6, InW: 7, K: 3}
 	nIn := s.InC * s.InH * s.InW
 	nCol := s.ColRows() * s.ColCols()
 	x := make([]float64, nIn)
@@ -116,7 +113,7 @@ func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
 }
 
 func TestCol2ImAccumulates(t *testing.T) {
-	s := ConvShape{InC: 1, InH: 3, InW: 3, KH: 2, KW: 2, Stride: 1, Pad: 0}
+	s := ConvShape{InC: 1, InH: 3, InW: 3, K: 3}
 	col := make([]float64, s.ColRows()*s.ColCols())
 	for i := range col {
 		col[i] = 1
@@ -124,48 +121,40 @@ func TestCol2ImAccumulates(t *testing.T) {
 	d := make([]float64, 9)
 	Col2Im(s, col, d)
 	Col2Im(s, col, d) // second call must add, not overwrite
-	// Center pixel (1,1) is touched by all 4 windows × all 4 taps that
-	// align — for 2x2 kernel on 3x3 valid conv the center appears in 4
-	// (window, tap) pairs; doubled by the second call → 8.
-	if d[4] != 8 {
-		t.Fatalf("accumulation wrong: center=%v, want 8", d[4])
+	// Every one of the 9 taps reaches the center pixel (1,1) from one
+	// output position; doubled by the second call → 18.
+	if d[4] != 18 {
+		t.Fatalf("accumulation wrong: center=%v, want 18", d[4])
 	}
 }
 
 // TestIm2ColCol2ImMatchReference holds the contiguous-run kernels to the
 // per-element reference bodies by math.Float64bits: over 3000 random
 // shapes (every one NewConv2D would accept), padding as wide as or wider
-// than the kernel and the input, and 1×1 inputs. The explicit shapes also
-// hold Im2Col's one-run path (stride 1, OutW == InW) at both paper
-// convolutions, with KH ≠ KW (so OutH ≠ InH), with padding wider than the
-// input, and with several channels, where a run clipped one element late
-// would read the next channel's plane. Im2Col writes into a destination
+// than the input, and 1×1 inputs. The explicit shapes also hold them at
+// both paper convolutions and with several channels, where a run clipped
+// one element late would read the next channel's plane. Im2Col writes into a destination
 // full of garbage, so a missed zeroing shows; Col2Im adds onto a non-zero
 // dInput, so a reordered or dropped term shows.
 func TestIm2ColCol2ImMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	shapes := []ConvShape{
-		{InC: 1, InH: 1, InW: 1, KH: 1, KW: 1, Stride: 1, Pad: 0},
-		{InC: 2, InH: 1, InW: 1, KH: 3, KW: 3, Stride: 1, Pad: 1},
-		{InC: 1, InH: 1, InW: 1, KH: 5, KW: 5, Stride: 3, Pad: 4},
-		{InC: 1, InH: 3, InW: 3, KH: 2, KW: 2, Stride: 1, Pad: 3},
-		{InC: 3, InH: 2, InW: 9, KH: 5, KW: 1, Stride: 2, Pad: 4},
-		{InC: 1, InH: 4, InW: 2, KH: 1, KW: 3, Stride: 2, Pad: 4},
-		{InC: 1, InH: 28, InW: 28, KH: 5, KW: 5, Stride: 1, Pad: 2},
-		{InC: 4, InH: 14, InW: 14, KH: 5, KW: 5, Stride: 1, Pad: 2},
-		{InC: 2, InH: 6, InW: 7, KH: 3, KW: 5, Stride: 1, Pad: 2},
-		{InC: 3, InH: 5, InW: 4, KH: 7, KW: 5, Stride: 1, Pad: 2},
-		{InC: 2, InH: 2, InW: 2, KH: 7, KW: 7, Stride: 1, Pad: 3},
-		{InC: 3, InH: 3, InW: 1, KH: 9, KW: 9, Stride: 1, Pad: 4},
-		{InC: 2, InH: 4, InW: 3, KH: 1, KW: 7, Stride: 1, Pad: 3},
+		{InC: 1, InH: 1, InW: 1, K: 1},
+		{InC: 2, InH: 1, InW: 1, K: 3},
+		{InC: 1, InH: 1, InW: 1, K: 9},
+		{InC: 3, InH: 2, InW: 9, K: 5},
+		{InC: 1, InH: 4, InW: 2, K: 7},
+		{InC: 1, InH: 28, InW: 28, K: 5},
+		{InC: 4, InH: 14, InW: 14, K: 5},
+		{InC: 2, InH: 6, InW: 7, K: 3},
+		{InC: 3, InH: 5, InW: 4, K: 7},
+		{InC: 2, InH: 2, InW: 2, K: 7},
+		{InC: 3, InH: 3, InW: 1, K: 9},
 	}
 	explicit := len(shapes)
 	for len(shapes) < 3000+explicit {
-		s := ConvShape{InC: 1 + rng.Intn(3), InH: 1 + rng.Intn(9), InW: 1 + rng.Intn(9),
-			KH: 1 + rng.Intn(5), KW: 1 + rng.Intn(5), Stride: 1 + rng.Intn(3), Pad: rng.Intn(5)}
-		if s.OutH() > 0 && s.OutW() > 0 {
-			shapes = append(shapes, s)
-		}
+		shapes = append(shapes, ConvShape{InC: 1 + rng.Intn(3), InH: 1 + rng.Intn(9), InW: 1 + rng.Intn(9),
+			K: 1 + 2*rng.Intn(5)})
 	}
 	// Col2Im's sums get no NaN and no −Inf: once two NaNs with different
 	// payloads meet (+Inf + −Inf makes a second one), which payload an add
@@ -217,26 +206,21 @@ func TestIm2ColCol2ImMatchReference(t *testing.T) {
 // kernel sets where the vector adds could part from it: sums that meet
 // two NaNs of different payloads (dInput's must survive, as in Go's
 // dInput[i] += term), signalling NaNs, −0 terms onto −0 and +0, and ±Inf.
-// The shapes take the stride-1 kernel at both paper convolutions and at
-// run lengths of every residue mod 4, the Go loop at stride 2, and
-// padding wider than the kernel, where some kernel columns reach no
-// input column at all (an empty validCols run). The race detector's
-// build may swap the Go loop's operands, so there the Go loop's NaNs
-// compare as one value; the kernel's payloads are compared in every
-// build.
+// The shapes take both paper convolutions, run lengths of every residue
+// mod 4, and padding wider than the input, where some kernel columns reach
+// no input column at all (an empty valid run). The race detector's and
+// the coverage tool's builds may swap the Go loop's operands, so there the
+// Go loop's NaNs compare as one value; the kernel's payloads are compared
+// in every build.
 func TestCol2ImEdgeCases(t *testing.T) {
 	shapes := []ConvShape{
 		conv1Shape,
 		conv2Shape,
-		{InC: 2, InH: 5, InW: 5, KH: 3, KW: 3, Stride: 1, Pad: 1},
-		{InC: 2, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 1, Pad: 0},
-		{InC: 1, InH: 7, InW: 7, KH: 3, KW: 5, Stride: 1, Pad: 0},
-		{InC: 3, InH: 4, InW: 9, KH: 2, KW: 2, Stride: 1, Pad: 0},
-		{InC: 2, InH: 7, InW: 9, KH: 3, KW: 3, Stride: 2, Pad: 1},
-		{InC: 1, InH: 8, InW: 8, KH: 5, KW: 5, Stride: 2, Pad: 2},
-		{InC: 1, InH: 3, InW: 3, KH: 2, KW: 2, Stride: 1, Pad: 3},
-		{InC: 2, InH: 2, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 4},
-		{InC: 1, InH: 3, InW: 3, KH: 2, KW: 2, Stride: 2, Pad: 3},
+		{InC: 2, InH: 5, InW: 5, K: 3},
+		{InC: 1, InH: 7, InW: 7, K: 5},
+		{InC: 3, InH: 4, InW: 9, K: 3},
+		{InC: 1, InH: 3, InW: 3, K: 7},
+		{InC: 2, InH: 2, InW: 4, K: 9},
 	}
 	specials := []float64{
 		math.NaN(), math.Float64frombits(0x7ff8_0000_0000_0123), math.Float64frombits(0xfff8_0000_0000_4567),
@@ -262,7 +246,7 @@ func TestCol2ImEdgeCases(t *testing.T) {
 			want := append([]float64(nil), got...)
 			Col2Im(s, col, got)
 			refCol2Im(s, col, want)
-			if raceBuild && !(simdEnabled && s.Stride == 1) {
+			if (raceBuild || testing.CoverMode() != "") && !simdEnabled {
 				for i := range got {
 					if got[i] != got[i] && want[i] != want[i] {
 						got[i], want[i] = math.NaN(), math.NaN()
@@ -277,8 +261,8 @@ func TestCol2ImEdgeCases(t *testing.T) {
 // conv1 and conv2 are the paper CNN's two convolution shapes, conv2 at the
 // thin network's 4 input channels.
 var (
-	conv1Shape = ConvShape{InC: 1, InH: 28, InW: 28, KH: 5, KW: 5, Stride: 1, Pad: 2}
-	conv2Shape = ConvShape{InC: 4, InH: 14, InW: 14, KH: 5, KW: 5, Stride: 1, Pad: 2}
+	conv1Shape = ConvShape{InC: 1, InH: 28, InW: 28, K: 5}
+	conv2Shape = ConvShape{InC: 4, InH: 14, InW: 14, K: 5}
 )
 
 func benchIm2Col(b *testing.B, s ConvShape) {

@@ -174,8 +174,8 @@ type Par struct {
 	n, grain int
 	block    func(slot, t int)
 
-	alpha, beta float64
-	a, b, c     Mat
+	acc     bool
+	a, b, c Mat
 
 	nn, nt, tn func(lo, hi int)
 }
@@ -188,30 +188,33 @@ func NewPar() *Par {
 		lo := t * p.grain
 		p.body(lo, min(lo+p.grain, p.n))
 	}
-	p.nn = func(lo, hi int) { GemmNNRows(p.alpha, p.a, p.b, p.beta, p.c, lo, hi) }
-	p.nt = func(lo, hi int) { GemmNTRows(p.alpha, p.a, p.b, p.beta, p.c, lo, hi) }
-	p.tn = func(lo, hi int) { GemmTNRows(p.alpha, p.a, p.b, p.beta, p.c, lo, hi) }
+	p.nn = func(lo, hi int) { GemmNNRows(p.a, p.b, p.acc, p.c, lo, hi) }
+	p.nt = func(lo, hi int) { GemmNTRows(p.a, p.b, p.acc, p.c, lo, hi) }
+	p.tn = func(lo, hi int) { GemmTNRows(p.a, p.b, p.acc, p.c, lo, hi) }
 	return p
 }
 
-// GemmNN computes C = alpha*A*B + beta*C, row-blocked across the pool.
-func (p *Par) GemmNN(alpha float64, a, b Mat, beta float64, c Mat) {
+// GemmNN computes C = A*B, or C += A*B with acc, row-blocked across the
+// pool.
+func (p *Par) GemmNN(a, b Mat, acc bool, c Mat) {
 	checkNN(a, b, c)
-	p.alpha, p.a, p.b, p.beta, p.c = alpha, a, b, beta, c
+	p.a, p.b, p.acc, p.c = a, b, acc, c
 	p.Run(c.Rows, gemmRowGrain, 2*a.Rows*a.Cols*b.Cols, p.nn)
 }
 
-// GemmNT computes C = alpha*A*Bᵀ + beta*C, row-blocked across the pool.
-func (p *Par) GemmNT(alpha float64, a, b Mat, beta float64, c Mat) {
+// GemmNT computes C = A*Bᵀ, or C += A*Bᵀ with acc, row-blocked across the
+// pool.
+func (p *Par) GemmNT(a, b Mat, acc bool, c Mat) {
 	checkNT(a, b, c)
-	p.alpha, p.a, p.b, p.beta, p.c = alpha, a, b, beta, c
+	p.a, p.b, p.acc, p.c = a, b, acc, c
 	p.Run(c.Rows, gemmRowGrain, 2*a.Rows*a.Cols*b.Rows, p.nt)
 }
 
-// GemmTN computes C = alpha*Aᵀ*B + beta*C, row-blocked across the pool.
-func (p *Par) GemmTN(alpha float64, a, b Mat, beta float64, c Mat) {
+// GemmTN computes C = Aᵀ*B, or C += Aᵀ*B with acc, row-blocked across the
+// pool.
+func (p *Par) GemmTN(a, b Mat, acc bool, c Mat) {
 	checkTN(a, b, c)
-	p.alpha, p.a, p.b, p.beta, p.c = alpha, a, b, beta, c
+	p.a, p.b, p.acc, p.c = a, b, acc, c
 	p.Run(c.Rows, gemmRowGrain, 2*a.Rows*a.Cols*b.Cols, p.tn)
 }
 

@@ -43,7 +43,7 @@ func TestParFanOutFollowsGOMAXPROCS(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a, b := randMat(rng, 256, 256), randMat(rng, 256, 256)
 	serial := MatOf(256, 256, make([]float64, 256*256))
-	GemmNN(1, a, b, 0, serial)
+	GemmNN(a, b, false, serial)
 
 	got := MatOf(256, 256, make([]float64, 256*256))
 	p := NewPar()
@@ -53,7 +53,7 @@ func TestParFanOutFollowsGOMAXPROCS(t *testing.T) {
 		mu.Lock()
 		workers[goid()] = true
 		mu.Unlock()
-		GemmNNRows(1, a, b, 0, got, lo, hi)
+		GemmNNRows(a, b, false, got, lo, hi)
 	}
 	run := func() {
 		clear(workers)
@@ -95,7 +95,7 @@ func TestParRunNested(t *testing.T) {
 	for i := range as {
 		as[i] = randMat(rng, m, k)
 		want[i] = MatOf(m, n, make([]float64, m*n))
-		GemmNN(1, as[i], b, 0, want[i])
+		GemmNN(as[i], b, false, want[i])
 	}
 	inner := make([]*Par, outer)
 	got := make([]Mat, outer)
@@ -107,7 +107,7 @@ func TestParRunNested(t *testing.T) {
 	// owns its Par.
 	body := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			inner[i].GemmNN(1, as[i], b, 0, got[i])
+			inner[i].GemmNN(as[i], b, false, got[i])
 		}
 	}
 	p := NewPar()

@@ -20,10 +20,9 @@ func axpySIMD(s float64, x, y []float64)
 // A(r,k) = a[r*rs+k*ks] and a term with A(r,k) == 0 is skipped. n must be
 // a positive multiple of 4 and kn positive; the slices must cover every
 // index this reaches. Each element gets axpySIMD's fused multiply-add per
-// term, with s = A(r,k) (axpyRow's alpha·A(r,k) at alpha = 1, which is
-// A(r,k) to the bit). With zero, each element starts from +0 instead of
-// c's value, which is then never read: the sum a C zeroed beforehand
-// would get. Implemented in assembly.
+// term, with s = A(r,k) as in axpyRows. With zero, each element starts
+// from +0 instead of c's value, which is then never read: the sum a C
+// zeroed beforehand would get. Implemented in assembly.
 func axpyTileSIMD(a []float64, rs, ks, kn int, b, c []float64, ld, n, rows int, zero bool)
 
 // addRowsSIMD adds src[r*ss+j] to dst[r*ds+j] for the rows r < rows and

@@ -475,8 +475,8 @@ GLOBL dotmask<>(SB), RODATA, $48
 // every bit, is that of one dot at a time.
 //
 // Dot j of row r goes to c[r*ldc+j] for j < nb: stored as it is, or,
-// with acc, added to what is there as c + d (GemmNTRows' beta = 1
-// combine), one masked store per row. The frame holds the partials at
+// with acc, added to what is there as c + d (GemmNTRows' accumulated
+// form), one masked store per row. The frame holds the partials at
 // 32j + 8r, the group's row count at 96, the three B row addresses at 104
 // and the store mask at 128. An FMA's memory operand is never indexed:
 // Intel cores split an indexed one into two micro-ops.
