@@ -151,31 +151,34 @@ func BenchmarkNewRunnerCNN10(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationProxClosedForm measures the closed-form proximal
-// operator of eq. (10)…
+// BenchmarkAblationProxClosedForm measures the proximal gradient step
+// prox_{ηh_s}(w − ηv) through the closed form of eq. (10)…
 func BenchmarkAblationProxClosedForm(b *testing.B) {
-	p, x, dst := proxFixture()
+	p, w, v, dst := proxFixture()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Apply(dst, x, 0.1)
+		p.Step(dst, w, v, 0.1)
 	}
 }
 
 // BenchmarkAblationProxIterative …versus solving the prox subproblem by
 // inner gradient descent.
 func BenchmarkAblationProxIterative(b *testing.B) {
-	p, x, dst := proxFixture()
+	p, w, v, dst := proxFixture()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		proxIterative(p, dst, x, 0.1, 20)
+		proxIterative(p, dst, w, v, 0.1, 20)
 	}
 }
 
-// proxIterative solves the prox subproblem argmin_w h_s(w) + ‖w−x‖²/(2η)
-// by gradient descent instead of the closed form Prox.Apply: the ablation
-// baseline above.
-func proxIterative(p optim.Prox, dst, x []float64, eta float64, iters int) {
-	copy(dst, x)
+// proxIterative takes the step prox_{ηh_s}(w − ηv) by solving the prox
+// subproblem argmin_u h_s(u) + ‖u−x‖²/(2η) at x = w − ηv by gradient
+// descent instead of the closed form Prox.Step: the ablation baseline
+// above.
+func proxIterative(p optim.Prox, dst, w, v []float64, eta float64, iters int) {
+	for i := range dst {
+		dst[i] = w[i] - eta*v[i]
+	}
 	if p.Mu == 0 {
 		return
 	}
@@ -185,7 +188,8 @@ func proxIterative(p optim.Prox, dst, x []float64, eta float64, iters int) {
 	step := 1 / (p.Mu + 1/eta)
 	for k := 0; k < iters; k++ {
 		for i := range dst {
-			g := p.Mu*(dst[i]-p.Anchor[i]) + (dst[i]-x[i])/eta
+			x := w[i] - eta*v[i]
+			g := p.Mu*(dst[i]-p.Anchor[i]) + (dst[i]-x)/eta
 			dst[i] -= step * g
 		}
 	}
@@ -194,14 +198,16 @@ func proxIterative(p optim.Prox, dst, x []float64, eta float64, iters int) {
 func TestProxIterativeMatchesClosedForm(t *testing.T) {
 	rng := randx.New(1)
 	anchor := make([]float64, 10)
-	x := make([]float64, 10)
+	w := make([]float64, 10)
+	v := make([]float64, 10)
 	randx.NormalVec(rng, anchor, 0, 1)
-	randx.NormalVec(rng, x, 0, 1)
+	randx.NormalVec(rng, w, 0, 1)
+	randx.NormalVec(rng, v, 0, 1)
 	p := optim.Prox{Mu: 1.3, Anchor: anchor}
 	closed := make([]float64, 10)
 	iter := make([]float64, 10)
-	p.Apply(closed, x, 0.2)
-	proxIterative(p, iter, x, 0.2, 50)
+	p.Step(closed, w, v, 0.2)
+	proxIterative(p, iter, w, v, 0.2, 50)
 	for i := range closed {
 		if math.Abs(closed[i]-iter[i]) > 1e-9 {
 			t.Fatalf("iterative prox differs at %d: %v vs %v", i, iter[i], closed[i])
@@ -209,13 +215,16 @@ func TestProxIterativeMatchesClosedForm(t *testing.T) {
 	}
 }
 
-func proxFixture() (optim.Prox, []float64, []float64) {
+// proxFixture returns a step's operands at tcp8_f64's dimension, 7850.
+func proxFixture() (p optim.Prox, w, v, dst []float64) {
 	rng := randx.New(1)
 	anchor := make([]float64, 7850)
-	x := make([]float64, 7850)
+	w = make([]float64, 7850)
+	v = make([]float64, 7850)
 	randx.NormalVec(rng, anchor, 0, 1)
-	randx.NormalVec(rng, x, 0, 1)
-	return optim.Prox{Mu: 0.5, Anchor: anchor}, x, make([]float64, 7850)
+	randx.NormalVec(rng, w, 0, 1)
+	randx.NormalVec(rng, v, 0, 1)
+	return optim.Prox{Mu: 0.5, Anchor: anchor}, w, v, make([]float64, 7850)
 }
 
 // BenchmarkAblationEstimatorSGD / SVRG / SARAH isolate the per-round cost

@@ -53,16 +53,6 @@ func Sub(dst, x, y []float64) {
 	}
 }
 
-// AddScaled stores x + a*y into dst. dst may alias x or y.
-func AddScaled(dst, x []float64, a float64, y []float64) {
-	if len(x) != len(y) || len(dst) != len(x) {
-		panic("mathx: AddScaled length mismatch")
-	}
-	for i := range dst {
-		dst[i] = x[i] + a*y[i]
-	}
-}
-
 // Nrm2Sq returns the squared Euclidean norm ‖x‖².
 func Nrm2Sq(x []float64) float64 {
 	var s float64

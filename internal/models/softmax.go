@@ -89,21 +89,26 @@ func (m *Softmax) LossGrad(grad, w []float64, ds *data.Dataset) float64 {
 // lossGrad is the one body of Grad and LossGrad. With loss set it returns
 // Loss's value bit for bit: softmaxHead adds the same terms in the same
 // order. Without it no log is taken and Grad discards the result.
+//
+// Only the bias gradient, which the head adds to, is cleared: the first
+// chunk's GEMM stores the weight gradient (acc off starts every element
+// at +0, as a cleared one would) and later chunks add to it.
 func (m *Softmax) lossGrad(grad, w []float64, ds *data.Dataset, idx []int, loss bool) float64 {
-	mathx.Zero(grad)
 	n := batchSize(ds, idx)
 	if n == 0 {
+		mathx.Zero(grad)
 		return 0
 	}
 	inv := 1 / float64(n)
 	nw := m.Classes * m.Features
+	mathx.Zero(grad[nw:])
 	dw := tensor.MatOf(m.Classes, m.Features, grad[:nw])
 	var sum float64
 	for lo := 0; lo < n; lo += gradChunk {
 		b := min(gradChunk, n-lo)
 		zt, x := m.forwardChunk(w, ds, idx, lo, b)
 		sum = softmaxHead(sum, zt.Data, b, m.Classes, ds, idx, lo, loss, inv, grad[nw:])
-		m.par.GemmNN(zt, x, true, dw)
+		m.par.GemmNN(zt, x, lo > 0, dw)
 	}
 	return sum / float64(n)
 }

@@ -13,45 +13,51 @@ import (
 
 func TestProxClosedFormMatchesArgmin(t *testing.T) {
 	// prox_{ηh}(x) minimizes h(w) + ‖w−x‖²/(2η); verify the closed form
-	// against a fine grid search in 1-D.
+	// of the step, x = w − ηv, against a fine grid search in 1-D.
 	p := Prox{Mu: 0.7, Anchor: []float64{2.0}}
-	x := []float64{-1.0}
+	w, v := []float64{-1.0}, []float64{2.0}
 	eta := 0.3
+	x := w[0] - eta*v[0]
 	dst := make([]float64, 1)
-	p.Apply(dst, x, eta)
-	obj := func(w float64) float64 {
-		return p.Mu/2*(w-2)*(w-2) + (w-x[0])*(w-x[0])/(2*eta)
+	p.Step(dst, w, v, eta)
+	obj := func(u float64) float64 {
+		return p.Mu/2*(u-2)*(u-2) + (u-x)*(u-x)/(2*eta)
 	}
-	bestW, bestV := 0.0, math.Inf(1)
-	for w := -3.0; w <= 3.0; w += 1e-4 {
-		if v := obj(w); v < bestV {
-			bestW, bestV = w, v
+	bestU, bestV := 0.0, math.Inf(1)
+	for u := -3.0; u <= 3.0; u += 1e-4 {
+		if v := obj(u); v < bestV {
+			bestU, bestV = u, v
 		}
 	}
-	if math.Abs(dst[0]-bestW) > 1e-3 {
-		t.Fatalf("closed form %v, grid argmin %v", dst[0], bestW)
+	if math.Abs(dst[0]-bestU) > 1e-3 {
+		t.Fatalf("closed form %v, grid argmin %v", dst[0], bestU)
 	}
 }
 
+// With μ = 0 the prox is the identity, so a step is the plain gradient
+// step w + (−η)·v, bit for bit, in place too: the anchor's values, NaNs
+// here, are not read.
 func TestProxIdentityWhenMuZero(t *testing.T) {
-	p := Prox{Mu: 0}
+	p := Prox{Mu: 0, Anchor: []float64{math.NaN(), math.NaN(), math.NaN()}}
 	x := []float64{1, -2, 3}
+	v := []float64{0.5, 1, -2}
 	dst := make([]float64, 3)
-	p.Apply(dst, x, 0.5)
+	p.Step(dst, x, v, 0.5)
 	for i := range x {
-		if dst[i] != x[i] {
-			t.Fatal("mu=0 prox should be identity")
+		if want := x[i] + -0.5*v[i]; math.Float64bits(dst[i]) != math.Float64bits(want) {
+			t.Fatalf("mu=0 step at %d is %v, want the gradient step %v", i, dst[i], want)
 		}
 	}
 	// In-place must also work.
-	p.Apply(x, x, 0.5)
-	if x[0] != 1 {
-		t.Fatal("in-place identity broken")
+	p.Step(x, x, v, 0.5)
+	if x[0] != 0.75 {
+		t.Fatal("in-place step broken")
 	}
 }
 
 // Property (firm non-expansiveness implies non-expansiveness):
-// ‖prox(x) − prox(y)‖ ≤ ‖x − y‖ for all x, y.
+// ‖prox(x) − prox(y)‖ ≤ ‖x − y‖ for all x, y — and so for two steps
+// along one direction v, which shifts x and y alike.
 func TestProxNonExpansiveQuick(t *testing.T) {
 	f := func(seed int64, muRaw uint8, etaRaw uint8) bool {
 		rng := randx.New(seed)
@@ -60,14 +66,16 @@ func TestProxNonExpansiveQuick(t *testing.T) {
 		anchor := make([]float64, 6)
 		x := make([]float64, 6)
 		y := make([]float64, 6)
+		v := make([]float64, 6)
 		randx.NormalVec(rng, anchor, 0, 2)
 		randx.NormalVec(rng, x, 0, 2)
 		randx.NormalVec(rng, y, 0, 2)
+		randx.NormalVec(rng, v, 0, 2)
 		p := Prox{Mu: mu, Anchor: anchor}
 		px := make([]float64, 6)
 		py := make([]float64, 6)
-		p.Apply(px, x, eta)
-		p.Apply(py, y, eta)
+		p.Step(px, x, v, eta)
+		p.Step(py, y, v, eta)
 		return distSq(px, py) <= distSq(x, y)+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -75,7 +83,8 @@ func TestProxNonExpansiveQuick(t *testing.T) {
 	}
 }
 
-// Property: the anchor is the fixed point of prox when x = anchor.
+// Property: the anchor is the fixed point of prox, so a step from the
+// anchor along v = 0 stays there.
 func TestProxFixedPointQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := randx.New(seed)
@@ -83,7 +92,7 @@ func TestProxFixedPointQuick(t *testing.T) {
 		randx.NormalVec(rng, anchor, 0, 3)
 		p := Prox{Mu: 2.5, Anchor: anchor}
 		dst := make([]float64, 4)
-		p.Apply(dst, anchor, 0.7)
+		p.Step(dst, anchor, make([]float64, 4), 0.7)
 		return distSq(dst, anchor) < 1e-20
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -488,9 +497,9 @@ func TestReturnRandomIsUniformish(t *testing.T) {
 
 // TestSARAHMatchesHandReplay replays a one-step SARAH solve by hand: the
 // first proximal step from v⁰ = ∇F(w⁰), then recursion (8a)
-// v¹ = ∇f_B(w¹) − ∇f_B(w⁰) + v⁰ and the step along v¹. The replay makes
-// the Solver's mathx calls in its order on the same RNG stream, so the
-// comparison is bitwise.
+// v¹ = ∇f_B(w¹) − ∇f_B(w⁰) + v⁰ and the step along v¹. The replay does
+// the Solver's arithmetic in its order, (g1 − g2) + v and w + (−η)·v, on
+// the same RNG stream, so the comparison is bitwise.
 func TestSARAHMatchesHandReplay(t *testing.T) {
 	const (
 		dim     = 3
@@ -509,7 +518,7 @@ func TestSARAHMatchesHandReplay(t *testing.T) {
 	v0 := make([]float64, dim)
 	m.Grad(v0, w0, ds, nil)
 	w1 := make([]float64, dim)
-	mathx.AddScaled(w1, w0, -eta, v0) // μ=0 ⇒ prox is the identity
+	Prox{Anchor: w0}.Step(w1, w0, v0, eta) // μ=0 ⇒ prox is the identity
 
 	rng := randx.New(7) // Solve drew only the batch from its stream
 	batch := make([]int, batchSz)
@@ -523,7 +532,7 @@ func TestSARAHMatchesHandReplay(t *testing.T) {
 		v1[i] = g1[i] - g2[i] + v0[i]
 	}
 	want := make([]float64, dim)
-	mathx.AddScaled(want, w1, -eta, v1)
+	Prox{Anchor: w0}.Step(want, w1, v1, eta)
 	for i := range want {
 		if out[i] != want[i] {
 			t.Fatalf("solver output differs from the hand replay at %d: %v vs %v", i, out[i], want[i])

@@ -18,20 +18,38 @@ type Prox struct {
 	Anchor []float64
 }
 
-// Apply stores prox_{η h_s}(x) into dst. dst may alias x.
-func (p Prox) Apply(dst, x []float64, eta float64) {
-	if p.Mu == 0 {
-		if &dst[0] != &x[0] {
-			copy(dst, x)
-		}
-		return
-	}
-	if len(dst) != len(x) || len(p.Anchor) != len(x) {
+// Step stores prox_{ηh_s}(w − ηv) into dst: one proximal gradient step
+// (Algorithm 1, lines 4 and 8) in one pass. dst may alias w or v. With
+// μ = 0 the anchor's values are not read.
+func (p Prox) Step(dst, w, v []float64, eta float64) {
+	if len(w) != len(dst) || len(v) != len(dst) || len(p.Anchor) != len(dst) {
 		panic("optim: Prox dimension mismatch")
 	}
-	em := eta * p.Mu
-	inv := 1 / (1 + em)
+	c := p.at(eta)
 	for i := range dst {
-		dst[i] = (x[i] + em*p.Anchor[i]) * inv
+		dst[i] = c.step(w[i], v[i], p.Anchor[i])
 	}
+}
+
+// at fixes p at step size η for loops that take the step a coordinate at
+// a time.
+func (p Prox) at(eta float64) proxCoef {
+	em := eta * p.Mu
+	return proxCoef{neg: -eta, em: em, inv: 1 / (1 + em), id: p.Mu == 0}
+}
+
+// proxCoef holds eq. (10)'s coefficients at one step size η.
+type proxCoef struct {
+	neg, em, inv float64 // −η, ημ and 1/(1+ημ)
+	id           bool    // μ = 0: the prox is the identity
+}
+
+// step returns one coordinate of prox_{ηh_s}(w − ηv), where the anchor's
+// coordinate is a: x = w + (−η)·v, then (x + ημ·a)·(1/(1+ημ)).
+func (c proxCoef) step(w, v, a float64) float64 {
+	x := w + c.neg*v
+	if c.id {
+		return x
+	}
+	return (x + c.em*a) * c.inv
 }

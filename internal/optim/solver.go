@@ -111,23 +111,23 @@ func NewSolver(m models.Model) Solver { return Solver{model: m} }
 func (h *Solver) SetPhaseHook(hook func(name string) func()) { h.phase = hook }
 
 // Scratch is the memory a solve runs in: a private clone of the model (with
-// its GEMM/im2col workspace) and the inner loop's dim-length vectors. It
-// belongs to whoever executes solves — one per executor goroutine — not to
-// a device, and must not be shared across goroutines. The zero value is
+// its GEMM/im2col workspace) and the inner loop's seven dim-length vectors.
+// It belongs to whoever executes solves — one per executor goroutine — not
+// to a device, and must not be shared across goroutines. The zero value is
 // ready: the first Solve builds it from the solver's model. A solve reads
-// nothing from a Scratch that it has not first overwritten, so which
-// device used it last cannot affect a result.
+// nothing from a Scratch that it has not first overwritten, and keeps no
+// reference to a caller's buffer, so which device used it last cannot
+// affect a result.
 type Scratch struct {
 	src   models.Model // template model was cloned from
 	model models.Model
 
 	w      []float64 // current iterate w^(t)
-	wPrev  []float64 // previous iterate (SARAH)
+	wPrev  []float64 // previous iterate w^(t−1) (SARAH)
 	v      []float64 // current direction v^(t)
 	anchor []float64 // w̄^(s−1) copy
 	vFull  []float64 // v^(0): full local gradient at the anchor
 	g1, g2 []float64 // minibatch gradient scratch
-	pre    []float64 // w − ηv before prox
 	batch  []int
 }
 
@@ -146,7 +146,7 @@ func (s *Scratch) bind(m models.Model) {
 	*s = Scratch{
 		src: m, model: m.Clone(),
 		w: vec(), wPrev: vec(), v: vec(), anchor: vec(), vFull: vec(),
-		g1: vec(), g2: vec(), pre: vec(),
+		g1: vec(), g2: vec(),
 	}
 }
 
@@ -157,6 +157,12 @@ func (s *Scratch) bind(m models.Model) {
 // it. Either way the solve's result is the same, bit for bit, when v0 holds
 // Grad's bits. It returns the number of gradient evaluations the round is
 // charged (a proxy for d_cmp in the timing model), line 4's included.
+//
+// Each step is one pass over the dim-length vectors it touches: the
+// estimator update and the proximal step share one loop, and SARAH hands
+// w^(t) on to wPrev by a swap, not a copy. Line 4's step reads the anchor
+// and v^(0) where they are, and under ReturnLast the last step writes
+// straight into out.
 func (h *Solver) Solve(s *Scratch, ds *data.Dataset, anchor, out []float64, cfg LocalConfig, rng *rand.Rand, v0 []float64) int {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -174,11 +180,14 @@ func (h *Solver) Solve(s *Scratch, ds *data.Dataset, anchor, out []float64, cfg 
 	}
 	batch := s.batch[:cfg.Batch]
 
+	// The two copies a solve keeps. The engine may rewrite the global model
+	// while a quorum-cut straggler is still solving from it, and a
+	// handed-over v0 is the device's buffer, refilled by the next
+	// measurement. Every other read is of the scratch's own vectors.
 	copy(s.anchor, anchor)
-	copy(s.w, anchor)
 	prox := Prox{Mu: cfg.Mu, Anchor: s.anchor}
 
-	// Line 4: full local gradient at the anchor and first proximal step.
+	// Line 4: full local gradient at the anchor.
 	var endPhase func()
 	if h.phase != nil {
 		endPhase = h.phase("anchor-grad")
@@ -186,12 +195,11 @@ func (h *Solver) Solve(s *Scratch, ds *data.Dataset, anchor, out []float64, cfg 
 	if v0 != nil {
 		copy(s.vFull, v0)
 	} else {
-		s.model.Grad(s.vFull, s.w, ds, nil)
+		s.model.Grad(s.vFull, s.anchor, ds, nil)
 	}
 	if endPhase != nil {
 		endPhase()
 	}
-	copy(s.v, s.vFull)
 	gradEvals := ds.N()
 
 	// Pick the reported iterate up front for ReturnRandom (reservoir-free).
@@ -199,15 +207,21 @@ func (h *Solver) Solve(s *Scratch, ds *data.Dataset, anchor, out []float64, cfg 
 	if cfg.Return == ReturnRandom {
 		reportT = rng.Intn(cfg.Tau + 1)
 	}
-	record := func(t int) {
-		if t == reportT {
-			copy(out, s.w)
-		}
+	if reportT == 0 {
+		copy(out, s.anchor)
 	}
-	record(0)
+	// dst is where step t's iterate w^(t+1) goes: out for the one the
+	// solve reports under ReturnLast, s.w (read after SARAH's swap)
+	// otherwise.
+	dst := func(t int) []float64 {
+		if t == cfg.Tau && cfg.Return == ReturnLast {
+			return out
+		}
+		return s.w
+	}
 
-	// w^(1) = prox(w^(0) − η v^(0)).
-	s.proxStep(cfg.Eta, prox)
+	// Line 4's step: w^(1) = prox(w^(0) − η v^(0)), with w^(0) the anchor.
+	prox.Step(dst(0), s.anchor, s.vFull, cfg.Eta)
 
 	// Lines 5–9: τ stochastic proximal steps.
 	if h.phase != nil {
@@ -215,47 +229,51 @@ func (h *Solver) Solve(s *Scratch, ds *data.Dataset, anchor, out []float64, cfg 
 	}
 	for t := 1; t <= cfg.Tau; t++ {
 		randx.Batch(rng, batch, ds.N())
+		if t == reportT {
+			copy(out, s.w)
+		}
 		switch cfg.Estimator {
 		case SGD:
 			s.model.Grad(s.v, s.w, ds, batch)
+			prox.Step(dst(t), s.w, s.v, cfg.Eta)
 			gradEvals += cfg.Batch
 		case SVRG:
 			// v = ∇f_B(w^(t)) − ∇f_B(w^(0)) + v^(0)
 			s.model.Grad(s.g1, s.w, ds, batch)
 			s.model.Grad(s.g2, s.anchor, ds, batch)
-			for i := range s.v {
-				s.v[i] = s.g1[i] - s.g2[i] + s.vFull[i]
-			}
+			vrStep(prox, cfg.Eta, dst(t), s.w, s.v, s.g1, s.g2, s.vFull)
 			gradEvals += 2 * cfg.Batch
 		case SARAH:
-			// v = ∇f_B(w^(t)) − ∇f_B(w^(t−1)) + v^(t−1)
-			s.model.Grad(s.g1, s.w, ds, batch)
-			s.model.Grad(s.g2, s.wPrev, ds, batch)
-			for i := range s.v {
-				s.v[i] = s.g1[i] - s.g2[i] + s.v[i]
+			// v = ∇f_B(w^(t)) − ∇f_B(w^(t−1)) + v^(t−1); at t = 1 the
+			// previous iterate and direction are the anchor and v^(0).
+			prev, base := s.wPrev, s.v
+			if t == 1 {
+				prev, base = s.anchor, s.vFull
 			}
+			s.model.Grad(s.g1, s.w, ds, batch)
+			s.model.Grad(s.g2, prev, ds, batch)
+			s.w, s.wPrev = s.wPrev, s.w // w^(t) is the next step's previous iterate
+			vrStep(prox, cfg.Eta, dst(t), s.wPrev, s.v, s.g1, s.g2, base)
 			gradEvals += 2 * cfg.Batch
 		}
-		record(t)
-		s.proxStep(cfg.Eta, prox)
 	}
 	if h.phase != nil && endPhase != nil {
 		endPhase()
 	}
-
-	// Under ReturnRandom, out already holds iterate reportT.
-	if cfg.Return == ReturnLast {
-		copy(out, s.w)
-	}
 	return gradEvals
 }
 
-// proxStep moves w^(t) to wPrev and takes the proximal step
-// w^(t+1) = prox(w^(t) − η v^(t)).
-func (s *Scratch) proxStep(eta float64, prox Prox) {
-	copy(s.wPrev, s.w)
-	mathx.AddScaled(s.pre, s.w, -eta, s.v)
-	prox.Apply(s.w, s.pre, eta)
+// vrStep is one SVRG or SARAH step in one pass: v ← (g1 − g2) + base, then
+// dst ← prox(w − η v). base is v^(0) for (8b) and v^(t−1) for (8a); dst
+// may alias w and base may alias v.
+func vrStep(p Prox, eta float64, dst, w, v, g1, g2, base []float64) {
+	c := p.at(eta)
+	w, v, g1, g2, base, anchor := w[:len(dst)], v[:len(dst)], g1[:len(dst)], g2[:len(dst)], base[:len(dst)], p.Anchor[:len(dst)]
+	for i := range dst {
+		vi := g1[i] - g2[i] + base[i]
+		v[i] = vi
+		dst[i] = c.step(w[i], vi, anchor[i])
+	}
 }
 
 // SurrogateGradNorm returns ‖∇J_n(w)‖ = ‖∇F_n(w) + μ(w − anchor)‖ — the

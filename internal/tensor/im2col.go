@@ -124,7 +124,7 @@ func Col2Im(s ConvShape, col, dInput []float64) {
 				d := c*plane + (yLo+ky-pad)*w + lo + kx - pad
 				if simdEnabled {
 					addRowsSIMD(src[yLo*w+lo:(yHi-1)*w+hi],
-						dInput[d:d+(yHi-1-yLo)*w+hi-lo], yHi-yLo, hi-lo, w, w)
+						dInput[d:d+(yHi-1-yLo)*w+hi-lo], yHi-yLo, hi-lo, w)
 					continue
 				}
 				for oy := yLo; oy < yHi; oy++ {

@@ -25,14 +25,14 @@ func axpySIMD(s float64, x, y []float64)
 // zeroed beforehand would get. Implemented in assembly.
 func axpyTileSIMD(a []float64, rs, ks, kn int, b, c []float64, ld, n, rows int, zero bool)
 
-// addRowsSIMD adds src[r*ss+j] to dst[r*ds+j] for the rows r < rows and
-// the columns j < n, as dst + src with dst the first operand, so that
-// where both are NaNs dst's payload is kept, as Go's dst[j] += src[j]
-// keeps it. The slices must cover every index this reaches. Implemented
-// in assembly.
+// addRowsSIMD adds src[r*stride+j] to dst[r*stride+j] for the rows
+// r < rows and the columns j < n, as dst + src with dst the first operand,
+// so that where both are NaNs dst's payload is kept, as Go's
+// dst[j] += src[j] keeps it. The slices must cover every index this
+// reaches. Implemented in assembly.
 //
 //go:noescape
-func addRowsSIMD(src, dst []float64, rows, n, ss, ds int)
+func addRowsSIMD(src, dst []float64, rows, n, stride int)
 
 // expSIMD overwrites x, four elements at a time, with math.Exp's FMA path
 // op for op. It stops before the first group of four holding an element

@@ -735,22 +735,20 @@ rowsdone:
 	VZEROUPPER
 	RET
 
-// func addRowsSIMD(src, dst []float64, rows, n, ss, ds int)
+// func addRowsSIMD(src, dst []float64, rows, n, stride int)
 //
 // Row by row, dst[j] = dst[j] + src[j]: four at a time with VADDPD, then
 // the n%4 tail two at a time (128-bit VADDPD) and one at a time
 // (VADDSD). dst is loaded into the register that is the add's first
 // source, so where both operands are NaNs the sum keeps dst's payload.
 // Memory operands are not indexed, so each add stays one fused micro-op.
-TEXT ·addRowsSIMD(SB), NOSPLIT, $0-80
+TEXT ·addRowsSIMD(SB), NOSPLIT, $0-72
 	MOVQ  src_base+0(FP), R8  // R8 = this row of src
 	MOVQ  dst_base+24(FP), R9 // R9 = this row of dst
 	MOVQ  rows+48(FP), R10
 	MOVQ  n+56(FP), BX
-	MOVQ  ss+64(FP), R11
-	SHLQ  $3, R11             // R11 = src row stride, bytes
-	MOVQ  ds+72(FP), R12
-	SHLQ  $3, R12             // R12 = dst row stride, bytes
+	MOVQ  stride+64(FP), R11
+	SHLQ  $3, R11             // R11 = row stride of both, bytes
 	TESTQ R10, R10
 	JZ    adddone
 	TESTQ BX, BX
@@ -790,7 +788,7 @@ add1:
 
 addnext:
 	ADDQ R11, R8
-	ADDQ R12, R9
+	ADDQ R11, R9
 	DECQ R10
 	JNZ  addrow
 

@@ -11,7 +11,7 @@ func axpyTileSIMD(a []float64, rs, ks, kn int, b, c []float64, ld, n, rows int, 
 	panic("tensor: SIMD kernel unavailable")
 }
 
-func addRowsSIMD(src, dst []float64, rows, n, ss, ds int) { panic("tensor: SIMD kernel unavailable") }
+func addRowsSIMD(src, dst []float64, rows, n, stride int) { panic("tensor: SIMD kernel unavailable") }
 
 func expSIMD(x []float64) int { panic("tensor: SIMD kernel unavailable") }
 

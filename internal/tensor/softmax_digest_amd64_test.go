@@ -127,3 +127,61 @@ func TestSoftmaxDigest(t *testing.T) {
 		}
 	})
 }
+
+// TestSoftmaxGradIgnoresStaleBuffer: Grad and LossGrad overwrite their
+// gradient buffer — the weight part is the first chunk's GEMM store — so a
+// buffer full of NaNs and infinities gives the bits a zeroed one does, for
+// every n in {0, 1, 31, 32, 33, 70} rows, through an index list and over
+// the whole shard, on both kernel sets. TestSoftmaxDigest cannot see this:
+// it hands LossGrad a fresh buffer every time.
+func TestSoftmaxGradIgnoresStaleBuffer(t *testing.T) {
+	run := func(t *testing.T) {
+		stale := []float64{math.NaN(), math.Inf(1), math.Inf(-1), softmaxNaN}
+		for si, sh := range []struct{ d, c int }{{60, 10}, {784, 10}, {13, 5}} {
+			m := models.NewSoftmax(sh.d, sh.c)
+			rng := randx.New(int64(58 + si))
+			w := make([]float64, m.Dim())
+			randx.NormalVec(rng, w, 0, 0.3)
+			for _, n := range []int{0, 1, 31, 32, 33, 70} {
+				ds := softmaxShard(rng, sh.d, sh.c, n)
+				idx := make([]int, n)
+				for i := range idx {
+					idx[i] = rng.Intn(n)
+				}
+				for _, call := range []struct {
+					name string
+					f    func(grad []float64) float64
+				}{
+					{"Grad", func(grad []float64) float64 { m.Grad(grad, w, ds, nil); return 0 }},
+					{"Grad(idx)", func(grad []float64) float64 { m.Grad(grad, w, ds, idx); return 0 }},
+					{"LossGrad", func(grad []float64) float64 { return m.LossGrad(grad, w, ds) }},
+				} {
+					clean := make([]float64, m.Dim())
+					dirty := make([]float64, m.Dim())
+					for i := range dirty {
+						dirty[i] = stale[i%len(stale)]
+					}
+					lc, ld := call.f(clean), call.f(dirty)
+					if math.Float64bits(lc) != math.Float64bits(ld) {
+						t.Fatalf("%dx%d n=%d %s: loss %v into a zeroed buffer, %v into a stale one", sh.d, sh.c, n, call.name, lc, ld)
+					}
+					for i := range clean {
+						if math.Float64bits(clean[i]) != math.Float64bits(dirty[i]) {
+							t.Fatalf("%dx%d n=%d %s: grad[%d] is %v into a zeroed buffer, %v into a stale one", sh.d, sh.c, n, call.name, i, clean[i], dirty[i])
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Run("AVX2", func(t *testing.T) {
+		if !tensor.SIMDEnabled() {
+			t.Skip("AVX2+FMA kernels are off on this CPU")
+		}
+		run(t)
+	})
+	t.Run("Scalar", func(t *testing.T) {
+		tensor.WithScalarKernels(t)
+		run(t)
+	})
+}
