@@ -212,12 +212,14 @@ soak-restart:
 # (SoftmaxPredict32x10), conv1's and the thin conv2's im2col/col2im
 # (Im2Col28x28k5, Col2Im28x28k5, Im2Col14x14c4k5, Col2Im14x14c4k5), the
 # fused ReLU + max-pool over conv1's output (ReLUMaxPool4x28x28B8), the
-# thin CNN's B = 8 gradient (CNNThinGradB8), and one local SARAH solve at
+# thin CNN's B = 8 gradient (CNNThinGradB8), one local SARAH solve at
 # tcp8_f64's and convex100's shapes (SolveSARAHSoftmax7850,
-# SolveSARAHSoftmax610). bench and benchgate must agree
+# SolveSARAHSoftmax610), and at the same two widths the solver's
+# element-wise kernels: a SARAH step, a proximal step and the fold's
+# y += a·x (VRStep*, ProxStep*, Axpy*). bench and benchgate must agree
 # on this set, so a benchmark in the snapshot is never silently absent from
 # the gate run.
-BENCH_PATTERN := RoundAllocs|Ablation|NewRunnerCNN10|NNBatchForward32|TopK|Frame|WireRound|EvaluatorMeasure|GemmShape|SoftmaxGradB32|SoftmaxXent32x10|SoftmaxLossGradShard|SoftmaxPredict32x10|Im2Col28x28k5|Col2Im28x28k5|Im2Col14x14c4k5|Col2Im14x14c4k5|ReLUMaxPool4x28x28B8|CNNThinGradB8|SolveSARAHSoftmax7850|SolveSARAHSoftmax610
+BENCH_PATTERN := RoundAllocs|Ablation|NewRunnerCNN10|NNBatchForward32|TopK|Frame|WireRound|EvaluatorMeasure|GemmShape|SoftmaxGradB32|SoftmaxXent32x10|SoftmaxLossGradShard|SoftmaxPredict32x10|Im2Col28x28k5|Col2Im28x28k5|Im2Col14x14c4k5|Col2Im14x14c4k5|ReLUMaxPool4x28x28B8|CNNThinGradB8|SolveSARAHSoftmax7850|SolveSARAHSoftmax610|VRStep7850|VRStep610|ProxStep7850|ProxStep610|Axpy7850|Axpy610
 BENCH_PKGS := . ./internal/engine ./internal/nn ./internal/models ./internal/optim ./internal/transport ./internal/tensor
 
 # bench runs the recorded benchmark set three times and snapshots the

@@ -9,7 +9,11 @@
 // runtime condition).
 package mathx
 
-import "math"
+import (
+	"math"
+
+	"fedproxvr/internal/tensor"
+)
 
 // Dot returns the inner product <x, y>. Panics if lengths differ.
 func Dot(x, y []float64) float64 {
@@ -23,7 +27,9 @@ func Dot(x, y []float64) float64 {
 	return s
 }
 
-// Axpy computes y += a*x in place. Panics if lengths differ.
+// Axpy computes y += a*x in place, each product a·x[i] rounded before
+// its add (tensor.Axpy, four lanes at a time with AVX2). Panics if lengths
+// differ.
 func Axpy(a float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic("mathx: Axpy length mismatch")
@@ -31,9 +37,7 @@ func Axpy(a float64, x, y []float64) {
 	if a == 0 {
 		return
 	}
-	for i, v := range x {
-		y[i] += a * v
-	}
+	tensor.Axpy(a, x, y)
 }
 
 // Scal scales x by a in place.

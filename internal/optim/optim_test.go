@@ -131,6 +131,32 @@ func TestLocalConfigValidate(t *testing.T) {
 	}
 }
 
+// TestLocalConfigValidateNonFinite: a NaN or infinite η or μ trains a NaN
+// model, so Validate refuses each, while the largest finite values and
+// μ = 0 pass.
+func TestLocalConfigValidateNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		eta, mu float64
+		ok      bool
+	}{
+		{eta: nan, mu: 0.1},
+		{eta: inf, mu: 0.1},
+		{eta: -inf, mu: 0.1},
+		{eta: 0.1, mu: nan},
+		{eta: 0.1, mu: inf},
+		{eta: 0.1, mu: -inf},
+		{eta: nan, mu: nan},
+		{eta: math.MaxFloat64, mu: math.MaxFloat64, ok: true},
+		{eta: math.SmallestNonzeroFloat64, mu: 0, ok: true},
+	} {
+		c := LocalConfig{Eta: tc.eta, Mu: tc.mu, Tau: 5, Batch: 2}
+		if err := c.Validate(); (err == nil) != tc.ok {
+			t.Errorf("η = %v, μ = %v: Validate() = %v, want ok = %v", tc.eta, tc.mu, err, tc.ok)
+		}
+	}
+}
+
 // leastSquares is the convex fixture the solver tests train:
 // f_i(w) = ½(x_iᵀw − y_i)² over a dataset whose rows carry their target
 // after the d features, [x_i, y_i], so a noiseless quadDataset has its

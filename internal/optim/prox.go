@@ -6,6 +6,8 @@
 // last iterate or, as in Algorithm 1's line 10, a uniformly random one.
 package optim
 
+import "fedproxvr/internal/tensor"
+
 // Prox is the proximal operator of η·h_s where
 // h_s(w) = (μ/2)‖w − anchor‖² (eq. 7). Its closed form (eq. 10) is
 //
@@ -19,37 +21,19 @@ type Prox struct {
 }
 
 // Step stores prox_{ηh_s}(w − ηv) into dst: one proximal gradient step
-// (Algorithm 1, lines 4 and 8) in one pass. dst may alias w or v. With
-// μ = 0 the anchor's values are not read.
+// (Algorithm 1, lines 4 and 8) in one pass, x = w + (−η)·v and then
+// (x + ημ·anchor)·(1/(1+ημ)), each product rounded on its own
+// (tensor.ProxStep). dst may alias w or v. With μ = 0 the anchor's values
+// are not read.
 func (p Prox) Step(dst, w, v []float64, eta float64) {
 	if len(w) != len(dst) || len(v) != len(dst) || len(p.Anchor) != len(dst) {
 		panic("optim: Prox dimension mismatch")
 	}
-	c := p.at(eta)
-	for i := range dst {
-		dst[i] = c.step(w[i], v[i], p.Anchor[i])
-	}
+	tensor.ProxStep(p.at(eta), dst, w, v, p.Anchor)
 }
 
-// at fixes p at step size η for loops that take the step a coordinate at
-// a time.
-func (p Prox) at(eta float64) proxCoef {
+// at returns eq. (10)'s coefficients at step size η: −η, ημ and 1/(1+ημ).
+func (p Prox) at(eta float64) tensor.StepCoef {
 	em := eta * p.Mu
-	return proxCoef{neg: -eta, em: em, inv: 1 / (1 + em), id: p.Mu == 0}
-}
-
-// proxCoef holds eq. (10)'s coefficients at one step size η.
-type proxCoef struct {
-	neg, em, inv float64 // −η, ημ and 1/(1+ημ)
-	id           bool    // μ = 0: the prox is the identity
-}
-
-// step returns one coordinate of prox_{ηh_s}(w − ηv), where the anchor's
-// coordinate is a: x = w + (−η)·v, then (x + ημ·a)·(1/(1+ημ)).
-func (c proxCoef) step(w, v, a float64) float64 {
-	x := w + c.neg*v
-	if c.id {
-		return x
-	}
-	return (x + c.em*a) * c.inv
+	return tensor.StepCoef{Neg: -eta, Em: em, Inv: 1 / (1 + em), Id: p.Mu == 0}
 }

@@ -2,12 +2,14 @@ package optim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"fedproxvr/internal/data"
 	"fedproxvr/internal/mathx"
 	"fedproxvr/internal/models"
 	"fedproxvr/internal/randx"
+	"fedproxvr/internal/tensor"
 )
 
 // Estimator selects the stochastic gradient direction v^(t) of Algorithm 1.
@@ -69,8 +71,8 @@ func (c LocalConfig) Validate() error {
 	if c.Return < ReturnLast || c.Return > ReturnRandom {
 		return fmt.Errorf("optim: unknown return policy %d", int(c.Return))
 	}
-	if c.Eta <= 0 {
-		return fmt.Errorf("optim: step size must be positive, got %v", c.Eta)
+	if !(c.Eta > 0 && c.Eta <= math.MaxFloat64) {
+		return fmt.Errorf("optim: step size must be positive and finite, got %v", c.Eta)
 	}
 	if c.Tau < 0 {
 		return fmt.Errorf("optim: tau must be non-negative, got %d", c.Tau)
@@ -78,8 +80,8 @@ func (c LocalConfig) Validate() error {
 	if c.Batch < 1 {
 		return fmt.Errorf("optim: batch must be at least 1, got %d", c.Batch)
 	}
-	if c.Mu < 0 {
-		return fmt.Errorf("optim: mu must be non-negative, got %v", c.Mu)
+	if !(c.Mu >= 0 && c.Mu <= math.MaxFloat64) {
+		return fmt.Errorf("optim: mu must be non-negative and finite, got %v", c.Mu)
 	}
 	return nil
 }
@@ -100,8 +102,9 @@ type Solver struct {
 func NewSolver(m models.Model) Solver { return Solver{model: m} }
 
 // SetPhaseHook installs a sub-phase observer: Solve calls it at the start
-// of each named sub-phase — "anchor-grad" (line 4's full local gradient at
-// the anchor, a copy when the caller handed it over) and "inner-loop"
+// of each named sub-phase — "anchor-grad" (all of line 4: the anchor's
+// copy, the full local gradient at the anchor, itself a copy when the
+// caller handed it over, and the first proximal step) and "inner-loop"
 // (lines 5–9, the τ stochastic proximal steps) — and invokes the returned
 // func when the sub-phase ends. The TCP worker uses it to record trace
 // spans against the coordinator-propagated round span. The hook lives on
@@ -159,10 +162,12 @@ func (s *Scratch) bind(m models.Model) {
 // charged (a proxy for d_cmp in the timing model), line 4's included.
 //
 // Each step is one pass over the dim-length vectors it touches: the
-// estimator update and the proximal step share one loop, and SARAH hands
-// w^(t) on to wPrev by a swap, not a copy. Line 4's step reads the anchor
-// and v^(0) where they are, and under ReturnLast the last step writes
-// straight into out.
+// estimator update and the proximal step share one loop (tensor.VRStep),
+// and SARAH hands w^(t) on to wPrev by a swap, not a copy. Line 4's step
+// reads the anchor and v^(0) where they are, and under ReturnLast the last
+// step writes straight into out. A step stores only what a later step
+// reads: its iterate, and SARAH's direction v^(t) for t < τ. SVRG's
+// direction is never read again (its base is v^(0)), so SVRG stores none.
 func (h *Solver) Solve(s *Scratch, ds *data.Dataset, anchor, out []float64, cfg LocalConfig, rng *rand.Rand, v0 []float64) int {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -180,25 +185,25 @@ func (h *Solver) Solve(s *Scratch, ds *data.Dataset, anchor, out []float64, cfg 
 	}
 	batch := s.batch[:cfg.Batch]
 
+	// Line 4, from the anchor's copy to the first step, is the
+	// "anchor-grad" phase.
+	var endPhase func()
+	if h.phase != nil {
+		endPhase = h.phase("anchor-grad")
+	}
 	// The two copies a solve keeps. The engine may rewrite the global model
 	// while a quorum-cut straggler is still solving from it, and a
 	// handed-over v0 is the device's buffer, refilled by the next
 	// measurement. Every other read is of the scratch's own vectors.
 	copy(s.anchor, anchor)
 	prox := Prox{Mu: cfg.Mu, Anchor: s.anchor}
+	c := prox.at(cfg.Eta) // VRStep's coefficients
 
 	// Line 4: full local gradient at the anchor.
-	var endPhase func()
-	if h.phase != nil {
-		endPhase = h.phase("anchor-grad")
-	}
 	if v0 != nil {
 		copy(s.vFull, v0)
 	} else {
 		s.model.Grad(s.vFull, s.anchor, ds, nil)
-	}
-	if endPhase != nil {
-		endPhase()
 	}
 	gradEvals := ds.N()
 
@@ -222,6 +227,9 @@ func (h *Solver) Solve(s *Scratch, ds *data.Dataset, anchor, out []float64, cfg 
 
 	// Line 4's step: w^(1) = prox(w^(0) − η v^(0)), with w^(0) the anchor.
 	prox.Step(dst(0), s.anchor, s.vFull, cfg.Eta)
+	if endPhase != nil {
+		endPhase()
+	}
 
 	// Lines 5–9: τ stochastic proximal steps.
 	if h.phase != nil {
@@ -238,22 +246,26 @@ func (h *Solver) Solve(s *Scratch, ds *data.Dataset, anchor, out []float64, cfg 
 			prox.Step(dst(t), s.w, s.v, cfg.Eta)
 			gradEvals += cfg.Batch
 		case SVRG:
-			// v = ∇f_B(w^(t)) − ∇f_B(w^(0)) + v^(0)
+			// v = ∇f_B(w^(t)) − ∇f_B(w^(0)) + v^(0), not stored: the
+			// next step's base is v^(0) again.
 			s.model.Grad(s.g1, s.w, ds, batch)
 			s.model.Grad(s.g2, s.anchor, ds, batch)
-			vrStep(prox, cfg.Eta, dst(t), s.w, s.v, s.g1, s.g2, s.vFull)
+			tensor.VRStep(c, dst(t), s.w, nil, s.g1, s.g2, s.vFull, s.anchor)
 			gradEvals += 2 * cfg.Batch
 		case SARAH:
 			// v = ∇f_B(w^(t)) − ∇f_B(w^(t−1)) + v^(t−1); at t = 1 the
 			// previous iterate and direction are the anchor and v^(0).
-			prev, base := s.wPrev, s.v
+			prev, base, v := s.wPrev, s.v, s.v
 			if t == 1 {
 				prev, base = s.anchor, s.vFull
+			}
+			if t == cfg.Tau {
+				v = nil // no later step reads v^(τ)
 			}
 			s.model.Grad(s.g1, s.w, ds, batch)
 			s.model.Grad(s.g2, prev, ds, batch)
 			s.w, s.wPrev = s.wPrev, s.w // w^(t) is the next step's previous iterate
-			vrStep(prox, cfg.Eta, dst(t), s.wPrev, s.v, s.g1, s.g2, base)
+			tensor.VRStep(c, dst(t), s.wPrev, v, s.g1, s.g2, base, s.anchor)
 			gradEvals += 2 * cfg.Batch
 		}
 	}
@@ -261,19 +273,6 @@ func (h *Solver) Solve(s *Scratch, ds *data.Dataset, anchor, out []float64, cfg 
 		endPhase()
 	}
 	return gradEvals
-}
-
-// vrStep is one SVRG or SARAH step in one pass: v ← (g1 − g2) + base, then
-// dst ← prox(w − η v). base is v^(0) for (8b) and v^(t−1) for (8a); dst
-// may alias w and base may alias v.
-func vrStep(p Prox, eta float64, dst, w, v, g1, g2, base []float64) {
-	c := p.at(eta)
-	w, v, g1, g2, base, anchor := w[:len(dst)], v[:len(dst)], g1[:len(dst)], g2[:len(dst)], base[:len(dst)], p.Anchor[:len(dst)]
-	for i := range dst {
-		vi := g1[i] - g2[i] + base[i]
-		v[i] = vi
-		dst[i] = c.step(w[i], vi, anchor[i])
-	}
 }
 
 // SurrogateGradNorm returns ‖∇J_n(w)‖ = ‖∇F_n(w) + μ(w − anchor)‖ — the

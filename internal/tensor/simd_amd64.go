@@ -82,3 +82,22 @@ func headArgMaxSIMD(pred []int, z []float64, b, c int)
 //
 //go:noescape
 func transposeSIMD(dst, src []float64, n, m int, bias []float64)
+
+// proxStepSIMD is ProxStep on the first len(dst)&^3 elements.
+// Implemented in assembly.
+//
+//go:noescape
+func proxStepSIMD(dst, w, v, a []float64, neg, em, inv float64, id bool)
+
+// vrStepSIMD is VRStep on the first len(dst)&^3 elements; a nil v stores
+// no direction. Implemented in assembly.
+//
+//go:noescape
+func vrStepSIMD(dst, w, v, g1, g2, base, a []float64, neg, em, inv float64, id bool)
+
+// axpyNoFMASIMD is Axpy on the first len(x)&^3 elements: unlike
+// axpySIMD, it rounds each product before the add. Implemented in
+// assembly.
+//
+//go:noescape
+func axpyNoFMASIMD(a float64, x, y []float64)

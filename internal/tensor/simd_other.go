@@ -34,3 +34,13 @@ func headArgMaxSIMD(pred []int, z []float64, b, c int) { panic("tensor: SIMD ker
 func transposeSIMD(dst, src []float64, n, m int, bias []float64) {
 	panic("tensor: SIMD kernel unavailable")
 }
+
+func proxStepSIMD(dst, w, v, a []float64, neg, em, inv float64, id bool) {
+	panic("tensor: SIMD kernel unavailable")
+}
+
+func vrStepSIMD(dst, w, v, g1, g2, base, a []float64, neg, em, inv float64, id bool) {
+	panic("tensor: SIMD kernel unavailable")
+}
+
+func axpyNoFMASIMD(a float64, x, y []float64) { panic("tensor: SIMD kernel unavailable") }

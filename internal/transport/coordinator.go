@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -68,7 +67,7 @@ func handshake(conn net.Conn, timeout time.Duration) (*clientConn, error) {
 	}
 	cc := &clientConn{
 		conn: counted,
-		fr:   frameReader{r: bufio.NewReader(counted)},
+		fr:   frameReader{r: counted},
 		fw:   frameWriter{w: counted},
 	}
 	typ, payload, err := cc.fr.next()

@@ -75,7 +75,6 @@ package transport
 //	int8     lo(f64) step(f64) 1·dim
 //	topk     k(u32) lo(f64) step(f64) 4·k indices 1·k values
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -908,20 +907,29 @@ func (fw *frameWriter) writeFrame(frame []byte) error {
 	return err
 }
 
-// frameReader reads frames off a buffered connection into a reusable
-// payload buffer (valid until the next call). The header array lives in
-// the struct: a local one escapes through io.ReadFull on every frame.
+// frameReader reads frames off a connection into a buffer it owns and
+// hands out each payload in place (valid until the next call). Every Read
+// asks for all the room the buffer has, and the buffer grows to hold the
+// largest frame seen, so a frame that has fully arrived takes one read
+// call, header and payload together, and its payload is never copied.
+// Bytes read past a frame stay buffered for the next call.
 type frameReader struct {
-	r   *bufio.Reader
-	buf []byte
-	hdr [frameHeaderSize]byte
+	r      io.Reader
+	buf    []byte // buf[lo:hi] is read and not yet handed out
+	lo, hi int
 }
 
 func (fr *frameReader) next() (typ byte, payload []byte, err error) {
-	hdr := &fr.hdr
-	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
+	// The previous payload is released: move what follows it to the front.
+	fr.hi = copy(fr.buf, fr.buf[fr.lo:fr.hi])
+	fr.lo = 0
+	if len(fr.buf) == 0 {
+		fr.buf = make([]byte, 4096)
+	}
+	if err := fr.fill(frameHeaderSize); err != nil {
 		return 0, nil, err
 	}
+	hdr := fr.buf[:frameHeaderSize]
 	if hdr[0] != frameMagic {
 		return 0, nil, errFrame("bad magic 0x%02x", hdr[0])
 	}
@@ -929,12 +937,35 @@ func (fr *frameReader) next() (typ byte, payload []byte, err error) {
 	if n > maxFramePayload {
 		return 0, nil, errFrame("payload of %d bytes exceeds the %d limit", n, maxFramePayload)
 	}
-	if cap(fr.buf) < n {
-		fr.buf = make([]byte, n)
+	size := frameHeaderSize + n
+	if len(fr.buf) < size {
+		grown := make([]byte, size)
+		copy(grown, fr.buf[:fr.hi])
+		fr.buf = grown
 	}
-	fr.buf = fr.buf[:n]
-	if _, err := io.ReadFull(fr.r, fr.buf); err != nil {
+	if err := fr.fill(size); err != nil {
 		return 0, nil, err
 	}
-	return hdr[1], fr.buf, nil
+	fr.lo = size
+	return fr.buf[1], fr.buf[frameHeaderSize:size:size], nil
+}
+
+// fill reads until buf holds at least n bytes (n ≤ len(buf)). Like
+// io.ReadFull, it reports io.EOF when the stream ends before any byte of
+// the frame and io.ErrUnexpectedEOF when it ends inside one.
+func (fr *frameReader) fill(n int) error {
+	for fr.hi < n {
+		m, err := fr.r.Read(fr.buf[fr.hi:])
+		fr.hi += m
+		if fr.hi >= n {
+			break
+		}
+		if err == io.EOF && fr.hi > 0 {
+			return io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

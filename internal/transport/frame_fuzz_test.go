@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"bytes"
 	"testing"
 
@@ -71,7 +70,7 @@ func FuzzFrameDecode(f *testing.F) {
 
 	ref := testVec(2, 12)
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		fr := frameReader{r: bufio.NewReader(bytes.NewReader(stream))}
+		fr := frameReader{r: bytes.NewReader(stream)}
 		for {
 			typ, payload, err := fr.next()
 			if err != nil {

@@ -1,9 +1,9 @@
 package transport
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -263,7 +263,8 @@ func TestPartialSumCarriesEveryField(t *testing.T) {
 // refuses — here an estimator or return byte that names no policy, or a
 // step no solve can take — is a frame error. Decoded unchecked, an unknown
 // return policy never writes the solve's output, so the worker would reply
-// with its previous round's model.
+// with its previous round's model, and a NaN or infinite η or μ would train
+// a NaN one.
 func TestRequestRejectsUnknownPolicy(t *testing.T) {
 	for _, tc := range []struct {
 		edit func(*optim.LocalConfig)
@@ -273,6 +274,10 @@ func TestRequestRejectsUnknownPolicy(t *testing.T) {
 		{func(c *optim.LocalConfig) { c.Return = optim.ReturnRandom + 1 }, "return policy 2"},
 		{func(c *optim.LocalConfig) { c.Return = 0xFF }, "return policy 255"},
 		{func(c *optim.LocalConfig) { c.Eta = 0 }, "step size must be positive"},
+		{func(c *optim.LocalConfig) { c.Eta = math.NaN() }, "step size must be positive and finite"},
+		{func(c *optim.LocalConfig) { c.Eta = math.Inf(1) }, "step size must be positive and finite"},
+		{func(c *optim.LocalConfig) { c.Mu = math.NaN() }, "mu must be non-negative and finite"},
+		{func(c *optim.LocalConfig) { c.Mu = math.Inf(1) }, "mu must be non-negative and finite"},
 	} {
 		local := wireLocal
 		tc.edit(&local)
@@ -490,21 +495,85 @@ func TestFrameDecoderRejectsMalformed(t *testing.T) {
 
 func TestFrameReaderRejectsBadStream(t *testing.T) {
 	// Bad magic.
-	fr := frameReader{r: bufio.NewReader(bytes.NewReader([]byte{0x00, 1, 0, 0, 0, 0}))}
+	fr := frameReader{r: bytes.NewReader([]byte{0x00, 1, 0, 0, 0, 0})}
 	if _, _, err := fr.next(); err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Fatalf("bad magic: %v", err)
 	}
 	// Oversized payload length.
 	hdr := []byte{frameMagic, msgRoundReply, 0xFF, 0xFF, 0xFF, 0xFF}
-	fr = frameReader{r: bufio.NewReader(bytes.NewReader(hdr))}
+	fr = frameReader{r: bytes.NewReader(hdr)}
 	if _, _, err := fr.next(); err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("oversized payload: %v", err)
 	}
 	// Truncated payload.
 	frame := marshalHello(nil, workerHello(1, 1))
-	fr = frameReader{r: bufio.NewReader(bytes.NewReader(frame[:len(frame)-2]))}
+	fr = frameReader{r: bytes.NewReader(frame[:len(frame)-2])}
 	if _, _, err := fr.next(); err == nil {
 		t.Fatal("truncated frame accepted")
+	}
+}
+
+// arrivals is a connection's read side as its bytes arrive: each Read
+// returns at most what is left of the oldest arrival, as a socket returns
+// at most what has come in, and counts itself.
+type arrivals struct {
+	chunks [][]byte
+	reads  int
+}
+
+func (a *arrivals) Read(p []byte) (int, error) {
+	a.reads++
+	if len(a.chunks) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, a.chunks[0])
+	if a.chunks[0] = a.chunks[0][n:]; len(a.chunks[0]) == 0 {
+		a.chunks = a.chunks[1:]
+	}
+	return n, nil
+}
+
+// TestFrameReaderOneReadPerFrame: once its buffer has grown to the frame
+// size, the reader takes a frame that has fully arrived in one read call,
+// header and payload together; a frame that arrives in pieces, or two
+// frames in one piece, decode alike, and the stream's end is io.EOF
+// between frames and io.ErrUnexpectedEOF inside one.
+func TestFrameReaderOneReadPerFrame(t *testing.T) {
+	frame := func(round int64) []byte {
+		return marshalRequest(nil, &RoundRequest{Round: int(round), Codec: CodecFloat64, Anchor: testVec(round, 2000), Local: wireLocal})
+	}
+	check := func(fr *frameReader, round int64) {
+		t.Helper()
+		typ, payload, err := fr.next()
+		if err != nil || typ != msgRoundRequest {
+			t.Fatalf("round %d: type %d, err %v", round, typ, err)
+		}
+		var got RoundRequest
+		if err := unmarshalRequest(payload, &got); err != nil || got.Round != int(round) || got.Anchor[1999] != testVec(round, 2000)[1999] {
+			t.Fatalf("round %d: decoded round %d, err %v", round, got.Round, err)
+		}
+	}
+	a := &arrivals{chunks: [][]byte{frame(1), frame(2), frame(3)}}
+	fr := frameReader{r: a}
+	check(&fr, 1) // grows the buffer
+	for round := int64(2); round <= 3; round++ {
+		before := a.reads
+		check(&fr, round)
+		if n := a.reads - before; n != 1 {
+			t.Errorf("round %d: %d read calls for a frame that had arrived, want 1", round, n)
+		}
+	}
+	if _, _, err := fr.next(); err != io.EOF {
+		t.Errorf("end between frames: %v, want io.EOF", err)
+	}
+
+	f4, f5 := frame(4), frame(5)
+	pieces := [][]byte{f4[:3], f4[3:100], append(f4[100:], f5[:10]...), f5[10:], frame(6)[:20]}
+	fr = frameReader{r: &arrivals{chunks: pieces}}
+	check(&fr, 4)
+	check(&fr, 5)
+	if _, _, err := fr.next(); err != io.ErrUnexpectedEOF {
+		t.Errorf("end inside a frame: %v, want io.ErrUnexpectedEOF", err)
 	}
 }
 
@@ -519,7 +588,7 @@ func TestFrameReaderWriterRoundTrip(t *testing.T) {
 	if err := fw.writeFrame(req); err != nil {
 		t.Fatal(err)
 	}
-	fr := frameReader{r: bufio.NewReader(&buf)}
+	fr := frameReader{r: &buf}
 	typ, payload, err := fr.next()
 	if err != nil || typ != msgHello {
 		t.Fatalf("first frame: type %d err %v", typ, err)

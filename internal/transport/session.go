@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -185,7 +184,7 @@ func (s *session) dial() error {
 	s.conn = c
 	s.mu.Unlock()
 	s.fw = frameWriter{w: s.conn}
-	s.fr = frameReader{r: bufio.NewReader(s.conn)}
+	s.fr = frameReader{r: s.conn}
 	h := s.hello
 	h.JobID, h.Epoch = s.leaseJob, s.leaseEpoch
 	s.wbuf = marshalHello(s.wbuf[:0], &h)

@@ -5,7 +5,6 @@
 package transport
 
 import (
-	"bufio"
 	"context"
 	"net"
 	"strings"
@@ -498,7 +497,7 @@ func stubShardPeer(t *testing.T, addr string, shardID, lo, ndev, dim int, done *
 	}
 	defer conn.Close()
 	fw := frameWriter{w: conn}
-	fr := frameReader{r: bufio.NewReader(conn)}
+	fr := frameReader{r: conn}
 	buf := marshalHello(nil, &Hello{ClientID: shardID, LoDevice: lo, NumDevices: ndev, NumSamples: int64(ndev) * 10, Partial: true})
 	if err := fw.writeFrame(buf); err != nil {
 		t.Errorf("stub shard %d hello: %v", shardID, err)

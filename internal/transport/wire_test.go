@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"context"
 	"math"
 	"net"
@@ -180,7 +179,7 @@ func float32Peer(t *testing.T, addr string, id int, samples int64, done *sync.Wa
 	}
 	defer conn.Close()
 	fw := frameWriter{w: conn}
-	fr := frameReader{r: bufio.NewReader(conn)}
+	fr := frameReader{r: conn}
 	buf := marshalHello(nil, workerHello(id, samples))
 	if err := fw.writeFrame(buf); err != nil {
 		t.Errorf("float32 peer %d hello: %v", id, err)
